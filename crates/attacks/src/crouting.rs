@@ -68,7 +68,7 @@ pub fn crouting_attack(
     split: &SplitLayout,
     config: &CroutingConfig,
 ) -> CroutingReport {
-    crouting_attack_traced(golden, split, config, &mut crate::phase::Recorder::new())
+    crouting_attack_traced(golden, split, config, &mut sm_exec::phase::Recorder::new())
 }
 
 /// [`crouting_attack`] that additionally records the grid kernel's
@@ -80,7 +80,7 @@ pub fn crouting_attack_traced(
     golden: &Netlist,
     split: &SplitLayout,
     config: &CroutingConfig,
-    rec: &mut crate::phase::Recorder,
+    rec: &mut sm_exec::phase::Recorder,
 ) -> CroutingReport {
     let vpins = &split.feol.vpins;
     let n = vpins.len();

@@ -27,7 +27,6 @@
 pub mod crouting;
 pub(crate) mod grid;
 pub mod mcmf;
-pub use sm_exec::phase;
 pub mod proximity;
 pub mod solution_space;
 

@@ -302,7 +302,7 @@ pub fn network_flow_attack_cancellable(
         split,
         config,
         cancel,
-        &mut crate::phase::Recorder::new(),
+        &mut sm_exec::phase::Recorder::new(),
     )
 }
 
@@ -320,7 +320,7 @@ pub fn network_flow_attack_traced(
     split: &SplitLayout,
     config: &ProximityConfig,
     cancel: &CancelToken,
-    rec: &mut crate::phase::Recorder,
+    rec: &mut sm_exec::phase::Recorder,
 ) -> Option<AttackOutcome> {
     let exec = Budget::on_pool(Arc::clone(Pool::global()), 1).with_cancel(cancel.clone());
     network_flow_attack_budgeted(golden, placed, placement, split, config, &exec, rec)
@@ -340,7 +340,7 @@ pub fn network_flow_attack_budgeted(
     split: &SplitLayout,
     config: &ProximityConfig,
     exec: &Budget,
-    rec: &mut crate::phase::Recorder,
+    rec: &mut sm_exec::phase::Recorder,
 ) -> Option<AttackOutcome> {
     let cancel = exec.cancel_token();
     if cancel.is_cancelled() {

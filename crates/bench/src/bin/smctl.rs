@@ -64,14 +64,13 @@ use sm_bench::session::Session;
 use sm_bench::suite::{iscas_selection, superblue_selection};
 use sm_bench::{RunOptions, StoreMode};
 use sm_engine::campaign::{
-    json_to_csv, merge_outcomes, merge_reports, missing_jobs, run_jobs_budgeted,
-    run_sweep_budgeted, Campaign, SweepSpec,
+    json_to_csv, merge_reports, run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec,
 };
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{find_journal, materialize, read_events, Event, Journal, JournalFollower};
 use sm_engine::report::{Json, ReportOptions};
 use sm_engine::serve::{
-    client_shutdown, client_status, client_submit, serve, simulate_campaign, ServeConfig, SimPlan,
+    client_shutdown, client_status, client_submit, serve, ServeConfig, SimPlan,
 };
 use sm_engine::store::ArtifactStore;
 use sm_engine::ArtifactCache;
@@ -439,6 +438,29 @@ fn cache_for(opts: &RunOptions) -> ArtifactCache {
     }
 }
 
+/// [`cache_for`] plus the campaign journal, `journal` or else the one
+/// next to the store. Store-backed campaigns journal their lifecycle
+/// there: the file is named by the spec's fingerprint, so shards and
+/// resumes of the same campaign append to the same log.
+fn journaled_cache(
+    opts: &RunOptions,
+    spec: &SweepSpec,
+    journal: Option<Arc<Journal>>,
+) -> (ArtifactCache, Option<Arc<Journal>>) {
+    let cache = cache_for(opts);
+    let journal = journal.or_else(|| {
+        let journal = Journal::for_spec(cache.store()?.root(), spec);
+        Some(Arc::new(match fault_injector(opts) {
+            Some(faults) => journal.with_faults(faults),
+            None => journal,
+        }))
+    });
+    match journal {
+        Some(journal) => (cache.with_journal(Arc::clone(&journal)), Some(journal)),
+        None => (cache, None),
+    }
+}
+
 /// The `--fault-seed`/`--fault-profile` plan as a shareable injector.
 fn fault_injector(opts: &RunOptions) -> Option<Arc<dyn FaultInject>> {
     opts.fault_plan()
@@ -514,43 +536,20 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
             .collect();
     }
     check_format(&format)?;
-    if let Some((k, n)) = shard {
-        // Sugar over --jobs: shard K of N takes every Nth job starting
-        // at K-1. Round-robin keeps each shard's mix of benchmarks and
-        // attacks balanced; the partial reports merge byte-stably via
-        // `smctl resume`.
-        if job_filter.is_some() {
-            return Err("--shard and --jobs are mutually exclusive".into());
-        }
-        let total = spec.jobs()?.len();
-        let indices: Vec<usize> = ((k - 1)..total).step_by(n).collect();
-        if indices.is_empty() {
-            return Err(format!(
-                "shard {k}/{n} selects no jobs (campaign has {total})"
-            ));
-        }
-        job_filter = Some(indices);
-    }
+    // Both selections leave partial reports that merge byte-stably via
+    // `smctl merge` or `smctl resume`.
+    let run = match (job_filter, shard) {
+        (Some(_), Some(_)) => return Err("--shard and --jobs are mutually exclusive".into()),
+        (Some(indices), None) => CampaignRun::new(&spec)?.jobs(&indices)?,
+        (None, Some((k, n))) => CampaignRun::new(&spec)?.shard(k, n)?,
+        (None, None) => CampaignRun::new(&spec)?,
+    };
 
-    let mut cache = cache_for(&opts);
-    // Store-backed sweeps journal their lifecycle next to the store:
-    // the file is named by the spec's fingerprint, so shards and
-    // resumes of the same campaign append to the same log.
-    let journal = cache.store().map(|store| {
-        let journal = Journal::for_spec(store.root(), &spec);
-        Arc::new(match fault_injector(&opts) {
-            Some(faults) => journal.with_faults(faults),
-            None => journal,
-        })
-    });
-    if let Some(journal) = &journal {
-        cache = cache.with_journal(Arc::clone(journal));
-    }
+    let (cache, journal) = journaled_cache(&opts, &spec, None);
     // One budget for the whole sweep: `--threads` worth of workers
     // shared by jobs, bundle builds and nested bisection sweeps, with
     // the `--timeout-secs` deadline attached.
-    let budget = opts.budget();
-    let campaign = run_sweep_budgeted(&spec, &budget, &cache, job_filter.as_deref())?;
+    let (campaign, _) = run.run(&Scheduler::Solo, &opts.budget(), &cache)?;
     if let Some(journal) = &journal {
         eprintln!("journal: {}", journal.path().display());
     }
@@ -647,58 +646,30 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
         }
     };
 
-    let expansion = stored.spec.jobs()?;
-    let missing = missing_jobs(&expansion, &stored.outcomes);
+    let present = stored.outcomes.len();
+    let timed_out = stored.timed_out();
+    let total = stored.spec.jobs()?.len();
+    let spec = stored.spec.clone();
+    let run = CampaignRun::resume(stored)?;
     eprintln!(
-        "{}: {} of {} jobs present ({} timed out), {} to run",
+        "{}: {present} of {total} jobs present ({timed_out} timed out), {} to run",
         journal_input
             .as_deref()
             .map(|p| p.display().to_string())
             .unwrap_or_else(|| path.clone()),
-        stored.outcomes.len(),
-        expansion.len(),
-        stored.timed_out(),
-        missing.len()
+        run.selected().len()
     );
 
-    let mut cache = cache_for(&opts);
     // The resumed jobs journal into the input log (journal input), or
     // into the store's spec-fingerprinted journal (report input over a
     // store) — either way, resume is log concatenation.
-    let journal = journal.or_else(|| {
-        cache
-            .store()
-            .map(|store| Arc::new(Journal::for_spec(store.root(), &stored.spec)))
-    });
-    if let Some(journal) = &journal {
-        cache = cache.with_journal(Arc::clone(journal));
-    }
+    let (cache, _) = journaled_cache(&opts, &spec, journal);
     // A resume gets its own budget — and may itself carry a
     // `--timeout-secs` deadline, in which case still-unfinished jobs
-    // stay timed-out and another resume continues from there.
-    let budget = opts.budget();
-    if let Some(journal) = &journal {
-        // Tolerated as a duplicate by materialize (same spec); needed
-        // when the resume starts a fresh journal from a report input.
-        journal.record(&Event::CampaignStarted {
-            spec: stored.spec.clone(),
-            threads: budget.threads() as u64,
-        });
-    }
-    let fresh = run_jobs_budgeted(&missing, &budget, &cache);
-    let outcomes = merge_outcomes(&expansion, stored.outcomes, fresh);
-    let campaign = Campaign {
-        spec: stored.spec,
-        outcomes,
-        cache: cache.stats(),
-        stages: cache.stage_stats(),
-        threads: budget.threads(),
-        total_wall: std::time::Duration::ZERO,
-        pool: budget.pool().stats(),
-    };
-    if let Some(journal) = &journal {
-        journal.record(&Event::campaign_finished(&campaign));
-    }
+    // stay timed-out and another resume continues from there. Its
+    // campaign-started record is tolerated as a duplicate by
+    // materialize (same spec).
+    let (campaign, _) = run.run(&Scheduler::Solo, &opts.budget(), &cache)?;
     // The canonical JSON report is always preserved. Report input: it
     // goes to --out for `--format json`, otherwise the input file is
     // updated in place. Journal input: the journal itself holds the
@@ -1055,27 +1026,17 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         // solo sweep of the same spec.
         default_benchmarks(&mut spec, opts.quick);
         check_format(&format)?;
-        let mut cache = cache_for(&opts);
-        let journal = cache.store().map(|store| {
-            let journal = Journal::for_spec(store.root(), &spec);
-            Arc::new(match fault_injector(&opts) {
-                Some(faults) => journal.with_faults(faults),
-                None => journal,
-            })
-        });
-        if let Some(journal) = &journal {
-            cache = cache.with_journal(Arc::clone(journal));
-        }
-        let budget = opts.budget();
+        let (cache, _) = journaled_cache(&opts, &spec, None);
         let plan = SimPlan {
             workers: sim_workers,
             seed: sim_seed,
             deaths: kills,
         };
-        let (campaign, stats) = simulate_campaign(&spec, &plan, &budget, &cache)?;
+        let (campaign, stats) =
+            CampaignRun::new(&spec)?.run(&Scheduler::Simulated(plan), &opts.budget(), &cache)?;
         eprintln!(
-            "fleet: {} simulated worker(s), {} steal(s), {} death(s)",
-            plan.workers, stats.steals, stats.deaths
+            "fleet: {sim_workers} simulated worker(s), {} steal(s), {} death(s)",
+            stats.steals, stats.deaths
         );
         emit(
             &render_campaign(&campaign, &format, timings),
@@ -1564,21 +1525,10 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
 
     // Fault-free resume over the same (possibly mangled) store: the
     // surviving results merge with re-runs of every placeholder.
-    let expansion = spec.jobs()?;
-    let missing = missing_jobs(&expansion, &chaotic.outcomes);
-    eprintln!("chaos: resuming {} job(s) fault-free", missing.len());
+    let run = CampaignRun::resume(chaotic)?;
+    eprintln!("chaos: resuming {} job(s) fault-free", run.selected().len());
     let resume_cache = ArtifactCache::with_store(Arc::new(ArtifactStore::open(dir_str, None)));
-    let fresh = run_jobs_budgeted(&missing, &budget, &resume_cache);
-    let outcomes = merge_outcomes(&expansion, chaotic.outcomes, fresh);
-    let resumed = Campaign {
-        spec,
-        outcomes,
-        cache: resume_cache.stats(),
-        stages: resume_cache.stage_stats(),
-        threads: budget.threads(),
-        total_wall: std::time::Duration::ZERO,
-        pool: budget.pool().stats(),
-    };
+    let (resumed, _) = run.run(&Scheduler::Solo, &budget, &resume_cache)?;
     let resumed_json = render_campaign(&resumed, "json", false);
     let _ = std::fs::remove_dir_all(&dir);
     if resumed_json != baseline_json {
@@ -1588,7 +1538,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
     }
     println!(
         "chaos: ok — {} job(s) converged to the fault-free report byte-for-byte",
-        expansion.len()
+        resumed.outcomes.len()
     );
     Ok(ExitCode::SUCCESS)
 }

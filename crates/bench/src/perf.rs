@@ -235,7 +235,7 @@ fn layout_stages(
                 let mut score_wall = f64::INFINITY;
                 let mut outcome = None;
                 for _ in 0..min_of.max(1) {
-                    let mut rec = sm_attacks::phase::Recorder::new();
+                    let mut rec = sm_exec::phase::Recorder::new();
                     let (out, wall) = timed(|| {
                         network_flow_attack_traced(
                             &netlist,
@@ -271,7 +271,7 @@ fn layout_stages(
                 let mut grid_wall = f64::INFINITY;
                 let mut report = None;
                 for _ in 0..min_of.max(1) {
-                    let mut rec = sm_attacks::phase::Recorder::new();
+                    let mut rec = sm_exec::phase::Recorder::new();
                     let (rep, wall) = timed(|| {
                         crouting_attack_traced(
                             &netlist,

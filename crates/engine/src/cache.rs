@@ -17,9 +17,10 @@
 //!
 //! Memory is bounded two ways: campaign-scoped caches die with their
 //! campaign, and campaigns *release* bundles once their last consuming
-//! job finishes — per-key job counts are known at expansion time and
-//! registered with [`ArtifactCache::reserve`]; [`ArtifactCache::release`]
-//! drops the cache's reference when the count reaches zero, so peak
+//! job finishes — every selected job is registered with
+//! [`ArtifactCache::reserve_job`] before any runs, and
+//! [`ArtifactCache::release_job`] drops a layer's split views after the
+//! last job at that layer and the bundle after its last job, so peak
 //! memory tracks the working set instead of the whole sweep.
 
 use std::collections::HashMap;
@@ -33,6 +34,7 @@ use sm_exec::fault::FaultInject;
 use sm_layout::SplitLayout;
 
 use crate::bundle::{IscasRun, StageSource, SuperblueRun};
+use crate::job::Job;
 use crate::journal::{Event, Journal};
 use crate::store::{ArtifactStore, Stage};
 
@@ -156,6 +158,8 @@ pub struct ArtifactCache {
     journal: Option<Arc<Journal>>,
     faults: Option<Arc<dyn FaultInject>>,
     expected: Mutex<HashMap<BundleKey, usize>>,
+    /// Reserved jobs per bundle and split layer.
+    layer_uses: Mutex<HashMap<(BundleKey, u8), usize>>,
     hits: AtomicU64,
     disk_hits: AtomicU64,
     builds: AtomicU64,
@@ -444,6 +448,39 @@ impl ArtifactCache {
         if removed {
             self.released.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Registers `job` as an upcoming consumer of its bundle and of the
+    /// split views at its layer (a campaign reserves every selected job
+    /// before any runs).
+    pub fn reserve_job(&self, job: &Job) {
+        self.reserve(job.bundle_key(), 1);
+        let mut uses = self.layer_uses.lock().expect("reserve table poisoned");
+        *uses.entry((job.bundle_key(), job.split_layer)).or_insert(0) += 1;
+    }
+
+    /// Signals that `job` finished. The split views at its layer drop
+    /// once no reserved job at that layer remains — each layer's views
+    /// serve only the attacks at that layer — and the bundle as in
+    /// [`ArtifactCache::release`].
+    pub fn release_job(&self, job: &Job) {
+        let key = job.bundle_key();
+        let slot = (key, job.split_layer);
+        let mut uses = self.layer_uses.lock().expect("reserve table poisoned");
+        let layer_done = match uses.get_mut(&slot) {
+            Some(&mut 1) => uses.remove(&slot).is_some(),
+            Some(count) => {
+                *count -= 1;
+                false
+            }
+            None => false,
+        };
+        drop(uses);
+        if layer_done {
+            let mut splits = self.splits.lock().expect("split cache poisoned");
+            splits.retain(|&(k, _, layer), _| (k, layer) != slot);
+        }
+        self.release(&key);
     }
 
     /// Number of bundles currently held in memory.

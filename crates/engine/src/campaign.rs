@@ -24,23 +24,25 @@
 //! cancelled-then-resumed sweep ends byte-identical to an uninterrupted
 //! one.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sm_attacks::crouting::{crouting_attack, CroutingConfig};
 use sm_attacks::proximity::{ccr_over_connections, network_flow_attack_budgeted, ProximityConfig};
 use sm_core::flow::BaselineLayout;
 use sm_exec::fault::{Fault, FaultSite};
+use sm_exec::phase::Recorder;
 use sm_layout::split_layout;
 use sm_netlist::{NetId, Netlist, Sink};
 
 use crate::bundle::{IscasRun, SuperblueRun};
 use crate::cache::{ArtifactCache, CacheStats, SplitArm, StageStats};
-use crate::exec::{Budget, Executor, ExecutorConfig, PoolStats};
+use crate::exec::{Budget, PoolStats};
 use crate::job::{AttackKind, Benchmark, Job};
 use crate::journal::{Event, EventJob, MetricsSource, Provenance};
 use crate::report::{csv, Json, ReportOptions};
+use crate::serve::{simulate_schedule, Dispatch, Fleet, FleetStats, SimPlan};
 use crate::store::Stage;
 
 /// A sweep specification: the cartesian product
@@ -141,7 +143,7 @@ impl Bundle {
     /// Fetches (or builds) the bundle for `job` from the cache; a miss
     /// builds inside `exec`, the job's thread budget.
     pub fn fetch(cache: &ArtifactCache, job: &Job, exec: &Budget) -> Bundle {
-        Self::fetch_traced(cache, job, exec, &mut sm_attacks::phase::Recorder::new())
+        Self::fetch_traced(cache, job, exec, &mut Recorder::new())
     }
 
     /// [`Bundle::fetch`], recording the build's placement phase spans
@@ -151,7 +153,7 @@ impl Bundle {
         cache: &ArtifactCache,
         job: &Job,
         exec: &Budget,
-        rec: &mut sm_attacks::phase::Recorder,
+        rec: &mut Recorder,
     ) -> Bundle {
         let seed = job.bundle_seed();
         match &job.benchmark {
@@ -219,7 +221,7 @@ pub enum JobMetrics {
     /// The job did not run: its budget was cancelled or past its
     /// deadline when the job was picked up. A distinct outcome — never
     /// persisted to the store, excluded from CSV rows and aggregates —
-    /// that [`missing_jobs`] treats as absent, so `smctl resume`
+    /// that [`CampaignRun::resume`] treats as absent, so `smctl resume`
     /// re-runs exactly these jobs.
     TimedOut,
     /// The job panicked (an attack bug, or an injected `job-run`
@@ -328,9 +330,9 @@ pub fn run_job(cache: &ArtifactCache, job: &Job, exec: &Budget) -> JobOutcome {
     let lookup = Instant::now();
     let stored = cache.store().and_then(|s| s.load_outcome(job));
     let mut source = MetricsSource::Computed;
-    // Which phase a timed-out job expired in ("pickup" is journaled on
-    // the early return below; "bundle" when a build checkpoint unwound
-    // mid-placement/route; "attack" otherwise).
+    // Which phase a timed-out job expired in ("pickup" when the budget
+    // had expired before it started; "bundle" when a build checkpoint
+    // unwound mid-placement/route; "attack" otherwise).
     let mut timeout_phase = "attack";
     let metrics = match stored {
         Some(metrics) => {
@@ -339,21 +341,8 @@ pub fn run_job(cache: &ArtifactCache, job: &Job, exec: &Budget) -> JobOutcome {
             metrics
         }
         None if exec.is_cancelled() => {
-            // Still release the reservation: the bundle's consumer
-            // count was registered at expansion time and must not leak.
-            cache.release(&job.bundle_key());
-            if let Some(journal) = cache.journal() {
-                journal.record(&Event::JobTimedOut {
-                    job: EventJob::of(job),
-                    phase: "pickup".to_string(),
-                });
-            }
-            return JobOutcome {
-                job: job.clone(),
-                metrics: JobMetrics::TimedOut,
-                wall: Duration::ZERO,
-                phases,
-            };
+            timeout_phase = "pickup";
+            JobMetrics::TimedOut
         }
         None => {
             // Panic isolation: the compute region runs under
@@ -364,7 +353,7 @@ pub fn run_job(cache: &ArtifactCache, job: &Job, exec: &Budget) -> JobOutcome {
             let panic_phase = std::cell::Cell::new("bundle");
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let fetch = Instant::now();
-                let mut brec = sm_attacks::phase::Recorder::new();
+                let mut brec = Recorder::new();
                 let bundle = Bundle::fetch_traced(cache, job, exec, &mut brec);
                 phases.push(("bundle", ms_since(fetch)));
                 phases.extend(brec.into_spans());
@@ -408,7 +397,9 @@ pub fn run_job(cache: &ArtifactCache, job: &Job, exec: &Budget) -> JobOutcome {
             metrics
         }
     };
-    cache.release(&job.bundle_key());
+    // Every path releases the job's reservation, registered before the
+    // campaign started, so it never leaks.
+    cache.release_job(job);
     let wall = start.elapsed();
     if let Some(journal) = cache.journal() {
         if metrics.is_timed_out() {
@@ -497,7 +488,7 @@ fn flow_metrics(
         )
     });
     phases.push(("split", ms_since(t)));
-    let mut rec = sm_attacks::phase::Recorder::new();
+    let mut rec = Recorder::new();
     let out = network_flow_attack_budgeted(
         netlist,
         &protected.randomization.erroneous,
@@ -525,7 +516,7 @@ fn flow_metrics(
         &split_orig,
         &cfg,
         exec,
-        &mut sm_attacks::phase::Recorder::new(),
+        &mut Recorder::new(),
     )?;
     phases.push(("attack-original", ms_since(t)));
 
@@ -596,38 +587,10 @@ fn crouting_metrics(
     }
 }
 
-/// Runs a full sweep on a fresh memory-only cache. See
-/// [`run_sweep_with`] for store-backed and filtered runs.
-pub fn run_sweep(spec: &SweepSpec, exec: ExecutorConfig) -> Result<Campaign, String> {
-    run_sweep_with(spec, exec, &ArtifactCache::new(), None)
-}
-
-/// Runs a sweep (optionally restricted to the job indices in `filter`)
-/// against a caller-provided cache — which may be layered over a disk
-/// store, and may be shared across campaigns. Convenience wrapper over
-/// [`run_sweep_budgeted`] for callers configured by thread count alone.
-///
-/// # Errors
-///
-/// Returns an error for an invalid spec or an out-of-range job filter.
-pub fn run_sweep_with(
-    spec: &SweepSpec,
-    exec: ExecutorConfig,
-    cache: &ArtifactCache,
-    filter: Option<&[usize]>,
-) -> Result<Campaign, String> {
-    run_sweep_budgeted(spec, &Budget::with_threads(exec.threads), cache, filter)
-}
-
 /// Runs a sweep inside `budget` — the campaign's full resource
-/// allotment, as parsed from `--threads`/`--timeout-secs`. Each job gets
-/// an equal [`Budget::split`] share, so nested parallel work (bundle
-/// builds, bisection anchor sweeps) shares the campaign's pool; jobs
-/// picked up after the budget's token is cancelled or its deadline
-/// passed come back as [`JobMetrics::TimedOut`].
-///
-/// Per-key consumer counts are reserved up front, so each bundle is
-/// dropped from memory as soon as its last selected job finishes.
+/// allotment, as parsed from `--threads`/`--timeout-secs` — optionally
+/// restricted to the job indices in `filter` (`--jobs`). The solo entry
+/// point: [`CampaignRun`] under [`Scheduler::Solo`].
 ///
 /// # Errors
 ///
@@ -638,71 +601,267 @@ pub fn run_sweep_budgeted(
     cache: &ArtifactCache,
     filter: Option<&[usize]>,
 ) -> Result<Campaign, String> {
-    let mut jobs = spec.jobs()?;
+    let mut run = CampaignRun::new(spec)?;
     if let Some(indices) = filter {
-        let total = jobs.len();
-        let mut selected: Vec<usize> = Vec::new();
-        for &i in indices {
-            if i >= total {
-                return Err(format!(
-                    "--jobs index {i} out of range (campaign has {total} jobs)"
-                ));
-            }
-            selected.push(i);
+        run = run.jobs(indices)?;
+    }
+    Ok(run.run(&Scheduler::Solo, budget, cache)?.0)
+}
+
+// ----- the campaign driver -------------------------------------------------
+
+/// How [`CampaignRun::run`] schedules the selected jobs. The choice
+/// decides wall clock only: canonical bytes, cache counters and stage
+/// counters are the same under every scheduler.
+#[derive(Debug, Clone)]
+pub enum Scheduler {
+    /// [`Budget::map`] over the jobs, each job in an equal
+    /// [`Budget::split`] share (`smctl sweep`/`resume`).
+    Solo,
+    /// A threaded work-stealing [`Fleet`]. Its workers run through
+    /// [`Budget::map`], so the pool counts them, each on a
+    /// [`Budget::handoff`] share (`smctl serve`).
+    Fleet {
+        /// Fleet workers.
+        workers: usize,
+    },
+    /// The deterministic fleet simulation: [`simulate_schedule`]
+    /// partitions the jobs, and each simulated worker runs its share solo
+    /// under a [`Budget::handoff`] (`smctl serve --simulate`).
+    Simulated(SimPlan),
+}
+
+/// One campaign: a spec, the canonical job indices selected to run, and
+/// the outcomes of an earlier run that merge under the fresh ones.
+///
+/// [`CampaignRun::run`] is the only code that journals a campaign's
+/// start and finish, reserves bundles, measures the campaign wall clock
+/// and samples its counters — sweeps, `--jobs`/`--shard` selections,
+/// resumes, the simulated fleet and the live service all go through it.
+#[derive(Debug, Clone)]
+pub struct CampaignRun {
+    spec: SweepSpec,
+    expansion: Vec<Job>,
+    selected: Vec<usize>,
+    prior: Vec<JobOutcome>,
+}
+
+impl CampaignRun {
+    /// Every job of `spec`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an invalid spec.
+    pub fn new(spec: &SweepSpec) -> Result<CampaignRun, String> {
+        let expansion = spec.jobs()?;
+        Ok(CampaignRun {
+            spec: spec.clone(),
+            selected: (0..expansion.len()).collect(),
+            expansion,
+            prior: Vec::new(),
+        })
+    }
+
+    /// Only the jobs at `indices` (`--jobs`), sorted and deduplicated.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an out-of-range index or an empty selection.
+    pub fn jobs(mut self, indices: &[usize]) -> Result<CampaignRun, String> {
+        let total = self.expansion.len();
+        if let Some(i) = indices.iter().find(|&&i| i >= total) {
+            return Err(format!(
+                "--jobs index {i} out of range (campaign has {total} jobs)"
+            ));
         }
-        selected.sort_unstable();
-        selected.dedup();
-        if selected.is_empty() {
+        self.selected = indices.to_vec();
+        self.selected.sort_unstable();
+        self.selected.dedup();
+        if self.selected.is_empty() {
             return Err("--jobs selected no jobs".into());
         }
-        jobs = selected.into_iter().map(|i| jobs[i].clone()).collect();
+        Ok(self)
     }
-    let start = Instant::now();
-    if let Some(journal) = cache.journal() {
-        journal.record(&Event::CampaignStarted {
-            spec: spec.clone(),
-            threads: budget.threads() as u64,
-        });
+
+    /// Shard `k` of `n` (1-based, `--shard K/N`): every `n`th job from
+    /// `k - 1`. Round-robin keeps each shard's mix of benchmarks and
+    /// attacks balanced.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the shard selects no jobs.
+    pub fn shard(mut self, k: usize, n: usize) -> Result<CampaignRun, String> {
+        let total = self.expansion.len();
+        self.selected = (k.saturating_sub(1)..total).step_by(n.max(1)).collect();
+        if self.selected.is_empty() {
+            return Err(format!(
+                "shard {k}/{n} selects no jobs (campaign has {total})"
+            ));
+        }
+        Ok(self)
     }
-    let outcomes = run_jobs_budgeted(&jobs, budget, cache);
-    let campaign = Campaign {
-        spec: spec.clone(),
-        outcomes,
-        cache: cache.stats(),
-        stages: cache.stage_stats(),
-        threads: budget.threads(),
-        total_wall: start.elapsed(),
-        pool: budget.pool().stats(),
-    };
-    if let Some(journal) = cache.journal() {
-        journal.record(&Event::campaign_finished(&campaign));
+
+    /// Resumes `prior` (`smctl resume`): only the jobs without a
+    /// finished outcome in it run — absent ones, and the timed-out and
+    /// failed placeholders — and `prior`'s outcomes merge under the
+    /// fresh ones.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an invalid spec.
+    pub fn resume(prior: Campaign) -> Result<CampaignRun, String> {
+        let mut run = CampaignRun::new(&prior.spec)?;
+        let done: HashSet<_> = prior
+            .outcomes
+            .iter()
+            .filter(|o| !o.metrics.is_placeholder())
+            .map(|o| job_key(&o.job))
+            .collect();
+        run.selected
+            .retain(|&i| !done.contains(&job_key(&run.expansion[i])));
+        run.prior = prior.outcomes;
+        Ok(run)
     }
-    Ok(campaign)
+
+    /// Canonical indices of the jobs this run executes.
+    pub fn selected(&self) -> &[usize] {
+        &self.selected
+    }
+
+    /// Runs the selected jobs under `scheduler` inside `budget`. Jobs
+    /// picked up after the budget's token is cancelled or its deadline
+    /// passed come back as [`JobMetrics::TimedOut`]. Returns the merged
+    /// campaign and the fleet's scheduling counters (all-zero for
+    /// [`Scheduler::Solo`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an invalid fleet plan, before anything is
+    /// journaled.
+    pub fn run(
+        self,
+        scheduler: &Scheduler,
+        budget: &Budget,
+        cache: &ArtifactCache,
+    ) -> Result<(Campaign, FleetStats), String> {
+        let jobs: Vec<Job> = self
+            .selected
+            .iter()
+            .map(|&i| self.expansion[i].clone())
+            .collect();
+        // Fleets schedule positions in `jobs`, not canonical indices.
+        let plan = match scheduler {
+            Scheduler::Solo => Plan::Solo,
+            Scheduler::Fleet { workers } => Plan::Fleet(Fleet::new(
+                *workers,
+                jobs.len(),
+                self.spec.master_seed,
+                &[],
+            )?),
+            Scheduler::Simulated(sim) => {
+                let (per_worker, stats) = simulate_schedule(jobs.len(), sim)?;
+                Plan::Fixed(per_worker, stats)
+            }
+        };
+        let start = Instant::now();
+        if let Some(journal) = cache.journal() {
+            journal.record(&Event::CampaignStarted {
+                spec: self.spec.clone(),
+                threads: budget.threads() as u64,
+            });
+        }
+        // Reserving every selected job up front keeps each bundle in
+        // memory from its first job to its last, whatever the
+        // scheduler's order: one build or decode per bundle.
+        for job in &jobs {
+            cache.reserve_job(job);
+        }
+        let (fresh, fleet) = match plan {
+            Plan::Solo => (run_solo(&jobs, budget, cache), FleetStats::default()),
+            Plan::Fleet(fleet) => run_fleet(&jobs, fleet, budget, cache),
+            Plan::Fixed(per_worker, stats) => {
+                let fresh = per_worker
+                    .iter()
+                    .flat_map(|positions| {
+                        let share: Vec<Job> = positions.iter().map(|&p| jobs[p].clone()).collect();
+                        run_solo(&share, &budget.handoff(budget.threads()), cache)
+                    })
+                    .collect();
+                (fresh, stats)
+            }
+        };
+        let campaign = Campaign {
+            outcomes: merge_outcomes(&self.expansion, self.prior, fresh),
+            spec: self.spec,
+            cache: cache.stats(),
+            stages: cache.stage_stats(),
+            threads: budget.threads(),
+            total_wall: start.elapsed(),
+            pool: budget.pool().stats(),
+        };
+        if let Some(journal) = cache.journal() {
+            journal.record(&Event::campaign_finished(&campaign));
+        }
+        Ok((campaign, fleet))
+    }
 }
 
-/// Executes an explicit job list on the executor's budget. See
-/// [`run_jobs_budgeted`].
-pub fn run_jobs(jobs: &[Job], executor: &Executor, cache: &ArtifactCache) -> Vec<JobOutcome> {
-    run_jobs_budgeted(jobs, executor.budget(), cache)
+/// A [`Scheduler`] with its fleet built or its schedule simulated.
+enum Plan {
+    Solo,
+    Fleet(Fleet),
+    /// Per-worker job positions of a simulated schedule.
+    Fixed(Vec<Vec<usize>>, FleetStats),
 }
 
-/// Executes an explicit job list inside `budget`, reserving and
-/// releasing bundle claims so memory tracks the working set. Each job
-/// runs in an equal split of the campaign budget — the sub-budget that
-/// bounds its bundle build and nested layout parallelism. Outcomes come
-/// back in `jobs` order.
-pub fn run_jobs_budgeted(jobs: &[Job], budget: &Budget, cache: &ArtifactCache) -> Vec<JobOutcome> {
-    let mut uses: HashMap<_, usize> = HashMap::new();
-    for job in jobs {
-        *uses.entry(job.bundle_key()).or_insert(0) += 1;
-    }
-    for (key, count) in uses {
-        cache.reserve(key, count);
-    }
+/// Runs `jobs` on `budget`'s pool, each in an equal split of the budget
+/// — the share that bounds its bundle build and nested layout
+/// parallelism. Outcomes come back in `jobs` order.
+fn run_solo(jobs: &[Job], budget: &Budget, cache: &ArtifactCache) -> Vec<JobOutcome> {
     // At most `threads` jobs run concurrently, so the per-job share
-    // divides by that, not by the sweep length.
+    // divides by that, not by the job count.
     let per_job = budget.split(jobs.len().min(budget.threads()));
     budget.map(jobs, |_, job| run_job(cache, job, &per_job))
+}
+
+/// Runs `jobs` on a threaded `fleet`: its workers are [`Budget::map`]
+/// items, each pulling job positions from the shared fleet on a
+/// [`Budget::handoff`] share. A worker with nothing to run blocks on a
+/// condvar until a job completes.
+fn run_fleet(
+    jobs: &[Job],
+    fleet: Fleet,
+    budget: &Budget,
+    cache: &ArtifactCache,
+) -> (Vec<JobOutcome>, FleetStats) {
+    const POISONED: &str = "a fleet worker panicked while scheduling";
+    let workers: Vec<usize> = (0..fleet.workers()).collect();
+    let share = (budget.threads() / workers.len()).max(1);
+    let fleet = Mutex::new(fleet);
+    let progress = Condvar::new();
+    let per_worker = budget.map(&workers, |_, &w| {
+        let worker_budget = budget.handoff(share);
+        let mut outcomes = Vec::new();
+        let mut state = fleet.lock().expect(POISONED);
+        loop {
+            match state.next_job(w) {
+                Dispatch::Run(position) => {
+                    drop(state);
+                    outcomes.push(run_job(cache, &jobs[position], &worker_budget));
+                    state = fleet.lock().expect(POISONED);
+                    state.complete(w);
+                    progress.notify_all();
+                }
+                Dispatch::Wait => {
+                    state = progress.wait(state).expect(POISONED);
+                }
+                Dispatch::Done | Dispatch::Died => break,
+            }
+        }
+        outcomes
+    });
+    let stats = fleet.into_inner().expect(POISONED).stats();
+    (per_worker.into_iter().flatten().collect(), stats)
 }
 
 // ----- aggregation --------------------------------------------------------
@@ -1584,23 +1743,6 @@ fn job_key(job: &Job) -> (String, u64, u8, AttackKind) {
     )
 }
 
-/// The jobs of `expansion` that have no **finished** outcome in `have`
-/// — what `smctl resume` must still run. Timed-out and failed
-/// placeholders count as missing: they are exactly the jobs a resume
-/// re-runs.
-pub fn missing_jobs(expansion: &[Job], have: &[JobOutcome]) -> Vec<Job> {
-    let done: std::collections::HashSet<_> = have
-        .iter()
-        .filter(|o| !o.metrics.is_placeholder())
-        .map(|o| job_key(&o.job))
-        .collect();
-    expansion
-        .iter()
-        .filter(|job| !done.contains(&job_key(job)))
-        .cloned()
-        .collect()
-}
-
 /// Merges stored and freshly-run outcomes into canonical campaign order
 /// (`expansion` order). On duplicate keys, a finished outcome always
 /// beats a timed-out/failed placeholder; among finished outcomes, fresh
@@ -1639,10 +1781,11 @@ pub fn merge_outcomes(
 }
 
 /// Merges several stored reports of the **same spec** into one campaign
-/// in canonical job order — the engine behind `smctl merge`, which
-/// combines sharded sweeps (`--shard K/N`) without round-tripping every
-/// shard through `resume`. Later reports win on duplicate keys, except
-/// that a finished outcome never loses to a placeholder.
+/// in canonical job order, keeping the first report's run diagnostics —
+/// the engine behind `smctl merge`, which combines sharded sweeps
+/// (`--shard K/N`) without round-tripping every shard through `resume`.
+/// Later reports win on duplicate keys, except that a finished outcome
+/// never loses to a placeholder.
 ///
 /// # Errors
 ///
@@ -1650,33 +1793,29 @@ pub fn merge_outcomes(
 /// merge across different sweeps would silently drop jobs).
 pub fn merge_reports(reports: Vec<Campaign>) -> Result<Campaign, String> {
     let mut iter = reports.into_iter();
-    let first = iter.next().ok_or("merge needs at least one report")?;
-    let spec = first.spec.clone();
-    let expansion = spec.jobs()?;
-    let mut outcomes = merge_outcomes(&expansion, Vec::new(), first.outcomes);
+    let mut merged = iter.next().ok_or("merge needs at least one report")?;
+    let expansion = merged.spec.jobs()?;
+    merged.outcomes = merge_outcomes(&expansion, Vec::new(), merged.outcomes);
     for (i, report) in iter.enumerate() {
-        if report.spec != spec {
+        if report.spec != merged.spec {
             return Err(format!(
                 "report {} has a different sweep spec (all merged reports must share one campaign)",
                 i + 2
             ));
         }
-        outcomes = merge_outcomes(&expansion, outcomes, report.outcomes);
+        merged.outcomes = merge_outcomes(&expansion, merged.outcomes, report.outcomes);
     }
-    Ok(Campaign {
-        spec,
-        outcomes,
-        cache: CacheStats::default(),
-        stages: StageStats::default(),
-        threads: 0,
-        total_wall: Duration::ZERO,
-        pool: PoolStats::default(),
-    })
+    Ok(merged)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sweep(spec: &SweepSpec, threads: usize) -> Campaign {
+        let budget = Budget::with_threads(Some(threads));
+        run_sweep_budgeted(spec, &budget, &ArtifactCache::new(), None).unwrap()
+    }
 
     #[test]
     fn jobs_expand_row_major_and_validate() {
@@ -1736,12 +1875,12 @@ mod tests {
             layout_seed: None,
         };
         let cache = ArtifactCache::new();
-        let exec = ExecutorConfig { threads: Some(2) };
-        let filtered = run_sweep_with(&spec, exec, &cache, Some(&[1, 1])).unwrap();
+        let budget = Budget::with_threads(Some(2));
+        let filtered = run_sweep_budgeted(&spec, &budget, &cache, Some(&[1, 1])).unwrap();
         assert_eq!(filtered.outcomes.len(), 1);
         assert_eq!(filtered.outcomes[0].job.attack, AttackKind::Crouting);
-        assert!(run_sweep_with(&spec, exec, &cache, Some(&[9])).is_err());
-        assert!(run_sweep_with(&spec, exec, &cache, Some(&[])).is_err());
+        assert!(run_sweep_budgeted(&spec, &budget, &cache, Some(&[9])).is_err());
+        assert!(run_sweep_budgeted(&spec, &budget, &cache, Some(&[])).is_err());
     }
 
     #[test]
@@ -1755,7 +1894,7 @@ mod tests {
             master_seed: 3,
             layout_seed: None,
         };
-        let campaign = run_sweep(&spec, ExecutorConfig { threads: Some(2) }).unwrap();
+        let campaign = sweep(&spec, 2);
         let rendered = campaign.to_json(ReportOptions::default()).render();
         let parsed = Campaign::from_json(&Json::parse(&rendered).unwrap()).unwrap();
         assert_eq!(parsed.outcomes.len(), campaign.outcomes.len());
@@ -1778,37 +1917,21 @@ mod tests {
             master_seed: 1,
             layout_seed: None,
         };
-        let expansion = spec.jobs().unwrap();
         let cache = ArtifactCache::new();
-        let exec = ExecutorConfig { threads: Some(2) };
+        let budget = Budget::with_threads(Some(2));
         // Run only job 1, as `--jobs 1` would.
-        let partial = run_sweep_with(&spec, exec, &cache, Some(&[1])).unwrap();
-        let missing = missing_jobs(&expansion, &partial.outcomes);
-        assert_eq!(missing.len(), 1);
-        assert_eq!(missing[0].index, 0);
-
-        let executor = Executor::new(exec);
-        let fresh = run_jobs(&missing, &executor, &cache);
-        let merged = merge_outcomes(&expansion, partial.outcomes, fresh);
-        assert_eq!(merged.len(), expansion.len());
-        for (i, o) in merged.iter().enumerate() {
+        let partial = run_sweep_budgeted(&spec, &budget, &cache, Some(&[1])).unwrap();
+        let run = CampaignRun::resume(partial).unwrap();
+        assert_eq!(run.selected(), &[0]);
+        let (resumed, _) = run.run(&Scheduler::Solo, &budget, &cache).unwrap();
+        for (i, o) in resumed.outcomes.iter().enumerate() {
             assert_eq!(o.job.index, i);
         }
 
-        // The merged report equals a from-scratch full run.
-        let full = run_sweep(&spec, exec).unwrap();
-        let merged_campaign = Campaign {
-            spec: spec.clone(),
-            outcomes: merged,
-            cache: CacheStats::default(),
-            stages: StageStats::default(),
-            threads: 0,
-            total_wall: Duration::ZERO,
-            pool: PoolStats::default(),
-        };
+        // The resumed report equals a from-scratch full run.
         assert_eq!(
-            merged_campaign.to_json(ReportOptions::default()).render(),
-            full.to_json(ReportOptions::default()).render()
+            resumed.to_json(ReportOptions::default()).render(),
+            sweep(&spec, 2).to_json(ReportOptions::default()).render()
         );
     }
 
@@ -1823,7 +1946,7 @@ mod tests {
             master_seed: 1,
             layout_seed: None,
         };
-        let campaign = run_sweep(&spec, ExecutorConfig { threads: Some(3) }).unwrap();
+        let campaign = sweep(&spec, 3);
         let aggs = campaign.aggregates();
         assert_eq!(aggs.len(), 1, "one benchmark × layer × attack point");
         let agg = &aggs[0];

@@ -25,12 +25,13 @@
 //!   under `.sm-store/journal/`: per-job provenance, live progress
 //!   (`smctl tail`/`events`) and crash-safe resume, with the canonical
 //!   report as a deterministic materialization of the log;
-//! * [`campaign`] — sweep expansion, budgeted job execution with
-//!   deadline/cancellation (timed-out jobs are a distinct outcome that
-//!   `smctl resume` re-runs), seed-sweep aggregation (mean/σ/min/max)
-//!   and report assembly, including re-running subsets of a stored
-//!   campaign (`smctl resume`) and merging sharded reports
-//!   (`smctl merge`);
+//! * [`campaign`] — sweep expansion, the one campaign driver
+//!   ([`CampaignRun`](campaign::CampaignRun), whose
+//!   [`Scheduler`](campaign::Scheduler) runs jobs solo, on a threaded
+//!   fleet or on a simulated one) with deadline/cancellation (timed-out
+//!   jobs are a distinct outcome that `smctl resume` re-runs), seed-sweep
+//!   aggregation (mean/σ/min/max) and report assembly, including
+//!   merging sharded reports (`smctl merge`);
 //! * [`report`] — deterministic JSON/CSV emission (timings opt-in, so
 //!   canonical reports are byte-identical across runs);
 //! * [`serve`] — the long-running campaign service behind `smctl
@@ -45,9 +46,10 @@
 //! # Example
 //!
 //! ```no_run
-//! use sm_engine::campaign::{run_sweep, SweepSpec};
-//! use sm_engine::exec::ExecutorConfig;
+//! use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
+//! use sm_engine::exec::Budget;
 //! use sm_engine::report::ReportOptions;
+//! use sm_engine::ArtifactCache;
 //!
 //! let spec = SweepSpec {
 //!     benchmarks: vec!["c432".into(), "c880".into()],
@@ -55,7 +57,8 @@
 //!     split_layers: vec![3, 4, 6],
 //!     ..SweepSpec::default()
 //! };
-//! let campaign = run_sweep(&spec, ExecutorConfig::default()).unwrap();
+//! let budget = Budget::with_threads(Some(4));
+//! let campaign = run_sweep_budgeted(&spec, &budget, &ArtifactCache::new(), None).unwrap();
 //! println!("{}", campaign.to_json(ReportOptions::default()).render());
 //! eprintln!("{}", campaign.summary());
 //! ```
@@ -75,16 +78,16 @@ pub mod store;
 pub use bundle::{iscas_selection, superblue_selection, IscasRun, StageSource, SuperblueRun};
 pub use cache::{ArtifactCache, BundleKey, CacheStats, SplitArm, StageStats};
 pub use campaign::{
-    merge_reports, run_job, run_jobs_budgeted, run_sweep, run_sweep_budgeted, run_sweep_with,
-    Campaign, JobMetrics, JobOutcome, SweepSpec,
+    merge_reports, run_job, run_sweep_budgeted, Campaign, CampaignRun, JobMetrics, JobOutcome,
+    Scheduler, SweepSpec,
 };
 pub use exec::{Budget, CancelToken, Executor, ExecutorConfig, Pool, PoolStats};
 pub use job::{AttackKind, Benchmark, Job};
 pub use journal::{Event, Journal, JournalFollower};
 pub use report::{Json, ReportOptions};
 pub use serve::{
-    client_shutdown, client_status, client_submit, serve, simulate_campaign, simulate_schedule,
-    Fleet, FleetStats, ServeConfig, ServiceStatus, SimPlan,
+    client_shutdown, client_status, client_submit, serve, simulate_schedule, Fleet, FleetStats,
+    ServeConfig, ServiceStatus, SimPlan,
 };
 pub use store::{
     ArtifactStore, Stage, StageHealth, StageUsage, StoreHealth, StoreLock, StoreStats, StoreUsage,
@@ -92,10 +95,11 @@ pub use store::{
 
 #[cfg(test)]
 mod tests {
-    use super::campaign::{run_sweep, SweepSpec};
-    use super::exec::ExecutorConfig;
+    use super::campaign::{run_sweep_budgeted, Campaign, SweepSpec};
+    use super::exec::Budget;
     use super::job::AttackKind;
     use super::report::ReportOptions;
+    use super::ArtifactCache;
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec {
@@ -111,14 +115,19 @@ mod tests {
         }
     }
 
+    fn sweep(spec: &SweepSpec, threads: usize) -> Campaign {
+        let budget = Budget::with_threads(Some(threads));
+        run_sweep_budgeted(spec, &budget, &ArtifactCache::new(), None).unwrap()
+    }
+
     /// The headline engine guarantee: identical specs produce
     /// byte-identical canonical reports despite parallel, work-stealing
     /// execution — and bundles are built exactly once per (bench, seed).
     #[test]
     fn reports_are_byte_identical_across_runs() {
         let spec = tiny_spec();
-        let a = run_sweep(&spec, ExecutorConfig { threads: Some(4) }).unwrap();
-        let b = run_sweep(&spec, ExecutorConfig { threads: Some(2) }).unwrap();
+        let a = sweep(&spec, 4);
+        let b = sweep(&spec, 2);
         let ja = a.to_json(ReportOptions::default()).render();
         let jb = b.to_json(ReportOptions::default()).render();
         assert_eq!(ja, jb);
@@ -141,7 +150,7 @@ mod tests {
             seeds: vec![1],
             ..tiny_spec()
         };
-        let c = run_sweep(&spec, ExecutorConfig { threads: Some(2) }).unwrap();
+        let c = sweep(&spec, 2);
         let plain = c.to_json(ReportOptions::default()).render();
         let timed = c
             .to_json(ReportOptions {

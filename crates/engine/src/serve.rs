@@ -6,11 +6,11 @@
 //! service that accepts sweep specs over a Unix-domain socket, keeps a
 //! bounded campaign queue with admission control, dispatches contiguous
 //! job ranges to a fleet of workers, lets idle workers **steal** ranges
-//! from loaded ones, streams journal events back per campaign, and
-//! live-merges the workers' partial reports through
-//! [`merge_reports`](crate::campaign::merge_reports) — so the final
-//! canonical bytes are identical to a solo `smctl sweep` of the same
-//! spec.
+//! from loaded ones, and streams journal events back per campaign. The
+//! campaigns themselves run through the one campaign driver,
+//! [`CampaignRun`], so a served campaign journals, reserves bundles,
+//! counts cache hits and renders its canonical bytes exactly like a solo
+//! `smctl sweep` of the same spec.
 //!
 //! Three layers, each usable on its own:
 //!
@@ -18,19 +18,19 @@
 //!   backlog, steal decisions, death re-queueing). Deterministic: every
 //!   tie-break derives from a seed, never from wall clock or thread
 //!   timing.
-//! * [`simulate_campaign`] — a deterministic in-process simulation of N
-//!   workers over the fleet (SatSwarm-style cycle stepping: each cycle
-//!   every live worker completes one job, in a seeded rotation), with
-//!   injected worker deaths mid-shard. This is what CI byte-diffs
-//!   against a solo sweep.
-//! * [`serve`] / [`client_submit`] — the threaded service over the same
-//!   fleet, plus the framed socket protocol
+//! * [`simulate_schedule`] — a deterministic simulation of N workers
+//!   over the fleet (SatSwarm-style cycle stepping: each cycle every
+//!   live worker completes one job, in a seeded rotation), with injected
+//!   worker deaths mid-shard. Run as [`Scheduler::Simulated`], it is
+//!   what CI byte-diffs against a solo sweep.
+//! * [`serve`] / [`client_submit`] — the threaded service, running each
+//!   campaign as [`Scheduler::Fleet`], plus the framed socket protocol
 //!   ([`Request`]/[`Response`], [`sm_codec::frame`] frames over a
 //!   `UnixStream`).
 //!
 //! Determinism contract: job outcomes are pure functions of the job
-//! (never of which worker ran it), partial reports are merged in
-//! canonical expansion order, and canonical report bytes depend only on
+//! (never of which worker ran it), outcomes are merged in canonical
+//! expansion order, and canonical report bytes depend only on
 //! spec + outcomes — so any schedule (any worker count, any steal
 //! pattern, any death) reproduces the solo report byte-for-byte.
 
@@ -40,7 +40,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sm_codec::{
     decode_from_slice, encode_to_vec, frame, CodecError, Decode, Encode, Reader, Writer,
@@ -48,9 +48,8 @@ use sm_codec::{
 use sm_exec::seed;
 
 use crate::cache::ArtifactCache;
-use crate::campaign::{merge_reports, run_job, run_jobs_budgeted, Campaign, SweepSpec};
+use crate::campaign::{CampaignRun, Scheduler, SweepSpec};
 use crate::exec::Budget;
-use crate::job::Job;
 use crate::journal::{spec_fingerprint, Event, Journal, JournalFollower};
 use crate::report::ReportOptions;
 use crate::store::ArtifactStore;
@@ -252,6 +251,11 @@ impl Fleet {
         self.unfinished = self.unfinished.saturating_sub(1);
     }
 
+    /// Workers in the fleet.
+    pub fn workers(&self) -> usize {
+        self.assigned.len()
+    }
+
     /// Scheduling counters so far.
     pub fn stats(&self) -> FleetStats {
         self.stats
@@ -266,7 +270,10 @@ impl Fleet {
     /// peer (seeded tie-break among equals). A victim with several
     /// queued ranges gives up its whole back range; a victim down to
     /// one range gives up its upper half, keeping the jobs it is about
-    /// to run. Returns `true` when a range landed in `w`'s queue.
+    /// to run — or, down to one job, that job: queued jobs have not
+    /// started, so a worker only ever waits on running jobs, never on a
+    /// peer that has not started yet. Returns `true` when a range landed
+    /// in `w`'s queue.
     fn steal_for(&mut self, w: usize) -> bool {
         let mut best: Vec<usize> = Vec::new();
         let mut best_load = 0usize;
@@ -289,10 +296,11 @@ impl Fleet {
         let pick = (seed::derive(self.seed, self.decisions) % best.len() as u64) as usize;
         self.decisions += 1;
         let victim = best[pick];
-        let stolen = if self.assigned[victim].len() > 1 {
-            self.assigned[victim].pop_back()
+        let queue = &mut self.assigned[victim];
+        let stolen = if queue.len() > 1 {
+            queue.pop_back()
         } else {
-            self.assigned[victim].front_mut().and_then(JobRange::split)
+            queue[0].split().or_else(|| queue.pop_front())
         };
         match stolen {
             Some(range) => {
@@ -367,65 +375,6 @@ pub fn simulate_schedule(
         cycle += 1;
     }
     Ok((schedule, fleet.stats()))
-}
-
-/// Runs `spec` through a simulated fleet: the deterministic schedule
-/// partitions the expansion across workers, each worker's jobs execute
-/// under a [`Budget::handoff`] of the campaign budget, per-worker
-/// partial reports merge through
-/// [`merge_reports`](crate::campaign::merge_reports) — byte-identical
-/// to a solo sweep of the same spec, whatever the worker count, steal
-/// pattern or injected deaths.
-///
-/// # Errors
-///
-/// Propagates spec validation and fleet-plan errors.
-pub fn simulate_campaign(
-    spec: &SweepSpec,
-    plan: &SimPlan,
-    budget: &Budget,
-    cache: &ArtifactCache,
-) -> Result<(Campaign, FleetStats), String> {
-    let expansion = spec.jobs()?;
-    let (schedule, stats) = simulate_schedule(expansion.len(), plan)?;
-    let start = Instant::now();
-    if let Some(journal) = cache.journal() {
-        journal.record(&Event::CampaignStarted {
-            spec: spec.clone(),
-            threads: budget.threads() as u64,
-        });
-    }
-    let mut partials: Vec<Campaign> = Vec::new();
-    for indices in &schedule {
-        if indices.is_empty() {
-            continue;
-        }
-        let jobs: Vec<Job> = indices.iter().map(|&i| expansion[i].clone()).collect();
-        // Each worker gets a handed-off budget (child cancel token):
-        // exactly what the service gives a dispatched worker, so the
-        // simulation exercises the same resource path.
-        let worker_budget = budget.handoff(budget.threads());
-        let outcomes = run_jobs_budgeted(&jobs, &worker_budget, cache);
-        partials.push(Campaign {
-            spec: spec.clone(),
-            outcomes,
-            cache: Default::default(),
-            stages: Default::default(),
-            threads: 0,
-            total_wall: Duration::ZERO,
-            pool: Default::default(),
-        });
-    }
-    let mut merged = merge_reports(partials)?;
-    merged.cache = cache.stats();
-    merged.stages = cache.stage_stats();
-    merged.threads = budget.threads();
-    merged.total_wall = start.elapsed();
-    merged.pool = budget.pool().stats();
-    if let Some(journal) = cache.journal() {
-        journal.record(&Event::campaign_finished(&merged));
-    }
-    Ok((merged, stats))
 }
 
 // ----- wire protocol -------------------------------------------------------
@@ -705,81 +654,6 @@ fn poisoned<T>(guard: std::sync::LockResult<T>) -> T {
     guard.unwrap_or_else(|p| panic!("service state poisoned: {p:?}"))
 }
 
-/// Executes one campaign on a threaded fleet of `workers`: worker
-/// threads pull job indices from the shared [`Fleet`] (stealing ranges
-/// when idle), each runs under a [`Budget::handoff`] share, and the
-/// per-worker partial reports merge into the canonical campaign.
-fn run_fleet_campaign(
-    spec: &SweepSpec,
-    workers: usize,
-    budget: &Budget,
-    cache: &ArtifactCache,
-) -> Result<(Campaign, FleetStats), String> {
-    let expansion = spec.jobs()?;
-    let start = Instant::now();
-    if let Some(journal) = cache.journal() {
-        journal.record(&Event::CampaignStarted {
-            spec: spec.clone(),
-            threads: budget.threads() as u64,
-        });
-    }
-    let fleet = Mutex::new(Fleet::new(workers, expansion.len(), spec.master_seed, &[])?);
-    let share = (budget.threads() / workers).max(1);
-    let partial_outcomes: Vec<_> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let worker_budget = budget.handoff(share);
-            let fleet = &fleet;
-            let expansion = &expansion;
-            handles.push(scope.spawn(move || {
-                let mut outcomes = Vec::new();
-                loop {
-                    let dispatch = poisoned(fleet.lock()).next_job(w);
-                    match dispatch {
-                        Dispatch::Run(index) => {
-                            let job = &expansion[index];
-                            cache.reserve(job.bundle_key(), 1);
-                            outcomes.push(run_job(cache, job, &worker_budget));
-                            poisoned(fleet.lock()).complete(w);
-                        }
-                        Dispatch::Wait => std::thread::sleep(Duration::from_millis(1)),
-                        Dispatch::Done | Dispatch::Died => break,
-                    }
-                }
-                outcomes
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet worker panicked"))
-            .collect()
-    });
-    let stats = poisoned(fleet.lock()).stats();
-    let partials: Vec<Campaign> = partial_outcomes
-        .into_iter()
-        .filter(|outcomes| !outcomes.is_empty())
-        .map(|outcomes| Campaign {
-            spec: spec.clone(),
-            outcomes,
-            cache: Default::default(),
-            stages: Default::default(),
-            threads: 0,
-            total_wall: Duration::ZERO,
-            pool: Default::default(),
-        })
-        .collect();
-    let mut merged = merge_reports(partials)?;
-    merged.cache = cache.stats();
-    merged.stages = cache.stage_stats();
-    merged.threads = budget.threads();
-    merged.total_wall = start.elapsed();
-    merged.pool = budget.pool().stats();
-    if let Some(journal) = cache.journal() {
-        journal.record(&Event::campaign_finished(&merged));
-    }
-    Ok((merged, stats))
-}
-
 /// Runs the campaign service until a [`Request::Shutdown`] drains it.
 ///
 /// The service binds `config.socket`, takes the store's maintenance
@@ -858,7 +732,8 @@ pub fn serve(config: &ServeConfig, budget: &Budget) -> Result<(), String> {
             let journal = Arc::new(Journal::for_spec(store.root(), &next.spec));
             let cache =
                 ArtifactCache::with_store(Arc::clone(&store)).with_journal(Arc::clone(&journal));
-            let result = run_fleet_campaign(&next.spec, workers, &budget, &cache);
+            let result = CampaignRun::new(&next.spec)
+                .and_then(|run| run.run(&Scheduler::Fleet { workers }, &budget, &cache));
             let mut state = poisoned(shared.state.lock());
             state.running = None;
             state.completed += 1;
@@ -970,7 +845,21 @@ fn handle_conn(
             let mut follower = follow.then(|| {
                 JournalFollower::new(Journal::for_spec(store_root, &spec).path().to_path_buf())
             });
+            // The runner notifies `cv` after storing each report; only a
+            // follower wakes earlier, to poll the journal. The poll after
+            // the report lands drains the tail, so a followed stream
+            // always ends on campaign-finished.
             let report = loop {
+                let state = poisoned(shared.state.lock());
+                let report = state.reports.get(&fingerprint).cloned();
+                if report.is_some() {
+                    drop(state);
+                } else if follower.is_some() {
+                    let poll = Duration::from_millis(20);
+                    drop(poisoned(shared.cv.wait_timeout(state, poll)));
+                } else {
+                    drop(poisoned(shared.cv.wait(state)));
+                }
                 if let Some(follower) = &mut follower {
                     if let Ok(events) = follower.poll() {
                         for event in events {
@@ -978,23 +867,10 @@ fn handle_conn(
                         }
                     }
                 }
-                let state = poisoned(shared.state.lock());
-                if let Some(result) = state.reports.get(&fingerprint) {
-                    break result.clone();
+                if let Some(report) = report {
+                    break report;
                 }
-                drop(state);
-                std::thread::sleep(Duration::from_millis(20));
             };
-            // Drain the journal tail written between the last poll and
-            // the report landing, so a followed stream always ends on
-            // campaign-finished.
-            if let Some(follower) = &mut follower {
-                if let Ok(events) = follower.poll() {
-                    for event in events {
-                        send_msg(&mut stream, &Response::Event(event))?;
-                    }
-                }
-            }
             match report {
                 Ok(json) => send_msg(&mut stream, &Response::Report { json }),
                 Err(reason) => send_msg(&mut stream, &Response::Rejected { reason }),
@@ -1014,20 +890,14 @@ fn handle_conn(
             send_msg(&mut stream, &Response::Status(status))
         }
         Request::Shutdown => {
-            {
-                let mut state = poisoned(shared.state.lock());
-                state.shutting_down = true;
-                shared.cv.notify_all();
-            }
+            let mut state = poisoned(shared.state.lock());
+            state.shutting_down = true;
+            shared.cv.notify_all();
             // Drain: wait until the queue is empty and nothing runs.
-            loop {
-                let state = poisoned(shared.state.lock());
-                if state.pending.is_empty() && state.running.is_none() {
-                    break;
-                }
-                drop(state);
-                std::thread::sleep(Duration::from_millis(20));
+            while !state.pending.is_empty() || state.running.is_some() {
+                state = poisoned(shared.cv.wait(state));
             }
+            drop(state);
             send_msg(&mut stream, &Response::Done)?;
             // Unblock the accept loop so `serve` can return.
             stop.store(true, Ordering::Release);

@@ -13,13 +13,13 @@
 use std::time::Duration;
 
 use sm_engine::campaign::{
-    merge_outcomes, merge_reports, missing_jobs, run_jobs_budgeted, run_sweep_budgeted, Campaign,
-    SweepSpec,
+    merge_outcomes, merge_reports, run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec,
 };
-use sm_engine::exec::{Budget, CancelToken, PoolStats};
+use sm_engine::exec::{Budget, CancelToken};
 use sm_engine::job::AttackKind;
 use sm_engine::report::{Json, ReportOptions};
-use sm_engine::{ArtifactCache, CacheStats};
+use sm_engine::{ArtifactCache, SplitArm, Stage};
+use sm_layout::{FeolView, SplitLayout};
 
 fn tiny_spec() -> SweepSpec {
     SweepSpec {
@@ -108,6 +108,47 @@ fn already_expired_deadline_times_out_a_job_at_pickup() {
     );
 }
 
+/// A campaign reserves each job with its split layer: the layer's split
+/// views drop as soon as the last job at that layer finished, while the
+/// bundle stays for the jobs at other layers.
+#[test]
+fn split_views_drop_with_the_last_job_at_their_layer() {
+    let spec = SweepSpec {
+        seeds: vec![1],
+        split_layers: vec![3, 4],
+        attacks: vec![AttackKind::Crouting],
+        ..tiny_spec()
+    };
+    let jobs = spec.jobs().unwrap();
+    let cache = ArtifactCache::new();
+    for job in &jobs {
+        cache.reserve_job(job);
+    }
+    let budget = Budget::with_threads(Some(1));
+    let split_builds = || cache.stage_stats().builds_of(Stage::Split);
+    sm_engine::campaign::run_job(&cache, &jobs[0], &budget);
+    assert_eq!(split_builds(), 2, "layer 3 split, both arms");
+    assert_eq!(
+        cache.resident(),
+        1,
+        "the layer-4 job still needs the bundle"
+    );
+    // Layer 3's views are gone: asking for one again builds it afresh.
+    let empty = || SplitLayout {
+        feol: FeolView {
+            split_layer: 3,
+            visible_nets: Vec::new(),
+            vpins: Vec::new(),
+        },
+        cut_nets: 0,
+    };
+    cache.split(&jobs[0].bundle_key(), SplitArm::Protected, 3, empty);
+    assert_eq!(split_builds(), 3);
+    sm_engine::campaign::run_job(&cache, &jobs[1], &budget);
+    assert_eq!(cache.resident(), 0, "the last job releases the bundle");
+    assert_eq!(cache.stats().released, 1);
+}
+
 #[test]
 fn budget_expiry_mid_placement_times_out_with_standard_accounting() {
     // A deadline that fires *during* the bundle build — after pickup,
@@ -167,29 +208,12 @@ fn cancelled_flow_jobs_resume_to_byte_identical_reports() {
     assert_eq!(campaign.timed_out(), campaign.outcomes.len());
     // Every placeholder is resumable: a fresh budget completes the
     // campaign to the same bytes as an uninterrupted run.
-    let full = run_sweep_budgeted(
-        &spec,
-        &Budget::with_threads(Some(2)),
-        &ArtifactCache::new(),
-        None,
-    )
-    .unwrap();
-    let expansion = spec.jobs().unwrap();
-    let missing = missing_jobs(&expansion, &campaign.outcomes);
-    let fresh = run_jobs_budgeted(
-        &missing,
-        &Budget::with_threads(Some(2)),
-        &ArtifactCache::new(),
-    );
-    let resumed = Campaign {
-        spec: spec.clone(),
-        outcomes: merge_outcomes(&expansion, campaign.outcomes, fresh),
-        cache: CacheStats::default(),
-        stages: sm_engine::StageStats::default(),
-        threads: 0,
-        total_wall: Duration::ZERO,
-        pool: PoolStats::default(),
-    };
+    let budget = Budget::with_threads(Some(2));
+    let full = run_sweep_budgeted(&spec, &budget, &ArtifactCache::new(), None).unwrap();
+    let run = CampaignRun::resume(campaign).unwrap();
+    let (resumed, _) = run
+        .run(&Scheduler::Solo, &budget, &ArtifactCache::new())
+        .unwrap();
     assert_eq!(canonical(&resumed), canonical(&full));
 }
 
@@ -230,23 +254,13 @@ fn cancelled_sweep_resumes_to_byte_identical_report() {
     assert_eq!(parsed.timed_out(), interrupted.timed_out());
 
     // Timed-out jobs are the resume set; re-run and merge.
-    let expansion = spec.jobs().unwrap();
-    let missing = missing_jobs(&expansion, &parsed.outcomes);
-    assert_eq!(missing.len(), parsed.timed_out());
-    let fresh = run_jobs_budgeted(
-        &missing,
-        &Budget::with_threads(Some(2)),
-        &ArtifactCache::new(),
-    );
-    let resumed = Campaign {
-        spec: spec.clone(),
-        outcomes: merge_outcomes(&expansion, parsed.outcomes, fresh),
-        cache: CacheStats::default(),
-        stages: sm_engine::StageStats::default(),
-        threads: 0,
-        total_wall: Duration::ZERO,
-        pool: PoolStats::default(),
-    };
+    let timed_out = parsed.timed_out();
+    let run = CampaignRun::resume(parsed).unwrap();
+    assert_eq!(run.selected().len(), timed_out);
+    let budget = Budget::with_threads(Some(2));
+    let (resumed, _) = run
+        .run(&Scheduler::Solo, &budget, &ArtifactCache::new())
+        .unwrap();
     assert_eq!(resumed.timed_out(), 0);
     assert_eq!(canonical(&resumed), canonical(&full));
     assert_eq!(

@@ -17,9 +17,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once, OnceLock};
 
-use sm_engine::campaign::{
-    missing_jobs, run_jobs_budgeted, run_sweep_budgeted, Campaign, SweepSpec,
-};
+use sm_engine::campaign::{run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec};
 use sm_engine::exec::fault::{FaultInject, FaultPlan, FaultProfile};
 use sm_engine::exec::Budget;
 use sm_engine::job::AttackKind;
@@ -122,30 +120,10 @@ fn chaotic_run(scratch: &Scratch, plan: FaultPlan) -> Campaign {
 /// Fault-free resume over the same store dir: re-run every placeholder
 /// job, merge, and render the canonical report.
 fn resume_fault_free(scratch: &Scratch, chaotic: Campaign) -> String {
-    let expansion = chaotic.spec.jobs().unwrap();
-    let missing = missing_jobs(&expansion, &chaotic.outcomes);
     let budget = Budget::with_threads(Some(2));
     let cache = ArtifactCache::with_store(Arc::new(ArtifactStore::open(scratch.path(), None)));
-    let fresh = run_jobs_budgeted(&missing, &budget, &cache);
-    let outcomes = merge(&chaotic, expansion, fresh);
-    let resumed = Campaign {
-        spec: chaotic.spec,
-        outcomes,
-        cache: cache.stats(),
-        stages: cache.stage_stats(),
-        threads: budget.threads(),
-        total_wall: std::time::Duration::ZERO,
-        pool: budget.pool().stats(),
-    };
-    canonical(&resumed)
-}
-
-fn merge(
-    chaotic: &Campaign,
-    expansion: Vec<sm_engine::job::Job>,
-    fresh: Vec<sm_engine::campaign::JobOutcome>,
-) -> Vec<sm_engine::campaign::JobOutcome> {
-    sm_engine::campaign::merge_outcomes(&expansion, chaotic.outcomes.clone(), fresh)
+    let run = CampaignRun::resume(chaotic).unwrap();
+    canonical(&run.run(&Scheduler::Solo, &budget, &cache).unwrap().0)
 }
 
 /// A plan that panics **every** job must not poison the pool: all jobs

@@ -17,9 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sm_engine::campaign::{
-    missing_jobs, run_jobs_budgeted, run_sweep_budgeted, Campaign, SweepSpec,
-};
+use sm_engine::campaign::{run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec};
 use sm_engine::exec::{Budget, CancelToken};
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{
@@ -313,11 +311,11 @@ fn interrupted_journal_plus_resume_materializes_to_uninterrupted_report() {
 
     // Resume: run exactly the missing jobs over a cache attached to the
     // *same* journal — crash-safe resume is log concatenation.
-    let expansion = spec.jobs().unwrap();
-    let missing = missing_jobs(&expansion, &partial.outcomes);
-    assert_eq!(missing.len(), expansion.len());
+    let run = CampaignRun::resume(partial).unwrap();
+    assert_eq!(run.selected().len(), spec.jobs().unwrap().len());
     let resume_cache = ArtifactCache::new().with_journal(Arc::clone(&journal));
-    run_jobs_budgeted(&missing, &Budget::with_threads(Some(2)), &resume_cache);
+    let budget = Budget::with_threads(Some(2));
+    run.run(&Scheduler::Solo, &budget, &resume_cache).unwrap();
 
     let resumed = materialize(&read_events(journal.path()).unwrap()).unwrap();
     assert_eq!(resumed.timed_out(), 0);

@@ -8,22 +8,26 @@
 //!   socket, streams journal events to a following client, and returns
 //!   the same canonical bytes as a solo sweep;
 //! * admission control bounces submissions past `max_queued` and
-//!   invalid specs, and a second service refuses a live socket.
+//!   invalid specs, and a second service refuses a live socket;
+//! * the three schedulers of the one campaign driver — solo, threaded
+//!   fleet and simulated fleet — do the same cache work, not only
+//!   produce the same bytes, and never stall on small campaigns.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
+use sm_engine::campaign::{run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec};
 use sm_engine::exec::Budget;
 use sm_engine::job::AttackKind;
-use sm_engine::journal::Event;
+use sm_engine::journal::{read_events, Event, Journal};
 use sm_engine::report::ReportOptions;
 use sm_engine::serve::{
-    client_shutdown, client_status, client_submit, serve, simulate_campaign, simulate_schedule,
+    client_shutdown, client_status, client_submit, serve, simulate_schedule, FleetStats,
     ServeConfig, SimPlan,
 };
-use sm_engine::ArtifactCache;
+use sm_engine::{ArtifactCache, ArtifactStore};
 
 struct Scratch(PathBuf);
 
@@ -63,6 +67,22 @@ fn sim_spec() -> SweepSpec {
         master_seed: 1,
         layout_seed: None,
     }
+}
+
+/// Runs all of `spec` through the driver under `scheduler`.
+fn drive(
+    spec: &SweepSpec,
+    scheduler: &Scheduler,
+    threads: usize,
+    cache: &ArtifactCache,
+) -> (Campaign, FleetStats) {
+    let budget = Budget::with_threads(Some(threads));
+    let run = CampaignRun::new(spec).unwrap();
+    run.run(scheduler, &budget, cache).unwrap()
+}
+
+fn canonical(campaign: &Campaign) -> String {
+    campaign.to_json(ReportOptions::default()).render()
 }
 
 fn solo_bytes(spec: &SweepSpec) -> String {
@@ -127,15 +147,10 @@ fn simulated_fleet_reports_are_byte_identical_to_solo() {
             seed: 1,
             deaths: deaths.clone(),
         };
-        let (campaign, stats) = simulate_campaign(
-            &spec,
-            &plan,
-            &Budget::with_threads(Some(threads)),
-            &ArtifactCache::new(),
-        )
-        .unwrap();
+        let scheduler = Scheduler::Simulated(plan);
+        let (campaign, stats) = drive(&spec, &scheduler, threads, &ArtifactCache::new());
         assert_eq!(
-            campaign.to_json(ReportOptions::default()).render(),
+            canonical(&campaign),
             want,
             "fleet bytes diverge (deaths={deaths:?} threads={threads})"
         );
@@ -210,10 +225,15 @@ fn service_round_trips_submit_status_shutdown() {
         matches!(events.first(), Some(Event::CampaignStarted { .. })),
         "stream opens with campaign-started"
     );
-    assert!(
-        matches!(events.last(), Some(Event::CampaignFinished { .. })),
-        "stream ends on campaign-finished"
-    );
+    // The fleet's workers run on the service's pool, so the pool
+    // counts them: at least one, never more than the budget.
+    match events.last() {
+        Some(Event::CampaignFinished { pool_peak_live, .. }) => assert!(
+            (1..=2).contains(pool_peak_live),
+            "served peak_live {pool_peak_live} outside 1..=2"
+        ),
+        other => panic!("stream ends on campaign-finished, got {other:?}"),
+    }
 
     // Duplicate spec: attaches to the finished campaign, same bytes.
     let again =
@@ -272,4 +292,143 @@ fn admission_rejects_full_queues_and_invalid_specs() {
     client_shutdown(&socket).unwrap();
     service.join().unwrap().unwrap();
     assert!(!socket.exists());
+}
+
+/// Recursively copies a store directory, so several runs can start from
+/// one primed store.
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap().flatten() {
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// One spec over copies of one primed store, once per scheduler: the
+/// served and simulated fleets reserve bundles like a solo sweep, so
+/// each bundle is decoded once and released once — equal cache and
+/// stage counters, not only equal bytes.
+#[test]
+fn schedulers_do_the_same_cache_work_over_a_primed_store() {
+    let scratch = Scratch::new("counters");
+    let primed = scratch.path().join("primed");
+    let prime = SweepSpec {
+        benchmarks: vec!["c432".into()],
+        seeds: vec![1, 2],
+        split_layers: vec![3],
+        attacks: vec![AttackKind::Crouting],
+        scale: 100,
+        master_seed: 1,
+        layout_seed: None,
+    };
+    let store = Arc::new(ArtifactStore::open(&primed, None));
+    drive(
+        &prime,
+        &Scheduler::Solo,
+        2,
+        &ArtifactCache::with_store(store),
+    );
+    let spec = SweepSpec {
+        split_layers: vec![4, 5, 6],
+        ..prime
+    };
+    let schedulers = [
+        Scheduler::Solo,
+        Scheduler::Fleet { workers: 3 },
+        Scheduler::Simulated(SimPlan {
+            workers: 3,
+            seed: 1,
+            deaths: vec![(1, 0)],
+        }),
+    ];
+    let mut runs = Vec::new();
+    for (i, scheduler) in schedulers.iter().enumerate() {
+        let copy = scratch.path().join(format!("copy-{i}"));
+        copy_dir(&primed, &copy);
+        let cache = ArtifactCache::with_store(Arc::new(ArtifactStore::open(&copy, None)));
+        let (campaign, _) = drive(&spec, scheduler, 2, &cache);
+        runs.push((scheduler, campaign));
+    }
+    let (_, solo) = &runs[0];
+    assert_eq!(solo.cache.builds, 0, "the primed store holds every bundle");
+    assert_eq!(solo.cache.disk_hits, 2, "one decode per bundle");
+    assert_eq!(solo.cache.released, 2, "one release per bundle");
+    for (scheduler, campaign) in &runs[1..] {
+        assert_eq!(canonical(campaign), canonical(solo), "{scheduler:?} bytes");
+        assert_eq!(campaign.cache, solo.cache, "{scheduler:?} cache counters");
+        assert_eq!(campaign.stages, solo.stages, "{scheduler:?} stage counters");
+    }
+}
+
+/// Three jobs on three workers at one and two threads: the pool starts
+/// at most two workers at once, so a worker that has finished its own
+/// job must be able to take a last job from a worker that has not
+/// started yet instead of waiting for it. Run with a deadline so a stall
+/// fails the test rather than hanging it.
+#[test]
+fn three_jobs_on_three_workers_finish_at_low_thread_counts() {
+    let spec = SweepSpec {
+        benchmarks: vec!["c432".into()],
+        seeds: vec![1],
+        split_layers: vec![3, 4, 5],
+        attacks: vec![AttackKind::NetworkFlow],
+        scale: 100,
+        master_seed: 1,
+        layout_seed: None,
+    };
+    let want = solo_bytes(&spec);
+    for threads in [1usize, 2] {
+        for scheduler in [
+            Scheduler::Fleet { workers: 3 },
+            Scheduler::Simulated(SimPlan {
+                workers: 3,
+                ..SimPlan::default()
+            }),
+        ] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let job = {
+                let (spec, scheduler) = (spec.clone(), scheduler.clone());
+                std::thread::spawn(move || {
+                    let (campaign, _) = drive(&spec, &scheduler, threads, &ArtifactCache::new());
+                    tx.send(canonical(&campaign)).unwrap();
+                })
+            };
+            let got = rx
+                .recv_timeout(Duration::from_secs(300))
+                .unwrap_or_else(|_| panic!("{scheduler:?} at --threads {threads} stalled"));
+            job.join().unwrap();
+            assert_eq!(got, want, "{scheduler:?} at --threads {threads}");
+        }
+    }
+}
+
+/// A resume is a campaign like any other: the driver measures its wall
+/// clock, so its campaign-finished record carries a real duration.
+#[test]
+fn resumed_campaigns_journal_their_wall_clock() {
+    let scratch = Scratch::new("resume-wall");
+    let spec = sim_spec();
+    let budget = Budget::with_threads(Some(2));
+    let partial = run_sweep_budgeted(&spec, &budget, &ArtifactCache::new(), Some(&[0, 1])).unwrap();
+    let journal = Arc::new(Journal::for_spec(scratch.path(), &spec));
+    let cache = ArtifactCache::new().with_journal(Arc::clone(&journal));
+    let run = CampaignRun::resume(partial).unwrap();
+    assert_eq!(run.selected().len(), 6);
+    let (resumed, _) = run.run(&Scheduler::Solo, &budget, &cache).unwrap();
+    assert_eq!(canonical(&resumed), solo_bytes(&spec));
+    match read_events(journal.path()).unwrap().last() {
+        Some(Event::CampaignFinished {
+            jobs,
+            total_wall_ms,
+            ..
+        }) => {
+            assert_eq!(*jobs, 8);
+            assert!(*total_wall_ms > 0.0, "resume journaled a zero wall clock");
+        }
+        other => panic!("journal ends on campaign-finished, got {other:?}"),
+    }
 }

@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sm_engine::campaign::{run_sweep_with, SweepSpec};
-use sm_engine::exec::ExecutorConfig;
+use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
+use sm_engine::exec::Budget;
 use sm_engine::job::AttackKind;
 use sm_engine::report::ReportOptions;
 use sm_engine::store::{ArtifactStore, Stage, STORE_MAGIC};
@@ -81,10 +81,10 @@ fn stage_files(dir: &Path) -> Vec<PathBuf> {
 fn warm_store_second_run_builds_nothing_and_matches_bytes() {
     let scratch = Scratch::new("warm");
     let spec = tiny_spec();
-    let exec = ExecutorConfig { threads: Some(2) };
+    let exec = Budget::with_threads(Some(2));
 
     let cold_cache = ArtifactCache::with_store(store_at(scratch.path()));
-    let cold = run_sweep_with(&spec, exec, &cold_cache, None).unwrap();
+    let cold = run_sweep_budgeted(&spec, &exec, &cold_cache, None).unwrap();
     assert_eq!(cold.cache.builds, 1, "cold run builds the bundle once");
     // Every pipeline stage persisted something: netlist, layout,
     // protected design, and the per-(arm, layer) splits.
@@ -99,7 +99,7 @@ fn warm_store_second_run_builds_nothing_and_matches_bytes() {
     // Fresh cache + fresh store handle = a new process, same directory.
     let warm_store = store_at(scratch.path());
     let warm_cache = ArtifactCache::with_store(Arc::clone(&warm_store));
-    let warm = run_sweep_with(&spec, exec, &warm_cache, None).unwrap();
+    let warm = run_sweep_budgeted(&spec, &exec, &warm_cache, None).unwrap();
     assert_eq!(warm.cache.builds, 0, "warm run must not build bundles");
     assert!(
         warm_store.stats().disk_hits > 0,
@@ -123,10 +123,10 @@ fn warm_store_second_run_builds_nothing_and_matches_bytes() {
 fn corrupt_and_truncated_files_fall_back_to_rebuild() {
     let scratch = Scratch::new("corrupt");
     let spec = tiny_spec();
-    let exec = ExecutorConfig { threads: Some(2) };
-    let cold = run_sweep_with(
+    let exec = Budget::with_threads(Some(2));
+    let cold = run_sweep_budgeted(
         &spec,
-        exec,
+        &exec,
         &ArtifactCache::with_store(store_at(scratch.path())),
         None,
     )
@@ -156,7 +156,7 @@ fn corrupt_and_truncated_files_fall_back_to_rebuild() {
         }
         let store = store_at(scratch.path());
         let cache = ArtifactCache::with_store(Arc::clone(&store));
-        let rebuilt = run_sweep_with(&spec, exec, &cache, None).unwrap();
+        let rebuilt = run_sweep_budgeted(&spec, &exec, &cache, None).unwrap();
         assert_eq!(rebuilt.cache.builds, 1, "corrupt store falls back to build");
         assert!(store.stats().disk_misses > 0);
         assert_eq!(

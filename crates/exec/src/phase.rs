@@ -10,7 +10,7 @@
 //!
 //! The module lives in `sm-exec` (the bottom of the dependency stack) so
 //! both the layout engine and the attacks can record into one span
-//! stream; `sm_attacks::phase` re-exports it for compatibility.
+//! stream.
 
 use std::time::Instant;
 

@@ -73,9 +73,7 @@ pub mod prelude {
     pub use sm_attacks::{crouting_attack, network_flow_attack, CroutingConfig, ProximityConfig};
     pub use sm_benchgen::{IscasProfile, SuperblueProfile};
     pub use sm_core::{protect, FlowConfig, ProtectedDesign, RandomizeConfig};
-    pub use sm_engine::{
-        run_sweep, ArtifactCache, AttackKind, Executor, ExecutorConfig, SweepSpec,
-    };
+    pub use sm_engine::{run_sweep_budgeted, ArtifactCache, AttackKind, Budget, SweepSpec};
     pub use sm_layout::{
         split_layout, Floorplan, PlacementEngine, RouteOptions, Router, Technology,
     };
