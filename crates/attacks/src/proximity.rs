@@ -17,7 +17,7 @@
 //! against connections committed so far.
 
 use crate::grid::CellGrid;
-use sm_exec::{Budget, CancelToken, Pool};
+use sm_exec::{Budget, Pool};
 use sm_layout::{Placement, Point, SplitLayout, VpinSide};
 use sm_netlist::graph::{would_create_cycle_with, ReachScratch};
 use sm_netlist::{Netlist, Sink};
@@ -267,19 +267,20 @@ pub fn network_flow_attack(
     split: &SplitLayout,
     config: &ProximityConfig,
 ) -> AttackOutcome {
-    network_flow_attack_cancellable(
-        golden,
-        placed,
-        placement,
-        split,
-        config,
-        &CancelToken::new(),
-    )
-    .expect("a fresh token never cancels")
+    let exec = Budget::on_pool(Arc::clone(Pool::global()), 1);
+    let mut rec = sm_exec::phase::Recorder::new();
+    network_flow_attack_budgeted(golden, placed, placement, split, config, &exec, &mut rec)
+        .expect("a fresh token never cancels")
 }
 
-/// [`network_flow_attack`] with a cooperative [`CancelToken`], consulted
-/// at the attack's deterministic phase boundaries — before the candidate
+/// [`network_flow_attack`] running inside an explicit [`Budget`]:
+/// candidate scoring fans out over the budget's pool (never exceeding
+/// its thread allotment). Campaigns pass each job's split budget here,
+/// so attack-internal parallelism shares the process-wide worker
+/// ceiling. Results are bit-identical at any thread count.
+///
+/// The budget's [`CancelToken`](sm_exec::CancelToken) is consulted at
+/// the attack's deterministic phase boundaries — before the candidate
 /// scoring pass, between the min-cost-flow engine's scaling phases (see
 /// [`MinCostFlow::run_interruptible`](crate::mcmf::MinCostFlow::run_interruptible)),
 /// and before the OER/HD evaluation. A deadlined superblue-scale job
@@ -287,51 +288,12 @@ pub fn network_flow_attack(
 /// overshooting by the whole attack; an attack that *completes* is
 /// bit-identical whether or not the token was armed. Returns `None`
 /// once cancelled.
-pub fn network_flow_attack_cancellable(
-    golden: &Netlist,
-    placed: &Netlist,
-    placement: &Placement,
-    split: &SplitLayout,
-    config: &ProximityConfig,
-    cancel: &CancelToken,
-) -> Option<AttackOutcome> {
-    network_flow_attack_traced(
-        golden,
-        placed,
-        placement,
-        split,
-        config,
-        cancel,
-        &mut sm_exec::phase::Recorder::new(),
-    )
-}
-
-/// [`network_flow_attack_cancellable`] that additionally records
-/// per-phase wall-clock spans into `rec` — `attack-candidates`
+///
+/// Per-phase wall-clock spans go to `rec`: `attack-candidates`
 /// (instance build + candidate scoring), `attack-mcmf` (the min-cost-flow
 /// solve), `attack-assign` (assignment read-off + netlist
 /// reconstruction) and `attack-eval` (OER/HD simulation). Recording is
 /// observability only: results are bit-identical with or without it.
-#[allow(clippy::too_many_arguments)]
-pub fn network_flow_attack_traced(
-    golden: &Netlist,
-    placed: &Netlist,
-    placement: &Placement,
-    split: &SplitLayout,
-    config: &ProximityConfig,
-    cancel: &CancelToken,
-    rec: &mut sm_exec::phase::Recorder,
-) -> Option<AttackOutcome> {
-    let exec = Budget::on_pool(Arc::clone(Pool::global()), 1).with_cancel(cancel.clone());
-    network_flow_attack_budgeted(golden, placed, placement, split, config, &exec, rec)
-}
-
-/// [`network_flow_attack_traced`] running inside an explicit
-/// [`Budget`]: candidate scoring fans out over the budget's pool
-/// (never exceeding its thread allotment) and the budget's token is the
-/// cancellation source. Campaigns pass each job's split budget here, so
-/// attack-internal parallelism shares the process-wide worker ceiling.
-/// Results are bit-identical at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn network_flow_attack_budgeted(
     golden: &Netlist,
@@ -706,6 +668,7 @@ mod tests {
     use super::*;
     use sm_core::baselines::original_layout;
     use sm_core::flow::{protect, FlowConfig};
+    use sm_exec::CancelToken;
     use sm_layout::split_layout;
     use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
     use sm_netlist::Library;
@@ -768,19 +731,19 @@ mod tests {
         let base = original_layout(&n, 0.6, 1);
         let split = split_layout(&n, &base.placement, &base.routing, 3);
         let cfg = ProximityConfig::default();
+        let attack = |token: &CancelToken| {
+            let exec = Budget::on_pool(Arc::clone(Pool::global()), 1).with_cancel(token.clone());
+            let mut rec = sm_exec::phase::Recorder::new();
+            network_flow_attack_budgeted(&n, &n, &base.placement, &split, &cfg, &exec, &mut rec)
+        };
         // A pre-cancelled token stops the attack at its first phase
         // boundary with no partial result.
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        assert!(
-            network_flow_attack_cancellable(&n, &n, &base.placement, &split, &cfg, &cancelled)
-                .is_none()
-        );
+        assert!(attack(&cancelled).is_none());
         // An armed-but-never-fired token must not perturb the result:
         // the cancellable path and the plain path agree exactly.
-        let armed = CancelToken::new();
-        let via_token =
-            network_flow_attack_cancellable(&n, &n, &base.placement, &split, &cfg, &armed);
+        let via_token = attack(&CancelToken::new());
         let plain = network_flow_attack(&n, &n, &base.placement, &split, &cfg);
         match via_token {
             None => panic!("token never fired"),

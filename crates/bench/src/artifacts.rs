@@ -96,7 +96,7 @@ pub fn run_table3(session: &Session) {
         "benchmark", "layout", "#vpins", "E[LS]@15", "E[LS]@30", "E[LS]@45", "match"
     );
     let runs = session.superblue_runs();
-    let rows = session.executor().map(&runs, |_, run| table3(run));
+    let rows = session.budget().map(&runs, |_, run| table3(run));
     for row in rows {
         for (label, rep) in [
             ("Original", &row.original),

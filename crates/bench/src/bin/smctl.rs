@@ -64,7 +64,7 @@ use sm_bench::session::Session;
 use sm_bench::suite::{iscas_selection, superblue_selection};
 use sm_bench::{RunOptions, StoreMode};
 use sm_engine::campaign::{
-    json_to_csv, merge_reports, run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec,
+    merge_reports, run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec,
 };
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{find_journal, materialize, read_events, Event, Journal, JournalFollower};
@@ -1238,16 +1238,20 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
     let path = input.ok_or("`smctl report` needs --input FILE or --journal PATH")?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
     let parsed = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    match format.as_str() {
-        "json" => print!("{}", parsed.render()),
-        "csv" => print!("{}", json_to_csv(&parsed)?),
-        // Aggregate views re-derive from the parsed outcomes, so stored
-        // reports can be summarized without re-running anything.
-        _ => {
-            let campaign = Campaign::from_json(&parsed).map_err(|e| format!("{path}: {e}"))?;
-            print!("{}", render_campaign(&campaign, &format, false));
-        }
+    if format == "json" {
+        print!("{}", parsed.render());
+        return Ok(ExitCode::SUCCESS);
     }
+    // Every other view re-derives from the parsed outcomes, so stored
+    // reports can be re-rendered without re-running anything; a
+    // `--timings` report keeps its `wall_ms` column.
+    let campaign = Campaign::from_json(&parsed).map_err(|e| format!("{path}: {e}"))?;
+    let first_job = parsed
+        .get("jobs")
+        .and_then(Json::as_arr)
+        .and_then(<[Json]>::first);
+    let timed = first_job.is_some_and(|job| job.get("wall_ms").is_some());
+    print!("{}", render_campaign(&campaign, &format, timed));
     Ok(ExitCode::SUCCESS)
 }
 

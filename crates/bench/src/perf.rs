@@ -35,14 +35,14 @@
 use std::time::Instant;
 
 use sm_attacks::crouting::{crouting_attack_traced, CroutingConfig};
-use sm_attacks::proximity::{network_flow_attack_traced, ProximityConfig};
+use sm_attacks::proximity::{network_flow_attack_budgeted, ProximityConfig};
 use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
-use sm_engine::exec::Budget;
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{read_events, Journal};
 use sm_engine::report::Json;
 use sm_engine::store::{ArtifactStore, Stage};
 use sm_engine::ArtifactCache;
+use sm_exec::{Budget, Pool};
 use sm_layout::{split_layout, Floorplan, PlacementEngine, RouteOptions, Router, Technology};
 use sm_netlist::Netlist;
 
@@ -234,16 +234,18 @@ fn layout_stages(
                 let mut flow_wall = f64::INFINITY;
                 let mut score_wall = f64::INFINITY;
                 let mut outcome = None;
+                // One worker on the global pool: the serial attack.
+                let exec = Budget::on_pool(std::sync::Arc::clone(Pool::global()), 1);
                 for _ in 0..min_of.max(1) {
                     let mut rec = sm_exec::phase::Recorder::new();
                     let (out, wall) = timed(|| {
-                        network_flow_attack_traced(
+                        network_flow_attack_budgeted(
                             &netlist,
                             &netlist,
                             &placement,
                             &split,
                             &ProximityConfig::default(),
-                            &sm_engine::exec::CancelToken::new(),
+                            &exec,
                             &mut rec,
                         )
                         .expect("a fresh token never cancels")

@@ -1,4 +1,4 @@
-//! One experiment session: options + engine executor + shared bundle
+//! One experiment session: options + thread budget + shared bundle
 //! cache.
 //!
 //! Every artifact binary (and `smctl`) builds a [`Session`] and pulls
@@ -11,8 +11,9 @@ use std::sync::{Arc, OnceLock};
 use sm_benchgen::superblue::SuperblueProfile;
 use sm_engine::bundle::{iscas_selection, superblue_selection, IscasRun, SuperblueRun};
 use sm_engine::cache::{ArtifactCache, BundleKey, CacheStats};
-use sm_engine::exec::{Budget, Executor};
 use sm_engine::store::{ArtifactStore, StoreStats};
+use sm_exec::phase::Recorder;
+use sm_exec::Budget;
 
 use crate::experiments::{security_row, SecurityRow};
 use crate::RunOptions;
@@ -22,7 +23,7 @@ use crate::RunOptions;
 pub struct Session {
     opts: RunOptions,
     cache: Arc<ArtifactCache>,
-    exec: Executor,
+    budget: Budget,
     // Tables 4 and 5 consume the identical attack measurements; computed
     // once per session (they dominate post-bundle cost).
     security_rows: Arc<OnceLock<Vec<SecurityRow>>>,
@@ -32,16 +33,16 @@ impl Session {
     /// Builds a session for `opts`. A store directory resolved from
     /// `opts.store` (explicit `--store` only; [`StoreMode::Auto`] means
     /// no store here — `smctl` resolves its own default before calling
-    /// this) layers the bundle cache over disk. The session's executor
-    /// wraps the single [`Budget`] `opts` describes (`--threads`), so
-    /// every artifact in the batch shares one worker pool. Artifact
+    /// this) layers the bundle cache over disk. The session holds the
+    /// single [`Budget`] `opts` describes (`--threads`), so every
+    /// artifact in the batch shares one worker pool. Artifact
     /// runs honor the thread allotment only — deadlines are a campaign
     /// concept (artifact runners never check the cancel token, which is
     /// why `smctl run` rejects `--timeout-secs`).
     ///
     /// [`StoreMode::Auto`]: crate::StoreMode::Auto
     pub fn new(opts: RunOptions) -> Session {
-        let exec = Executor::from_budget(opts.budget());
+        let budget = opts.budget();
         // `--fault-seed`/`--fault-profile` attach to the store (and the
         // cache, though artifact runners never hit the job-run site):
         // artifact regeneration must survive injected I/O faults too.
@@ -65,7 +66,7 @@ impl Session {
         Session {
             opts,
             cache: Arc::new(cache),
-            exec,
+            budget,
             security_rows: Arc::default(),
         }
     }
@@ -85,9 +86,10 @@ impl Session {
         self.cache.store().map(|s| s.stats())
     }
 
-    /// The engine executor (for parallel per-row measurement work).
-    pub fn executor(&self) -> &Executor {
-        &self.exec
+    /// The session's thread budget (for parallel per-row measurement
+    /// work).
+    pub fn budget(&self) -> &Budget {
+        &self.budget
     }
 
     /// Bundle-cache counters accumulated so far.
@@ -149,8 +151,7 @@ impl Session {
     /// The per-bundle share of the session budget when `n` bundles
     /// build concurrently.
     fn per_bundle(&self, n: usize) -> Budget {
-        let budget = self.exec.budget();
-        budget.split(n.min(budget.threads()))
+        self.budget.split(n.min(self.budget.threads()))
     }
 
     /// All selected superblue bundles, built in parallel through the
@@ -159,9 +160,10 @@ impl Session {
     pub fn superblue_runs(&self) -> Vec<Arc<SuperblueRun>> {
         let profiles = superblue_selection(self.opts.quick);
         let share = self.per_bundle(profiles.len());
-        let runs = self.exec.map(&profiles, |_, p| {
+        let runs = self.budget.map(&profiles, |_, p| {
+            let (scale, seed) = (self.opts.scale, self.opts.seed);
             self.cache
-                .superblue(p, self.opts.scale, self.opts.seed, &share)
+                .superblue(p, scale, seed, &share, &mut Recorder::new())
         });
         for p in &profiles {
             self.cache.release(&self.superblue_key(p));
@@ -174,8 +176,9 @@ impl Session {
     pub fn iscas_runs(&self) -> Vec<Arc<IscasRun>> {
         let profiles = iscas_selection(self.opts.quick);
         let share = self.per_bundle(profiles.len());
-        let runs = self.exec.map(&profiles, |_, p| {
-            self.cache.iscas(p, self.opts.seed, &share)
+        let runs = self.budget.map(&profiles, |_, p| {
+            self.cache
+                .iscas(p, self.opts.seed, &share, &mut Recorder::new())
         });
         for p in &profiles {
             self.cache.release(&BundleKey::Iscas {
@@ -194,7 +197,7 @@ impl Session {
         self.security_rows.get_or_init(|| {
             let runs = self.iscas_runs();
             let share = self.per_bundle(runs.len());
-            self.exec
+            self.budget
                 .map(&runs, |_, run| security_row(run, self.opts.seed, &share))
         })
     }
@@ -207,7 +210,8 @@ impl Session {
             &profile,
             self.opts.scale,
             self.opts.seed,
-            self.exec.budget(),
+            &self.budget,
+            &mut Recorder::new(),
         );
         self.cache.release(&self.superblue_key(&profile));
         run

@@ -159,9 +159,9 @@ fn merge_exits_3_while_incomplete_and_finished_beats_timed_out() {
     // zero-second deadline, and a 1-second one would be racy here).
     {
         use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
-        use sm_engine::exec::{Budget, CancelToken};
         use sm_engine::job::AttackKind;
         use sm_engine::report::ReportOptions;
+        use sm_exec::{Budget, CancelToken};
         let spec = SweepSpec {
             benchmarks: vec!["c432".into()],
             seeds: vec![1, 2],

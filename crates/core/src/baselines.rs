@@ -32,30 +32,20 @@ use sm_netlist::{NetId, Netlist};
 /// Places and routes the plain, unprotected netlist (the "Original" rows
 /// of the paper's tables) with the process-global thread budget.
 pub fn original_layout(netlist: &Netlist, utilization: f64, seed: u64) -> BaselineLayout {
-    original_layout_with(netlist, utilization, seed, &sm_exec::Budget::default())
-}
-
-/// [`original_layout`], with placement's parallel inner work confined to
-/// `exec` (bit-identical output; the budget bounds worker threads only).
-pub fn original_layout_with(
-    netlist: &Netlist,
-    utilization: f64,
-    seed: u64,
-    exec: &sm_exec::Budget,
-) -> BaselineLayout {
-    layout_with_options(
+    original_layout_with(
         netlist,
         utilization,
         seed,
-        &RouteOptions::default(),
-        exec,
-        None,
+        &sm_exec::Budget::default(),
+        &mut sm_exec::phase::Recorder::new(),
     )
 }
 
-/// [`original_layout_with`], recording placement phase spans into `rec`
-/// (`original-place` / `original-place-fm`). Byte-identical output.
-pub fn original_layout_traced(
+/// [`original_layout`], with placement's parallel inner work confined to
+/// `exec` (bit-identical output; the budget bounds worker threads only)
+/// and placement phase spans recorded into `rec` (`original-place` /
+/// `original-place-fm`).
+pub fn original_layout_with(
     netlist: &Netlist,
     utilization: f64,
     seed: u64,
@@ -92,29 +82,14 @@ pub fn naive_lifting(
         utilization,
         seed,
         &sm_exec::Budget::default(),
+        &mut sm_exec::phase::Recorder::new(),
     )
 }
 
-/// [`naive_lifting`], confined to the `exec` thread budget.
-pub fn naive_lifting_with(
-    netlist: &Netlist,
-    nets: &[NetId],
-    lift_layer: u8,
-    utilization: f64,
-    seed: u64,
-    exec: &sm_exec::Budget,
-) -> BaselineLayout {
-    let mut opts = RouteOptions::default();
-    for &n in nets {
-        opts.lift.insert(n, lift_layer);
-    }
-    layout_with_options(netlist, utilization, seed, &opts, exec, None)
-}
-
-/// [`naive_lifting_with`], recording placement phase spans into `rec`
-/// (`lift-place` / `lift-place-fm`). Byte-identical output.
+/// [`naive_lifting`], confined to the `exec` thread budget, recording
+/// placement phase spans into `rec` (`lift-place` / `lift-place-fm`).
 #[allow(clippy::too_many_arguments)]
-pub fn naive_lifting_traced(
+pub fn naive_lifting_with(
     netlist: &Netlist,
     nets: &[NetId],
     lift_layer: u8,
@@ -365,16 +340,16 @@ mod tests {
         }
     }
 
-    /// Metering is pure observability: the traced builders produce the
-    /// same layouts as the untraced ones and record a placement span
+    /// Metering is pure observability: the budgeted builder produces the
+    /// same layout as the convenience form and records a placement span
     /// pair with the FM slice bounded by the total.
     #[test]
     fn traced_builders_match_untraced_and_record_spans() {
         let n = c17();
         let exec = sm_exec::Budget::default();
-        let plain = original_layout_with(&n, 0.6, 7, &exec);
+        let plain = original_layout(&n, 0.6, 7);
         let mut rec = sm_exec::phase::Recorder::new();
-        let traced = original_layout_traced(&n, 0.6, 7, &exec, &mut rec);
+        let traced = original_layout_with(&n, 0.6, 7, &exec, &mut rec);
         assert_eq!(plain.placement, traced.placement);
         assert_eq!(plain.ppa.delay_ps, traced.ppa.delay_ps);
         let spans = rec.spans();

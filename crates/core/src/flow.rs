@@ -138,13 +138,24 @@ impl ProtectedDesign {
 ///
 /// Panics if the netlist is empty.
 pub fn protect(netlist: &Netlist, config: &FlowConfig) -> ProtectedDesign {
-    protect_with(netlist, config, &sm_exec::Budget::default())
+    protect_with(
+        netlist,
+        config,
+        &sm_exec::Budget::default(),
+        &mut sm_exec::phase::Recorder::new(),
+    )
 }
 
 /// [`protect`], with the flow's parallel inner work (bisection anchor
 /// sweeps during placement) confined to `exec`. The budget changes
 /// wall-clock only: the produced design is bit-identical across thread
 /// counts.
+///
+/// Placement phase spans go to `rec`: `protect-place` (total placement
+/// wall-clock across every build the budget loop runs) and
+/// `protect-place-fm` (the slice of it spent in FM refinement).
+/// Recording is side-band observability — pass a fresh
+/// [`Recorder`](sm_exec::phase::Recorder) to discard it.
 ///
 /// If `exec`'s token fires mid-flow, the build aborts at the next
 /// result-neutral checkpoint (between FM passes, between bisection
@@ -153,19 +164,6 @@ pub fn protect(netlist: &Netlist, config: &FlowConfig) -> ProtectedDesign {
 /// that unwind to the timed-out outcome. A flow that completes is
 /// byte-identical whether or not a deadline was armed.
 pub fn protect_with(
-    netlist: &Netlist,
-    config: &FlowConfig,
-    exec: &sm_exec::Budget,
-) -> ProtectedDesign {
-    protect_traced(netlist, config, exec, &mut sm_exec::phase::Recorder::new())
-}
-
-/// [`protect_with`], recording placement phase spans into `rec`:
-/// `protect-place` (total placement wall-clock across every build the
-/// budget loop runs) and `protect-place-fm` (the slice of it spent in
-/// FM refinement). Recording is side-band observability — the produced
-/// design is byte-identical to [`protect_with`].
-pub fn protect_traced(
     netlist: &Netlist,
     config: &FlowConfig,
     exec: &sm_exec::Budget,
@@ -178,7 +176,7 @@ pub fn protect_traced(
 }
 
 /// Drains `meter` into `rec` under the given span names. Shared by the
-/// traced flow and baseline builders.
+/// flow and baseline builders.
 pub(crate) fn drain_place_spans(
     meter: &sm_layout::PlaceMeter,
     rec: &mut sm_exec::phase::Recorder,

@@ -13,8 +13,8 @@
 use sm_benchgen::iscas::{self, IscasProfile};
 use sm_benchgen::superblue::{self, SuperblueProfile};
 use sm_codec::{Decode, Encode};
-use sm_core::baselines::{naive_lifting_traced, original_layout_traced};
-use sm_core::flow::{protect_traced, BaselineLayout, FlowConfig, ProtectedDesign};
+use sm_core::baselines::{naive_lifting_with, original_layout_with};
+use sm_core::flow::{protect_with, BaselineLayout, FlowConfig, ProtectedDesign};
 use sm_exec::phase::Recorder;
 use sm_exec::Budget;
 use sm_netlist::{NetId, Netlist};
@@ -76,28 +76,16 @@ pub struct SuperblueRun {
 
 impl SuperblueRun {
     /// Builds the three layouts for `profile` at the given scale, with
-    /// the process-global thread budget. See
-    /// [`SuperblueRun::build_with`].
-    pub fn build(profile: &SuperblueProfile, scale: usize, seed: u64) -> SuperblueRun {
-        Self::build_with(profile, scale, seed, &Budget::default())
-    }
-
-    /// Builds the three layouts for `profile` at the given scale, inside
-    /// `exec` (the requesting job's budget — the build never occupies
-    /// more worker threads than that allotment).
+    /// the process-global thread budget and no store.
     ///
     /// The protected flow and the unprotected baseline share no state
     /// (each seeds its own RNG), so they build concurrently via
     /// [`Budget::join`] — a deterministic parallel bundle build: the
     /// schedule varies, the layouts are bit-identical to a sequential
     /// build. Naive lifting needs the protected-net set and runs after.
-    pub fn build_with(
-        profile: &SuperblueProfile,
-        scale: usize,
-        seed: u64,
-        exec: &Budget,
-    ) -> SuperblueRun {
-        Self::assemble_with(profile, scale, seed, exec, &BuildAll, &mut Recorder::new()).0
+    pub fn build(profile: &SuperblueProfile, scale: usize, seed: u64) -> SuperblueRun {
+        let exec = Budget::default();
+        Self::assemble_with(profile, scale, seed, &exec, &BuildAll, &mut Recorder::new()).0
     }
 
     /// Assembles the bundle stage by stage through `source`: each stage
@@ -141,14 +129,14 @@ impl SuperblueRun {
             || {
                 let mut r = Recorder::new();
                 let (v, built) = source.fetch_stage(Stage::Protect, &id, || {
-                    protect_traced(&netlist, &config, &arm, &mut r)
+                    protect_with(&netlist, &config, &arm, &mut r)
                 });
                 (v, built, r)
             },
             || {
                 let mut r = Recorder::new();
                 let (v, built) = source.fetch_stage(Stage::Layout, &id, || {
-                    original_layout_traced(&netlist, util, seed, &arm, &mut r)
+                    original_layout_with(&netlist, util, seed, &arm, &mut r)
                 });
                 (v, built, r)
             },
@@ -157,7 +145,7 @@ impl SuperblueRun {
         rec.extend(o_rec);
         let protected_nets = protected.protected_nets();
         let (lifted, l_built) = source.fetch_stage(Stage::Lift, &id, || {
-            naive_lifting_traced(
+            naive_lifting_with(
                 &netlist,
                 &protected_nets,
                 config.lift_layer,
@@ -196,17 +184,12 @@ pub struct IscasRun {
 
 impl IscasRun {
     /// Builds the layouts for `profile` with the process-global thread
-    /// budget. See [`IscasRun::build_with`].
+    /// budget and no store. As with [`SuperblueRun::build`], the
+    /// protected flow and the unprotected baseline are independent and
+    /// build concurrently with bit-identical results.
     pub fn build(profile: &IscasProfile, seed: u64) -> IscasRun {
-        Self::build_with(profile, seed, &Budget::default())
-    }
-
-    /// Builds the layouts for `profile` inside `exec`. As with
-    /// [`SuperblueRun::build_with`], the protected flow and the
-    /// unprotected baseline are independent and build concurrently with
-    /// bit-identical results.
-    pub fn build_with(profile: &IscasProfile, seed: u64, exec: &Budget) -> IscasRun {
-        Self::assemble_with(profile, seed, exec, &BuildAll, &mut Recorder::new()).0
+        let exec = Budget::default();
+        Self::assemble_with(profile, seed, &exec, &BuildAll, &mut Recorder::new()).0
     }
 
     /// Assembles the bundle stage by stage through `source` (see
@@ -233,14 +216,14 @@ impl IscasRun {
             || {
                 let mut r = Recorder::new();
                 let (v, built) = source.fetch_stage(Stage::Protect, &id, || {
-                    protect_traced(&netlist, &config, &arm, &mut r)
+                    protect_with(&netlist, &config, &arm, &mut r)
                 });
                 (v, built, r)
             },
             || {
                 let mut r = Recorder::new();
                 let (v, built) = source.fetch_stage(Stage::Layout, &id, || {
-                    original_layout_traced(&netlist, config.utilization, seed, &arm, &mut r)
+                    original_layout_with(&netlist, config.utilization, seed, &arm, &mut r)
                 });
                 (v, built, r)
             },

@@ -31,6 +31,8 @@ use sm_benchgen::iscas::IscasProfile;
 use sm_benchgen::superblue::SuperblueProfile;
 use sm_codec::{Decode, Encode};
 use sm_exec::fault::FaultInject;
+use sm_exec::phase::Recorder;
+use sm_exec::Budget;
 use sm_layout::SplitLayout;
 
 use crate::bundle::{IscasRun, StageSource, SuperblueRun};
@@ -266,25 +268,17 @@ impl ArtifactCache {
     /// inside `exec` — the requesting consumer's thread budget, so a
     /// cache miss never occupies more workers than its owner was
     /// allotted (late arrivals block on the first builder either way).
+    ///
+    /// The building stages record their placement phase spans into
+    /// `rec`. Only the consumer that actually builds the bundle (first
+    /// requester on a cold slot) records spans; cache hits record
+    /// nothing — no placement ran on their behalf.
     pub fn iscas(
         &self,
         profile: &IscasProfile,
         seed: u64,
-        exec: &sm_exec::Budget,
-    ) -> Arc<IscasRun> {
-        self.iscas_traced(profile, seed, exec, &mut sm_exec::phase::Recorder::new())
-    }
-
-    /// [`ArtifactCache::iscas`], recording the building stages'
-    /// placement phase spans into `rec`. Only the consumer that actually
-    /// builds the bundle (first requester on a cold slot) records spans;
-    /// cache hits record nothing — no placement ran on their behalf.
-    pub fn iscas_traced(
-        &self,
-        profile: &IscasProfile,
-        seed: u64,
-        exec: &sm_exec::Budget,
-        rec: &mut sm_exec::phase::Recorder,
+        exec: &Budget,
+        rec: &mut Recorder,
     ) -> Arc<IscasRun> {
         let slot = {
             let mut map = self.iscas.lock().expect("iscas cache poisoned");
@@ -308,33 +302,15 @@ impl ArtifactCache {
     }
 
     /// The bundle for `profile` at `scale`/`seed`, building on first
-    /// request inside `exec` (see [`ArtifactCache::iscas`]).
+    /// request inside `exec` and recording the build's spans into `rec`
+    /// (see [`ArtifactCache::iscas`]).
     pub fn superblue(
         &self,
         profile: &SuperblueProfile,
         scale: usize,
         seed: u64,
-        exec: &sm_exec::Budget,
-    ) -> Arc<SuperblueRun> {
-        self.superblue_traced(
-            profile,
-            scale,
-            seed,
-            exec,
-            &mut sm_exec::phase::Recorder::new(),
-        )
-    }
-
-    /// [`ArtifactCache::superblue`], recording the building stages'
-    /// placement phase spans into `rec` (see
-    /// [`ArtifactCache::iscas_traced`]).
-    pub fn superblue_traced(
-        &self,
-        profile: &SuperblueProfile,
-        scale: usize,
-        seed: u64,
-        exec: &sm_exec::Budget,
-        rec: &mut sm_exec::phase::Recorder,
+        exec: &Budget,
+        rec: &mut Recorder,
     ) -> Arc<SuperblueRun> {
         let slot = {
             let mut map = self.superblue.lock().expect("superblue cache poisoned");
@@ -559,7 +535,12 @@ mod tests {
                     let cache = Arc::clone(&cache);
                     let profile = profile.clone();
                     s.spawn(move || {
-                        Arc::as_ptr(&cache.iscas(&profile, 7, &sm_exec::Budget::default())) as usize
+                        Arc::as_ptr(&cache.iscas(
+                            &profile,
+                            7,
+                            &Budget::default(),
+                            &mut Recorder::new(),
+                        )) as usize
                     })
                 })
                 .collect();
@@ -576,9 +557,9 @@ mod tests {
     fn distinct_seeds_are_distinct_entries() {
         let cache = ArtifactCache::new();
         let profile = IscasProfile::c432();
-        let a = cache.iscas(&profile, 1, &sm_exec::Budget::default());
-        let b = cache.iscas(&profile, 2, &sm_exec::Budget::default());
-        let a2 = cache.iscas(&profile, 1, &sm_exec::Budget::default());
+        let a = cache.iscas(&profile, 1, &Budget::default(), &mut Recorder::new());
+        let b = cache.iscas(&profile, 2, &Budget::default(), &mut Recorder::new());
+        let a2 = cache.iscas(&profile, 1, &Budget::default(), &mut Recorder::new());
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&a, &a2));
         let stats = cache.stats();
@@ -609,7 +590,7 @@ mod tests {
             seed: 4,
         };
         cache.reserve(key, 2);
-        let run = cache.iscas(&profile, 4, &sm_exec::Budget::default());
+        let run = cache.iscas(&profile, 4, &Budget::default(), &mut Recorder::new());
         assert_eq!(cache.resident(), 1);
 
         cache.release(&key);
@@ -621,7 +602,7 @@ mod tests {
         assert_eq!(Arc::strong_count(&run), 1);
 
         // A fresh request rebuilds.
-        let _again = cache.iscas(&profile, 4, &sm_exec::Budget::default());
+        let _again = cache.iscas(&profile, 4, &Budget::default(), &mut Recorder::new());
         assert_eq!(cache.stats().builds, 2);
     }
 
@@ -633,7 +614,7 @@ mod tests {
             name: profile.name,
             seed: 9,
         };
-        let _run = cache.iscas(&profile, 9, &sm_exec::Budget::default());
+        let _run = cache.iscas(&profile, 9, &Budget::default(), &mut Recorder::new());
         cache.release(&key);
         assert_eq!(cache.resident(), 1);
         assert_eq!(cache.stats().released, 0);

@@ -33,14 +33,15 @@ use sm_attacks::proximity::{ccr_over_connections, network_flow_attack_budgeted, 
 use sm_core::flow::BaselineLayout;
 use sm_exec::fault::{Fault, FaultSite};
 use sm_exec::phase::Recorder;
+use sm_exec::{Budget, PoolStats};
 use sm_layout::split_layout;
 use sm_netlist::{NetId, Netlist, Sink};
 
 use crate::bundle::{IscasRun, SuperblueRun};
 use crate::cache::{ArtifactCache, CacheStats, SplitArm, StageStats};
-use crate::exec::{Budget, PoolStats};
 use crate::job::{AttackKind, Benchmark, Job};
 use crate::journal::{Event, EventJob, MetricsSource, Provenance};
+use crate::metrics::{csv_columns, JobMetrics};
 use crate::report::{csv, Json, ReportOptions};
 use crate::serve::{simulate_schedule, Dispatch, Fleet, FleetStats, SimPlan};
 use crate::store::Stage;
@@ -141,25 +142,15 @@ pub enum Bundle {
 
 impl Bundle {
     /// Fetches (or builds) the bundle for `job` from the cache; a miss
-    /// builds inside `exec`, the job's thread budget.
-    pub fn fetch(cache: &ArtifactCache, job: &Job, exec: &Budget) -> Bundle {
-        Self::fetch_traced(cache, job, exec, &mut Recorder::new())
-    }
-
-    /// [`Bundle::fetch`], recording the build's placement phase spans
-    /// into `rec` when this call is the one that builds (cache hits
-    /// record nothing).
-    pub fn fetch_traced(
-        cache: &ArtifactCache,
-        job: &Job,
-        exec: &Budget,
-        rec: &mut Recorder,
-    ) -> Bundle {
+    /// builds inside `exec`, the job's thread budget, and records the
+    /// build's placement phase spans into `rec` (cache hits record
+    /// nothing).
+    pub fn fetch(cache: &ArtifactCache, job: &Job, exec: &Budget, rec: &mut Recorder) -> Bundle {
         let seed = job.bundle_seed();
         match &job.benchmark {
-            Benchmark::Iscas(p) => Bundle::Iscas(cache.iscas_traced(p, seed, exec, rec)),
+            Benchmark::Iscas(p) => Bundle::Iscas(cache.iscas(p, seed, exec, rec)),
             Benchmark::Superblue(p, scale) => {
-                Bundle::Superblue(cache.superblue_traced(p, *scale, seed, exec, rec))
+                Bundle::Superblue(cache.superblue(p, *scale, seed, exec, rec))
             }
         }
     }
@@ -194,68 +185,6 @@ impl Bundle {
     }
 }
 
-/// Metrics measured by one job.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobMetrics {
-    /// Network-flow attack outcome (percentages, as the paper reports).
-    Flow {
-        /// CCR over the randomized connections of the protected layout.
-        ccr_protected_pct: f64,
-        /// OER of the netlist recovered from the protected layout.
-        oer_pct: f64,
-        /// HD of the netlist recovered from the protected layout.
-        hd_pct: f64,
-        /// CCR of the same attack on the unprotected baseline.
-        ccr_original_pct: f64,
-    },
-    /// Crouting attack outcome, one entry per bounding box.
-    Crouting {
-        /// Vpins the attacker must reconnect in the protected layout.
-        vpins_protected: usize,
-        /// Vpins in the unprotected baseline.
-        vpins_original: usize,
-        /// Per-box `(tracks, els_protected, match_protected,
-        /// els_original, match_original)`.
-        boxes: Vec<(i64, f64, f64, f64, f64)>,
-    },
-    /// The job did not run: its budget was cancelled or past its
-    /// deadline when the job was picked up. A distinct outcome — never
-    /// persisted to the store, excluded from CSV rows and aggregates —
-    /// that [`CampaignRun::resume`] treats as absent, so `smctl resume`
-    /// re-runs exactly these jobs.
-    TimedOut,
-    /// The job panicked (an attack bug, or an injected `job-run`
-    /// fault). Like [`JobMetrics::TimedOut`], a placeholder rather than
-    /// a measurement: never persisted, excluded from CSV rows and
-    /// aggregates, and re-run by `smctl resume` — a panicking job is
-    /// isolated instead of tearing down the campaign.
-    Failed {
-        /// The phase the panic landed in (`bundle`/`attack`).
-        phase: String,
-        /// The panic payload, when it carried a string.
-        message: String,
-    },
-}
-
-impl JobMetrics {
-    /// `true` for the timed-out placeholder outcome.
-    pub fn is_timed_out(&self) -> bool {
-        matches!(self, JobMetrics::TimedOut)
-    }
-
-    /// `true` for the panicked placeholder outcome.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, JobMetrics::Failed { .. })
-    }
-
-    /// `true` for either placeholder outcome (timed-out or failed) —
-    /// the outcomes that carry no measurement, are never persisted, and
-    /// count as missing for `smctl resume`.
-    pub fn is_placeholder(&self) -> bool {
-        self.is_timed_out() || self.is_failed()
-    }
-}
-
 /// One finished job: spec echo plus metrics plus timing.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
@@ -263,8 +192,9 @@ pub struct JobOutcome {
     pub job: Job,
     /// Measured metrics.
     pub metrics: JobMetrics,
-    /// Wall-clock time this job took (includes any bundle build/wait;
-    /// zero for outcomes replayed from a stored report or the store).
+    /// Wall-clock time this job took (includes any bundle build/wait).
+    /// Outcomes parsed from a report carry its `wall_ms` (zero when the
+    /// report has no timings); outcomes replayed from a journal, zero.
     pub wall: Duration,
     /// Per-phase wall-clock spans in milliseconds, in execution order
     /// (`store`/`bundle`/`split`/`attack-*`/…). A job that builds its
@@ -354,7 +284,7 @@ pub fn run_job(cache: &ArtifactCache, job: &Job, exec: &Budget) -> JobOutcome {
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let fetch = Instant::now();
                 let mut brec = Recorder::new();
-                let bundle = Bundle::fetch_traced(cache, job, exec, &mut brec);
+                let bundle = Bundle::fetch(cache, job, exec, &mut brec);
                 phases.push(("bundle", ms_since(fetch)));
                 phases.extend(brec.into_spans());
                 panic_phase.set("attack");
@@ -910,40 +840,6 @@ pub struct AggregateRow {
     pub metrics: Vec<(&'static str, MetricStats)>,
 }
 
-/// The scalar metrics an outcome contributes to aggregation (none for
-/// timed-out/failed placeholders — they carry no measurement).
-fn scalar_metrics(metrics: &JobMetrics) -> Vec<(&'static str, f64)> {
-    match metrics {
-        JobMetrics::TimedOut | JobMetrics::Failed { .. } => Vec::new(),
-        JobMetrics::Flow {
-            ccr_protected_pct,
-            oer_pct,
-            hd_pct,
-            ccr_original_pct,
-        } => vec![
-            ("ccr_protected_pct", *ccr_protected_pct),
-            ("oer_pct", *oer_pct),
-            ("hd_pct", *hd_pct),
-            ("ccr_original_pct", *ccr_original_pct),
-        ],
-        JobMetrics::Crouting {
-            vpins_protected,
-            vpins_original,
-            boxes,
-        } => {
-            let n = boxes.len().max(1) as f64;
-            let match_p = boxes.iter().map(|b| b.2).sum::<f64>() / n;
-            let match_o = boxes.iter().map(|b| b.4).sum::<f64>() / n;
-            vec![
-                ("vpins_protected", *vpins_protected as f64),
-                ("vpins_original", *vpins_original as f64),
-                ("match_protected_mean", match_p),
-                ("match_original_mean", match_o),
-            ]
-        }
-    }
-}
-
 /// A sweep point's identity during aggregation.
 type PointKey = (String, u8, AttackKind);
 
@@ -954,7 +850,7 @@ impl Campaign {
         let mut order: Vec<PointKey> = Vec::new();
         let mut samples: HashMap<PointKey, Vec<Vec<(&'static str, f64)>>> = HashMap::new();
         for o in &self.outcomes {
-            let metrics = scalar_metrics(&o.metrics);
+            let metrics = o.metrics.aggregate_values();
             if metrics.is_empty() {
                 continue; // timed-out/failed: no measurement to aggregate
             }
@@ -997,81 +893,6 @@ impl Campaign {
 }
 
 // ----- reports --------------------------------------------------------
-
-/// The per-job CSV columns shared by [`Campaign::to_csv`] and
-/// [`json_to_csv`] (a `wall_ms` column is appended for timed reports).
-pub const CSV_HEADER: [&str; 16] = [
-    "benchmark",
-    "seed",
-    "split_layer",
-    "attack",
-    "derived_seed",
-    "ccr_protected_pct",
-    "oer_pct",
-    "hd_pct",
-    "ccr_original_pct",
-    "vpins_protected",
-    "vpins_original",
-    "bbox_tracks",
-    "els_protected",
-    "match_protected",
-    "els_original",
-    "match_original",
-];
-
-fn csv_header(timed: bool) -> Vec<&'static str> {
-    let mut header = CSV_HEADER.to_vec();
-    if timed {
-        header.push("wall_ms");
-    }
-    header
-}
-
-/// Shapes one flow-job CSV row from its five identity fields and four
-/// formatted metric fields.
-fn flow_row(base: &[String], metrics: [String; 4], wall: Option<&str>) -> Vec<String> {
-    let mut row = base.to_vec();
-    row.extend(metrics);
-    row.extend(std::iter::repeat_with(String::new).take(7));
-    if let Some(w) = wall {
-        row.push(w.to_string());
-    }
-    row
-}
-
-/// Shapes one crouting-box CSV row: identity fields, the two vpin
-/// counts, then the five per-box fields.
-fn crouting_row(
-    base: &[String],
-    vpins: [String; 2],
-    bx: [String; 5],
-    wall: Option<&str>,
-) -> Vec<String> {
-    let mut row = base.to_vec();
-    row.extend(std::iter::repeat_with(String::new).take(4));
-    row.extend(vpins);
-    row.extend(bx);
-    if let Some(w) = wall {
-        row.push(w.to_string());
-    }
-    row
-}
-
-fn base_fields(
-    benchmark: &str,
-    seed: u64,
-    split_layer: u64,
-    attack: &str,
-    derived_seed: u64,
-) -> [String; 5] {
-    [
-        benchmark.to_string(),
-        seed.to_string(),
-        split_layer.to_string(),
-        attack.to_string(),
-        derived_seed.to_string(),
-    ]
-}
 
 fn f4(v: f64) -> String {
     format!("{v:.4}")
@@ -1159,61 +980,29 @@ impl Campaign {
 
     /// The CSV report: one row per flow job, one row per crouting box.
     pub fn to_csv(&self, opts: ReportOptions) -> String {
+        let mut header = vec!["benchmark", "seed", "split_layer", "attack", "derived_seed"];
+        header.extend(csv_columns());
+        if opts.include_timings {
+            header.push("wall_ms");
+        }
         let mut rows = Vec::new();
         for o in &self.outcomes {
-            let base = base_fields(
-                o.job.benchmark.name(),
-                o.job.user_seed,
-                o.job.split_layer as u64,
-                o.job.attack.id(),
-                o.job.derived_seed(),
-            );
-            let wall = format!("{:.3}", o.wall.as_secs_f64() * 1e3);
-            let wall = opts.include_timings.then_some(wall.as_str());
-            match &o.metrics {
-                JobMetrics::Flow {
-                    ccr_protected_pct,
-                    oer_pct,
-                    hd_pct,
-                    ccr_original_pct,
-                } => {
-                    rows.push(flow_row(
-                        &base,
-                        [
-                            f4(*ccr_protected_pct),
-                            f4(*oer_pct),
-                            f4(*hd_pct),
-                            f4(*ccr_original_pct),
-                        ],
-                        wall,
-                    ));
+            for cells in o.metrics.csv_rows() {
+                let mut row = vec![
+                    o.job.benchmark.name().to_string(),
+                    o.job.user_seed.to_string(),
+                    o.job.split_layer.to_string(),
+                    o.job.attack.id().to_string(),
+                    o.job.derived_seed().to_string(),
+                ];
+                row.extend(cells);
+                if opts.include_timings {
+                    row.push(format!("{:.3}", o.wall.as_secs_f64() * 1e3));
                 }
-                JobMetrics::Crouting {
-                    vpins_protected,
-                    vpins_original,
-                    boxes,
-                } => {
-                    for &(tracks, els_p, match_p, els_o, match_o) in boxes {
-                        rows.push(crouting_row(
-                            &base,
-                            [vpins_protected.to_string(), vpins_original.to_string()],
-                            [
-                                tracks.to_string(),
-                                f4(els_p),
-                                f4(match_p),
-                                f4(els_o),
-                                f4(match_o),
-                            ],
-                            wall,
-                        ));
-                    }
-                }
-                // Placeholder outcomes have no measurement row; the
-                // JSON report is where their status lives.
-                JobMetrics::TimedOut | JobMetrics::Failed { .. } => {}
+                rows.push(row);
             }
         }
-        csv(&csv_header(opts.include_timings), &rows)
+        csv(&header, &rows)
     }
 
     /// The aggregate CSV: one row per sweep point × metric.
@@ -1366,95 +1155,6 @@ pub(crate) fn phase_ms(ms: f64) -> f64 {
     (ms * 1e3).round() / 1e3
 }
 
-/// Converts a parsed campaign JSON report (as produced by
-/// [`Campaign::to_json`]) into the CSV format of [`Campaign::to_csv`],
-/// so `smctl report` can re-render stored reports without re-running the
-/// campaign.
-pub fn json_to_csv(report: &Json) -> Result<String, String> {
-    let jobs = report
-        .get("jobs")
-        .and_then(Json::as_arr)
-        .ok_or("not a campaign report: missing `jobs` array")?;
-    let timed = jobs
-        .first()
-        .map(|j| j.get("wall_ms").is_some())
-        .unwrap_or(false);
-    let mut rows = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        let field = |key: &str| -> Result<&Json, String> {
-            job.get(key).ok_or(format!("job {i}: missing `{key}`"))
-        };
-        let base = base_fields(
-            field("benchmark")?.as_str().unwrap_or_default(),
-            field("seed")?.as_u64().unwrap_or_default(),
-            field("split_layer")?.as_u64().unwrap_or_default(),
-            field("attack")?.as_str().unwrap_or_default(),
-            field("derived_seed")?.as_u64().unwrap_or_default(),
-        );
-        let metrics = field("metrics")?;
-        let wall = job
-            .get("wall_ms")
-            .and_then(Json::as_f64)
-            .map(|w| format!("{w:.3}"))
-            .unwrap_or_default();
-        let wall = timed.then_some(wall.as_str());
-        let fnum = |m: &Json, key: &str| {
-            m.get(key)
-                .and_then(Json::as_f64)
-                .map(f4)
-                .unwrap_or_default()
-        };
-        if metrics.get("ccr_protected_pct").is_some() {
-            rows.push(flow_row(
-                &base,
-                [
-                    fnum(metrics, "ccr_protected_pct"),
-                    fnum(metrics, "oer_pct"),
-                    fnum(metrics, "hd_pct"),
-                    fnum(metrics, "ccr_original_pct"),
-                ],
-                wall,
-            ));
-        } else if metrics.get("vpins_protected").is_some() {
-            let vpins = [
-                metrics
-                    .get("vpins_protected")
-                    .and_then(Json::as_u64)
-                    .unwrap_or_default()
-                    .to_string(),
-                metrics
-                    .get("vpins_original")
-                    .and_then(Json::as_u64)
-                    .unwrap_or_default()
-                    .to_string(),
-            ];
-            for bx in metrics.get("boxes").and_then(Json::as_arr).unwrap_or(&[]) {
-                rows.push(crouting_row(
-                    &base,
-                    vpins.clone(),
-                    [
-                        bx.get("bbox_tracks")
-                            .and_then(Json::as_i64)
-                            .map(|v| v.to_string())
-                            .unwrap_or_default(),
-                        fnum(bx, "els_protected"),
-                        fnum(bx, "match_protected"),
-                        fnum(bx, "els_original"),
-                        fnum(bx, "match_original"),
-                    ],
-                    wall,
-                ));
-            }
-        } else if metrics.get("timed_out").is_some() || metrics.get("failed").is_some() {
-            // Placeholder outcome: no measurement row (matches
-            // `Campaign::to_csv`).
-        } else {
-            return Err(format!("job {i}: unrecognized metrics shape"));
-        }
-    }
-    Ok(csv(&csv_header(timed), &rows))
-}
-
 fn outcome_json(o: &JobOutcome, opts: ReportOptions) -> Json {
     let mut pairs = vec![
         ("benchmark".to_string(), Json::str(o.job.benchmark.name())),
@@ -1465,71 +1165,8 @@ fn outcome_json(o: &JobOutcome, opts: ReportOptions) -> Json {
         ),
         ("attack".to_string(), Json::str(o.job.attack.id())),
         ("derived_seed".to_string(), Json::UInt(o.job.derived_seed())),
+        ("metrics".to_string(), o.metrics.to_json()),
     ];
-    match &o.metrics {
-        JobMetrics::Flow {
-            ccr_protected_pct,
-            oer_pct,
-            hd_pct,
-            ccr_original_pct,
-        } => {
-            pairs.push((
-                "metrics".to_string(),
-                Json::obj([
-                    ("ccr_protected_pct", Json::Num(*ccr_protected_pct)),
-                    ("oer_pct", Json::Num(*oer_pct)),
-                    ("hd_pct", Json::Num(*hd_pct)),
-                    ("ccr_original_pct", Json::Num(*ccr_original_pct)),
-                ]),
-            ));
-        }
-        JobMetrics::Crouting {
-            vpins_protected,
-            vpins_original,
-            boxes,
-        } => {
-            pairs.push((
-                "metrics".to_string(),
-                Json::obj([
-                    ("vpins_protected", Json::UInt(*vpins_protected as u64)),
-                    ("vpins_original", Json::UInt(*vpins_original as u64)),
-                    (
-                        "boxes",
-                        Json::Arr(
-                            boxes
-                                .iter()
-                                .map(|&(tracks, els_p, match_p, els_o, match_o)| {
-                                    Json::obj([
-                                        ("bbox_tracks", Json::Int(tracks)),
-                                        ("els_protected", Json::Num(els_p)),
-                                        ("match_protected", Json::Num(match_p)),
-                                        ("els_original", Json::Num(els_o)),
-                                        ("match_original", Json::Num(match_o)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
-        }
-        JobMetrics::TimedOut => {
-            pairs.push((
-                "metrics".to_string(),
-                Json::obj([("timed_out", Json::Bool(true))]),
-            ));
-        }
-        JobMetrics::Failed { phase, message } => {
-            pairs.push((
-                "metrics".to_string(),
-                Json::obj([
-                    ("failed", Json::Bool(true)),
-                    ("phase", Json::str(phase)),
-                    ("message", Json::str(message)),
-                ]),
-            ));
-        }
-    }
     if opts.include_timings {
         pairs.push(("wall_ms".to_string(), Json::Num(wall_ms(o.wall))));
         if !o.phases.is_empty() {
@@ -1633,88 +1270,33 @@ impl Campaign {
 }
 
 fn outcome_from_json(job: &Json, spec: &SweepSpec) -> Result<JobOutcome, String> {
+    let malformed = |key: &str| format!("missing or malformed `{key}`");
     let benchmark = job
         .get("benchmark")
         .and_then(Json::as_str)
-        .ok_or("missing `benchmark`")?;
+        .ok_or_else(|| malformed("benchmark"))?;
     let user_seed = job
         .get("seed")
         .and_then(Json::as_u64)
-        .ok_or("missing `seed`")?;
+        .ok_or_else(|| malformed("seed"))?;
     let split_layer = job
         .get("split_layer")
         .and_then(Json::as_u64)
         .and_then(|l| u8::try_from(l).ok())
-        .ok_or("missing or out-of-range `split_layer`")?;
-    let attack = AttackKind::parse(
-        job.get("attack")
-            .and_then(Json::as_str)
-            .ok_or("missing `attack`")?,
-    )?;
+        .ok_or_else(|| malformed("split_layer"))?;
+    let attack = job
+        .get("attack")
+        .and_then(Json::as_str)
+        .ok_or_else(|| malformed("attack"))?;
     let metrics = job.get("metrics").ok_or("missing `metrics`")?;
-    let f = |key: &str| -> Result<f64, String> {
-        metrics
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing metric `{key}`"))
-    };
-    let parsed = if metrics.get("ccr_protected_pct").is_some() {
-        JobMetrics::Flow {
-            ccr_protected_pct: f("ccr_protected_pct")?,
-            oer_pct: f("oer_pct")?,
-            hd_pct: f("hd_pct")?,
-            ccr_original_pct: f("ccr_original_pct")?,
-        }
-    } else if metrics.get("vpins_protected").is_some() {
-        let u = |key: &str| -> Result<usize, String> {
-            metrics
-                .get(key)
-                .and_then(Json::as_u64)
-                .map(|v| v as usize)
-                .ok_or(format!("missing metric `{key}`"))
-        };
-        let mut boxes = Vec::new();
-        for bx in metrics
-            .get("boxes")
-            .and_then(Json::as_arr)
-            .ok_or("missing `boxes`")?
-        {
-            let bf = |key: &str| -> Result<f64, String> {
-                bx.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("missing box field `{key}`"))
-            };
-            boxes.push((
-                bx.get("bbox_tracks")
-                    .and_then(Json::as_i64)
-                    .ok_or("missing box field `bbox_tracks`")?,
-                bf("els_protected")?,
-                bf("match_protected")?,
-                bf("els_original")?,
-                bf("match_original")?,
-            ));
-        }
-        JobMetrics::Crouting {
-            vpins_protected: u("vpins_protected")?,
-            vpins_original: u("vpins_original")?,
-            boxes,
-        }
-    } else if metrics.get("timed_out").is_some() {
-        JobMetrics::TimedOut
-    } else if metrics.get("failed").is_some() {
-        let s = |key: &str| {
-            metrics
-                .get(key)
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string()
-        };
-        JobMetrics::Failed {
-            phase: s("phase"),
-            message: s("message"),
-        }
-    } else {
-        return Err("unrecognized metrics shape".into());
+    // Present only in `--timings` reports; re-rendering one keeps its
+    // `wall_ms` column.
+    let wall = match job.get("wall_ms") {
+        None => Duration::ZERO,
+        Some(ms) => ms
+            .as_f64()
+            .and_then(|ms| Duration::try_from_secs_f64(ms / 1e3).ok())
+            .ok_or_else(|| malformed("wall_ms"))?,
     };
     Ok(JobOutcome {
         job: Job {
@@ -1722,12 +1304,12 @@ fn outcome_from_json(job: &Json, spec: &SweepSpec) -> Result<JobOutcome, String>
             benchmark: Benchmark::parse(benchmark, spec.scale)?,
             user_seed,
             split_layer,
-            attack,
+            attack: AttackKind::parse(attack)?,
             master_seed: spec.master_seed,
             layout_seed: spec.layout_seed,
         },
-        metrics: parsed,
-        wall: Duration::ZERO,
+        metrics: JobMetrics::from_json(metrics)?,
+        wall,
         phases: Vec::new(),
     })
 }
@@ -1961,11 +1543,12 @@ mod tests {
         let values: Vec<f64> = campaign
             .outcomes
             .iter()
-            .map(|o| match o.metrics {
-                JobMetrics::Flow {
-                    ccr_protected_pct, ..
-                } => ccr_protected_pct,
-                _ => unreachable!(),
+            .map(|o| {
+                let metrics = o.metrics.to_json();
+                metrics
+                    .get("ccr_protected_pct")
+                    .and_then(Json::as_f64)
+                    .unwrap()
             })
             .collect();
         let mean = values.iter().sum::<f64>() / values.len() as f64;

@@ -44,13 +44,12 @@ use sm_codec::{
     decode_from_slice, encode_to_vec, frame, CodecError, Decode, Encode, Reader, Writer,
 };
 use sm_exec::fault::{self, Fault, FaultInject, FaultSite};
+use sm_exec::PoolStats;
 
 use crate::cache::CacheStats;
-use crate::campaign::{
-    merge_outcomes, phase_ms, wall_ms, Campaign, JobMetrics, JobOutcome, SweepSpec,
-};
-use crate::exec::PoolStats;
+use crate::campaign::{merge_outcomes, phase_ms, wall_ms, Campaign, JobOutcome, SweepSpec};
 use crate::job::{AttackKind, Benchmark, Job};
+use crate::metrics::JobMetrics;
 use crate::report::Json;
 
 /// Journal file magic (`SMJL`).
@@ -326,31 +325,7 @@ impl Event {
                 provenance,
             } => {
                 push_job(&mut pairs, job);
-                let summary = match metrics {
-                    JobMetrics::Flow {
-                        ccr_protected_pct,
-                        oer_pct,
-                        hd_pct,
-                        ccr_original_pct,
-                    } => Json::obj([
-                        ("ccr_protected_pct", Json::Num(*ccr_protected_pct)),
-                        ("oer_pct", Json::Num(*oer_pct)),
-                        ("hd_pct", Json::Num(*hd_pct)),
-                        ("ccr_original_pct", Json::Num(*ccr_original_pct)),
-                    ]),
-                    JobMetrics::Crouting {
-                        vpins_protected,
-                        vpins_original,
-                        boxes,
-                    } => Json::obj([
-                        ("vpins_protected", Json::UInt(*vpins_protected as u64)),
-                        ("vpins_original", Json::UInt(*vpins_original as u64)),
-                        ("boxes", Json::UInt(boxes.len() as u64)),
-                    ]),
-                    JobMetrics::TimedOut => Json::obj([("timed_out", Json::Bool(true))]),
-                    JobMetrics::Failed { .. } => Json::obj([("failed", Json::Bool(true))]),
-                };
-                pairs.push(("metrics".to_string(), summary));
+                pairs.push(("metrics".to_string(), metrics.summary_json()));
                 pairs.push((
                     "provenance".to_string(),
                     Json::obj([

@@ -16,11 +16,6 @@
 //! * [`store`] — the disk-backed tier under the cache: bundles and
 //!   finished job results persist across processes under `.sm-store/`,
 //!   so repeated runs decode instead of rebuilding;
-//! * [`exec`] — re-exports of `sm_exec`'s persistent work-stealing
-//!   [`Pool`](exec::Pool), splittable [`Budget`](exec::Budget) and
-//!   [`CancelToken`](exec::CancelToken): the campaign's thread allotment
-//!   is divided among jobs, so nested parallel work shares one pool and
-//!   output order stays independent of scheduling;
 //! * [`journal`] — the append-only, checksummed campaign event log
 //!   under `.sm-store/journal/`: per-job provenance, live progress
 //!   (`smctl tail`/`events`) and crash-safe resume, with the canonical
@@ -32,6 +27,9 @@
 //!   jobs are a distinct outcome that `smctl resume` re-runs), seed-sweep
 //!   aggregation (mean/σ/min/max) and report assembly, including
 //!   merging sharded reports (`smctl merge`);
+//! * [`metrics`] — [`JobMetrics`] and the one
+//!   schema (field names, value types, codec order, aggregate columns)
+//!   that the codec, reports, CSV, aggregates and journal all read;
 //! * [`report`] — deterministic JSON/CSV emission (timings opt-in, so
 //!   canonical reports are byte-identical across runs);
 //! * [`serve`] — the long-running campaign service behind `smctl
@@ -40,6 +38,10 @@
 //!   deterministic N-worker simulation whose merged reports are
 //!   byte-identical to a solo sweep.
 //!
+//! Campaigns run inside an `sm_exec` [`Budget`]: the campaign's thread
+//! allotment is divided among jobs, so nested parallel work shares one
+//! pool and output order stays independent of scheduling.
+//!
 //! The `smctl` CLI (in `sm-bench`, next to the experiment definitions)
 //! and the per-table binaries all sit on top of these primitives.
 //!
@@ -47,9 +49,8 @@
 //!
 //! ```no_run
 //! use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
-//! use sm_engine::exec::Budget;
 //! use sm_engine::report::ReportOptions;
-//! use sm_engine::ArtifactCache;
+//! use sm_engine::{ArtifactCache, Budget};
 //!
 //! let spec = SweepSpec {
 //!     benchmarks: vec!["c432".into(), "c880".into()],
@@ -68,9 +69,9 @@
 pub mod bundle;
 pub mod cache;
 pub mod campaign;
-pub mod exec;
 pub mod job;
 pub mod journal;
+pub mod metrics;
 pub mod report;
 pub mod serve;
 pub mod store;
@@ -78,17 +79,18 @@ pub mod store;
 pub use bundle::{iscas_selection, superblue_selection, IscasRun, StageSource, SuperblueRun};
 pub use cache::{ArtifactCache, BundleKey, CacheStats, SplitArm, StageStats};
 pub use campaign::{
-    merge_reports, run_job, run_sweep_budgeted, Campaign, CampaignRun, JobMetrics, JobOutcome,
-    Scheduler, SweepSpec,
+    merge_reports, run_job, run_sweep_budgeted, Campaign, CampaignRun, JobOutcome, Scheduler,
+    SweepSpec,
 };
-pub use exec::{Budget, CancelToken, Executor, ExecutorConfig, Pool, PoolStats};
 pub use job::{AttackKind, Benchmark, Job};
 pub use journal::{Event, Journal, JournalFollower};
+pub use metrics::JobMetrics;
 pub use report::{Json, ReportOptions};
 pub use serve::{
     client_shutdown, client_status, client_submit, serve, simulate_schedule, Fleet, FleetStats,
     ServeConfig, ServiceStatus, SimPlan,
 };
+pub use sm_exec::Budget;
 pub use store::{
     ArtifactStore, Stage, StageHealth, StageUsage, StoreHealth, StoreLock, StoreStats, StoreUsage,
 };
@@ -96,10 +98,9 @@ pub use store::{
 #[cfg(test)]
 mod tests {
     use super::campaign::{run_sweep_budgeted, Campaign, SweepSpec};
-    use super::exec::Budget;
     use super::job::AttackKind;
     use super::report::ReportOptions;
-    use super::ArtifactCache;
+    use super::{ArtifactCache, Budget};
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec {
@@ -139,7 +140,8 @@ mod tests {
         assert_eq!(a.cache.hits as usize, a.outcomes.len() - 2);
         // JSON → CSV conversion matches direct CSV emission.
         let parsed = crate::report::Json::parse(&ja).unwrap();
-        assert_eq!(crate::campaign::json_to_csv(&parsed).unwrap(), ca);
+        let reparsed = Campaign::from_json(&parsed).unwrap();
+        assert_eq!(reparsed.to_csv(ReportOptions::default()), ca);
     }
 
     /// Timing-inclusive reports carry the same job payloads plus

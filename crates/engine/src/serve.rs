@@ -45,11 +45,10 @@ use std::time::Duration;
 use sm_codec::{
     decode_from_slice, encode_to_vec, frame, CodecError, Decode, Encode, Reader, Writer,
 };
-use sm_exec::seed;
+use sm_exec::{seed, Budget};
 
 use crate::cache::ArtifactCache;
 use crate::campaign::{CampaignRun, Scheduler, SweepSpec};
-use crate::exec::Budget;
 use crate::journal::{spec_fingerprint, Event, Journal, JournalFollower};
 use crate::report::ReportOptions;
 use crate::store::ArtifactStore;

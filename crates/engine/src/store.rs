@@ -41,9 +41,9 @@ use std::time::{Duration, SystemTime};
 use sm_codec::{decode_from_slice, lz, Decode, Encode, Reader, Writer};
 use sm_exec::fault::{self, Fault, FaultInject, FaultSite};
 
-use crate::campaign::JobMetrics;
 use crate::job::Job;
 use crate::journal::{Event, Journal};
+use crate::metrics::JobMetrics;
 
 /// File magic: every store file starts with these four bytes.
 pub const STORE_MAGIC: [u8; 4] = *b"SMST";
@@ -1012,78 +1012,5 @@ impl Drop for StoreLock {
         if self.owned() {
             let _ = fs::remove_file(&self.path);
         }
-    }
-}
-
-// ----- metrics encoding ---------------------------------------------------
-
-impl Encode for JobMetrics {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            JobMetrics::Flow {
-                ccr_protected_pct,
-                oer_pct,
-                hd_pct,
-                ccr_original_pct,
-            } => {
-                w.put_u8(0);
-                ccr_protected_pct.encode(w);
-                oer_pct.encode(w);
-                hd_pct.encode(w);
-                ccr_original_pct.encode(w);
-            }
-            JobMetrics::Crouting {
-                vpins_protected,
-                vpins_original,
-                boxes,
-            } => {
-                w.put_u8(1);
-                vpins_protected.encode(w);
-                vpins_original.encode(w);
-                boxes.encode(w);
-            }
-            JobMetrics::TimedOut => {
-                // Unreachable through the store (`save_outcome` filters
-                // placeholders), kept total for codec round-trip use.
-                w.put_u8(2);
-            }
-            JobMetrics::Failed { phase, message } => {
-                // Same: a placeholder, never legitimately persisted.
-                w.put_u8(3);
-                phase.encode(w);
-                message.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for JobMetrics {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, sm_codec::CodecError> {
-        Ok(match r.take_u8()? {
-            0 => JobMetrics::Flow {
-                ccr_protected_pct: f64::decode(r)?,
-                oer_pct: f64::decode(r)?,
-                hd_pct: f64::decode(r)?,
-                ccr_original_pct: f64::decode(r)?,
-            },
-            1 => JobMetrics::Crouting {
-                vpins_protected: usize::decode(r)?,
-                vpins_original: usize::decode(r)?,
-                boxes: Vec::decode(r)?,
-            },
-            // Tags 2 (TimedOut) and 3 (Failed) are deliberately
-            // rejected: placeholders are never legitimately persisted,
-            // and accepting one here would let a stray store file
-            // satisfy `run_job`'s store lookup forever — every resume
-            // would "complete" the job back into the placeholder state
-            // it is trying to clear. Treating them like any other
-            // invalid tag makes the file a miss, so the job simply
-            // re-runs.
-            other => {
-                return Err(sm_codec::CodecError::Invalid(format!(
-                    "JobMetrics tag {other}"
-                )))
-            }
-        })
     }
 }

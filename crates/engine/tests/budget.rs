@@ -15,10 +15,10 @@ use std::time::Duration;
 use sm_engine::campaign::{
     merge_outcomes, merge_reports, run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec,
 };
-use sm_engine::exec::{Budget, CancelToken};
 use sm_engine::job::AttackKind;
 use sm_engine::report::{Json, ReportOptions};
 use sm_engine::{ArtifactCache, SplitArm, Stage};
+use sm_exec::{Budget, CancelToken};
 use sm_layout::{FeolView, SplitLayout};
 
 fn tiny_spec() -> SweepSpec {

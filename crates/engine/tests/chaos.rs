@@ -18,12 +18,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once, OnceLock};
 
 use sm_engine::campaign::{run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec};
-use sm_engine::exec::fault::{FaultInject, FaultPlan, FaultProfile};
-use sm_engine::exec::Budget;
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{materialize, read_events, Journal};
 use sm_engine::report::ReportOptions;
 use sm_engine::{ArtifactCache, ArtifactStore};
+use sm_exec::fault::{FaultInject, FaultPlan, FaultProfile};
+use sm_exec::Budget;
 
 struct Scratch(PathBuf);
 

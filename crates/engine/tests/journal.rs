@@ -18,13 +18,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sm_engine::campaign::{run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec};
-use sm_engine::exec::{Budget, CancelToken};
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{
     find_journal, materialize, read_events, Event, Journal, JournalFollower, MetricsSource,
 };
 use sm_engine::report::ReportOptions;
 use sm_engine::{ArtifactCache, ArtifactStore};
+use sm_exec::{Budget, CancelToken};
 
 struct Scratch(PathBuf);
 

@@ -19,7 +19,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sm_engine::campaign::{run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec};
-use sm_engine::exec::Budget;
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{read_events, Event, Journal};
 use sm_engine::report::ReportOptions;
@@ -28,6 +27,7 @@ use sm_engine::serve::{
     ServeConfig, SimPlan,
 };
 use sm_engine::{ArtifactCache, ArtifactStore};
+use sm_exec::Budget;
 
 struct Scratch(PathBuf);
 

@@ -9,11 +9,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
-use sm_engine::exec::Budget;
 use sm_engine::job::AttackKind;
 use sm_engine::report::ReportOptions;
 use sm_engine::store::{ArtifactStore, Stage, STORE_MAGIC};
 use sm_engine::ArtifactCache;
+use sm_exec::Budget;
 use sm_netlist::Netlist;
 
 /// A unique scratch directory per test invocation, removed on drop.

@@ -19,8 +19,6 @@
 //! * [`CancelToken`] — cooperative cancellation with an optional
 //!   deadline, checked at job boundaries (never inside deterministic
 //!   kernels, so results stay bit-identical);
-//! * [`Executor`] — the historical map-facade, now a thin wrapper over a
-//!   [`Budget`];
 //! * [`seed`] — the SplitMix64/FNV-1a mixing primitives behind all
 //!   deterministic seed derivation (`Job::derived_seed`, per-branch
 //!   bisection streams);
@@ -963,59 +961,6 @@ impl Budget {
     }
 }
 
-// ----- executor facade ------------------------------------------------------
-
-/// Executor configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecutorConfig {
-    /// Worker count; `None` uses the machine's available parallelism.
-    pub threads: Option<usize>,
-}
-
-/// The workspace's thread-pool executor: the historical map-facade over
-/// a [`Budget`]. `Executor::new` with an explicit thread count builds a
-/// dedicated pool of that size; `None` shares [`Pool::global`].
-#[derive(Debug, Clone)]
-pub struct Executor {
-    budget: Budget,
-}
-
-impl Executor {
-    /// Builds an executor with the configured worker count.
-    pub fn new(config: ExecutorConfig) -> Self {
-        Executor {
-            budget: Budget::with_threads(config.threads),
-        }
-    }
-
-    /// Wraps an existing budget.
-    pub fn from_budget(budget: Budget) -> Self {
-        Executor { budget }
-    }
-
-    /// The worker count this executor runs with.
-    pub fn threads(&self) -> usize {
-        self.budget.threads()
-    }
-
-    /// The underlying budget (for splitting among subtasks).
-    pub fn budget(&self) -> &Budget {
-        &self.budget
-    }
-
-    /// Applies `f` to every item on the pool and returns results in
-    /// **input order** (independent of which worker ran what). See
-    /// [`Budget::map`].
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.budget.map(items, f)
-    }
-}
-
 /// Runs two independent closures concurrently on the process-global
 /// pool's default budget and returns both results. Prefer
 /// [`Budget::join`] where a budget is plumbed through; this free
@@ -1042,7 +987,7 @@ mod tests {
 
     #[test]
     fn results_keep_input_order() {
-        let exec = Executor::new(ExecutorConfig { threads: Some(8) });
+        let exec = Budget::with_threads(Some(8));
         let items: Vec<u64> = (0..200).collect();
         let out = exec.map(&items, |i, &x| {
             // Uneven job costs to force out-of-order completion.
@@ -1062,7 +1007,7 @@ mod tests {
 
     #[test]
     fn every_job_runs_exactly_once() {
-        let exec = Executor::new(ExecutorConfig { threads: Some(4) });
+        let exec = Budget::with_threads(Some(4));
         let items: Vec<usize> = (0..100).collect();
         let out = exec.map(&items, |_, &x| x);
         let unique: HashSet<usize> = out.iter().copied().collect();
@@ -1071,15 +1016,15 @@ mod tests {
 
     #[test]
     fn zero_and_none_threads_fall_back_to_auto() {
-        let a = Executor::new(ExecutorConfig { threads: Some(0) });
-        let b = Executor::new(ExecutorConfig { threads: None });
+        let a = Budget::with_threads(Some(0));
+        let b = Budget::with_threads(None);
         assert_eq!(a.threads(), b.threads());
         assert!(a.threads() >= 1);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let exec = Executor::new(ExecutorConfig { threads: Some(4) });
+        let exec = Budget::with_threads(Some(4));
         let out: Vec<u32> = exec.map(&[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
     }
@@ -1087,8 +1032,8 @@ mod tests {
     #[test]
     fn single_thread_matches_parallel() {
         let items: Vec<u64> = (0..50).collect();
-        let serial = Executor::new(ExecutorConfig { threads: Some(1) });
-        let parallel = Executor::new(ExecutorConfig { threads: Some(6) });
+        let serial = Budget::with_threads(Some(1));
+        let parallel = Budget::with_threads(Some(6));
         let a = serial.map(&items, |_, &x| x * x);
         let b = parallel.map(&items, |_, &x| x * x);
         assert_eq!(a, b);
