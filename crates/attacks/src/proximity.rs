@@ -12,14 +12,19 @@
 //! 4. the direction of dangling wires (the FEOL stub points toward the
 //!    BEOL continuation).
 //!
-//! Pairs are committed globally-cheapest-first (the practical equivalent of
-//! the min-cost-flow rounds in the original attack), re-checking loops
-//! against connections committed so far.
+//! Proximity, direction and load become the costs and capacities of a
+//! min-cost-flow network (`source → drivers → sinks → target`, see
+//! [`crate::mcmf`]) whose optimum assigns every sink vpin a driver. The
+//! assignment is then applied cheapest pair first onto a copy of the
+//! FEOL netlist. A connection that would close a loop is retargeted to
+//! the sink's cheapest candidate that does not, checked against the
+//! connections applied so far through an incremental topological order
+//! ([`TopoOrder`]).
 
 use crate::grid::CellGrid;
 use sm_exec::{Budget, Pool};
 use sm_layout::{Placement, Point, SplitLayout, VpinSide};
-use sm_netlist::graph::{would_create_cycle_with, ReachScratch};
+use sm_netlist::graph::TopoOrder;
 use sm_netlist::{Netlist, Sink};
 use sm_sim::{security_metrics, PatternSource, SecurityMetrics};
 use std::collections::BinaryHeap;
@@ -248,6 +253,15 @@ impl AssignmentInstance {
     }
 }
 
+/// The attack's connection guess before it is scored.
+#[derive(Debug, Clone)]
+pub struct FlowAssignment {
+    /// Committed `(driver_vpin, sink_vpin)` pairs.
+    pub pairs: Vec<(usize, usize)>,
+    /// The netlist the attacker reconstructed.
+    pub recovered: Netlist,
+}
+
 /// Runs the network-flow attack.
 ///
 /// * `golden` — the true design (scoring reference for OER/HD).
@@ -274,26 +288,21 @@ pub fn network_flow_attack(
 }
 
 /// [`network_flow_attack`] running inside an explicit [`Budget`]:
-/// candidate scoring fans out over the budget's pool (never exceeding
-/// its thread allotment). Campaigns pass each job's split budget here,
-/// so attack-internal parallelism shares the process-wide worker
-/// ceiling. Results are bit-identical at any thread count.
+/// [`network_flow_assignment`], then the OER/HD evaluation of the
+/// recovered netlist against `golden`. Results are bit-identical at any
+/// thread count.
 ///
 /// The budget's [`CancelToken`](sm_exec::CancelToken) is consulted at
-/// the attack's deterministic phase boundaries — before the candidate
-/// scoring pass, between the min-cost-flow engine's scaling phases (see
-/// [`MinCostFlow::run_interruptible`](crate::mcmf::MinCostFlow::run_interruptible)),
-/// and before the OER/HD evaluation. A deadlined superblue-scale job
-/// therefore stops within one phase of its deadline instead of
-/// overshooting by the whole attack; an attack that *completes* is
-/// bit-identical whether or not the token was armed. Returns `None`
-/// once cancelled.
+/// the assignment's phase boundaries and once more before the OER/HD
+/// evaluation. A deadlined superblue-scale job therefore stops within
+/// one phase of its deadline instead of overshooting by the whole
+/// attack; an attack that *completes* is bit-identical whether or not
+/// the token was armed. Returns `None` once cancelled.
 ///
-/// Per-phase wall-clock spans go to `rec`: `attack-candidates`
-/// (instance build + candidate scoring), `attack-mcmf` (the min-cost-flow
-/// solve), `attack-assign` (assignment read-off + netlist
-/// reconstruction) and `attack-eval` (OER/HD simulation). Recording is
-/// observability only: results are bit-identical with or without it.
+/// Per-phase wall-clock spans go to `rec`: the assignment's
+/// `attack-candidates`, `attack-mcmf` and `attack-assign`, then
+/// `attack-eval` (OER/HD simulation). Recording is observability only:
+/// results are bit-identical with or without it.
 #[allow(clippy::too_many_arguments)]
 pub fn network_flow_attack_budgeted(
     golden: &Netlist,
@@ -304,6 +313,56 @@ pub fn network_flow_attack_budgeted(
     exec: &Budget,
     rec: &mut sm_exec::phase::Recorder,
 ) -> Option<AttackOutcome> {
+    let FlowAssignment { pairs, recovered } =
+        network_flow_assignment(placed, split, config, exec, rec)?;
+    let _ = placement; // positions are already baked into the vpins
+
+    // Last phase boundary before the OER/HD simulation (on superblue it
+    // is a multi-second stage of its own).
+    if exec.cancel_token().is_cancelled() {
+        return None;
+    }
+    let (ccr, metrics) = rec.time("attack-eval", || {
+        let ccr = ccr_vs_golden(golden, split, &pairs);
+        let mut rng = seeded(golden, config.eval_seed);
+        let patterns = PatternSource::random(golden, config.eval_patterns, &mut rng);
+        let metrics = security_metrics(golden, &recovered, &patterns).expect("same port interface");
+        (ccr, metrics)
+    });
+    Some(AttackOutcome {
+        pairs,
+        ccr,
+        recovered,
+        metrics,
+    })
+}
+
+/// The attack up to its connection guess: candidate scoring, the
+/// min-cost-flow solve and the loop-free netlist reconstruction, with no
+/// OER/HD evaluation. Callers that only need the pairs (CCR) skip the
+/// simulation this way; [`network_flow_attack_budgeted`] is this
+/// function plus the evaluation.
+///
+/// Candidate scoring fans out over the budget's pool (never exceeding
+/// its thread allotment), so campaigns pass each job's split budget
+/// here and attack-internal parallelism shares the process-wide worker
+/// ceiling. The budget's token is consulted before the scoring pass and
+/// between the min-cost-flow engine's scaling phases (see
+/// [`MinCostFlow::run_interruptible`](crate::mcmf::MinCostFlow::run_interruptible));
+/// `None` means it fired. Spans go to `rec`: `attack-candidates`
+/// (instance build + candidate scoring), `attack-mcmf` (the solve) and
+/// `attack-assign` (assignment read-off + netlist reconstruction).
+///
+/// # Panics
+///
+/// Panics if `split` was not derived from `placed`.
+pub fn network_flow_assignment(
+    placed: &Netlist,
+    split: &SplitLayout,
+    config: &ProximityConfig,
+    exec: &Budget,
+    rec: &mut sm_exec::phase::Recorder,
+) -> Option<FlowAssignment> {
     let cancel = exec.cancel_token();
     if cancel.is_cancelled() {
         return None;
@@ -332,7 +391,7 @@ pub fn network_flow_attack_budgeted(
         )
     })?;
 
-    let (pairs, recovered) = rec.time("attack-assign", || {
+    Some(rec.time("attack-assign", || {
         // Read the assignment off the flow; sinks the flow could not reach
         // fall back to their cheapest candidate.
         let mut chosen: Vec<Option<usize>> = vec![None; sinks.len()];
@@ -351,7 +410,8 @@ pub fn network_flow_attack_budgeted(
         // Reconstruct the netlist, honoring the loop-avoidance hint: apply
         // assignments cheapest-first; a connection that would close a loop is
         // retargeted to the cheapest loop-free candidate.
-        let mut recovered = placed.clone();
+        let mut recovered =
+            TopoOrder::new(placed.clone()).expect("netlists are acyclic by construction");
         let mut order: Vec<usize> = (0..sinks.len()).collect();
         order.sort_by_key(|&si| {
             chosen[si]
@@ -360,10 +420,6 @@ pub fn network_flow_attack_budgeted(
                 .unwrap_or(i64::MAX)
         });
         let mut pairs = Vec::with_capacity(sinks.len());
-        // Loop-avoidance probes run one reachability DFS per candidate;
-        // the epoch-stamped scratch amortizes their visited maps across
-        // the whole reconstruction.
-        let mut reach = ReachScratch::new();
         for si in order {
             let s = sinks[si];
             let sink = match split.feol.vpins[s].side {
@@ -376,13 +432,11 @@ pub fn network_flow_attack_budgeted(
             for d in attempt {
                 let driver_net = split.feol.vpins[d].net; // FEOL-visible
                 let ok = match sink {
-                    Sink::Cell { cell, .. } => {
-                        !would_create_cycle_with(&recovered, driver_net, cell, &mut reach)
-                    }
+                    Sink::Cell { cell, .. } => !recovered.would_create_cycle(driver_net, cell),
                     Sink::Port(_) => true,
                 };
                 if ok {
-                    let current_net = current_net_of(&recovered, sink);
+                    let current_net = current_net_of(recovered.netlist(), sink);
                     if current_net != driver_net {
                         recovered
                             .move_sink(current_net, sink, driver_net)
@@ -396,29 +450,11 @@ pub fn network_flow_attack_budgeted(
                 pairs.push((d, s));
             }
         }
-        (pairs, recovered)
-    });
-
-    let _ = placement; // positions are already baked into the vpins
-
-    // Last phase boundary before the OER/HD simulation (on superblue it
-    // is a multi-second stage of its own).
-    if cancel.is_cancelled() {
-        return None;
-    }
-    let (ccr, metrics) = rec.time("attack-eval", || {
-        let ccr = ccr_vs_golden(golden, split, &pairs);
-        let mut rng = seeded(golden, config.eval_seed);
-        let patterns = PatternSource::random(golden, config.eval_patterns, &mut rng);
-        let metrics = security_metrics(golden, &recovered, &patterns).expect("same port interface");
-        (ccr, metrics)
-    });
-    Some(AttackOutcome {
-        pairs,
-        ccr,
-        recovered,
-        metrics,
-    })
+        FlowAssignment {
+            pairs,
+            recovered: recovered.into_netlist(),
+        }
+    }))
 }
 
 /// CCR of an assignment against the *true* design.
@@ -765,6 +801,87 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for &(_, s) in &out.pairs {
             assert!(seen.insert(s), "sink {s} assigned twice");
+        }
+    }
+}
+
+#[cfg(test)]
+mod assignment_pin {
+    //! Pins the committed pairs of the attack's reconstruction on
+    //! generated ISCAS layouts, original and protected, to hashes
+    //! captured from the reference-DFS reconstruction: FNV-1a over every
+    //! `(driver, sink)` pair as two little-endian `u64`s.
+
+    use super::*;
+    use sm_core::baselines::original_layout;
+    use sm_core::flow::{protect, FlowConfig};
+    use sm_layout::split_layout;
+
+    fn pairs_fnv(pairs: &[(usize, usize)]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &(d, s) in pairs {
+            for b in (d as u64)
+                .to_le_bytes()
+                .into_iter()
+                .chain((s as u64).to_le_bytes())
+            {
+                hash ^= b as u64;
+                hash = hash.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// `(design, split layer, layout, committed pairs, their hash)`.
+    const PINS: [(&str, u8, &str, usize, u64); 12] = [
+        ("c432", 3, "original", 208, 0x581a_cc84_f555_90ea),
+        ("c432", 3, "protected", 277, 0xfbf0_7c92_b97c_c8a2),
+        ("c432", 4, "original", 71, 0xfc1b_c8c3_03ab_a97a),
+        ("c432", 4, "protected", 222, 0x4844_eddc_c9b2_9384),
+        ("c432", 5, "original", 13, 0x9ff8_b1f7_7333_b4d6),
+        ("c432", 5, "protected", 185, 0x66e6_2866_f3d7_c6c9),
+        ("c880", 3, "original", 508, 0xd9a9_4120_6ba4_22e7),
+        ("c880", 3, "protected", 540, 0xa903_458e_d6c8_d7e7),
+        ("c880", 4, "original", 214, 0xb518_a56c_fb5d_e0ce),
+        ("c880", 4, "protected", 268, 0xda58_3c71_20fc_7f1d),
+        ("c880", 5, "original", 33, 0xb38f_ae19_4665_eb0c),
+        ("c880", 5, "protected", 93, 0x8c63_e1d9_5754_ea10),
+    ];
+
+    #[test]
+    fn committed_pairs_match_pinned_hashes() {
+        let exec = Budget::on_pool(Arc::clone(Pool::global()), 1);
+        let config = ProximityConfig::default();
+        let pairs = |placed: &Netlist, split: &SplitLayout| {
+            let out = network_flow_assignment(
+                placed,
+                split,
+                &config,
+                &exec,
+                &mut sm_exec::phase::Recorder::new(),
+            )
+            .expect("a fresh token never cancels");
+            (out.pairs.len(), pairs_fnv(&out.pairs))
+        };
+        for profile in [
+            sm_benchgen::iscas::IscasProfile::c432(),
+            sm_benchgen::iscas::IscasProfile::c880(),
+        ] {
+            let n = sm_benchgen::iscas::generate(&profile, 1);
+            let base = original_layout(&n, 0.6, 1);
+            let p = protect(&n, &FlowConfig::iscas_default(1));
+            let erroneous = &p.randomization.erroneous;
+            for &(name, layer, layout, count, hash) in
+                PINS.iter().filter(|pin| pin.0 == profile.name)
+            {
+                let got = if layout == "original" {
+                    pairs(&n, &split_layout(&n, &base.placement, &base.routing, layer))
+                } else {
+                    let split = split_layout(erroneous, &p.placement, &p.feol_routing, layer);
+                    pairs(erroneous, &split)
+                };
+                assert_eq!(got, (count, hash), "{name} M{layer} {layout}");
+            }
         }
     }
 }

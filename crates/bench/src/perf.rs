@@ -21,9 +21,10 @@
 //!
 //! The hot kernels additionally report sub-stages timed by their own
 //! phase instrumentation — `place-fm` (the placer's FM-refinement
-//! meter), `attack-flow-score` (the flow attack's candidate-scoring
-//! span) and `attack-crouting-grid` (crouting's column-index kernel) —
-//! so a regression in one kernel is attributable without re-profiling.
+//! meter), `attack-flow-score` and `attack-flow-assign` (the flow
+//! attack's candidate-scoring and loop-free reconstruction spans) and
+//! `attack-crouting-grid` (crouting's column-index kernel) — so a
+//! regression in one kernel is attributable without re-profiling.
 //! [`BenchConfig::min_of`] repeats each deterministic layout stage and
 //! keeps the minimum wall, filtering scheduler noise out of committed
 //! baselines.
@@ -147,8 +148,9 @@ enum AttackStage {
 /// Pushes one netlist through generate→place→route→split→attack(s),
 /// appending a sample per stage — plus the sub-kernel stages the hot
 /// paths are gated on (`place-fm`, `attack-flow-score`,
-/// `attack-crouting-grid`), whose walls come from the kernels' own
-/// phase instrumentation rather than re-timing around them.
+/// `attack-flow-assign`, `attack-crouting-grid`), whose walls come from
+/// the kernels' own phase instrumentation rather than re-timing around
+/// them.
 fn layout_stages(
     stages: &mut Vec<StageSample>,
     name: &str,
@@ -233,6 +235,7 @@ fn layout_stages(
             AttackStage::Flow => {
                 let mut flow_wall = f64::INFINITY;
                 let mut score_wall = f64::INFINITY;
+                let mut assign_wall = f64::INFINITY;
                 let mut outcome = None;
                 // One worker on the global pool: the serial attack.
                 let exec = Budget::on_pool(std::sync::Arc::clone(Pool::global()), 1);
@@ -250,14 +253,16 @@ fn layout_stages(
                         )
                         .expect("a fresh token never cancels")
                     });
-                    let score = rec
-                        .spans()
-                        .iter()
-                        .find(|&&(n, _)| n == "attack-candidates")
-                        .map(|&(_, ms)| ms)
-                        .expect("the flow attack always records candidate scoring");
+                    let span = |name: &str| {
+                        rec.spans()
+                            .iter()
+                            .find(|&&(n, _)| n == name)
+                            .map(|&(_, ms)| ms)
+                            .expect("the flow attack records every phase")
+                    };
                     flow_wall = flow_wall.min(wall);
-                    score_wall = score_wall.min(score);
+                    score_wall = score_wall.min(span("attack-candidates"));
+                    assign_wall = assign_wall.min(span("attack-assign"));
                     outcome = Some(out);
                 }
                 let outcome = outcome.expect("min_of clamps to at least one run");
@@ -266,7 +271,8 @@ fn layout_stages(
                     ("ccr_bp", (outcome.ccr * 10_000.0).round() as u64),
                 ];
                 push(stages, "attack-flow", flow_wall, detail.clone());
-                push(stages, "attack-flow-score", score_wall, detail);
+                push(stages, "attack-flow-score", score_wall, detail.clone());
+                push(stages, "attack-flow-assign", assign_wall, detail);
             }
             AttackStage::Crouting => {
                 let mut crouting_wall = f64::INFINITY;
@@ -736,7 +742,8 @@ mod tests {
                 "route",
                 "split",
                 "attack-flow",
-                "attack-flow-score"
+                "attack-flow-score",
+                "attack-flow-assign"
             ]
         );
         // Fingerprints are deterministic across runs (timings aside) —
@@ -764,6 +771,7 @@ mod tests {
         };
         assert!(wall_of("place-fm") <= wall_of("place"));
         assert!(wall_of("attack-flow-score") <= wall_of("attack-flow"));
+        assert!(wall_of("attack-flow-assign") <= wall_of("attack-flow"));
     }
 
     /// Regression lines carry the full slack math: delta, ratio, and

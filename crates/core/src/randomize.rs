@@ -3,14 +3,17 @@
 //! Connectivity is perturbed by swapping the sinks of randomly selected
 //! net pairs (`D1→S1, D2→S2` becomes `D1→S2, D2→S1`). Every swap is
 //! checked against combinational-loop creation — a loop would let an
-//! attacker spot the modification (Sec. 4 of the paper). Swapping continues
-//! until the OER against the original netlist reaches the target
-//! (≈ 100%), so the erroneous design corrupts essentially every input
-//! pattern.
+//! attacker spot the modification (Sec. 4 of the paper). The erroneous
+//! netlist is edited through a [`TopoOrder`], so each check is a lookup
+//! in an incrementally maintained topological order, plus a search
+//! bounded to the cells ordered between the two endpoints when the new
+//! connection runs backward in it. Swapping continues until the OER
+//! against the original netlist reaches the target (≈ 100%), so the
+//! erroneous design corrupts essentially every input pattern.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sm_netlist::graph::{would_create_cycle_with, ReachScratch};
+use sm_netlist::graph::TopoOrder;
 use sm_netlist::{Driver, NetId, Netlist, Sink};
 use sm_sim::PatternSource;
 use std::collections::BTreeSet;
@@ -122,7 +125,8 @@ impl Randomization {
 /// [`Randomization::erroneous`] is the perturbed clone.
 pub fn randomize(netlist: &Netlist, config: &RandomizeConfig) -> Randomization {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut erroneous = netlist.clone();
+    let mut erroneous =
+        TopoOrder::new(netlist.clone()).expect("netlists are acyclic by construction");
     let mut swaps: Vec<SwapRecord> = Vec::new();
     let patterns = PatternSource::random(netlist, config.patterns, &mut rng);
 
@@ -134,9 +138,6 @@ pub fn randomize(netlist: &Netlist, config: &RandomizeConfig) -> Randomization {
 
     let mut oer = 0.0;
     let mut hd = 0.0;
-    // One epoch-stamped visited map serves every swap candidate's loop
-    // guard instead of a fresh allocation per probe.
-    let mut reach = ReachScratch::new();
     // Never swap more pairs than the design has nets: beyond that the
     // same connections get shuffled again for no security gain.
     let swap_cap = config.max_swaps.min(eligible.len());
@@ -148,7 +149,7 @@ pub fn randomize(netlist: &Netlist, config: &RandomizeConfig) -> Randomization {
             let mut attempts = 0;
             while committed < config.swaps_per_round && attempts < config.swaps_per_round * 40 {
                 attempts += 1;
-                if let Some(record) = try_swap(&mut erroneous, &eligible, &mut rng, &mut reach) {
+                if let Some(record) = try_swap(&mut erroneous, &eligible, &mut rng) {
                     swaps.push(record);
                     committed += 1;
                     if swaps.len() >= swap_cap {
@@ -156,7 +157,7 @@ pub fn randomize(netlist: &Netlist, config: &RandomizeConfig) -> Randomization {
                     }
                 }
             }
-            let m = sm_sim::security_metrics(netlist, &erroneous, &patterns)
+            let m = sm_sim::security_metrics(netlist, erroneous.netlist(), &patterns)
                 .expect("same interface by construction");
             oer = m.oer;
             hd = m.hd;
@@ -181,7 +182,7 @@ pub fn randomize(netlist: &Netlist, config: &RandomizeConfig) -> Randomization {
         }
     }
     Randomization {
-        erroneous,
+        erroneous: erroneous.into_netlist(),
         swaps,
         oer_achieved: oer,
         hd_achieved: hd,
@@ -189,12 +190,7 @@ pub fn randomize(netlist: &Netlist, config: &RandomizeConfig) -> Randomization {
 }
 
 /// Attempts one random sink swap; returns the record if committed.
-fn try_swap(
-    netlist: &mut Netlist,
-    eligible: &[NetId],
-    rng: &mut StdRng,
-    reach: &mut ReachScratch,
-) -> Option<SwapRecord> {
+fn try_swap(order: &mut TopoOrder, eligible: &[NetId], rng: &mut StdRng) -> Option<SwapRecord> {
     let net_a = eligible[rng.gen_range(0..eligible.len())];
     let net_b = eligible[rng.gen_range(0..eligible.len())];
     if net_a == net_b {
@@ -202,7 +198,7 @@ fn try_swap(
     }
     // Skip if both nets have the same driver cell — swapping sinks between
     // them would be a functional no-op and confuse the restore log.
-    if same_driver(netlist, net_a, net_b) {
+    if same_driver(order.netlist(), net_a, net_b) {
         return None;
     }
     let pick = |n: &Netlist, net: NetId, rng: &mut StdRng| -> Option<Sink> {
@@ -213,30 +209,32 @@ fn try_swap(
             Some(sinks[rng.gen_range(0..sinks.len())])
         }
     };
-    let sink_a = pick(netlist, net_a, rng)?;
-    let sink_b = pick(netlist, net_b, rng)?;
+    let sink_a = pick(order.netlist(), net_a, rng)?;
+    let sink_b = pick(order.netlist(), net_b, rng)?;
     if sink_a == sink_b {
         return None;
     }
-    // Loop checks on the pre-swap graph are sound here: a cycle through
-    // both new edges would require a pre-existing cycle (see module tests).
+    // Both loop checks run on the pre-swap graph, which is sound: a loop
+    // through one new connection is what that connection's check looks
+    // for, and a loop through both would need `sink_a` to already reach
+    // `net_a`'s driver, which with their old connection would be a loop
+    // before the swap.
     if let Sink::Cell { cell, .. } = sink_a {
-        if would_create_cycle_with(netlist, net_b, cell, reach) {
+        if order.would_create_cycle(net_b, cell) {
             return None;
         }
     }
     if let Sink::Cell { cell, .. } = sink_b {
-        if would_create_cycle_with(netlist, net_a, cell, reach) {
+        if order.would_create_cycle(net_a, cell) {
             return None;
         }
     }
-    netlist
+    order
         .move_sink(net_a, sink_a, net_b)
-        .expect("sink picked from net");
-    netlist
+        .expect("sink picked from net; loop guard passed");
+    order
         .move_sink(net_b, sink_b, net_a)
-        .expect("sink picked from net");
-    debug_assert!(sm_netlist::graph::topo_order(netlist).is_ok());
+        .expect("sink picked from net; loop guard passed");
     Some(SwapRecord {
         net_a,
         sink_a,

@@ -12,8 +12,9 @@
 //!   structural-Verilog subset, so the real benchmark files can be used
 //!   whenever they are available.
 //! * [`graph`] — topological ordering, levelization, combinational-loop
-//!   detection and the `would_create_cycle` query at the heart of the
-//!   loop-free randomizer.
+//!   detection, and [`graph::TopoOrder`]: an incrementally maintained
+//!   topological order through which the randomizer and the flow attack
+//!   rewire netlists without ever closing a loop.
 //!
 //! # Example
 //!
