@@ -8,7 +8,21 @@
 //! drivers, but the *total*-cost-minimizing matching recovers the placed
 //! netlist because the placer minimized the same objective.
 //!
-//! # Engine
+//! # Residual graph
+//!
+//! Both engines run on one frozen CSR (compressed sparse row) residual
+//! graph. [`MinCostFlow::add_edge`] only stages `(from, to, cap, cost)`;
+//! the first `run*` call freezes the staged edges and drops the staging
+//! list, so a solve holds exactly one copy of the graph. Edge `e` owns
+//! arc ids `2e` (forward) and `2e + 1` (reverse); the freeze is a stable
+//! counting sort of those ids by tail, so the arcs of a node sit
+//! contiguously in increasing arc id. Each arc stores its head, the slot
+//! of its pair, its residual capacity and its cost (24 bytes). A forward
+//! edge's flow is its reverse arc's residual and its capacity the sum of
+//! both residuals, so no capacity or flow field exists; `flow_on`,
+//! [`MinCostFlow::edge_views`] and the certificate read the same arrays.
+//!
+//! # Engines
 //!
 //! [`MinCostFlow::run_cost_scaling`] solves the problem in two stages:
 //!
@@ -20,15 +34,19 @@
 //!    that a 1-optimal flow (every residual edge's reduced cost
 //!    ≥ −ε with ε = 1) is *exactly* optimal, and ε is halved each phase
 //!    from the largest scaled cost down to 1 — `O(log(nC))` phases of
-//!    near-linear push/relabel work, replacing the successive-shortest-
-//!    path engine that was quadratic in cut pins (245 s on superblue18
-//!    at bench scale; the scaling engine solves the same instance in
-//!    seconds).
+//!    near-linear push/relabel work. Successive shortest paths are
+//!    quadratic in cut pins (245 s on superblue18 at bench scale); the
+//!    scaling engine solves the same instance in seconds.
+//!
+//! The pinned engine behind [`MinCostFlow::run`] is successive shortest
+//! paths: Dijkstra on reduced costs with Johnson potentials, over an
+//! indexed 4-ary heap with decrease-key ordered by `(dist, node)`, and
+//! reset per round through the list of nodes the round reached.
 //!
 //! Every data structure is index-ordered (flat vectors, FIFO discharge,
-//! lowest-edge-id-first arc scans — no hash-map iteration anywhere), so
-//! the solution is a pure function of the instance: the same graph
-//! always yields the same flow, which is what lets campaign reports stay
+//! lowest-arc-id-first scans — no hash-map iteration anywhere), so the
+//! solution is a pure function of the instance: the same graph always
+//! yields the same flow, which is what lets campaign reports stay
 //! byte-identical across runs, thread counts and machines.
 //!
 //! # Tie pinning: why [`MinCostFlow::run`] dispatches by demand
@@ -40,20 +58,41 @@
 //! reports pin the successive-shortest-path engine's particular choice,
 //! and no faster algorithm reproduces that choice — so [`MinCostFlow::run`]
 //! keeps requests of up to [`MinCostFlow::PINNED_SSP_MAX_DEMAND`] units
-//! on the retained SSP engine (every ISCAS instance; c7552/M3 is the
-//! largest at 7022 units, and SSP's `O(F·E)` is cheap at that size) and
-//! routes larger requests — the superblue-scale instances SSP made
-//! unreachable — to the cost-scaling engine. Both paths are
-//! deterministic; the differential harness below pins them to agree on
-//! flow value and total cost everywhere, and on the full per-edge flow
-//! whenever the optimum is unique.
+//! on the SSP engine (every ISCAS instance; c7552/M3 is the largest at
+//! 7022 units) and routes larger requests — the superblue-scale
+//! instances SSP made unreachable — to the cost-scaling engine. Both
+//! paths are deterministic; the differential harness below pins them to
+//! agree on flow value and total cost everywhere, and on the full
+//! per-edge flow whenever the optimum is unique.
+//!
+//! # Why the flows match the adjacency-list engines
+//!
+//! Within a node, CSR order is increasing arc id — the order in which
+//! per-node adjacency lists filled by `add_edge` (the reference
+//! oracle's layout) scan arcs. On top of that:
+//!
+//! * **SSP.** Reduced costs stay non-negative on every arc a round can
+//!   reach: each round's potentials add that round's distances, and the
+//!   set of nodes reachable from `s` only shrinks (an augmentation adds
+//!   reverse arcs between nodes that were already reachable). So a
+//!   settled node is never improved, a lazy binary heap of
+//!   `(dist, node)` entries settles each reached node exactly once in
+//!   increasing `(dist, node)` order, and the indexed heap — which holds
+//!   each reached, unsettled node once under that key — settles them in
+//!   the same order and relaxes their arcs in the same order. Debug
+//!   builds assert that no settled node is improved.
+//! * **Cost scaling.** A phase's saturation sweep runs node by node
+//!   rather than in arc-id order; its result does not depend on the
+//!   order, because a saturated arc's pair has positive reduced cost and
+//!   is never saturated itself, and the excesses are plain sums.
+//!   Discharge and relabel scan each node's arcs in CSR order.
 //!
 //! # Oracle and certificate
 //!
-//! The previous successive-shortest-path implementation is retained
-//! verbatim as [`reference::SspFlow`] — the pinned small-instance engine
-//! and the differential-test oracle the scaling engine is measured
-//! against. [`certificate`] checks any solved instance against the
+//! The original adjacency-list SSP engine is kept verbatim, in test
+//! builds only, as `reference::SspFlow`: the oracle the pinned path must
+//! match edge for edge and the scaling engine must match in value and
+//! cost. [`certificate`] checks any solved instance against the
 //! textbook optimality conditions — capacity feasibility, flow
 //! conservation, maximality of the value, and non-negative reduced
 //! costs under potentials recovered from the residual graph — and runs
@@ -63,30 +102,57 @@
 
 use std::collections::VecDeque;
 
-/// One directed edge with residual bookkeeping. Edges are stored in
-/// pairs: edge `id ^ 1` is the reverse of edge `id`.
-#[derive(Debug, Clone)]
-struct Edge {
-    to: usize,
+/// An edge as [`MinCostFlow::add_edge`] staged it.
+#[derive(Debug, Clone, Copy)]
+struct StagedEdge {
+    from: u32,
+    to: u32,
     cap: i64,
     cost: i64,
-    flow: i64,
 }
 
-/// A min-cost max-flow problem instance, solved by Dinic + cost-scaling
-/// push-relabel (see the module docs).
+/// One arc of the frozen residual graph. Pushing `d` units along an arc
+/// moves `d` from its residual to its pair's.
+#[derive(Debug, Clone, Copy, Default)]
+struct ResidualArc {
+    head: u32,
+    /// CSR slot of the reverse arc.
+    pair: u32,
+    /// Residual capacity: `cap - flow` on a forward arc, `flow` on a
+    /// reverse one.
+    res: i64,
+    /// `cost` on a forward arc, `-cost` on a reverse one.
+    cost: i64,
+}
+
+/// The frozen CSR residual graph (see the module docs).
+#[derive(Debug)]
+struct Csr {
+    /// The arcs of node `u` are `arcs[first[u]..first[u + 1]]`, in
+    /// increasing arc id.
+    first: Vec<u32>,
+    arcs: Vec<ResidualArc>,
+    /// CSR slot of each edge's forward arc.
+    slot: Vec<u32>,
+}
+
+/// A min-cost max-flow problem instance (see the module docs).
 #[derive(Debug, Default)]
 pub struct MinCostFlow {
-    edges: Vec<Edge>,
-    adj: Vec<Vec<u32>>,
+    nodes: usize,
+    /// Edges added since construction; emptied by the freeze.
+    staged: Vec<StagedEdge>,
+    /// The residual graph, built by the first `run*` call.
+    csr: Option<Csr>,
 }
 
 impl MinCostFlow {
     /// Creates an instance with `nodes` vertices.
     pub fn new(nodes: usize) -> Self {
         MinCostFlow {
-            edges: Vec::new(),
-            adj: vec![Vec::new(); nodes],
+            nodes,
+            staged: Vec::new(),
+            csr: None,
         }
     }
 
@@ -95,56 +161,67 @@ impl MinCostFlow {
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is out of range or the cost is negative
-    /// (the historical SSP contract, kept so both engines accept exactly
-    /// the same instances).
+    /// Panics if an endpoint is out of range, the capacity or the cost
+    /// is negative (the historical SSP contract, kept so both engines
+    /// accept exactly the same instances), an index outgrows `u32`, or
+    /// the instance has already been solved.
     pub fn add_edge(&mut self, from: usize, to: usize, cap: i64, cost: i64) -> usize {
-        assert!(from < self.adj.len() && to < self.adj.len(), "node range");
+        assert!(from < self.nodes && to < self.nodes, "node range");
+        assert!(cap >= 0, "negative capacities unsupported");
         assert!(cost >= 0, "negative costs unsupported");
-        let id = self.edges.len();
-        self.edges.push(Edge {
-            to,
+        assert!(
+            self.csr.is_none(),
+            "edges must be added before the first run"
+        );
+        let id = self.staged.len();
+        u32::try_from(2 * id + 1).expect("arc ids fit in u32");
+        self.staged.push(StagedEdge {
+            from: u32::try_from(from).expect("node ids fit in u32"),
+            to: u32::try_from(to).expect("node ids fit in u32"),
             cap,
             cost,
-            flow: 0,
         });
-        self.edges.push(Edge {
-            to: from,
-            cap: 0,
-            cost: -cost,
-            flow: 0,
-        });
-        self.adj[from].push(id as u32);
-        self.adj[to].push(id as u32 + 1);
-        id
+        2 * id
     }
 
-    /// Flow currently on edge `handle`.
+    /// Flow currently on edge `handle` (zero before the first run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handle` was not returned by [`MinCostFlow::add_edge`].
     pub fn flow_on(&self, handle: usize) -> i64 {
-        self.edges[handle].flow
+        assert!(handle.is_multiple_of(2), "not an edge handle");
+        match &self.csr {
+            Some(g) => g.view(handle / 2).flow,
+            None => {
+                assert!(handle / 2 < self.staged.len(), "not an edge handle");
+                0
+            }
+        }
     }
 
     /// Number of nodes of the instance.
     pub fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.nodes
     }
 
     /// The forward edges as certificate views (tail, head, capacity,
     /// cost, flow).
     pub fn edge_views(&self) -> Vec<certificate::EdgeView> {
-        (0..self.edges.len())
-            .step_by(2)
-            .map(|eid| {
-                let e = &self.edges[eid];
-                certificate::EdgeView {
-                    from: self.edges[eid ^ 1].to,
-                    to: e.to,
+        match &self.csr {
+            Some(g) => (0..g.slot.len()).map(|e| g.view(e)).collect(),
+            None => self
+                .staged
+                .iter()
+                .map(|e| certificate::EdgeView {
+                    from: e.from as usize,
+                    to: e.to as usize,
                     cap: e.cap,
                     cost: e.cost,
-                    flow: e.flow,
-                }
-            })
-            .collect()
+                    flow: 0,
+                })
+                .collect(),
+        }
     }
 
     /// The largest `max_flow` request [`MinCostFlow::run`] still solves
@@ -169,7 +246,7 @@ impl MinCostFlow {
 
     /// [`MinCostFlow::run`] with a cooperative stop check, consulted at
     /// phase boundaries — between ε-scaling phases on the cost-scaling
-    /// path, every few augmenting rounds on the pinned SSP path — and
+    /// path, every 64 augmenting rounds on the pinned SSP path — and
     /// never inside one, so a solve that *completes* is bit-identical
     /// whether or not a token was attached. Returns `None` if
     /// `should_stop` reported `true` at a boundary; the instance is then
@@ -196,7 +273,9 @@ impl MinCostFlow {
     }
 
     /// [`MinCostFlow::run_cost_scaling`] with a stop check between
-    /// scaling phases (see [`MinCostFlow::run_interruptible`]).
+    /// scaling phases (see [`MinCostFlow::run_interruptible`]). Like
+    /// the Dinic stage it starts with, it augments whatever flow the
+    /// instance already holds.
     pub fn run_cost_scaling_interruptible(
         &mut self,
         s: usize,
@@ -204,25 +283,21 @@ impl MinCostFlow {
         max_flow: i64,
         should_stop: &mut dyn FnMut() -> bool,
     ) -> Option<(i64, i64)> {
-        assert!(s < self.adj.len() && t < self.adj.len(), "node range");
-        let flow = self.dinic(s, t, max_flow);
+        assert!(s < self.nodes && t < self.nodes, "node range");
+        let g = self.freeze();
+        let flow = g.dinic(s, t, max_flow);
         if should_stop() {
             return None;
         }
-        self.min_cost_refine(should_stop)?;
-        let total_cost: i64 = (0..self.edges.len())
-            .step_by(2)
-            .map(|eid| self.edges[eid].flow * self.edges[eid].cost)
-            .sum();
+        g.min_cost_refine(should_stop)?;
+        let total_cost = g.total_cost();
         #[cfg(debug_assertions)]
         certificate::verify(self, s, t, max_flow).expect("optimality certificate");
         Some((flow, total_cost))
     }
 
-    /// Mirrors the instance into the retained SSP engine, solves there
-    /// (its tie-breaking is what the committed ISCAS reports pin), and
-    /// copies the flow back so `flow_on` reads identically to the
-    /// historical engine.
+    /// Solves from zero flow on the SSP engine, whose tie-breaking is
+    /// what the committed ISCAS reports pin.
     fn run_pinned_ssp(
         &mut self,
         s: usize,
@@ -230,21 +305,208 @@ impl MinCostFlow {
         max_flow: i64,
         should_stop: &mut dyn FnMut() -> bool,
     ) -> Option<(i64, i64)> {
-        assert!(s < self.adj.len() && t < self.adj.len(), "node range");
-        let mut ssp = reference::SspFlow::new(self.adj.len());
-        for eid in (0..self.edges.len()).step_by(2) {
-            let e = &self.edges[eid];
-            ssp.add_edge(self.edges[eid ^ 1].to, e.to, e.cap, e.cost);
-        }
-        let out = ssp.run_interruptible(s, t, max_flow, should_stop)?;
-        for eid in (0..self.edges.len()).step_by(2) {
-            let f = ssp.flow_on(eid);
-            self.edges[eid].flow = f;
-            self.edges[eid ^ 1].flow = -f;
-        }
+        assert!(s < self.nodes && t < self.nodes, "node range");
+        let g = self.freeze();
+        g.clear_flow();
+        let out = g.ssp(s, t, max_flow, should_stop)?;
         #[cfg(debug_assertions)]
         certificate::verify(self, s, t, max_flow).expect("optimality certificate");
         Some(out)
+    }
+
+    /// The residual graph, frozen from the staged edges on first use.
+    fn freeze(&mut self) -> &mut Csr {
+        let nodes = self.nodes;
+        let staged = &mut self.staged;
+        self.csr
+            .get_or_insert_with(|| Csr::freeze(nodes, std::mem::take(staged)))
+    }
+
+    /// Overwrites the flow on edge `handle`, keeping its capacity — how
+    /// the certificate tests corrupt a solved instance.
+    #[cfg(test)]
+    fn set_flow(&mut self, handle: usize, flow: i64) {
+        let g = self.csr.as_mut().expect("a solved instance");
+        let fwd = g.slot[handle / 2] as usize;
+        let rev = g.arcs[fwd].pair as usize;
+        let cap = g.arcs[fwd].res + g.arcs[rev].res;
+        g.arcs[fwd].res = cap - flow;
+        g.arcs[rev].res = flow;
+    }
+}
+
+impl Csr {
+    /// Builds the CSR graph from the staged edges: a stable counting
+    /// sort of arc ids `2e`/`2e + 1` by tail, so each node's arcs keep
+    /// increasing arc id. Consumes the staging list.
+    fn freeze(nodes: usize, staged: Vec<StagedEdge>) -> Csr {
+        let mut first = vec![0u32; nodes + 1];
+        for e in &staged {
+            first[e.from as usize + 1] += 1;
+            first[e.to as usize + 1] += 1;
+        }
+        for u in 0..nodes {
+            first[u + 1] += first[u];
+        }
+        let mut fill = first[..nodes].to_vec();
+        let mut arcs = vec![ResidualArc::default(); 2 * staged.len()];
+        let mut slot = Vec::with_capacity(staged.len());
+        for e in &staged {
+            let fwd = fill[e.from as usize];
+            fill[e.from as usize] += 1;
+            let rev = fill[e.to as usize];
+            fill[e.to as usize] += 1;
+            arcs[fwd as usize] = ResidualArc {
+                head: e.to,
+                pair: rev,
+                res: e.cap,
+                cost: e.cost,
+            };
+            arcs[rev as usize] = ResidualArc {
+                head: e.from,
+                pair: fwd,
+                res: 0,
+                cost: -e.cost,
+            };
+            slot.push(fwd);
+        }
+        Csr { first, arcs, slot }
+    }
+
+    fn nodes(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    /// CSR slots of node `u`'s arcs.
+    fn arcs_of(&self, u: usize) -> std::ops::Range<usize> {
+        self.first[u] as usize..self.first[u + 1] as usize
+    }
+
+    /// Moves `amount` units of residual from arc `a` to its pair.
+    fn push(&mut self, a: usize, amount: i64) {
+        let pair = self.arcs[a].pair as usize;
+        self.arcs[a].res -= amount;
+        self.arcs[pair].res += amount;
+    }
+
+    /// Edge `e` as a certificate view.
+    fn view(&self, e: usize) -> certificate::EdgeView {
+        let fwd = self.arcs[self.slot[e] as usize];
+        let rev = self.arcs[fwd.pair as usize];
+        certificate::EdgeView {
+            from: rev.head as usize,
+            to: fwd.head as usize,
+            cap: fwd.res + rev.res,
+            cost: fwd.cost,
+            flow: rev.res,
+        }
+    }
+
+    /// Returns every unit of flow to its forward arc.
+    fn clear_flow(&mut self) {
+        for e in 0..self.slot.len() {
+            let rev = self.arcs[self.slot[e] as usize].pair as usize;
+            let flow = self.arcs[rev].res;
+            self.push(rev, flow);
+        }
+    }
+
+    /// Cost of the current flow.
+    fn total_cost(&self) -> i64 {
+        (0..self.slot.len())
+            .map(|e| {
+                let v = self.view(e);
+                v.flow * v.cost
+            })
+            .sum()
+    }
+
+    // ----- the pinned engine: successive shortest paths -------------------
+
+    /// Successive shortest paths from the current (zero) flow: Dijkstra
+    /// on reduced costs, then one augmentation along the shortest
+    /// `s → t` path, until `max_flow` units flow or `t` is cut off.
+    /// Consults `should_stop` every 64 rounds; returns `(flow, cost)`.
+    fn ssp(
+        &mut self,
+        s: usize,
+        t: usize,
+        max_flow: i64,
+        should_stop: &mut dyn FnMut() -> bool,
+    ) -> Option<(i64, i64)> {
+        let n = self.nodes();
+        let source = u32::try_from(s).expect("node ids fit in u32");
+        let mut potential = vec![0i64; n];
+        // Dijkstra state is reused across rounds: `reached` lists the
+        // nodes a round touched, so the reset and the potential update
+        // walk only those (unreached nodes keep `dist == MAX` and an
+        // unchanged potential).
+        let mut dist = vec![i64::MAX; n];
+        let mut prev_arc = vec![0u32; n];
+        let mut reached: Vec<u32> = Vec::with_capacity(n);
+        let mut heap = IndexedHeap::new(n);
+        let (mut total_flow, mut total_cost) = (0i64, 0i64);
+        let mut rounds = 0u64;
+        while total_flow < max_flow {
+            if rounds.is_multiple_of(64) && should_stop() {
+                return None;
+            }
+            rounds += 1;
+            for &v in &reached {
+                dist[v as usize] = i64::MAX;
+            }
+            reached.clear();
+            dist[s] = 0;
+            reached.push(source);
+            heap.push_or_decrease(source, 0);
+            while let Some(u) = heap.pop() {
+                let u = u as usize;
+                let base = dist[u] + potential[u];
+                for a in self.arcs_of(u) {
+                    let arc = self.arcs[a];
+                    if arc.res <= 0 {
+                        continue;
+                    }
+                    let v = arc.head as usize;
+                    let nd = base + arc.cost - potential[v];
+                    if nd < dist[v] {
+                        debug_assert!(
+                            dist[v] == i64::MAX || heap.contains(arc.head),
+                            "a settled node was improved: negative reduced cost"
+                        );
+                        if dist[v] == i64::MAX {
+                            reached.push(arc.head);
+                        }
+                        dist[v] = nd;
+                        prev_arc[v] = a as u32;
+                        heap.push_or_decrease(arc.head, nd);
+                    }
+                }
+            }
+            if dist[t] == i64::MAX {
+                break;
+            }
+            for &v in &reached {
+                potential[v as usize] += dist[v as usize];
+            }
+            // Bottleneck along the path, then the augmentation.
+            let mut push = max_flow - total_flow;
+            let mut v = t;
+            while v != s {
+                let arc = self.arcs[prev_arc[v] as usize];
+                push = push.min(arc.res);
+                v = self.arcs[arc.pair as usize].head as usize;
+            }
+            let mut v = t;
+            while v != s {
+                let a = prev_arc[v] as usize;
+                self.push(a, push);
+                total_cost += push * self.arcs[a].cost;
+                v = self.arcs[self.arcs[a].pair as usize].head as usize;
+            }
+            total_flow += push;
+        }
+        Some((total_flow, total_cost))
     }
 
     // ----- stage 1: flow value (Dinic) -----------------------------------
@@ -253,33 +515,33 @@ impl MinCostFlow {
     /// units from `s` to `t` via Dinic's blocking flows; returns the
     /// units sent.
     fn dinic(&mut self, s: usize, t: usize, limit: i64) -> i64 {
-        let n = self.adj.len();
+        let n = self.nodes();
         let mut level: Vec<u32> = vec![u32::MAX; n];
-        let mut arc: Vec<u32> = vec![0; n];
+        let mut cur: Vec<u32> = vec![0; n];
         let mut queue: VecDeque<usize> = VecDeque::new();
         let mut sent = 0i64;
         while sent < limit {
-            // BFS level graph over residual edges.
+            // BFS level graph over residual arcs.
             level.fill(u32::MAX);
             level[s] = 0;
             queue.clear();
             queue.push_back(s);
             while let Some(u) = queue.pop_front() {
-                for &eid in &self.adj[u] {
-                    let e = &self.edges[eid as usize];
-                    if e.cap - e.flow > 0 && level[e.to] == u32::MAX {
-                        level[e.to] = level[u] + 1;
-                        queue.push_back(e.to);
+                for a in self.arcs_of(u) {
+                    let arc = self.arcs[a];
+                    if arc.res > 0 && level[arc.head as usize] == u32::MAX {
+                        level[arc.head as usize] = level[u] + 1;
+                        queue.push_back(arc.head as usize);
                     }
                 }
             }
             if level[t] == u32::MAX {
                 break;
             }
-            // Blocking flow along the level graph, lowest edge id first.
-            arc.fill(0);
+            // Blocking flow along the level graph, lowest arc id first.
+            cur.copy_from_slice(&self.first[..n]);
             loop {
-                let pushed = self.blocking_dfs(s, t, limit - sent, &mut level, &mut arc);
+                let pushed = self.blocking_dfs(s, t, limit - sent, &mut level, &mut cur);
                 if pushed == 0 {
                     break;
                 }
@@ -299,26 +561,23 @@ impl MinCostFlow {
         t: usize,
         f: i64,
         level: &mut [u32],
-        arc: &mut [u32],
+        cur: &mut [u32],
     ) -> i64 {
         if u == t {
             return f;
         }
-        while (arc[u] as usize) < self.adj[u].len() {
-            let eid = self.adj[u][arc[u] as usize] as usize;
-            let (to, res) = {
-                let e = &self.edges[eid];
-                (e.to, e.cap - e.flow)
-            };
-            if res > 0 && level[to] == level[u] + 1 {
-                let d = self.blocking_dfs(to, t, f.min(res), level, arc);
+        while cur[u] < self.first[u + 1] {
+            let a = cur[u] as usize;
+            let arc = self.arcs[a];
+            let to = arc.head as usize;
+            if arc.res > 0 && level[to] == level[u] + 1 {
+                let d = self.blocking_dfs(to, t, f.min(arc.res), level, cur);
                 if d > 0 {
-                    self.edges[eid].flow += d;
-                    self.edges[eid ^ 1].flow -= d;
+                    self.push(a, d);
                     return d;
                 }
             }
-            arc[u] += 1;
+            cur[u] += 1;
         }
         level[u] = u32::MAX; // dead end for this phase
         0
@@ -332,35 +591,29 @@ impl MinCostFlow {
     /// residual cycle's reduced costs telescope to its plain scaled cost,
     /// a multiple of `n + 1`, which `≥ −n` forces to be non-negative.
     fn min_cost_refine(&mut self, should_stop: &mut dyn FnMut() -> bool) -> Option<()> {
-        let n = self.adj.len();
+        let n = self.nodes();
         let alpha = n as i128 + 1;
-        let scaled: Vec<i128> = self.edges.iter().map(|e| e.cost as i128 * alpha).collect();
-        let max_cost = (0..self.edges.len())
-            .step_by(2)
-            .filter(|&eid| self.edges[eid].cap > 0)
-            .map(|eid| scaled[eid].abs())
+        let max_cost = (0..self.slot.len())
+            .map(|e| self.view(e))
+            .filter(|v| v.cap > 0)
+            .map(|v| (v.cost as i128 * alpha).abs())
             .max()
             .unwrap_or(0);
         if max_cost <= 1 {
             return Some(()); // all costs zero: any max flow is optimal
         }
-        let mut pot: Vec<i128> = vec![0; n];
-        let mut excess: Vec<i64> = vec![0; n];
-        let mut cur: Vec<u32> = vec![0; n];
-        let mut in_queue: Vec<bool> = vec![false; n];
-        let mut active: VecDeque<u32> = VecDeque::new();
+        let mut state = Refinement {
+            alpha,
+            pot: vec![0; n],
+            excess: vec![0; n],
+            cur: vec![0; n],
+            in_queue: vec![false; n],
+            active: VecDeque::new(),
+        };
         let mut eps = max_cost;
         while eps > 1 {
             eps = (eps / 2).max(1);
-            self.refine(
-                eps,
-                &scaled,
-                &mut pot,
-                &mut excess,
-                &mut cur,
-                &mut in_queue,
-                &mut active,
-            );
+            self.refine(eps, &mut state);
             if should_stop() {
                 return None;
             }
@@ -370,83 +623,177 @@ impl MinCostFlow {
 
     /// One scaling phase: restores ε-optimality from (at most)
     /// 2ε-optimality by saturating every negative-reduced-cost residual
-    /// edge and then discharging the resulting excesses FIFO with
+    /// arc and then discharging the resulting excesses FIFO with
     /// current-arc scans and ε-tight relabels.
-    #[allow(clippy::too_many_arguments)]
-    fn refine(
-        &mut self,
-        eps: i128,
-        scaled: &[i128],
-        pot: &mut [i128],
-        excess: &mut [i64],
-        cur: &mut [u32],
-        in_queue: &mut [bool],
-        active: &mut VecDeque<u32>,
-    ) {
-        debug_assert!(excess.iter().all(|&e| e == 0), "refine starts balanced");
-        // Convert to a 0-optimal pseudoflow: saturate admissible edges.
-        #[allow(clippy::needless_range_loop)] // eid indexes both arrays and `edges` is mutated
-        for eid in 0..self.edges.len() {
-            let res = self.edges[eid].cap - self.edges[eid].flow;
-            if res > 0 {
-                let from = self.edges[eid ^ 1].to;
-                let to = self.edges[eid].to;
-                if scaled[eid] + pot[from] - pot[to] < 0 {
-                    self.edges[eid].flow += res;
-                    self.edges[eid ^ 1].flow -= res;
-                    excess[from] -= res;
-                    excess[to] += res;
+    fn refine(&mut self, eps: i128, st: &mut Refinement) {
+        debug_assert!(st.excess.iter().all(|&e| e == 0), "refine starts balanced");
+        let n = self.nodes();
+        // Convert to a 0-optimal pseudoflow: saturate admissible arcs.
+        // The result does not depend on the sweep order (module docs).
+        for u in 0..n {
+            for a in self.arcs_of(u) {
+                let arc = self.arcs[a];
+                if arc.res > 0 && st.reduced_cost(u, arc) < 0 {
+                    self.push(a, arc.res);
+                    st.excess[u] -= arc.res;
+                    st.excess[arc.head as usize] += arc.res;
                 }
             }
         }
-        active.clear();
-        for (v, &e) in excess.iter().enumerate() {
-            in_queue[v] = e > 0;
+        st.active.clear();
+        for (v, &e) in st.excess.iter().enumerate() {
+            st.in_queue[v] = e > 0;
             if e > 0 {
-                active.push_back(v as u32);
+                st.active.push_back(v as u32);
             }
         }
-        cur.iter_mut().for_each(|c| *c = 0);
+        st.cur.copy_from_slice(&self.first[..n]);
         // FIFO discharge until the pseudoflow is a flow again.
-        while let Some(u) = active.pop_front() {
+        while let Some(u) = st.active.pop_front() {
             let u = u as usize;
-            in_queue[u] = false;
-            while excess[u] > 0 {
-                if (cur[u] as usize) == self.adj[u].len() {
+            st.in_queue[u] = false;
+            while st.excess[u] > 0 {
+                if st.cur[u] == self.first[u + 1] {
                     // Relabel: the ε-tightest potential that re-admits
                     // at least one residual arc.
                     let mut best = i128::MIN;
-                    for &eid in &self.adj[u] {
-                        let e = &self.edges[eid as usize];
-                        if e.cap - e.flow > 0 {
-                            best = best.max(pot[e.to] - scaled[eid as usize]);
+                    for a in self.arcs_of(u) {
+                        let arc = self.arcs[a];
+                        if arc.res > 0 {
+                            best =
+                                best.max(st.pot[arc.head as usize] - arc.cost as i128 * st.alpha);
                         }
                     }
                     debug_assert!(best > i128::MIN, "active node without residual arcs");
-                    pot[u] = best - eps;
-                    cur[u] = 0;
+                    st.pot[u] = best - eps;
+                    st.cur[u] = self.first[u];
                     continue;
                 }
-                let eid = self.adj[u][cur[u] as usize] as usize;
-                let (to, res) = {
-                    let e = &self.edges[eid];
-                    (e.to, e.cap - e.flow)
-                };
-                if res > 0 && scaled[eid] + pot[u] - pot[to] < 0 {
-                    let amt = res.min(excess[u]);
-                    self.edges[eid].flow += amt;
-                    self.edges[eid ^ 1].flow -= amt;
-                    excess[u] -= amt;
-                    excess[to] += amt;
-                    if excess[to] > 0 && !in_queue[to] {
-                        in_queue[to] = true;
-                        active.push_back(to as u32);
+                let a = st.cur[u] as usize;
+                let arc = self.arcs[a];
+                if arc.res > 0 && st.reduced_cost(u, arc) < 0 {
+                    let to = arc.head as usize;
+                    let amount = arc.res.min(st.excess[u]);
+                    self.push(a, amount);
+                    st.excess[u] -= amount;
+                    st.excess[to] += amount;
+                    if st.excess[to] > 0 && !st.in_queue[to] {
+                        st.in_queue[to] = true;
+                        st.active.push_back(to as u32);
                     }
                 } else {
-                    cur[u] += 1;
+                    st.cur[u] += 1;
                 }
             }
         }
+    }
+}
+
+/// Per-node state of the ε-scaling refinement, reused across phases.
+struct Refinement {
+    /// The cost scale `n + 1`.
+    alpha: i128,
+    pot: Vec<i128>,
+    excess: Vec<i64>,
+    /// Current arc (CSR slot) of each node's discharge scan.
+    cur: Vec<u32>,
+    in_queue: Vec<bool>,
+    active: VecDeque<u32>,
+}
+
+impl Refinement {
+    /// Scaled reduced cost of `arc` leaving `u`.
+    fn reduced_cost(&self, u: usize, arc: ResidualArc) -> i128 {
+        arc.cost as i128 * self.alpha + self.pot[u] - self.pot[arc.head as usize]
+    }
+}
+
+/// Marks a node that is not in the heap.
+const ABSENT: u32 = u32::MAX;
+
+/// A 4-ary min-heap of nodes keyed by `(dist, node)`, with decrease-key:
+/// every node is queued at most once, under its current distance, and
+/// equal distances pop in increasing node id.
+#[derive(Debug)]
+struct IndexedHeap {
+    entries: Vec<(i64, u32)>,
+    /// Index of each node in `entries`, or [`ABSENT`].
+    index: Vec<u32>,
+}
+
+impl IndexedHeap {
+    fn new(nodes: usize) -> Self {
+        IndexedHeap {
+            entries: Vec::new(),
+            index: vec![ABSENT; nodes],
+        }
+    }
+
+    fn contains(&self, v: u32) -> bool {
+        self.index[v as usize] != ABSENT
+    }
+
+    /// Queues `v` under `dist`, or lowers its key if it is queued.
+    fn push_or_decrease(&mut self, v: u32, dist: i64) {
+        let i = match self.index[v as usize] {
+            ABSENT => {
+                self.entries.push((dist, v));
+                self.entries.len() - 1
+            }
+            i => i as usize,
+        };
+        debug_assert!((dist, v) <= self.entries[i], "keys only decrease");
+        self.sift_up(i, (dist, v));
+    }
+
+    /// Removes and returns the node with the smallest `(dist, node)`.
+    fn pop(&mut self) -> Option<u32> {
+        let &(_, top) = self.entries.first()?;
+        self.index[top as usize] = ABSENT;
+        let last = self.entries.pop().expect("the heap is not empty");
+        if !self.entries.is_empty() {
+            self.sift_down(0, last);
+        }
+        Some(top)
+    }
+
+    fn sift_up(&mut self, mut i: usize, entry: (i64, u32)) {
+        while i > 0 {
+            let parent = (i - 1) / 4;
+            if self.entries[parent] < entry {
+                break;
+            }
+            self.place(i, self.entries[parent]);
+            i = parent;
+        }
+        self.place(i, entry);
+    }
+
+    fn sift_down(&mut self, mut i: usize, entry: (i64, u32)) {
+        let len = self.entries.len();
+        loop {
+            let child = 4 * i + 1;
+            if child >= len {
+                break;
+            }
+            let mut best = child;
+            for c in child + 1..(child + 4).min(len) {
+                if self.entries[c] < self.entries[best] {
+                    best = c;
+                }
+            }
+            if entry < self.entries[best] {
+                break;
+            }
+            self.place(i, self.entries[best]);
+            i = best;
+        }
+        self.place(i, entry);
+    }
+
+    fn place(&mut self, i: usize, entry: (i64, u32)) {
+        self.entries[i] = entry;
+        self.index[entry.1 as usize] = i as u32;
     }
 }
 
@@ -469,10 +816,10 @@ pub mod certificate {
     //!    makes the recovery itself fail.
     //!
     //! The checker is deliberately engine-agnostic — it consumes
-    //! [`EdgeView`]s, so it verifies the scaling engine, the
-    //! [`reference`](super::reference) oracle, and deliberately corrupted
-    //! flows (which it must reject) through one code path. Debug builds
-    //! run it after every [`MinCostFlow::run`](super::MinCostFlow::run).
+    //! [`EdgeView`]s, so it verifies both engines, the test-only
+    //! reference oracle, and deliberately corrupted flows (which it must
+    //! reject) through one code path. Debug builds run it after every
+    //! [`MinCostFlow::run`](super::MinCostFlow::run).
 
     use super::MinCostFlow;
 
@@ -697,13 +1044,16 @@ pub mod certificate {
     }
 }
 
+#[cfg(test)]
 pub mod reference {
-    //! The successive-shortest-path engine the scaling rewrite replaced,
-    //! retained **verbatim** as the differential-test oracle: slow
-    //! (quadratic in the flow value) but classical and easy to audit.
-    //! Production code must use [`MinCostFlow`](super::MinCostFlow); this
-    //! module exists so every change to the fast engine is pinned
-    //! against an independent implementation.
+    //! The original successive-shortest-path engine (per-node adjacency
+    //! lists, a lazy binary heap), kept **verbatim** as the test oracle
+    //! only: compiled in test builds, reached by no production path. The
+    //! pinned SSP path of [`MinCostFlow`](super::MinCostFlow) must
+    //! reproduce its flows edge for edge, and the cost-scaling engine
+    //! its flow value and cost. Slow (quadratic in the flow value) but
+    //! classical and easy to audit, so every change to the CSR engines
+    //! is pinned against an independent implementation.
 
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -1149,6 +1499,95 @@ mod tests {
         (pair, s, t, cap)
     }
 
+    /// A tie-heavy attack-shaped instance from a seed: `drivers` drivers
+    /// with capacities 1–4, and `sinks` unit sinks, each wired to
+    /// `degree` drivers drawn with replacement (parallel edges included)
+    /// at costs in `0..4`, so most optimal flows are one of many tied
+    /// ones and the engine's tie choice decides the answer.
+    fn tie_heavy_instance(
+        seed: u64,
+        drivers: usize,
+        sinks: usize,
+        degree: usize,
+    ) -> (Pair, usize, usize, i64) {
+        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545f4914f6cdd1d)
+        };
+        let nodes = 2 + drivers + sinks;
+        let (s, t) = (0usize, nodes - 1);
+        let mut pair = Pair::new(nodes);
+        for d in 0..drivers {
+            pair.add_edge(s, 1 + d, 1 + (next() % 4) as i64, 0);
+        }
+        for k in 0..sinks {
+            let sink = 1 + drivers + k;
+            for _ in 0..degree {
+                let d = (next() % drivers as u64) as usize;
+                pair.add_edge(1 + d, sink, 1, (next() % 4) as i64);
+            }
+            pair.add_edge(sink, t, 1, 0);
+        }
+        (pair, s, t, sinks as i64)
+    }
+
+    /// FNV-1a over every edge's flow, as little-endian `i64`s in handle
+    /// order.
+    fn flows_fnv(flows: impl Iterator<Item = i64>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for flow in flows {
+            for b in flow.to_le_bytes() {
+                hash ^= b as u64;
+                hash = hash.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Pins the cost-scaling engine's tie choice, which the SSP oracle
+    /// cannot: `(flow, cost, flows_fnv)` of one tie-heavy forced
+    /// `run_cost_scaling` instance and of one `run` above
+    /// [`MinCostFlow::PINNED_SSP_MAX_DEMAND`] (which dispatches to the
+    /// scaling engine), captured from the adjacency-list engine the CSR
+    /// graph replaced. The oracle picks a different optimum on the first
+    /// instance, so the hash does depend on the tie choice.
+    #[test]
+    fn cost_scaling_tie_choice_matches_pinned_hashes() {
+        let solve = |seed, drivers, sinks, degree, forced: bool| {
+            let (mut pair, s, t, demand) = tie_heavy_instance(seed, drivers, sinks, degree);
+            let (flow, cost) = if forced {
+                pair.fast.run_cost_scaling(s, t, demand)
+            } else {
+                assert!(demand > MinCostFlow::PINNED_SSP_MAX_DEMAND);
+                pair.fast.run(s, t, demand)
+            };
+            let hash = flows_fnv(pair.handles.iter().map(|&h| pair.fast.flow_on(h)));
+            (flow, cost, hash)
+        };
+        assert_eq!(solve(1, 40, 120, 6, true), (92, 16, 0xee24_c97a_4121_b943));
+        assert_eq!(
+            solve(2, 4000, 9000, 4, false),
+            (9000, 5282, 0x8824_3a52_1cc7_af83)
+        );
+
+        let (mut pair, s, t, demand) = tie_heavy_instance(1, 40, 120, 6);
+        assert_eq!(pair.oracle.run(s, t, demand), (92, 16));
+        let oracle_hash = flows_fnv(pair.handles.iter().map(|&h| pair.oracle.flow_on(h)));
+        assert_ne!(
+            oracle_hash, 0xee24_c97a_4121_b943,
+            "the instance must carry ties"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "negative capacities unsupported")]
+    fn add_edge_rejects_negative_capacity() {
+        MinCostFlow::new(2).add_edge(0, 1, -1, 0);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -1187,6 +1626,30 @@ mod tests {
             fn differential_layered_instances_match_cost_and_value(seed in any::<u64>()) {
                 let (mut pair, s, t, cap) = layered_instance(seed);
                 pair.run_both(s, t, cap);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Tie-heavy instances, where most optima are tied and only
+            /// the traversal order picks one: `run` (the pinned SSP path
+            /// for every demand here) must still return the oracle's
+            /// flow edge for edge. The tie-free instances above cannot
+            /// catch a changed tie-break; these can.
+            #[test]
+            fn tie_heavy_instances_pin_the_oracle_matching(
+                seed in any::<u64>(),
+                drivers in 1usize..17,
+                sinks in 1usize..49,
+                degree in 1usize..7,
+            ) {
+                let (mut pair, s, t, demand) = tie_heavy_instance(seed, drivers, sinks, degree);
+                prop_assert!(demand <= MinCostFlow::PINNED_SSP_MAX_DEMAND);
+                prop_assert_eq!(pair.fast.run(s, t, demand), pair.oracle.run(s, t, demand));
+                for &h in &pair.handles {
+                    prop_assert_eq!(pair.fast.flow_on(h), pair.oracle.flow_on(h), "edge {}", h);
+                }
             }
         }
     }
@@ -1283,8 +1746,8 @@ mod tests {
     #[test]
     fn certificate_rejects_capacity_violation() {
         let (mut f, s, t) = solved_assignment();
-        f.edges[0].flow = f.edges[0].cap + 1; // s→driver over capacity
-        f.edges[1].flow = -f.edges[0].flow;
+        let cap = f.edge_views()[0].cap;
+        f.set_flow(0, cap + 1); // s→driver over capacity
         assert!(matches!(
             verify(&f, s, t, 2),
             Err(Violation::Capacity { .. })
@@ -1296,8 +1759,7 @@ mod tests {
         let (mut f, s, t) = solved_assignment();
         // Drop one unit on the sink→target edge only: node 3 now creates
         // flow out of nothing.
-        f.edges[12].flow = 0;
-        f.edges[13].flow = 0;
+        f.set_flow(12, 0);
         assert!(matches!(
             verify(&f, s, t, 2),
             Err(Violation::Conservation { .. })
@@ -1310,9 +1772,8 @@ mod tests {
         // Swap the optimal diagonal (cost 2) for the anti-diagonal
         // (cost 20): still a feasible max flow, but a residual negative
         // cycle exists and the certificate must find it.
-        for (eid, flow) in [(4usize, 0i64), (6, 1), (8, 1), (10, 0)] {
-            f.edges[eid].flow = flow;
-            f.edges[eid ^ 1].flow = -flow;
+        for (handle, flow) in [(4usize, 0i64), (6, 1), (8, 1), (10, 0)] {
+            f.set_flow(handle, flow);
         }
         assert!(matches!(
             verify(&f, s, t, 2),
@@ -1325,8 +1786,8 @@ mod tests {
         let (mut f, s, t) = solved_assignment();
         // Empty the whole flow: feasible, conserved, trivially "optimal"
         // for value 0 — but an augmenting path remains below the cap.
-        for e in &mut f.edges {
-            e.flow = 0;
+        for e in 0..f.edge_views().len() {
+            f.set_flow(2 * e, 0);
         }
         assert!(matches!(
             verify(&f, s, t, 2),

@@ -1047,4 +1047,57 @@ mod differential_tests {
         }
         assert!(attacked >= 2, "expected cut nets on most layers");
     }
+
+    /// The pinned path on real instances, which are full of exact cost
+    /// ties: `run` must return the oracle's flow edge for edge on c432
+    /// and c880 at M3–M5, original and protected, and on c1355 at M3.
+    #[test]
+    fn real_iscas_instances_match_the_oracle_edge_for_edge() {
+        use sm_core::flow::{protect, FlowConfig};
+        let check = |name: &str, placed: &Netlist, split: &SplitLayout| {
+            let inst = AssignmentInstance::build(placed, split, &ProximityConfig::default());
+            assert!(inst.demand <= MinCostFlow::PINNED_SSP_MAX_DEMAND);
+            let mut fast = MinCostFlow::new(inst.nodes);
+            let mut ssp = SspFlow::new(inst.nodes);
+            let handles: Vec<usize> = inst
+                .edges
+                .iter()
+                .map(|&(from, to, cap, cost)| {
+                    ssp.add_edge(from, to, cap, cost);
+                    fast.add_edge(from, to, cap, cost)
+                })
+                .collect();
+            let a = fast.run(inst.source, inst.target, inst.demand);
+            let b = ssp.run(inst.source, inst.target, inst.demand);
+            assert_eq!(a, b, "{name}: value and cost");
+            for &h in &handles {
+                assert_eq!(fast.flow_on(h), ssp.flow_on(h), "{name}: edge {h}");
+            }
+        };
+        let designs = [
+            (sm_benchgen::iscas::IscasProfile::c432(), &[3u8, 4, 5][..]),
+            (sm_benchgen::iscas::IscasProfile::c880(), &[3, 4, 5]),
+            (sm_benchgen::iscas::IscasProfile::c1355(), &[3]),
+        ];
+        for (profile, layers) in designs {
+            let n = sm_benchgen::iscas::generate(&profile, 1);
+            let base = original_layout(&n, 0.6, 1);
+            let p = protect(&n, &FlowConfig::iscas_default(1));
+            let erroneous = &p.randomization.erroneous;
+            for &layer in layers {
+                let original = split_layout(&n, &base.placement, &base.routing, layer);
+                check(
+                    &format!("{} M{layer} original", profile.name),
+                    &n,
+                    &original,
+                );
+                let protected = split_layout(erroneous, &p.placement, &p.feol_routing, layer);
+                check(
+                    &format!("{} M{layer} protected", profile.name),
+                    erroneous,
+                    &protected,
+                );
+            }
+        }
+    }
 }

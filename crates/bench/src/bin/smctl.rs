@@ -187,8 +187,8 @@ BENCH:
     plus a quick campaign against a cold and a warm store, and emits a
     BENCH.json perf-trajectory point (stdout or --out). The hot kernels
     also report their own sub-stages (place-fm, attack-flow-score,
-    attack-flow-assign, attack-crouting-grid), timed by the kernels'
-    phase instrumentation.
+    attack-flow-mcmf, attack-flow-assign, attack-crouting-grid), timed
+    by the kernels' phase instrumentation.
     Wall times are machine-dependent; every other field is
     deterministic. --min-of N repeats each layout stage N times and
     records the minimum wall (the campaign stages always run once —

@@ -21,8 +21,9 @@
 //!
 //! The hot kernels additionally report sub-stages timed by their own
 //! phase instrumentation — `place-fm` (the placer's FM-refinement
-//! meter), `attack-flow-score` and `attack-flow-assign` (the flow
-//! attack's candidate-scoring and loop-free reconstruction spans) and
+//! meter), `attack-flow-score`, `attack-flow-mcmf` and
+//! `attack-flow-assign` (the flow attack's candidate-scoring,
+//! min-cost-flow and loop-free reconstruction spans) and
 //! `attack-crouting-grid` (crouting's column-index kernel) — so a
 //! regression in one kernel is attributable without re-profiling.
 //! [`BenchConfig::min_of`] repeats each deterministic layout stage and
@@ -148,9 +149,9 @@ enum AttackStage {
 /// Pushes one netlist through generate→place→route→split→attack(s),
 /// appending a sample per stage — plus the sub-kernel stages the hot
 /// paths are gated on (`place-fm`, `attack-flow-score`,
-/// `attack-flow-assign`, `attack-crouting-grid`), whose walls come from
-/// the kernels' own phase instrumentation rather than re-timing around
-/// them.
+/// `attack-flow-mcmf`, `attack-flow-assign`, `attack-crouting-grid`),
+/// whose walls come from the kernels' own phase instrumentation rather
+/// than re-timing around them.
 fn layout_stages(
     stages: &mut Vec<StageSample>,
     name: &str,
@@ -235,6 +236,7 @@ fn layout_stages(
             AttackStage::Flow => {
                 let mut flow_wall = f64::INFINITY;
                 let mut score_wall = f64::INFINITY;
+                let mut mcmf_wall = f64::INFINITY;
                 let mut assign_wall = f64::INFINITY;
                 let mut outcome = None;
                 // One worker on the global pool: the serial attack.
@@ -262,6 +264,7 @@ fn layout_stages(
                     };
                     flow_wall = flow_wall.min(wall);
                     score_wall = score_wall.min(span("attack-candidates"));
+                    mcmf_wall = mcmf_wall.min(span("attack-mcmf"));
                     assign_wall = assign_wall.min(span("attack-assign"));
                     outcome = Some(out);
                 }
@@ -272,6 +275,7 @@ fn layout_stages(
                 ];
                 push(stages, "attack-flow", flow_wall, detail.clone());
                 push(stages, "attack-flow-score", score_wall, detail.clone());
+                push(stages, "attack-flow-mcmf", mcmf_wall, detail.clone());
                 push(stages, "attack-flow-assign", assign_wall, detail);
             }
             AttackStage::Crouting => {
@@ -743,6 +747,7 @@ mod tests {
                 "split",
                 "attack-flow",
                 "attack-flow-score",
+                "attack-flow-mcmf",
                 "attack-flow-assign"
             ]
         );
@@ -771,6 +776,7 @@ mod tests {
         };
         assert!(wall_of("place-fm") <= wall_of("place"));
         assert!(wall_of("attack-flow-score") <= wall_of("attack-flow"));
+        assert!(wall_of("attack-flow-mcmf") <= wall_of("attack-flow"));
         assert!(wall_of("attack-flow-assign") <= wall_of("attack-flow"));
     }
 
