@@ -288,8 +288,8 @@ pub fn network_flow_attack(
 }
 
 /// [`network_flow_attack`] running inside an explicit [`Budget`]:
-/// [`network_flow_assignment`], then the OER/HD evaluation of the
-/// recovered netlist against `golden`. Results are bit-identical at any
+/// [`network_flow_assignment`], then [`network_flow_eval`] of its
+/// connection guess against `golden`. Results are bit-identical at any
 /// thread count.
 ///
 /// The budget's [`CancelToken`](sm_exec::CancelToken) is consulted at
@@ -313,8 +313,7 @@ pub fn network_flow_attack_budgeted(
     exec: &Budget,
     rec: &mut sm_exec::phase::Recorder,
 ) -> Option<AttackOutcome> {
-    let FlowAssignment { pairs, recovered } =
-        network_flow_assignment(placed, split, config, exec, rec)?;
+    let assignment = network_flow_assignment(placed, split, config, exec, rec)?;
     let _ = placement; // positions are already baked into the vpins
 
     // Last phase boundary before the OER/HD simulation (on superblue it
@@ -322,13 +321,8 @@ pub fn network_flow_attack_budgeted(
     if exec.cancel_token().is_cancelled() {
         return None;
     }
-    let (ccr, metrics) = rec.time("attack-eval", || {
-        let ccr = ccr_vs_golden(golden, split, &pairs);
-        let mut rng = seeded(golden, config.eval_seed);
-        let patterns = PatternSource::random(golden, config.eval_patterns, &mut rng);
-        let metrics = security_metrics(golden, &recovered, &patterns).expect("same port interface");
-        (ccr, metrics)
-    });
+    let (ccr, metrics) = network_flow_eval(golden, split, &assignment, config, rec);
+    let FlowAssignment { pairs, recovered } = assignment;
     Some(AttackOutcome {
         pairs,
         ccr,
@@ -337,11 +331,40 @@ pub fn network_flow_attack_budgeted(
     })
 }
 
+/// Scores a connection guess against the true design: the CCR of its
+/// pairs ([`ccr_vs_golden`]) and the OER/HD of its recovered netlist
+/// over `config.eval_patterns` random patterns seeded by
+/// `config.eval_seed`. These two are the only config fields it reads,
+/// and [`network_flow_assignment`] reads neither, so one guess can be
+/// scored under many evaluation seeds. The span goes to `rec` as
+/// `attack-eval`.
+pub fn network_flow_eval(
+    golden: &Netlist,
+    split: &SplitLayout,
+    assignment: &FlowAssignment,
+    config: &ProximityConfig,
+    rec: &mut sm_exec::phase::Recorder,
+) -> (f64, SecurityMetrics) {
+    rec.time("attack-eval", || {
+        let ccr = ccr_vs_golden(golden, split, &assignment.pairs);
+        let mut rng = seeded(golden, config.eval_seed);
+        let patterns = PatternSource::random(golden, config.eval_patterns, &mut rng);
+        let metrics = security_metrics(golden, &assignment.recovered, &patterns)
+            .expect("same port interface");
+        (ccr, metrics)
+    })
+}
+
 /// The attack up to its connection guess: candidate scoring, the
 /// min-cost-flow solve and the loop-free netlist reconstruction, with no
 /// OER/HD evaluation. Callers that only need the pairs (CCR) skip the
 /// simulation this way; [`network_flow_attack_budgeted`] is this
-/// function plus the evaluation.
+/// function, a cancellation check and [`network_flow_eval`].
+///
+/// The result depends only on `placed`, `split` and the config's
+/// candidate and cost fields (not on `eval_patterns` or `eval_seed`),
+/// and is bit-identical at any thread count, so callers may solve it
+/// once and score it under many evaluation seeds.
 ///
 /// Candidate scoring fans out over the budget's pool (never exceeding
 /// its thread allotment), so campaigns pass each job's split budget

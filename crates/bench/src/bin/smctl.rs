@@ -132,9 +132,10 @@ SWEEP AXES:
     --seed         campaign master seed folded into every derived seed
     --layout-seed  pin the layout (place+route) seed: every seed of the
                    sweep shares ONE bundle per benchmark (built or decoded
-                   once), while attack evaluation still varies per seed.
-                   Unset, each seed builds its own bundle (historical
-                   reports stay byte-identical)
+                   once), and the flow attack's connection guess is solved
+                   once per design × layer × arm; only its OER/HD
+                   evaluation varies per seed. Unset, each seed builds its
+                   own bundle (historical reports stay byte-identical)
     --jobs         run only these job indices of the expansion, e.g.
                    `0,2,5..9` (the report stays mergeable via resume)
     --shard K/N    run shard K of N (1-based): job indices K-1, K-1+N, …

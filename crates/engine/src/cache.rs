@@ -15,18 +15,33 @@
 //! rebuild — the "zero bundle builds on the second run" guarantee the
 //! CI determinism gate enforces.
 //!
+//! Below each bundle sit two per-(bundle, arm, split layer) tiers:
+//!
+//! * **split views** ([`ArtifactCache::split`]) — the FEOL an attack
+//!   sees, also persisted as split-stage store artifacts;
+//! * **flow assignments** ([`ArtifactCache::flow_assignment`]) — the
+//!   network-flow attack's connection guess (candidate scoring,
+//!   min-cost flow, loop-free reconstruction) for that FEOL. It reads
+//!   nothing a job seed varies, so under a pinned layout every seed of
+//!   a sweep shares one solve and only the OER/HD evaluation runs per
+//!   job. Each lives in a [`Memo`] cell that a cancelled or panicking
+//!   solve leaves empty for the next requester. Assignments are never
+//!   persisted: the store and its format do not know them.
+//!
 //! Memory is bounded two ways: campaign-scoped caches die with their
 //! campaign, and campaigns *release* bundles once their last consuming
 //! job finishes — every selected job is registered with
 //! [`ArtifactCache::reserve_job`] before any runs, and
-//! [`ArtifactCache::release_job`] drops a layer's split views after the
-//! last job at that layer and the bundle after its last job, so peak
-//! memory tracks the working set instead of the whole sweep.
+//! [`ArtifactCache::release_job`] drops a layer's split views and flow
+//! assignments after the last job at that layer and the bundle after its
+//! last job, so peak memory tracks the working set instead of the whole
+//! sweep.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 
+use sm_attacks::proximity::FlowAssignment;
 use sm_benchgen::iscas::IscasProfile;
 use sm_benchgen::superblue::SuperblueProfile;
 use sm_codec::{Decode, Encode};
@@ -150,12 +165,71 @@ enum Origin {
 type Slot<T> = Arc<OnceLock<Arc<T>>>;
 type BundleMap<K, T> = Mutex<HashMap<K, Slot<T>>>;
 
+/// A build-once cell whose build may decline. Unlike a `OnceLock`, a
+/// solve that returns `None` (its job was cancelled) or panics leaves
+/// the cell empty, and the next requester solves it. The first
+/// requester solves while holding the cell's lock; later ones block on
+/// it and share the result.
+#[derive(Debug)]
+pub struct Memo<T>(Mutex<Option<Arc<T>>>);
+
+impl<T> Default for Memo<T> {
+    fn default() -> Self {
+        Memo(Mutex::new(None))
+    }
+}
+
+/// [`Memo::try_get_or_solve`] found another requester solving the cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Busy;
+
+impl<T> Memo<T> {
+    /// The cell's value, solving it with `solve` if the cell is empty
+    /// (blocking while another requester solves it). `None` when `solve`
+    /// ran and declined; the cell then stays empty.
+    pub fn get_or_solve(&self, solve: impl FnOnce() -> Option<T>) -> Option<Arc<T>> {
+        // A poisoned lock means a solve panicked; the cell is only ever
+        // written after a solve returns, so it is still empty and valid.
+        Self::fill(self.0.lock().unwrap_or_else(|p| p.into_inner()), solve)
+    }
+
+    /// As [`Memo::get_or_solve`], but returns [`Busy`] instead of
+    /// blocking while another requester solves the cell.
+    pub fn try_get_or_solve(
+        &self,
+        solve: impl FnOnce() -> Option<T>,
+    ) -> Result<Option<Arc<T>>, Busy> {
+        match self.0.try_lock() {
+            Ok(guard) => Ok(Self::fill(guard, solve)),
+            Err(TryLockError::Poisoned(p)) => Ok(Self::fill(p.into_inner(), solve)),
+            Err(TryLockError::WouldBlock) => Err(Busy),
+        }
+    }
+
+    fn fill(
+        mut cell: std::sync::MutexGuard<'_, Option<Arc<T>>>,
+        solve: impl FnOnce() -> Option<T>,
+    ) -> Option<Arc<T>> {
+        if let Some(value) = &*cell {
+            return Some(Arc::clone(value));
+        }
+        let value = Arc::new(solve()?);
+        *cell = Some(Arc::clone(&value));
+        Some(value)
+    }
+}
+
+/// Per-(bundle, arm, split layer) entries: split views and flow
+/// assignments.
+type LayerKey = (BundleKey, SplitArm, u8);
+
 /// The engine's bundle cache. Cheap to share: wrap in an [`Arc`].
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
     iscas: BundleMap<(&'static str, u64), IscasRun>,
     superblue: BundleMap<(&'static str, usize, u64), SuperblueRun>,
-    splits: BundleMap<(BundleKey, SplitArm, u8), SplitLayout>,
+    splits: BundleMap<LayerKey, SplitLayout>,
+    assignments: Mutex<HashMap<LayerKey, Arc<Memo<FlowAssignment>>>>,
     store: Option<Arc<ArtifactStore>>,
     journal: Option<Arc<Journal>>,
     faults: Option<Arc<dyn FaultInject>>,
@@ -342,8 +416,9 @@ impl ArtifactCache {
     ///
     /// Splits are derived views: they count in the per-stage counters
     /// only, never in the bundle-level [`CacheStats`], and their
-    /// in-memory entries drop with their bundle on
-    /// [`ArtifactCache::release`].
+    /// in-memory entries drop after the last reserved job at their layer
+    /// ([`ArtifactCache::release_job`]) or with their bundle
+    /// ([`ArtifactCache::release`]).
     pub fn split(
         &self,
         key: &BundleKey,
@@ -361,6 +436,21 @@ impl ArtifactCache {
             Arc::new(split)
         });
         Arc::clone(value)
+    }
+
+    /// The cell memoizing the network-flow attack's connection guess on
+    /// one arm of a bundle at `layer`. Callers solve it with a
+    /// job-independent config, so every flow job at this point shares
+    /// one solve. Memory only, never persisted, counted in no
+    /// statistic; cells drop with the layer's split views.
+    pub fn flow_assignment(
+        &self,
+        key: &BundleKey,
+        arm: SplitArm,
+        layer: u8,
+    ) -> Arc<Memo<FlowAssignment>> {
+        let mut map = self.assignments.lock().expect("assignment cache poisoned");
+        Arc::clone(map.entry((*key, arm, layer)).or_default())
     }
 
     /// Registers `uses` upcoming consumers of `key` (called once per key
@@ -401,12 +491,10 @@ impl ArtifactCache {
         if !drop_now {
             return;
         }
-        // Split views belong to their bundle: drop them together so the
-        // working set shrinks with the sweep frontier.
-        self.splits
-            .lock()
-            .expect("split cache poisoned")
-            .retain(|(k, _, _), _| k != key);
+        // Split views and flow assignments belong to their bundle: drop
+        // them together so the working set shrinks with the sweep
+        // frontier.
+        self.drop_layers(|k, _| k == key);
         let removed = match key {
             BundleKey::Iscas { name, seed } => self
                 .iscas
@@ -435,10 +523,10 @@ impl ArtifactCache {
         *uses.entry((job.bundle_key(), job.split_layer)).or_insert(0) += 1;
     }
 
-    /// Signals that `job` finished. The split views at its layer drop
-    /// once no reserved job at that layer remains — each layer's views
-    /// serve only the attacks at that layer — and the bundle as in
-    /// [`ArtifactCache::release`].
+    /// Signals that `job` finished. The split views and flow
+    /// assignments at its layer drop once no reserved job at that layer
+    /// remains — each layer's entries serve only the attacks at that
+    /// layer — and the bundle as in [`ArtifactCache::release`].
     pub fn release_job(&self, job: &Job) {
         let key = job.bundle_key();
         let slot = (key, job.split_layer);
@@ -453,10 +541,22 @@ impl ArtifactCache {
         };
         drop(uses);
         if layer_done {
-            let mut splits = self.splits.lock().expect("split cache poisoned");
-            splits.retain(|&(k, _, layer), _| (k, layer) != slot);
+            self.drop_layers(|&k, layer| (k, layer) == slot);
         }
         self.release(&key);
+    }
+
+    /// Drops the split views and flow assignments whose (bundle, layer)
+    /// matches `gone`.
+    fn drop_layers(&self, gone: impl Fn(&BundleKey, u8) -> bool) {
+        self.splits
+            .lock()
+            .expect("split cache poisoned")
+            .retain(|(k, _, layer), _| !gone(k, *layer));
+        self.assignments
+            .lock()
+            .expect("assignment cache poisoned")
+            .retain(|(k, _, layer), _| !gone(k, *layer));
     }
 
     /// Number of bundles currently held in memory.
@@ -604,6 +704,105 @@ mod tests {
         // A fresh request rebuilds.
         let _again = cache.iscas(&profile, 4, &Budget::default(), &mut Recorder::new());
         assert_eq!(cache.stats().builds, 2);
+    }
+
+    /// A connection guess tagged by its single pair.
+    fn guess(tag: usize) -> FlowAssignment {
+        let library = sm_netlist::Library::nangate45();
+        FlowAssignment {
+            pairs: vec![(tag, tag)],
+            recovered: sm_netlist::NetlistBuilder::new("memo", &library)
+                .finish()
+                .expect("an empty netlist has no loop"),
+        }
+    }
+
+    fn memo_key() -> BundleKey {
+        BundleKey::Iscas {
+            name: "c432",
+            seed: 7,
+        }
+    }
+
+    #[test]
+    fn concurrent_requests_share_one_solve() {
+        let cache = ArtifactCache::new();
+        let solves = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(4);
+        let ptrs: Vec<usize> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let cell = cache.flow_assignment(&memo_key(), SplitArm::Protected, 3);
+                        let value = cell.get_or_solve(|| {
+                            solves.fetch_add(1, Ordering::SeqCst);
+                            Some(guess(1))
+                        });
+                        Arc::as_ptr(&value.expect("the solve succeeds")) as usize
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(solves.load(Ordering::SeqCst), 1);
+        assert!(ptrs.windows(2).all(|w| w[0] == w[1]), "all shared one Arc");
+        // Other arms and layers are cells of their own.
+        let other = cache.flow_assignment(&memo_key(), SplitArm::Original, 3);
+        assert!(other.get_or_solve(|| None).is_none());
+    }
+
+    #[test]
+    fn a_declined_solve_leaves_the_cell_empty() {
+        let cache = ArtifactCache::new();
+        let cell = cache.flow_assignment(&memo_key(), SplitArm::Protected, 4);
+        assert!(cell.get_or_solve(|| None).is_none(), "a cancelled solve");
+        let value = cell.get_or_solve(|| Some(guess(2))).unwrap();
+        assert_eq!(value.pairs, [(2, 2)], "the next request solved it");
+        let again = cache.flow_assignment(&memo_key(), SplitArm::Protected, 4);
+        let hit = again.get_or_solve(|| panic!("a filled cell never solves"));
+        assert!(Arc::ptr_eq(&value, &hit.unwrap()));
+    }
+
+    #[test]
+    fn a_panicking_solve_leaves_the_cell_empty_and_usable() {
+        let cache = ArtifactCache::new();
+        let cell = cache.flow_assignment(&memo_key(), SplitArm::Original, 5);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cell.get_or_solve(|| panic!("solver bug"))
+        }));
+        assert!(crashed.is_err());
+        let value = cell.try_get_or_solve(|| Some(guess(3)));
+        assert_eq!(value.unwrap().unwrap().pairs, [(3, 3)]);
+        let hit = cell.get_or_solve(|| panic!("a filled cell never solves"));
+        assert_eq!(hit.unwrap().pairs, [(3, 3)]);
+    }
+
+    #[test]
+    fn a_cell_being_solved_reports_busy() {
+        let cell: Memo<u32> = Memo::default();
+        let (entered, wait_entered) = std::sync::mpsc::channel();
+        let (finish, wait_finish) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let cell = &cell;
+            let solver = s.spawn(move || {
+                cell.get_or_solve(|| {
+                    entered.send(()).unwrap();
+                    // Bounded, so a `try_get_or_solve` that blocks fails
+                    // the test instead of hanging it.
+                    let _ = wait_finish.recv_timeout(std::time::Duration::from_secs(60));
+                    Some(5)
+                })
+            });
+            wait_entered.recv().unwrap();
+            assert_eq!(cell.try_get_or_solve(|| Some(6)), Err(Busy));
+            finish.send(()).unwrap();
+            assert_eq!(solver.join().unwrap().as_deref(), Some(&5));
+        });
+        assert_eq!(
+            cell.try_get_or_solve(|| Some(6)).unwrap().as_deref(),
+            Some(&5)
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use sm_attacks::crouting::{crouting_attack, CroutingConfig};
 use sm_attacks::proximity::{
-    ccr_over_connections, ccr_vs_golden, network_flow_assignment, network_flow_attack_budgeted,
+    ccr_over_connections, ccr_vs_golden, network_flow_assignment, network_flow_eval,
     ProximityConfig,
 };
 use sm_core::flow::BaselineLayout;
@@ -41,7 +41,7 @@ use sm_layout::split_layout;
 use sm_netlist::{NetId, Netlist, Sink};
 
 use crate::bundle::{IscasRun, SuperblueRun};
-use crate::cache::{ArtifactCache, CacheStats, SplitArm, StageStats};
+use crate::cache::{ArtifactCache, Busy, CacheStats, SplitArm, StageStats};
 use crate::job::{AttackKind, Benchmark, Job};
 use crate::journal::{Event, EventJob, MetricsSource, Provenance};
 use crate::metrics::{csv_columns, JobMetrics};
@@ -392,6 +392,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// whether or not a deadline was armed). The attack's candidate scoring
 /// fans out on `exec`, so in-job parallelism still respects the
 /// process-wide thread ceiling.
+///
+/// Each arm's connection guess comes from the cache's
+/// [`ArtifactCache::flow_assignment`] cell, so jobs that share a bundle
+/// and layer (a pinned-layout seed sweep) solve it once; only the
+/// OER/HD evaluation, seeded by the job, runs per job. The job that
+/// solves the protected arm records its `attack-candidates`/`-mcmf`/
+/// `-assign` spans.
 fn flow_metrics(
     cache: &ArtifactCache,
     bundle: &Bundle,
@@ -399,59 +406,85 @@ fn flow_metrics(
     exec: &Budget,
     phases: &mut Vec<(&'static str, f64)>,
 ) -> Option<JobMetrics> {
-    let cfg = ProximityConfig {
-        // Tie the attack's evaluation RNG to the job, so seed sweeps
-        // explore attack variance instead of replaying one stream per
-        // netlist.
-        eval_seed: Some(job.derived_seed()),
-        ..ProximityConfig::default()
-    };
+    // The memo key covers every input of the solve: the bundle, arm and
+    // layer, plus a config no job varies.
+    let solve_cfg = ProximityConfig::default();
     let split_layer = job.split_layer;
     let key = job.bundle_key();
     let netlist = bundle.netlist();
     let protected = bundle.protected();
+    let erroneous = &protected.randomization.erroneous;
 
     let t = Instant::now();
     let split_prot = cache.split(&key, SplitArm::Protected, split_layer, || {
         split_layout(
-            &protected.randomization.erroneous,
+            erroneous,
             &protected.placement,
             &protected.feol_routing,
             split_layer,
         )
     });
     phases.push(("split", ms_since(t)));
-    let mut rec = Recorder::new();
-    let out = network_flow_attack_budgeted(
-        netlist,
-        &protected.randomization.erroneous,
-        &protected.placement,
-        &split_prot,
-        &cfg,
-        exec,
-        &mut rec,
-    )?;
-    phases.extend(rec.into_spans());
-    let swapped = bundle.swapped();
-    let ccr_protected = ccr_over_connections(&split_prot, &out.pairs, &swapped);
+    let solve_protected = |phases: &mut Vec<(&'static str, f64)>| {
+        let mut rec = Recorder::new();
+        let out = network_flow_assignment(erroneous, &split_prot, &solve_cfg, exec, &mut rec);
+        phases.extend(rec.into_spans());
+        out
+    };
 
     let original = bundle.original();
-    let t = Instant::now();
-    let split_orig = cache.split(&key, SplitArm::Original, split_layer, || {
-        split_layout(netlist, &original.placement, &original.routing, split_layer)
-    });
-    phases.push(("split-original", ms_since(t)));
-    // The original layout contributes only its CCR, so its arm stops at
-    // the connection guess: no OER/HD simulation.
-    let t = Instant::now();
-    let orig = network_flow_assignment(netlist, &split_orig, &cfg, exec, &mut Recorder::new())?;
-    let ccr_original = ccr_vs_golden(netlist, &split_orig, &orig.pairs);
-    phases.push(("attack-original", ms_since(t)));
+    let original_ccr = |phases: &mut Vec<(&'static str, f64)>| {
+        let t = Instant::now();
+        let split_orig = cache.split(&key, SplitArm::Original, split_layer, || {
+            split_layout(netlist, &original.placement, &original.routing, split_layer)
+        });
+        phases.push(("split-original", ms_since(t)));
+        // The original layout contributes only its CCR, so its arm stops
+        // at the connection guess: no OER/HD simulation.
+        let t = Instant::now();
+        let orig_cell = cache.flow_assignment(&key, SplitArm::Original, split_layer);
+        let orig = orig_cell.get_or_solve(|| {
+            let mut rec = Recorder::new();
+            network_flow_assignment(netlist, &split_orig, &solve_cfg, exec, &mut rec)
+        })?;
+        let ccr = ccr_vs_golden(netlist, &split_orig, &orig.pairs);
+        phases.push(("attack-original", ms_since(t)));
+        Some(ccr)
+    };
+
+    // A sibling job solving the protected arm holds its cell: solve the
+    // original arm meanwhile instead of waiting. No cell's lock is held
+    // while waiting on another's.
+    let prot_cell = cache.flow_assignment(&key, SplitArm::Protected, split_layer);
+    let (prot, ccr_original) = match prot_cell.try_get_or_solve(|| solve_protected(phases)) {
+        Ok(prot) => (prot?, original_ccr(phases)?),
+        Err(Busy) => {
+            let ccr = original_ccr(phases)?;
+            (prot_cell.get_or_solve(|| solve_protected(phases))?, ccr)
+        }
+    };
+
+    // Last phase boundary before the OER/HD simulation (on superblue it
+    // is a multi-second stage of its own).
+    if exec.cancel_token().is_cancelled() {
+        return None;
+    }
+    let eval_cfg = ProximityConfig {
+        // Tie the attack's evaluation RNG to the job, so seed sweeps
+        // explore attack variance instead of replaying one stream per
+        // netlist.
+        eval_seed: Some(job.derived_seed()),
+        ..ProximityConfig::default()
+    };
+    let mut rec = Recorder::new();
+    let (_, metrics) = network_flow_eval(netlist, &split_prot, &prot, &eval_cfg, &mut rec);
+    phases.extend(rec.into_spans());
+    let ccr_protected = ccr_over_connections(&split_prot, &prot.pairs, &bundle.swapped());
 
     Some(JobMetrics::Flow {
         ccr_protected_pct: ccr_protected * 100.0,
-        oer_pct: out.metrics.oer * 100.0,
-        hd_pct: out.metrics.hd * 100.0,
+        oer_pct: metrics.oer * 100.0,
+        hd_pct: metrics.hd * 100.0,
         ccr_original_pct: ccr_original * 100.0,
     })
 }

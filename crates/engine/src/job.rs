@@ -102,10 +102,11 @@ pub struct Job {
     pub master_seed: u64,
     /// Pinned layout seed (`--layout-seed`). When set, the bundle is
     /// built from this seed instead of the user seed, so a multi-seed
-    /// sweep shares **one** place+route per benchmark while attack
-    /// evaluation still varies per user seed (see
-    /// [`Job::derived_seed`]). `None` reproduces the historical
-    /// per-user-seed bundles bit-for-bit.
+    /// sweep shares **one** place+route per benchmark, and its flow jobs
+    /// share one connection guess per layer and arm; only the OER/HD
+    /// evaluation varies per user seed (see [`Job::derived_seed`]).
+    /// `None` reproduces the historical per-user-seed bundles
+    /// bit-for-bit.
     pub layout_seed: Option<u64>,
 }
 

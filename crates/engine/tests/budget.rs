@@ -13,7 +13,8 @@
 use std::time::Duration;
 
 use sm_engine::campaign::{
-    merge_outcomes, merge_reports, run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec,
+    merge_outcomes, merge_reports, run_job, run_sweep_budgeted, Campaign, CampaignRun, JobOutcome,
+    Scheduler, SweepSpec,
 };
 use sm_engine::job::AttackKind;
 use sm_engine::report::{Json, ReportOptions};
@@ -147,6 +148,48 @@ fn split_views_drop_with_the_last_job_at_their_layer() {
     sm_engine::campaign::run_job(&cache, &jobs[1], &budget);
     assert_eq!(cache.resident(), 0, "the last job releases the bundle");
     assert_eq!(cache.stats().released, 1);
+}
+
+/// Flow assignments live as long as their layer's split views: under a
+/// pinned layout a layer's connection guesses serve every seed's job at
+/// that layer, and drop once the last of those jobs finished.
+#[test]
+fn flow_assignments_drop_with_the_last_job_at_their_layer() {
+    let spec = SweepSpec {
+        seeds: vec![1, 2],
+        split_layers: vec![3, 4],
+        attacks: vec![AttackKind::NetworkFlow],
+        layout_seed: Some(7),
+        ..tiny_spec()
+    };
+    // Row-major: [seed 1 M3, seed 1 M4, seed 2 M3, seed 2 M4].
+    let jobs = spec.jobs().unwrap();
+    let cache = ArtifactCache::new();
+    for job in &jobs {
+        cache.reserve_job(job);
+    }
+    let budget = Budget::with_threads(Some(1));
+    let key = jobs[0].bundle_key();
+    let held = |layer| {
+        [SplitArm::Protected, SplitArm::Original].map(|arm| {
+            let cell = cache.flow_assignment(&key, arm, layer);
+            cell.get_or_solve(|| None).is_some()
+        })
+    };
+    let solved = |outcome: &JobOutcome| outcome.phases.iter().any(|&(n, _)| n == "attack-mcmf");
+
+    let first = run_job(&cache, &jobs[0], &budget);
+    assert!(solved(&first), "the first job at M3 solves");
+    assert_eq!(held(3), [true; 2], "seed 2's M3 job still needs them");
+    let second = run_job(&cache, &jobs[2], &budget);
+    assert!(!solved(&second), "seed 2 reuses the M3 guesses");
+    assert_eq!(held(3), [false; 2], "the layer's last job drops them");
+    assert_eq!(cache.resident(), 1, "the M4 jobs still need the bundle");
+    run_job(&cache, &jobs[1], &budget);
+    assert_eq!(held(4), [true; 2]);
+    run_job(&cache, &jobs[3], &budget);
+    assert_eq!(held(4), [false; 2]);
+    assert_eq!(cache.resident(), 0, "the last job releases the bundle");
 }
 
 #[test]

@@ -18,7 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sm_engine::campaign::{run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec};
+use sm_engine::campaign::{
+    merge_reports, run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec,
+};
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{read_events, Event, Journal};
 use sm_engine::report::ReportOptions;
@@ -164,6 +166,90 @@ fn simulated_fleet_reports_are_byte_identical_to_solo() {
             );
         }
     }
+}
+
+/// Runs `spec` under `scheduler` over a fresh cache journaling into
+/// `dir`. Returns the canonical bytes and the number of `attack-mcmf`
+/// phases in the journal's job-finished provenance: one per flow solve
+/// of a protected arm.
+fn journaled(
+    spec: &SweepSpec,
+    scheduler: &Scheduler,
+    threads: usize,
+    dir: &Path,
+) -> (String, usize) {
+    let journal = Arc::new(Journal::for_spec(dir, spec));
+    let cache = ArtifactCache::new().with_journal(Arc::clone(&journal));
+    let (campaign, _) = drive(spec, scheduler, threads, &cache);
+    let solves = read_events(journal.path())
+        .unwrap()
+        .iter()
+        .map(|event| match event {
+            Event::JobFinished { provenance, .. } => provenance
+                .phases
+                .iter()
+                .filter(|(name, _)| name == "attack-mcmf")
+                .count(),
+            _ => 0,
+        })
+        .sum();
+    (canonical(&campaign), solves)
+}
+
+/// Under a pinned layout every seed's flow job at one layer attacks the
+/// same FEOL, so each connection guess is solved once and shared, under
+/// every scheduler and thread budget — and the bytes equal a per-job
+/// baseline where each job runs alone in a fresh cache.
+#[test]
+fn pinned_layout_sweeps_solve_each_assignment_once() {
+    let scratch = Scratch::new("pinned");
+    let spec = SweepSpec {
+        benchmarks: vec!["c432".into()],
+        seeds: vec![1, 2, 3],
+        split_layers: vec![3, 4],
+        attacks: vec![AttackKind::NetworkFlow],
+        scale: 100,
+        master_seed: 1,
+        layout_seed: Some(7),
+    };
+    let budget = Budget::with_threads(Some(2));
+    let singles = (0..spec.jobs().unwrap().len())
+        .map(|i| {
+            let run = CampaignRun::new(&spec).unwrap().jobs(&[i]).unwrap();
+            run.run(&Scheduler::Solo, &budget, &ArtifactCache::new())
+                .unwrap()
+                .0
+        })
+        .collect();
+    let want = canonical(&merge_reports(singles).unwrap());
+    let runs = [
+        (Scheduler::Solo, 1),
+        (Scheduler::Solo, 2),
+        (Scheduler::Solo, 4),
+        (Scheduler::Fleet { workers: 3 }, 2),
+        (
+            Scheduler::Simulated(SimPlan {
+                workers: 3,
+                seed: 1,
+                deaths: vec![(1, 0)],
+            }),
+            2,
+        ),
+    ];
+    for (i, (scheduler, threads)) in runs.iter().enumerate() {
+        let dir = scratch.path().join(format!("run-{i}"));
+        let (bytes, solves) = journaled(&spec, scheduler, *threads, &dir);
+        assert_eq!(bytes, want, "{scheduler:?} at --threads {threads}");
+        assert_eq!(solves, 2, "one solve per layer: {scheduler:?} at {threads}");
+    }
+    // Unpinned, every job has a layout of its own and solves it.
+    let unpinned = SweepSpec {
+        layout_seed: None,
+        ..spec
+    };
+    let dir = scratch.path().join("unpinned");
+    let (_, solves) = journaled(&unpinned, &Scheduler::Solo, 2, &dir);
+    assert_eq!(solves, unpinned.jobs().unwrap().len());
 }
 
 /// Full socket lifecycle: status on an idle service, a followed submit
