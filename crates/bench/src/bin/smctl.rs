@@ -182,9 +182,9 @@ FAULTS:
     on any mismatch). `smctl resume` never injects faults.
 
 BENCH:
-    `smctl bench` times every pipeline stage (generate/place/route/split/
-    attacks — flow everywhere, plus crouting on superblue, both gated
-    vs the baseline) over the quick ISCAS selection plus superblue18,
+    `smctl bench` times every pipeline stage (generate/place/route/
+    protect/split/attacks — flow everywhere, plus crouting on
+    superblue, all gated vs the baseline) over the quick ISCAS selection plus superblue18,
     plus a quick campaign against a cold and a warm store, and emits a
     BENCH.json perf-trajectory point (stdout or --out). The hot kernels
     also report their own sub-stages (place-fm, attack-flow-score,

@@ -4,8 +4,9 @@
 //! The workload matrix is a pure function of `(quick, seed, scale)`:
 //! the quick ISCAS selection plus down-scaled superblue18, each pushed
 //! through the pipeline stages the campaigns spend their wall-clock in
-//! — netlist generation, placement, routing, FEOL/BEOL split, the
-//! network-flow attack — plus a quick campaign run four times against
+//! — netlist generation, placement, routing, the protection flow over
+//! that prebuilt layout, FEOL/BEOL split, the network-flow attack —
+//! plus a quick campaign run four times against
 //! a fresh disk store (cold; warm; warm with the campaign journal
 //! attached, gating the event log's overhead; warm with a never-firing
 //! fault plan attached, gating the injection hooks' zero-fault
@@ -38,6 +39,8 @@ use std::time::Instant;
 
 use sm_attacks::crouting::{crouting_attack_traced, CroutingConfig};
 use sm_attacks::proximity::{network_flow_attack_budgeted, ProximityConfig};
+use sm_core::flow::{protect_with, BaselineLayout, FlowConfig};
+use sm_core::ppa::evaluate;
 use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{read_events, Journal};
@@ -146,8 +149,10 @@ enum AttackStage {
     Crouting,
 }
 
-/// Pushes one netlist through generate→place→route→split→attack(s),
-/// appending a sample per stage — plus the sub-kernel stages the hot
+/// Pushes one netlist through generate→place→route→protect→split→
+/// attack(s), appending a sample per stage (`flow` gives the design
+/// class's protection settings; the layout stages' utilization and
+/// seed override its own) — plus the sub-kernel stages the hot
 /// paths are gated on (`place-fm`, `attack-flow-score`,
 /// `attack-flow-mcmf`, `attack-flow-assign`, `attack-crouting-grid`),
 /// whose walls come from the kernels' own phase instrumentation rather
@@ -155,6 +160,7 @@ enum AttackStage {
 fn layout_stages(
     stages: &mut Vec<StageSample>,
     name: &str,
+    flow: fn(u64) -> FlowConfig,
     attacks: &[AttackStage],
     min_of: usize,
     generate: impl Fn() -> Netlist,
@@ -215,6 +221,39 @@ fn layout_stages(
             ("wirelength_dbu", routing.total_wirelength_dbu() as u64),
             ("vias", routing.via_counts().total()),
             ("overflow_edges", routing.overflow_edges() as u64),
+        ],
+    );
+
+    // The protection flow over the layout just built, as a bundle's
+    // protect stage runs it over its place+route stage: randomize, then
+    // place and route the erroneous netlist per budget round.
+    let config = FlowConfig {
+        utilization: BENCH_UTILIZATION,
+        ..flow(seed)
+    };
+    let baseline = BaselineLayout {
+        floorplan: fp.clone(),
+        placement: placement.clone(),
+        routing: routing.clone(),
+        ppa: evaluate(&netlist, &routing, &fp, &tech, seed),
+    };
+    let (protected, wall) = timed_min(min_of, || {
+        protect_with(
+            &netlist,
+            &config,
+            &baseline,
+            &Budget::default(),
+            &mut sm_exec::phase::Recorder::new(),
+        )
+    });
+    let oer_bp = (protected.randomization.oer_achieved * 10_000.0).round() as u64;
+    push(
+        stages,
+        "protect",
+        wall,
+        vec![
+            ("swaps", protected.randomization.swaps.len() as u64),
+            ("oer_bp", oer_bp),
         ],
     );
 
@@ -323,6 +362,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         layout_stages(
             &mut stages,
             profile.name,
+            FlowConfig::iscas_default,
             &[AttackStage::Flow],
             cfg.min_of,
             || sm_benchgen::iscas::generate(&profile, cfg.seed),
@@ -336,6 +376,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         layout_stages(
             &mut stages,
             profile.name,
+            FlowConfig::superblue_default,
             &[AttackStage::Flow, AttackStage::Crouting],
             cfg.min_of,
             || sm_benchgen::superblue::generate(&profile, cfg.scale, cfg.seed),
@@ -733,9 +774,14 @@ mod tests {
     fn layout_stages_are_deterministic() {
         let profile = sm_benchgen::iscas::IscasProfile::c432();
         let mut stages = Vec::new();
-        layout_stages(&mut stages, profile.name, &[AttackStage::Flow], 1, || {
-            sm_benchgen::iscas::generate(&profile, 1)
-        });
+        layout_stages(
+            &mut stages,
+            profile.name,
+            FlowConfig::iscas_default,
+            &[AttackStage::Flow],
+            1,
+            || sm_benchgen::iscas::generate(&profile, 1),
+        );
         let names: Vec<&str> = stages.iter().map(|s| s.stage).collect();
         assert_eq!(
             names,
@@ -744,6 +790,7 @@ mod tests {
                 "place",
                 "place-fm",
                 "route",
+                "protect",
                 "split",
                 "attack-flow",
                 "attack-flow-score",
@@ -755,9 +802,14 @@ mod tests {
         // including under `min_of` repetition, which must redo the same
         // work and fingerprint identically.
         let mut again = Vec::new();
-        layout_stages(&mut again, profile.name, &[AttackStage::Flow], 2, || {
-            sm_benchgen::iscas::generate(&profile, 1)
-        });
+        layout_stages(
+            &mut again,
+            profile.name,
+            FlowConfig::iscas_default,
+            &[AttackStage::Flow],
+            2,
+            || sm_benchgen::iscas::generate(&profile, 1),
+        );
         for (a, b) in stages.iter().zip(&again) {
             assert_eq!(a.stage, b.stage);
             assert_eq!(a.detail, b.detail, "{} [{}]", a.stage, a.benchmark);

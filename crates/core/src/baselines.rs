@@ -1,8 +1,9 @@
 //! Baseline layouts for the comparative study:
 //!
 //! * [`naive_lifting`] — the paper's own control: the *same* lifting
-//!   machinery (naive lifting cells) applied to the *original* netlist, so
-//!   the wiring moves up the stack but the connectivity hints stay true.
+//!   machinery (naive lifting cells) applied to the *original* netlist on
+//!   its original placement, so the wiring moves up the stack but the
+//!   connectivity hints stay true.
 //! * [`placement_perturbation`] — the defense of Wang et al. \[5\] /
 //!   Sengupta et al. \[8\]: randomly displace a fraction of gates before
 //!   routing.
@@ -67,7 +68,10 @@ pub fn original_layout_with(
 
 /// Naive lifting: route the original netlist but lift `nets` to
 /// `lift_layer` (same net set as the protected design, per Table 2's "for
-/// a fair comparison, we randomize the same set of nets").
+/// a fair comparison, we randomize the same set of nets"). Lifting
+/// changes the routing only, so this lays out the original netlist
+/// ([`original_layout`]) and re-routes its placement through
+/// [`naive_lifting_with`].
 pub fn naive_lifting(
     netlist: &Netlist,
     nets: &[NetId],
@@ -75,37 +79,52 @@ pub fn naive_lifting(
     utilization: f64,
     seed: u64,
 ) -> BaselineLayout {
+    let original = original_layout(netlist, utilization, seed);
     naive_lifting_with(
         netlist,
+        &original,
         nets,
         lift_layer,
-        utilization,
         seed,
         &sm_exec::Budget::default(),
-        &mut sm_exec::phase::Recorder::new(),
     )
 }
 
-/// [`naive_lifting`], confined to the `exec` thread budget, recording
-/// placement phase spans into `rec` (`lift-place` / `lift-place-fm`).
-#[allow(clippy::too_many_arguments)]
+/// [`naive_lifting`] over a prebuilt `original` layout of `netlist`
+/// ([`original_layout`] at the same seed, or its decoded copy): keeps
+/// its floorplan and placement, re-routes with `nets` lifted to
+/// `lift_layer` and re-evaluates PPA (activity seeded by `seed`). Places
+/// nothing, so it records no placement spans; `exec` carries the
+/// routing's cancel token.
 pub fn naive_lifting_with(
     netlist: &Netlist,
+    original: &BaselineLayout,
     nets: &[NetId],
     lift_layer: u8,
-    utilization: f64,
     seed: u64,
     exec: &sm_exec::Budget,
-    rec: &mut sm_exec::phase::Recorder,
 ) -> BaselineLayout {
     let mut opts = RouteOptions::default();
     for &n in nets {
         opts.lift.insert(n, lift_layer);
     }
-    let meter = sm_layout::PlaceMeter::shared();
-    let out = layout_with_options(netlist, utilization, seed, &opts, exec, Some(&meter));
-    crate::flow::drain_place_spans(&meter, rec, "lift-place", "lift-place-fm");
-    out
+    let tech = Technology::nangate45_10lm();
+    let routing = Router::new(&tech)
+        .try_route(
+            netlist,
+            &original.placement,
+            &original.floorplan,
+            &opts,
+            exec.cancel_token(),
+        )
+        .unwrap_or_else(|| sm_exec::abort_cancelled());
+    let ppa = evaluate(netlist, &routing, &original.floorplan, &tech, seed);
+    BaselineLayout {
+        floorplan: original.floorplan.clone(),
+        placement: original.placement.clone(),
+        routing,
+        ppa,
+    }
 }
 
 /// Placement perturbation \[5\]/\[8\]: displace `fraction` of the cells by a

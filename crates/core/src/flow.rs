@@ -13,6 +13,11 @@
 //! netlist (what the untrusted fab manufactures and what attacks see) and
 //! the *restored routing* of the true netlist on the same placement (the
 //! chip as completed by the trusted BEOL facility; PPA is measured here).
+//!
+//! The overhead is charged against the original netlist's unprotected
+//! layout, which is an input of [`protect_with`]: a caller that also
+//! needs that layout (the "Original" rows) builds it once and passes
+//! it in; [`protect`] builds it itself.
 
 use crate::correction::{embed_correction_cells, CorrectionCell};
 use crate::ppa::{evaluate, PpaOverhead, PpaReport};
@@ -126,8 +131,12 @@ impl ProtectedDesign {
 }
 
 /// Runs the full protection flow on `netlist` with the process-global
-/// thread budget. See [`protect_with`] to run inside an explicit
-/// [`sm_exec::Budget`] (e.g. a campaign job's sub-budget).
+/// thread budget: places and routes the unprotected baseline
+/// ([`original_layout`](crate::baselines::original_layout) at
+/// [`FlowConfig::utilization`] and [`FlowConfig::seed`]), then runs
+/// [`protect_with`] against it. Callers that already hold that layout
+/// (the campaign engine's bundles) call [`protect_with`] directly and
+/// skip the second place and route.
 ///
 /// Deterministic per [`FlowConfig::seed`]. The budget loop drops half of
 /// the committed swaps per round while the power/delay overhead exceeds
@@ -138,24 +147,36 @@ impl ProtectedDesign {
 ///
 /// Panics if the netlist is empty.
 pub fn protect(netlist: &Netlist, config: &FlowConfig) -> ProtectedDesign {
+    let baseline = crate::baselines::original_layout(netlist, config.utilization, config.seed);
     protect_with(
         netlist,
         config,
+        &baseline,
         &sm_exec::Budget::default(),
         &mut sm_exec::phase::Recorder::new(),
     )
 }
 
-/// [`protect`], with the flow's parallel inner work (bisection anchor
-/// sweeps during placement) confined to `exec`. The budget changes
-/// wall-clock only: the produced design is bit-identical across thread
-/// counts.
+/// The protection flow against a prebuilt unprotected `baseline`, with
+/// the flow's parallel inner work (bisection anchor sweeps during
+/// placement) confined to `exec`. The budget changes wall-clock only:
+/// the produced design is bit-identical across thread counts.
 ///
-/// Placement phase spans go to `rec`: `protect-place` (total placement
-/// wall-clock across every build the budget loop runs) and
-/// `protect-place-fm` (the slice of it spent in FM refinement).
-/// Recording is side-band observability — pass a fresh
-/// [`Recorder`](sm_exec::phase::Recorder) to discard it.
+/// `baseline` must be the original netlist's layout as
+/// [`original_layout`](crate::baselines::original_layout) builds it at
+/// [`FlowConfig::utilization`] and [`FlowConfig::seed`] (or its decoded
+/// copy): the flow takes the die outline, and the placement, routing
+/// and PPA its overhead is charged against, from it, and stores a copy
+/// in [`ProtectedDesign::baseline`]. Given that layout, the result is
+/// byte-identical to [`protect`]. Debug builds assert that its
+/// floorplan is the one `config.utilization` yields.
+///
+/// Phase spans go to `rec`: `protect-place` (total placement wall-clock
+/// across every build the budget loop runs), `protect-place-fm` (the
+/// slice of it spent in FM refinement) and `protect-randomize` (the
+/// swap search with its OER checks). Recording is side-band
+/// observability — pass a fresh [`Recorder`](sm_exec::phase::Recorder)
+/// to discard it.
 ///
 /// If `exec`'s token fires mid-flow, the build aborts at the next
 /// result-neutral checkpoint (between FM passes, between bisection
@@ -166,11 +187,12 @@ pub fn protect(netlist: &Netlist, config: &FlowConfig) -> ProtectedDesign {
 pub fn protect_with(
     netlist: &Netlist,
     config: &FlowConfig,
+    baseline: &BaselineLayout,
     exec: &sm_exec::Budget,
     rec: &mut sm_exec::phase::Recorder,
 ) -> ProtectedDesign {
     let meter = sm_layout::PlaceMeter::shared();
-    let out = protect_impl(netlist, config, exec, &meter);
+    let out = protect_impl(netlist, config, baseline, exec, &meter, rec);
     drain_place_spans(&meter, rec, "protect-place", "protect-place-fm");
     out
 }
@@ -191,8 +213,10 @@ pub(crate) fn drain_place_spans(
 fn protect_impl(
     netlist: &Netlist,
     config: &FlowConfig,
+    baseline: &BaselineLayout,
     exec: &sm_exec::Budget,
     meter: &std::sync::Arc<sm_layout::PlaceMeter>,
+    rec: &mut sm_exec::phase::Recorder,
 ) -> ProtectedDesign {
     let tech = Technology::nangate45_10lm();
     let engine = PlacementEngine::new(config.seed)
@@ -200,30 +224,18 @@ fn protect_impl(
         .with_meter(meter.clone());
     let router = Router::new(&tech);
 
-    // Unprotected baseline (also fixes the shared die outline).
-    let fp = Floorplan::for_netlist(netlist, &tech, config.utilization);
-    let base_pl = engine
-        .try_place(netlist, &fp)
-        .unwrap_or_else(|| sm_exec::abort_cancelled());
-    let base_rt = router
-        .try_route(
-            netlist,
-            &base_pl,
-            &fp,
-            &RouteOptions::default(),
-            exec.cancel_token(),
-        )
-        .unwrap_or_else(|| sm_exec::abort_cancelled());
-    let base_ppa = evaluate(netlist, &base_rt, &fp, &tech, config.seed);
-    let baseline = BaselineLayout {
-        floorplan: fp.clone(),
-        placement: base_pl,
-        routing: base_rt,
-        ppa: base_ppa,
-    };
+    // The baseline fixes the shared die outline.
+    let fp = &baseline.floorplan;
+    debug_assert_eq!(
+        *fp,
+        Floorplan::for_netlist(netlist, &tech, config.utilization),
+        "baseline was laid out at a different utilization"
+    );
 
     // Randomize once at full strength; the budget loop trims the swap log.
-    let full = randomize(netlist, &config.randomize);
+    let full = rec.time("protect-randomize", || {
+        randomize(netlist, &config.randomize)
+    });
     let mut keep = full.swaps.len();
     let mut rounds = 0;
     loop {
@@ -231,7 +243,7 @@ fn protect_impl(
         let design = build_layout(
             config,
             &tech,
-            &fp,
+            fp,
             &engine,
             &router,
             randomization,
@@ -425,5 +437,82 @@ mod tests {
             a.feol_routing.via_counts().total(),
             b.feol_routing.via_counts().total()
         );
+    }
+}
+
+#[cfg(test)]
+mod pins {
+    //! Byte pins of the protection flow and naive lifting on generated
+    //! ISCAS designs: the designs must not move a byte whether a flow
+    //! lays the original netlist out itself or takes that layout from
+    //! its caller.
+
+    use super::*;
+    use crate::baselines::{naive_lifting, original_layout};
+    use sm_benchgen::iscas::{self, IscasProfile};
+    use sm_codec::{encode_to_vec, frame::fnv1a};
+
+    /// `(design, seed, fnv1a(protect), fnv1a(naive_lifting))`.
+    const PINS: [(&str, u64, u64, u64); 4] = [
+        ("c432", 1, 0x2151bdae9633803c, 0x3d54378d85f065de),
+        ("c432", 2, 0xb48ee3703857d08e, 0xf0f0ca8996b889bb),
+        ("c880", 1, 0x57d773ec903e3c42, 0xc1c0020d1e9dcfa5),
+        ("c880", 2, 0xcaa51b2bf1084517, 0x009691bf9277900f),
+    ];
+
+    fn design(name: &str, seed: u64) -> Netlist {
+        let profile = match name {
+            "c432" => IscasProfile::c432(),
+            _ => IscasProfile::c880(),
+        };
+        iscas::generate(&profile, seed)
+    }
+
+    #[test]
+    fn protect_and_naive_lifting_bytes_are_pinned() {
+        for (name, seed, protect_fnv, lift_fnv) in PINS {
+            let n = design(name, seed);
+            let cfg = FlowConfig::iscas_default(seed);
+            let p = protect(&n, &cfg);
+            let lifted = naive_lifting(
+                &n,
+                &p.protected_nets(),
+                cfg.lift_layer,
+                cfg.utilization,
+                seed,
+            );
+            assert_eq!(fnv1a(&encode_to_vec(&p)), protect_fnv, "{name} seed {seed}");
+            assert_eq!(
+                fnv1a(&encode_to_vec(&lifted)),
+                lift_fnv,
+                "{name} seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn protect_with_a_prebuilt_baseline_equals_protect() {
+        for (name, seed, _, _) in PINS {
+            let n = design(name, seed);
+            let cfg = FlowConfig::iscas_default(seed);
+            let baseline = original_layout(&n, cfg.utilization, cfg.seed);
+            let mut rec = sm_exec::phase::Recorder::new();
+            let p = protect_with(&n, &cfg, &baseline, &sm_exec::Budget::default(), &mut rec);
+            assert_eq!(
+                encode_to_vec(&p),
+                encode_to_vec(&protect(&n, &cfg)),
+                "{name} seed {seed}"
+            );
+            assert_eq!(
+                encode_to_vec(&p.baseline),
+                encode_to_vec(&baseline),
+                "{name} seed {seed}"
+            );
+            let names: Vec<&str> = rec.spans().iter().map(|&(n, _)| n).collect();
+            assert_eq!(
+                names,
+                ["protect-randomize", "protect-place", "protect-place-fm"]
+            );
+        }
     }
 }

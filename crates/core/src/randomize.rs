@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sm_netlist::graph::TopoOrder;
 use sm_netlist::{Driver, NetId, Netlist, Sink};
-use sm_sim::PatternSource;
+use sm_sim::{GoldenResponse, PatternSource};
 use std::collections::BTreeSet;
 
 /// One committed connectivity swap.
@@ -129,6 +129,9 @@ pub fn randomize(netlist: &Netlist, config: &RandomizeConfig) -> Randomization {
         TopoOrder::new(netlist.clone()).expect("netlists are acyclic by construction");
     let mut swaps: Vec<SwapRecord> = Vec::new();
     let patterns = PatternSource::random(netlist, config.patterns, &mut rng);
+    // The original netlist never changes: simulate it once, then score
+    // each round's erroneous netlist against its stored responses.
+    let golden = GoldenResponse::new(netlist, &patterns);
 
     let eligible: Vec<NetId> = netlist
         .nets()
@@ -157,7 +160,8 @@ pub fn randomize(netlist: &Netlist, config: &RandomizeConfig) -> Randomization {
                     }
                 }
             }
-            let m = sm_sim::security_metrics(netlist, erroneous.netlist(), &patterns)
+            let m = golden
+                .score(erroneous.netlist())
                 .expect("same interface by construction");
             oer = m.oer;
             hd = m.hd;

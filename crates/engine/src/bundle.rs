@@ -78,11 +78,10 @@ impl SuperblueRun {
     /// Builds the three layouts for `profile` at the given scale, with
     /// the process-global thread budget and no store.
     ///
-    /// The protected flow and the unprotected baseline share no state
-    /// (each seeds its own RNG), so they build concurrently via
-    /// [`Budget::join`] — a deterministic parallel bundle build: the
-    /// schedule varies, the layouts are bit-identical to a sequential
-    /// build. Naive lifting needs the protected-net set and runs after.
+    /// The original layout builds first: the protection flow charges
+    /// its PPA against it, and naive lifting re-routes its placement
+    /// with the protected-net set lifted, so the original netlist is
+    /// placed and routed once per bundle.
     pub fn build(profile: &SuperblueProfile, scale: usize, seed: u64) -> SuperblueRun {
         let exec = Budget::default();
         Self::assemble_with(profile, scale, seed, &exec, &BuildAll, &mut Recorder::new()).0
@@ -93,14 +92,16 @@ impl SuperblueRun {
     /// independently, so a store missing only one stage rebuilds only
     /// that stage. Returns the run plus whether *any* stage was built.
     ///
-    /// The protected-net set is recomputed from the protected design
-    /// (it is derived data, not a persisted stage).
+    /// Stages chain netlist → place+route → protect → lift, each in the
+    /// whole of `exec`: the protect and lift builders take the
+    /// place+route stage's layout (built or decoded — the codecs round
+    /// trip bit-identically) instead of laying the original netlist out
+    /// again. The protected-net set is recomputed from the protected
+    /// design (it is derived data, not a persisted stage).
     ///
-    /// Stages that build record their placement phase spans into `rec`
-    /// (fetched stages record nothing — no placement ran). The two
-    /// concurrent arms record into private recorders merged in a fixed
-    /// order (protect, then original), so the span stream is
-    /// deterministic regardless of which arm finishes first.
+    /// Stages that build record their phase spans into `rec`, in stage
+    /// order (`original-place*`, then `protect-*`); fetched stages
+    /// record nothing, and the lift stage places nothing.
     pub fn assemble_with(
         profile: &SuperblueProfile,
         scale: usize,
@@ -123,36 +124,21 @@ impl SuperblueRun {
             utilization: util,
             ..FlowConfig::superblue_default(seed)
         };
-        // Each arm runs placement inside its half of the job's budget.
-        let arm = exec.split(2);
-        let ((protected, p_built, p_rec), (original, o_built, o_rec)) = exec.join(
-            || {
-                let mut r = Recorder::new();
-                let (v, built) = source.fetch_stage(Stage::Protect, &id, || {
-                    protect_with(&netlist, &config, &arm, &mut r)
-                });
-                (v, built, r)
-            },
-            || {
-                let mut r = Recorder::new();
-                let (v, built) = source.fetch_stage(Stage::Layout, &id, || {
-                    original_layout_with(&netlist, util, seed, &arm, &mut r)
-                });
-                (v, built, r)
-            },
-        );
-        rec.extend(p_rec);
-        rec.extend(o_rec);
+        let (original, o_built) = source.fetch_stage(Stage::Layout, &id, || {
+            original_layout_with(&netlist, util, seed, exec, rec)
+        });
+        let (protected, p_built) = source.fetch_stage(Stage::Protect, &id, || {
+            protect_with(&netlist, &config, &original, exec, rec)
+        });
         let protected_nets = protected.protected_nets();
         let (lifted, l_built) = source.fetch_stage(Stage::Lift, &id, || {
             naive_lifting_with(
                 &netlist,
+                &original,
                 &protected_nets,
                 config.lift_layer,
-                util,
                 seed,
                 exec,
-                rec,
             )
         });
         (
@@ -164,7 +150,7 @@ impl SuperblueRun {
                 protected,
                 protected_nets,
             },
-            n_built || p_built || o_built || l_built,
+            n_built || o_built || p_built || l_built,
         )
     }
 }
@@ -185,17 +171,16 @@ pub struct IscasRun {
 impl IscasRun {
     /// Builds the layouts for `profile` with the process-global thread
     /// budget and no store. As with [`SuperblueRun::build`], the
-    /// protected flow and the unprotected baseline are independent and
-    /// build concurrently with bit-identical results.
+    /// original layout builds first and the protection flow reuses it.
     pub fn build(profile: &IscasProfile, seed: u64) -> IscasRun {
         let exec = Budget::default();
         Self::assemble_with(profile, seed, &exec, &BuildAll, &mut Recorder::new()).0
     }
 
     /// Assembles the bundle stage by stage through `source` (see
-    /// [`SuperblueRun::assemble_with`], including the phase-span
-    /// recording contract). Returns the run plus whether any stage was
-    /// built.
+    /// [`SuperblueRun::assemble_with`], including the stage chain and
+    /// the phase-span recording contract). Returns the run plus whether
+    /// any stage was built.
     pub fn assemble_with(
         profile: &IscasProfile,
         seed: u64,
@@ -211,25 +196,12 @@ impl IscasRun {
         let (netlist, n_built) =
             source.fetch_stage(Stage::Netlist, &id, || iscas::generate(profile, seed));
         let config = FlowConfig::iscas_default(seed);
-        let arm = exec.split(2);
-        let ((protected, p_built, p_rec), (original, o_built, o_rec)) = exec.join(
-            || {
-                let mut r = Recorder::new();
-                let (v, built) = source.fetch_stage(Stage::Protect, &id, || {
-                    protect_with(&netlist, &config, &arm, &mut r)
-                });
-                (v, built, r)
-            },
-            || {
-                let mut r = Recorder::new();
-                let (v, built) = source.fetch_stage(Stage::Layout, &id, || {
-                    original_layout_with(&netlist, config.utilization, seed, &arm, &mut r)
-                });
-                (v, built, r)
-            },
-        );
-        rec.extend(p_rec);
-        rec.extend(o_rec);
+        let (original, o_built) = source.fetch_stage(Stage::Layout, &id, || {
+            original_layout_with(&netlist, config.utilization, seed, exec, rec)
+        });
+        let (protected, p_built) = source.fetch_stage(Stage::Protect, &id, || {
+            protect_with(&netlist, &config, &original, exec, rec)
+        });
         (
             IscasRun {
                 name: profile.name,
@@ -237,7 +209,7 @@ impl IscasRun {
                 original,
                 protected,
             },
-            n_built || p_built || o_built,
+            n_built || o_built || p_built,
         )
     }
 }

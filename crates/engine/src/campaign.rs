@@ -201,8 +201,8 @@ pub struct JobOutcome {
     pub wall: Duration,
     /// Per-phase wall-clock spans in milliseconds, in execution order
     /// (`store`/`bundle`/`split`/`attack-*`/…). A job that builds its
-    /// bundle additionally carries the build's placement spans
-    /// (`protect-place`, `protect-place-fm`, `original-place`, … — the
+    /// bundle additionally carries the build's spans (`original-place`,
+    /// `protect-randomize`, `protect-place`, `protect-place-fm`, … — the
     /// FM slice shows where place time goes). Diagnostics only — they
     /// surface under [`ReportOptions::include_timings`] and in journal
     /// provenance, never in canonical reports; empty for outcomes

@@ -140,7 +140,8 @@ fn journal_records_full_campaign_lifecycle() {
     // The building job of each bundle carries the build's placement
     // spans (cache hits carry none — no placement ran for them), so
     // provenance shows where place time went: total placement and its
-    // FM-refinement slice, per build stage.
+    // FM-refinement slice, per build stage, plus the protect stage's
+    // randomization.
     let tracing_jobs = finished
         .iter()
         .filter(|(_, _, prov)| prov.phases.iter().any(|(n, _)| n == "protect-place"))
@@ -149,6 +150,14 @@ fn journal_records_full_campaign_lifecycle() {
         tracing_jobs as u64, campaign.cache.builds,
         "exactly the building jobs must carry placement spans"
     );
+    for (job, _, prov) in &finished {
+        let names: Vec<&str> = prov.phases.iter().map(|(n, _)| n.as_str()).collect();
+        if names.contains(&"protect-place") {
+            for span in ["original-place", "protect-randomize", "protect-place-fm"] {
+                assert!(names.contains(&span), "{} lacks {span}", job.label());
+            }
+        }
+    }
     for (job, _, prov) in &finished {
         for stage in ["protect", "original"] {
             let span = |suffix: &str| {
@@ -173,6 +182,50 @@ fn journal_records_full_campaign_lifecycle() {
             }
         }
     }
+}
+
+/// Naive lifting re-routes the original layout's placement, so a
+/// building superblue job journals the original and protect stages'
+/// spans but no lift placement.
+#[test]
+fn superblue_building_jobs_carry_no_lift_placement() {
+    let scratch = Scratch::new("superblue-spans");
+    let spec = SweepSpec {
+        benchmarks: vec!["superblue18".into()],
+        seeds: vec![1],
+        split_layers: vec![4],
+        attacks: vec![AttackKind::Crouting],
+        scale: 1000,
+        master_seed: 1,
+        layout_seed: None,
+    };
+    let journal = Arc::new(Journal::for_spec(scratch.path(), &spec));
+    let cache = ArtifactCache::new().with_journal(Arc::clone(&journal));
+    let campaign = run_sweep_budgeted(&spec, &Budget::with_threads(Some(2)), &cache, None).unwrap();
+    assert_eq!(campaign.cache.builds, 1);
+    let phases: Vec<String> = read_events(journal.path())
+        .unwrap()
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::JobFinished { provenance, .. } => Some(provenance.phases),
+            _ => None,
+        })
+        .flatten()
+        .map(|(name, _)| name)
+        .collect();
+    for span in [
+        "original-place",
+        "original-place-fm",
+        "protect-randomize",
+        "protect-place",
+        "protect-place-fm",
+    ] {
+        assert!(phases.iter().any(|n| n == span), "no {span} span");
+    }
+    assert!(
+        !phases.iter().any(|n| n.starts_with("lift-")),
+        "naive lifting placed: {phases:?}"
+    );
 }
 
 /// The tentpole guarantee: `materialize(journal)` renders byte-identical

@@ -116,6 +116,63 @@ fn warm_store_second_run_builds_nothing_and_matches_bytes() {
     assert_eq!(cold.aggregates_to_csv(), warm.aggregates_to_csv());
 }
 
+/// The frames of one stage directory with their bytes, sorted by name.
+fn stage_frames(dir: &Path, stage: Stage) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut frames: Vec<_> = fs::read_dir(dir.join(stage.dir()))
+        .map(|entries| {
+            entries
+                .flatten()
+                .map(|e| (e.path(), fs::read(e.path()).unwrap()))
+                .collect()
+        })
+        .unwrap_or_default();
+    frames.sort();
+    frames
+}
+
+/// The protect and lift stages build over the place+route stage's
+/// layout, so a store that lost them (and the job outcomes) rebuilds
+/// both over the *decoded* layout: no place+route runs, and the
+/// rebuilt frames and the report equal the cold run's byte for byte.
+#[test]
+fn protect_and_lift_rebuild_over_a_decoded_layout() {
+    let scratch = Scratch::new("relayout");
+    let spec = SweepSpec {
+        benchmarks: vec!["c432".into(), "superblue18".into()],
+        seeds: vec![1],
+        split_layers: vec![4],
+        attacks: vec![AttackKind::NetworkFlow, AttackKind::Crouting],
+        scale: 1000,
+        master_seed: 1,
+        layout_seed: None,
+    };
+    let exec = Budget::with_threads(Some(2));
+    let cold_cache = ArtifactCache::with_store(store_at(scratch.path()));
+    let cold = run_sweep_budgeted(&spec, &exec, &cold_cache, None).unwrap();
+    let protected = stage_frames(scratch.path(), Stage::Protect);
+    let lifted = stage_frames(scratch.path(), Stage::Lift);
+    assert_eq!((protected.len(), lifted.len()), (2, 1));
+    for stage in [Stage::Protect, Stage::Lift, Stage::Outcome] {
+        fs::remove_dir_all(scratch.path().join(stage.dir())).unwrap();
+    }
+
+    let cache = ArtifactCache::with_store(store_at(scratch.path()));
+    let rebuilt = run_sweep_budgeted(&spec, &exec, &cache, None).unwrap();
+    let stages = rebuilt.stages;
+    assert_eq!(stages.builds_of(Stage::Layout), 0, "no place+route reruns");
+    assert_eq!(stages.decodes_of(Stage::Layout), 2);
+    assert_eq!(stages.builds_of(Stage::Protect), 2);
+    assert_eq!(stages.builds_of(Stage::Lift), 1);
+    let opts = ReportOptions::default();
+    assert_eq!(
+        cold.to_json(opts).render(),
+        rebuilt.to_json(opts).render(),
+        "canonical JSON must be byte-identical"
+    );
+    assert_eq!(stage_frames(scratch.path(), Stage::Protect), protected);
+    assert_eq!(stage_frames(scratch.path(), Stage::Lift), lifted);
+}
+
 /// Corrupted or truncated store files — now LZ-compressed frames — are
 /// misses that trigger a clean rebuild (and get overwritten), never a
 /// panic or a misparse.

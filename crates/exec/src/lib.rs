@@ -899,10 +899,8 @@ impl Budget {
     /// on an idle pool worker (or inline, if the budget is serial or no
     /// worker picks it up in time) — and returns both results. The tasks
     /// must not share mutable state, so the result — unlike the schedule
-    /// — is deterministic. This is what lets a bundle build its
-    /// independent layouts (protected flow and unprotected baseline)
-    /// concurrently with bit-identical output, **inside** the owning
-    /// job's budget.
+    /// — is deterministic: two independent builds run concurrently with
+    /// bit-identical output, **inside** the owning job's budget.
     ///
     /// # Panics
     ///

@@ -46,13 +46,6 @@ impl Recorder {
         self.spans.push((name, ms));
     }
 
-    /// Appends every span of `other` after this recorder's own — the
-    /// deterministic merge used when concurrent build arms record into
-    /// private recorders.
-    pub fn extend(&mut self, other: Recorder) {
-        self.spans.extend(other.spans);
-    }
-
     /// The spans recorded so far, in recording order.
     pub fn spans(&self) -> &[(&'static str, f64)] {
         &self.spans

@@ -34,7 +34,7 @@
 //! fully-refined positions, so sibling-level parallelism would change
 //! (not just reorder) the placement. The deterministic parallelism here
 //! is confined to the data-parallel anchor sweep and, one level up, to
-//! building a bundle's independent layouts concurrently.
+//! building independent bundles concurrently.
 
 use crate::fm;
 use crate::geom::{Point, Rect};

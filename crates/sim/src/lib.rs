@@ -13,6 +13,8 @@
 //!   [`equiv`].
 //!
 //! Simulation is 64-way bit-parallel: each `u64` word carries 64 patterns.
+//! A [`GoldenResponse`] simulates the golden netlist once per pattern
+//! batch, so scoring many candidates against it simulates only them.
 //!
 //! # Example
 //!
@@ -42,6 +44,8 @@ mod simulator;
 pub mod equiv;
 pub mod sat;
 
-pub use metrics::{hamming_distance, oer, security_metrics, MetricsError, SecurityMetrics};
+pub use metrics::{
+    hamming_distance, oer, security_metrics, GoldenResponse, MetricsError, SecurityMetrics,
+};
 pub use patterns::PatternSource;
 pub use simulator::{ActivityProfile, Simulator};

@@ -45,20 +45,28 @@ impl fmt::Display for SecurityMetrics {
 }
 
 fn check_interfaces(golden: &Netlist, candidate: &Netlist) -> Result<(), MetricsError> {
-    if golden.input_ports().len() != candidate.input_ports().len() {
+    check_ports(
+        golden.input_ports().len(),
+        golden.output_ports().len(),
+        candidate,
+    )
+}
+
+fn check_ports(inputs: usize, outputs: usize, candidate: &Netlist) -> Result<(), MetricsError> {
+    if inputs != candidate.input_ports().len() {
         return Err(MetricsError {
             detail: format!(
                 "{} vs {} primary inputs",
-                golden.input_ports().len(),
+                inputs,
                 candidate.input_ports().len()
             ),
         });
     }
-    if golden.output_ports().len() != candidate.output_ports().len() {
+    if outputs != candidate.output_ports().len() {
         return Err(MetricsError {
             detail: format!(
                 "{} vs {} primary outputs",
-                golden.output_ports().len(),
+                outputs,
                 candidate.output_ports().len()
             ),
         });
@@ -66,43 +74,90 @@ fn check_interfaces(golden: &Netlist, candidate: &Netlist) -> Result<(), Metrics
     Ok(())
 }
 
+/// The golden netlist's output words over one pattern batch, simulated
+/// once. [`GoldenResponse::score`] simulates only the candidate and
+/// compares it against the stored words, so scoring a sequence of
+/// candidates against one golden design (the randomizer's OER check
+/// after every swap round) pays for the golden simulation once.
+#[derive(Debug, Clone)]
+pub struct GoldenResponse<'p> {
+    patterns: &'p PatternSource,
+    num_inputs: usize,
+    num_outputs: usize,
+    /// One entry per pattern word: the word of every primary output.
+    outputs: Vec<Vec<u64>>,
+}
+
+impl<'p> GoldenResponse<'p> {
+    /// Simulates `golden` over every word of `patterns`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `patterns` was drawn for a different number of primary
+    /// inputs than `golden` has.
+    pub fn new(golden: &Netlist, patterns: &'p PatternSource) -> Self {
+        let mut sim = Simulator::new(golden);
+        let outputs = patterns
+            .iter_words()
+            .map(|(inputs, _)| sim.run_word(inputs))
+            .collect();
+        GoldenResponse {
+            patterns,
+            num_inputs: golden.input_ports().len(),
+            num_outputs: golden.output_ports().len(),
+            outputs,
+        }
+    }
+
+    /// Computes OER and HD of `candidate` against the stored golden
+    /// responses in one pass. Ports are matched by position, as both
+    /// netlists in this workflow always derive from the same source
+    /// design.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MetricsError`] when `candidate`'s port counts differ
+    /// from the golden netlist's.
+    pub fn score(&self, candidate: &Netlist) -> Result<SecurityMetrics, MetricsError> {
+        check_ports(self.num_inputs, self.num_outputs, candidate)?;
+        let mut sim = Simulator::new(candidate);
+        let mut err_patterns = 0u64;
+        let mut err_bits = 0u64;
+        for ((inputs, mask), og) in self.patterns.iter_words().zip(&self.outputs) {
+            let oc = sim.run_word(inputs);
+            let mut any_err = 0u64;
+            for (wg, wc) in og.iter().zip(&oc) {
+                let diff = (wg ^ wc) & mask;
+                err_bits += diff.count_ones() as u64;
+                any_err |= diff;
+            }
+            err_patterns += any_err.count_ones() as u64;
+        }
+        let n = self.patterns.len() as f64;
+        Ok(SecurityMetrics {
+            oer: err_patterns as f64 / n,
+            hd: err_bits as f64 / (n * self.num_outputs as f64),
+            patterns: self.patterns.len(),
+        })
+    }
+}
+
 /// Computes OER and HD of `candidate` against `golden` over `patterns` in
-/// one pass.
-///
-/// Ports are matched by position, as both netlists in this workflow always
-/// derive from the same source design.
+/// one pass: the one-shot form of [`GoldenResponse::score`]. Build a
+/// [`GoldenResponse`] instead when scoring several candidates against
+/// one golden netlist.
 ///
 /// # Errors
 ///
-/// Returns [`MetricsError`] when port counts differ.
+/// Returns [`MetricsError`] when port counts differ (checked before
+/// anything is simulated).
 pub fn security_metrics(
     golden: &Netlist,
     candidate: &Netlist,
     patterns: &PatternSource,
 ) -> Result<SecurityMetrics, MetricsError> {
     check_interfaces(golden, candidate)?;
-    let mut sim_g = Simulator::new(golden);
-    let mut sim_c = Simulator::new(candidate);
-    let num_outputs = golden.output_ports().len();
-    let mut err_patterns = 0u64;
-    let mut err_bits = 0u64;
-    for (inputs, mask) in patterns.iter_words() {
-        let og = sim_g.run_word(inputs);
-        let oc = sim_c.run_word(inputs);
-        let mut any_err = 0u64;
-        for (wg, wc) in og.iter().zip(&oc) {
-            let diff = (wg ^ wc) & mask;
-            err_bits += diff.count_ones() as u64;
-            any_err |= diff;
-        }
-        err_patterns += any_err.count_ones() as u64;
-    }
-    let n = patterns.len() as f64;
-    Ok(SecurityMetrics {
-        oer: err_patterns as f64 / n,
-        hd: err_bits as f64 / (n * num_outputs as f64),
-        patterns: patterns.len(),
-    })
+    GoldenResponse::new(golden, patterns).score(candidate)
 }
 
 /// Output error rate of `candidate` vs `golden`. See [`security_metrics`].
@@ -221,5 +276,103 @@ mod tests {
         let s = m.to_string();
         assert!(s.contains("99.9%"));
         assert!(s.contains("40.4%"));
+    }
+}
+
+#[cfg(test)]
+mod golden_differential {
+    //! Pins [`GoldenResponse`] scoring to the two-simulator reference on
+    //! generated ISCAS designs: one golden response per case scores every
+    //! prefix of a random swap log, as the randomizer scores its rounds.
+
+    use super::*;
+    use proptest::prelude::*;
+    use sm_netlist::graph::TopoOrder;
+    use sm_netlist::{NetId, Sink};
+
+    /// The scoring loop as it stood before golden responses were stored:
+    /// golden and candidate simulated side by side, word by word.
+    fn reference(golden: &Netlist, candidate: &Netlist, patterns: &PatternSource) -> (u64, u64) {
+        let mut sim_g = Simulator::new(golden);
+        let mut sim_c = Simulator::new(candidate);
+        let (mut err_patterns, mut err_bits) = (0u64, 0u64);
+        for (inputs, mask) in patterns.iter_words() {
+            let (og, oc) = (sim_g.run_word(inputs), sim_c.run_word(inputs));
+            let mut any_err = 0u64;
+            for (wg, wc) in og.iter().zip(&oc) {
+                err_bits += ((wg ^ wc) & mask).count_ones() as u64;
+                any_err |= (wg ^ wc) & mask;
+            }
+            err_patterns += any_err.count_ones() as u64;
+        }
+        (err_patterns, err_bits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn golden_response_matches_security_metrics(
+            c880 in any::<bool>(),
+            seed in 1u64..4,
+            num_patterns in 1usize..300,
+            swaps in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..40),
+        ) {
+            use rand::SeedableRng;
+            let profile = if c880 {
+                sm_benchgen::iscas::IscasProfile::c880()
+            } else {
+                sm_benchgen::iscas::IscasProfile::c432()
+            };
+            let golden = sm_benchgen::iscas::generate(&profile, seed);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ num_patterns as u64);
+            let patterns = PatternSource::random(&golden, num_patterns, &mut rng);
+            let response = GoldenResponse::new(&golden, &patterns);
+            let mut order = TopoOrder::new(golden.clone()).unwrap();
+            let nets = golden.num_nets() as u64;
+            for (from, pick, to) in swaps {
+                let from = NetId::new((from % nets) as usize);
+                let to = NetId::new((to % nets) as usize);
+                let sinks = order.netlist().net(from).sinks();
+                if from == to || sinks.is_empty() {
+                    continue;
+                }
+                let sink = sinks[(pick % sinks.len() as u64) as usize];
+                if let Sink::Cell { cell, .. } = sink {
+                    if order.would_create_cycle(to, cell) {
+                        continue;
+                    }
+                }
+                order.move_sink(from, sink, to).unwrap();
+                let candidate = order.netlist();
+                let stored = response.score(candidate).unwrap();
+                prop_assert_eq!(stored, security_metrics(&golden, candidate, &patterns).unwrap());
+                let (err_patterns, err_bits) = reference(&golden, candidate, &patterns);
+                let n = num_patterns as f64;
+                prop_assert_eq!(stored.oer, err_patterns as f64 / n);
+                let bits = n * golden.output_ports().len() as f64;
+                prop_assert_eq!(stored.hd, err_bits as f64 / bits);
+                prop_assert_eq!(stored.patterns, num_patterns);
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_ports_are_rejected_by_stored_responses() {
+        let lib = sm_netlist::Library::nangate45();
+        let golden = sm_benchgen::iscas::generate(&sm_benchgen::iscas::IscasProfile::c432(), 1);
+        let other =
+            sm_netlist::parse::bench::parse_bench("c17", sm_netlist::parse::bench::C17_BENCH, &lib)
+                .unwrap();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        let patterns = PatternSource::random(&golden, 100, &mut rng);
+        let response = GoldenResponse::new(&golden, &patterns);
+        assert!(response.score(&other).is_err());
+        assert!(security_metrics(&golden, &other, &patterns).is_err());
+        // The error names the mismatch, whichever form reported it.
+        assert_eq!(
+            response.score(&other).unwrap_err(),
+            security_metrics(&golden, &other, &patterns).unwrap_err()
+        );
     }
 }
