@@ -39,9 +39,27 @@
 //!    scaling engine solves the same instance in seconds.
 //!
 //! The pinned engine behind [`MinCostFlow::run`] is successive shortest
-//! paths: Dijkstra on reduced costs with Johnson potentials, over an
-//! indexed 4-ary heap with decrease-key ordered by `(dist, node)`, and
-//! reset per round through the list of nodes the round reached.
+//! paths: one Dijkstra on reduced costs with Johnson potentials per
+//! augmentation, reset per round through the list of nodes the round
+//! reached. On the attack's instances nearly every reached node ends a
+//! round at reduced distance 0: on c1355, c1908 and c3540 at M3–M4, both
+//! arms, a round reaches all of the instance's 1 000–5 900 nodes, and
+//! only 14–20 of them on average end at a positive distance. So each
+//! round's Dijkstra runs in two phases:
+//!
+//! 1. **Zero phase.** The source, and every node relaxed to distance 0,
+//!    is queued in a two-level bitset (`ZeroBucket`) that pops its lowest
+//!    id first. A node relaxed to a positive distance only records its
+//!    distance and arc.
+//! 2. **Positive phase.** When the bucket drains, the reached nodes not
+//!    yet settled, all at positive distance, go into an indexed 4-ary
+//!    heap with decrease-key ordered by `(dist, node)`, which settles the
+//!    rest of the round.
+//!
+//! The zero phase queues and pops a node with a few word operations
+//! (plus a scan of one summary word per 4 096 nodes) instead of an
+//! O(log n) heap sift, and the deferred heap holds only the few positive
+//! keys.
 //!
 //! Every data structure is index-ordered (flat vectors, FIFO discharge,
 //! lowest-arc-id-first scans — no hash-map iteration anywhere), so the
@@ -75,12 +93,22 @@
 //!   reach: each round's potentials add that round's distances, and the
 //!   set of nodes reachable from `s` only shrinks (an augmentation adds
 //!   reverse arcs between nodes that were already reachable). So a
-//!   settled node is never improved, a lazy binary heap of
-//!   `(dist, node)` entries settles each reached node exactly once in
-//!   increasing `(dist, node)` order, and the indexed heap — which holds
-//!   each reached, unsettled node once under that key — settles them in
-//!   the same order and relaxes their arcs in the same order. Debug
-//!   builds assert that no settled node is improved.
+//!   settled node is never improved, and the oracle's lazy binary heap
+//!   settles each reached node exactly once, always the queued node with
+//!   the smallest `(dist, node)`. That is not a global `(dist, node)`
+//!   order: equal distances pop by id only among the nodes already
+//!   queued, so a node relaxed to distance 0 settles after a higher id
+//!   that settled at 0 before it was reached. A single indexed heap,
+//!   holding each reached, unsettled node once under that key, makes the
+//!   same choice at every step. So does the two-phase queue. Keys are
+//!   distinct and non-negative, so while a node is queued at distance 0
+//!   the smallest key is the lowest such id, which the bucket pops. Once
+//!   the bucket drains, every relaxation gives `nd ≥ dist[u] > 0`, so no
+//!   zero key appears again, and the heap starts from exactly the nodes
+//!   and keys a single heap would hold at that step. The same pops relax
+//!   the same arcs in the same order under the same strict `<`, so
+//!   `prev_arc`, the potentials and the flow equal the oracle's, edge for
+//!   edge. Debug builds assert that no reduced cost is negative.
 //! * **Cost scaling.** A phase's saturation sweep runs node by node
 //!   rather than in arc-id order; its result does not depend on the
 //!   order, because a saturated arc's pair has positive reduced cost and
@@ -427,6 +455,11 @@ impl Csr {
     /// on reduced costs, then one augmentation along the shortest
     /// `s → t` path, until `max_flow` units flow or `t` is cut off.
     /// Consults `should_stop` every 64 rounds; returns `(flow, cost)`.
+    ///
+    /// Each round's Dijkstra runs in two phases (see the module docs):
+    /// nodes at reduced distance 0 settle from a [`ZeroBucket`], lowest
+    /// id first; once it drains, the reached nodes still unsettled, all
+    /// at positive distance, settle from an [`IndexedHeap`].
     fn ssp(
         &mut self,
         s: usize,
@@ -436,14 +469,8 @@ impl Csr {
     ) -> Option<(i64, i64)> {
         let n = self.nodes();
         let source = u32::try_from(s).expect("node ids fit in u32");
-        let mut potential = vec![0i64; n];
-        // Dijkstra state is reused across rounds: `reached` lists the
-        // nodes a round touched, so the reset and the potential update
-        // walk only those (unreached nodes keep `dist == MAX` and an
-        // unchanged potential).
-        let mut dist = vec![i64::MAX; n];
-        let mut prev_arc = vec![0u32; n];
-        let mut reached: Vec<u32> = Vec::with_capacity(n);
+        let mut sp = ShortestPaths::new(n);
+        let mut zero = ZeroBucket::new(n);
         let mut heap = IndexedHeap::new(n);
         let (mut total_flow, mut total_cost) = (0i64, 0i64);
         let mut rounds = 0u64;
@@ -452,54 +479,43 @@ impl Csr {
                 return None;
             }
             rounds += 1;
-            for &v in &reached {
-                dist[v as usize] = i64::MAX;
+            sp.reset();
+            sp.dist[s] = 0;
+            sp.reached.push(source);
+            zero.insert(source);
+            while let Some(u) = zero.pop() {
+                self.relax(&mut sp, u as usize, |v, nd| {
+                    if nd == 0 {
+                        zero.insert(v);
+                    }
+                });
             }
-            reached.clear();
-            dist[s] = 0;
-            reached.push(source);
-            heap.push_or_decrease(source, 0);
-            while let Some(u) = heap.pop() {
-                let u = u as usize;
-                let base = dist[u] + potential[u];
-                for a in self.arcs_of(u) {
-                    let arc = self.arcs[a];
-                    if arc.res <= 0 {
-                        continue;
-                    }
-                    let v = arc.head as usize;
-                    let nd = base + arc.cost - potential[v];
-                    if nd < dist[v] {
-                        debug_assert!(
-                            dist[v] == i64::MAX || heap.contains(arc.head),
-                            "a settled node was improved: negative reduced cost"
-                        );
-                        if dist[v] == i64::MAX {
-                            reached.push(arc.head);
-                        }
-                        dist[v] = nd;
-                        prev_arc[v] = a as u32;
-                        heap.push_or_decrease(arc.head, nd);
-                    }
+            for &v in &sp.reached {
+                let d = sp.dist[v as usize];
+                if d > 0 {
+                    heap.push_or_decrease(v, d);
                 }
             }
-            if dist[t] == i64::MAX {
+            while let Some(u) = heap.pop() {
+                self.relax(&mut sp, u as usize, |v, nd| heap.push_or_decrease(v, nd));
+            }
+            if sp.dist[t] == i64::MAX {
                 break;
             }
-            for &v in &reached {
-                potential[v as usize] += dist[v as usize];
+            for &v in &sp.reached {
+                sp.potential[v as usize] += sp.dist[v as usize];
             }
             // Bottleneck along the path, then the augmentation.
             let mut push = max_flow - total_flow;
             let mut v = t;
             while v != s {
-                let arc = self.arcs[prev_arc[v] as usize];
+                let arc = self.arcs[sp.prev_arc[v] as usize];
                 push = push.min(arc.res);
                 v = self.arcs[arc.pair as usize].head as usize;
             }
             let mut v = t;
             while v != s {
-                let a = prev_arc[v] as usize;
+                let a = sp.prev_arc[v] as usize;
                 self.push(a, push);
                 total_cost += push * self.arcs[a].cost;
                 v = self.arcs[self.arcs[a].pair as usize].head as usize;
@@ -507,6 +523,32 @@ impl Csr {
             total_flow += push;
         }
         Some((total_flow, total_cost))
+    }
+
+    /// Scans the residual arcs of the settled node `u` in CSR order and
+    /// lowers the distance of every head it strictly improves, recording
+    /// the arc and calling `improved(head, new distance)`.
+    fn relax(&self, sp: &mut ShortestPaths, u: usize, mut improved: impl FnMut(u32, i64)) {
+        let base = sp.dist[u] + sp.potential[u];
+        for a in self.arcs_of(u) {
+            let arc = self.arcs[a];
+            if arc.res <= 0 {
+                continue;
+            }
+            let v = arc.head as usize;
+            let nd = base + arc.cost - sp.potential[v];
+            // With non-negative reduced costs no settled node (all at
+            // distance ≤ dist[u]) can be improved.
+            debug_assert!(nd >= sp.dist[u], "negative reduced cost");
+            if nd < sp.dist[v] {
+                if sp.dist[v] == i64::MAX {
+                    sp.reached.push(arc.head);
+                }
+                sp.dist[v] = nd;
+                sp.prev_arc[v] = a as u32;
+                improved(arc.head, nd);
+            }
+        }
     }
 
     // ----- stage 1: flow value (Dinic) -----------------------------------
@@ -708,6 +750,80 @@ impl Refinement {
     }
 }
 
+/// Dijkstra state of the SSP engine, reused across rounds: `reached`
+/// lists the nodes a round touched, so the reset and the potential
+/// update walk only those (unreached nodes keep `dist == MAX` and an
+/// unchanged potential).
+struct ShortestPaths {
+    /// Johnson potentials, summed over the rounds.
+    potential: Vec<i64>,
+    /// This round's reduced distance from the source.
+    dist: Vec<i64>,
+    /// CSR slot of the arc each reached node was last improved through.
+    prev_arc: Vec<u32>,
+    reached: Vec<u32>,
+}
+
+impl ShortestPaths {
+    fn new(nodes: usize) -> Self {
+        ShortestPaths {
+            potential: vec![0; nodes],
+            dist: vec![i64::MAX; nodes],
+            prev_arc: vec![0; nodes],
+            reached: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// Forgets the last round's distances.
+    fn reset(&mut self) {
+        for &v in &self.reached {
+            self.dist[v as usize] = i64::MAX;
+        }
+        self.reached.clear();
+    }
+}
+
+/// A set of node ids that pops its lowest id first, as a two-level
+/// bitset: one bit per node, and one summary bit per 64-node word that
+/// is set while the word holds a node. A pop scans the summary (one word
+/// per 4096 nodes) for its first set bit, then that word; an insert sets
+/// two bits.
+#[derive(Debug)]
+struct ZeroBucket {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl ZeroBucket {
+    fn new(nodes: usize) -> Self {
+        let words = nodes.div_ceil(64);
+        ZeroBucket {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    /// Adds `v`, which must not be queued.
+    fn insert(&mut self, v: u32) {
+        let (w, bit) = (v as usize / 64, v % 64);
+        debug_assert!(self.words[w] & (1 << bit) == 0, "a node was queued twice");
+        self.words[w] |= 1 << bit;
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    /// Removes and returns the lowest queued id.
+    fn pop(&mut self) -> Option<u32> {
+        let s = self.summary.iter().position(|&bits| bits != 0)?;
+        let w = s * 64 + self.summary[s].trailing_zeros() as usize;
+        let word = self.words[w];
+        self.words[w] = word & (word - 1);
+        if self.words[w] == 0 {
+            self.summary[s] &= self.summary[s] - 1;
+        }
+        Some(w as u32 * 64 + word.trailing_zeros())
+    }
+}
+
 /// Marks a node that is not in the heap.
 const ABSENT: u32 = u32::MAX;
 
@@ -727,10 +843,6 @@ impl IndexedHeap {
             entries: Vec::new(),
             index: vec![ABSENT; nodes],
         }
-    }
-
-    fn contains(&self, v: u32) -> bool {
-        self.index[v as usize] != ABSENT
     }
 
     /// Queues `v` under `dist`, or lowers its key if it is queued.
@@ -1346,17 +1458,7 @@ mod tests {
     fn auto_dispatch_pins_small_instances_to_the_oracle_matching() {
         for seed in 0..64u64 {
             let (mut pair, s, t, demand) = bipartite_instance(seed);
-            assert!(demand <= MinCostFlow::PINNED_SSP_MAX_DEMAND);
-            let fast = pair.fast.run(s, t, demand);
-            let oracle = pair.oracle.run(s, t, demand);
-            assert_eq!(fast, oracle);
-            for &h in &pair.handles {
-                assert_eq!(
-                    pair.fast.flow_on(h),
-                    pair.oracle.flow_on(h),
-                    "pinned path must reproduce the oracle's tie-breaking"
-                );
-            }
+            pair.assert_pinned_matches_oracle(s, t, demand);
             verify(&pair.fast, s, t, demand).expect("pinned-path certificate");
         }
     }
@@ -1386,6 +1488,24 @@ mod tests {
             self.handles.push(h);
         }
 
+        /// Runs `run` (the pinned SSP path for any demand up to
+        /// [`MinCostFlow::PINNED_SSP_MAX_DEMAND`]) against the oracle and
+        /// asserts equal value, cost and flow on every edge.
+        fn assert_pinned_matches_oracle(&mut self, s: usize, t: usize, max_flow: i64) {
+            assert!(max_flow <= MinCostFlow::PINNED_SSP_MAX_DEMAND);
+            assert_eq!(
+                self.fast.run(s, t, max_flow),
+                self.oracle.run(s, t, max_flow)
+            );
+            for &h in &self.handles {
+                assert_eq!(
+                    self.fast.flow_on(h),
+                    self.oracle.flow_on(h),
+                    "pinned path must reproduce the oracle's tie choice on edge {h}"
+                );
+            }
+        }
+
         /// Runs the forced cost-scaling path against the oracle and
         /// checks value/cost equality plus both certificates. Returns
         /// `(flow, cost, matchings_equal)`.
@@ -1411,20 +1531,24 @@ mod tests {
         }
     }
 
+    /// A deterministic xorshift64* stream from `seed` (dependency-free).
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545f4914f6cdd1d)
+        }
+    }
+
     /// Deterministic bipartite driver/sink instance from a seed: the
     /// exact shape the proximity attack builds (source → drivers with
     /// capacities → sinks with unit demand → target), with costs drawn
     /// wide enough that total-cost ties (the only case where two optimal
     /// matchings exist) are not generated.
     fn bipartite_instance(seed: u64) -> (Pair, usize, usize, i64) {
-        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-        let mut next = move || {
-            // xorshift64*: deterministic, dependency-free.
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545f4914f6cdd1d)
-        };
+        let mut next = xorshift(seed);
         let drivers = 1 + (next() % 9) as usize;
         let sinks = 1 + (next() % 9) as usize;
         let nodes = 2 + drivers + sinks;
@@ -1450,15 +1574,10 @@ mod tests {
     }
 
     /// General layered instance (not the attack shape) from a seed:
-    /// longer paths, larger capacities, a flow cap below the max flow.
-    fn layered_instance(seed: u64) -> (Pair, usize, usize, i64) {
-        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545f4914f6cdd1d)
-        };
+    /// longer paths, larger capacities, a flow cap that often binds, and
+    /// costs drawn from `0..costs`.
+    fn layered_instance(seed: u64, costs: u64) -> (Pair, usize, usize, i64) {
+        let mut next = xorshift(seed);
         let layers = 2 + (next() % 4) as usize;
         let width = 1 + (next() % 4) as usize;
         let nodes = 2 + layers * width;
@@ -1470,7 +1589,7 @@ mod tests {
                 s,
                 node(0, w),
                 1 + (next() % 5) as i64,
-                (next() % 997) as i64,
+                (next() % costs) as i64,
             );
         }
         for l in 0..layers - 1 {
@@ -1481,7 +1600,7 @@ mod tests {
                             node(l, a),
                             node(l + 1, b),
                             1 + (next() % 3) as i64,
-                            (next() % 997) as i64,
+                            (next() % costs) as i64,
                         );
                     }
                 }
@@ -1492,7 +1611,7 @@ mod tests {
                 node(layers - 1, w),
                 t,
                 1 + (next() % 5) as i64,
-                (next() % 997) as i64,
+                (next() % costs) as i64,
             );
         }
         let cap = 1 + (next() % 8) as i64;
@@ -1510,13 +1629,7 @@ mod tests {
         sinks: usize,
         degree: usize,
     ) -> (Pair, usize, usize, i64) {
-        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545f4914f6cdd1d)
-        };
+        let mut next = xorshift(seed);
         let nodes = 2 + drivers + sinks;
         let (s, t) = (0usize, nodes - 1);
         let mut pair = Pair::new(nodes);
@@ -1582,6 +1695,33 @@ mod tests {
         );
     }
 
+    /// A tie-heavy instance wider than one summary word of the SSP
+    /// engine's zero-distance bucket (4 096 nodes): drivers sit below id
+    /// 4 096 and the sinks straddle it, so a round pops across summary
+    /// words and a sink's reverse arcs queue drivers below the last
+    /// popped id. `run` must still return the oracle's flow edge for
+    /// edge.
+    #[test]
+    fn wide_tie_heavy_instance_pins_the_oracle_flow() {
+        let (mut pair, s, t, demand) = tie_heavy_instance(7, 2500, 2000, 4);
+        assert!(pair.fast.num_nodes() > 4096);
+        pair.assert_pinned_matches_oracle(s, t, demand);
+    }
+
+    #[test]
+    fn zero_bucket_pops_ids_at_word_and_summary_edges() {
+        let ids = [0u32, 63, 64, 4095, 4096, 4159, 4160, 8191, 8192, 9999];
+        let mut bucket = ZeroBucket::new(10_000);
+        for &v in ids.iter().rev() {
+            bucket.insert(v);
+        }
+        for &v in &ids {
+            assert_eq!(bucket.pop(), Some(v));
+        }
+        assert_eq!(bucket.pop(), None);
+        assert_eq!(ZeroBucket::new(0).pop(), None);
+    }
+
     #[test]
     #[should_panic(expected = "negative capacities unsupported")]
     fn add_edge_rejects_negative_capacity() {
@@ -1624,7 +1764,7 @@ mod tests {
             /// `run_both`.
             #[test]
             fn differential_layered_instances_match_cost_and_value(seed in any::<u64>()) {
-                let (mut pair, s, t, cap) = layered_instance(seed);
+                let (mut pair, s, t, cap) = layered_instance(seed, 997);
                 pair.run_both(s, t, cap);
             }
         }
@@ -1645,11 +1785,65 @@ mod tests {
                 degree in 1usize..7,
             ) {
                 let (mut pair, s, t, demand) = tie_heavy_instance(seed, drivers, sinks, degree);
-                prop_assert!(demand <= MinCostFlow::PINNED_SSP_MAX_DEMAND);
-                prop_assert_eq!(pair.fast.run(s, t, demand), pair.oracle.run(s, t, demand));
-                for &h in &pair.handles {
-                    prop_assert_eq!(pair.fast.flow_on(h), pair.oracle.flow_on(h), "edge {}", h);
+                pair.assert_pinned_matches_oracle(s, t, demand);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Layered graphs drive the pinned SSP path through multi-hop
+            /// augmenting paths that cancel flow on reverse arcs, under a
+            /// flow cap that often binds: the rounds where most reached
+            /// nodes end at a positive reduced distance and settle from
+            /// the heap. `run` must return the oracle's flow edge for
+            /// edge with costs drawn wide (`0..997`: distances mostly
+            /// positive) and narrow (`0..4`: zero-reduced-cost ties
+            /// common, so both phases share each round).
+            #[test]
+            fn layered_instances_pin_the_oracle_flow(seed in any::<u64>()) {
+                for costs in [997, 4] {
+                    let (mut pair, s, t, cap) = layered_instance(seed, costs);
+                    pair.assert_pinned_matches_oracle(s, t, cap);
                 }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The SSP engine's zero-distance bucket pops exactly what an
+            /// ordered set would: the lowest queued id, after random
+            /// inserts that often land below the last popped id, over up
+            /// to five summary words (20 000 ids).
+            #[test]
+            fn zero_bucket_pops_like_an_ordered_set(seed in any::<u64>(), nodes in 1usize..20_000) {
+                let mut next = xorshift(seed);
+                let mut bucket = ZeroBucket::new(nodes);
+                let mut model = std::collections::BTreeSet::new();
+                let mut last = 0usize;
+                for _ in 0..3000 {
+                    if next().is_multiple_of(3) {
+                        let popped = bucket.pop();
+                        prop_assert_eq!(popped, model.pop_first());
+                        last = popped.map_or(last, |v| v as usize);
+                        continue;
+                    }
+                    // Half the inserts land within 128 ids of the last
+                    // pop, mostly below it; the rest anywhere.
+                    let v = if next().is_multiple_of(2) {
+                        last.saturating_sub((next() % 128) as usize)
+                    } else {
+                        (next() % nodes as u64) as usize
+                    } as u32;
+                    if model.insert(v) {
+                        bucket.insert(v);
+                    }
+                }
+                while let Some(v) = model.pop_first() {
+                    prop_assert_eq!(bucket.pop(), Some(v));
+                }
+                prop_assert_eq!(bucket.pop(), None);
             }
         }
     }

@@ -831,9 +831,12 @@ mod tests {
 #[cfg(test)]
 mod assignment_pin {
     //! Pins the committed pairs of the attack's reconstruction on
-    //! generated ISCAS layouts, original and protected, to hashes
-    //! captured from the reference-DFS reconstruction: FNV-1a over every
-    //! `(driver, sink)` pair as two little-endian `u64`s.
+    //! generated ISCAS layouts, original and protected: FNV-1a over every
+    //! `(driver, sink)` pair as two little-endian `u64`s. The c432/c880
+    //! hashes were captured from the reference-DFS reconstruction; the
+    //! c1355/c1908 ones (the designs and layers the `iscas-flow`
+    //! benchmark workload solves) from the heap-only SSP loop, so they
+    //! hold the SSP engine's tie choice on its largest routine instances.
 
     use super::*;
     use sm_core::baselines::original_layout;
@@ -856,7 +859,7 @@ mod assignment_pin {
     }
 
     /// `(design, split layer, layout, committed pairs, their hash)`.
-    const PINS: [(&str, u8, &str, usize, u64); 12] = [
+    const PINS: [(&str, u8, &str, usize, u64); 20] = [
         ("c432", 3, "original", 208, 0x581a_cc84_f555_90ea),
         ("c432", 3, "protected", 277, 0xfbf0_7c92_b97c_c8a2),
         ("c432", 4, "original", 71, 0xfc1b_c8c3_03ab_a97a),
@@ -869,6 +872,14 @@ mod assignment_pin {
         ("c880", 4, "protected", 268, 0xda58_3c71_20fc_7f1d),
         ("c880", 5, "original", 33, 0xb38f_ae19_4665_eb0c),
         ("c880", 5, "protected", 93, 0x8c63_e1d9_5754_ea10),
+        ("c1355", 3, "original", 858, 0xe500_a77a_6e2e_07b3),
+        ("c1355", 3, "protected", 873, 0x971b_99a1_0641_2bd1),
+        ("c1355", 4, "original", 494, 0x58ab_efc4_77d1_c1dc),
+        ("c1355", 4, "protected", 553, 0xc2ce_7194_f096_4ad6),
+        ("c1908", 3, "original", 1388, 0x3046_23c8_8ec6_5036),
+        ("c1908", 3, "protected", 1458, 0xa43f_0e82_ce3d_d297),
+        ("c1908", 4, "original", 729, 0xe17a_66e9_b1b9_cfb9),
+        ("c1908", 4, "protected", 868, 0xde79_d1b4_6860_1387),
     ];
 
     #[test]
@@ -889,6 +900,8 @@ mod assignment_pin {
         for profile in [
             sm_benchgen::iscas::IscasProfile::c432(),
             sm_benchgen::iscas::IscasProfile::c880(),
+            sm_benchgen::iscas::IscasProfile::c1355(),
+            sm_benchgen::iscas::IscasProfile::c1908(),
         ] {
             let n = sm_benchgen::iscas::generate(&profile, 1);
             let base = original_layout(&n, 0.6, 1);
@@ -1073,7 +1086,9 @@ mod differential_tests {
 
     /// The pinned path on real instances, which are full of exact cost
     /// ties: `run` must return the oracle's flow edge for edge on c432
-    /// and c880 at M3–M5, original and protected, and on c1355 at M3.
+    /// and c880 at M3–M5 and on c1355 and c1908 at M3–M4, original and
+    /// protected. c1908 at M3 is the largest instance the `iscas-flow`
+    /// benchmark workload solves.
     #[test]
     fn real_iscas_instances_match_the_oracle_edge_for_edge() {
         use sm_core::flow::{protect, FlowConfig};
@@ -1100,7 +1115,8 @@ mod differential_tests {
         let designs = [
             (sm_benchgen::iscas::IscasProfile::c432(), &[3u8, 4, 5][..]),
             (sm_benchgen::iscas::IscasProfile::c880(), &[3, 4, 5]),
-            (sm_benchgen::iscas::IscasProfile::c1355(), &[3]),
+            (sm_benchgen::iscas::IscasProfile::c1355(), &[3, 4]),
+            (sm_benchgen::iscas::IscasProfile::c1908(), &[3, 4]),
         ];
         for (profile, layers) in designs {
             let n = sm_benchgen::iscas::generate(&profile, 1);

@@ -40,6 +40,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, TryLockError};
+use std::time::{Duration, Instant};
 
 use sm_attacks::proximity::FlowAssignment;
 use sm_benchgen::iscas::IscasProfile;
@@ -188,9 +189,28 @@ impl<T> Memo<T> {
     /// (blocking while another requester solves it). `None` when `solve`
     /// ran and declined; the cell then stays empty.
     pub fn get_or_solve(&self, solve: impl FnOnce() -> Option<T>) -> Option<Arc<T>> {
-        // A poisoned lock means a solve panicked; the cell is only ever
-        // written after a solve returns, so it is still empty and valid.
-        Self::fill(self.0.lock().unwrap_or_else(|p| p.into_inner()), solve)
+        self.get_or_solve_timed(solve).0
+    }
+
+    /// As [`Memo::get_or_solve`], also returning how long the call was
+    /// blocked on another requester's solve: zero when the cell was free.
+    pub fn get_or_solve_timed(
+        &self,
+        solve: impl FnOnce() -> Option<T>,
+    ) -> (Option<Arc<T>>, Duration) {
+        let (cell, blocked) = match self.0.try_lock() {
+            Ok(guard) => (guard, Duration::ZERO),
+            // A poisoned lock means a solve panicked; the cell is only
+            // ever written after a solve returns, so it is still empty
+            // and valid.
+            Err(TryLockError::Poisoned(p)) => (p.into_inner(), Duration::ZERO),
+            Err(TryLockError::WouldBlock) => {
+                let start = Instant::now();
+                let guard = self.0.lock().unwrap_or_else(|p| p.into_inner());
+                (guard, start.elapsed())
+            }
+        };
+        (Self::fill(cell, solve), blocked)
     }
 
     /// As [`Memo::get_or_solve`], but returns [`Busy`] instead of
@@ -803,6 +823,46 @@ mod tests {
             cell.try_get_or_solve(|| Some(6)).unwrap().as_deref(),
             Some(&5)
         );
+    }
+
+    #[test]
+    fn a_free_cell_reports_no_blocked_time_and_a_waiter_shares_the_solve() {
+        let cell: Memo<u32> = Memo::default();
+        let (value, blocked) = cell.get_or_solve_timed(|| Some(5));
+        assert_eq!((value.as_deref(), blocked), (Some(&5), Duration::ZERO));
+        let (value, blocked) = cell.get_or_solve_timed(|| Some(6));
+        assert_eq!((value.as_deref(), blocked), (Some(&5), Duration::ZERO));
+
+        // A requester arriving while a sibling solves shares its value.
+        // Whether it reached the lock before the solve ended depends on
+        // scheduling, so only the bound on its blocked time is checked.
+        let cell: Memo<u32> = Memo::default();
+        let (entered, wait_entered) = std::sync::mpsc::channel();
+        let (finish, wait_finish) = std::sync::mpsc::channel::<()>();
+        let (calling, wait_calling) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let cell = &cell;
+            let solver = s.spawn(move || {
+                cell.get_or_solve(|| {
+                    entered.send(()).unwrap();
+                    let _ = wait_finish.recv_timeout(Duration::from_secs(60));
+                    Some(5)
+                })
+            });
+            wait_entered.recv().unwrap();
+            let waiter = s.spawn(move || {
+                calling.send(()).unwrap();
+                let start = Instant::now();
+                let (value, blocked) = cell.get_or_solve_timed(|| Some(6));
+                (value, blocked, start.elapsed())
+            });
+            wait_calling.recv().unwrap();
+            finish.send(()).unwrap();
+            assert_eq!(solver.join().unwrap().as_deref(), Some(&5));
+            let (value, blocked, call) = waiter.join().unwrap();
+            assert_eq!(value.as_deref(), Some(&5));
+            assert!(blocked <= call);
+        });
     }
 
     #[test]

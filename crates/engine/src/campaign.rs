@@ -371,7 +371,25 @@ pub fn run_job(cache: &ArtifactCache, job: &Job, exec: &Budget) -> JobOutcome {
 
 /// Milliseconds elapsed since `start`.
 fn ms_since(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
+    ms(start.elapsed())
+}
+
+/// `d` in milliseconds.
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// Renames a span of the original arm's [`network_flow_assignment`], so
+/// a job's provenance tells its solve apart from the protected arm's:
+/// `attack-mcmf` and its siblings always mean the protected solve.
+fn original_arm_span((name, ms): (&'static str, f64)) -> (&'static str, f64) {
+    let name = match name {
+        "attack-candidates" => "attack-original-candidates",
+        "attack-mcmf" => "attack-original-mcmf",
+        "attack-assign" => "attack-original-assign",
+        other => other,
+    };
+    (name, ms)
 }
 
 /// Best-effort panic payload → message: the common `&str`/`String`
@@ -398,7 +416,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// and layer (a pinned-layout seed sweep) solve it once; only the
 /// OER/HD evaluation, seeded by the job, runs per job. The job that
 /// solves the protected arm records its `attack-candidates`/`-mcmf`/
-/// `-assign` spans.
+/// `-assign` spans; the job that solves the original arm records them
+/// as `attack-original-candidates`/`-mcmf`/`-assign`, inside its
+/// `attack-original` span. Time blocked on a sibling job's solve of
+/// either cell is recorded once per job as `memo-wait`, and counts in
+/// no other span.
 fn flow_metrics(
     cache: &ArtifactCache,
     bundle: &Bundle,
@@ -433,7 +455,8 @@ fn flow_metrics(
     };
 
     let original = bundle.original();
-    let original_ccr = |phases: &mut Vec<(&'static str, f64)>| {
+    let mut memo_wait = Duration::ZERO;
+    let mut original_ccr = |phases: &mut Vec<(&'static str, f64)>| {
         let t = Instant::now();
         let split_orig = cache.split(&key, SplitArm::Original, split_layer, || {
             split_layout(netlist, &original.placement, &original.routing, split_layer)
@@ -443,12 +466,15 @@ fn flow_metrics(
         // at the connection guess: no OER/HD simulation.
         let t = Instant::now();
         let orig_cell = cache.flow_assignment(&key, SplitArm::Original, split_layer);
-        let orig = orig_cell.get_or_solve(|| {
+        let (orig, blocked) = orig_cell.get_or_solve_timed(|| {
             let mut rec = Recorder::new();
-            network_flow_assignment(netlist, &split_orig, &solve_cfg, exec, &mut rec)
-        })?;
-        let ccr = ccr_vs_golden(netlist, &split_orig, &orig.pairs);
-        phases.push(("attack-original", ms_since(t)));
+            let out = network_flow_assignment(netlist, &split_orig, &solve_cfg, exec, &mut rec);
+            phases.extend(rec.into_spans().into_iter().map(original_arm_span));
+            out
+        });
+        memo_wait += blocked;
+        let ccr = ccr_vs_golden(netlist, &split_orig, &orig?.pairs);
+        phases.push(("attack-original", ms_since(t) - ms(blocked)));
         Some(ccr)
     };
 
@@ -460,9 +486,14 @@ fn flow_metrics(
         Ok(prot) => (prot?, original_ccr(phases)?),
         Err(Busy) => {
             let ccr = original_ccr(phases)?;
-            (prot_cell.get_or_solve(|| solve_protected(phases))?, ccr)
+            let (prot, blocked) = prot_cell.get_or_solve_timed(|| solve_protected(phases));
+            memo_wait += blocked;
+            (prot?, ccr)
         }
     };
+    if !memo_wait.is_zero() {
+        phases.push(("memo-wait", ms(memo_wait)));
+    }
 
     // Last phase boundary before the OER/HD simulation (on superblue it
     // is a multi-second stage of its own).

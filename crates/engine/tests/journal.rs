@@ -158,6 +158,38 @@ fn journal_records_full_campaign_lifecycle() {
             }
         }
     }
+    // Flow jobs journal where their time went: each arm's solve under
+    // its own span names, the original arm's inside `attack-original`.
+    // No two jobs here share a layout, so none waited on a sibling's
+    // solve and none records `memo-wait`.
+    for (job, _, prov) in &finished {
+        if job.attack != AttackKind::NetworkFlow {
+            continue;
+        }
+        let span = |name: &str| {
+            prov.phases
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|&(_, ms)| ms)
+        };
+        let original_arm = ["candidates", "mcmf", "assign"].map(|phase| {
+            let protected = format!("attack-{phase}");
+            let original = format!("attack-original-{phase}");
+            assert!(
+                span(&protected).is_some(),
+                "{} lacks {protected}",
+                job.label()
+            );
+            span(&original).unwrap_or_else(|| panic!("{} lacks {original}", job.label()))
+        });
+        let total = span("attack-original").expect("the original arm's span");
+        assert!(
+            original_arm.iter().sum::<f64>() <= total + 1e-9,
+            "the original arm's solve spans exceed attack-original for {}",
+            job.label()
+        );
+        assert_eq!(span("memo-wait"), None, "{} waited", job.label());
+    }
     for (job, _, prov) in &finished {
         for stage in ["protect", "original"] {
             let span = |suffix: &str| {

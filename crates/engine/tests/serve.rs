@@ -170,29 +170,31 @@ fn simulated_fleet_reports_are_byte_identical_to_solo() {
 
 /// Runs `spec` under `scheduler` over a fresh cache journaling into
 /// `dir`. Returns the canonical bytes and the number of `attack-mcmf`
-/// phases in the journal's job-finished provenance: one per flow solve
-/// of a protected arm.
+/// and `attack-original-mcmf` phases in the journal's job-finished
+/// provenance: one per flow solve of a protected and an original arm.
 fn journaled(
     spec: &SweepSpec,
     scheduler: &Scheduler,
     threads: usize,
     dir: &Path,
-) -> (String, usize) {
+) -> (String, [usize; 2]) {
     let journal = Arc::new(Journal::for_spec(dir, spec));
     let cache = ArtifactCache::new().with_journal(Arc::clone(&journal));
     let (campaign, _) = drive(spec, scheduler, threads, &cache);
-    let solves = read_events(journal.path())
-        .unwrap()
-        .iter()
-        .map(|event| match event {
-            Event::JobFinished { provenance, .. } => provenance
-                .phases
-                .iter()
-                .filter(|(name, _)| name == "attack-mcmf")
-                .count(),
-            _ => 0,
-        })
-        .sum();
+    let events = read_events(journal.path()).unwrap();
+    let solves = ["attack-mcmf", "attack-original-mcmf"].map(|span| {
+        events
+            .iter()
+            .map(|event| match event {
+                Event::JobFinished { provenance, .. } => provenance
+                    .phases
+                    .iter()
+                    .filter(|(name, _)| name == span)
+                    .count(),
+                _ => 0,
+            })
+            .sum()
+    });
     (canonical(&campaign), solves)
 }
 
@@ -240,7 +242,11 @@ fn pinned_layout_sweeps_solve_each_assignment_once() {
         let dir = scratch.path().join(format!("run-{i}"));
         let (bytes, solves) = journaled(&spec, scheduler, *threads, &dir);
         assert_eq!(bytes, want, "{scheduler:?} at --threads {threads}");
-        assert_eq!(solves, 2, "one solve per layer: {scheduler:?} at {threads}");
+        assert_eq!(
+            solves,
+            [2, 2],
+            "one solve per arm and layer: {scheduler:?} at {threads}"
+        );
     }
     // Unpinned, every job has a layout of its own and solves it.
     let unpinned = SweepSpec {
@@ -249,7 +255,7 @@ fn pinned_layout_sweeps_solve_each_assignment_once() {
     };
     let dir = scratch.path().join("unpinned");
     let (_, solves) = journaled(&unpinned, &Scheduler::Solo, 2, &dir);
-    assert_eq!(solves, unpinned.jobs().unwrap().len());
+    assert_eq!(solves, [unpinned.jobs().unwrap().len(); 2]);
 }
 
 /// Full socket lifecycle: status on an idle service, a followed submit
