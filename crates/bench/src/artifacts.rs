@@ -1,10 +1,10 @@
 //! The nine printed artifacts (Tables 1–6, Figs. 4–6), as functions of a
 //! [`Session`].
 //!
-//! The artifact binaries and `smctl run` are thin wrappers around these:
-//! bundles come from the session's engine cache (built in parallel,
-//! built once per benchmark), printing stays here so `table4_…` and
-//! `smctl run table4` emit byte-identical output.
+//! `smctl run` prints these: bundles come from the session's engine
+//! cache (built in parallel, built once per benchmark), and the printing
+//! lives here. `crates/bench/tests/golden/run-all-quick.txt` holds the
+//! bytes of `smctl run all --quick`.
 
 use crate::experiments::{fig4, fig5, fig6, table1, table2, table3, table6, Security};
 use crate::quotes;

@@ -55,30 +55,25 @@
 //! crash→resume→byte-diff cycle as one smoke command.
 
 use std::io::Write;
+use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use sm_bench::artifacts::{artifact_by_name, ARTIFACTS};
-use sm_bench::cli;
+use sm_bench::cli::{Args, Cmd};
 use sm_bench::session::Session;
-use sm_bench::suite::{iscas_selection, superblue_selection};
-use sm_bench::{RunOptions, StoreMode};
+use sm_bench::RunOptions;
 use sm_engine::campaign::{
     merge_reports, run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec,
 };
 use sm_engine::job::AttackKind;
-use sm_engine::journal::{find_journal, materialize, read_events, Event, Journal, JournalFollower};
+use sm_engine::journal::{find_journal, materialize, read_events, Event, JournalFollower};
 use sm_engine::report::{Json, ReportOptions};
 use sm_engine::serve::{
     client_shutdown, client_status, client_submit, serve, ServeConfig, SimPlan,
 };
 use sm_engine::store::ArtifactStore;
 use sm_engine::ArtifactCache;
-use sm_exec::fault::{FaultInject, FaultProfile};
-
-/// The store directory `smctl run`/`sweep`/`resume` use when no
-/// `--store`/`--no-store` is given.
-const DEFAULT_STORE: &str = ".sm-store";
+use sm_exec::fault::FaultProfile;
 
 const HELP: &str = "\
 smctl — split-manufacturing experiment campaigns
@@ -275,34 +270,35 @@ store hit counts, prints to stderr.
 ";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, rest) = match args.split_first() {
-        Some((cmd, rest)) => (cmd.as_str(), rest),
-        None => {
-            eprint!("{HELP}");
-            return ExitCode::from(2);
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((name, rest)) = argv.split_first() else {
+        eprint!("{HELP}");
+        return ExitCode::from(2);
     };
-    let result = match cmd {
-        "run" => cmd_run(rest),
-        "sweep" => cmd_sweep(rest),
-        "resume" => cmd_resume(rest),
-        "merge" => cmd_merge(rest),
-        "report" => cmd_report(rest),
-        "events" => cmd_events(rest, false),
-        "tail" => cmd_events(rest, true),
-        "bench" => cmd_bench(rest),
-        "chaos" => cmd_chaos(rest),
-        "store" => cmd_store(rest),
-        "serve" => cmd_serve(rest),
-        "submit" => cmd_submit(rest),
-        "status" => cmd_status(rest),
-        "help" | "--help" | "-h" => {
-            print!("{HELP}");
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown command `{other}`; see `smctl help`")),
-    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print!("{HELP}");
+        return ExitCode::SUCCESS;
+    }
+    let result = Cmd::from_name(name)
+        .ok_or_else(|| format!("unknown command `{name}`; see `smctl help`"))
+        .and_then(|cmd| {
+            let args = Args::parse(cmd, rest)?;
+            match cmd {
+                Cmd::Run => cmd_run(args),
+                Cmd::Sweep => cmd_sweep(args),
+                Cmd::Resume => cmd_resume(args),
+                Cmd::Merge => cmd_merge(args),
+                Cmd::Report => cmd_report(args),
+                Cmd::Events => cmd_events(args, false),
+                Cmd::Tail => cmd_events(args, true),
+                Cmd::Bench => cmd_bench(args),
+                Cmd::Chaos => cmd_chaos(args),
+                Cmd::Store => cmd_store(args),
+                Cmd::Serve | Cmd::ServeStop | Cmd::ServeSimulate => cmd_serve(args),
+                Cmd::Submit => cmd_submit(args),
+                Cmd::Status => cmd_status(args),
+            }
+        });
     match result {
         Ok(code) => code,
         Err(msg) => {
@@ -340,63 +336,32 @@ fn campaign_exit(campaign: &Campaign, context: &str) -> ExitCode {
 }
 
 /// `smctl run <artifact...>`: shared session, shared bundle cache.
-fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
-    // Artifact names and flags may interleave (`run table1 --quick fig4`):
-    // a non-flag token is an artifact name unless it is the value of the
-    // preceding value-taking flag.
-    let mut names: Vec<&str> = Vec::new();
-    let mut flags: Vec<String> = Vec::new();
-    let mut expecting_value = false;
-    const VALUE_FLAGS: [&str; 7] = [
-        "--seed",
-        "--scale",
-        "--threads",
-        "--store",
-        "--store-cap",
-        "--fault-seed",
-        "--fault-profile",
-    ];
-    for arg in args {
-        if arg.starts_with("--") {
-            let (flag, inline) = cli::split_flag(arg);
-            if !VALUE_FLAGS.contains(&flag) && !matches!(flag, "--quick" | "--no-store") {
-                return Err(format!("unknown run flag `{flag}`; see `smctl help`"));
-            }
-            expecting_value = inline.is_none() && VALUE_FLAGS.contains(&flag);
-            flags.push(arg.clone());
-        } else if expecting_value {
-            expecting_value = false;
-            flags.push(arg.clone());
-        } else if artifact_by_name(arg).is_some() || arg == "all" {
-            names.push(arg.as_str());
-        } else {
-            return Err(format!("unknown artifact `{arg}`"));
-        }
+fn cmd_run(args: Args) -> Result<ExitCode, String> {
+    if let Some(name) = args
+        .positional
+        .iter()
+        .find(|name| *name != "all" && artifact_by_name(name).is_none())
+    {
+        return Err(format!("unknown artifact `{name}`"));
     }
+    let names: Vec<&str> = if args.positional.iter().any(|name| name == "all") {
+        ARTIFACTS.iter().map(|(n, _, _)| *n).collect()
+    } else {
+        args.positional.iter().map(String::as_str).collect()
+    };
     if names.is_empty() {
         return Err("`smctl run` needs at least one artifact (or `all`)".into());
     }
-    if names.contains(&"all") {
-        names = ARTIFACTS.iter().map(|(n, _, _)| *n).collect();
-    }
-    let mut runners = Vec::with_capacity(names.len());
-    for name in &names {
-        runners.push((
-            *name,
-            artifact_by_name(name).ok_or(format!("unknown artifact `{name}`"))?,
-        ));
-    }
-    let opts = default_store(RunOptions::from_slice(&flags)?);
-    let session = Session::new(opts);
+    let session = Session::new(args.opts);
     // Declare the artifact list so each bundle is released from memory
     // after its last consuming artifact instead of pinning the whole
     // selection for the run.
     session.reserve_for_artifacts(&names);
-    for (i, (_, runner)) in runners.iter().enumerate() {
+    for (i, name) in names.iter().enumerate() {
         if i > 0 {
             println!();
         }
-        runner(&session);
+        artifact_by_name(name).expect("artifact names are checked above")(&session);
     }
     let stats = session.cache_stats();
     eprintln!(
@@ -404,159 +369,35 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         stats.builds,
         stats.hits,
         stats.disk_hits,
-        runners.len()
+        names.len()
     );
     print_store_stats(session.cache());
     Ok(ExitCode::SUCCESS)
 }
 
-/// `smctl run`/`sweep`/`resume` persist by default: an unset store mode
-/// resolves to [`DEFAULT_STORE`].
-fn default_store(mut opts: RunOptions) -> RunOptions {
-    if opts.store == StoreMode::Auto {
-        opts.store = StoreMode::At(DEFAULT_STORE.into());
-    }
-    opts
-}
-
-/// The cache an `opts`-configured campaign runs against, with the
-/// fault plan (when one is requested) attached to both the cache (job
-/// faults) and the store underneath (I/O faults).
-fn cache_for(opts: &RunOptions) -> ArtifactCache {
-    let faults = fault_injector(opts);
-    let cache = match opts.store_dir(None) {
-        Some(dir) => {
-            let mut store = ArtifactStore::open(dir, opts.store_cap);
-            if let Some(faults) = &faults {
-                store = store.with_faults(Arc::clone(faults));
-            }
-            ArtifactCache::with_store(Arc::new(store))
-        }
-        None => ArtifactCache::new(),
-    };
-    match faults {
-        Some(faults) => cache.with_faults(faults),
-        None => cache,
-    }
-}
-
-/// [`cache_for`] plus the campaign journal, `journal` or else the one
-/// next to the store. Store-backed campaigns journal their lifecycle
-/// there: the file is named by the spec's fingerprint, so shards and
-/// resumes of the same campaign append to the same log.
-fn journaled_cache(
-    opts: &RunOptions,
-    spec: &SweepSpec,
-    journal: Option<Arc<Journal>>,
-) -> (ArtifactCache, Option<Arc<Journal>>) {
-    let cache = cache_for(opts);
-    let journal = journal.or_else(|| {
-        let journal = Journal::for_spec(cache.store()?.root(), spec);
-        Some(Arc::new(match fault_injector(opts) {
-            Some(faults) => journal.with_faults(faults),
-            None => journal,
-        }))
-    });
-    match journal {
-        Some(journal) => (cache.with_journal(Arc::clone(&journal)), Some(journal)),
-        None => (cache, None),
-    }
-}
-
-/// The `--fault-seed`/`--fault-profile` plan as a shareable injector.
-fn fault_injector(opts: &RunOptions) -> Option<Arc<dyn FaultInject>> {
-    opts.fault_plan()
-        .map(|plan| Arc::new(plan) as Arc<dyn FaultInject>)
-}
-
 /// `smctl sweep`: expand axes, run on the pool, emit the report.
-fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
-    let opts = default_store(RunOptions::from_slice(args)?);
-    let mut spec = SweepSpec {
-        benchmarks: Vec::new(),
-        seeds: vec![1],
-        split_layers: vec![3, 4, 5],
-        attacks: vec![AttackKind::NetworkFlow],
-        scale: opts.scale,
-        master_seed: opts.seed,
-        layout_seed: None,
-    };
-    let mut format = "json".to_string();
-    let mut out_path: Option<String> = None;
-    let mut timings = false;
-    let mut job_filter: Option<Vec<usize>> = None;
-    let mut shard: Option<(usize, usize)> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        let (flag, inline) = cli::split_flag(args[i].as_str());
-        match flag {
-            "--benchmarks" => {
-                spec.benchmarks = parse_benchmarks(&cli::flag_value(flag, inline, args, &mut i)?)?
-            }
-            "--seeds" => spec.seeds = parse_seeds(&cli::flag_value(flag, inline, args, &mut i)?)?,
-            "--split-layers" => {
-                spec.split_layers = parse_layers(&cli::flag_value(flag, inline, args, &mut i)?)?
-            }
-            "--attacks" => {
-                spec.attacks = parse_attacks(&cli::flag_value(flag, inline, args, &mut i)?)?
-            }
-            "--jobs" => {
-                job_filter = Some(parse_indices(&cli::flag_value(
-                    flag, inline, args, &mut i,
-                )?)?)
-            }
-            "--shard" => shard = Some(parse_shard(&cli::flag_value(flag, inline, args, &mut i)?)?),
-            "--layout-seed" => {
-                spec.layout_seed = Some(parse_u64(&cli::flag_value(flag, inline, args, &mut i)?)?)
-            }
-            "--format" => format = cli::flag_value(flag, inline, args, &mut i)?,
-            "--out" => out_path = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--timings" => {
-                cli::no_value(flag, inline)?;
-                timings = true;
-            }
-            // RunOptions flags (--seed/--scale/--quick/--threads/
-            // --timeout-secs/store selection) were parsed above; skip
-            // their value tokens here. Anything else is a mistake worth
-            // rejecting in a report-producing command.
-            "--seed" | "--scale" | "--threads" | "--timeout-secs" | "--store" | "--store-cap"
-            | "--fault-seed" | "--fault-profile" => {
-                let _ = cli::flag_value(flag, inline, args, &mut i)?;
-            }
-            "--quick" | "--no-store" => cli::no_value(flag, inline)?,
-            other => return Err(format!("unknown sweep flag `{other}`; see `smctl help`")),
-        }
-        i += 1;
-    }
-    if spec.benchmarks.is_empty() {
-        // Same semantics as the artifact binaries: full ISCAS selection
-        // by default, the c432/c880 pair under `--quick`.
-        spec.benchmarks = iscas_selection(opts.quick)
-            .iter()
-            .map(|p| p.name.to_string())
-            .collect();
-    }
-    check_format(&format)?;
+fn cmd_sweep(args: Args) -> Result<ExitCode, String> {
+    let format = report_format(args.format.as_deref())?;
+    let spec = &args.spec;
     // Both selections leave partial reports that merge byte-stably via
     // `smctl merge` or `smctl resume`.
-    let run = match (job_filter, shard) {
+    let run = match (args.jobs, args.shard) {
         (Some(_), Some(_)) => return Err("--shard and --jobs are mutually exclusive".into()),
-        (Some(indices), None) => CampaignRun::new(&spec)?.jobs(&indices)?,
-        (None, Some((k, n))) => CampaignRun::new(&spec)?.shard(k, n)?,
-        (None, None) => CampaignRun::new(&spec)?,
+        (Some(indices), None) => CampaignRun::new(spec)?.jobs(&indices)?,
+        (None, Some((k, n))) => CampaignRun::new(spec)?.shard(k, n)?,
+        (None, None) => CampaignRun::new(spec)?,
     };
 
-    let (cache, journal) = journaled_cache(&opts, &spec, None);
+    let cache = args.opts.cache(Some(spec), None);
     // One budget for the whole sweep: `--threads` worth of workers
     // shared by jobs, bundle builds and nested bisection sweeps, with
     // the `--timeout-secs` deadline attached.
-    let (campaign, _) = run.run(&Scheduler::Solo, &opts.budget(), &cache)?;
-    if let Some(journal) = &journal {
+    let (campaign, _) = run.run(&Scheduler::Solo, &args.opts.budget(), &cache)?;
+    if let Some(journal) = cache.journal() {
         eprintln!("journal: {}", journal.path().display());
     }
-    let rendered = render_campaign(&campaign, &format, timings);
-    emit(&rendered, out_path.as_deref())?;
+    let out_path = args.out.as_deref();
+    emit(&render_campaign(&campaign, format, args.timings), out_path)?;
     // A timed-out or crashed sweep must always leave a *resumable*
     // canonical report behind. Non-JSON formats drop placeholder jobs
     // from their rows (and cannot be parsed back), and JSON-to-stdout
@@ -566,9 +407,9 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, String> {
     let resume_path = if campaign.timed_out() == 0 && campaign.failed() == 0 {
         None
     } else if format == "json" && out_path.is_some() {
-        out_path.clone()
+        out_path.map(str::to_string)
     } else {
-        let side = format!("{}.resume.json", out_path.as_deref().unwrap_or("sweep"));
+        let side = format!("{}.resume.json", out_path.unwrap_or("sweep"));
         emit(&render_campaign(&campaign, "json", false), Some(&side))?;
         Some(side)
     };
@@ -593,36 +434,17 @@ fn print_store_stats(cache: &ArtifactCache) {
 
 /// `smctl resume <report.json>`: re-run only the jobs missing from (or
 /// timed-out in) a stored campaign report and merge the results back in.
-fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
-    let opts = default_store(RunOptions::from_slice(args)?);
-    let mut input: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut format = "json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        let (flag, inline) = cli::split_flag(args[i].as_str());
-        match flag {
-            "--out" => out_path = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--format" => format = cli::flag_value(flag, inline, args, &mut i)?,
-            "--threads" | "--timeout-secs" | "--store" | "--store-cap" => {
-                let _ = cli::flag_value(flag, inline, args, &mut i)?;
-            }
-            "--no-store" => cli::no_value(flag, inline)?,
-            _ if !flag.starts_with("--") => match input {
-                None => input = Some(args[i].clone()),
-                Some(_) => return Err(format!("unexpected argument `{flag}`")),
-            },
-            other => return Err(format!("unknown resume flag `{other}`; see `smctl help`")),
-        }
-        i += 1;
-    }
-    let path = input.ok_or("`smctl resume` needs a stored report, journal or store dir")?;
-    check_format(&format)?;
+fn cmd_resume(args: Args) -> Result<ExitCode, String> {
+    let path = args
+        .positional
+        .first()
+        .ok_or("`smctl resume` needs a stored report, journal or store dir")?;
+    let format = report_format(args.format.as_deref())?;
     // The input may be a canonical JSON report, a journal file, or a
     // directory holding one (a store dir like `.sm-store`): directories
     // and SMJL-magic files replay the event log, anything else parses
     // as a JSON report.
-    let input_path = std::path::Path::new(&path);
+    let input_path = Path::new(path);
     let journal_input = if input_path.is_dir() {
         Some(find_journal(input_path)?)
     } else {
@@ -632,20 +454,10 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
             .is_ok_and(|()| magic == sm_engine::journal::JOURNAL_MAGIC)
             .then(|| input_path.to_path_buf())
     };
-    let (stored, journal) = match &journal_input {
-        Some(journal_path) => {
-            let campaign = materialize(&read_events(journal_path)?)
-                .map_err(|e| format!("{}: {e}", journal_path.display()))?;
-            (campaign, Some(Arc::new(Journal::at(journal_path.clone()))))
-        }
-        None => {
-            let text =
-                std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-            let stored =
-                Campaign::from_json(&Json::parse(&text).map_err(|e| format!("{path}: {e}"))?)
-                    .map_err(|e| format!("{path}: {e}"))?;
-            (stored, None)
-        }
+    let stored = match &journal_input {
+        Some(journal_path) => materialize(&read_events(journal_path)?)
+            .map_err(|e| format!("{}: {e}", journal_path.display()))?,
+        None => read_report(path)?.1,
     };
 
     let present = stored.outcomes.len();
@@ -665,13 +477,13 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     // The resumed jobs journal into the input log (journal input), or
     // into the store's spec-fingerprinted journal (report input over a
     // store) — either way, resume is log concatenation.
-    let (cache, _) = journaled_cache(&opts, &spec, journal);
+    let cache = args.opts.cache(Some(&spec), journal_input.as_deref());
     // A resume gets its own budget — and may itself carry a
     // `--timeout-secs` deadline, in which case still-unfinished jobs
     // stay timed-out and another resume continues from there. Its
     // campaign-started record is tolerated as a duplicate by
     // materialize (same spec).
-    let (campaign, _) = run.run(&Scheduler::Solo, &opts.budget(), &cache)?;
+    let (campaign, _) = run.run(&Scheduler::Solo, &args.opts.budget(), &cache)?;
     // The canonical JSON report is always preserved. Report input: it
     // goes to --out for `--format json`, otherwise the input file is
     // updated in place. Journal input: the journal itself holds the
@@ -679,10 +491,10 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     // the input is never overwritten. Non-JSON renderings are *views*
     // — they go to --out or stdout and never replace stored state.
     let canonical = render_campaign(&campaign, "json", false);
-    let canonical_path = match (journal_input.is_some(), format.as_str()) {
-        (false, "json") => Some(out_path.clone().unwrap_or_else(|| path.clone())),
+    let canonical_path = match (journal_input.is_some(), format) {
+        (false, "json") => Some(args.out.clone().unwrap_or_else(|| path.clone())),
         (false, _) => Some(path.clone()),
-        (true, "json") => out_path.clone(),
+        (true, "json") => args.out.clone(),
         (true, _) => None,
     };
     match &canonical_path {
@@ -692,8 +504,8 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     }
     if format != "json" {
         emit(
-            &render_campaign(&campaign, &format, false),
-            out_path.as_deref(),
+            &render_campaign(&campaign, format, false),
+            args.out.as_deref(),
         )?;
     }
     eprintln!("{}", campaign.summary());
@@ -707,29 +519,14 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
 /// `smctl merge <report.json...>`: combine partial reports of one sweep
 /// (e.g. `--shard K/N` outputs) into a single canonical report, without
 /// re-running any job.
-fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
-    let mut inputs: Vec<String> = Vec::new();
-    let mut out_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let (flag, inline) = cli::split_flag(args[i].as_str());
-        match flag {
-            "--out" | "-o" => out_path = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            // A single leading dash still marks a flag: `-out` must be
-            // an unknown-flag error, not a report path named "-out".
-            _ if !flag.starts_with('-') => inputs.push(args[i].clone()),
-            other => return Err(format!("unknown merge flag `{other}`; see `smctl help`")),
-        }
-        i += 1;
-    }
+fn cmd_merge(args: Args) -> Result<ExitCode, String> {
+    let inputs = &args.positional;
     if inputs.len() < 2 {
         return Err("`smctl merge` needs at least two report files".into());
     }
     let mut reports = Vec::with_capacity(inputs.len());
-    for path in &inputs {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let parsed = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        reports.push(Campaign::from_json(&parsed).map_err(|e| format!("{path}: {e}"))?);
+    for path in inputs {
+        reports.push(read_report(path)?.1);
     }
     let merged = merge_reports(reports)?;
     let total = merged.spec.jobs()?.len();
@@ -740,7 +537,7 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
         .count();
     emit(
         &render_campaign(&merged, "json", false),
-        out_path.as_deref(),
+        args.out.as_deref(),
     )?;
     eprintln!(
         "merged {} report(s): {complete} of {total} jobs finished{}{}",
@@ -765,31 +562,19 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
 
 /// `smctl store stats|gc|clear|doctor`: inspect and maintain the
 /// artifact store without running anything.
-fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
-    let (action, rest) = match args.split_first() {
-        Some((a, rest)) if !a.starts_with("--") => (a.as_str(), rest),
-        _ => return Err("`smctl store` needs an action: stats|gc|clear|doctor".into()),
-    };
-    // Strict flag validation: a typo'd --store must not silently hit
-    // the default directory (gc/clear are destructive).
-    let mut i = 0;
-    while i < rest.len() {
-        let (flag, inline) = cli::split_flag(rest[i].as_str());
-        match flag {
-            "--store" | "--store-cap" => {
-                let _ = cli::flag_value(flag, inline, rest, &mut i)?;
-            }
-            "--no-store" => cli::no_value(flag, inline)?,
-            other => return Err(format!("unknown store flag `{other}`; see `smctl help`")),
-        }
-        i += 1;
-    }
-    let opts = default_store(RunOptions::from_slice(rest)?);
-    let dir = opts
-        .store_dir(None)
+fn cmd_store(args: Args) -> Result<ExitCode, String> {
+    let action = args
+        .positional
+        .first()
+        .ok_or("`smctl store` needs an action: stats|gc|clear|doctor")?;
+    let cap = args.opts.store_cap;
+    let dir = args
+        .opts
+        .store
+        .as_deref()
         .ok_or("`smctl store` needs a store (remove --no-store)")?;
-    let store = ArtifactStore::open(&dir, opts.store_cap);
-    match action {
+    let store = ArtifactStore::open(dir, cap);
+    match action.as_str() {
         "stats" => {
             let usage = store.usage();
             println!(
@@ -797,7 +582,7 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
                 usage.files,
                 usage.bytes,
                 usage.compression_ratio(),
-                match opts.store_cap {
+                match cap {
                     Some(cap) => format!(" (cap {cap})"),
                     None => String::new(),
                 }
@@ -823,9 +608,7 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
             }
         }
         "gc" => {
-            let cap = opts
-                .store_cap
-                .ok_or("`smctl store gc` needs --store-cap SIZE")?;
+            let cap = cap.ok_or("`smctl store gc` needs --store-cap SIZE")?;
             let evicted = store.gc_to(cap);
             let usage = store.usage();
             println!(
@@ -883,234 +666,80 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Sweep-axis flags shared by `smctl sweep`, `submit` and
-/// `serve --simulate`, parsed out of `args` into `spec`. Returns `true`
-/// when `args[*i]` was consumed as an axis flag.
-fn parse_axis_flag(spec: &mut SweepSpec, args: &[String], i: &mut usize) -> Result<bool, String> {
-    let (flag, inline) = cli::split_flag(args[*i].as_str());
-    match flag {
-        "--benchmarks" => {
-            spec.benchmarks = parse_benchmarks(&cli::flag_value(flag, inline, args, i)?)?
-        }
-        "--seeds" => spec.seeds = parse_seeds(&cli::flag_value(flag, inline, args, i)?)?,
-        "--split-layers" => {
-            spec.split_layers = parse_layers(&cli::flag_value(flag, inline, args, i)?)?
-        }
-        "--attacks" => spec.attacks = parse_attacks(&cli::flag_value(flag, inline, args, i)?)?,
-        "--layout-seed" => {
-            spec.layout_seed = Some(parse_u64(&cli::flag_value(flag, inline, args, i)?)?)
-        }
-        _ => return Ok(false),
-    }
-    Ok(true)
-}
-
-/// The default sweep spec an `opts`-configured command starts from
-/// (axes then overridden by flags; empty benchmarks filled from the
-/// quick/full ISCAS selection afterwards).
-fn base_spec(opts: &RunOptions) -> SweepSpec {
-    SweepSpec {
-        benchmarks: Vec::new(),
-        seeds: vec![1],
-        split_layers: vec![3, 4, 5],
-        attacks: vec![AttackKind::NetworkFlow],
-        scale: opts.scale,
-        master_seed: opts.seed,
-        layout_seed: None,
-    }
-}
-
-/// Fills an axis-flag-less benchmark list with the ISCAS selection.
-fn default_benchmarks(spec: &mut SweepSpec, quick: bool) {
-    if spec.benchmarks.is_empty() {
-        spec.benchmarks = iscas_selection(quick)
-            .iter()
-            .map(|p| p.name.to_string())
-            .collect();
-    }
-}
-
-/// Parses `--kill W@K,...` (worker W dies at its first pickup after K
-/// completed jobs).
-fn parse_kills(list: &str) -> Result<Vec<(usize, usize)>, String> {
-    let mut kills = Vec::new();
-    for part in list.split(',').filter(|p| !p.is_empty()) {
-        let (w, k) = part
-            .split_once('@')
-            .ok_or_else(|| format!("invalid --kill `{part}` (expected WORKER@AFTER_JOBS)"))?;
-        let w: usize = w
-            .parse()
-            .map_err(|e| format!("invalid --kill worker `{w}`: {e}"))?;
-        let k: usize = k
-            .parse()
-            .map_err(|e| format!("invalid --kill job count `{k}`: {e}"))?;
-        kills.push((w, k));
-    }
-    Ok(kills)
-}
-
 /// `smctl serve`: the campaign service (or its `--stop` sugar, or the
 /// deterministic `--simulate N` fleet run CI byte-diffs).
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let opts = default_store(RunOptions::from_slice(args)?);
-    let mut spec = base_spec(&opts);
-    let mut socket: Option<String> = None;
-    let mut workers: usize = 2;
-    let mut max_queued: usize = 16;
-    let mut stop = false;
-    let mut simulate: Option<usize> = None;
-    let mut kills: Vec<(usize, usize)> = Vec::new();
-    let mut sim_seed: u64 = 1;
-    let mut format = "json".to_string();
-    let mut out_path: Option<String> = None;
-    let mut timings = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        if parse_axis_flag(&mut spec, args, &mut i)? {
-            i += 1;
-            continue;
-        }
-        let (flag, inline) = cli::split_flag(args[i].as_str());
-        match flag {
-            "--socket" => socket = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--workers" => {
-                let v = cli::flag_value(flag, inline, args, &mut i)?;
-                workers = v
-                    .parse()
-                    .map_err(|e| format!("invalid --workers `{v}`: {e}"))?;
-            }
-            "--max-queued" => {
-                let v = cli::flag_value(flag, inline, args, &mut i)?;
-                max_queued = v
-                    .parse()
-                    .map_err(|e| format!("invalid --max-queued `{v}`: {e}"))?;
-            }
-            "--stop" => {
-                cli::no_value(flag, inline)?;
-                stop = true;
-            }
-            "--simulate" => {
-                let v = cli::flag_value(flag, inline, args, &mut i)?;
-                simulate = Some(
-                    v.parse()
-                        .map_err(|e| format!("invalid --simulate `{v}`: {e}"))?,
-                );
-            }
-            "--kill" => kills = parse_kills(&cli::flag_value(flag, inline, args, &mut i)?)?,
-            "--sim-seed" => sim_seed = parse_u64(&cli::flag_value(flag, inline, args, &mut i)?)?,
-            "--format" => format = cli::flag_value(flag, inline, args, &mut i)?,
-            "--out" => out_path = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--timings" => {
-                cli::no_value(flag, inline)?;
-                timings = true;
-            }
-            "--seed" | "--scale" | "--threads" | "--timeout-secs" | "--store" | "--store-cap"
-            | "--fault-seed" | "--fault-profile" => {
-                let _ = cli::flag_value(flag, inline, args, &mut i)?;
-            }
-            "--quick" | "--no-store" => cli::no_value(flag, inline)?,
-            other => return Err(format!("unknown serve flag `{other}`; see `smctl help`")),
-        }
-        i += 1;
-    }
-
-    if stop {
-        let socket = socket.ok_or("`smctl serve --stop` needs --socket PATH")?;
-        client_shutdown(std::path::Path::new(&socket))?;
+fn cmd_serve(args: Args) -> Result<ExitCode, String> {
+    if args.stop {
+        let socket = args
+            .socket
+            .ok_or("`smctl serve --stop` needs --socket PATH")?;
+        client_shutdown(Path::new(&socket))?;
         eprintln!("service at {socket} drained and stopped");
         return Ok(ExitCode::SUCCESS);
     }
 
-    if let Some(sim_workers) = simulate {
+    if let Some(sim_workers) = args.simulate {
         // The CI determinism leg: run the full dispatch/steal/death
         // protocol in-process and emit a report that must byte-match a
         // solo sweep of the same spec.
-        default_benchmarks(&mut spec, opts.quick);
-        check_format(&format)?;
-        let (cache, _) = journaled_cache(&opts, &spec, None);
+        let format = report_format(args.format.as_deref())?;
+        let cache = args.opts.cache(Some(&args.spec), None);
         let plan = SimPlan {
             workers: sim_workers,
-            seed: sim_seed,
-            deaths: kills,
+            seed: args.sim_seed,
+            deaths: args.kills,
         };
-        let (campaign, stats) =
-            CampaignRun::new(&spec)?.run(&Scheduler::Simulated(plan), &opts.budget(), &cache)?;
+        let (campaign, stats) = CampaignRun::new(&args.spec)?.run(
+            &Scheduler::Simulated(plan),
+            &args.opts.budget(),
+            &cache,
+        )?;
         eprintln!(
             "fleet: {sim_workers} simulated worker(s), {} steal(s), {} death(s)",
             stats.steals, stats.deaths
         );
         emit(
-            &render_campaign(&campaign, &format, timings),
-            out_path.as_deref(),
+            &render_campaign(&campaign, format, args.timings),
+            args.out.as_deref(),
         )?;
         eprintln!("{}", campaign.summary());
         print_store_stats(&cache);
         return Ok(campaign_exit(&campaign, "<report.json>"));
     }
 
-    let socket = socket.ok_or("`smctl serve` needs --socket PATH (or --simulate N)")?;
-    let store = opts.store_dir(Some(DEFAULT_STORE)).ok_or(
+    let socket = args
+        .socket
+        .ok_or("`smctl serve` needs --socket PATH (or --simulate N)")?;
+    let store = args.opts.store.clone().ok_or(
         "`smctl serve` needs a store (the coordinator owns its reservation); drop --no-store",
     )?;
     let config = ServeConfig {
         socket: socket.clone().into(),
-        workers,
-        max_queued,
+        workers: args.workers,
+        max_queued: args.max_queued,
         store: store.into(),
-        store_cap: opts.store_cap,
+        store_cap: args.opts.store_cap,
     };
     eprintln!(
         "serving campaigns on {socket} ({} worker(s), {} queued max); stop with `smctl serve --stop --socket {socket}`",
         config.workers, config.max_queued
     );
-    serve(&config, &opts.budget())?;
+    serve(&config, &args.opts.budget())?;
     eprintln!("service stopped");
     Ok(ExitCode::SUCCESS)
 }
 
 /// `smctl submit`: send one sweep to a running service, print its
 /// canonical report (exit codes match `sweep`).
-fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
-    let opts = RunOptions::from_slice(args)?;
-    let mut spec = base_spec(&opts);
-    let mut socket: Option<String> = None;
-    let mut follow = false;
-    let mut format = "json".to_string();
-    let mut out_path: Option<String> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        if parse_axis_flag(&mut spec, args, &mut i)? {
-            i += 1;
-            continue;
-        }
-        let (flag, inline) = cli::split_flag(args[i].as_str());
-        match flag {
-            "--socket" => socket = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--follow" => {
-                cli::no_value(flag, inline)?;
-                follow = true;
-            }
-            "--format" => format = cli::flag_value(flag, inline, args, &mut i)?,
-            "--out" => out_path = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--seed" | "--scale" => {
-                let _ = cli::flag_value(flag, inline, args, &mut i)?;
-            }
-            "--quick" => cli::no_value(flag, inline)?,
-            other => return Err(format!("unknown submit flag `{other}`; see `smctl help`")),
-        }
-        i += 1;
-    }
-    let socket = socket.ok_or("`smctl submit` needs --socket PATH")?;
-    default_benchmarks(&mut spec, opts.quick);
-    check_format(&format)?;
+fn cmd_submit(args: Args) -> Result<ExitCode, String> {
+    let socket = args.socket.ok_or("`smctl submit` needs --socket PATH")?;
+    let format = report_format(args.format.as_deref())?;
 
     let mut progress = EventProgress::default();
     let json = client_submit(
-        std::path::Path::new(&socket),
-        &spec,
-        follow,
+        Path::new(&socket),
+        &args.spec,
+        args.follow,
         |fingerprint, jobs, queued| {
             eprintln!(
                 "accepted campaign c-{fingerprint:016x}: {jobs} job(s), {queued} campaign(s) ahead"
@@ -1126,27 +755,17 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
     let rendered = if format == "json" {
         json
     } else {
-        render_campaign(&campaign, &format, false)
+        render_campaign(&campaign, format, false)
     };
-    emit(&rendered, out_path.as_deref())?;
+    emit(&rendered, args.out.as_deref())?;
     eprintln!("report: {} job outcome(s)", campaign.outcomes.len());
     Ok(campaign_exit(&campaign, "<report.json>"))
 }
 
 /// `smctl status`: one queue snapshot from a running service.
-fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
-    let mut socket: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let (flag, inline) = cli::split_flag(args[i].as_str());
-        match flag {
-            "--socket" => socket = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            other => return Err(format!("unknown status flag `{other}`; see `smctl help`")),
-        }
-        i += 1;
-    }
-    let socket = socket.ok_or("`smctl status` needs --socket PATH")?;
-    let status = client_status(std::path::Path::new(&socket))?;
+fn cmd_status(args: Args) -> Result<ExitCode, String> {
+    let socket = args.socket.ok_or("`smctl status` needs --socket PATH")?;
+    let status = client_status(Path::new(&socket))?;
     println!("workers:    {}", status.workers);
     println!("queued:     {}", status.queued);
     println!(
@@ -1162,14 +781,22 @@ fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn check_format(format: &str) -> Result<(), String> {
-    if matches!(format, "json" | "csv" | "agg-csv" | "table") {
-        Ok(())
-    } else {
-        Err(format!(
-            "unknown --format `{format}` (expected json|csv|agg-csv|table)"
-        ))
+/// A report command's `--format`, `json` when none is given.
+fn report_format(format: Option<&str>) -> Result<&str, String> {
+    match format.unwrap_or("json") {
+        format @ ("json" | "csv" | "agg-csv" | "table") => Ok(format),
+        other => Err(format!(
+            "unknown --format `{other}` (expected json|csv|agg-csv|table)"
+        )),
     }
+}
+
+/// Reads a stored JSON report through the one report parser.
+fn read_report(path: &str) -> Result<(Json, Campaign), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let parsed = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let campaign = Campaign::from_json(&parsed).map_err(|e| format!("{path}: {e}"))?;
+    Ok((parsed, campaign))
 }
 
 fn render_campaign(campaign: &Campaign, format: &str, timings: bool) -> String {
@@ -1208,90 +835,59 @@ fn emit(rendered: &str, out_path: Option<&str>) -> Result<(), String> {
 
 /// `smctl report`: re-render a stored JSON report, or materialize one
 /// from a campaign journal.
-fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
-    let mut input: Option<String> = None;
-    let mut journal: Option<String> = None;
-    let mut format = "json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        let (flag, inline) = cli::split_flag(args[i].as_str());
-        match flag {
-            "--input" => input = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--journal" => journal = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--format" => format = cli::flag_value(flag, inline, args, &mut i)?,
-            other => return Err(format!("unknown report flag `{other}`")),
-        }
-        i += 1;
-    }
-    check_format(&format)?;
-    if let Some(path) = journal {
-        if input.is_some() {
+fn cmd_report(args: Args) -> Result<ExitCode, String> {
+    let format = report_format(args.format.as_deref())?;
+    if let Some(path) = &args.journal {
+        if args.input.is_some() {
             return Err("--input and --journal are mutually exclusive".into());
         }
         // The canonical report is a deterministic materialization of
         // the journal: this renders byte-identically to the report the
         // sweep itself wrote (CI diffs the two).
-        let journal_path = find_journal(std::path::Path::new(&path))?;
+        let journal_path = find_journal(Path::new(path))?;
         let campaign = materialize(&read_events(&journal_path)?)
             .map_err(|e| format!("{}: {e}", journal_path.display()))?;
-        print!("{}", render_campaign(&campaign, &format, false));
+        print!("{}", render_campaign(&campaign, format, false));
         return Ok(ExitCode::SUCCESS);
     }
-    let path = input.ok_or("`smctl report` needs --input FILE or --journal PATH")?;
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-    let parsed = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let path = args
+        .input
+        .as_deref()
+        .ok_or("`smctl report` needs --input FILE or --journal PATH")?;
+    // Every view, the canonical JSON included, reads the report through
+    // the one parser, so a malformed report fails them all alike.
+    let (parsed, campaign) = read_report(path)?;
     if format == "json" {
+        // The stored JSON is echoed, so a `--timings` report keeps its
+        // fields.
         print!("{}", parsed.render());
         return Ok(ExitCode::SUCCESS);
     }
     // Every other view re-derives from the parsed outcomes, so stored
     // reports can be re-rendered without re-running anything; a
     // `--timings` report keeps its `wall_ms` column.
-    let campaign = Campaign::from_json(&parsed).map_err(|e| format!("{path}: {e}"))?;
     let first_job = parsed
         .get("jobs")
         .and_then(Json::as_arr)
         .and_then(<[Json]>::first);
     let timed = first_job.is_some_and(|job| job.get("wall_ms").is_some());
-    print!("{}", render_campaign(&campaign, &format, timed));
+    print!("{}", render_campaign(&campaign, format, timed));
     Ok(ExitCode::SUCCESS)
 }
 
 /// `smctl events` / `smctl tail`: print or live-stream the campaign
 /// journal. `tail` is sugar for `events --follow --format table`.
-fn cmd_events(args: &[String], tail: bool) -> Result<ExitCode, String> {
-    let mut input: Option<String> = None;
-    let mut follow = tail;
-    let mut format = "table".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        let (flag, inline) = cli::split_flag(args[i].as_str());
-        match flag {
-            "--follow" if !tail => {
-                cli::no_value(flag, inline)?;
-                follow = true;
-            }
-            "--format" if !tail => format = cli::flag_value(flag, inline, args, &mut i)?,
-            _ if !flag.starts_with("--") => match input {
-                None => input = Some(args[i].clone()),
-                Some(_) => return Err(format!("unexpected argument `{flag}`")),
-            },
-            other => {
-                let cmd = if tail { "tail" } else { "events" };
-                return Err(format!("unknown {cmd} flag `{other}`; see `smctl help`"));
-            }
-        }
-        i += 1;
-    }
-    if !matches!(format.as_str(), "table" | "json") {
+fn cmd_events(args: Args, tail: bool) -> Result<ExitCode, String> {
+    let follow = tail || args.follow;
+    let format = args.format.as_deref().unwrap_or("table");
+    if !matches!(format, "table" | "json") {
         return Err(format!("unknown --format `{format}` (expected table|json)"));
     }
-    let path = input.ok_or(if tail {
-        "`smctl tail` needs a journal file or store directory"
-    } else {
-        "`smctl events` needs a journal file or store directory"
-    })?;
-    let arg = std::path::Path::new(&path);
+    let cmd = if tail { "tail" } else { "events" };
+    let path = args.positional.first().ok_or(format!(
+        "`smctl {cmd}` needs a journal file or store directory"
+    ))?;
+    let arg = Path::new(path);
     // In follow mode the journal may not exist yet: follow the path a
     // store-backed sweep will create. A directory still must resolve.
     let journal_path = match find_journal(arg) {
@@ -1306,7 +902,7 @@ fn cmd_events(args: &[String], tail: bool) -> Result<ExitCode, String> {
         let batch = follower.poll()?;
         let mut ended = false;
         for event in &batch {
-            let line = match format.as_str() {
+            let line = match format {
                 "json" => event.to_json().render_compact(),
                 _ => progress.render_line(event),
             };
@@ -1411,55 +1007,19 @@ impl EventProgress {
 
 /// `smctl bench`: run the deterministic perf harness, emit the
 /// BENCH.json trajectory point, optionally gate against a baseline.
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    let opts = RunOptions::from_slice(args)?;
-    let mut out_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut factor = 2.0f64;
-    let mut min_of = 1usize;
-    let mut i = 0;
-    while i < args.len() {
-        let (flag, inline) = cli::split_flag(args[i].as_str());
-        match flag {
-            "--out" => out_path = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--baseline" => baseline_path = Some(cli::flag_value(flag, inline, args, &mut i)?),
-            "--max-regression" => {
-                let v = cli::flag_value(flag, inline, args, &mut i)?;
-                factor = v
-                    .parse()
-                    .map_err(|e| format!("invalid --max-regression `{v}`: {e}"))?;
-                if factor < 1.0 || factor.is_nan() {
-                    return Err(format!("--max-regression must be ≥ 1.0, got {factor}"));
-                }
-            }
-            "--min-of" => {
-                let v = cli::flag_value(flag, inline, args, &mut i)?;
-                min_of = v
-                    .parse()
-                    .map_err(|e| format!("invalid --min-of `{v}`: {e}"))?;
-                if min_of == 0 {
-                    return Err("--min-of must be ≥ 1".to_string());
-                }
-            }
-            "--seed" | "--scale" | "--threads" => {
-                let _ = cli::flag_value(flag, inline, args, &mut i)?;
-            }
-            "--quick" => cli::no_value(flag, inline)?,
-            other => return Err(format!("unknown bench flag `{other}`; see `smctl help`")),
-        }
-        i += 1;
-    }
+fn cmd_bench(args: Args) -> Result<ExitCode, String> {
     let cfg = sm_bench::perf::BenchConfig {
-        quick: opts.quick,
-        seed: opts.seed,
-        scale: opts.scale,
-        threads: opts.threads,
-        min_of,
+        quick: args.opts.quick,
+        seed: args.opts.seed,
+        scale: args.opts.scale,
+        threads: args.opts.threads,
+        min_of: args.min_of,
     };
     let report = sm_bench::perf::run_bench(&cfg);
     eprint!("{}", report.to_table());
-    emit(&report.to_json().render(), out_path.as_deref())?;
-    if let Some(path) = baseline_path {
+    emit(&report.to_json().render(), args.out.as_deref())?;
+    if let Some(path) = args.baseline {
+        let factor = args.max_regression;
         let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
         let baseline = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
         // 500 ms absolute slack on top of the factor: the committed
@@ -1480,23 +1040,11 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
 /// completed report against a fault-free in-memory baseline — the
 /// robustness invariant (`crash → resume → identical bytes`) as one
 /// command. Exits non-zero on any divergence.
-fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
-    let mut opts = RunOptions::from_slice(args)?;
-    let mut i = 0;
-    while i < args.len() {
-        let (flag, inline) = cli::split_flag(args[i].as_str());
-        match flag {
-            "--threads" | "--seed" | "--fault-seed" | "--fault-profile" => {
-                let _ = cli::flag_value(flag, inline, args, &mut i)?;
-            }
-            other => return Err(format!("unknown chaos flag `{other}`; see `smctl help`")),
-        }
-        i += 1;
-    }
+fn cmd_chaos(args: Args) -> Result<ExitCode, String> {
+    let mut opts = args.opts;
     if opts.fault_seed.is_none() && opts.fault_profile.is_none() {
         opts.fault_profile = Some(FaultProfile::aggressive());
     }
-    let faults = fault_injector(&opts).expect("a fault profile is always set here");
     // Small but real: two benchmarks × two seeds exercises job panics,
     // store I/O on every stage, and the journal, in a few seconds.
     let spec = SweepSpec {
@@ -1519,13 +1067,8 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
     // fault plan, against a throwaway store directory.
     let dir = std::env::temp_dir().join(format!("smctl-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let dir_str = dir.to_string_lossy().into_owned();
-    let store =
-        Arc::new(ArtifactStore::open(dir_str.clone(), None).with_faults(Arc::clone(&faults)));
-    let journal = Arc::new(Journal::for_spec(store.root(), &spec).with_faults(Arc::clone(&faults)));
-    let cache = ArtifactCache::with_store(store)
-        .with_journal(Arc::clone(&journal))
-        .with_faults(faults);
+    opts.store = Some(dir.to_string_lossy().into_owned());
+    let cache = opts.cache(Some(&spec), None);
     let chaotic = run_sweep_budgeted(&spec, &budget, &cache, None)?;
     eprintln!("chaos: {}", chaotic.summary());
 
@@ -1533,7 +1076,11 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
     // surviving results merge with re-runs of every placeholder.
     let run = CampaignRun::resume(chaotic)?;
     eprintln!("chaos: resuming {} job(s) fault-free", run.selected().len());
-    let resume_cache = ArtifactCache::with_store(Arc::new(ArtifactStore::open(dir_str, None)));
+    let resume_cache = RunOptions {
+        store: opts.store,
+        ..RunOptions::default()
+    }
+    .cache(None, None);
     let (resumed, _) = run.run(&Scheduler::Solo, &budget, &resume_cache)?;
     let resumed_json = render_campaign(&resumed, "json", false);
     let _ = std::fs::remove_dir_all(&dir);
@@ -1547,142 +1094,4 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
         resumed.outcomes.len()
     );
     Ok(ExitCode::SUCCESS)
-}
-
-/// Parses `--shard K/N` (1-based shard index).
-fn parse_shard(s: &str) -> Result<(usize, usize), String> {
-    let (k, n) = s
-        .split_once('/')
-        .ok_or(format!("invalid --shard `{s}` (expected K/N, e.g. 2/4)"))?;
-    let k: usize = k
-        .trim()
-        .parse()
-        .map_err(|e| format!("invalid shard index `{k}`: {e}"))?;
-    let n: usize = n
-        .trim()
-        .parse()
-        .map_err(|e| format!("invalid shard count `{n}`: {e}"))?;
-    if n == 0 || k == 0 || k > n {
-        return Err(format!("--shard {s} out of range (need 1 ≤ K ≤ N, N ≥ 1)"));
-    }
-    Ok((k, n))
-}
-
-/// Upper bound on explicit `--jobs` indices, matching the seed limit.
-const MAX_JOBS: u64 = 100_000;
-
-/// Parses a job-index list: `0,2,5..9` and `5..=9` forms, mixed.
-fn parse_indices(list: &str) -> Result<Vec<usize>, String> {
-    let seeds = parse_seeds(list)?;
-    if seeds.len() as u64 > MAX_JOBS {
-        return Err(format!("--jobs exceeds the {MAX_JOBS}-index limit"));
-    }
-    seeds
-        .into_iter()
-        .map(|s| usize::try_from(s).map_err(|_| format!("--jobs index {s} out of range")))
-        .collect()
-}
-
-fn parse_benchmarks(list: &str) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    for part in list.split(',').filter(|s| !s.is_empty()) {
-        match part {
-            "iscas" => out.extend(iscas_selection(false).iter().map(|p| p.name.to_string())),
-            "superblue" => out.extend(
-                superblue_selection(false)
-                    .iter()
-                    .map(|p| p.name.to_string()),
-            ),
-            "all" => {
-                out.extend(iscas_selection(false).iter().map(|p| p.name.to_string()));
-                out.extend(
-                    superblue_selection(false)
-                        .iter()
-                        .map(|p| p.name.to_string()),
-                );
-            }
-            name => out.push(name.to_string()),
-        }
-    }
-    // Overlapping specs (`all,iscas`, repeated names) must not double
-    // every job and report row: dedupe, keeping first-seen order.
-    let mut seen = std::collections::HashSet::new();
-    out.retain(|name| seen.insert(name.clone()));
-    if out.is_empty() {
-        return Err("--benchmarks list is empty".into());
-    }
-    Ok(out)
-}
-
-/// Upper bound on seeds per sweep: a fat-fingered range (`1..=10^9`)
-/// should be rejected up front, not materialized.
-const MAX_SEEDS: u64 = 100_000;
-
-/// Parses `1,2,5`, `1..8` (half-open) and `1..=8` (inclusive), mixed.
-fn parse_seeds(list: &str) -> Result<Vec<u64>, String> {
-    let mut out: Vec<u64> = Vec::new();
-    let push_range = |out: &mut Vec<u64>, part: &str, lo: u64, span: u64| {
-        if span == 0 {
-            return Err(format!("empty seed range `{part}`"));
-        }
-        if span > MAX_SEEDS - out.len() as u64 {
-            return Err(format!(
-                "seed range `{part}` exceeds the {MAX_SEEDS}-seed sweep limit"
-            ));
-        }
-        // `lo..lo + span` would overflow for ranges ending at u64::MAX.
-        out.extend((0..span).map(|k| lo + k));
-        Ok(())
-    };
-    for part in list.split(',').filter(|s| !s.is_empty()) {
-        if let Some((lo, hi)) = part.split_once("..=") {
-            let (lo, hi) = (parse_u64(lo)?, parse_u64(hi)?);
-            let span = hi.checked_sub(lo).map(|s| s.saturating_add(1)).unwrap_or(0);
-            push_range(&mut out, part, lo, span)?;
-        } else if let Some((lo, hi)) = part.split_once("..") {
-            let (lo, hi) = (parse_u64(lo)?, parse_u64(hi)?);
-            push_range(&mut out, part, lo, hi.saturating_sub(lo))?;
-        } else {
-            out.push(parse_u64(part)?);
-            if out.len() as u64 > MAX_SEEDS {
-                return Err(format!("--seeds exceeds the {MAX_SEEDS}-seed sweep limit"));
-            }
-        }
-    }
-    if out.is_empty() {
-        return Err("--seeds list is empty".into());
-    }
-    Ok(out)
-}
-
-fn parse_u64(s: &str) -> Result<u64, String> {
-    s.trim()
-        .parse()
-        .map_err(|e| format!("invalid number `{s}`: {e}"))
-}
-
-fn parse_layers(list: &str) -> Result<Vec<u8>, String> {
-    let mut out = Vec::new();
-    for part in list.split(',').filter(|s| !s.is_empty()) {
-        out.push(
-            part.trim()
-                .parse()
-                .map_err(|e| format!("invalid split layer `{part}`: {e}"))?,
-        );
-    }
-    if out.is_empty() {
-        return Err("--split-layers list is empty".into());
-    }
-    Ok(out)
-}
-
-fn parse_attacks(list: &str) -> Result<Vec<AttackKind>, String> {
-    let mut out = Vec::new();
-    for part in list.split(',').filter(|s| !s.is_empty()) {
-        out.push(AttackKind::parse(part.trim())?);
-    }
-    if out.is_empty() {
-        return Err("--attacks list is empty".into());
-    }
-    Ok(out)
 }

@@ -1,31 +1,41 @@
 //! Experiment definitions regenerating every table and figure of the
-//! paper, plus the unified `smctl` CLI.
+//! paper, plus the `smctl` CLI.
 //!
 //! The heavy machinery — job scheduling, the bundle cache, parallel
 //! execution, report emission — lives in [`sm_engine`]; this crate holds
 //! what is specific to the paper: the measurement drivers
 //! ([`experiments`]), the published numbers ([`quotes`]), the printed
-//! artifacts ([`artifacts`]) and the CLI wiring ([`session`],
+//! artifacts ([`artifacts`]) and the CLI wiring ([`cli`], [`session`],
 //! `src/bin/smctl.rs`).
 //!
-//! | artifact | binary | module |
-//! |----------|--------|--------|
-//! | Table 1  | `table1_distances` | `experiments::table1` |
-//! | Table 2  | `table2_vias` | `experiments::table2` |
-//! | Table 3  | `table3_crouting` | `experiments::table3` |
-//! | Table 4  | `table4_placement_attack` | `experiments::security_row` |
-//! | Table 5  | `table5_routing_attack` | `experiments::security_row` |
-//! | Table 6  | `table6_via_comparison` | `experiments::table6` |
-//! | Fig. 4   | `fig4_distance_distribution` | `experiments::fig4` |
-//! | Fig. 5   | `fig5_wirelength_layers` | `experiments::fig5` |
-//! | Fig. 6   | `fig6_ppa` | `experiments::fig6` |
+//! | artifact | `smctl run` | module |
+//! |----------|-------------|--------|
+//! | Table 1  | `table1` | `experiments::table1` |
+//! | Table 2  | `table2` | `experiments::table2` |
+//! | Table 3  | `table3` | `experiments::table3` |
+//! | Table 4  | `table4` | `experiments::security_row` |
+//! | Table 5  | `table5` | `experiments::security_row` |
+//! | Table 6  | `table6` | `experiments::table6` |
+//! | Fig. 4   | `fig4` | `experiments::fig4` |
+//! | Fig. 5   | `fig5` | `experiments::fig5` |
+//! | Fig. 6   | `fig6` | `experiments::fig6` |
 //!
-//! Every binary accepts `--seed N`, `--scale N` (superblue down-scaling),
-//! `--threads N` and `--quick` (smaller benchmark selection); `=`-forms
-//! (`--seed=N`) work too. `smctl run all` regenerates everything through
-//! one shared bundle cache.
+//! `smctl run` takes any of these names (or `all`, which regenerates
+//! everything through one shared bundle cache) mixed with `--seed N`,
+//! `--scale N` (superblue down-scaling), `--threads N`, `--quick`
+//! (smaller benchmark selection) and the store and fault flags; [`cli`]
+//! declares which flags each command accepts.
 
 #![warn(missing_docs)]
+
+use std::path::Path;
+use std::sync::Arc;
+
+use sm_engine::campaign::SweepSpec;
+use sm_engine::journal::Journal;
+use sm_engine::store::ArtifactStore;
+use sm_engine::ArtifactCache;
+use sm_exec::fault::{FaultInject, FaultPlan, FaultProfile};
 
 pub mod artifacts;
 pub mod cli;
@@ -33,22 +43,8 @@ pub mod experiments;
 pub mod perf;
 pub mod quotes;
 pub mod session;
-pub mod suite;
 
-/// Where the disk-backed artifact store lives, if anywhere.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum StoreMode {
-    /// No preference given: the caller decides (`smctl run`/`sweep`
-    /// default to `.sm-store/`, artifact binaries to no store).
-    #[default]
-    Auto,
-    /// `--no-store`: run without persistence.
-    Off,
-    /// `--store DIR`: persist bundles and job outcomes under `DIR`.
-    At(String),
-}
-
-/// Command-line options shared by all experiment binaries.
+/// The options `smctl` commands share.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOptions {
     /// Master seed.
@@ -62,16 +58,18 @@ pub struct RunOptions {
     /// Campaign deadline in seconds (`--timeout-secs`): jobs picked up
     /// after it are recorded timed-out and left for `smctl resume`.
     pub timeout_secs: Option<u64>,
-    /// Disk-backed artifact store selection.
-    pub store: StoreMode,
+    /// Directory of the disk-backed artifact store (`--store DIR`);
+    /// `None` runs memory-only (`--no-store`). The command line
+    /// defaults it to [`cli::DEFAULT_STORE`].
+    pub store: Option<String>,
     /// Store size budget in bytes (`--store-cap`, e.g. `512M`).
     pub store_cap: Option<u64>,
     /// Fault-injection seed (`--fault-seed`): derives a deterministic
-    /// [`sm_exec::fault::FaultPlan`] threaded into store I/O, journal
-    /// appends and job execution.
+    /// [`FaultPlan`] threaded into store I/O, journal appends and job
+    /// execution.
     pub fault_seed: Option<u64>,
     /// Fault-injection profile (`--fault-profile off|light|aggressive`).
-    pub fault_profile: Option<sm_exec::fault::FaultProfile>,
+    pub fault_profile: Option<FaultProfile>,
 }
 
 impl Default for RunOptions {
@@ -82,7 +80,7 @@ impl Default for RunOptions {
             quick: false,
             threads: None,
             timeout_secs: None,
-            store: StoreMode::Auto,
+            store: None,
             store_cap: None,
             fault_seed: None,
             fault_profile: None,
@@ -91,129 +89,17 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Parses `--seed N`, `--scale N`, `--threads N` (plus their
-    /// `--flag=N` forms) and `--quick` from process arguments; prints the
-    /// error and exits with status 2 on malformed input.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::from_slice(&args) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses options from an argument slice (testable core of
-    /// [`RunOptions::from_args`]).
-    ///
-    /// Both `--seed 7` and `--seed=7` are accepted. Malformed or missing
-    /// values are **rejected**, not silently defaulted. Unknown flags are
-    /// ignored so artifact binaries can share argument lists with
-    /// `smctl`.
-    pub fn from_slice(args: &[String]) -> Result<Self, String> {
-        let mut opts = RunOptions::default();
-        let mut i = 0;
-        while i < args.len() {
-            let (flag, inline) = cli::split_flag(args[i].as_str());
-            match flag {
-                "--seed" => {
-                    let v = cli::flag_value("--seed", inline, args, &mut i)?;
-                    opts.seed = v
-                        .parse()
-                        .map_err(|e| format!("invalid --seed `{v}`: {e}"))?;
-                }
-                "--scale" => {
-                    let v = cli::flag_value("--scale", inline, args, &mut i)?;
-                    opts.scale = v
-                        .parse()
-                        .map_err(|e| format!("invalid --scale `{v}`: {e}"))?;
-                    if opts.scale == 0 {
-                        return Err("invalid --scale `0`: must be ≥ 1".into());
-                    }
-                }
-                "--threads" => {
-                    let v = cli::flag_value("--threads", inline, args, &mut i)?;
-                    let t: usize = v
-                        .parse()
-                        .map_err(|e| format!("invalid --threads `{v}`: {e}"))?;
-                    opts.threads = (t > 0).then_some(t);
-                }
-                "--timeout-secs" => {
-                    let v = cli::flag_value("--timeout-secs", inline, args, &mut i)?;
-                    let secs: u64 = v
-                        .parse()
-                        .map_err(|e| format!("invalid --timeout-secs `{v}`: {e}"))?;
-                    if secs == 0 {
-                        return Err("invalid --timeout-secs `0`: must be ≥ 1".into());
-                    }
-                    opts.timeout_secs = Some(secs);
-                }
-                "--quick" => {
-                    cli::no_value("--quick", inline)?;
-                    opts.quick = true;
-                }
-                "--store" => {
-                    let v = cli::flag_value("--store", inline, args, &mut i)?;
-                    opts.store = StoreMode::At(v);
-                }
-                "--no-store" => {
-                    cli::no_value("--no-store", inline)?;
-                    opts.store = StoreMode::Off;
-                }
-                "--store-cap" => {
-                    let v = cli::flag_value("--store-cap", inline, args, &mut i)?;
-                    opts.store_cap = Some(cli::parse_size(&v)?);
-                }
-                "--fault-seed" => {
-                    let v = cli::flag_value("--fault-seed", inline, args, &mut i)?;
-                    opts.fault_seed = Some(
-                        v.parse()
-                            .map_err(|e| format!("invalid --fault-seed `{v}`: {e}"))?,
-                    );
-                }
-                "--fault-profile" => {
-                    let v = cli::flag_value("--fault-profile", inline, args, &mut i)?;
-                    opts.fault_profile = Some(
-                        sm_exec::fault::FaultProfile::parse(&v)
-                            .map_err(|e| format!("invalid --fault-profile: {e}"))?,
-                    );
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        Ok(opts)
-    }
-
-    /// Resolves [`StoreMode::Auto`] against the caller's default
-    /// (`Some(path)` to enable the store by default, `None` to leave it
-    /// off), yielding the effective store directory.
-    pub fn store_dir(&self, auto_default: Option<&str>) -> Option<String> {
-        match &self.store {
-            StoreMode::At(path) => Some(path.clone()),
-            StoreMode::Off => None,
-            StoreMode::Auto => auto_default.map(str::to_string),
-        }
-    }
-
     /// The fault-injection plan these options describe, if any.
     ///
     /// `--fault-seed` alone injects the `aggressive` profile under that
     /// seed; `--fault-profile` alone uses seed 0. Neither flag means no
     /// plan at all: the injection hooks stay detached and cost nothing.
-    pub fn fault_plan(&self) -> Option<sm_exec::fault::FaultPlan> {
+    pub fn fault_plan(&self) -> Option<FaultPlan> {
         if self.fault_seed.is_none() && self.fault_profile.is_none() {
             return None;
         }
-        let profile = self
-            .fault_profile
-            .unwrap_or_else(sm_exec::fault::FaultProfile::aggressive);
-        Some(sm_exec::fault::FaultPlan::new(
-            self.fault_seed.unwrap_or(0),
-            profile,
-        ))
+        let profile = self.fault_profile.unwrap_or_else(FaultProfile::aggressive);
+        Some(FaultPlan::new(self.fault_seed.unwrap_or(0), profile))
     }
 
     /// The resource budget these options describe: `--threads` becomes
@@ -228,20 +114,58 @@ impl RunOptions {
             None => budget,
         }
     }
+
+    /// The artifact cache these options describe: layered over the
+    /// store, when one is set, and journaling to the file `journal` or,
+    /// failing that, to the journal of campaign `spec` next to the
+    /// store. Store-backed campaigns name that file by the spec's
+    /// fingerprint, so shards and resumes of one campaign append to one
+    /// log. The fault plan, if any, is attached to the store, the
+    /// journal and job execution alike.
+    pub fn cache(&self, spec: Option<&SweepSpec>, journal: Option<&Path>) -> ArtifactCache {
+        let faults = self
+            .fault_plan()
+            .map(|plan| Arc::new(plan) as Arc<dyn FaultInject>);
+        let mut cache = match &self.store {
+            Some(dir) => {
+                let mut store = ArtifactStore::open(dir, self.store_cap);
+                if let Some(faults) = &faults {
+                    store = store.with_faults(Arc::clone(faults));
+                }
+                ArtifactCache::with_store(Arc::new(store))
+            }
+            None => ArtifactCache::new(),
+        };
+        let journal = journal
+            .map(Journal::at)
+            .or_else(|| Some(Journal::for_spec(Path::new(self.store.as_ref()?), spec?)));
+        if let Some(mut journal) = journal {
+            if let Some(faults) = &faults {
+                journal = journal.with_faults(Arc::clone(faults));
+            }
+            cache = cache.with_journal(Arc::new(journal));
+        }
+        match faults {
+            Some(faults) => cache.with_faults(faults),
+            None => cache,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::{Args, Cmd};
 
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    /// The options `smctl sweep` reads from `argv`.
+    fn parse(argv: &[&str]) -> Result<RunOptions, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        Args::parse(Cmd::Sweep, &argv).map(|args| args.opts)
     }
 
     #[test]
     fn parses_all_flags() {
-        let o = RunOptions::from_slice(&args(&["--seed", "9", "--scale", "250", "--quick"]))
-            .expect("valid");
+        let o = parse(&["--seed", "9", "--scale", "250", "--quick"]).expect("valid");
         assert_eq!(o.seed, 9);
         assert_eq!(o.scale, 250);
         assert!(o.quick);
@@ -249,8 +173,7 @@ mod tests {
 
     #[test]
     fn parses_equals_forms() {
-        let o = RunOptions::from_slice(&args(&["--seed=9", "--scale=250", "--threads=4"]))
-            .expect("valid");
+        let o = parse(&["--seed=9", "--scale=250", "--threads=4"]).expect("valid");
         assert_eq!(o.seed, 9);
         assert_eq!(o.scale, 250);
         assert_eq!(o.threads, Some(4));
@@ -259,24 +182,27 @@ mod tests {
 
     #[test]
     fn malformed_values_are_rejected() {
-        assert!(RunOptions::from_slice(&args(&["--seed", "banana"])).is_err());
-        assert!(RunOptions::from_slice(&args(&["--seed=banana"])).is_err());
-        assert!(RunOptions::from_slice(&args(&["--scale=-3"])).is_err());
-        assert!(RunOptions::from_slice(&args(&["--scale", "0"])).is_err());
-        assert!(RunOptions::from_slice(&args(&["--seed="])).is_err());
-        assert!(RunOptions::from_slice(&args(&["--quick=yes"])).is_err());
+        assert!(parse(&["--seed", "banana"]).is_err());
+        assert!(parse(&["--seed=banana"]).is_err());
+        assert!(parse(&["--scale=-3"]).is_err());
+        assert!(parse(&["--scale", "0"]).is_err());
+        assert!(parse(&["--seed="]).is_err());
+        assert!(parse(&["--quick=yes"]).is_err());
     }
 
     #[test]
     fn missing_values_are_rejected() {
-        assert!(RunOptions::from_slice(&args(&["--seed"])).is_err());
-        assert!(RunOptions::from_slice(&args(&["--seed", "--quick"])).is_err());
+        assert!(parse(&["--seed"]).is_err());
+        assert!(parse(&["--seed", "--quick"]).is_err());
     }
 
+    /// No command ignores a flag it does not declare.
     #[test]
     fn unknown_flags_ignored() {
-        let o = RunOptions::from_slice(&args(&["--wat", "--quick"])).expect("valid");
-        assert!(o.quick);
+        let err = parse(&["--wat", "--quick"]).expect_err("--wat is no sweep flag");
+        assert_eq!(err, "unknown sweep flag `--wat`; see `smctl help`");
+        let err = parse(&["--quick", "--follow"]).expect_err("--follow is no sweep flag");
+        assert!(err.starts_with("unknown sweep flag `--follow`"), "{err}");
     }
 
     #[test]
@@ -289,14 +215,13 @@ mod tests {
 
     #[test]
     fn zero_threads_means_auto() {
-        let o = RunOptions::from_slice(&args(&["--threads", "0"])).expect("valid");
+        let o = parse(&["--threads", "0"]).expect("valid");
         assert_eq!(o.threads, None);
     }
 
     #[test]
     fn timeout_parses_into_a_deadline_budget() {
-        let o = RunOptions::from_slice(&args(&["--threads", "2", "--timeout-secs", "3600"]))
-            .expect("valid");
+        let o = parse(&["--threads", "2", "--timeout-secs", "3600"]).expect("valid");
         assert_eq!(o.timeout_secs, Some(3600));
         let budget = o.budget();
         assert_eq!(budget.threads(), 2);
@@ -306,61 +231,59 @@ mod tests {
         let plain = RunOptions::default().budget();
         assert!(plain.cancel_token().deadline().is_none());
 
-        assert!(RunOptions::from_slice(&args(&["--timeout-secs", "0"])).is_err());
-        assert!(RunOptions::from_slice(&args(&["--timeout-secs", "soon"])).is_err());
-        assert!(RunOptions::from_slice(&args(&["--timeout-secs"])).is_err());
+        assert!(parse(&["--timeout-secs", "0"]).is_err());
+        assert!(parse(&["--timeout-secs", "soon"]).is_err());
+        assert!(parse(&["--timeout-secs"]).is_err());
     }
 
     #[test]
     fn fault_flags_resolve_to_a_plan() {
-        use sm_exec::fault::{FaultPlan, FaultProfile};
-
         assert_eq!(RunOptions::default().fault_plan(), None);
 
-        let seeded = RunOptions::from_slice(&args(&["--fault-seed", "7"])).expect("valid");
+        let seeded = parse(&["--fault-seed", "7"]).expect("valid");
         assert_eq!(
             seeded.fault_plan(),
             Some(FaultPlan::new(7, FaultProfile::aggressive())),
             "--fault-seed alone injects the aggressive profile"
         );
 
-        let profiled = RunOptions::from_slice(&args(&["--fault-profile=light"])).expect("valid");
+        let profiled = parse(&["--fault-profile=light"]).expect("valid");
         assert_eq!(
             profiled.fault_plan(),
             Some(FaultPlan::new(0, FaultProfile::light())),
             "--fault-profile alone uses seed 0"
         );
 
-        let both = RunOptions::from_slice(&args(&["--fault-seed=3", "--fault-profile", "off"]))
-            .expect("valid");
+        let both = parse(&["--fault-seed=3", "--fault-profile", "off"]).expect("valid");
         assert_eq!(
             both.fault_plan(),
             Some(FaultPlan::new(3, FaultProfile::off()))
         );
 
-        assert!(RunOptions::from_slice(&args(&["--fault-seed", "soon"])).is_err());
-        assert!(RunOptions::from_slice(&args(&["--fault-profile", "wild"])).is_err());
-        assert!(RunOptions::from_slice(&args(&["--fault-seed"])).is_err());
+        assert!(parse(&["--fault-seed", "soon"]).is_err());
+        assert!(parse(&["--fault-profile", "wild"]).is_err());
+        assert!(parse(&["--fault-seed"]).is_err());
     }
 
     #[test]
     fn store_flags_resolve_modes() {
-        let o = RunOptions::from_slice(&args(&["--store", "my-store", "--store-cap", "4M"]))
-            .expect("valid");
-        assert_eq!(o.store, StoreMode::At("my-store".into()));
+        let o = parse(&["--store", "my-store", "--store-cap", "4M"]).expect("valid");
+        assert_eq!(o.store.as_deref(), Some("my-store"));
         assert_eq!(o.store_cap, Some(4 << 20));
-        assert_eq!(o.store_dir(Some(".sm-store")), Some("my-store".into()));
 
-        let off = RunOptions::from_slice(&args(&["--no-store"])).expect("valid");
-        assert_eq!(off.store, StoreMode::Off);
-        assert_eq!(off.store_dir(Some(".sm-store")), None);
+        let off = parse(&["--no-store"]).expect("valid");
+        assert_eq!(off.store, None);
 
-        let auto = RunOptions::default();
-        assert_eq!(auto.store_dir(Some(".sm-store")), Some(".sm-store".into()));
-        assert_eq!(auto.store_dir(None), None);
+        let unset = parse(&[]).expect("valid");
+        assert_eq!(unset.store.as_deref(), Some(cli::DEFAULT_STORE));
+        assert_eq!(
+            RunOptions::default().store,
+            None,
+            "library callers run memory-only"
+        );
 
-        assert!(RunOptions::from_slice(&args(&["--store-cap", "soon"])).is_err());
-        assert!(RunOptions::from_slice(&args(&["--store"])).is_err());
-        assert!(RunOptions::from_slice(&args(&["--no-store=yes"])).is_err());
+        assert!(parse(&["--store-cap", "soon"]).is_err());
+        assert!(parse(&["--store"]).is_err());
+        assert!(parse(&["--no-store=yes"]).is_err());
     }
 }

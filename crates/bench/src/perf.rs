@@ -41,6 +41,7 @@ use sm_attacks::crouting::{crouting_attack_traced, CroutingConfig};
 use sm_attacks::proximity::{network_flow_attack_budgeted, ProximityConfig};
 use sm_core::flow::{protect_with, BaselineLayout, FlowConfig};
 use sm_core::ppa::evaluate;
+use sm_engine::bundle::{iscas_selection, superblue_selection};
 use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{read_events, Journal};
@@ -50,8 +51,6 @@ use sm_engine::ArtifactCache;
 use sm_exec::{Budget, Pool};
 use sm_layout::{split_layout, Floorplan, PlacementEngine, RouteOptions, Router, Technology};
 use sm_netlist::Netlist;
-
-use crate::suite::{iscas_selection, superblue_selection};
 
 /// The workload knobs (all folded into the deterministic fingerprints).
 #[derive(Debug, Clone)]

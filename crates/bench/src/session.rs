@@ -1,17 +1,17 @@
 //! One experiment session: options + thread budget + shared bundle
 //! cache.
 //!
-//! Every artifact binary (and `smctl`) builds a [`Session`] and pulls
-//! layout bundles through it, so the engine parallelizes bundle
-//! construction across benchmarks and a multi-artifact run (`smctl run
-//! all`) builds each benchmark's bundle exactly once.
+//! `smctl run` builds a [`Session`] and the artifacts pull layout
+//! bundles through it, so the engine parallelizes bundle construction
+//! across benchmarks and a multi-artifact run (`smctl run all`) builds
+//! each benchmark's bundle exactly once.
 
 use std::sync::{Arc, OnceLock};
 
 use sm_benchgen::superblue::SuperblueProfile;
 use sm_engine::bundle::{iscas_selection, superblue_selection, IscasRun, SuperblueRun};
 use sm_engine::cache::{ArtifactCache, BundleKey, CacheStats};
-use sm_engine::store::{ArtifactStore, StoreStats};
+use sm_engine::store::StoreStats;
 use sm_exec::phase::Recorder;
 use sm_exec::Budget;
 
@@ -30,43 +30,19 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds a session for `opts`. A store directory resolved from
-    /// `opts.store` (explicit `--store` only; [`StoreMode::Auto`] means
-    /// no store here — `smctl` resolves its own default before calling
-    /// this) layers the bundle cache over disk. The session holds the
-    /// single [`Budget`] `opts` describes (`--threads`), so every
-    /// artifact in the batch shares one worker pool. Artifact
-    /// runs honor the thread allotment only — deadlines are a campaign
-    /// concept (artifact runners never check the cancel token, which is
-    /// why `smctl run` rejects `--timeout-secs`).
-    ///
-    /// [`StoreMode::Auto`]: crate::StoreMode::Auto
+    /// Builds a session for `opts`: the bundle cache sits over
+    /// `opts.store` when one is set, with the fault plan attached
+    /// (artifact regeneration must survive injected I/O faults too). The
+    /// session holds the single [`Budget`] `opts` describes
+    /// (`--threads`), so every artifact in the batch shares one worker
+    /// pool. Artifact runs honor the thread allotment only — deadlines
+    /// are a campaign concept (artifact runners never check the cancel
+    /// token, which is why `smctl run` rejects `--timeout-secs`).
     pub fn new(opts: RunOptions) -> Session {
-        let budget = opts.budget();
-        // `--fault-seed`/`--fault-profile` attach to the store (and the
-        // cache, though artifact runners never hit the job-run site):
-        // artifact regeneration must survive injected I/O faults too.
-        let faults = opts
-            .fault_plan()
-            .map(|plan| Arc::new(plan) as Arc<dyn sm_exec::fault::FaultInject>);
-        let cache = match opts.store_dir(None) {
-            Some(dir) => {
-                let mut store = ArtifactStore::open(dir, opts.store_cap);
-                if let Some(faults) = &faults {
-                    store = store.with_faults(Arc::clone(faults));
-                }
-                ArtifactCache::with_store(Arc::new(store))
-            }
-            None => ArtifactCache::new(),
-        };
-        let cache = match faults {
-            Some(faults) => cache.with_faults(faults),
-            None => cache,
-        };
         Session {
+            cache: Arc::new(opts.cache(None, None)),
+            budget: opts.budget(),
             opts,
-            cache: Arc::new(cache),
-            budget,
             security_rows: Arc::default(),
         }
     }
@@ -102,10 +78,9 @@ impl Session {
     /// bundle is then **released right after its last consuming
     /// artifact fetches it** instead of staying pinned for the whole
     /// session (the consumer keeps its own `Arc`; a store-backed
-    /// session can always re-decode). Sessions that never call this —
-    /// the single-artifact binaries, tests — keep the historical
-    /// pin-for-the-session behavior, because releasing an unreserved
-    /// key is a no-op.
+    /// session can always re-decode). Sessions that never call this
+    /// keep every bundle pinned for the session, because releasing an
+    /// unreserved key is a no-op.
     pub fn reserve_for_artifacts(&self, names: &[&str]) {
         // Consumer counts come from the declarations next to each
         // runner registration (`artifacts::ARTIFACTS`), so they cannot
@@ -319,7 +294,7 @@ mod tests {
         let opts = RunOptions {
             quick: true,
             threads: Some(2),
-            store: crate::StoreMode::At(dir.to_string_lossy().into_owned()),
+            store: Some(dir.to_string_lossy().into_owned()),
             ..RunOptions::default()
         };
 

@@ -1,8 +1,8 @@
 //! `smctl report --input` contract tests, driven against the real
-//! binary (`CARGO_BIN_EXE_smctl`): every re-rendered format parses the
-//! stored report through one parser, so a malformed report is rejected
-//! the same way by all of them, and a `--timings` report keeps its
-//! `wall_ms` column.
+//! binary (`CARGO_BIN_EXE_smctl`): every format, the echoed JSON
+//! included, parses the stored report through one parser, so a
+//! malformed report is rejected the same way by all of them, and a
+//! `--timings` report keeps its `wall_ms` column.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -116,7 +116,7 @@ fn report_rejects_malformed_reports_and_keeps_timings() {
     let mut bad = report.clone();
     *field(first_job(&mut bad), "seed") = Json::str("x");
     std::fs::write(dir.join("bad-seed.json"), bad.render()).unwrap();
-    for format in ["csv", "agg-csv", "table"] {
+    for format in ["json", "csv", "agg-csv", "table"] {
         let out = smctl(
             &["report", "--input", "bad-seed.json", "--format", format],
             dir,

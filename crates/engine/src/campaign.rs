@@ -90,6 +90,11 @@ impl Default for SweepSpec {
 impl SweepSpec {
     /// Expands the spec into the deterministic job list (row-major over
     /// benchmarks → seeds → split layers → attacks).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an empty axis, a repeated axis value, a split
+    /// layer outside 1..=9, a zero scale or an unknown benchmark.
     pub fn jobs(&self) -> Result<Vec<Job>, String> {
         if self.benchmarks.is_empty() {
             return Err("sweep needs at least one benchmark".into());
@@ -103,6 +108,10 @@ impl SweepSpec {
         if self.attacks.is_empty() {
             return Err("sweep needs at least one attack".into());
         }
+        distinct("benchmark", &self.benchmarks)?;
+        distinct("seed", &self.seeds)?;
+        distinct("split layer", &self.split_layers)?;
+        distinct("attack", self.attacks.iter().map(AttackKind::id))?;
         for &layer in &self.split_layers {
             if !(1..=9).contains(&layer) {
                 return Err(format!("split layer {layer} out of range 1..=9"));
@@ -131,6 +140,19 @@ impl SweepSpec {
             }
         }
         Ok(jobs)
+    }
+}
+
+/// Rejects a repeated value on a sweep axis: its jobs would run twice
+/// under one report row, and the report could never be complete.
+fn distinct<T>(axis: &str, values: impl IntoIterator<Item = T>) -> Result<(), String>
+where
+    T: Copy + Eq + std::hash::Hash + std::fmt::Display,
+{
+    let mut seen = HashSet::new();
+    match values.into_iter().find(|&v| !seen.insert(v)) {
+        Some(v) => Err(format!("sweep repeats {axis} `{v}`")),
+        None => Ok(()),
     }
 }
 
@@ -1505,6 +1527,33 @@ mod tests {
             ..SweepSpec::default()
         };
         assert!(zero_scale.jobs().is_err());
+        // A repeated value on any axis would run its jobs twice under
+        // one report row, leaving a report no merge or resume completes.
+        let repeats = [
+            SweepSpec {
+                benchmarks: vec!["c432".into(), "c880".into(), "c432".into()],
+                ..SweepSpec::default()
+            },
+            SweepSpec {
+                seeds: vec![1, 1],
+                ..SweepSpec::default()
+            },
+            SweepSpec {
+                split_layers: vec![3, 4, 3],
+                ..SweepSpec::default()
+            },
+            SweepSpec {
+                attacks: vec![AttackKind::NetworkFlow, AttackKind::NetworkFlow],
+                ..SweepSpec::default()
+            },
+        ];
+        for (spec, axis) in repeats
+            .iter()
+            .zip(["benchmark", "seed", "split layer", "attack"])
+        {
+            let err = spec.jobs().expect_err("a repeated axis value is rejected");
+            assert!(err.starts_with(&format!("sweep repeats {axis} `")), "{err}");
+        }
     }
 
     #[test]

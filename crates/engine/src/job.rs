@@ -7,14 +7,10 @@
 
 use sm_benchgen::iscas::IscasProfile;
 use sm_benchgen::superblue::SuperblueProfile;
+use sm_exec::seed::{fnv1a, mix64};
 
 use crate::bundle::{iscas_profile_by_name, superblue_profile_by_name};
 use crate::cache::BundleKey;
-
-// The mixing primitives moved to `sm_exec::seed` so the layout engine
-// can derive independent per-branch streams with the same scheme;
-// re-exported here under their historical `sm_engine::job` paths.
-pub use sm_exec::seed::{fnv1a, mix64};
 
 /// The benchmark axis of a job.
 #[derive(Debug, Clone)]

@@ -1,8 +1,7 @@
 //! `sm-engine` — the parallel experiment-campaign engine.
 //!
-//! The DAC'18 reproduction originally regenerated every table and figure
-//! through one-shot binaries that each rebuilt the same
-//! protect→place→route→split→attack bundles serially. This crate turns
+//! Every table and figure of the DAC'18 reproduction consumes the same
+//! protect→place→route→split→attack bundles. This crate turns
 //! experiments into *data* and owns the machinery around them:
 //!
 //! * [`job`] — the [`Job`](job::Job) type (benchmark × seed × split layer
@@ -43,7 +42,7 @@
 //! pool and output order stays independent of scheduling.
 //!
 //! The `smctl` CLI (in `sm-bench`, next to the experiment definitions)
-//! and the per-table binaries all sit on top of these primitives.
+//! sits on top of these primitives.
 //!
 //! # Example
 //!

@@ -959,25 +959,6 @@ impl Budget {
     }
 }
 
-/// Runs two independent closures concurrently on the process-global
-/// pool's default budget and returns both results. Prefer
-/// [`Budget::join`] where a budget is plumbed through; this free
-/// function serves un-plumbed callers and shares (never multiplies) the
-/// global worker pool.
-///
-/// # Panics
-///
-/// Re-raises a panic from either task.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    Budget::default().join(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1051,9 +1032,6 @@ mod tests {
 
     #[test]
     fn join_returns_both_results() {
-        let (a, b) = join(|| 6 * 7, || "forty-two".len());
-        assert_eq!(a, 42);
-        assert_eq!(b, 9);
         let budget = Budget::with_threads(Some(2));
         let (a, b) = budget.join(|| 1 + 1, || vec![0u8; 3].len());
         assert_eq!((a, b), (2, 3));
