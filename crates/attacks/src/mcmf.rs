@@ -10,7 +10,7 @@
 //!
 //! # Residual graph
 //!
-//! Both engines run on one frozen CSR (compressed sparse row) residual
+//! The engine runs on one frozen CSR (compressed sparse row) residual
 //! graph. [`MinCostFlow::add_edge`] only stages `(from, to, cap, cost)`;
 //! the first `run*` call freezes the staged edges and drops the staging
 //! list, so a solve holds exactly one copy of the graph. Edge `e` owns
@@ -22,9 +22,9 @@
 //! both residuals, so no capacity or flow field exists; `flow_on`,
 //! [`MinCostFlow::edge_views`] and the certificate read the same arrays.
 //!
-//! # Engines
+//! # Engine
 //!
-//! [`MinCostFlow::run_cost_scaling`] solves the problem in two stages:
+//! [`MinCostFlow::run`] solves the problem in two stages:
 //!
 //! 1. **Value** — a capped Dinic max-flow fixes the flow value
 //!    `F = min(max_flow, maxflow(s, t))` in `O(E·√V)` on the attack's
@@ -38,95 +38,40 @@
 //!    quadratic in cut pins (245 s on superblue18 at bench scale); the
 //!    scaling engine solves the same instance in seconds.
 //!
-//! The pinned engine behind [`MinCostFlow::run`] is successive shortest
-//! paths: one Dijkstra on reduced costs with Johnson potentials per
-//! augmentation, reset per round through the list of nodes the round
-//! reached. On the attack's instances nearly every reached node ends a
-//! round at reduced distance 0: on c1355, c1908 and c3540 at M3–M4, both
-//! arms, a round reaches all of the instance's 1 000–5 900 nodes, and
-//! only 14–20 of them on average end at a positive distance. So each
-//! round's Dijkstra runs in two phases:
-//!
-//! 1. **Zero phase.** The source, and every node relaxed to distance 0,
-//!    is queued in a two-level bitset (`ZeroBucket`) that pops its lowest
-//!    id first. A node relaxed to a positive distance only records its
-//!    distance and arc.
-//! 2. **Positive phase.** When the bucket drains, the reached nodes not
-//!    yet settled, all at positive distance, go into an indexed 4-ary
-//!    heap with decrease-key ordered by `(dist, node)`, which settles the
-//!    rest of the round.
-//!
-//! The zero phase queues and pops a node with a few word operations
-//! (plus a scan of one summary word per 4 096 nodes) instead of an
-//! O(log n) heap sift, and the deferred heap holds only the few positive
-//! keys.
-//!
 //! Every data structure is index-ordered (flat vectors, FIFO discharge,
 //! lowest-arc-id-first scans — no hash-map iteration anywhere), so the
 //! solution is a pure function of the instance: the same graph always
 //! yields the same flow, which is what lets campaign reports stay
-//! byte-identical across runs, thread counts and machines.
+//! byte-identical across runs, thread counts and machines. A phase's
+//! saturation sweep runs node by node rather than in arc-id order; its
+//! result does not depend on the order, because a saturated arc's pair
+//! has positive reduced cost and is never saturated itself, and the
+//! excesses are plain sums. Discharge and relabel scan each node's arcs
+//! in CSR order.
 //!
-//! # Tie pinning: why [`MinCostFlow::run`] dispatches by demand
+//! # Tie choice
 //!
 //! Min-cost flows are **not unique**: real attack instances carry exact
 //! cost ties (tens of tied candidate edges on c432 alone), every optimal
 //! flow is equally correct, and which one a solver returns is an
-//! artifact of its traversal order. The committed ISCAS campaign
-//! reports pin the successive-shortest-path engine's particular choice,
-//! and no faster algorithm reproduces that choice — so [`MinCostFlow::run`]
-//! keeps requests of up to [`MinCostFlow::PINNED_SSP_MAX_DEMAND`] units
-//! on the SSP engine (every ISCAS instance; c7552/M3 is the largest at
-//! 7022 units) and routes larger requests — the superblue-scale
-//! instances SSP made unreachable — to the cost-scaling engine. Both
-//! paths are deterministic; the differential harness below pins them to
-//! agree on flow value and total cost everywhere, and on the full
-//! per-edge flow whenever the optimum is unique.
-//!
-//! # Why the flows match the adjacency-list engines
-//!
-//! Within a node, CSR order is increasing arc id — the order in which
-//! per-node adjacency lists filled by `add_edge` (the reference
-//! oracle's layout) scan arcs. On top of that:
-//!
-//! * **SSP.** Reduced costs stay non-negative on every arc a round can
-//!   reach: each round's potentials add that round's distances, and the
-//!   set of nodes reachable from `s` only shrinks (an augmentation adds
-//!   reverse arcs between nodes that were already reachable). So a
-//!   settled node is never improved, and the oracle's lazy binary heap
-//!   settles each reached node exactly once, always the queued node with
-//!   the smallest `(dist, node)`. That is not a global `(dist, node)`
-//!   order: equal distances pop by id only among the nodes already
-//!   queued, so a node relaxed to distance 0 settles after a higher id
-//!   that settled at 0 before it was reached. A single indexed heap,
-//!   holding each reached, unsettled node once under that key, makes the
-//!   same choice at every step. So does the two-phase queue. Keys are
-//!   distinct and non-negative, so while a node is queued at distance 0
-//!   the smallest key is the lowest such id, which the bucket pops. Once
-//!   the bucket drains, every relaxation gives `nd ≥ dist[u] > 0`, so no
-//!   zero key appears again, and the heap starts from exactly the nodes
-//!   and keys a single heap would hold at that step. The same pops relax
-//!   the same arcs in the same order under the same strict `<`, so
-//!   `prev_arc`, the potentials and the flow equal the oracle's, edge for
-//!   edge. Debug builds assert that no reduced cost is negative.
-//! * **Cost scaling.** A phase's saturation sweep runs node by node
-//!   rather than in arc-id order; its result does not depend on the
-//!   order, because a saturated arc's pair has positive reduced cost and
-//!   is never saturated itself, and the excesses are plain sums.
-//!   Discharge and relabel scan each node's arcs in CSR order.
+//! artifact of its traversal order. Campaign reports record this
+//! engine's choice, and hash tests pin it (the tests below on generated
+//! instances, `proximity::assignment_pin` on real ISCAS ones). So any
+//! change to the order in which Dinic or the refinement scans arcs — a
+//! price update, push lookahead, a tie-breaking cost perturbation —
+//! moves report bytes and ships with a report version bump.
 //!
 //! # Oracle and certificate
 //!
-//! The original adjacency-list SSP engine is kept verbatim, in test
-//! builds only, as `reference::SspFlow`: the oracle the pinned path must
-//! match edge for edge and the scaling engine must match in value and
-//! cost. [`certificate`] checks any solved instance against the
-//! textbook optimality conditions — capacity feasibility, flow
-//! conservation, maximality of the value, and non-negative reduced
-//! costs under potentials recovered from the residual graph — and runs
-//! automatically after every solve in debug builds (hence under
-//! `cargo test`), so a regression in either engine cannot produce a
-//! plausible-but-suboptimal assignment silently.
+//! The original adjacency-list successive-shortest-path engine is kept
+//! verbatim, in test builds only, as `reference::SspFlow`: the oracle
+//! the engine must match in flow value and total cost. [`certificate`]
+//! checks any solved instance against the textbook optimality
+//! conditions — capacity feasibility, flow conservation, maximality of
+//! the value, and non-negative reduced costs under potentials recovered
+//! from the residual graph — and runs automatically after every solve in
+//! debug builds (hence under `cargo test`), so a regression cannot
+//! produce a plausible-but-suboptimal assignment silently.
 
 use std::collections::VecDeque;
 
@@ -190,9 +135,10 @@ impl MinCostFlow {
     /// # Panics
     ///
     /// Panics if an endpoint is out of range, the capacity or the cost
-    /// is negative (the historical SSP contract, kept so both engines
-    /// accept exactly the same instances), an index outgrows `u32`, or
-    /// the instance has already been solved.
+    /// is negative (the test oracle's Dijkstra needs non-negative costs,
+    /// so the engine accepts exactly the instances the oracle can
+    /// check), an index outgrows `u32`, or the instance has already been
+    /// solved.
     pub fn add_edge(&mut self, from: usize, to: usize, cap: i64, cost: i64) -> usize {
         assert!(from < self.nodes && to < self.nodes, "node range");
         assert!(cap >= 0, "negative capacities unsupported");
@@ -252,59 +198,24 @@ impl MinCostFlow {
         }
     }
 
-    /// The largest `max_flow` request [`MinCostFlow::run`] still solves
-    /// on the pinned SSP engine. Sized between the largest ISCAS
-    /// instance (c7552 at the M3 split asks for 7022 units — frozen by
-    /// the committed campaign reports) and the smallest superblue-class
-    /// one (superblue18 at bench scale asks for 13130).
-    pub const PINNED_SSP_MAX_DEMAND: i64 = 8192;
-
-    /// Sends up to `max_flow` units from `s` to `t`; returns
-    /// `(flow, cost)`.
-    ///
-    /// Requests of up to [`MinCostFlow::PINNED_SSP_MAX_DEMAND`] units
-    /// solve on the tie-pinned SSP engine, larger ones on the
-    /// cost-scaling engine (see the module docs). In debug builds the
-    /// solution is re-verified against the optimality certificate before
-    /// it is returned.
+    /// Sends up to `max_flow` units from `s` to `t` along a minimum-cost
+    /// flow; returns `(flow, cost)`. In debug builds the solution is
+    /// re-verified against the optimality certificate before it is
+    /// returned.
     pub fn run(&mut self, s: usize, t: usize, max_flow: i64) -> (i64, i64) {
         self.run_interruptible(s, t, max_flow, &mut || false)
             .expect("uncancellable run")
     }
 
     /// [`MinCostFlow::run`] with a cooperative stop check, consulted at
-    /// phase boundaries — between ε-scaling phases on the cost-scaling
-    /// path, every 64 augmenting rounds on the pinned SSP path — and
-    /// never inside one, so a solve that *completes* is bit-identical
-    /// whether or not a token was attached. Returns `None` if
-    /// `should_stop` reported `true` at a boundary; the instance is then
-    /// left holding a partial flow and must not be read further.
-    pub fn run_interruptible(
-        &mut self,
-        s: usize,
-        t: usize,
-        max_flow: i64,
-        should_stop: &mut dyn FnMut() -> bool,
-    ) -> Option<(i64, i64)> {
-        if max_flow <= Self::PINNED_SSP_MAX_DEMAND {
-            self.run_pinned_ssp(s, t, max_flow, should_stop)
-        } else {
-            self.run_cost_scaling_interruptible(s, t, max_flow, should_stop)
-        }
-    }
-
-    /// Solves on the cost-scaling engine regardless of demand — the
-    /// forced path the differential harness and perf benches use.
-    pub fn run_cost_scaling(&mut self, s: usize, t: usize, max_flow: i64) -> (i64, i64) {
-        self.run_cost_scaling_interruptible(s, t, max_flow, &mut || false)
-            .expect("uncancellable run")
-    }
-
-    /// [`MinCostFlow::run_cost_scaling`] with a stop check between
-    /// scaling phases (see [`MinCostFlow::run_interruptible`]). Like
-    /// the Dinic stage it starts with, it augments whatever flow the
+    /// phase boundaries — after the Dinic stage and between ε-scaling
+    /// phases — and never inside one, so a solve that *completes* is
+    /// bit-identical whether or not a token was attached. Returns `None`
+    /// if `should_stop` reported `true` at a boundary; the instance is
+    /// then left holding a partial flow and must not be read further.
+    /// Like the Dinic stage it starts with, it augments whatever flow the
     /// instance already holds.
-    pub fn run_cost_scaling_interruptible(
+    pub fn run_interruptible(
         &mut self,
         s: usize,
         t: usize,
@@ -322,24 +233,6 @@ impl MinCostFlow {
         #[cfg(debug_assertions)]
         certificate::verify(self, s, t, max_flow).expect("optimality certificate");
         Some((flow, total_cost))
-    }
-
-    /// Solves from zero flow on the SSP engine, whose tie-breaking is
-    /// what the committed ISCAS reports pin.
-    fn run_pinned_ssp(
-        &mut self,
-        s: usize,
-        t: usize,
-        max_flow: i64,
-        should_stop: &mut dyn FnMut() -> bool,
-    ) -> Option<(i64, i64)> {
-        assert!(s < self.nodes && t < self.nodes, "node range");
-        let g = self.freeze();
-        g.clear_flow();
-        let out = g.ssp(s, t, max_flow, should_stop)?;
-        #[cfg(debug_assertions)]
-        certificate::verify(self, s, t, max_flow).expect("optimality certificate");
-        Some(out)
     }
 
     /// The residual graph, frozen from the staged edges on first use.
@@ -430,15 +323,6 @@ impl Csr {
         }
     }
 
-    /// Returns every unit of flow to its forward arc.
-    fn clear_flow(&mut self) {
-        for e in 0..self.slot.len() {
-            let rev = self.arcs[self.slot[e] as usize].pair as usize;
-            let flow = self.arcs[rev].res;
-            self.push(rev, flow);
-        }
-    }
-
     /// Cost of the current flow.
     fn total_cost(&self) -> i64 {
         (0..self.slot.len())
@@ -447,108 +331,6 @@ impl Csr {
                 v.flow * v.cost
             })
             .sum()
-    }
-
-    // ----- the pinned engine: successive shortest paths -------------------
-
-    /// Successive shortest paths from the current (zero) flow: Dijkstra
-    /// on reduced costs, then one augmentation along the shortest
-    /// `s → t` path, until `max_flow` units flow or `t` is cut off.
-    /// Consults `should_stop` every 64 rounds; returns `(flow, cost)`.
-    ///
-    /// Each round's Dijkstra runs in two phases (see the module docs):
-    /// nodes at reduced distance 0 settle from a [`ZeroBucket`], lowest
-    /// id first; once it drains, the reached nodes still unsettled, all
-    /// at positive distance, settle from an [`IndexedHeap`].
-    fn ssp(
-        &mut self,
-        s: usize,
-        t: usize,
-        max_flow: i64,
-        should_stop: &mut dyn FnMut() -> bool,
-    ) -> Option<(i64, i64)> {
-        let n = self.nodes();
-        let source = u32::try_from(s).expect("node ids fit in u32");
-        let mut sp = ShortestPaths::new(n);
-        let mut zero = ZeroBucket::new(n);
-        let mut heap = IndexedHeap::new(n);
-        let (mut total_flow, mut total_cost) = (0i64, 0i64);
-        let mut rounds = 0u64;
-        while total_flow < max_flow {
-            if rounds.is_multiple_of(64) && should_stop() {
-                return None;
-            }
-            rounds += 1;
-            sp.reset();
-            sp.dist[s] = 0;
-            sp.reached.push(source);
-            zero.insert(source);
-            while let Some(u) = zero.pop() {
-                self.relax(&mut sp, u as usize, |v, nd| {
-                    if nd == 0 {
-                        zero.insert(v);
-                    }
-                });
-            }
-            for &v in &sp.reached {
-                let d = sp.dist[v as usize];
-                if d > 0 {
-                    heap.push_or_decrease(v, d);
-                }
-            }
-            while let Some(u) = heap.pop() {
-                self.relax(&mut sp, u as usize, |v, nd| heap.push_or_decrease(v, nd));
-            }
-            if sp.dist[t] == i64::MAX {
-                break;
-            }
-            for &v in &sp.reached {
-                sp.potential[v as usize] += sp.dist[v as usize];
-            }
-            // Bottleneck along the path, then the augmentation.
-            let mut push = max_flow - total_flow;
-            let mut v = t;
-            while v != s {
-                let arc = self.arcs[sp.prev_arc[v] as usize];
-                push = push.min(arc.res);
-                v = self.arcs[arc.pair as usize].head as usize;
-            }
-            let mut v = t;
-            while v != s {
-                let a = sp.prev_arc[v] as usize;
-                self.push(a, push);
-                total_cost += push * self.arcs[a].cost;
-                v = self.arcs[self.arcs[a].pair as usize].head as usize;
-            }
-            total_flow += push;
-        }
-        Some((total_flow, total_cost))
-    }
-
-    /// Scans the residual arcs of the settled node `u` in CSR order and
-    /// lowers the distance of every head it strictly improves, recording
-    /// the arc and calling `improved(head, new distance)`.
-    fn relax(&self, sp: &mut ShortestPaths, u: usize, mut improved: impl FnMut(u32, i64)) {
-        let base = sp.dist[u] + sp.potential[u];
-        for a in self.arcs_of(u) {
-            let arc = self.arcs[a];
-            if arc.res <= 0 {
-                continue;
-            }
-            let v = arc.head as usize;
-            let nd = base + arc.cost - sp.potential[v];
-            // With non-negative reduced costs no settled node (all at
-            // distance ≤ dist[u]) can be improved.
-            debug_assert!(nd >= sp.dist[u], "negative reduced cost");
-            if nd < sp.dist[v] {
-                if sp.dist[v] == i64::MAX {
-                    sp.reached.push(arc.head);
-                }
-                sp.dist[v] = nd;
-                sp.prev_arc[v] = a as u32;
-                improved(arc.head, nd);
-            }
-        }
     }
 
     // ----- stage 1: flow value (Dinic) -----------------------------------
@@ -750,165 +532,6 @@ impl Refinement {
     }
 }
 
-/// Dijkstra state of the SSP engine, reused across rounds: `reached`
-/// lists the nodes a round touched, so the reset and the potential
-/// update walk only those (unreached nodes keep `dist == MAX` and an
-/// unchanged potential).
-struct ShortestPaths {
-    /// Johnson potentials, summed over the rounds.
-    potential: Vec<i64>,
-    /// This round's reduced distance from the source.
-    dist: Vec<i64>,
-    /// CSR slot of the arc each reached node was last improved through.
-    prev_arc: Vec<u32>,
-    reached: Vec<u32>,
-}
-
-impl ShortestPaths {
-    fn new(nodes: usize) -> Self {
-        ShortestPaths {
-            potential: vec![0; nodes],
-            dist: vec![i64::MAX; nodes],
-            prev_arc: vec![0; nodes],
-            reached: Vec::with_capacity(nodes),
-        }
-    }
-
-    /// Forgets the last round's distances.
-    fn reset(&mut self) {
-        for &v in &self.reached {
-            self.dist[v as usize] = i64::MAX;
-        }
-        self.reached.clear();
-    }
-}
-
-/// A set of node ids that pops its lowest id first, as a two-level
-/// bitset: one bit per node, and one summary bit per 64-node word that
-/// is set while the word holds a node. A pop scans the summary (one word
-/// per 4096 nodes) for its first set bit, then that word; an insert sets
-/// two bits.
-#[derive(Debug)]
-struct ZeroBucket {
-    words: Vec<u64>,
-    summary: Vec<u64>,
-}
-
-impl ZeroBucket {
-    fn new(nodes: usize) -> Self {
-        let words = nodes.div_ceil(64);
-        ZeroBucket {
-            words: vec![0; words],
-            summary: vec![0; words.div_ceil(64)],
-        }
-    }
-
-    /// Adds `v`, which must not be queued.
-    fn insert(&mut self, v: u32) {
-        let (w, bit) = (v as usize / 64, v % 64);
-        debug_assert!(self.words[w] & (1 << bit) == 0, "a node was queued twice");
-        self.words[w] |= 1 << bit;
-        self.summary[w / 64] |= 1 << (w % 64);
-    }
-
-    /// Removes and returns the lowest queued id.
-    fn pop(&mut self) -> Option<u32> {
-        let s = self.summary.iter().position(|&bits| bits != 0)?;
-        let w = s * 64 + self.summary[s].trailing_zeros() as usize;
-        let word = self.words[w];
-        self.words[w] = word & (word - 1);
-        if self.words[w] == 0 {
-            self.summary[s] &= self.summary[s] - 1;
-        }
-        Some(w as u32 * 64 + word.trailing_zeros())
-    }
-}
-
-/// Marks a node that is not in the heap.
-const ABSENT: u32 = u32::MAX;
-
-/// A 4-ary min-heap of nodes keyed by `(dist, node)`, with decrease-key:
-/// every node is queued at most once, under its current distance, and
-/// equal distances pop in increasing node id.
-#[derive(Debug)]
-struct IndexedHeap {
-    entries: Vec<(i64, u32)>,
-    /// Index of each node in `entries`, or [`ABSENT`].
-    index: Vec<u32>,
-}
-
-impl IndexedHeap {
-    fn new(nodes: usize) -> Self {
-        IndexedHeap {
-            entries: Vec::new(),
-            index: vec![ABSENT; nodes],
-        }
-    }
-
-    /// Queues `v` under `dist`, or lowers its key if it is queued.
-    fn push_or_decrease(&mut self, v: u32, dist: i64) {
-        let i = match self.index[v as usize] {
-            ABSENT => {
-                self.entries.push((dist, v));
-                self.entries.len() - 1
-            }
-            i => i as usize,
-        };
-        debug_assert!((dist, v) <= self.entries[i], "keys only decrease");
-        self.sift_up(i, (dist, v));
-    }
-
-    /// Removes and returns the node with the smallest `(dist, node)`.
-    fn pop(&mut self) -> Option<u32> {
-        let &(_, top) = self.entries.first()?;
-        self.index[top as usize] = ABSENT;
-        let last = self.entries.pop().expect("the heap is not empty");
-        if !self.entries.is_empty() {
-            self.sift_down(0, last);
-        }
-        Some(top)
-    }
-
-    fn sift_up(&mut self, mut i: usize, entry: (i64, u32)) {
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.entries[parent] < entry {
-                break;
-            }
-            self.place(i, self.entries[parent]);
-            i = parent;
-        }
-        self.place(i, entry);
-    }
-
-    fn sift_down(&mut self, mut i: usize, entry: (i64, u32)) {
-        let len = self.entries.len();
-        loop {
-            let child = 4 * i + 1;
-            if child >= len {
-                break;
-            }
-            let mut best = child;
-            for c in child + 1..(child + 4).min(len) {
-                if self.entries[c] < self.entries[best] {
-                    best = c;
-                }
-            }
-            if entry < self.entries[best] {
-                break;
-            }
-            self.place(i, self.entries[best]);
-            i = best;
-        }
-        self.place(i, entry);
-    }
-
-    fn place(&mut self, i: usize, entry: (i64, u32)) {
-        self.entries[i] = entry;
-        self.index[entry.1 as usize] = i as u32;
-    }
-}
-
 pub mod certificate {
     //! Optimality certificates for solved min-cost-flow instances.
     //!
@@ -927,10 +550,9 @@ pub mod certificate {
     //!    residual negative cycle (the signature of a suboptimal flow)
     //!    makes the recovery itself fail.
     //!
-    //! The checker is deliberately engine-agnostic — it consumes
-    //! [`EdgeView`]s, so it verifies both engines, the test-only
-    //! reference oracle, and deliberately corrupted flows (which it must
-    //! reject) through one code path. Debug builds run it after every
+    //! The checker consumes nothing but [`EdgeView`]s, so it verifies
+    //! the engine, the test-only reference oracle, and deliberately
+    //! corrupted flows (which it must reject) through one code path. Debug builds run it after every
     //! [`MinCostFlow::run`](super::MinCostFlow::run).
 
     use super::MinCostFlow;
@@ -1160,12 +782,11 @@ pub mod certificate {
 pub mod reference {
     //! The original successive-shortest-path engine (per-node adjacency
     //! lists, a lazy binary heap), kept **verbatim** as the test oracle
-    //! only: compiled in test builds, reached by no production path. The
-    //! pinned SSP path of [`MinCostFlow`](super::MinCostFlow) must
-    //! reproduce its flows edge for edge, and the cost-scaling engine
-    //! its flow value and cost. Slow (quadratic in the flow value) but
-    //! classical and easy to audit, so every change to the CSR engines
-    //! is pinned against an independent implementation.
+    //! only: compiled in test builds, reached by no production path.
+    //! [`MinCostFlow`](super::MinCostFlow) must reproduce its flow value
+    //! and cost. Slow (quadratic in the flow value) but classical and
+    //! easy to audit, so every change to the CSR engine is pinned
+    //! against an independent implementation.
 
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -1416,50 +1037,33 @@ mod tests {
 
     #[test]
     fn interruption_at_a_phase_boundary_returns_none() {
-        // Both engine paths must honor the stop check, and a
-        // never-firing check must change nothing.
-        for scaling in [false, true] {
-            let build = || {
-                let mut f = MinCostFlow::new(4);
-                f.add_edge(0, 1, 2, 3);
-                f.add_edge(1, 2, 2, 5);
-                f.add_edge(2, 3, 2, 1);
-                f
-            };
-            let mut f = build();
-            let mut calls = 0usize;
-            let stop = |calls: &mut usize| {
-                *calls += 1;
-                true
-            };
-            let out = if scaling {
-                f.run_cost_scaling_interruptible(0, 3, 2, &mut || stop(&mut calls))
-            } else {
-                f.run_interruptible(0, 3, 2, &mut || stop(&mut calls))
-            };
-            assert!(out.is_none(), "scaling={scaling}");
-            assert!(calls >= 1);
-            let mut g = build();
-            let solved = if scaling {
-                g.run_cost_scaling_interruptible(0, 3, 2, &mut || false)
-            } else {
-                g.run_interruptible(0, 3, 2, &mut || false)
-            };
-            assert_eq!(solved, Some((2, 2 * 9)), "scaling={scaling}");
-        }
+        // The stop check must be honoured, and a never-firing check must
+        // change nothing.
+        let build = || {
+            let mut f = MinCostFlow::new(4);
+            f.add_edge(0, 1, 2, 3);
+            f.add_edge(1, 2, 2, 5);
+            f.add_edge(2, 3, 2, 1);
+            f
+        };
+        let mut calls = 0usize;
+        let out = build().run_interruptible(0, 3, 2, &mut || {
+            calls += 1;
+            true
+        });
+        assert!(out.is_none());
+        assert!(calls >= 1);
+        let solved = build().run_interruptible(0, 3, 2, &mut || false);
+        assert_eq!(solved, Some((2, 2 * 9)));
     }
 
-    /// Small demands dispatch to the pinned SSP path: `run` must agree
-    /// with the oracle **edge-for-edge**, even on instances full of
-    /// zero-cost ties where the scaling engine is free to differ — this
-    /// is exactly the guarantee that keeps ISCAS campaign reports
-    /// byte-identical across the engine rewrite.
+    /// Small attack-shaped instances: `run` must agree with the oracle
+    /// on flow value and total cost, and both must certify.
     #[test]
     fn auto_dispatch_pins_small_instances_to_the_oracle_matching() {
         for seed in 0..64u64 {
             let (mut pair, s, t, demand) = bipartite_instance(seed);
-            pair.assert_pinned_matches_oracle(s, t, demand);
-            verify(&pair.fast, s, t, demand).expect("pinned-path certificate");
+            pair.run_both(s, t, demand);
         }
     }
 
@@ -1488,33 +1092,15 @@ mod tests {
             self.handles.push(h);
         }
 
-        /// Runs `run` (the pinned SSP path for any demand up to
-        /// [`MinCostFlow::PINNED_SSP_MAX_DEMAND`]) against the oracle and
-        /// asserts equal value, cost and flow on every edge.
-        fn assert_pinned_matches_oracle(&mut self, s: usize, t: usize, max_flow: i64) {
-            assert!(max_flow <= MinCostFlow::PINNED_SSP_MAX_DEMAND);
-            assert_eq!(
-                self.fast.run(s, t, max_flow),
-                self.oracle.run(s, t, max_flow)
-            );
-            for &h in &self.handles {
-                assert_eq!(
-                    self.fast.flow_on(h),
-                    self.oracle.flow_on(h),
-                    "pinned path must reproduce the oracle's tie choice on edge {h}"
-                );
-            }
-        }
-
-        /// Runs the forced cost-scaling path against the oracle and
-        /// checks value/cost equality plus both certificates. Returns
+        /// Runs the engine against the oracle and checks value/cost
+        /// equality plus both certificates. Returns
         /// `(flow, cost, matchings_equal)`.
         fn run_both(&mut self, s: usize, t: usize, max_flow: i64) -> (i64, i64, bool) {
-            let fast = self.fast.run_cost_scaling(s, t, max_flow);
+            let fast = self.fast.run(s, t, max_flow);
             let oracle = self.oracle.run(s, t, max_flow);
             assert_eq!(fast.0, oracle.0, "flow value differs from the oracle");
             assert_eq!(fast.1, oracle.1, "total cost differs from the oracle");
-            verify(&self.fast, s, t, max_flow).expect("scaling certificate");
+            verify(&self.fast, s, t, max_flow).expect("engine certificate");
             verify_edges(
                 self.oracle.num_nodes(),
                 &self.oracle.edge_views(),
@@ -1660,31 +1246,21 @@ mod tests {
         hash
     }
 
-    /// Pins the cost-scaling engine's tie choice, which the SSP oracle
-    /// cannot: `(flow, cost, flows_fnv)` of one tie-heavy forced
-    /// `run_cost_scaling` instance and of one `run` above
-    /// [`MinCostFlow::PINNED_SSP_MAX_DEMAND`] (which dispatches to the
-    /// scaling engine), captured from the adjacency-list engine the CSR
-    /// graph replaced. The oracle picks a different optimum on the first
-    /// instance, so the hash does depend on the tie choice.
+    /// Pins the engine's tie choice, which the SSP oracle cannot:
+    /// `(flow, cost, flows_fnv)` of a small and a 13 000-node tie-heavy
+    /// instance, captured from the adjacency-list cost-scaling engine the
+    /// CSR graph replaced. The oracle picks a different optimum on the
+    /// first instance, so the hash does depend on the tie choice.
     #[test]
     fn cost_scaling_tie_choice_matches_pinned_hashes() {
-        let solve = |seed, drivers, sinks, degree, forced: bool| {
+        let solve = |seed, drivers, sinks, degree| {
             let (mut pair, s, t, demand) = tie_heavy_instance(seed, drivers, sinks, degree);
-            let (flow, cost) = if forced {
-                pair.fast.run_cost_scaling(s, t, demand)
-            } else {
-                assert!(demand > MinCostFlow::PINNED_SSP_MAX_DEMAND);
-                pair.fast.run(s, t, demand)
-            };
+            let (flow, cost) = pair.fast.run(s, t, demand);
             let hash = flows_fnv(pair.handles.iter().map(|&h| pair.fast.flow_on(h)));
             (flow, cost, hash)
         };
-        assert_eq!(solve(1, 40, 120, 6, true), (92, 16, 0xee24_c97a_4121_b943));
-        assert_eq!(
-            solve(2, 4000, 9000, 4, false),
-            (9000, 5282, 0x8824_3a52_1cc7_af83)
-        );
+        assert_eq!(solve(1, 40, 120, 6), (92, 16, 0xee24_c97a_4121_b943));
+        assert_eq!(solve(2, 4000, 9000, 4), (9000, 5282, 0x8824_3a52_1cc7_af83));
 
         let (mut pair, s, t, demand) = tie_heavy_instance(1, 40, 120, 6);
         assert_eq!(pair.oracle.run(s, t, demand), (92, 16));
@@ -1695,31 +1271,13 @@ mod tests {
         );
     }
 
-    /// A tie-heavy instance wider than one summary word of the SSP
-    /// engine's zero-distance bucket (4 096 nodes): drivers sit below id
-    /// 4 096 and the sinks straddle it, so a round pops across summary
-    /// words and a sink's reverse arcs queue drivers below the last
-    /// popped id. `run` must still return the oracle's flow edge for
-    /// edge.
+    /// A tie-heavy instance of 4 502 nodes and 2 000 units of demand:
+    /// `run` must agree with the oracle on value and cost, and both must
+    /// certify.
     #[test]
     fn wide_tie_heavy_instance_pins_the_oracle_flow() {
         let (mut pair, s, t, demand) = tie_heavy_instance(7, 2500, 2000, 4);
-        assert!(pair.fast.num_nodes() > 4096);
-        pair.assert_pinned_matches_oracle(s, t, demand);
-    }
-
-    #[test]
-    fn zero_bucket_pops_ids_at_word_and_summary_edges() {
-        let ids = [0u32, 63, 64, 4095, 4096, 4159, 4160, 8191, 8192, 9999];
-        let mut bucket = ZeroBucket::new(10_000);
-        for &v in ids.iter().rev() {
-            bucket.insert(v);
-        }
-        for &v in &ids {
-            assert_eq!(bucket.pop(), Some(v));
-        }
-        assert_eq!(bucket.pop(), None);
-        assert_eq!(ZeroBucket::new(0).pop(), None);
+        pair.run_both(s, t, demand);
     }
 
     #[test]
@@ -1773,10 +1331,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
             /// Tie-heavy instances, where most optima are tied and only
-            /// the traversal order picks one: `run` (the pinned SSP path
-            /// for every demand here) must still return the oracle's
-            /// flow edge for edge. The tie-free instances above cannot
-            /// catch a changed tie-break; these can.
+            /// the traversal order picks one: `run` must agree with the
+            /// oracle on value and cost, and both must certify.
             #[test]
             fn tie_heavy_instances_pin_the_oracle_matching(
                 seed in any::<u64>(),
@@ -1785,65 +1341,24 @@ mod tests {
                 degree in 1usize..7,
             ) {
                 let (mut pair, s, t, demand) = tie_heavy_instance(seed, drivers, sinks, degree);
-                pair.assert_pinned_matches_oracle(s, t, demand);
+                pair.run_both(s, t, demand);
             }
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
-            /// Layered graphs drive the pinned SSP path through multi-hop
-            /// augmenting paths that cancel flow on reverse arcs, under a
-            /// flow cap that often binds: the rounds where most reached
-            /// nodes end at a positive reduced distance and settle from
-            /// the heap. `run` must return the oracle's flow edge for
-            /// edge with costs drawn wide (`0..997`: distances mostly
-            /// positive) and narrow (`0..4`: zero-reduced-cost ties
-            /// common, so both phases share each round).
+            /// Layered graphs with multi-hop augmenting paths that cancel
+            /// flow on reverse arcs, under a flow cap that often binds:
+            /// `run` must agree with the oracle on value and cost, with
+            /// costs drawn wide (`0..997`) and narrow (`0..4`: exact ties
+            /// common).
             #[test]
             fn layered_instances_pin_the_oracle_flow(seed in any::<u64>()) {
                 for costs in [997, 4] {
                     let (mut pair, s, t, cap) = layered_instance(seed, costs);
-                    pair.assert_pinned_matches_oracle(s, t, cap);
+                    pair.run_both(s, t, cap);
                 }
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// The SSP engine's zero-distance bucket pops exactly what an
-            /// ordered set would: the lowest queued id, after random
-            /// inserts that often land below the last popped id, over up
-            /// to five summary words (20 000 ids).
-            #[test]
-            fn zero_bucket_pops_like_an_ordered_set(seed in any::<u64>(), nodes in 1usize..20_000) {
-                let mut next = xorshift(seed);
-                let mut bucket = ZeroBucket::new(nodes);
-                let mut model = std::collections::BTreeSet::new();
-                let mut last = 0usize;
-                for _ in 0..3000 {
-                    if next().is_multiple_of(3) {
-                        let popped = bucket.pop();
-                        prop_assert_eq!(popped, model.pop_first());
-                        last = popped.map_or(last, |v| v as usize);
-                        continue;
-                    }
-                    // Half the inserts land within 128 ids of the last
-                    // pop, mostly below it; the rest anywhere.
-                    let v = if next().is_multiple_of(2) {
-                        last.saturating_sub((next() % 128) as usize)
-                    } else {
-                        (next() % nodes as u64) as usize
-                    } as u32;
-                    if model.insert(v) {
-                        bucket.insert(v);
-                    }
-                }
-                while let Some(v) = model.pop_first() {
-                    prop_assert_eq!(bucket.pop(), Some(v));
-                }
-                prop_assert_eq!(bucket.pop(), None);
             }
         }
     }

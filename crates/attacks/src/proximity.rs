@@ -832,11 +832,13 @@ mod tests {
 mod assignment_pin {
     //! Pins the committed pairs of the attack's reconstruction on
     //! generated ISCAS layouts, original and protected: FNV-1a over every
-    //! `(driver, sink)` pair as two little-endian `u64`s. The c432/c880
-    //! hashes were captured from the reference-DFS reconstruction; the
-    //! c1355/c1908 ones (the designs and layers the `iscas-flow`
-    //! benchmark workload solves) from the heap-only SSP loop, so they
-    //! hold the SSP engine's tie choice on its largest routine instances.
+    //! `(driver, sink)` pair as two little-endian `u64`s. Real instances
+    //! carry exact cost ties, so these hashes hold the min-cost-flow
+    //! engine's tie choice (Dinic + cost scaling, which they were
+    //! captured from), on c432/c880 at M3–M5 and on c1355/c1908 at M3–M4
+    //! (the designs and layers the `iscas-flow` benchmark workload
+    //! solves). A change that moves one moves campaign report bytes, and
+    //! ships with a report version bump.
 
     use super::*;
     use sm_core::baselines::original_layout;
@@ -860,26 +862,26 @@ mod assignment_pin {
 
     /// `(design, split layer, layout, committed pairs, their hash)`.
     const PINS: [(&str, u8, &str, usize, u64); 20] = [
-        ("c432", 3, "original", 208, 0x581a_cc84_f555_90ea),
-        ("c432", 3, "protected", 277, 0xfbf0_7c92_b97c_c8a2),
-        ("c432", 4, "original", 71, 0xfc1b_c8c3_03ab_a97a),
-        ("c432", 4, "protected", 222, 0x4844_eddc_c9b2_9384),
+        ("c432", 3, "original", 208, 0x6117_6c14_3c2f_f9a5),
+        ("c432", 3, "protected", 277, 0x15aa_087f_a478_ec75),
+        ("c432", 4, "original", 71, 0xd72d_cf34_e18a_fdc6),
+        ("c432", 4, "protected", 222, 0x676e_f5a1_3472_0916),
         ("c432", 5, "original", 13, 0x9ff8_b1f7_7333_b4d6),
-        ("c432", 5, "protected", 185, 0x66e6_2866_f3d7_c6c9),
-        ("c880", 3, "original", 508, 0xd9a9_4120_6ba4_22e7),
-        ("c880", 3, "protected", 540, 0xa903_458e_d6c8_d7e7),
-        ("c880", 4, "original", 214, 0xb518_a56c_fb5d_e0ce),
-        ("c880", 4, "protected", 268, 0xda58_3c71_20fc_7f1d),
-        ("c880", 5, "original", 33, 0xb38f_ae19_4665_eb0c),
+        ("c432", 5, "protected", 185, 0x8f11_c48e_628d_a8d5),
+        ("c880", 3, "original", 508, 0xab97_a5d6_12cb_5887),
+        ("c880", 3, "protected", 540, 0x3104_1277_33ab_4462),
+        ("c880", 4, "original", 214, 0xfbed_d7e0_3afc_0064),
+        ("c880", 4, "protected", 268, 0x3b08_3069_83c5_c017),
+        ("c880", 5, "original", 33, 0xb605_1fc6_ad0e_1c0c),
         ("c880", 5, "protected", 93, 0x8c63_e1d9_5754_ea10),
-        ("c1355", 3, "original", 858, 0xe500_a77a_6e2e_07b3),
-        ("c1355", 3, "protected", 873, 0x971b_99a1_0641_2bd1),
-        ("c1355", 4, "original", 494, 0x58ab_efc4_77d1_c1dc),
-        ("c1355", 4, "protected", 553, 0xc2ce_7194_f096_4ad6),
-        ("c1908", 3, "original", 1388, 0x3046_23c8_8ec6_5036),
-        ("c1908", 3, "protected", 1458, 0xa43f_0e82_ce3d_d297),
-        ("c1908", 4, "original", 729, 0xe17a_66e9_b1b9_cfb9),
-        ("c1908", 4, "protected", 868, 0xde79_d1b4_6860_1387),
+        ("c1355", 3, "original", 858, 0xa2fc_3dd6_7cac_c3aa),
+        ("c1355", 3, "protected", 873, 0xbb01_53da_5945_0102),
+        ("c1355", 4, "original", 494, 0x9377_3390_018d_5c12),
+        ("c1355", 4, "protected", 553, 0x0205_d3cb_aed2_d24e),
+        ("c1908", 3, "original", 1388, 0x361d_83b7_e45c_80b3),
+        ("c1908", 3, "protected", 1458, 0x4a99_f2f2_5546_33af),
+        ("c1908", 4, "original", 729, 0x6438_7c48_4c07_8bac),
+        ("c1908", 4, "protected", 868, 0xec32_4784_ec17_6704),
     ];
 
     #[test]
@@ -1035,81 +1037,83 @@ mod differential_tests {
     //! The differential harness on *real* attack instances: the exact
     //! flow network `network_flow_attack` builds for generated ISCAS
     //! layouts (via the shared [`AssignmentInstance`] constructor, so
-    //! the tested network can never drift from the attacked one),
-    //! solved by both MCMF engines. Real instances carry exact cost
-    //! ties (unlike the tie-free random instances in `mcmf::tests`), so
-    //! the pin here is flow value + total cost + both certificates —
-    //! which optimal matching gets picked is the engines' documented
-    //! freedom, and the report-byte guarantee comes from the demand
-    //! dispatch in `MinCostFlow::run`.
+    //! the tested network can never drift from the attacked one), solved
+    //! by the engine and by the SSP oracle. Real instances carry exact
+    //! cost ties (unlike the tie-free random instances in `mcmf::tests`),
+    //! so the pin here is flow value + total cost + both certificates,
+    //! and edge for edge wherever the oracle's dual forces the flow;
+    //! which optimal matching the engine picks among the ties is pinned
+    //! by `assignment_pin`.
 
     use super::*;
-    use crate::mcmf::certificate::{verify, verify_edges};
+    use crate::mcmf::certificate::{verify, verify_edges, Certificate};
     use crate::mcmf::{reference::SspFlow, MinCostFlow};
     use sm_core::baselines::original_layout;
+    use sm_core::flow::{protect, FlowConfig};
     use sm_layout::split_layout;
 
-    #[test]
-    fn real_iscas_instances_agree_on_value_and_cost() {
-        let profile = sm_benchgen::iscas::IscasProfile::c432();
-        let n = sm_benchgen::iscas::generate(&profile, 1);
-        let base = original_layout(&n, 0.6, 1);
-        let mut attacked = 0usize;
-        for layer in [3u8, 4, 5] {
-            let split = split_layout(&n, &base.placement, &base.routing, layer);
-            if split.cut_nets == 0 {
-                continue;
-            }
-            attacked += 1;
-            let inst = AssignmentInstance::build(&n, &split, &ProximityConfig::default());
-            let mut fast = MinCostFlow::new(inst.nodes);
-            let mut ssp = SspFlow::new(inst.nodes);
-            for &(from, to, cap, cost) in &inst.edges {
-                fast.add_edge(from, to, cap, cost);
-                ssp.add_edge(from, to, cap, cost);
-            }
-            let a = fast.run_cost_scaling(inst.source, inst.target, inst.demand);
-            let b = ssp.run(inst.source, inst.target, inst.demand);
-            assert_eq!(a, b, "engines disagree on layer {layer}");
-            verify(&fast, inst.source, inst.target, inst.demand).expect("scaling certificate");
+    /// One real instance solved by both engines.
+    struct Solved {
+        name: String,
+        inst: AssignmentInstance,
+        fast: MinCostFlow,
+        ssp: SspFlow,
+        /// Edge handles, in `inst.edges` order (the same in both).
+        handles: Vec<usize>,
+        /// `(value, cost)` from the engine and from the oracle.
+        results: [(i64, i64); 2],
+    }
+
+    impl Solved {
+        fn engine_certificate(&self) -> Certificate {
+            let inst = &self.inst;
+            verify(&self.fast, inst.source, inst.target, inst.demand)
+                .unwrap_or_else(|v| panic!("{}: engine certificate: {v}", self.name))
+        }
+
+        fn oracle_certificate(&self) -> Certificate {
+            let inst = &self.inst;
+            let views = self.ssp.edge_views();
             verify_edges(
-                ssp.num_nodes(),
-                &ssp.edge_views(),
+                self.ssp.num_nodes(),
+                &views,
                 inst.source,
                 inst.target,
                 inst.demand,
             )
-            .expect("oracle certificate");
+            .unwrap_or_else(|v| panic!("{}: oracle certificate: {v}", self.name))
         }
-        assert!(attacked >= 2, "expected cut nets on most layers");
     }
 
-    /// The pinned path on real instances, which are full of exact cost
-    /// ties: `run` must return the oracle's flow edge for edge on c432
-    /// and c880 at M3–M5 and on c1355 and c1908 at M3–M4, original and
-    /// protected. c1908 at M3 is the largest instance the `iscas-flow`
-    /// benchmark workload solves.
-    #[test]
-    fn real_iscas_instances_match_the_oracle_edge_for_edge() {
-        use sm_core::flow::{protect, FlowConfig};
-        let check = |name: &str, placed: &Netlist, split: &SplitLayout| {
+    /// c432 and c880 at M3–M5 and c1355 and c1908 at M3–M4, original
+    /// and protected, each solved by `run` and by the oracle: the
+    /// instances `assignment_pin` pins. c1908 at M3 is the largest
+    /// instance the `iscas-flow` benchmark workload solves.
+    fn solved_iscas_instances() -> Vec<Solved> {
+        let solve = |name: String, placed: &Netlist, split: &SplitLayout| {
             let inst = AssignmentInstance::build(placed, split, &ProximityConfig::default());
-            assert!(inst.demand <= MinCostFlow::PINNED_SSP_MAX_DEMAND);
             let mut fast = MinCostFlow::new(inst.nodes);
             let mut ssp = SspFlow::new(inst.nodes);
             let handles: Vec<usize> = inst
                 .edges
                 .iter()
                 .map(|&(from, to, cap, cost)| {
-                    ssp.add_edge(from, to, cap, cost);
-                    fast.add_edge(from, to, cap, cost)
+                    let h = fast.add_edge(from, to, cap, cost);
+                    assert_eq!(ssp.add_edge(from, to, cap, cost), h);
+                    h
                 })
                 .collect();
-            let a = fast.run(inst.source, inst.target, inst.demand);
-            let b = ssp.run(inst.source, inst.target, inst.demand);
-            assert_eq!(a, b, "{name}: value and cost");
-            for &h in &handles {
-                assert_eq!(fast.flow_on(h), ssp.flow_on(h), "{name}: edge {h}");
+            let results = [
+                fast.run(inst.source, inst.target, inst.demand),
+                ssp.run(inst.source, inst.target, inst.demand),
+            ];
+            Solved {
+                name,
+                inst,
+                fast,
+                ssp,
+                handles,
+                results,
             }
         };
         let designs = [
@@ -1118,6 +1122,7 @@ mod differential_tests {
             (sm_benchgen::iscas::IscasProfile::c1355(), &[3, 4]),
             (sm_benchgen::iscas::IscasProfile::c1908(), &[3, 4]),
         ];
+        let mut solved = Vec::new();
         for (profile, layers) in designs {
             let n = sm_benchgen::iscas::generate(&profile, 1);
             let base = original_layout(&n, 0.6, 1);
@@ -1125,16 +1130,58 @@ mod differential_tests {
             let erroneous = &p.randomization.erroneous;
             for &layer in layers {
                 let original = split_layout(&n, &base.placement, &base.routing, layer);
-                check(
-                    &format!("{} M{layer} original", profile.name),
+                solved.push(solve(
+                    format!("{} M{layer} original", profile.name),
                     &n,
                     &original,
-                );
+                ));
                 let protected = split_layout(erroneous, &p.placement, &p.feol_routing, layer);
-                check(
-                    &format!("{} M{layer} protected", profile.name),
+                solved.push(solve(
+                    format!("{} M{layer} protected", profile.name),
                     erroneous,
                     &protected,
+                ));
+            }
+        }
+        assert_eq!(solved.len(), 20);
+        solved
+    }
+
+    #[test]
+    fn real_iscas_instances_agree_on_value_and_cost() {
+        for s in solved_iscas_instances() {
+            assert_eq!(s.results[0], s.results[1], "{}: value and cost", s.name);
+            s.engine_certificate();
+            s.oracle_certificate();
+        }
+    }
+
+    /// Edge for edge against the oracle: an edge whose reduced cost
+    /// under the oracle's optimal potentials is non-zero carries the
+    /// same flow in every optimal flow of the same value (empty when
+    /// positive, saturated when negative), so `run` must match the
+    /// oracle's flow there. Only zero-reduced-cost edges, the exact
+    /// ties, may differ, and the engine's flow must itself be optimal
+    /// under the oracle's potentials.
+    #[test]
+    fn real_iscas_instances_match_the_oracle_edge_for_edge() {
+        for s in solved_iscas_instances() {
+            assert_eq!(s.results[0], s.results[1], "{}: value and cost", s.name);
+            let pot = s.oracle_certificate().potentials;
+            for (&(from, to, cap, cost), &h) in s.inst.edges.iter().zip(&s.handles) {
+                let reduced = cost + pot[from] - pot[to];
+                let (engine, oracle) = (s.fast.flow_on(h), s.ssp.flow_on(h));
+                if reduced != 0 {
+                    assert_eq!(
+                        engine, oracle,
+                        "{}: edge {h}, reduced cost {reduced}",
+                        s.name
+                    );
+                }
+                assert!(
+                    (reduced <= 0 || engine == 0) && (reduced >= 0 || engine == cap),
+                    "{}: edge {h} carries {engine} of {cap} at reduced cost {reduced}",
+                    s.name
                 );
             }
         }

@@ -369,9 +369,8 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
     }
     for profile in superblue_selection(true) {
         // Superblue benches both attacks: the flow stage is the
-        // cost-scaling MCMF workload this harness gates (the ≥ 10×
-        // speedup over the retired SSP engine), crouting the Table 3
-        // workload.
+        // largest MCMF workload this harness gates, crouting the
+        // Table 3 workload.
         layout_stages(
             &mut stages,
             profile.name,

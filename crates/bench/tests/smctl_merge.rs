@@ -1,7 +1,10 @@
 //! `smctl merge` CLI contract tests, driven against the real binary
 //! (`CARGO_BIN_EXE_smctl`): spec-mismatch rejection, double-merge
 //! idempotence, finished-beats-timed-out preference and the exit-3
-//! incomplete signal — previously exercised only end-to-end in CI.
+//! incomplete signal — previously exercised only end-to-end in CI —
+//! plus the input checks `merge` shares with `resume` and `report`: an
+//! invalid spec and a report of another version are rejected, naming
+//! the file.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -209,5 +212,75 @@ fn merge_exits_3_while_incomplete_and_finished_beats_timed_out() {
     assert_eq!(
         std::fs::read(dir.join("a.json")).unwrap(),
         std::fs::read(dir.join("b.json")).unwrap()
+    );
+}
+
+/// `path`'s text with `from` replaced by `to`, written to `dir/out`.
+fn rewrite(dir: &std::path::Path, path: &str, from: &str, to: &str, out: &str) {
+    let text = std::fs::read_to_string(dir.join(path)).unwrap();
+    assert!(text.contains(from), "{path} lacks {from:?}");
+    std::fs::write(dir.join(out), text.replacen(from, to, 1)).unwrap();
+}
+
+#[test]
+fn merge_and_resume_name_the_report_with_an_invalid_spec() {
+    let scratch = Scratch::new("badspec");
+    let dir = scratch.path();
+    write_shards(dir);
+    rewrite(
+        dir,
+        "shard1.json",
+        "\"seeds\": [\n    1,\n    2\n  ]",
+        "\"seeds\": [\n    1,\n    1\n  ]",
+        "repeats.json",
+    );
+    for args in [
+        &["merge", "repeats.json", "shard2.json", "-o", "x.json"][..],
+        &["resume", "repeats.json", "--no-store"],
+    ] {
+        let out = smctl(args, dir);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("repeats.json: sweep repeats seed `1`"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    assert!(!dir.join("x.json").exists(), "no output on rejection");
+}
+
+/// A report without a `version` field is version 1, written by the
+/// successive-shortest-path engine: `merge`, `resume` and every `report`
+/// view refuse it and name both versions, so its flow metrics never mix
+/// with version-2 ones.
+#[test]
+fn version_1_reports_are_rejected_naming_both_versions() {
+    let scratch = Scratch::new("v1");
+    let dir = scratch.path();
+    write_shards(dir);
+    rewrite(dir, "shard1.json", "  \"version\": 2,\n", "", "v1.json");
+    let mut runs = vec![
+        vec!["merge", "v1.json", "shard2.json", "-o", "x.json"],
+        vec!["resume", "v1.json", "--no-store"],
+    ];
+    for format in ["json", "csv", "agg-csv", "table"] {
+        runs.push(vec!["report", "--input", "v1.json", "--format", format]);
+    }
+    for args in &runs {
+        let out = smctl(args, dir);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("v1.json: report format version 1 (this build reads version 2)"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    assert!(!dir.join("x.json").exists(), "no output on rejection");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("v1.json")).unwrap(),
+        std::fs::read_to_string(dir.join("shard1.json"))
+            .unwrap()
+            .replacen("  \"version\": 2,\n", "", 1),
+        "resume leaves a rejected report untouched"
     );
 }

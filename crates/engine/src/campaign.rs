@@ -978,6 +978,16 @@ impl Campaign {
 
 // ----- reports --------------------------------------------------------
 
+/// Canonical report version, written as the report's top-level
+/// `version` field; a report without the field is version 1.
+/// [`Campaign::from_json`] reads only this version, so `merge`,
+/// `resume` and `report` never mix metrics of two versions. Bump it
+/// with any change that moves the bytes of an existing spec's report.
+/// v2: the flow attack's min-cost flow always runs Dinic + cost
+/// scaling, which picks a different optimum among exact cost ties than
+/// the successive-shortest-path engine behind v1 reports.
+pub const REPORT_VERSION: u64 = 2;
+
 fn f4(v: f64) -> String {
     format!("{v:.4}")
 }
@@ -991,6 +1001,7 @@ impl Campaign {
         let spec = &self.spec;
         let mut top = vec![
             ("campaign".to_string(), Json::str("sweep")),
+            ("version".to_string(), Json::UInt(REPORT_VERSION)),
             ("master_seed".to_string(), Json::UInt(spec.master_seed)),
         ];
         // Emitted only when pinned, so unpinned reports stay
@@ -1277,8 +1288,20 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or malformed field.
+    /// Returns an error for a report of another [`REPORT_VERSION`], an
+    /// invalid spec (see [`SweepSpec::jobs`]), or the first missing or
+    /// malformed field.
     pub fn from_json(report: &Json) -> Result<Campaign, String> {
+        let version = match report.get("version") {
+            None => 1,
+            Some(v) => v.as_u64().ok_or("`version` is not a u64")?,
+        };
+        if version != REPORT_VERSION {
+            return Err(format!(
+                "report format version {version} (this build reads version {REPORT_VERSION}); \
+                 re-run the sweep to regenerate it"
+            ));
+        }
         let str_list = |key: &str| -> Result<Vec<String>, String> {
             report
                 .get(key)
@@ -1332,6 +1355,7 @@ impl Campaign {
             master_seed,
             layout_seed,
         };
+        spec.jobs()?;
 
         let jobs = report
             .get("jobs")
@@ -1597,6 +1621,42 @@ mod tests {
             parsed.to_csv(ReportOptions::default()),
             campaign.to_csv(ReportOptions::default())
         );
+    }
+
+    #[test]
+    fn version_2_reports_roundtrip_and_other_versions_are_rejected() {
+        let spec = SweepSpec {
+            benchmarks: vec!["c432".into()],
+            split_layers: vec![4],
+            attacks: vec![AttackKind::Crouting],
+            ..SweepSpec::default()
+        };
+        let rendered = sweep(&spec, 1).to_json(ReportOptions::default()).render();
+        assert!(
+            rendered.starts_with("{\n  \"campaign\": \"sweep\",\n  \"version\": 2,\n"),
+            "{rendered}"
+        );
+        let parsed = Json::parse(&rendered).unwrap();
+        let reparsed = Campaign::from_json(&parsed).unwrap();
+        assert_eq!(
+            reparsed.to_json(ReportOptions::default()).render(),
+            rendered
+        );
+
+        // No field means version 1; a later version is foreign too.
+        let Json::Obj(pairs) = parsed else {
+            panic!("a report is an object")
+        };
+        let without: Vec<_> = pairs.into_iter().filter(|(k, _)| k != "version").collect();
+        let mut future = without.clone();
+        future.insert(1, ("version".to_string(), Json::UInt(3)));
+        for (report, named) in [(without, "version 1"), (future, "version 3")] {
+            let err = Campaign::from_json(&Json::Obj(report)).unwrap_err();
+            assert!(
+                err.contains(named) && err.contains("reads version 2"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! concatenation.
 
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -59,10 +59,12 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"SMJL";
 /// wholesale (mirroring the store's versioning policy). v2 added the
 /// spec's optional pinned layout seed to `campaign-started` records;
 /// v3 added the `job-failed` and `store-lock-stolen` events plus the
-/// `campaign-finished` failed-job counter. Old journals fail loudly
+/// `campaign-finished` failed-job counter; v4 changes no encoding, but
+/// its `job-finished` metrics are report version 2's, so `resume` never
+/// merges a v3 record into a version-2 report. Old journals fail loudly
 /// with a version message rather than decoding to a silently-empty
 /// prefix.
-pub const JOURNAL_VERSION: u16 = 3;
+pub const JOURNAL_VERSION: u16 = 4;
 
 /// Bytes of file header before the first frame.
 const HEADER_LEN: usize = 6;
@@ -810,6 +812,7 @@ impl Journal {
         }
         let mut file = fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&self.path)?;
         if file.metadata()?.len() == 0 {
@@ -817,6 +820,13 @@ impl Journal {
             w.put_bytes(&JOURNAL_MAGIC);
             JOURNAL_VERSION.encode(&mut w);
             file.write_all(&w.into_bytes())?;
+        } else {
+            // Frames appended to a journal of another version would be
+            // lost to every reader of this build, and would corrupt it
+            // for the build that wrote it.
+            let mut header = [0u8; HEADER_LEN];
+            file.read_exact(&mut header)?;
+            check_journal_header(&header).map_err(std::io::Error::other)?;
         }
         Ok(file)
     }

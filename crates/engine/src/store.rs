@@ -49,10 +49,13 @@ use crate::metrics::JobMetrics;
 pub const STORE_MAGIC: [u8; 4] = *b"SMST";
 
 /// Store format version. Bump on **any** change to the encodings in this
-/// workspace; readers treat other versions as misses so stale artifacts
-/// are rebuilt, never misparsed. v2 = per-stage artifacts with LZ
-/// compression (v1 stored whole uncompressed bundles).
-pub const STORE_FORMAT_VERSION: u16 = 2;
+/// workspace, or to what a stored artifact means; readers treat other
+/// versions as misses so stale artifacts are rebuilt, never misparsed.
+/// v2 = per-stage artifacts with LZ compression (v1 stored whole
+/// uncompressed bundles). v3 = the same encodings, but job outcomes
+/// come from the one min-cost-flow engine (report version 2), so flow
+/// metrics cached by v2's tie-pinned engine are never replayed.
+pub const STORE_FORMAT_VERSION: u16 = 3;
 
 /// Header flag bit: the payload is LZ-compressed.
 const FLAG_LZ: u8 = 1;
@@ -659,7 +662,7 @@ impl ArtifactStore {
     }
 
     /// All store files as `(path, mtime, len)`, temp files excluded.
-    /// Scans the v2 stage directories plus the legacy v1 `bundles/`
+    /// Scans the stage directories plus the legacy v1 `bundles/`
     /// directory, so gc and clear also age out pre-upgrade artifacts.
     fn entries(&self) -> Vec<(PathBuf, SystemTime, u64)> {
         let mut out = Vec::new();
@@ -681,7 +684,7 @@ impl ArtifactStore {
 /// One stage's [`ArtifactStore::doctor`] counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageHealth {
-    /// Files with an intact v2 header and checksum.
+    /// Files with an intact current-version header and checksum.
     pub valid: u64,
     /// Files with a foreign format version (rebuilt-over on load).
     pub legacy: u64,
@@ -750,7 +753,7 @@ fn store_file(entry: &fs::DirEntry) -> Option<(PathBuf, SystemTime, u64)> {
     Some((entry.path(), mtime, meta.len()))
 }
 
-/// Reads the raw (pre-compression) payload length from a v2 header.
+/// Reads the raw (pre-compression) payload length from a store header.
 fn read_raw_len(path: &Path) -> Option<u64> {
     use std::io::Read;
     let mut head = [0u8; HEADER_LEN];

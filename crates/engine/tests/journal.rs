@@ -21,6 +21,7 @@ use sm_engine::campaign::{run_sweep_budgeted, Campaign, CampaignRun, Scheduler, 
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{
     find_journal, materialize, read_events, Event, Journal, JournalFollower, MetricsSource,
+    JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 use sm_engine::report::ReportOptions;
 use sm_engine::{ArtifactCache, ArtifactStore};
@@ -365,6 +366,25 @@ fn torn_and_corrupt_journals_recover_longest_valid_prefix() {
     // A foreign header is an error, not an empty journal.
     fs::write(&path, b"NOPE\x01\x00").unwrap();
     assert!(read_events(&path).unwrap_err().contains("magic"));
+}
+
+/// A journal of another format version (e.g. left in a store by an
+/// older build) is never appended to: the writer degrades to inert and
+/// leaves the file as it was, readable by the build that wrote it.
+#[test]
+fn a_journal_of_another_version_is_left_untouched() {
+    let scratch = Scratch::new("foreign");
+    fs::create_dir_all(scratch.path()).unwrap();
+    let path = scratch.path().join("c.journal");
+    let mut old = JOURNAL_MAGIC.to_vec();
+    old.extend((JOURNAL_VERSION - 1).to_le_bytes());
+    fs::write(&path, &old).unwrap();
+    Journal::at(&path).record(&Event::CampaignStarted {
+        spec: tiny_spec(),
+        threads: 1,
+    });
+    assert_eq!(fs::read(&path).unwrap(), old);
+    assert!(read_events(&path).unwrap_err().contains("version"));
 }
 
 /// An interrupted campaign's journal, resumed by appending the re-run

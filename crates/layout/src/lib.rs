@@ -55,6 +55,6 @@ pub use geom::{Point, Rect, DBU_PER_UM};
 pub use hpwl::{BBox, HpwlIndex};
 pub use place::{PlaceMeter, Placement, PlacementEngine};
 pub use route::{RouteOptions, Router, RoutingResult, ViaCounts};
-pub use split::{split_layout, split_layout_with, SplitOptions, VpinSide};
+pub use split::{split_layout, VpinSide};
 pub use split::{FeolView, SplitLayout, Vpin};
 pub use tech::{Direction, Layer, Technology, NUM_METAL_LAYERS};

@@ -94,32 +94,23 @@ impl SplitLayout {
     }
 }
 
-/// Controls for [`split_layout_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct SplitOptions {
-    /// The split layer (wiring on layers ≤ this stays in the FEOL).
-    pub split_layer: u8,
-    /// Fraction of each cut connection's first route leg that the FEOL
-    /// pin-escape wiring covers before the via stack rises. Real routers
-    /// travel laterally in low metal toward the destination before going
-    /// up, which is exactly why proximity attacks work so well on
-    /// unprotected layouts; `0.0` models a straight via stack at the pin.
-    pub escape_fraction: f64,
-}
+/// Fraction of each cut connection's first route leg that the FEOL
+/// pin-escape wiring covers before the via stack rises. Real routers
+/// travel laterally in low metal toward the destination before going
+/// up, which is exactly why proximity attacks work so well on
+/// unprotected layouts; `0.0` would model a straight via stack at the
+/// pin.
+const ESCAPE_FRACTION: f64 = 0.92;
 
-impl SplitOptions {
-    /// Default escape model for a given split layer: higher splits leave
-    /// more routing resources in the FEOL, so the escape travels further.
-    pub fn for_layer(split_layer: u8) -> Self {
-        SplitOptions {
-            split_layer,
-            escape_fraction: 0.92,
-        }
-    }
-}
-
-/// Splits a routed layout after `split_layer` with the default escape
-/// model. See [`split_layout_with`].
+/// Splits a routed layout after `split_layer`.
+///
+/// Vpins are extracted **per two-pin connection**: every MST edge of a net
+/// whose route touches layers above the split leaves two dangling points —
+/// one on the parent (net/driver-fragment) side, one at the child sink.
+/// Edges routed entirely in the FEOL stay connected and are not attack
+/// targets; this mirrors how real split layouts only expose the
+/// connections that actually use the withheld metal. Dangling points
+/// come from the routed gcells alone; the placement is not read.
 ///
 /// # Panics
 ///
@@ -127,37 +118,10 @@ impl SplitOptions {
 /// cannot split above the full stack).
 pub fn split_layout(
     netlist: &Netlist,
-    placement: &Placement,
+    _placement: &Placement,
     routes: &RoutingResult,
     split_layer: u8,
 ) -> SplitLayout {
-    split_layout_with(
-        netlist,
-        placement,
-        routes,
-        &SplitOptions::for_layer(split_layer),
-    )
-}
-
-/// Splits a routed layout per `options`.
-///
-/// Vpins are extracted **per two-pin connection**: every MST edge of a net
-/// whose route touches layers above the split leaves two dangling points —
-/// one on the parent (net/driver-fragment) side, one at the child sink.
-/// Edges routed entirely in the FEOL stay connected and are not attack
-/// targets; this mirrors how real split layouts only expose the
-/// connections that actually use the withheld metal.
-///
-/// # Panics
-///
-/// Panics if the split layer is 0 or ≥ the number of metal layers.
-pub fn split_layout_with(
-    netlist: &Netlist,
-    placement: &Placement,
-    routes: &RoutingResult,
-    options: &SplitOptions,
-) -> SplitLayout {
-    let split_layer = options.split_layer;
     assert!(
         (1..10).contains(&split_layer),
         "split layer must be in 1..=9"
@@ -176,11 +140,11 @@ pub fn split_layout_with(
                 continue; // connection fully in the FEOL: known to the fab
             }
             net_cut = true;
-            let (pos_a, dir_a) = dangling_point(routes, tp, true, split_layer, options);
-            let (pos_b, dir_b) = dangling_point(routes, tp, false, split_layer, options);
+            let (pos_a, dir_a) = dangling_point(routes, tp, true, split_layer);
+            let (pos_b, dir_b) = dangling_point(routes, tp, false, split_layer);
             // Parent side: an attachment point of the net's FEOL fragment.
             vpins.push(Vpin {
-                position: refine(pos_a, pin_position(netlist, placement, id, tp.a_pin)),
+                position: pos_a,
                 side: VpinSide::Driver(net.driver()),
                 stub_direction: dir_a,
                 net: id,
@@ -189,7 +153,7 @@ pub fn split_layout_with(
             // driver by construction).
             let sink = net.sinks()[(tp.b_pin - 1) as usize];
             vpins.push(Vpin {
-                position: refine(pos_b, pin_position(netlist, placement, id, tp.b_pin)),
+                position: pos_b,
                 side: VpinSide::Sink(sink),
                 stub_direction: dir_b,
                 net: id,
@@ -211,39 +175,14 @@ pub fn split_layout_with(
     }
 }
 
-/// Exact pin position in DBU (pin 0 = driver, pin k = sink k−1).
-fn pin_position(netlist: &Netlist, placement: &Placement, net: NetId, pin: u32) -> Point {
-    if pin == 0 {
-        placement.driver_position(netlist, net)
-    } else {
-        placement.sink_positions(netlist, net)[(pin - 1) as usize]
-    }
-}
-
-/// When the dangling point is at the pin's own gcell, snap it to the exact
-/// pin location (sub-gcell precision); otherwise keep the route geometry.
-fn refine(route_pos: (Point, bool), exact_pin: Point) -> Point {
-    if route_pos.1 {
-        exact_pin_offset(route_pos.0, exact_pin)
-    } else {
-        route_pos.0
-    }
-}
-
-fn exact_pin_offset(escaped: Point, _pin: Point) -> Point {
-    escaped
-}
-
 /// The dangling point of one side of a cut two-pin connection, plus the
-/// stub direction of the hidden continuation. The boolean in the returned
-/// position marks "still at the pin gcell" (no visible travel).
+/// stub direction of the hidden continuation.
 fn dangling_point(
     routes: &RoutingResult,
     tp: &crate::route::TwoPinRoute,
     parent_side: bool,
     split_layer: u8,
-    options: &SplitOptions,
-) -> ((Point, bool), Option<(i8, i8)>) {
+) -> (Point, Option<(i8, i8)>) {
     let (own, own_layer, far, far_layer) = if parent_side {
         (tp.a, tp.first_layer, tp.b, tp.second_layer)
     } else {
@@ -257,22 +196,20 @@ fn dangling_point(
     let far_leg_len = manhattan_pt(corner_c, far_c);
     let own_leg_visible = own_layer <= split_layer || own_leg_len == 0;
     let far_leg_visible = far_layer <= split_layer || far_leg_len == 0;
-    let frac = options.escape_fraction.clamp(0.0, 1.0);
     if own_leg_visible && !far_leg_visible {
         // Own leg reaches the corner in FEOL; the far leg is missing.
-        let dir = direction(corner_c, far_c);
-        ((corner_c, false), dir)
+        (corner_c, direction(corner_c, far_c))
     } else if own_leg_visible && far_leg_visible {
         // Fully visible (caller filters this case; defensive fallback).
-        ((own_c, true), None)
+        (own_c, None)
     } else {
         // Own leg is hidden: bare pin stack + detailed-routing escape
         // toward the corner.
-        let dx = ((corner_c.x - own_c.x) as f64 * frac) as i64;
-        let dy = ((corner_c.y - own_c.y) as f64 * frac) as i64;
+        let dx = ((corner_c.x - own_c.x) as f64 * ESCAPE_FRACTION) as i64;
+        let dy = ((corner_c.y - own_c.y) as f64 * ESCAPE_FRACTION) as i64;
         let p = Point::new(own_c.x + dx, own_c.y + dy);
         let dir = direction(own_c, corner_c).or_else(|| direction(corner_c, far_c));
-        ((p, own_leg_len == 0), dir)
+        (p, dir)
     }
 }
 
