@@ -38,6 +38,31 @@
 //!    quadratic in cut pins (245 s on superblue18 at bench scale); the
 //!    scaling engine solves the same instance in seconds.
 //!
+//! # Arithmetic bound
+//!
+//! The refinement keeps potentials, ε and reduced costs in `i64`. Let
+//! `n` be the node count, `C` the largest cost of an edge with capacity
+//! and `M = (n + 1)·C` the largest scaled cost; every `run*` call
+//! asserts `3·(n + 1)·M ≤ i64::MAX` (computed once in `i128`) before its
+//! refinement. The bound suffices (Goldberg & Tarjan, "Finding
+//! minimum-cost circulations by successive approximation", *Math. Oper.
+//! Res.* 1990): potentials start at 0 and only fall, and one
+//! `refine(ε)` lowers a potential by at most `3nε`. The first phase may
+//! lower it by `n` more, because it starts `(2ε + 1)`-optimal rather
+//! than `2ε`-optimal when `M` is odd. The ε of all phases sum to at
+//! most `M`, so every potential stays within `3n·M + n`. A reduced cost
+//! (a scaled cost plus a difference of two potentials) and a relabel
+//! intermediate (a potential less a scaled cost and ε) then stay within
+//! `3n·M + n + 1.5·M ≤ 3(n + 1)·M`, as `n < M` whenever the refinement
+//! runs (`C ≥ 1`). On the attack's instances (seed 1, split layers
+//! M3–M6) `C` is 7.6k–27k: it grows with the split layer on small
+//! designs, whose few cut connections are long (c880 at M6: `C` = 27k
+//! at `n` = 104), and stays at 11.9k–13.9k on superblue18 at scale 100
+//! (`n` = 18 358–27 946), where it follows local pin density rather than
+//! die size. The largest product, superblue18 at M3, needs
+//! `3(n + 1)²·C ≈ 2.8·10¹³`; a 2.8 M-node instance (`--scale 1`) with
+//! `C` below 15k would still fit with about 25× to spare.
+//!
 //! Every data structure is index-ordered (flat vectors, FIFO discharge,
 //! lowest-arc-id-first scans — no hash-map iteration anywhere), so the
 //! solution is a pure function of the instance: the same graph always
@@ -202,6 +227,13 @@ impl MinCostFlow {
     /// flow; returns `(flow, cost)`. In debug builds the solution is
     /// re-verified against the optimality certificate before it is
     /// returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` or `t` is out of range, or if the instance breaks
+    /// the refinement's `i64` bound `3·(n + 1)·M ≤ i64::MAX`, where `n`
+    /// is the node count and `M = (n + 1)·C` the largest scaled cost of
+    /// an edge with capacity (module docs, "Arithmetic bound").
     pub fn run(&mut self, s: usize, t: usize, max_flow: i64) -> (i64, i64) {
         self.run_interruptible(s, t, max_flow, &mut || false)
             .expect("uncancellable run")
@@ -215,6 +247,11 @@ impl MinCostFlow {
     /// then left holding a partial flow and must not be read further.
     /// Like the Dinic stage it starts with, it augments whatever flow the
     /// instance already holds.
+    ///
+    /// # Panics
+    ///
+    /// As [`MinCostFlow::run`]: on an out-of-range terminal, or when
+    /// `3·(n + 1)·M` exceeds `i64::MAX`.
     pub fn run_interruptible(
         &mut self,
         s: usize,
@@ -410,19 +447,28 @@ impl Csr {
     // ----- stage 2: flow cost (ε-scaling push-relabel) --------------------
 
     /// Refines the current (max) flow to minimum cost. Costs are scaled
-    /// by `n + 1` in `i128` (overflow-free for any `i64` input), so
-    /// 1-optimality at the final phase implies exact optimality: a
-    /// residual cycle's reduced costs telescope to its plain scaled cost,
-    /// a multiple of `n + 1`, which `≥ −n` forces to be non-negative.
+    /// by `n + 1`, so 1-optimality at the final phase implies exact
+    /// optimality: a residual cycle's reduced costs telescope to its
+    /// plain scaled cost, a multiple of `n + 1`, which `≥ −n` forces to
+    /// be non-negative. All arithmetic is `i64` under the bound
+    /// asserted here (module docs, "Arithmetic bound").
     fn min_cost_refine(&mut self, should_stop: &mut dyn FnMut() -> bool) -> Option<()> {
         let n = self.nodes();
         let alpha = n as i128 + 1;
         let max_cost = (0..self.slot.len())
             .map(|e| self.view(e))
             .filter(|v| v.cap > 0)
-            .map(|v| (v.cost as i128 * alpha).abs())
+            .map(|v| v.cost as i128 * alpha)
             .max()
             .unwrap_or(0);
+        assert!(
+            max_cost
+                .checked_mul(3 * alpha)
+                .is_some_and(|bound| bound <= i64::MAX as i128),
+            "cost scaling needs 3·(n+1)·M ≤ i64::MAX, where M = (n+1)·C is the \
+             largest scaled cost (n = {n} nodes, M = {max_cost})"
+        );
+        let (alpha, max_cost) = (alpha as i64, max_cost as i64);
         if max_cost <= 1 {
             return Some(()); // all costs zero: any max flow is optimal
         }
@@ -449,18 +495,21 @@ impl Csr {
     /// 2ε-optimality by saturating every negative-reduced-cost residual
     /// arc and then discharging the resulting excesses FIFO with
     /// current-arc scans and ε-tight relabels.
-    fn refine(&mut self, eps: i128, st: &mut Refinement) {
+    fn refine(&mut self, eps: i64, st: &mut Refinement) {
         debug_assert!(st.excess.iter().all(|&e| e == 0), "refine starts balanced");
         let n = self.nodes();
+        let alpha = st.alpha;
         // Convert to a 0-optimal pseudoflow: saturate admissible arcs.
         // The result does not depend on the sweep order (module docs).
         for u in 0..n {
+            let pot_u = st.pot[u];
             for a in self.arcs_of(u) {
                 let arc = self.arcs[a];
-                if arc.res > 0 && st.reduced_cost(u, arc) < 0 {
+                let head = arc.head as usize;
+                if arc.res > 0 && arc.cost * alpha + pot_u - st.pot[head] < 0 {
                     self.push(a, arc.res);
                     st.excess[u] -= arc.res;
-                    st.excess[arc.head as usize] += arc.res;
+                    st.excess[head] += arc.res;
                 }
             }
         }
@@ -472,43 +521,56 @@ impl Csr {
             }
         }
         st.cur.copy_from_slice(&self.first[..n]);
-        // FIFO discharge until the pseudoflow is a flow again.
+        // FIFO discharge until the pseudoflow is a flow again. The
+        // active node's excess, current arc and potential live in
+        // locals (the potential is also stored at each relabel, where
+        // a self-loop reads it back). No push lands on `u` itself: a
+        // self-loop's reduced cost is its scaled cost, so its forward
+        // arc is never admissible and its reverse arc never gains
+        // residual.
         while let Some(u) = st.active.pop_front() {
             let u = u as usize;
             st.in_queue[u] = false;
-            while st.excess[u] > 0 {
-                if st.cur[u] == self.first[u + 1] {
+            let end = self.first[u + 1];
+            let mut excess = st.excess[u];
+            let mut cur = st.cur[u];
+            let mut pot_u = st.pot[u];
+            while excess > 0 {
+                if cur == end {
                     // Relabel: the ε-tightest potential that re-admits
                     // at least one residual arc.
-                    let mut best = i128::MIN;
+                    let mut best = i64::MIN;
                     for a in self.arcs_of(u) {
                         let arc = self.arcs[a];
                         if arc.res > 0 {
-                            best =
-                                best.max(st.pot[arc.head as usize] - arc.cost as i128 * st.alpha);
+                            best = best.max(st.pot[arc.head as usize] - arc.cost * alpha);
                         }
                     }
-                    debug_assert!(best > i128::MIN, "active node without residual arcs");
-                    st.pot[u] = best - eps;
-                    st.cur[u] = self.first[u];
+                    debug_assert!(best > i64::MIN, "active node without residual arcs");
+                    pot_u = best - eps;
+                    st.pot[u] = pot_u;
+                    cur = self.first[u];
                     continue;
                 }
-                let a = st.cur[u] as usize;
+                let a = cur as usize;
                 let arc = self.arcs[a];
-                if arc.res > 0 && st.reduced_cost(u, arc) < 0 {
-                    let to = arc.head as usize;
-                    let amount = arc.res.min(st.excess[u]);
+                let to = arc.head as usize;
+                if arc.res > 0 && arc.cost * alpha + pot_u - st.pot[to] < 0 {
+                    debug_assert_ne!(to, u, "admissible self-loop");
+                    let amount = arc.res.min(excess);
                     self.push(a, amount);
-                    st.excess[u] -= amount;
+                    excess -= amount;
                     st.excess[to] += amount;
                     if st.excess[to] > 0 && !st.in_queue[to] {
                         st.in_queue[to] = true;
                         st.active.push_back(to as u32);
                     }
                 } else {
-                    st.cur[u] += 1;
+                    cur += 1;
                 }
             }
+            st.excess[u] = excess;
+            st.cur[u] = cur;
         }
     }
 }
@@ -516,20 +578,13 @@ impl Csr {
 /// Per-node state of the ε-scaling refinement, reused across phases.
 struct Refinement {
     /// The cost scale `n + 1`.
-    alpha: i128,
-    pot: Vec<i128>,
+    alpha: i64,
+    pot: Vec<i64>,
     excess: Vec<i64>,
     /// Current arc (CSR slot) of each node's discharge scan.
     cur: Vec<u32>,
     in_queue: Vec<bool>,
     active: VecDeque<u32>,
-}
-
-impl Refinement {
-    /// Scaled reduced cost of `arc` leaving `u`.
-    fn reduced_cost(&self, u: usize, arc: ResidualArc) -> i128 {
-        arc.cost as i128 * self.alpha + self.pot[u] - self.pot[arc.head as usize]
-    }
 }
 
 pub mod certificate {
@@ -1284,6 +1339,44 @@ mod tests {
     #[should_panic(expected = "negative capacities unsupported")]
     fn add_edge_rejects_negative_capacity() {
         MinCostFlow::new(2).add_edge(0, 1, -1, 0);
+    }
+
+    // ----- the i64 bound ---------------------------------------------------
+
+    /// The largest edge cost [`crossed_assignment`] may carry:
+    /// `3·(n+1)·M = 3·(n+1)²·C ≤ i64::MAX` at `n = 6`.
+    const BOUND_COST: i64 = i64::MAX / (3 * 7 * 7);
+
+    /// A 2×2 assignment whose first max flow (Dinic's, lowest arc id
+    /// first) takes both `big` edges, so the refinement must move the
+    /// whole flow over to the two unit-cost edges.
+    fn crossed_assignment(big: i64) -> (Pair, usize, usize) {
+        let mut pair = Pair::new(6);
+        let (s, t) = (0, 5);
+        pair.add_edge(s, 1, 1, 0);
+        pair.add_edge(s, 2, 1, 0);
+        pair.add_edge(1, 3, 1, big);
+        pair.add_edge(1, 4, 1, 1);
+        pair.add_edge(2, 3, 1, 1);
+        pair.add_edge(2, 4, 1, big);
+        pair.add_edge(3, t, 1, 0);
+        pair.add_edge(4, t, 1, 0);
+        (pair, s, t)
+    }
+
+    #[test]
+    fn an_instance_at_the_i64_bound_solves_and_certifies() {
+        let (mut pair, s, t) = crossed_assignment(BOUND_COST);
+        let (flow, cost, same) = pair.run_both(s, t, 2);
+        assert_eq!((flow, cost), (2, 2));
+        assert!(same, "unique optimum must match edge-for-edge");
+    }
+
+    #[test]
+    #[should_panic(expected = "cost scaling needs 3·(n+1)·M ≤ i64::MAX")]
+    fn an_instance_past_the_i64_bound_panics() {
+        let (mut pair, s, t) = crossed_assignment(BOUND_COST + 1);
+        pair.fast.run(s, t, 2);
     }
 
     mod properties {

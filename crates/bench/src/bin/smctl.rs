@@ -394,7 +394,11 @@ fn cmd_sweep(args: Args) -> Result<ExitCode, String> {
     // the `--timeout-secs` deadline attached.
     let (campaign, _) = run.run(&Scheduler::Solo, &args.opts.budget(), &cache)?;
     if let Some(journal) = cache.journal() {
-        eprintln!("journal: {}", journal.path().display());
+        if journal.degraded() {
+            eprintln!("journal degraded: this run was not journaled");
+        } else {
+            eprintln!("journal: {}", journal.path().display());
+        }
     }
     let out_path = args.out.as_deref();
     emit(&render_campaign(&campaign, format, args.timings), out_path)?;

@@ -22,9 +22,10 @@
 //!
 //! The hot kernels additionally report sub-stages timed by their own
 //! phase instrumentation — `place-fm` (the placer's FM-refinement
-//! meter), `attack-flow-score`, `attack-flow-mcmf` and
-//! `attack-flow-assign` (the flow attack's candidate-scoring,
-//! min-cost-flow and loop-free reconstruction spans) and
+//! meter), `attack-flow-score`, `attack-flow-mcmf`,
+//! `attack-flow-assign` and `attack-flow-eval` (the flow attack's
+//! candidate-scoring, min-cost-flow, loop-free reconstruction and
+//! OER/HD simulation spans) and
 //! `attack-crouting-grid` (crouting's column-index kernel) — so a
 //! regression in one kernel is attributable without re-profiling.
 //! [`BenchConfig::min_of`] repeats each deterministic layout stage and
@@ -153,7 +154,8 @@ enum AttackStage {
 /// class's protection settings; the layout stages' utilization and
 /// seed override its own) — plus the sub-kernel stages the hot
 /// paths are gated on (`place-fm`, `attack-flow-score`,
-/// `attack-flow-mcmf`, `attack-flow-assign`, `attack-crouting-grid`),
+/// `attack-flow-mcmf`, `attack-flow-assign`, `attack-flow-eval`,
+/// `attack-crouting-grid`),
 /// whose walls come from the kernels' own phase instrumentation rather
 /// than re-timing around them.
 fn layout_stages(
@@ -276,6 +278,7 @@ fn layout_stages(
                 let mut score_wall = f64::INFINITY;
                 let mut mcmf_wall = f64::INFINITY;
                 let mut assign_wall = f64::INFINITY;
+                let mut eval_wall = f64::INFINITY;
                 let mut outcome = None;
                 // One worker on the global pool: the serial attack.
                 let exec = Budget::on_pool(std::sync::Arc::clone(Pool::global()), 1);
@@ -304,6 +307,7 @@ fn layout_stages(
                     score_wall = score_wall.min(span("attack-candidates"));
                     mcmf_wall = mcmf_wall.min(span("attack-mcmf"));
                     assign_wall = assign_wall.min(span("attack-assign"));
+                    eval_wall = eval_wall.min(span("attack-eval"));
                     outcome = Some(out);
                 }
                 let outcome = outcome.expect("min_of clamps to at least one run");
@@ -315,6 +319,13 @@ fn layout_stages(
                 push(stages, "attack-flow-score", score_wall, detail.clone());
                 push(stages, "attack-flow-mcmf", mcmf_wall, detail.clone());
                 push(stages, "attack-flow-assign", assign_wall, detail);
+                let metrics = outcome.metrics;
+                let eval_detail = vec![
+                    ("patterns", metrics.patterns as u64),
+                    ("oer_bp", (metrics.oer * 10_000.0).round() as u64),
+                    ("hd_bp", (metrics.hd * 10_000.0).round() as u64),
+                ];
+                push(stages, "attack-flow-eval", eval_wall, eval_detail);
             }
             AttackStage::Crouting => {
                 let mut crouting_wall = f64::INFINITY;
@@ -793,7 +804,8 @@ mod tests {
                 "attack-flow",
                 "attack-flow-score",
                 "attack-flow-mcmf",
-                "attack-flow-assign"
+                "attack-flow-assign",
+                "attack-flow-eval"
             ]
         );
         // Fingerprints are deterministic across runs (timings aside) —
@@ -828,6 +840,7 @@ mod tests {
         assert!(wall_of("attack-flow-score") <= wall_of("attack-flow"));
         assert!(wall_of("attack-flow-mcmf") <= wall_of("attack-flow"));
         assert!(wall_of("attack-flow-assign") <= wall_of("attack-flow"));
+        assert!(wall_of("attack-flow-eval") <= wall_of("attack-flow"));
     }
 
     /// Regression lines carry the full slack math: delta, ratio, and

@@ -263,3 +263,67 @@ fn journal_cli_rejects_bad_inputs() {
         stderr(&out)
     );
 }
+
+/// A journal that degrades (here: the spec's log already exists in
+/// another format version, so the first append refuses to touch it)
+/// must not be claimed: `sweep` says the run was not journaled, still
+/// succeeds, and leaves the foreign file's bytes alone.
+#[test]
+fn sweep_over_a_foreign_journal_says_it_was_not_journaled() {
+    use sm_engine::journal::{Journal, JOURNAL_MAGIC, JOURNAL_VERSION};
+    use sm_engine::{AttackKind, SweepSpec};
+
+    let scratch = Scratch::new("foreign");
+    let dir = scratch.path();
+    let spec = SweepSpec {
+        benchmarks: vec!["c432".into()],
+        seeds: vec![1],
+        split_layers: vec![4],
+        attacks: vec![AttackKind::Crouting],
+        ..SweepSpec::default()
+    };
+    let journal = Journal::for_spec(&dir.join("st"), &spec);
+    let mut foreign = JOURNAL_MAGIC.to_vec();
+    foreign.extend((JOURNAL_VERSION - 1).to_le_bytes());
+    std::fs::create_dir_all(journal.path().parent().unwrap()).unwrap();
+    std::fs::write(journal.path(), &foreign).unwrap();
+
+    let out = smctl(
+        &[
+            "sweep",
+            "--benchmarks",
+            "c432",
+            "--seeds",
+            "1",
+            "--split-layers",
+            "4",
+            "--attacks",
+            "crouting",
+            "--store",
+            "st",
+            "--out",
+            "r.json",
+        ],
+        dir,
+    );
+    let err = stderr(&out);
+    assert_eq!(exit_code(&out), 0, "sweep failed: {err}");
+    assert!(
+        err.contains("journal degraded"),
+        "no degradation warning: {err}"
+    );
+    assert!(
+        err.contains("this run was not journaled"),
+        "the run must be reported as not journaled: {err}"
+    );
+    let relative = Path::new("st")
+        .join(journal.path().strip_prefix(dir.join("st")).unwrap())
+        .display()
+        .to_string();
+    assert!(
+        !err.contains(&format!("journal: {relative}"))
+            && !err.contains(&format!("journal: {}", journal.path().display())),
+        "a degraded journal must not be claimed: {err}"
+    );
+    assert_eq!(std::fs::read(journal.path()).unwrap(), foreign);
+}

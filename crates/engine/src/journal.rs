@@ -750,6 +750,13 @@ impl Journal {
         &self.path
     }
 
+    /// Whether the journal has degraded to inert (a failed open or
+    /// exhausted append retries): records since then were dropped, so
+    /// the file does not hold the whole run.
+    pub fn degraded(&self) -> bool {
+        self.failed.load(Ordering::Relaxed)
+    }
+
     /// Appends one event as a checksummed frame and flushes it to the
     /// OS. Transient failures (injected or real) retry with
     /// deterministic backoff; exhausted retries degrade the journal to

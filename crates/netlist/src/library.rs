@@ -47,17 +47,41 @@ impl GateFn {
     /// Panics if `inputs` is empty.
     #[inline]
     pub fn eval_word(self, inputs: &[u64]) -> u64 {
-        assert!(!inputs.is_empty(), "gate evaluated with no inputs");
+        let [word] = self.eval_block(inputs.iter().map(std::array::from_ref));
+        word
+    }
+
+    /// Evaluates the function over a block of `N` words per input pin
+    /// (`64·N` patterns), word by word: output word `k` is
+    /// [`GateFn::eval_word`] of every input's word `k`. This is the one
+    /// definition of the gate functions; `eval_word` is its one-word
+    /// form. [`GateFn::Buf`] and [`GateFn::Inv`] read only the first
+    /// input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is empty.
+    #[inline]
+    pub fn eval_block<'a, const N: usize>(
+        self,
+        mut inputs: impl Iterator<Item = &'a [u64; N]>,
+    ) -> [u64; N] {
+        let mut acc = *inputs.next().expect("gate evaluated with no inputs");
         match self {
-            GateFn::Buf => inputs[0],
-            GateFn::Inv => !inputs[0],
-            GateFn::And => inputs.iter().fold(!0u64, |acc, &w| acc & w),
-            GateFn::Nand => !inputs.iter().fold(!0u64, |acc, &w| acc & w),
-            GateFn::Or => inputs.iter().fold(0u64, |acc, &w| acc | w),
-            GateFn::Nor => !inputs.iter().fold(0u64, |acc, &w| acc | w),
-            GateFn::Xor => inputs.iter().fold(0u64, |acc, &w| acc ^ w),
-            GateFn::Xnor => !inputs.iter().fold(0u64, |acc, &w| acc ^ w),
+            GateFn::Buf | GateFn::Inv => {}
+            GateFn::And | GateFn::Nand => fold_block(&mut acc, inputs, |a, w| a & w),
+            GateFn::Or | GateFn::Nor => fold_block(&mut acc, inputs, |a, w| a | w),
+            GateFn::Xor | GateFn::Xnor => fold_block(&mut acc, inputs, |a, w| a ^ w),
         }
+        if matches!(
+            self,
+            GateFn::Inv | GateFn::Nand | GateFn::Nor | GateFn::Xnor
+        ) {
+            for a in &mut acc {
+                *a = !*a;
+            }
+        }
+        acc
     }
 
     /// Returns the canonical upper-case name used in `.bench` files.
@@ -97,6 +121,20 @@ impl GateFn {
     /// `true` for functions that only accept exactly one input.
     pub fn is_unary(self) -> bool {
         matches!(self, GateFn::Buf | GateFn::Inv)
+    }
+}
+
+/// Folds every remaining input block into `acc`, word by word.
+#[inline(always)]
+fn fold_block<'a, const N: usize>(
+    acc: &mut [u64; N],
+    inputs: impl Iterator<Item = &'a [u64; N]>,
+    op: impl Fn(u64, u64) -> u64,
+) {
+    for block in inputs {
+        for (a, &w) in acc.iter_mut().zip(block) {
+            *a = op(*a, w);
+        }
     }
 }
 
@@ -336,6 +374,34 @@ mod tests {
         let w = [0b1111, 0b1010, 0b1100u64];
         assert_eq!(GateFn::And.eval_word(&w) & 0xF, 0b1000);
         assert_eq!(GateFn::Xor.eval_word(&w) & 0xF, 0b1001);
+    }
+
+    #[test]
+    fn eval_block_is_eval_word_per_word() {
+        let blocks = [
+            [0x0123_4567_89ab_cdef, !0, 0],
+            [0xfedc_ba98_7654_3210, 0xaaaa, !0],
+            [0x0f0f_0f0f_0f0f_0f0f, 0x5555, 1],
+            [0x3333_3333_cccc_cccc, 0, !1],
+        ];
+        for f in [
+            GateFn::Buf,
+            GateFn::Inv,
+            GateFn::And,
+            GateFn::Nand,
+            GateFn::Or,
+            GateFn::Nor,
+            GateFn::Xor,
+            GateFn::Xnor,
+        ] {
+            for arity in 1..=blocks.len() {
+                let out = f.eval_block(blocks[..arity].iter());
+                for (k, &word) in out.iter().enumerate() {
+                    let words: Vec<u64> = blocks[..arity].iter().map(|b| b[k]).collect();
+                    assert_eq!(word, f.eval_word(&words), "{f} arity {arity} word {k}");
+                }
+            }
+        }
     }
 
     #[test]

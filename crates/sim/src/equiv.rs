@@ -8,7 +8,7 @@
 
 use crate::patterns::PatternSource;
 use crate::sat::{Cnf, Lit, SatResult};
-use crate::simulator::Simulator;
+use crate::simulator::{Simulator, BLOCK_WORDS};
 use sm_netlist::graph::topo_order;
 use sm_netlist::{Driver, GateFn, Netlist};
 
@@ -48,7 +48,7 @@ pub fn check(
     Ok(sat_check(golden, candidate, max_conflicts))
 }
 
-fn seeded_rng(netlist: &Netlist) -> rand::rngs::StdRng {
+pub(crate) fn seeded_rng(netlist: &Netlist) -> rand::rngs::StdRng {
     use rand::SeedableRng;
     // Deterministic per design name so checks are reproducible.
     let seed = netlist.name().bytes().fold(0xcafef00du64, |h, b| {
@@ -57,23 +57,33 @@ fn seeded_rng(netlist: &Netlist) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
 }
 
-fn find_counterexample(
+/// The first pattern of `patterns` (lowest word, then lowest lane) on
+/// which the two netlists' outputs differ.
+pub(crate) fn find_counterexample(
     golden: &Netlist,
     candidate: &Netlist,
     patterns: &PatternSource,
 ) -> Option<Vec<bool>> {
     let mut sim_g = Simulator::new(golden);
     let mut sim_c = Simulator::new(candidate);
-    for (inputs, mask) in patterns.iter_words() {
-        let og = sim_g.run_word(inputs);
-        let oc = sim_c.run_word(inputs);
-        let mut diff = 0u64;
-        for (wg, wc) in og.iter().zip(&oc) {
-            diff |= (wg ^ wc) & mask;
-        }
-        if diff != 0 {
-            let lane = diff.trailing_zeros();
-            return Some(inputs.iter().map(|w| (w >> lane) & 1 == 1).collect());
+    let stride = golden.output_ports().len();
+    let (mut og, mut oc) = (Vec::new(), Vec::new());
+    for (b, block) in patterns.blocks().enumerate() {
+        og.clear();
+        oc.clear();
+        sim_g.run_block(block, &mut og);
+        sim_c.run_block(block, &mut oc);
+        for (k, inputs) in block.iter().enumerate() {
+            let mask = patterns.word_mask(b * BLOCK_WORDS + k);
+            let outputs = k * stride..(k + 1) * stride;
+            let mut diff = 0u64;
+            for (wg, wc) in og[outputs.clone()].iter().zip(&oc[outputs]) {
+                diff |= (wg ^ wc) & mask;
+            }
+            if diff != 0 {
+                let lane = diff.trailing_zeros();
+                return Some(inputs.iter().map(|w| (w >> lane) & 1 == 1).collect());
+            }
         }
     }
     None

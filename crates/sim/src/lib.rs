@@ -13,7 +13,11 @@
 //!   [`equiv`].
 //!
 //! Simulation is 64-way bit-parallel: each `u64` word carries 64 patterns.
-//! A [`GoldenResponse`] simulates the golden netlist once per pattern
+//! A [`Simulator`] compiles its netlist once into a flat gate program
+//! (cells in topological order, one function, output net and input-net
+//! range each) and evaluates it block-major: each gate visit computes a
+//! block of 16 words (1 024 patterns) before the next gate. A
+//! [`GoldenResponse`] simulates the golden netlist once per pattern
 //! batch, so scoring many candidates against it simulates only them.
 //!
 //! # Example
@@ -40,6 +44,9 @@
 mod metrics;
 mod patterns;
 mod simulator;
+
+#[cfg(test)]
+mod differential;
 
 pub mod equiv;
 pub mod sat;

@@ -1,7 +1,7 @@
 //! OER and Hamming-distance security metrics.
 
 use crate::patterns::PatternSource;
-use crate::simulator::Simulator;
+use crate::simulator::{Simulator, BLOCK_WORDS};
 use sm_netlist::Netlist;
 use std::error::Error;
 use std::fmt;
@@ -84,8 +84,9 @@ pub struct GoldenResponse<'p> {
     patterns: &'p PatternSource,
     num_inputs: usize,
     num_outputs: usize,
-    /// One entry per pattern word: the word of every primary output.
-    outputs: Vec<Vec<u64>>,
+    /// Every primary output's word for every pattern word, word-major:
+    /// word `w` of output `o` sits at `w · num_outputs + o`.
+    outputs: Vec<u64>,
 }
 
 impl<'p> GoldenResponse<'p> {
@@ -97,14 +98,15 @@ impl<'p> GoldenResponse<'p> {
     /// inputs than `golden` has.
     pub fn new(golden: &Netlist, patterns: &'p PatternSource) -> Self {
         let mut sim = Simulator::new(golden);
-        let outputs = patterns
-            .iter_words()
-            .map(|(inputs, _)| sim.run_word(inputs))
-            .collect();
+        let num_outputs = golden.output_ports().len();
+        let mut outputs = Vec::with_capacity(patterns.len().div_ceil(64) * num_outputs);
+        for block in patterns.blocks() {
+            sim.run_block(block, &mut outputs);
+        }
         GoldenResponse {
             patterns,
             num_inputs: golden.input_ports().len(),
-            num_outputs: golden.output_ports().len(),
+            num_outputs,
             outputs,
         }
     }
@@ -121,17 +123,25 @@ impl<'p> GoldenResponse<'p> {
     pub fn score(&self, candidate: &Netlist) -> Result<SecurityMetrics, MetricsError> {
         check_ports(self.num_inputs, self.num_outputs, candidate)?;
         let mut sim = Simulator::new(candidate);
+        let stride = self.num_outputs;
+        let mut oc = Vec::with_capacity(BLOCK_WORDS * stride);
         let mut err_patterns = 0u64;
         let mut err_bits = 0u64;
-        for ((inputs, mask), og) in self.patterns.iter_words().zip(&self.outputs) {
-            let oc = sim.run_word(inputs);
-            let mut any_err = 0u64;
-            for (wg, wc) in og.iter().zip(&oc) {
-                let diff = (wg ^ wc) & mask;
-                err_bits += diff.count_ones() as u64;
-                any_err |= diff;
+        for (b, block) in self.patterns.blocks().enumerate() {
+            oc.clear();
+            sim.run_block(block, &mut oc);
+            for k in 0..block.len() {
+                let w = b * BLOCK_WORDS + k;
+                let mask = self.patterns.word_mask(w);
+                let og = &self.outputs[w * stride..(w + 1) * stride];
+                let mut any_err = 0u64;
+                for (wg, wc) in og.iter().zip(&oc[k * stride..(k + 1) * stride]) {
+                    let diff = (wg ^ wc) & mask;
+                    err_bits += diff.count_ones() as u64;
+                    any_err |= diff;
+                }
+                err_patterns += any_err.count_ones() as u64;
             }
-            err_patterns += any_err.count_ones() as u64;
         }
         let n = self.patterns.len() as f64;
         Ok(SecurityMetrics {
@@ -281,32 +291,15 @@ mod tests {
 
 #[cfg(test)]
 mod golden_differential {
-    //! Pins [`GoldenResponse`] scoring to the two-simulator reference on
+    //! Pins [`GoldenResponse`] scoring to the per-word oracle on
     //! generated ISCAS designs: one golden response per case scores every
     //! prefix of a random swap log, as the randomizer scores its rounds.
 
     use super::*;
+    use crate::differential::oracle_errors;
     use proptest::prelude::*;
     use sm_netlist::graph::TopoOrder;
     use sm_netlist::{NetId, Sink};
-
-    /// The scoring loop as it stood before golden responses were stored:
-    /// golden and candidate simulated side by side, word by word.
-    fn reference(golden: &Netlist, candidate: &Netlist, patterns: &PatternSource) -> (u64, u64) {
-        let mut sim_g = Simulator::new(golden);
-        let mut sim_c = Simulator::new(candidate);
-        let (mut err_patterns, mut err_bits) = (0u64, 0u64);
-        for (inputs, mask) in patterns.iter_words() {
-            let (og, oc) = (sim_g.run_word(inputs), sim_c.run_word(inputs));
-            let mut any_err = 0u64;
-            for (wg, wc) in og.iter().zip(&oc) {
-                err_bits += ((wg ^ wc) & mask).count_ones() as u64;
-                any_err |= (wg ^ wc) & mask;
-            }
-            err_patterns += any_err.count_ones() as u64;
-        }
-        (err_patterns, err_bits)
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
@@ -347,7 +340,7 @@ mod golden_differential {
                 let candidate = order.netlist();
                 let stored = response.score(candidate).unwrap();
                 prop_assert_eq!(stored, security_metrics(&golden, candidate, &patterns).unwrap());
-                let (err_patterns, err_bits) = reference(&golden, candidate, &patterns);
+                let (err_patterns, err_bits) = oracle_errors(&golden, candidate, &patterns);
                 let n = num_patterns as f64;
                 prop_assert_eq!(stored.oer, err_patterns as f64 / n);
                 let bits = n * golden.output_ports().len() as f64;

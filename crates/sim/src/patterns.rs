@@ -1,5 +1,6 @@
 //! Test-pattern sources for metric evaluation.
 
+use crate::simulator::BLOCK_WORDS;
 use rand::Rng;
 use sm_netlist::Netlist;
 
@@ -75,16 +76,27 @@ impl PatternSource {
     /// Iterates over `(input_words, valid_mask)` pairs; `valid_mask` has a
     /// bit set for every lane carrying a real pattern.
     pub fn iter_words(&self) -> impl Iterator<Item = (&[u64], u64)> {
-        let n = self.num_patterns;
-        self.words.iter().enumerate().map(move |(w, inputs)| {
-            let used = n.saturating_sub(w * 64).min(64);
-            let mask = if used == 64 {
-                !0u64
-            } else {
-                (1u64 << used) - 1
-            };
-            (inputs.as_slice(), mask)
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .map(|(w, inputs)| (inputs.as_slice(), self.word_mask(w)))
+    }
+
+    /// The words in simulator blocks of [`BLOCK_WORDS`] (the last may be
+    /// shorter), each a slice of per-word input vectors.
+    pub(crate) fn blocks(&self) -> std::slice::Chunks<'_, Vec<u64>> {
+        self.words.chunks(BLOCK_WORDS)
+    }
+
+    /// The valid-lane mask of word `w`: a bit for every lane carrying a
+    /// real pattern.
+    pub(crate) fn word_mask(&self, w: usize) -> u64 {
+        let used = self.num_patterns.saturating_sub(w * 64).min(64);
+        if used == 64 {
+            !0u64
+        } else {
+            (1u64 << used) - 1
+        }
     }
 }
 
