@@ -54,6 +54,7 @@
 //! errors) for exactly this path; `smctl chaos` runs the whole
 //! crash→resume→byte-diff cycle as one smoke command.
 
+use std::collections::HashSet;
 use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
@@ -926,12 +927,14 @@ fn cmd_events(args: Args, tail: bool) -> Result<ExitCode, String> {
 #[derive(Default)]
 struct EventProgress {
     total: Option<usize>,
-    done: usize,
+    /// Distinct jobs with a `job-finished` record: a job re-run by a
+    /// resume counts once, and placeholders count only once re-run.
+    done: HashSet<String>,
 }
 
 impl EventProgress {
     /// One aligned table line per event, with a `done/total` progress
-    /// column on job completions.
+    /// column on job outcomes.
     fn render_line(&mut self, event: &Event) -> String {
         let kind = event.kind();
         match event {
@@ -950,7 +953,7 @@ impl EventProgress {
             }
             Event::JobStarted { job, .. } => format!("{kind:<18} {}", job.label()),
             Event::JobFinished { job, provenance, .. } => {
-                self.done += 1;
+                self.done.insert(job.label());
                 format!(
                     "{kind:<18} {} [{}] {} {:.1}ms",
                     self.progress(),
@@ -959,30 +962,20 @@ impl EventProgress {
                     provenance.wall_ms,
                 )
             }
-            Event::JobTimedOut { job, phase } => {
-                self.done += 1;
-                format!(
-                    "{kind:<18} {} [{}] phase={phase}",
-                    self.progress(),
-                    job.label(),
-                )
-            }
+            Event::JobTimedOut { job, phase } => format!(
+                "{kind:<18} {} [{}] phase={phase}",
+                self.progress(),
+                job.label(),
+            ),
             Event::JobFailed {
                 job,
                 phase,
                 message,
-            } => {
-                self.done += 1;
-                format!(
-                    "{kind:<18} {} [{}] phase={phase}: {message}",
-                    self.progress(),
-                    job.label(),
-                )
-            }
-            Event::StoreLockStolen {
-                age_secs,
-                holder_pid,
-            } => format!("{kind:<18} age={age_secs}s holder_pid={holder_pid}"),
+            } => format!(
+                "{kind:<18} {} [{}] phase={phase}: {message}",
+                self.progress(),
+                job.label(),
+            ),
             Event::BundleBuilt {
                 key,
                 stage,
@@ -1003,8 +996,8 @@ impl EventProgress {
 
     fn progress(&self) -> String {
         match self.total {
-            Some(total) => format!("{}/{total}", self.done),
-            None => format!("{}/?", self.done),
+            Some(total) => format!("{}/{total}", self.done.len()),
+            None => format!("{}/?", self.done.len()),
         }
     }
 }

@@ -185,7 +185,7 @@ const FLAGS: &[Flag] = &[
     ),
     value(
         "--timeout-secs",
-        &[Sweep, Resume, Serve, ServeSimulate],
+        &[Sweep, Resume, ServeSimulate],
         |a, f, v| put(&mut a.opts.timeout_secs, at_least_one(f, v).map(Some)),
     ),
     text("--store", STORED, |a| &mut a.opts.store),

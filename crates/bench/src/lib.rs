@@ -35,7 +35,7 @@ use sm_engine::campaign::SweepSpec;
 use sm_engine::journal::Journal;
 use sm_engine::store::ArtifactStore;
 use sm_engine::ArtifactCache;
-use sm_exec::fault::{FaultInject, FaultPlan, FaultProfile};
+use sm_exec::fault::{FaultPlan, FaultProfile};
 
 pub mod artifacts;
 pub mod cli;
@@ -123,14 +123,12 @@ impl RunOptions {
     /// log. The fault plan, if any, is attached to the store, the
     /// journal and job execution alike.
     pub fn cache(&self, spec: Option<&SweepSpec>, journal: Option<&Path>) -> ArtifactCache {
-        let faults = self
-            .fault_plan()
-            .map(|plan| Arc::new(plan) as Arc<dyn FaultInject>);
+        let faults = self.fault_plan();
         let mut cache = match &self.store {
             Some(dir) => {
                 let mut store = ArtifactStore::open(dir, self.store_cap);
-                if let Some(faults) = &faults {
-                    store = store.with_faults(Arc::clone(faults));
+                if let Some(faults) = faults {
+                    store = store.with_faults(faults);
                 }
                 ArtifactCache::with_store(Arc::new(store))
             }
@@ -140,8 +138,8 @@ impl RunOptions {
             .map(Journal::at)
             .or_else(|| Some(Journal::for_spec(Path::new(self.store.as_ref()?), spec?)));
         if let Some(mut journal) = journal {
-            if let Some(faults) = &faults {
-                journal = journal.with_faults(Arc::clone(faults));
+            if let Some(faults) = faults {
+                journal = journal.with_faults(faults);
             }
             cache = cache.with_journal(Arc::new(journal));
         }

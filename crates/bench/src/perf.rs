@@ -471,12 +471,9 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
     // operation), which CI gates like every other stage: fault
     // injection must be free when it is not injecting.
     {
-        let faults: std::sync::Arc<dyn sm_exec::fault::FaultInject> = std::sync::Arc::new(
-            sm_exec::fault::FaultPlan::new(cfg.seed, sm_exec::fault::FaultProfile::off()),
-        );
+        let faults = sm_exec::fault::FaultPlan::new(cfg.seed, sm_exec::fault::FaultProfile::off());
         let cache = ArtifactCache::with_store(std::sync::Arc::new(
-            ArtifactStore::open(store_dir.to_string_lossy().as_ref(), None)
-                .with_faults(std::sync::Arc::clone(&faults)),
+            ArtifactStore::open(store_dir.to_string_lossy().as_ref(), None).with_faults(faults),
         ))
         .with_faults(faults);
         let (campaign, wall) = timed(|| {

@@ -152,6 +152,20 @@ fn serve_accepts_only_the_flags_its_mode_reads() {
         dir,
         "--kill is not read by a live `smctl serve`",
     );
+    // A deadline armed at service start would expire every later
+    // campaign; a live service serves without one.
+    rejects(
+        &[
+            "serve",
+            "--socket",
+            "s.sock",
+            "--timeout-secs",
+            "2",
+            "--no-store",
+        ],
+        dir,
+        "--timeout-secs is not read by a live `smctl serve`",
+    );
     rejects(
         &["serve", "--stop", "--socket", "s.sock", "--store", "st"],
         dir,

@@ -224,6 +224,54 @@ fn sweep_killed_mid_campaign_resumes_to_byte_identical_report() {
     );
 }
 
+/// The progress column counts distinct jobs with a `job-finished`
+/// record: failed placeholders do not advance it, and a job re-run by
+/// `resume` counts once.
+#[test]
+fn event_progress_counts_each_finished_job_once() {
+    let scratch = Scratch::new("progress");
+    let dir = scratch.path();
+    // Fault seed 1 fails 2 of the quick spec's 6 jobs.
+    let out = smctl(
+        &[
+            "sweep",
+            "--quick",
+            "--fault-seed",
+            "1",
+            "--fault-profile",
+            "aggressive",
+            "--store",
+            "st",
+            "--out",
+            "chaos.json",
+        ],
+        dir,
+    );
+    assert_eq!(exit_code(&out), 4, "chaos sweep: {}", stderr(&out));
+    let out = smctl(&["resume", "chaos.json", "--store", "st"], dir);
+    assert_eq!(exit_code(&out), 0, "resume: {}", stderr(&out));
+
+    let out = smctl(&["events", "st"], dir);
+    assert_eq!(exit_code(&out), 0, "events: {}", stderr(&out));
+    let table = stdout(&out);
+    let counts: Vec<usize> = table
+        .lines()
+        .filter(|line| line.starts_with("job-"))
+        .filter_map(|line| {
+            let (done, total) = line.split_whitespace().nth(1)?.split_once('/')?;
+            assert_eq!(total, "6", "{line}");
+            done.parse().ok()
+        })
+        .collect();
+    assert!(table.contains("job-failed"), "{table}");
+    assert!(counts.iter().all(|&done| done <= 6), "{table}");
+    let last_finished = table
+        .lines()
+        .rfind(|line| line.starts_with("job-finished"))
+        .expect("finished jobs");
+    assert!(last_finished.contains(" 6/6 "), "{last_finished}");
+}
+
 #[test]
 fn journal_cli_rejects_bad_inputs() {
     let scratch = Scratch::new("reject");

@@ -46,7 +46,7 @@ use sm_attacks::proximity::FlowAssignment;
 use sm_benchgen::iscas::IscasProfile;
 use sm_benchgen::superblue::SuperblueProfile;
 use sm_codec::{Decode, Encode};
-use sm_exec::fault::FaultInject;
+use sm_exec::fault::FaultPlan;
 use sm_exec::phase::Recorder;
 use sm_exec::Budget;
 use sm_layout::SplitLayout;
@@ -252,7 +252,7 @@ pub struct ArtifactCache {
     assignments: Mutex<HashMap<LayerKey, Arc<Memo<FlowAssignment>>>>,
     store: Option<Arc<ArtifactStore>>,
     journal: Option<Arc<Journal>>,
-    faults: Option<Arc<dyn FaultInject>>,
+    faults: Option<FaultPlan>,
     expected: Mutex<HashMap<BundleKey, usize>>,
     /// Reserved jobs per bundle and split layer.
     layer_uses: Mutex<HashMap<(BundleKey, u8), usize>>,
@@ -286,13 +286,8 @@ impl ArtifactCache {
 
     /// Attaches a campaign journal: the cache emits `bundle-built`
     /// events (and campaigns running over it emit the job/campaign
-    /// lifecycle) into `journal`. The disk store underneath, when one
-    /// is attached, gets the same journal so store maintenance
-    /// incidents land in the campaign's log.
+    /// lifecycle) into `journal`.
     pub fn with_journal(mut self, journal: Arc<Journal>) -> Self {
-        if let Some(store) = &self.store {
-            store.set_journal(Arc::clone(&journal));
-        }
         self.journal = Some(journal);
         self
     }
@@ -302,19 +297,19 @@ impl ArtifactCache {
         self.journal.as_ref()
     }
 
-    /// Attaches a fault injector: campaigns running over this cache
+    /// Attaches a fault plan: campaigns running over this cache
     /// consult it at job pickup (`job-run` faults become isolated
     /// panics). Store and journal injection points are attached to
     /// those objects directly — see [`ArtifactStore::with_faults`] and
     /// [`Journal::with_faults`](crate::journal::Journal::with_faults).
-    pub fn with_faults(mut self, faults: Arc<dyn FaultInject>) -> Self {
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
         self
     }
 
-    /// The attached fault injector, if any.
-    pub fn faults(&self) -> Option<&Arc<dyn FaultInject>> {
-        self.faults.as_ref()
+    /// The attached fault plan, if any.
+    pub fn faults(&self) -> Option<FaultPlan> {
+        self.faults
     }
 
     /// Records a `bundle-built` journal event for a cache miss satisfied

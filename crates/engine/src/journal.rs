@@ -43,7 +43,7 @@ use std::time::Duration;
 use sm_codec::{
     decode_from_slice, encode_to_vec, frame, CodecError, Decode, Encode, Reader, Writer,
 };
-use sm_exec::fault::{self, Fault, FaultInject, FaultSite};
+use sm_exec::fault::{self, Fault, FaultPlan, FaultSite};
 use sm_exec::PoolStats;
 
 use crate::cache::CacheStats;
@@ -61,10 +61,12 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"SMJL";
 /// v3 added the `job-failed` and `store-lock-stolen` events plus the
 /// `campaign-finished` failed-job counter; v4 changes no encoding, but
 /// its `job-finished` metrics are report version 2's, so `resume` never
-/// merges a v3 record into a version-2 report. Old journals fail loudly
-/// with a version message rather than decoding to a silently-empty
-/// prefix.
-pub const JOURNAL_VERSION: u16 = 4;
+/// merges a v3 record into a version-2 report; v5 drops the
+/// `store-lock-stolen` event (tag 7), so a v4 journal holding one is
+/// refused instead of read up to it and silently cut short. Old
+/// journals fail loudly with a version message rather than decoding to
+/// a silently-empty prefix.
+pub const JOURNAL_VERSION: u16 = 5;
 
 /// Bytes of file header before the first frame.
 const HEADER_LEN: usize = 6;
@@ -237,14 +239,6 @@ pub enum Event {
         /// The panic message.
         message: String,
     },
-    /// A stale store `.lock` was stolen from a presumed-dead holder
-    /// during a maintenance sweep.
-    StoreLockStolen {
-        /// Age of the stolen lock file in seconds.
-        age_secs: u64,
-        /// PID recorded in the lock file (0 when unreadable).
-        holder_pid: u64,
-    },
 }
 
 impl Event {
@@ -258,7 +252,6 @@ impl Event {
             Event::BundleBuilt { .. } => "bundle-built",
             Event::CampaignFinished { .. } => "campaign-finished",
             Event::JobFailed { .. } => "job-failed",
-            Event::StoreLockStolen { .. } => "store-lock-stolen",
         }
     }
 
@@ -370,13 +363,6 @@ impl Event {
                 push_job(&mut pairs, job);
                 pairs.push(("phase".to_string(), Json::str(phase)));
                 pairs.push(("message".to_string(), Json::str(message)));
-            }
-            Event::StoreLockStolen {
-                age_secs,
-                holder_pid,
-            } => {
-                pairs.push(("age_secs".to_string(), Json::UInt(*age_secs)));
-                pairs.push(("holder_pid".to_string(), Json::UInt(*holder_pid)));
             }
             Event::CampaignFinished {
                 jobs,
@@ -626,14 +612,6 @@ impl Encode for Event {
                 phase.encode(w);
                 message.encode(w);
             }
-            Event::StoreLockStolen {
-                age_secs,
-                holder_pid,
-            } => {
-                w.put_u8(7);
-                age_secs.encode(w);
-                holder_pid.encode(w);
-            }
         }
     }
 }
@@ -681,10 +659,6 @@ impl Decode for Event {
                 phase: String::decode(r)?,
                 message: String::decode(r)?,
             }),
-            7 => Ok(Event::StoreLockStolen {
-                age_secs: u64::decode(r)?,
-                holder_pid: u64::decode(r)?,
-            }),
             other => Err(CodecError::Invalid(format!("Event tag {other}"))),
         }
     }
@@ -712,7 +686,7 @@ pub struct Journal {
     path: PathBuf,
     file: Mutex<Option<fs::File>>,
     failed: AtomicBool,
-    faults: Option<std::sync::Arc<dyn FaultInject>>,
+    faults: Option<FaultPlan>,
 }
 
 impl Journal {
@@ -727,9 +701,9 @@ impl Journal {
         }
     }
 
-    /// Attaches a fault injector consulted before every append — the
+    /// Attaches a fault plan consulted before every append — the
     /// chaos-testing hook behind `--fault-seed`/`--fault-profile`.
-    pub fn with_faults(mut self, faults: std::sync::Arc<dyn FaultInject>) -> Journal {
+    pub fn with_faults(mut self, faults: FaultPlan) -> Journal {
         self.faults = Some(faults);
         self
     }

@@ -655,17 +655,17 @@ fn poisoned<T>(guard: std::sync::LockResult<T>) -> T {
 
 /// Runs the campaign service until a [`Request::Shutdown`] drains it.
 ///
-/// The service binds `config.socket`, takes the store's maintenance
-/// lock for its lifetime (so eviction needs no per-sweep `.lock`
-/// dance), and executes queued campaigns one at a time on a threaded
-/// work-stealing fleet of `config.workers` workers sharing `budget`.
-/// Reports are canonical: byte-identical to a solo `smctl sweep` of
-/// the same spec.
+/// The service takes the store's maintenance lock for its lifetime (so
+/// eviction needs no per-sweep lock), then binds `config.socket`, and
+/// executes queued campaigns one at a time on a threaded work-stealing
+/// fleet of `config.workers` workers sharing `budget`. Reports are
+/// canonical: byte-identical to a solo `smctl sweep` of the same spec.
 ///
 /// # Errors
 ///
 /// Returns an error when the socket is taken by a live service, when
-/// the store lock is held by a live peer, or on listener setup failure.
+/// the store lock is held by a live peer (the socket is then left
+/// untouched), or on listener setup failure.
 pub fn serve(config: &ServeConfig, budget: &Budget) -> Result<(), String> {
     if config.workers == 0 {
         return Err("--workers must be ≥ 1".into());
@@ -678,6 +678,16 @@ pub fn serve(config: &ServeConfig, budget: &Budget) -> Result<(), String> {
             config.socket.display()
         ));
     }
+    // The lock comes before the socket, so a service that cannot own
+    // its store never answers a client. Held until `serve` returns;
+    // the kernel releases it if the process dies first.
+    let store = Arc::new(ArtifactStore::open(&config.store, config.store_cap));
+    let _lock = store.coordinate().ok_or_else(|| {
+        format!(
+            "store {} is locked by a live peer; stop it or pick another --store",
+            config.store.display()
+        )
+    })?;
     let _ = std::fs::remove_file(&config.socket);
     if let Some(parent) = config.socket.parent() {
         if !parent.as_os_str().is_empty() {
@@ -686,26 +696,16 @@ pub fn serve(config: &ServeConfig, budget: &Budget) -> Result<(), String> {
     }
     let listener = UnixListener::bind(&config.socket)
         .map_err(|e| format!("binding {}: {e}", config.socket.display()))?;
-    let store = Arc::new(ArtifactStore::open(&config.store, config.store_cap));
-    let lock = store.coordinate().ok_or_else(|| {
-        format!(
-            "store {} is locked by a live peer; stop it or pick another --store",
-            config.store.display()
-        )
-    })?;
     let shared = Arc::new(Shared::default());
     let stop = Arc::new(AtomicBool::new(false));
 
     // The runner: one campaign at a time off the queue, each on a fresh
-    // cache over the shared store, journaled under the store root. It
-    // owns the coordinator's store lock — held (and refreshed) until
-    // the service drains, released when the thread exits.
+    // cache over the shared store, journaled under the store root.
     let runner = {
         let shared = Arc::clone(&shared);
         let store = Arc::clone(&store);
         let budget = budget.clone();
         let workers = config.workers;
-        let lock = lock;
         std::thread::spawn(move || loop {
             let next = {
                 let mut state = poisoned(shared.state.lock());
@@ -717,14 +717,9 @@ pub fn serve(config: &ServeConfig, budget: &Budget) -> Result<(), String> {
                     if state.shutting_down {
                         break None;
                     }
-                    let (guard, _) =
-                        poisoned(shared.cv.wait_timeout(state, Duration::from_millis(200)));
-                    state = guard;
+                    state = poisoned(shared.cv.wait(state));
                 }
             };
-            // The coordinator owns the store reservation; keep it
-            // visibly alive across long campaigns and idle stretches.
-            lock.refresh_if_due();
             let Some(next) = next else {
                 break;
             };

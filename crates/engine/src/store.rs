@@ -24,8 +24,9 @@
 //!   misses;
 //! * **size budget** — an optional byte cap (`--store-cap`) is enforced
 //!   by least-recently-used eviction (loads refresh a file's mtime),
-//!   serialized across *processes* through a `.lock` file so concurrent
-//!   `smctl` invocations sharing a store respect one budget.
+//!   serialized across *processes* by the kernel's advisory lock on
+//!   `.lockfile` ([`StoreLock`]) so concurrent `smctl` invocations
+//!   sharing a store respect one budget.
 //!
 //! The store is deliberately quiet about I/O errors: a store that cannot
 //! read or write must degrade to "no store" (every operation a miss),
@@ -35,14 +36,12 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, SystemTime};
+use std::time::{Duration, Instant, SystemTime};
 
 use sm_codec::{decode_from_slice, lz, Decode, Encode, Reader, Writer};
-use sm_exec::fault::{self, Fault, FaultInject, FaultSite};
+use sm_exec::fault::{self, Fault, FaultPlan, FaultSite};
 
 use crate::job::Job;
-use crate::journal::{Event, Journal};
 use crate::metrics::JobMetrics;
 
 /// File magic: every store file starts with these four bytes.
@@ -202,8 +201,7 @@ pub struct ArtifactStore {
     write_failures: AtomicU64,
     evictions: AtomicU64,
     tmp_counter: AtomicU64,
-    faults: Option<Arc<dyn FaultInject>>,
-    journal: Mutex<Option<Arc<Journal>>>,
+    faults: Option<FaultPlan>,
     persistent_failures: AtomicU64,
     degraded: AtomicBool,
     coordinated: AtomicBool,
@@ -223,39 +221,32 @@ impl ArtifactStore {
             evictions: AtomicU64::new(0),
             tmp_counter: AtomicU64::new(0),
             faults: None,
-            journal: Mutex::new(None),
             persistent_failures: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
             coordinated: AtomicBool::new(false),
         }
     }
 
-    /// Acquires the store's `.lock` for the lifetime of a service
-    /// coordinator and flips this handle into *coordinated* mode: while
-    /// coordinated, maintenance sweeps ([`gc_to`](ArtifactStore::gc_to),
+    /// Takes the store's [`StoreLock`] for the lifetime of a service
+    /// coordinator, waiting up to [`LOCK_PATIENCE`], and flips this
+    /// handle into *coordinated* mode: while coordinated, maintenance
+    /// sweeps ([`gc_to`](ArtifactStore::gc_to),
     /// [`clear`](ArtifactStore::clear)) run under the coordinator's
-    /// long-held reservation instead of re-acquiring per sweep. The
-    /// caller owns keeping the returned lock fresh
-    /// ([`StoreLock::refresh_if_due`]) across long idle stretches.
-    /// `None` when a live peer holds the lock.
+    /// lock instead of taking their own (a second lock from the same
+    /// process would conflict with it). `None` when a live peer holds
+    /// the lock.
     pub fn coordinate(&self) -> Option<StoreLock> {
-        let lock = StoreLock::acquire(&self.root, &|age, pid| self.note_lock_steal(age, pid))?;
+        let lock = StoreLock::acquire(&self.root, LOCK_PATIENCE)?;
         self.coordinated.store(true, Ordering::Relaxed);
         Some(lock)
     }
 
-    /// Attaches a fault injector consulted before every payload read
-    /// and write — the chaos-testing hook behind
+    /// Attaches a fault plan consulted before every payload read and
+    /// write — the chaos-testing hook behind
     /// `--fault-seed`/`--fault-profile`.
-    pub fn with_faults(mut self, faults: Arc<dyn FaultInject>) -> ArtifactStore {
+    pub fn with_faults(mut self, faults: FaultPlan) -> ArtifactStore {
         self.faults = Some(faults);
         self
-    }
-
-    /// Attaches a campaign journal so store maintenance incidents (a
-    /// stolen stale lock) are recorded alongside the campaign's events.
-    pub fn set_journal(&self, journal: Arc<Journal>) {
-        *self.journal.lock().unwrap_or_else(|p| p.into_inner()) = Some(journal);
     }
 
     /// `true` once persistent I/O failures dropped the store into
@@ -278,23 +269,6 @@ impl ArtifactStore {
         }
     }
 
-    /// Reports a stolen stale `.lock`: age and holder PID to stderr,
-    /// and a `store-lock-stolen` record when a journal is attached.
-    fn note_lock_steal(&self, age: Duration, holder_pid: u64) {
-        eprintln!(
-            "warning: stole stale store lock at {} (age {}s, holder pid {holder_pid})",
-            self.root.join(".lock").display(),
-            age.as_secs(),
-        );
-        let journal = self.journal.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(journal) = journal.as_ref() {
-            journal.record(&Event::StoreLockStolen {
-                age_secs: age.as_secs(),
-                holder_pid,
-            });
-        }
-    }
-
     /// Consults the fault injector for `site` on the artifact at
     /// `path`, retrying transient faults with deterministic backoff.
     /// `true` means the operation must be treated as failed. The
@@ -302,7 +276,7 @@ impl ArtifactStore {
     /// the store root, so a fault plan picks the same victims whatever
     /// directory (or thread count) a run uses.
     fn faulted(&self, site: FaultSite, stage: Stage, path: &Path) -> bool {
-        let Some(faults) = &self.faults else {
+        let Some(faults) = self.faults else {
             return false;
         };
         let stem = path
@@ -410,7 +384,14 @@ impl ArtifactStore {
                 return None;
             }
         };
-        let (stored, flags, raw_len) = check_header(&bytes, stage)?;
+        let Frame::Valid {
+            stored,
+            flags,
+            raw_len,
+        } = Frame::parse(&bytes, stage)
+        else {
+            return None;
+        };
         let value = if flags & FLAG_LZ != 0 {
             let raw = lz::decompress(stored, raw_len).ok()?;
             decode_from_slice(&raw).ok()?
@@ -484,7 +465,7 @@ impl ArtifactStore {
         w.put_u8(stage.kind());
         w.put_u8(flags);
         (payload.len() as u64).encode(&mut w);
-        fnv1a_bytes(stored).encode(&mut w);
+        sm_codec::frame::fnv1a(stored).encode(&mut w);
         w.put_bytes(stored);
         let bytes = w.into_bytes();
         // Unique temp name per (process, write): concurrent writers of
@@ -552,18 +533,17 @@ impl ArtifactStore {
 
     /// Evicts least-recently-used files until total usage is ≤ `cap`
     /// bytes, regardless of the configured budget. Eviction runs under
-    /// the store's `.lock` file, so concurrent processes sharing the
-    /// store serialize their sweeps and respect one budget; if the lock
-    /// cannot be acquired (a peer is already evicting), this pass is
-    /// skipped — the peer's sweep enforces the cap.
+    /// the store's [`StoreLock`], so concurrent processes sharing the
+    /// store serialize their sweeps and respect one budget. The lock is
+    /// tried once: when a live peer holds it (evicting, or a service
+    /// coordinator), this pass is skipped — the peer's sweep enforces
+    /// the cap.
     pub fn gc_to(&self, cap: u64) -> u64 {
-        // Under a service coordinator the reservation is already held
-        // for the service's lifetime ([`coordinate`]) — re-acquiring
-        // here would deadlock against our own lock.
-        let lock = if self.coordinated.load(Ordering::Relaxed) {
+        // A coordinated handle sweeps under the coordinator's lock.
+        let _lock = if self.coordinated.load(Ordering::Relaxed) {
             None
         } else {
-            match StoreLock::acquire(&self.root, &|age, pid| self.note_lock_steal(age, pid)) {
+            match StoreLock::acquire(&self.root, Duration::ZERO) {
                 Some(lock) => Some(lock),
                 None => return 0,
             }
@@ -579,11 +559,6 @@ impl ArtifactStore {
             if total <= cap {
                 break;
             }
-            // A sweep over a huge store can outlast the staleness
-            // window — keep the lock visibly alive while we hold it.
-            if let Some(lock) = &lock {
-                lock.refresh_if_due();
-            }
             if fs::remove_file(&path).is_ok() {
                 total -= len;
                 evicted += 1;
@@ -593,26 +568,21 @@ impl ArtifactStore {
         evicted
     }
 
-    /// Deletes every stored artifact (under the shared `.lock`, waiting
-    /// for any in-flight eviction to finish; proceeds unlocked after
-    /// exhausting patience — explicit maintenance must not hang forever
-    /// behind a wedged peer). Returns the number of files removed.
+    /// Deletes every stored artifact (under the store's [`StoreLock`],
+    /// waiting up to [`LOCK_PATIENCE`] for a peer's sweep to finish;
+    /// proceeds unlocked after that — explicit maintenance must not
+    /// hang forever behind a wedged peer). Returns the number of files
+    /// removed.
     pub fn clear(&self) -> u64 {
-        let lock = if self.coordinated.load(Ordering::Relaxed) {
+        let _lock = if self.coordinated.load(Ordering::Relaxed) {
             None
         } else {
-            StoreLock::acquire(&self.root, &|age, pid| self.note_lock_steal(age, pid))
+            StoreLock::acquire(&self.root, LOCK_PATIENCE)
         };
-        let mut removed = 0;
-        for (path, _, _) in self.entries() {
-            if let Some(lock) = &lock {
-                lock.refresh_if_due();
-            }
-            if fs::remove_file(&path).is_ok() {
-                removed += 1;
-            }
-        }
-        removed
+        self.entries()
+            .iter()
+            .filter(|(path, _, _)| fs::remove_file(path).is_ok())
+            .count() as u64
     }
 
     /// Scans every stage directory, classifying each file as valid,
@@ -635,10 +605,10 @@ impl ArtifactStore {
                     let Ok(bytes) = fs::read(&path) else {
                         continue;
                     };
-                    match classify(&bytes, stage) {
-                        FrameHealth::Valid => counts.valid += 1,
-                        FrameHealth::Legacy => counts.legacy += 1,
-                        FrameHealth::Corrupt => {
+                    match Frame::parse(&bytes, stage) {
+                        Frame::Valid { .. } => counts.valid += 1,
+                        Frame::Legacy => counts.legacy += 1,
+                        Frame::Corrupt => {
                             counts.corrupt += 1;
                             let qdir = self.root.join("quarantine").join(stage.dir());
                             let moved = fs::create_dir_all(&qdir).is_ok()
@@ -711,34 +681,6 @@ impl StoreHealth {
     }
 }
 
-/// A doctor-scan file classification.
-enum FrameHealth {
-    Valid,
-    Legacy,
-    Corrupt,
-}
-
-/// Classifies one store file's bytes for [`ArtifactStore::doctor`].
-fn classify(bytes: &[u8], stage: Stage) -> FrameHealth {
-    let mut r = Reader::new(bytes);
-    let Ok(magic) = r.take(4) else {
-        return FrameHealth::Corrupt;
-    };
-    if magic != STORE_MAGIC {
-        return FrameHealth::Corrupt;
-    }
-    match u16::decode(&mut r) {
-        Ok(version) if version == STORE_FORMAT_VERSION => {}
-        Ok(_) => return FrameHealth::Legacy,
-        Err(_) => return FrameHealth::Corrupt,
-    }
-    if check_header(bytes, stage).is_some() {
-        FrameHealth::Valid
-    } else {
-        FrameHealth::Corrupt
-    }
-}
-
 /// One directory entry as `(path, mtime, len)`, if it is a store file
 /// (regular, not a staging temp).
 fn store_file(entry: &fs::DirEntry) -> Option<(PathBuf, SystemTime, u64)> {
@@ -757,263 +699,146 @@ fn store_file(entry: &fs::DirEntry) -> Option<(PathBuf, SystemTime, u64)> {
 fn read_raw_len(path: &Path) -> Option<u64> {
     use std::io::Read;
     let mut head = [0u8; HEADER_LEN];
-    let mut f = fs::File::open(path).ok()?;
-    f.read_exact(&mut head).ok()?;
-    let mut r = Reader::new(&head);
-    if r.take(4).ok()? != STORE_MAGIC {
-        return None;
+    fs::File::open(path).ok()?.read_exact(&mut head).ok()?;
+    match Header::parse(&head)? {
+        Header::Current { raw_len, .. } => Some(raw_len),
+        Header::Foreign => None,
     }
-    if u16::decode(&mut r).ok()? != STORE_FORMAT_VERSION {
-        return None;
-    }
-    let _kind = r.take_u8().ok()?;
-    let _flags = r.take_u8().ok()?;
-    u64::decode(&mut r).ok()
 }
 
-/// Validates the store header, returning the stored payload slice, the
-/// header flags and the declared raw length on success.
-fn check_header(bytes: &[u8], stage: Stage) -> Option<(&[u8], u8, usize)> {
-    let mut r = Reader::new(bytes);
-    let magic = r.take(4).ok()?;
-    if magic != STORE_MAGIC {
-        return None;
+/// The fixed header at the front of every store file, as far as this
+/// build reads it.
+enum Header {
+    /// Intact magic but another format version (a v1 store, say): read
+    /// no further.
+    Foreign,
+    /// This build's format version.
+    Current {
+        kind: u8,
+        flags: u8,
+        raw_len: u64,
+        checksum: u64,
+    },
+}
+
+impl Header {
+    /// Parses the header at the front of `bytes`: `None` for a bad
+    /// magic or bytes that end inside the header.
+    fn parse(bytes: &[u8]) -> Option<Header> {
+        let mut r = Reader::new(bytes);
+        if r.take(4).ok()? != STORE_MAGIC {
+            return None;
+        }
+        if u16::decode(&mut r).ok()? != STORE_FORMAT_VERSION {
+            return Some(Header::Foreign);
+        }
+        Some(Header::Current {
+            kind: r.take_u8().ok()?,
+            flags: r.take_u8().ok()?,
+            raw_len: u64::decode(&mut r).ok()?,
+            checksum: u64::decode(&mut r).ok()?,
+        })
     }
-    if u16::decode(&mut r).ok()? != STORE_FORMAT_VERSION {
-        return None;
-    }
-    if r.take_u8().ok()? != stage.kind() {
-        return None;
-    }
-    let flags = r.take_u8().ok()?;
-    let raw_len = u64::decode(&mut r).ok()?;
-    let expected = u64::decode(&mut r).ok()?;
-    let stored = &bytes[r.position()..];
-    // A corrupted raw length must not drive a huge pre-allocation: LZ
-    // tokens expand < 90×, so anything above that bound is damage.
-    let plausible = (stored.len() as u64).saturating_mul(90).max(64);
-    if raw_len > plausible {
-        return None;
-    }
-    if fnv1a_bytes(stored) != expected {
-        // Bit-flips and truncation both land here, before any
+}
+
+/// A whole store file judged against the stage it was read for — what
+/// a load decodes and what [`ArtifactStore::doctor`] counts.
+enum Frame<'a> {
+    /// Intact: the stored payload, the header flags and the declared
+    /// raw length.
+    Valid {
+        stored: &'a [u8],
+        flags: u8,
+        raw_len: usize,
+    },
+    /// A foreign format version (rebuilt over on load).
+    Legacy,
+    /// Bad magic, a wrong payload kind, an implausible raw length, or a
+    /// checksum mismatch.
+    Corrupt,
+}
+
+impl Frame<'_> {
+    /// Judges the whole file `bytes`, read for `stage`.
+    fn parse(bytes: &[u8], stage: Stage) -> Frame<'_> {
+        let Some(header) = Header::parse(bytes) else {
+            return Frame::Corrupt;
+        };
+        let Header::Current {
+            kind,
+            flags,
+            raw_len,
+            checksum,
+        } = header
+        else {
+            return Frame::Legacy;
+        };
+        let stored = &bytes[HEADER_LEN..];
+        // A corrupted raw length must not drive a huge pre-allocation: LZ
+        // tokens expand < 90×, so anything above that bound is damage.
+        let plausible = (stored.len() as u64).saturating_mul(90).max(64);
+        // Bit-flips and truncation fail the checksum, before any
         // decompression or decode.
-        return None;
+        if kind != stage.kind() || raw_len > plausible || sm_codec::frame::fnv1a(stored) != checksum
+        {
+            return Frame::Corrupt;
+        }
+        Frame::Valid {
+            stored,
+            flags,
+            raw_len: raw_len as usize,
+        }
     }
-    Some((stored, flags, raw_len as usize))
-}
-
-/// FNV-1a over raw bytes: the payload checksum in the store header —
-/// the same function `sm_codec::frame` uses for journal records.
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    sm_codec::frame::fnv1a(bytes)
 }
 
 // ----- cross-process lock ------------------------------------------------
 
-/// How long a `.lock` file may sit unmodified before it is presumed
-/// abandoned by a crashed process and stolen. Live holders of long
-/// sweeps must [`StoreLock::refresh`] within this window.
-const LOCK_STALE: Duration = Duration::from_secs(30);
+/// The lock file under the store root. It is never deleted: unlinking a
+/// locked file would let a later opener lock a fresh inode while a peer
+/// still holds the old one.
+const LOCK_FILE: &str = ".lockfile";
 
-/// How long [`StoreLock::acquire`] tries before giving up.
+/// How long [`ArtifactStore::coordinate`] and [`ArtifactStore::clear`]
+/// wait for a peer to release the lock.
 const LOCK_PATIENCE: Duration = Duration::from_secs(5);
 
-/// A unique lock-ownership token: `pid:nonce`. The pid keeps the file
-/// human-debuggable; the nonce disambiguates re-acquisitions by the
-/// same process (and pid reuse after a crash).
-fn lock_token() -> String {
-    format!("{}:{:016x}", std::process::id(), lock_nonce())
-}
-
-fn lock_nonce() -> u64 {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let clock = SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    sm_exec::seed::mix64(
-        clock
-            ^ (std::process::id() as u64).rotate_left(32)
-            ^ COUNTER.fetch_add(1, Ordering::Relaxed),
-    )
-}
-
-/// A held `.lock` file under the store root; dropped = released. The
-/// lock serializes maintenance sweeps (eviction, clear) across
-/// processes — artifact reads and writes stay lock-free (atomic
-/// rename makes them safe without it).
+/// The store's maintenance lock: the kernel's advisory lock
+/// ([`fs::File::try_lock`]) on `.lockfile` under the store root. It
+/// serializes maintenance sweeps (eviction, clear) across processes;
+/// artifact reads and writes stay lock-free (atomic rename makes them
+/// safe without it). Dropping it closes the file, which releases the
+/// lock — and so does the holder's exit or crash, so no lock outlives
+/// its process.
 ///
 /// Public so a service coordinator ([`ArtifactStore::coordinate`]) can
 /// hold one for its whole lifetime, owning the store's maintenance
-/// budget instead of re-acquiring per sweep.
-///
-/// Two races this type is built around:
-///
-/// * **steal-by-rename** — a stale lock is taken over by atomically
-///   renaming it to a unique grave name; of N racing stealers exactly
-///   one rename succeeds, so a steal can never delete a fresh lock some
-///   other stealer just created (the old remove-then-create dance
-///   could);
-/// * **ownership-checked release** — [`Drop`] unlinks the lock file
-///   only if it still holds this acquisition's token, so a holder whose
-///   lock was stolen mid-sweep cannot destroy the thief's lock on exit.
+/// budget instead of locking per sweep.
 #[derive(Debug)]
 pub struct StoreLock {
-    path: PathBuf,
-    token: String,
-    stale: Duration,
-    last_refresh: Mutex<std::time::Instant>,
+    _file: fs::File,
 }
 
 impl StoreLock {
-    /// Tries to acquire the lock for up to [`LOCK_PATIENCE`], stealing
-    /// locks older than [`LOCK_STALE`]. `None` when a live peer holds
-    /// it. Every steal is reported through `on_steal(age, holder_pid)`
-    /// — stealing must be loud, not silent, so an operator can tell a
-    /// crashed peer from a livelocked one.
-    pub fn acquire(root: &Path, on_steal: &dyn Fn(Duration, u64)) -> Option<StoreLock> {
-        Self::acquire_with(root, on_steal, LOCK_STALE, LOCK_PATIENCE)
-    }
-
-    /// [`StoreLock::acquire`] with explicit staleness and patience
-    /// windows — the production constants are wall-clock scale, so
-    /// steal/refresh behavior is tested through this entry point.
-    pub fn acquire_with(
-        root: &Path,
-        on_steal: &dyn Fn(Duration, u64),
-        stale: Duration,
-        patience: Duration,
-    ) -> Option<StoreLock> {
-        let path = root.join(".lock");
-        let token = lock_token();
-        let deadline = std::time::Instant::now() + patience;
+    /// Takes the lock of the store at `root`, retrying every 25 ms
+    /// until `patience` runs out (`Duration::ZERO` tries once). `None`
+    /// when a live peer holds it or the lock file cannot be opened.
+    pub fn acquire(root: &Path, patience: Duration) -> Option<StoreLock> {
+        fs::create_dir_all(root).ok()?;
+        let file = fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(root.join(LOCK_FILE))
+            .ok()?;
+        let deadline = Instant::now() + patience;
         loop {
-            let _ = fs::create_dir_all(root);
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    use std::io::Write;
-                    let _ = write!(f, "{token}");
-                    return Some(StoreLock {
-                        path,
-                        token,
-                        stale,
-                        last_refresh: Mutex::new(std::time::Instant::now()),
-                    });
-                }
-                Err(_) => {
-                    if Self::try_steal(&path, stale, on_steal) {
-                        // The stale lock is gone (we or a peer removed
-                        // it): race straight back to `create_new`.
-                        continue;
-                    }
-                    if std::time::Instant::now() >= deadline {
-                        return None;
-                    }
+            match file.try_lock() {
+                Ok(()) => return Some(StoreLock { _file: file }),
+                Err(fs::TryLockError::WouldBlock) if Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(25));
                 }
+                Err(_) => return None,
             }
-        }
-    }
-
-    /// Steals the lock at `path` if its holder looks dead (mtime older
-    /// than `stale`). Returns `true` when the caller should retry
-    /// `create_new` immediately (the path is — or just became — free).
-    fn try_steal(path: &Path, stale: Duration, on_steal: &dyn Fn(Duration, u64)) -> bool {
-        let Ok(meta) = fs::metadata(path) else {
-            // Vanished between `create_new` and here: retry now.
-            return true;
-        };
-        let age = meta
-            .modified()
-            .ok()
-            .and_then(|m| SystemTime::now().duration_since(m).ok());
-        if age.filter(|&a| a > stale).is_none() {
-            return false;
-        }
-        // Atomic rename to a unique grave name: of N racing stealers
-        // exactly one rename succeeds, and the losers loop back to
-        // `create_new` — nobody can delete a lock it did not win.
-        let grave = path.with_file_name(format!(".lock-steal-{:016x}", lock_nonce()));
-        if fs::rename(path, &grave).is_err() {
-            return true;
-        }
-        // Between the staleness check and the rename the path may have
-        // been replaced by a *fresh* lock (a peer completing its own
-        // steal). Re-verify on the renamed file before declaring the
-        // steal; a fresh lock is put back via `hard_link`, which never
-        // overwrites an existing path.
-        let renamed_age = fs::metadata(&grave)
-            .ok()
-            .and_then(|m| m.modified().ok())
-            .and_then(|m| SystemTime::now().duration_since(m).ok());
-        match renamed_age.filter(|&a| a > stale) {
-            Some(age) => {
-                let holder_pid = fs::read_to_string(&grave)
-                    .ok()
-                    .and_then(|s| {
-                        s.trim()
-                            .split(':')
-                            .next()
-                            .and_then(|pid| pid.parse::<u64>().ok())
-                    })
-                    .unwrap_or(0);
-                on_steal(age, holder_pid);
-                let _ = fs::remove_file(&grave);
-                true
-            }
-            None => {
-                let _ = fs::hard_link(&grave, path);
-                let _ = fs::remove_file(&grave);
-                false
-            }
-        }
-    }
-
-    /// Bumps the lock file's mtime so a live holder of a long sweep is
-    /// not presumed dead and stolen from. No-op if the lock was already
-    /// stolen (never touch the thief's file).
-    pub fn refresh(&self) {
-        if self.owned() {
-            if let Ok(f) = fs::OpenOptions::new().append(true).open(&self.path) {
-                let _ = f.set_modified(SystemTime::now());
-            }
-        }
-        *self.last_refresh.lock().unwrap_or_else(|p| p.into_inner()) = std::time::Instant::now();
-    }
-
-    /// [`StoreLock::refresh`], throttled to once per quarter of the
-    /// staleness window — cheap enough to call from every iteration of
-    /// a maintenance loop.
-    pub fn refresh_if_due(&self) {
-        let due = {
-            let last = self.last_refresh.lock().unwrap_or_else(|p| p.into_inner());
-            last.elapsed() >= self.stale / 4
-        };
-        if due {
-            self.refresh();
-        }
-    }
-
-    /// `true` while the `.lock` file still carries this acquisition's
-    /// token (i.e. it has not been stolen).
-    fn owned(&self) -> bool {
-        fs::read_to_string(&self.path).is_ok_and(|s| s.trim() == self.token)
-    }
-}
-
-impl Drop for StoreLock {
-    fn drop(&mut self) {
-        // Ownership-checked release: if the lock was stolen while this
-        // holder ran long, the file now belongs to the thief — deleting
-        // it here would hand the store to a third process while the
-        // thief still believes it holds the lock.
-        if self.owned() {
-            let _ = fs::remove_file(&self.path);
         }
     }
 }

@@ -22,7 +22,7 @@ use sm_engine::job::AttackKind;
 use sm_engine::journal::{materialize, read_events, Journal};
 use sm_engine::report::ReportOptions;
 use sm_engine::{ArtifactCache, ArtifactStore};
-use sm_exec::fault::{FaultInject, FaultPlan, FaultProfile};
+use sm_exec::fault::{FaultPlan, FaultProfile};
 use sm_exec::Budget;
 
 struct Scratch(PathBuf);
@@ -105,15 +105,12 @@ fn baseline() -> &'static str {
 /// with the plan attached to all three injection points (job run,
 /// store I/O, journal appends).
 fn chaotic_run(scratch: &Scratch, plan: FaultPlan) -> Campaign {
-    let faults: Arc<dyn FaultInject> = Arc::new(plan);
     let spec = spec();
-    let store =
-        Arc::new(ArtifactStore::open(scratch.path(), None).with_faults(Arc::clone(&faults)));
-    let journal =
-        Arc::new(Journal::for_spec(scratch.path(), &spec).with_faults(Arc::clone(&faults)));
+    let store = Arc::new(ArtifactStore::open(scratch.path(), None).with_faults(plan));
+    let journal = Arc::new(Journal::for_spec(scratch.path(), &spec).with_faults(plan));
     let cache = ArtifactCache::with_store(store)
         .with_journal(journal)
-        .with_faults(faults);
+        .with_faults(plan);
     run_sweep_budgeted(&spec, &Budget::with_threads(Some(2)), &cache, None).unwrap()
 }
 
@@ -180,10 +177,9 @@ fn persistent_store_failure_degrades_without_changing_bytes() {
         store_persistent_bp: 10_000,
         journal_transient_bp: 0,
     };
-    let faults: Arc<dyn FaultInject> = Arc::new(FaultPlan::new(3, broken_store));
-    let store =
-        Arc::new(ArtifactStore::open(scratch.path(), None).with_faults(Arc::clone(&faults)));
-    let cache = ArtifactCache::with_store(Arc::clone(&store)).with_faults(faults);
+    let plan = FaultPlan::new(3, broken_store);
+    let store = Arc::new(ArtifactStore::open(scratch.path(), None).with_faults(plan));
+    let cache = ArtifactCache::with_store(Arc::clone(&store)).with_faults(plan);
     let campaign =
         run_sweep_budgeted(&spec(), &Budget::with_threads(Some(2)), &cache, None).unwrap();
     assert!(

@@ -384,7 +384,12 @@ fn a_journal_of_another_version_is_left_untouched() {
         threads: 1,
     });
     assert_eq!(fs::read(&path).unwrap(), old);
-    assert!(read_events(&path).unwrap_err().contains("version"));
+    let err = read_events(&path).unwrap_err();
+    let both = format!(
+        "version {} (this build reads {JOURNAL_VERSION})",
+        JOURNAL_VERSION - 1
+    );
+    assert!(err.contains(&both), "{err}");
 }
 
 /// An interrupted campaign's journal, resumed by appending the re-run

@@ -1,17 +1,18 @@
 //! Integration tests for the disk-backed artifact store: warm-run
 //! zero-build guarantee, corruption tolerance (including compressed
-//! payloads), version gating, atomic concurrent writes, lock-file
-//! maintenance and size-budget eviction.
+//! payloads), version gating, atomic concurrent writes, the maintenance
+//! lock and size-budget eviction.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
 use sm_engine::job::AttackKind;
 use sm_engine::report::ReportOptions;
-use sm_engine::store::{ArtifactStore, Stage, STORE_MAGIC};
+use sm_engine::store::{ArtifactStore, Stage, StoreLock, STORE_MAGIC};
 use sm_engine::ArtifactCache;
 use sm_exec::Budget;
 use sm_netlist::Netlist;
@@ -431,8 +432,8 @@ fn eviction_respects_the_size_budget() {
     assert_eq!(capped.usage().files, 0);
 }
 
-/// Maintenance honors the shared `.lock` file: while a live peer holds
-/// it, `gc_to` backs off and evicts nothing (the peer's sweep already
+/// Maintenance honors the store's lock: while a live peer holds it,
+/// `gc_to` backs off at once and evicts nothing (the peer's sweep
 /// enforces the shared cap); once released, eviction proceeds.
 #[test]
 fn gc_backs_off_while_a_live_peer_holds_the_lock() {
@@ -445,177 +446,53 @@ fn gc_backs_off_while_a_live_peer_holds_the_lock() {
     }
     let before = store.usage();
 
-    // A live peer: fresh `.lock` with a plausible pid. `gc_to` waits
-    // out its patience, then declines rather than racing the holder.
-    let lock = scratch.path().join(".lock");
-    fs::write(&lock, format!("{}", std::process::id())).unwrap();
+    let peer = StoreLock::acquire(scratch.path(), Duration::ZERO).expect("the lock is free");
+    let start = Instant::now();
     assert_eq!(store.gc_to(1), 0, "gc must not evict under a held lock");
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "gc tries the lock once instead of waiting for it"
+    );
     assert_eq!(store.usage(), before, "no files touched under a held lock");
 
     // Lock released → eviction proceeds normally.
-    fs::remove_file(&lock).unwrap();
+    drop(peer);
     assert!(store.gc_to(1) > 0);
     assert_eq!(store.usage().files, 0);
 }
 
-// ----- lock steal/ownership races -----------------------------------------
-
-/// Backdates the `.lock` under `root` so it reads as abandoned.
-fn backdate_lock(root: &Path, age: std::time::Duration) {
-    let f = fs::OpenOptions::new()
-        .append(true)
-        .open(root.join(".lock"))
-        .unwrap();
-    f.set_modified(std::time::SystemTime::now() - age).unwrap();
-}
-
-/// The TOCTOU regression this PR fixes: N threads racing to steal one
-/// stale lock must admit **exactly one** holder. The old
-/// remove-then-create steal let a second stealer delete the fresh lock
-/// the first had just created, yielding two holders.
+/// Eight threads contending for the lock hold it one at a time, and a
+/// dropped lock is free again at once.
 #[test]
-fn stale_steal_storm_admits_exactly_one_holder() {
-    use sm_engine::store::StoreLock;
-    let scratch = Scratch::new("steal-storm");
-    fs::create_dir_all(scratch.path()).unwrap();
-    fs::write(scratch.path().join(".lock"), "999999:dead").unwrap();
-    backdate_lock(scratch.path(), std::time::Duration::from_secs(120));
-
-    let steals = Arc::new(AtomicU64::new(0));
-    let holders: Vec<bool> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let steals = Arc::clone(&steals);
-            let root = scratch.path().clone();
-            handles.push(scope.spawn(move || {
-                let lock = StoreLock::acquire_with(
-                    &root,
-                    &|_, _| {
-                        steals.fetch_add(1, Ordering::Relaxed);
-                    },
-                    std::time::Duration::from_secs(30),
-                    std::time::Duration::from_millis(1200),
-                );
-                // Hold past every loser's patience so none inherits a
-                // released lock and double-counts as a holder.
-                std::thread::sleep(std::time::Duration::from_millis(1500));
-                lock.is_some()
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    assert_eq!(
-        holders.iter().filter(|&&h| h).count(),
-        1,
-        "a stale-steal storm must admit exactly one holder"
-    );
-    assert_eq!(
-        steals.load(Ordering::Relaxed),
-        1,
-        "the stale lock is stolen exactly once (rename is atomic)"
-    );
-    assert!(
-        !scratch.path().join(".lock").exists(),
-        "the winner releases its lock on drop"
-    );
-}
-
-/// A live holder of a long sweep refreshes its lock mtime, so it is
-/// never presumed dead and stolen from — the contender waits out its
-/// whole patience and leaves empty-handed.
-#[test]
-fn refreshing_live_holder_is_not_stolen() {
-    use sm_engine::store::StoreLock;
-    let scratch = Scratch::new("long-holder");
-    let stale = std::time::Duration::from_millis(300);
-    let holder = StoreLock::acquire_with(
-        scratch.path(),
-        &|_, _| panic!("nothing to steal on first acquire"),
-        stale,
-        std::time::Duration::from_millis(500),
-    )
-    .expect("first acquire succeeds");
-
-    let stolen = Arc::new(AtomicU64::new(0));
+fn contending_threads_hold_the_lock_one_at_a_time() {
+    let scratch = Scratch::new("contend");
+    let holders = AtomicU64::new(0);
+    let acquired = AtomicU64::new(0);
+    let start = std::sync::Barrier::new(8);
     std::thread::scope(|scope| {
-        let contender = {
-            let stolen = Arc::clone(&stolen);
-            let root = scratch.path().clone();
-            scope.spawn(move || {
-                StoreLock::acquire_with(
-                    &root,
-                    &|_, _| {
-                        stolen.fetch_add(1, Ordering::Relaxed);
-                    },
-                    stale,
-                    std::time::Duration::from_millis(1000),
-                )
-                .is_some()
-            })
-        };
-        // The "long sweep": outlive the staleness window several times
-        // over, refreshing as a live holder must.
-        for _ in 0..12 {
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            holder.refresh();
+        for _ in 0..8 {
+            scope.spawn(|| {
+                start.wait();
+                let lock = StoreLock::acquire(scratch.path(), Duration::from_secs(30))
+                    .expect("every contender gets its turn");
+                assert_eq!(holders.fetch_add(1, Ordering::SeqCst), 0, "two holders");
+                std::thread::sleep(Duration::from_millis(20));
+                holders.fetch_sub(1, Ordering::SeqCst);
+                acquired.fetch_add(1, Ordering::SeqCst);
+                drop(lock);
+            });
         }
-        assert!(
-            !contender.join().unwrap(),
-            "a refreshing live holder must not be stolen from"
-        );
     });
-    assert_eq!(stolen.load(Ordering::Relaxed), 0, "no steal was reported");
-    drop(holder);
+    assert_eq!(acquired.load(Ordering::SeqCst), 8);
+
+    let held = StoreLock::acquire(scratch.path(), Duration::ZERO).expect("the lock is free");
     assert!(
-        !scratch.path().join(".lock").exists(),
-        "the holder releases its lock on drop"
+        StoreLock::acquire(scratch.path(), Duration::ZERO).is_none(),
+        "a held lock is not taken twice"
     );
-}
-
-/// The unconditional-unlink regression this PR fixes: a holder whose
-/// lock WAS stolen (it outlived the staleness window without
-/// refreshing) must not delete the thief's lock when it exits.
-#[test]
-fn stolen_holders_drop_spares_the_thiefs_lock() {
-    use sm_engine::store::StoreLock;
-    let scratch = Scratch::new("stolen-drop");
-    let stale = std::time::Duration::from_millis(100);
-    let sleeper = StoreLock::acquire_with(
-        scratch.path(),
-        &|_, _| panic!("nothing to steal on first acquire"),
-        stale,
-        std::time::Duration::from_millis(500),
-    )
-    .expect("first acquire succeeds");
-
-    // The holder goes quiet past the staleness window; age the file
-    // explicitly so the thief sees it stale without wall-clock sleeps.
-    backdate_lock(scratch.path(), std::time::Duration::from_secs(2));
-    let steals = Arc::new(AtomicU64::new(0));
-    let thief = {
-        let steals = Arc::clone(&steals);
-        StoreLock::acquire_with(
-            scratch.path(),
-            &move |_, _| {
-                steals.fetch_add(1, Ordering::Relaxed);
-            },
-            stale,
-            std::time::Duration::from_millis(1000),
-        )
-        .expect("the thief steals the abandoned lock")
-    };
-    assert_eq!(steals.load(Ordering::Relaxed), 1);
-
-    // The original holder wakes up and exits: its Drop must recognize
-    // the lock is no longer its own.
-    drop(sleeper);
+    drop(held);
     assert!(
-        scratch.path().join(".lock").exists(),
-        "a stolen holder's drop must not unlink the thief's lock"
-    );
-    drop(thief);
-    assert!(
-        !scratch.path().join(".lock").exists(),
-        "the thief's drop releases normally"
+        StoreLock::acquire(scratch.path(), Duration::ZERO).is_some(),
+        "a dropped lock is free again at once"
     );
 }

@@ -9,8 +9,8 @@
 //! run is repeated — which is what lets CI byte-diff a resumed chaos
 //! campaign against a fault-free one.
 //!
-//! The injection points ([`FaultSite`]) are consulted through the
-//! [`FaultInject`] trait *before* the real operation runs:
+//! The injection points ([`FaultSite`]) consult the plan through
+//! [`FaultPlan::inject`] *before* the real operation runs:
 //!
 //! * store loads/saves and journal appends map [`Fault::Transient`] /
 //!   [`Fault::Persistent`] onto simulated I/O errors, exercising the
@@ -79,16 +79,6 @@ pub enum Fault {
     Panic(String),
 }
 
-/// An injection point consulted before real I/O / job execution.
-///
-/// `attempt` is 0 for the first try and increments per retry, so a
-/// plan can clear a transient fault after a deterministic number of
-/// failures. Implementations must be pure in `(site, key, attempt)`.
-pub trait FaultInject: Send + Sync + std::fmt::Debug {
-    /// The fault (if any) that `site`/`key` must observe on `attempt`.
-    fn inject(&self, site: FaultSite, key: &str, attempt: u32) -> Option<Fault>;
-}
-
 /// Named fault-rate presets (`--fault-profile`). Rates are in basis
 /// points (1/100 of a percent) of operations at each site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,8 +144,8 @@ impl FaultProfile {
     }
 }
 
-/// A seeded, deterministic fault plan: the concrete [`FaultInject`]
-/// behind `--fault-seed`/`--fault-profile`.
+/// A seeded, deterministic fault plan: the injector behind
+/// `--fault-seed`/`--fault-profile`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
@@ -183,10 +173,13 @@ impl FaultPlan {
     fn decision(&self, site: FaultSite, key: &str) -> u64 {
         seed::derive(self.seed ^ seed::fnv1a(key), site.branch())
     }
-}
 
-impl FaultInject for FaultPlan {
-    fn inject(&self, site: FaultSite, key: &str, attempt: u32) -> Option<Fault> {
+    /// The fault (if any) that `site`/`key` must observe on `attempt`.
+    ///
+    /// `attempt` is 0 for the first try and increments per retry, so a
+    /// transient fault clears after a deterministic number of failures.
+    /// Pure in `(site, key, attempt)`.
+    pub fn inject(&self, site: FaultSite, key: &str, attempt: u32) -> Option<Fault> {
         let h = self.decision(site, key);
         let roll = h % 10_000;
         let (transient_bp, persistent_bp) = match site {

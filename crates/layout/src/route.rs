@@ -245,12 +245,13 @@ fn seg_len(s: &RouteSegment) -> i64 {
     (s.a.0 as i64 - s.b.0 as i64).abs() + (s.a.1 as i64 - s.b.1 as i64).abs()
 }
 
+/// Target grid resolution of the global router (max gcells per axis).
+const MAX_GRID: i64 = 128;
+
 /// The global router.
 #[derive(Debug)]
 pub struct Router<'t> {
     tech: &'t Technology,
-    /// Target grid resolution (max gcells per axis).
-    max_grid: u16,
 }
 
 struct Grid {
@@ -307,16 +308,7 @@ impl MstScratch {
 impl<'t> Router<'t> {
     /// Creates a router for the given technology.
     pub fn new(tech: &'t Technology) -> Self {
-        Router {
-            tech,
-            max_grid: 128,
-        }
-    }
-
-    /// Overrides the maximum grid resolution per axis.
-    pub fn with_max_grid(mut self, max_grid: u16) -> Self {
-        self.max_grid = max_grid.max(4);
-        self
+        Router { tech }
     }
 
     /// Routes every net of `netlist` over `placement`.
@@ -355,7 +347,7 @@ impl<'t> Router<'t> {
         let span = core.width().max(core.height()).max(1);
         // Tile floor of half a row keeps vpin geometry sharp on small dies
         // while bounding the grid for the big ones.
-        let tile = (span / self.max_grid as i64).max(fp.row_height() / 2);
+        let tile = (span / MAX_GRID).max(fp.row_height() / 2);
         let nx = ((core.width() + tile - 1) / tile).max(2) as u16;
         let ny = ((core.height() + tile - 1) / tile).max(2) as u16;
         let num_layers = self.tech.num_layers() as usize;

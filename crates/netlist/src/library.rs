@@ -337,16 +337,6 @@ impl Library {
         }
         lib
     }
-
-    /// Rebuilds the name index; needed after deserializing a library.
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.clone(), LibCellId::new(i)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
