@@ -271,6 +271,7 @@ store hit counts, prints to stderr.
 ";
 
 fn main() -> ExitCode {
+    exit_quietly_when_stdout_closes();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((name, rest)) = argv.split_first() else {
         eprint!("{HELP}");
@@ -307,6 +308,27 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// `print!` panics once stdout's reader has gone (`smctl … | head`).
+/// That is the reader's choice, not a failure, so exit 0 without a
+/// message; every other panic reaches the default hook. SIGPIPE stays
+/// ignored, so a `--follow` client hanging up on `serve`'s socket is a
+/// write error there, never a dead service.
+fn exit_quietly_when_stdout_closes() {
+    /// `EPIPE` on Linux, macOS and the BSDs.
+    const EPIPE: i32 = 32;
+    let closed = format!(
+        "failed printing to stdout: {}",
+        std::io::Error::from_raw_os_error(EPIPE)
+    );
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.payload_as_str() == Some(closed.as_str()) {
+            std::process::exit(0);
+        }
+        default_hook(info);
+    }));
 }
 
 /// Exit status for a campaign that finished with timed-out jobs (the
@@ -616,6 +638,13 @@ fn cmd_store(args: Args) -> Result<ExitCode, String> {
             let cap = cap.ok_or("`smctl store gc` needs --store-cap SIZE")?;
             let evicted = store.gc_to(cap);
             let usage = store.usage();
+            let evicted = evicted.ok_or_else(|| {
+                format!(
+                    "{dir}: skipped, a live peer (e.g. `smctl serve`) holds the store lock; \
+                     {} file(s), {} bytes remain",
+                    usage.files, usage.bytes
+                )
+            })?;
             println!(
                 "{dir}: evicted {evicted} file(s); {} file(s), {} bytes remain",
                 usage.files, usage.bytes

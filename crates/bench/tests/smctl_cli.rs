@@ -1,11 +1,12 @@
 //! `smctl` command-line contract tests, driven against the real binary
 //! (`CARGO_BIN_EXE_smctl`): every command rejects a flag it does not
 //! accept, a missing or empty value and an inline value on a switch,
-//! each with exit status 2; `--flag=v` means `--flag v`; and repeated
-//! sweep-axis values collapse to their first occurrence.
+//! each with exit status 2; `--flag=v` means `--flag v`; repeated
+//! sweep-axis values collapse to their first occurrence; and a stdout
+//! whose reader has gone ends `smctl` quietly with exit status 0.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn smctl(args: &[&str], dir: &Path) -> Output {
     Command::new(env!("CARGO_BIN_EXE_smctl"))
@@ -252,4 +253,28 @@ fn inline_values_and_repeated_axis_values_keep_the_report_bytes() {
     );
     let out = smctl(&["merge", "repeated.json", "repeated.json"], dir);
     assert_eq!(exit_code(&out), 0, "merge: {}", stderr(&out));
+}
+
+/// A reader that hangs up early is not an error: `smctl` printing into
+/// a pipe whose reader is closed exits 0 without a panic message.
+#[test]
+fn a_closed_stdout_ends_smctl_quietly() {
+    let scratch = Scratch::new("closed-stdout");
+    for args in [&["help"][..], &["store", "stats", "--store", "st"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_smctl"))
+            .args(args)
+            .current_dir(scratch.path())
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn smctl");
+        assert_eq!(exit_code(&out), 0, "{args:?}: {}", stderr(&out));
+        assert!(
+            !stderr(&out).contains("panicked"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
 }

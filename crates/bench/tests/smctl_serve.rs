@@ -1,14 +1,17 @@
 //! `smctl serve` lifecycle tests, driven against the real binary
 //! (`CARGO_BIN_EXE_smctl`): a service killed with SIGKILL restarts on
 //! its store and socket at once (the kernel released its store lock),
-//! and a second service on a held store refuses to start without ever
-//! binding its socket.
+//! a second service on a held store refuses to start without ever
+//! binding its socket, and `store gc` beside a lock holder says it
+//! skipped.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use sm_engine::serve::client_status;
+use sm_engine::store::Stage;
+use sm_engine::ArtifactStore;
 
 fn smctl(args: &[&str], dir: &Path) -> Output {
     Command::new(env!("CARGO_BIN_EXE_smctl"))
@@ -151,4 +154,36 @@ fn a_second_service_on_a_held_store_never_binds() {
     );
     let out = smctl(&["serve", "--stop", "--socket", "a.sock"], dir);
     assert_eq!(exit_code(&out), 0, "serve --stop: {}", stderr(&out));
+}
+
+/// `store gc` beside a live peer that holds the store lock (here the
+/// test itself, through `coordinate()`, as a live `serve` does) skips
+/// eviction and says so with exit 2, naming what remains; once the lock
+/// is free the same command evicts.
+#[test]
+fn store_gc_beside_a_lock_holder_says_it_skipped() {
+    let scratch = Scratch::new("gc-held");
+    let dir = scratch.path();
+    let store = ArtifactStore::open(dir.join("st"), None);
+    let netlist = sm_benchgen::iscas::generate(&sm_benchgen::iscas::IscasProfile::c432(), 1);
+    store.save_stage(Stage::Netlist, "c432-1", &netlist);
+    let before = store.usage();
+    let gc = ["store", "gc", "--store", "st", "--store-cap", "1"];
+
+    let lock = store.coordinate().expect("the lock is free");
+    let out = smctl(&gc, dir);
+    assert_eq!(exit_code(&out), 2, "gc under a held lock: {}", stderr(&out));
+    let expected = format!(
+        "error: st: skipped, a live peer (e.g. `smctl serve`) holds the store lock; \
+         1 file(s), {} bytes remain",
+        before.bytes
+    );
+    assert_eq!(stderr(&out).trim_end(), expected);
+    assert_eq!(store.usage(), before, "no file evicted under a held lock");
+
+    drop(lock);
+    let out = smctl(&gc, dir);
+    assert_eq!(exit_code(&out), 0, "gc: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("st: evicted 1 file(s)"), "{stdout}");
 }

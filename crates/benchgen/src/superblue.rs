@@ -9,8 +9,6 @@
 //! design benchmarks. Substitution documented in `DESIGN.md`.
 
 use crate::iscas;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sm_netlist::Netlist;
 
 /// The five superblue designs in the paper's evaluation.
@@ -126,8 +124,6 @@ pub fn generate(profile: &SuperblueProfile, scale: usize, seed: u64) -> Netlist 
         gates,
         depth: 24,
     };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let _ = &mut rng; // seed folding happens inside the shared generator
     iscas::generate(&shape, seed)
 }
 

@@ -15,9 +15,16 @@
 //!   prefixes, no varints, no schema evolution (the store's version
 //!   header invalidates old formats wholesale instead).
 //!
-//! Implementations for domain types live next to the types themselves
+//! Domain types declare their formats with [`record!`] (a struct as its
+//! fields, in order) and [`tagged!`] (an enum as a one-byte tag, then the
+//! variant's fields). The list in the declaration *is* the wire format:
+//! it is written once and both directions expand from it, so encode and
+//! decode cannot drift apart. The declarations sit in the owning crates
 //! (`sm-netlist`, `sm-layout`, `sm-core`, `sm-engine`), where private
-//! fields are reachable.
+//! fields are reachable. A type gets hand-written impls only when its
+//! decode validates or rebuilds: `Rect`, `Floorplan` and `Placement`
+//! reject shapes their constructors or users would panic on, `Library`
+//! rebuilds its name index and `Netlist` shares its decoded library.
 
 #![warn(missing_docs)]
 
@@ -234,6 +241,92 @@ macro_rules! impl_fixed_int {
 }
 
 impl_fixed_int!(u8, u16, u32, u64, i8, i16, i32, i64);
+
+/// Implements [`Encode`] and [`Decode`] for a struct as its listed
+/// fields, in order, with no framing: the list *is* the wire format.
+///
+/// ```
+/// struct Span {
+///     lo: u32,
+///     hi: u32,
+/// }
+/// sm_codec::record!(Span { lo, hi });
+///
+/// let bytes = sm_codec::encode_to_vec(&Span { lo: 1, hi: 2 });
+/// assert_eq!(bytes, [1, 0, 0, 0, 2, 0, 0, 0]);
+/// ```
+#[macro_export]
+macro_rules! record {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, w: &mut $crate::Writer) {
+                $($crate::Encode::encode(&self.$field, w);)*
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::CodecError> {
+                Ok(Self { $($field: $crate::Decode::decode(r)?,)* })
+            }
+        }
+    };
+}
+
+/// Implements [`Encode`] and [`Decode`] for an enum as a one-byte tag
+/// followed by the variant's fields, in order: the table *is* the wire
+/// format. Tuple fields are named only to be listed. An unknown tag
+/// decodes to [`CodecError::Invalid`]`("<Enum> tag <n>")`.
+///
+/// ```
+/// enum Shape {
+///     Dot,
+///     Circle(u32),
+///     Box { w: u32, h: u32 },
+/// }
+/// sm_codec::tagged!(Shape { 0 => Dot, 1 => Circle(r), 2 => Box { w, h } });
+///
+/// let bytes = sm_codec::encode_to_vec(&Shape::Circle(7));
+/// assert_eq!(bytes, [1, 7, 0, 0, 0]);
+/// let err = sm_codec::decode_from_slice::<Shape>(&[3]).err().unwrap();
+/// assert_eq!(err, sm_codec::CodecError::Invalid("Shape tag 3".into()));
+/// ```
+#[macro_export]
+macro_rules! tagged {
+    ($ty:ident {
+        $($tag:literal => $variant:ident
+            $(($($tuple:ident),*))?
+            $({$($named:ident),*})?),* $(,)?
+    }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, w: &mut $crate::Writer) {
+                match self {
+                    $(Self::$variant $(($($tuple),*))? $({$($named),*})? => {
+                        w.put_u8($tag);
+                        $($($crate::Encode::encode($tuple, w);)*)?
+                        $($($crate::Encode::encode($named, w);)*)?
+                    })*
+                }
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::CodecError> {
+                Ok(match r.take_u8()? {
+                    $($tag => Self::$variant
+                        $(($({
+                            let $tuple = $crate::Decode::decode(r)?;
+                            $tuple
+                        }),*))?
+                        $({$($named: $crate::Decode::decode(r)?),*})?,)*
+                    other => {
+                        return Err($crate::CodecError::Invalid(format!(
+                            concat!(stringify!($ty), " tag {}"),
+                            other
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
 
 impl Encode for usize {
     fn encode(&self, w: &mut Writer) {

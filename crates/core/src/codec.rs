@@ -1,169 +1,65 @@
-//! Binary [`sm_codec`] implementations for protection-flow results.
+//! The [`sm_codec`] wire formats of protection-flow results.
 //!
 //! [`ProtectedDesign`] is the most expensive artifact in the
 //! reproduction (randomize → place → route ×2 → PPA), so it is the
-//! payload the engine's disk store most wants to keep. Everything here
-//! is a plain field-order composition of the `sm-netlist`/`sm-layout`
-//! encodings.
+//! payload the engine's disk store most wants to keep. Every format here
+//! is a `record!`: its fields, in the listed order, each in its
+//! `sm-netlist`/`sm-layout` encoding.
 
-use sm_codec::{CodecError, Decode, Encode, Reader, Writer};
-use sm_layout::Point;
-use sm_netlist::{NetId, Netlist, Sink};
+use sm_codec::record;
 
 use crate::correction::CorrectionCell;
 use crate::flow::{BaselineLayout, ProtectedDesign};
 use crate::ppa::{PpaOverhead, PpaReport};
 use crate::randomize::{Randomization, SwapRecord};
 
-impl Encode for PpaReport {
-    fn encode(&self, w: &mut Writer) {
-        self.area_um2.encode(w);
-        self.power_uw.encode(w);
-        self.delay_ps.encode(w);
-    }
-}
-
-impl Decode for PpaReport {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(PpaReport {
-            area_um2: f64::decode(r)?,
-            power_uw: f64::decode(r)?,
-            delay_ps: f64::decode(r)?,
-        })
-    }
-}
-
-impl Encode for PpaOverhead {
-    fn encode(&self, w: &mut Writer) {
-        self.area_pct.encode(w);
-        self.power_pct.encode(w);
-        self.delay_pct.encode(w);
-    }
-}
-
-impl Decode for PpaOverhead {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(PpaOverhead {
-            area_pct: f64::decode(r)?,
-            power_pct: f64::decode(r)?,
-            delay_pct: f64::decode(r)?,
-        })
-    }
-}
-
-impl Encode for SwapRecord {
-    fn encode(&self, w: &mut Writer) {
-        self.net_a.encode(w);
-        self.sink_a.encode(w);
-        self.net_b.encode(w);
-        self.sink_b.encode(w);
-    }
-}
-
-impl Decode for SwapRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SwapRecord {
-            net_a: NetId::decode(r)?,
-            sink_a: Sink::decode(r)?,
-            net_b: NetId::decode(r)?,
-            sink_b: Sink::decode(r)?,
-        })
-    }
-}
-
-impl Encode for Randomization {
-    fn encode(&self, w: &mut Writer) {
-        self.erroneous.encode(w);
-        self.swaps.encode(w);
-        self.oer_achieved.encode(w);
-        self.hd_achieved.encode(w);
-    }
-}
-
-impl Decode for Randomization {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Randomization {
-            erroneous: Netlist::decode(r)?,
-            swaps: Vec::decode(r)?,
-            oer_achieved: f64::decode(r)?,
-            hd_achieved: f64::decode(r)?,
-        })
-    }
-}
-
-impl Encode for CorrectionCell {
-    fn encode(&self, w: &mut Writer) {
-        self.id.encode(w);
-        self.erroneous_net.encode(w);
-        self.true_net.encode(w);
-        self.pin_layer.encode(w);
-        self.position.encode(w);
-    }
-}
-
-impl Decode for CorrectionCell {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(CorrectionCell {
-            id: usize::decode(r)?,
-            erroneous_net: NetId::decode(r)?,
-            true_net: NetId::decode(r)?,
-            pin_layer: u8::decode(r)?,
-            position: Point::decode(r)?,
-        })
-    }
-}
-
-impl Encode for BaselineLayout {
-    fn encode(&self, w: &mut Writer) {
-        self.floorplan.encode(w);
-        self.placement.encode(w);
-        self.routing.encode(w);
-        self.ppa.encode(w);
-    }
-}
-
-impl Decode for BaselineLayout {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(BaselineLayout {
-            floorplan: Decode::decode(r)?,
-            placement: Decode::decode(r)?,
-            routing: Decode::decode(r)?,
-            ppa: PpaReport::decode(r)?,
-        })
-    }
-}
-
-impl Encode for ProtectedDesign {
-    fn encode(&self, w: &mut Writer) {
-        self.randomization.encode(w);
-        self.restored.encode(w);
-        self.floorplan.encode(w);
-        self.placement.encode(w);
-        self.feol_routing.encode(w);
-        self.restored_routing.encode(w);
-        self.correction_cells.encode(w);
-        self.baseline.encode(w);
-        self.ppa.encode(w);
-        self.ppa_overhead.encode(w);
-    }
-}
-
-impl Decode for ProtectedDesign {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ProtectedDesign {
-            randomization: Randomization::decode(r)?,
-            restored: Netlist::decode(r)?,
-            floorplan: Decode::decode(r)?,
-            placement: Decode::decode(r)?,
-            feol_routing: Decode::decode(r)?,
-            restored_routing: Decode::decode(r)?,
-            correction_cells: Vec::decode(r)?,
-            baseline: BaselineLayout::decode(r)?,
-            ppa: PpaReport::decode(r)?,
-            ppa_overhead: PpaOverhead::decode(r)?,
-        })
-    }
-}
+record!(PpaReport {
+    area_um2,
+    power_uw,
+    delay_ps
+});
+record!(PpaOverhead {
+    area_pct,
+    power_pct,
+    delay_pct
+});
+record!(SwapRecord {
+    net_a,
+    sink_a,
+    net_b,
+    sink_b
+});
+record!(Randomization {
+    erroneous,
+    swaps,
+    oer_achieved,
+    hd_achieved
+});
+record!(CorrectionCell {
+    id,
+    erroneous_net,
+    true_net,
+    pin_layer,
+    position
+});
+record!(BaselineLayout {
+    floorplan,
+    placement,
+    routing,
+    ppa
+});
+record!(ProtectedDesign {
+    randomization,
+    restored,
+    floorplan,
+    placement,
+    feol_routing,
+    restored_routing,
+    correction_cells,
+    baseline,
+    ppa,
+    ppa_overhead
+});
 
 #[cfg(test)]
 mod tests {

@@ -40,9 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use sm_codec::{
-    decode_from_slice, encode_to_vec, frame, CodecError, Decode, Encode, Reader, Writer,
-};
+use sm_codec::{decode_from_slice, encode_to_vec, frame, record, tagged, Encode, Writer};
 use sm_exec::fault::{self, Fault, FaultPlan, FaultSite};
 use sm_exec::PoolStats;
 
@@ -416,253 +414,63 @@ fn push_job(pairs: &mut Vec<(String, Json)>, job: &EventJob) {
 
 // ----- wire format ---------------------------------------------------------
 
-impl Encode for AttackKind {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            AttackKind::NetworkFlow => 0,
-            AttackKind::Crouting => 1,
-        });
-    }
-}
-
-impl Decode for AttackKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_u8()? {
-            0 => Ok(AttackKind::NetworkFlow),
-            1 => Ok(AttackKind::Crouting),
-            other => Err(CodecError::Invalid(format!("AttackKind tag {other}"))),
-        }
-    }
-}
-
-impl Encode for SweepSpec {
-    fn encode(&self, w: &mut Writer) {
-        self.benchmarks.encode(w);
-        self.seeds.encode(w);
-        self.split_layers.encode(w);
-        self.attacks.encode(w);
-        self.scale.encode(w);
-        self.master_seed.encode(w);
-        self.layout_seed.encode(w);
-    }
-}
-
-impl Decode for SweepSpec {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SweepSpec {
-            benchmarks: Vec::decode(r)?,
-            seeds: Vec::decode(r)?,
-            split_layers: Vec::decode(r)?,
-            attacks: Vec::decode(r)?,
-            scale: usize::decode(r)?,
-            master_seed: u64::decode(r)?,
-            layout_seed: Option::decode(r)?,
-        })
-    }
-}
-
-impl Encode for EventJob {
-    fn encode(&self, w: &mut Writer) {
-        self.benchmark.encode(w);
-        self.user_seed.encode(w);
-        self.split_layer.encode(w);
-        self.attack.encode(w);
-    }
-}
-
-impl Decode for EventJob {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(EventJob {
-            benchmark: String::decode(r)?,
-            user_seed: u64::decode(r)?,
-            split_layer: u8::decode(r)?,
-            attack: AttackKind::decode(r)?,
-        })
-    }
-}
-
-impl Encode for MetricsSource {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            MetricsSource::Store => 0,
-            MetricsSource::Computed => 1,
-        });
-    }
-}
-
-impl Decode for MetricsSource {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_u8()? {
-            0 => Ok(MetricsSource::Store),
-            1 => Ok(MetricsSource::Computed),
-            other => Err(CodecError::Invalid(format!("MetricsSource tag {other}"))),
-        }
-    }
-}
-
-impl Encode for Provenance {
-    fn encode(&self, w: &mut Writer) {
-        self.source.encode(w);
-        self.bundle_key.encode(w);
-        self.derived_seed.encode(w);
-        self.threads.encode(w);
-        self.wall_ms.encode(w);
-        self.phases.encode(w);
-    }
-}
-
-impl Decode for Provenance {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Provenance {
-            source: MetricsSource::decode(r)?,
-            bundle_key: String::decode(r)?,
-            derived_seed: u64::decode(r)?,
-            threads: u64::decode(r)?,
-            wall_ms: f64::decode(r)?,
-            phases: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Encode for CacheStats {
-    fn encode(&self, w: &mut Writer) {
-        self.hits.encode(w);
-        self.disk_hits.encode(w);
-        self.builds.encode(w);
-        self.released.encode(w);
-    }
-}
-
-impl Decode for CacheStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(CacheStats {
-            hits: u64::decode(r)?,
-            disk_hits: u64::decode(r)?,
-            builds: u64::decode(r)?,
-            released: u64::decode(r)?,
-        })
-    }
-}
-
-impl Encode for Event {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Event::CampaignStarted { spec, threads } => {
-                w.put_u8(0);
-                spec.encode(w);
-                threads.encode(w);
-            }
-            Event::JobStarted { job, store_keys } => {
-                w.put_u8(1);
-                job.encode(w);
-                store_keys.encode(w);
-            }
-            Event::JobFinished {
-                job,
-                metrics,
-                provenance,
-            } => {
-                w.put_u8(2);
-                job.encode(w);
-                metrics.encode(w);
-                provenance.encode(w);
-            }
-            Event::JobTimedOut { job, phase } => {
-                w.put_u8(3);
-                job.encode(w);
-                phase.encode(w);
-            }
-            Event::BundleBuilt {
-                key,
-                stage,
-                wall_ms,
-            } => {
-                w.put_u8(4);
-                key.encode(w);
-                stage.encode(w);
-                wall_ms.encode(w);
-            }
-            Event::CampaignFinished {
-                jobs,
-                timed_out,
-                cache,
-                pool_live,
-                pool_peak_live,
-                threads,
-                total_wall_ms,
-                failed,
-            } => {
-                w.put_u8(5);
-                jobs.encode(w);
-                timed_out.encode(w);
-                cache.encode(w);
-                pool_live.encode(w);
-                pool_peak_live.encode(w);
-                threads.encode(w);
-                total_wall_ms.encode(w);
-                failed.encode(w);
-            }
-            Event::JobFailed {
-                job,
-                phase,
-                message,
-            } => {
-                w.put_u8(6);
-                job.encode(w);
-                phase.encode(w);
-                message.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for Event {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_u8()? {
-            0 => Ok(Event::CampaignStarted {
-                spec: SweepSpec::decode(r)?,
-                threads: u64::decode(r)?,
-            }),
-            1 => Ok(Event::JobStarted {
-                job: EventJob::decode(r)?,
-                store_keys: Vec::decode(r)?,
-            }),
-            2 => Ok(Event::JobFinished {
-                job: EventJob::decode(r)?,
-                // `JobMetrics::decode` rejects the placeholder tags
-                // (timed-out, failed), so a `job-finished` record can
-                // never smuggle in a non-result.
-                metrics: JobMetrics::decode(r)?,
-                provenance: Provenance::decode(r)?,
-            }),
-            3 => Ok(Event::JobTimedOut {
-                job: EventJob::decode(r)?,
-                phase: String::decode(r)?,
-            }),
-            4 => Ok(Event::BundleBuilt {
-                key: String::decode(r)?,
-                stage: String::decode(r)?,
-                wall_ms: f64::decode(r)?,
-            }),
-            5 => Ok(Event::CampaignFinished {
-                jobs: u64::decode(r)?,
-                timed_out: u64::decode(r)?,
-                cache: CacheStats::decode(r)?,
-                pool_live: u64::decode(r)?,
-                pool_peak_live: u64::decode(r)?,
-                threads: u64::decode(r)?,
-                total_wall_ms: f64::decode(r)?,
-                failed: u64::decode(r)?,
-            }),
-            6 => Ok(Event::JobFailed {
-                job: EventJob::decode(r)?,
-                phase: String::decode(r)?,
-                message: String::decode(r)?,
-            }),
-            other => Err(CodecError::Invalid(format!("Event tag {other}"))),
-        }
-    }
-}
+tagged!(AttackKind {
+    0 => NetworkFlow,
+    1 => Crouting,
+});
+record!(SweepSpec {
+    benchmarks,
+    seeds,
+    split_layers,
+    attacks,
+    scale,
+    master_seed,
+    layout_seed
+});
+record!(EventJob {
+    benchmark,
+    user_seed,
+    split_layer,
+    attack
+});
+tagged!(MetricsSource {
+    0 => Store,
+    1 => Computed,
+});
+record!(Provenance {
+    source,
+    bundle_key,
+    derived_seed,
+    threads,
+    wall_ms,
+    phases
+});
+record!(CacheStats {
+    hits,
+    disk_hits,
+    builds,
+    released
+});
+// `JobMetrics::decode` rejects the placeholder tags (timed-out, failed),
+// so a `job-finished` record can never smuggle in a non-result.
+tagged!(Event {
+    0 => CampaignStarted { spec, threads },
+    1 => JobStarted { job, store_keys },
+    2 => JobFinished { job, metrics, provenance },
+    3 => JobTimedOut { job, phase },
+    4 => BundleBuilt { key, stage, wall_ms },
+    5 => CampaignFinished {
+        jobs,
+        timed_out,
+        cache,
+        pool_live,
+        pool_peak_live,
+        threads,
+        total_wall_ms,
+        failed
+    },
+    6 => JobFailed { job, phase, message },
+});
 
 // ----- writing -------------------------------------------------------------
 

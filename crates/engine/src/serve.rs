@@ -42,9 +42,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use sm_codec::{
-    decode_from_slice, encode_to_vec, frame, CodecError, Decode, Encode, Reader, Writer,
-};
+use sm_codec::{decode_from_slice, encode_to_vec, frame, record, tagged, Decode, Encode};
 use sm_exec::{seed, Budget};
 
 use crate::cache::ArtifactCache;
@@ -396,33 +394,11 @@ pub enum Request {
     Shutdown,
 }
 
-impl Encode for Request {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Request::Submit { spec, follow } => {
-                w.put_u8(0);
-                spec.encode(w);
-                follow.encode(w);
-            }
-            Request::Status => w.put_u8(1),
-            Request::Shutdown => w.put_u8(2),
-        }
-    }
-}
-
-impl Decode for Request {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_u8()? {
-            0 => Ok(Request::Submit {
-                spec: SweepSpec::decode(r)?,
-                follow: bool::decode(r)?,
-            }),
-            1 => Ok(Request::Status),
-            2 => Ok(Request::Shutdown),
-            other => Err(CodecError::Invalid(format!("Request tag {other}"))),
-        }
-    }
-}
+tagged!(Request {
+    0 => Submit { spec, follow },
+    1 => Status,
+    2 => Shutdown,
+});
 
 /// A point-in-time service snapshot ([`Request::Status`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -441,29 +417,14 @@ pub struct ServiceStatus {
     pub jobs_done: u64,
 }
 
-impl Encode for ServiceStatus {
-    fn encode(&self, w: &mut Writer) {
-        self.workers.encode(w);
-        self.queued.encode(w);
-        self.running.encode(w);
-        self.completed.encode(w);
-        self.steals.encode(w);
-        self.jobs_done.encode(w);
-    }
-}
-
-impl Decode for ServiceStatus {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ServiceStatus {
-            workers: u64::decode(r)?,
-            queued: u64::decode(r)?,
-            running: Option::decode(r)?,
-            completed: u64::decode(r)?,
-            steals: u64::decode(r)?,
-            jobs_done: u64::decode(r)?,
-        })
-    }
-}
+record!(ServiceStatus {
+    workers,
+    queued,
+    running,
+    completed,
+    steals,
+    jobs_done
+});
 
 /// A service response frame. Tags and field order are the wire format —
 /// append new variants, never reorder.
@@ -499,61 +460,14 @@ pub enum Response {
     Done,
 }
 
-impl Encode for Response {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Response::Accepted {
-                fingerprint,
-                jobs,
-                queued,
-            } => {
-                w.put_u8(0);
-                fingerprint.encode(w);
-                jobs.encode(w);
-                queued.encode(w);
-            }
-            Response::Rejected { reason } => {
-                w.put_u8(1);
-                reason.encode(w);
-            }
-            Response::Event(event) => {
-                w.put_u8(2);
-                event.encode(w);
-            }
-            Response::Report { json } => {
-                w.put_u8(3);
-                json.encode(w);
-            }
-            Response::Status(status) => {
-                w.put_u8(4);
-                status.encode(w);
-            }
-            Response::Done => w.put_u8(5),
-        }
-    }
-}
-
-impl Decode for Response {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_u8()? {
-            0 => Ok(Response::Accepted {
-                fingerprint: u64::decode(r)?,
-                jobs: u64::decode(r)?,
-                queued: u64::decode(r)?,
-            }),
-            1 => Ok(Response::Rejected {
-                reason: String::decode(r)?,
-            }),
-            2 => Ok(Response::Event(Event::decode(r)?)),
-            3 => Ok(Response::Report {
-                json: String::decode(r)?,
-            }),
-            4 => Ok(Response::Status(ServiceStatus::decode(r)?)),
-            5 => Ok(Response::Done),
-            other => Err(CodecError::Invalid(format!("Response tag {other}"))),
-        }
-    }
-}
+tagged!(Response {
+    0 => Accepted { fingerprint, jobs, queued },
+    1 => Rejected { reason },
+    2 => Event(event),
+    3 => Report { json },
+    4 => Status(status),
+    5 => Done,
+});
 
 /// Writes one message as a checksummed [`sm_codec::frame`] frame.
 fn send_msg<T: Encode>(stream: &mut UnixStream, msg: &T) -> Result<(), String> {

@@ -523,35 +523,25 @@ impl ArtifactStore {
         usage
     }
 
-    /// Enforces the size budget by deleting least-recently-used files
-    /// until total usage fits. Returns the number of files evicted.
-    /// A no-op without a configured cap.
-    pub fn gc(&self) -> u64 {
-        let Some(cap) = self.cap_bytes else { return 0 };
-        self.gc_to(cap)
-    }
-
     /// Evicts least-recently-used files until total usage is ≤ `cap`
-    /// bytes, regardless of the configured budget. Eviction runs under
-    /// the store's [`StoreLock`], so concurrent processes sharing the
-    /// store serialize their sweeps and respect one budget. The lock is
-    /// tried once: when a live peer holds it (evicting, or a service
-    /// coordinator), this pass is skipped — the peer's sweep enforces
-    /// the cap.
-    pub fn gc_to(&self, cap: u64) -> u64 {
+    /// bytes, regardless of the configured budget, returning how many
+    /// it evicted. Eviction runs under the store's [`StoreLock`], so
+    /// concurrent processes sharing the store serialize their sweeps and
+    /// respect one budget. The lock is tried once: when a live peer
+    /// holds it (evicting, or a service coordinator), this pass is
+    /// skipped and returns `None`; the peer sweeps to its own cap, if
+    /// it has one.
+    pub fn gc_to(&self, cap: u64) -> Option<u64> {
         // A coordinated handle sweeps under the coordinator's lock.
         let _lock = if self.coordinated.load(Ordering::Relaxed) {
             None
         } else {
-            match StoreLock::acquire(&self.root, Duration::ZERO) {
-                Some(lock) => Some(lock),
-                None => return 0,
-            }
+            Some(StoreLock::acquire(&self.root, Duration::ZERO)?)
         };
         let mut entries = self.entries();
         let mut total: u64 = entries.iter().map(|(_, _, len)| len).sum();
         if total <= cap {
-            return 0;
+            return Some(0);
         }
         entries.sort_by_key(|&(_, mtime, _)| mtime);
         let mut evicted = 0;
@@ -565,7 +555,7 @@ impl ArtifactStore {
             }
         }
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        evicted
+        Some(evicted)
     }
 
     /// Deletes every stored artifact (under the store's [`StoreLock`],

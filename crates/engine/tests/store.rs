@@ -433,8 +433,9 @@ fn eviction_respects_the_size_budget() {
 }
 
 /// Maintenance honors the store's lock: while a live peer holds it,
-/// `gc_to` backs off at once and evicts nothing (the peer's sweep
-/// enforces the shared cap); once released, eviction proceeds.
+/// `gc_to` backs off at once, evicts nothing and reports the skip as
+/// `None` (the peer's sweep enforces the shared cap); once released,
+/// eviction proceeds.
 #[test]
 fn gc_backs_off_while_a_live_peer_holds_the_lock() {
     let scratch = Scratch::new("lock");
@@ -448,7 +449,10 @@ fn gc_backs_off_while_a_live_peer_holds_the_lock() {
 
     let peer = StoreLock::acquire(scratch.path(), Duration::ZERO).expect("the lock is free");
     let start = Instant::now();
-    assert_eq!(store.gc_to(1), 0, "gc must not evict under a held lock");
+    assert!(
+        store.gc_to(1).is_none(),
+        "gc must skip, and say so, under a held lock"
+    );
     assert!(
         start.elapsed() < Duration::from_secs(1),
         "gc tries the lock once instead of waiting for it"
@@ -457,7 +461,7 @@ fn gc_backs_off_while_a_live_peer_holds_the_lock() {
 
     // Lock released → eviction proceeds normally.
     drop(peer);
-    assert!(store.gc_to(1) > 0);
+    assert!(store.gc_to(1).is_some_and(|evicted| evicted > 0));
     assert_eq!(store.usage().files, 0);
 }
 

@@ -1,13 +1,16 @@
-//! Binary [`sm_codec`] implementations for layout types.
+//! The [`sm_codec`] wire formats of layout types.
 //!
 //! A persisted bundle carries full physical views — floorplans,
 //! placements and routing results — so warm `smctl` runs can skip
 //! place-and-route entirely. All encodings are positional (ids index
-//! vectors), mirroring the in-memory representation exactly; decoding
-//! only validates what cannot be represented (truncation, bad tags) and
-//! leaves semantic checks to the store's rebuild-on-error policy.
+//! vectors), mirroring the in-memory representation exactly. Each
+//! `record!`/`tagged!` list below is a type's format. `Rect`,
+//! `Floorplan` and `Placement` are written out by hand because their
+//! decode rejects what its users would panic on (inverted corners, no
+//! rows, unequal vectors); every other semantic check is left to the
+//! store's rebuild-on-error policy.
 
-use sm_codec::{CodecError, Decode, Encode, Reader, Writer};
+use sm_codec::{record, tagged, CodecError, Decode, Encode, Reader, Writer};
 
 use crate::floorplan::Floorplan;
 use crate::geom::{Point, Rect};
@@ -15,18 +18,7 @@ use crate::place::Placement;
 use crate::route::{NetRoute, RouteSegment, RoutingResult, TwoPinRoute, ViaCounts, ViaStack};
 use crate::split::{FeolView, SplitLayout, Vpin, VpinSide};
 
-impl Encode for Point {
-    fn encode(&self, w: &mut Writer) {
-        self.x.encode(w);
-        self.y.encode(w);
-    }
-}
-
-impl Decode for Point {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Point::new(i64::decode(r)?, i64::decode(r)?))
-    }
-}
+record!(Point { x, y });
 
 impl Encode for Rect {
     fn encode(&self, w: &mut Writer) {
@@ -108,204 +100,49 @@ impl Decode for Placement {
     }
 }
 
-impl Encode for ViaCounts {
-    fn encode(&self, w: &mut Writer) {
-        self.counts.encode(w);
-    }
-}
-
-impl Decode for ViaCounts {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ViaCounts {
-            counts: <[u64; 9]>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for RouteSegment {
-    fn encode(&self, w: &mut Writer) {
-        self.layer.encode(w);
-        self.a.encode(w);
-        self.b.encode(w);
-    }
-}
-
-impl Decode for RouteSegment {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(RouteSegment {
-            layer: u8::decode(r)?,
-            a: <(u16, u16)>::decode(r)?,
-            b: <(u16, u16)>::decode(r)?,
-        })
-    }
-}
-
-impl Encode for ViaStack {
-    fn encode(&self, w: &mut Writer) {
-        self.at.encode(w);
-        self.from_layer.encode(w);
-        self.to_layer.encode(w);
-    }
-}
-
-impl Decode for ViaStack {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ViaStack {
-            at: <(u16, u16)>::decode(r)?,
-            from_layer: u8::decode(r)?,
-            to_layer: u8::decode(r)?,
-        })
-    }
-}
-
-impl Encode for TwoPinRoute {
-    fn encode(&self, w: &mut Writer) {
-        self.a_pin.encode(w);
-        self.b_pin.encode(w);
-        self.a.encode(w);
-        self.b.encode(w);
-        self.corner.encode(w);
-        self.first_layer.encode(w);
-        self.second_layer.encode(w);
-    }
-}
-
-impl Decode for TwoPinRoute {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(TwoPinRoute {
-            a_pin: u32::decode(r)?,
-            b_pin: u32::decode(r)?,
-            a: <(u16, u16)>::decode(r)?,
-            b: <(u16, u16)>::decode(r)?,
-            corner: <(u16, u16)>::decode(r)?,
-            first_layer: u8::decode(r)?,
-            second_layer: u8::decode(r)?,
-        })
-    }
-}
-
-impl Encode for NetRoute {
-    fn encode(&self, w: &mut Writer) {
-        self.segments.encode(w);
-        self.vias.encode(w);
-        self.twopins.encode(w);
-    }
-}
-
-impl Decode for NetRoute {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(NetRoute {
-            segments: Vec::decode(r)?,
-            vias: Vec::decode(r)?,
-            twopins: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Encode for RoutingResult {
-    fn encode(&self, w: &mut Writer) {
-        self.tile_dbu.encode(w);
-        self.nx.encode(w);
-        self.ny.encode(w);
-        self.routes.encode(w);
-        self.via_counts.encode(w);
-        self.wirelength_per_layer.encode(w);
-        self.overflow_edges.encode(w);
-    }
-}
-
-impl Decode for RoutingResult {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(RoutingResult {
-            tile_dbu: i64::decode(r)?,
-            nx: u16::decode(r)?,
-            ny: u16::decode(r)?,
-            routes: Vec::decode(r)?,
-            via_counts: ViaCounts::decode(r)?,
-            wirelength_per_layer: <[i64; 10]>::decode(r)?,
-            overflow_edges: usize::decode(r)?,
-        })
-    }
-}
-
-impl Encode for VpinSide {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            VpinSide::Driver(d) => {
-                w.put_u8(0);
-                d.encode(w);
-            }
-            VpinSide::Sink(s) => {
-                w.put_u8(1);
-                s.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for VpinSide {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.take_u8()? {
-            0 => VpinSide::Driver(Decode::decode(r)?),
-            1 => VpinSide::Sink(Decode::decode(r)?),
-            other => return Err(CodecError::Invalid(format!("VpinSide tag {other}"))),
-        })
-    }
-}
-
-impl Encode for Vpin {
-    fn encode(&self, w: &mut Writer) {
-        self.position.encode(w);
-        self.side.encode(w);
-        self.stub_direction.encode(w);
-        self.net.encode(w);
-    }
-}
-
-impl Decode for Vpin {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Vpin {
-            position: Point::decode(r)?,
-            side: VpinSide::decode(r)?,
-            stub_direction: Option::decode(r)?,
-            net: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for FeolView {
-    fn encode(&self, w: &mut Writer) {
-        self.split_layer.encode(w);
-        self.visible_nets.encode(w);
-        self.vpins.encode(w);
-    }
-}
-
-impl Decode for FeolView {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(FeolView {
-            split_layer: u8::decode(r)?,
-            visible_nets: Vec::decode(r)?,
-            vpins: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Encode for SplitLayout {
-    fn encode(&self, w: &mut Writer) {
-        self.feol.encode(w);
-        self.cut_nets.encode(w);
-    }
-}
-
-impl Decode for SplitLayout {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SplitLayout {
-            feol: FeolView::decode(r)?,
-            cut_nets: usize::decode(r)?,
-        })
-    }
-}
+record!(ViaCounts { counts });
+record!(RouteSegment { layer, a, b });
+record!(ViaStack {
+    at,
+    from_layer,
+    to_layer
+});
+record!(TwoPinRoute {
+    a_pin,
+    b_pin,
+    a,
+    b,
+    corner,
+    first_layer,
+    second_layer
+});
+record!(NetRoute {
+    segments,
+    vias,
+    twopins
+});
+record!(RoutingResult {
+    tile_dbu,
+    nx,
+    ny,
+    routes,
+    via_counts,
+    wirelength_per_layer,
+    overflow_edges
+});
+tagged!(VpinSide { 0 => Driver(driver), 1 => Sink(sink) });
+record!(Vpin {
+    position,
+    side,
+    stub_direction,
+    net
+});
+record!(FeolView {
+    split_layer,
+    visible_nets,
+    vpins
+});
+record!(SplitLayout { feol, cut_nets });
 
 #[cfg(test)]
 mod tests {

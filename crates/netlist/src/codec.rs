@@ -1,16 +1,19 @@
-//! Binary [`sm_codec`] implementations for netlist types.
+//! The [`sm_codec`] wire formats of netlist types.
 //!
 //! These power the engine's disk-backed artifact store: a fully-processed
 //! layout bundle embeds several [`Netlist`]s, and persisting one must
 //! round-trip connectivity exactly (ids are positional, so encoding keeps
-//! vector order). Decoding validates enum tags and rebuilds derived state
-//! (the library's name index); structural invariants beyond that are the
-//! caller's to check — the store treats any [`CodecError`] as a cache
-//! miss and rebuilds from scratch.
+//! vector order). Each `record!`/`tagged!` list below is a type's format;
+//! ids encode as `u32`. [`Library`] and [`Netlist`] are written out by
+//! hand because their decode rebuilds derived state (the library's name
+//! index, rejecting duplicate names) and shares it (the netlist's
+//! library handle). Structural invariants beyond that are the caller's
+//! to check — the store treats any [`CodecError`] as a cache miss and
+//! rebuilds from scratch.
 
 use std::sync::Arc;
 
-use sm_codec::{CodecError, Decode, Encode, Reader, Writer};
+use sm_codec::{record, tagged, CodecError, Decode, Encode, Reader, Writer};
 
 use crate::id::{CellId, LibCellId, NetId, PortId};
 use crate::library::{GateFn, LibCell, Library};
@@ -33,65 +36,26 @@ macro_rules! impl_id_codec {
 
 impl_id_codec!(CellId, NetId, PortId, LibCellId);
 
-impl Encode for GateFn {
-    fn encode(&self, w: &mut Writer) {
-        let tag: u8 = match self {
-            GateFn::Buf => 0,
-            GateFn::Inv => 1,
-            GateFn::And => 2,
-            GateFn::Nand => 3,
-            GateFn::Or => 4,
-            GateFn::Nor => 5,
-            GateFn::Xor => 6,
-            GateFn::Xnor => 7,
-        };
-        tag.encode(w);
-    }
-}
-
-impl Decode for GateFn {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match u8::decode(r)? {
-            0 => GateFn::Buf,
-            1 => GateFn::Inv,
-            2 => GateFn::And,
-            3 => GateFn::Nand,
-            4 => GateFn::Or,
-            5 => GateFn::Nor,
-            6 => GateFn::Xor,
-            7 => GateFn::Xnor,
-            other => return Err(CodecError::Invalid(format!("GateFn tag {other}"))),
-        })
-    }
-}
-
-impl Encode for LibCell {
-    fn encode(&self, w: &mut Writer) {
-        self.name.encode(w);
-        self.function.encode(w);
-        self.num_inputs.encode(w);
-        self.area_um2.encode(w);
-        self.input_cap_ff.encode(w);
-        self.drive_res_kohm.encode(w);
-        self.intrinsic_delay_ps.encode(w);
-        self.leakage_nw.encode(w);
-    }
-}
-
-impl Decode for LibCell {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(LibCell {
-            name: String::decode(r)?,
-            function: GateFn::decode(r)?,
-            num_inputs: usize::decode(r)?,
-            area_um2: f64::decode(r)?,
-            input_cap_ff: f64::decode(r)?,
-            drive_res_kohm: f64::decode(r)?,
-            intrinsic_delay_ps: f64::decode(r)?,
-            leakage_nw: f64::decode(r)?,
-        })
-    }
-}
+tagged!(GateFn {
+    0 => Buf,
+    1 => Inv,
+    2 => And,
+    3 => Nand,
+    4 => Or,
+    5 => Nor,
+    6 => Xor,
+    7 => Xnor,
+});
+record!(LibCell {
+    name,
+    function,
+    num_inputs,
+    area_um2,
+    input_cap_ff,
+    drive_res_kohm,
+    intrinsic_delay_ps,
+    leakage_nw
+});
 
 impl Encode for Library {
     fn encode(&self, w: &mut Writer) {
@@ -121,113 +85,20 @@ impl Decode for Library {
     }
 }
 
-impl Encode for Driver {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Driver::Cell(c) => {
-                w.put_u8(0);
-                c.encode(w);
-            }
-            Driver::Port(p) => {
-                w.put_u8(1);
-                p.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for Driver {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.take_u8()? {
-            0 => Driver::Cell(CellId::decode(r)?),
-            1 => Driver::Port(PortId::decode(r)?),
-            other => return Err(CodecError::Invalid(format!("Driver tag {other}"))),
-        })
-    }
-}
-
-impl Encode for Sink {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Sink::Cell { cell, pin } => {
-                w.put_u8(0);
-                cell.encode(w);
-                pin.encode(w);
-            }
-            Sink::Port(p) => {
-                w.put_u8(1);
-                p.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for Sink {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.take_u8()? {
-            0 => Sink::Cell {
-                cell: CellId::decode(r)?,
-                pin: u8::decode(r)?,
-            },
-            1 => Sink::Port(PortId::decode(r)?),
-            other => return Err(CodecError::Invalid(format!("Sink tag {other}"))),
-        })
-    }
-}
-
-impl Encode for Port {
-    fn encode(&self, w: &mut Writer) {
-        self.name.encode(w);
-        self.net.encode(w);
-    }
-}
-
-impl Decode for Port {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Port {
-            name: String::decode(r)?,
-            net: NetId::decode(r)?,
-        })
-    }
-}
-
-impl Encode for Cell {
-    fn encode(&self, w: &mut Writer) {
-        self.name.encode(w);
-        self.lib.encode(w);
-        self.inputs.encode(w);
-        self.output.encode(w);
-    }
-}
-
-impl Decode for Cell {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Cell {
-            name: String::decode(r)?,
-            lib: LibCellId::decode(r)?,
-            inputs: Vec::decode(r)?,
-            output: NetId::decode(r)?,
-        })
-    }
-}
-
-impl Encode for Net {
-    fn encode(&self, w: &mut Writer) {
-        self.name.encode(w);
-        self.driver.encode(w);
-        self.sinks.encode(w);
-    }
-}
-
-impl Decode for Net {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Net {
-            name: String::decode(r)?,
-            driver: Driver::decode(r)?,
-            sinks: Vec::decode(r)?,
-        })
-    }
-}
+tagged!(Driver { 0 => Cell(cell), 1 => Port(port) });
+tagged!(Sink { 0 => Cell { cell, pin }, 1 => Port(port) });
+record!(Port { name, net });
+record!(Cell {
+    name,
+    lib,
+    inputs,
+    output
+});
+record!(Net {
+    name,
+    driver,
+    sinks
+});
 
 impl Encode for Netlist {
     fn encode(&self, w: &mut Writer) {
