@@ -1,110 +1,12 @@
-//! Sorted spatial indexes for the attack hot paths.
+//! The spatial index behind the flow attack's candidate scoring.
 //!
-//! Both attack kernels spend their time answering geometric queries over
-//! vpin/stub point sets: crouting counts opposite-side vpins inside a
-//! bounding box, the flow attack scores the nearest driver stubs around
-//! every sink. Replacing the nested O(V²) scans with bucketed, sorted
-//! indexes keeps every answer *exactly* equal to the brute-force loop —
-//! counts are order-independent integers and candidate selection only
-//! prunes points that provably cannot make the cut — so reports stay
-//! byte-identical while the scans drop to near-linear time.
-
-/// Points bucketed into fixed-width columns by `x`, each column sorted by
-/// `(y, x)`. Axis-aligned box counts become two binary searches per fully
-/// covered column plus a linear sweep over the (at most two) partial edge
-/// columns — identical to the nested-loop count, order-independent.
-///
-/// [`ColumnIndex::rebuild`] reuses the column allocations, so one pair of
-/// indexes serves every bounding-box radius of a crouting run without
-/// reallocating.
-#[derive(Debug, Default)]
-pub(crate) struct ColumnIndex {
-    /// Column width in DBU (≥ 1).
-    width: i64,
-    /// Column index of `cols[0]`.
-    min_col: i64,
-    /// Number of live columns (prefix of `cols`; the tail is retained
-    /// only for its capacity).
-    ncols: usize,
-    cols: Vec<Vec<(i64, i64)>>,
-}
-
-impl ColumnIndex {
-    pub(crate) fn new() -> ColumnIndex {
-        ColumnIndex {
-            width: 1,
-            min_col: 0,
-            ncols: 0,
-            cols: Vec::new(),
-        }
-    }
-
-    /// Rebuilds the index over `points` (as `(x, y)`) with columns of
-    /// `width` DBU, reusing previous allocations.
-    pub(crate) fn rebuild(&mut self, points: &[(i64, i64)], width: i64) {
-        for col in &mut self.cols {
-            col.clear();
-        }
-        self.width = width.max(1);
-        if points.is_empty() {
-            self.min_col = 0;
-            self.ncols = 0;
-            return;
-        }
-        let mut min_col = i64::MAX;
-        let mut max_col = i64::MIN;
-        for &(x, _) in points {
-            let c = x.div_euclid(self.width);
-            min_col = min_col.min(c);
-            max_col = max_col.max(c);
-        }
-        self.min_col = min_col;
-        self.ncols = (max_col - min_col + 1) as usize;
-        if self.cols.len() < self.ncols {
-            self.cols.resize_with(self.ncols, Vec::new);
-        }
-        for &(x, y) in points {
-            let c = (x.div_euclid(self.width) - min_col) as usize;
-            self.cols[c].push((y, x));
-        }
-        for col in &mut self.cols[..self.ncols] {
-            col.sort_unstable();
-        }
-    }
-
-    /// Number of indexed points inside the closed box
-    /// `[x0, x1] × [y0, y1]`.
-    pub(crate) fn count_in_box(&self, x0: i64, x1: i64, y0: i64, y1: i64) -> usize {
-        if self.ncols == 0 || x1 < x0 || y1 < y0 {
-            return 0;
-        }
-        let lo_col = x0.div_euclid(self.width).max(self.min_col);
-        let hi_col = x1
-            .div_euclid(self.width)
-            .min(self.min_col + self.ncols as i64 - 1);
-        let mut total = 0usize;
-        for c in lo_col..=hi_col {
-            let col = &self.cols[(c - self.min_col) as usize];
-            if col.is_empty() {
-                continue;
-            }
-            let lo = col.partition_point(|&(y, _)| y < y0);
-            let hi = col.partition_point(|&(y, _)| y <= y1);
-            // A column spans x ∈ [c·w, (c+1)·w − 1]; when that interval
-            // sits fully inside the query the y-range count is the
-            // answer, otherwise the edge column is filtered exactly.
-            if c * self.width >= x0 && (c + 1) * self.width - 1 <= x1 {
-                total += hi - lo;
-            } else {
-                total += col[lo..hi]
-                    .iter()
-                    .filter(|&&(_, x)| x >= x0 && x <= x1)
-                    .count();
-            }
-        }
-        total
-    }
-}
+//! The flow attack scores the nearest driver stubs around every sink.
+//! [`CellGrid`] buckets the stubs into square cells and hands them out
+//! ring by ring around the sink's cell, so the scan stops at the first
+//! ring whose distance bound already exceeds the worst kept candidate:
+//! the candidate lists stay exactly those of the brute-force loop while
+//! the scan drops to near-linear time. (Crouting needs no index: it
+//! counts its boxes with one sorted sweep.)
 
 /// Points bucketed into square cells (CSR layout: one contiguous item
 /// arena plus per-cell offsets), for expanding-ring nearest-candidate
@@ -277,43 +179,6 @@ impl CellGrid {
 mod tests {
     use super::*;
 
-    fn brute(points: &[(i64, i64)], x0: i64, x1: i64, y0: i64, y1: i64) -> usize {
-        points
-            .iter()
-            .filter(|&&(x, y)| x >= x0 && x <= x1 && y >= y0 && y <= y1)
-            .count()
-    }
-
-    #[test]
-    fn counts_match_brute_force() {
-        // Deterministic pseudo-random points, including negatives and
-        // duplicates.
-        let mut seed = 0x243f_6a88_85a3_08d3u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        let points: Vec<(i64, i64)> = (0..500)
-            .map(|_| ((next() % 2000) as i64 - 1000, (next() % 2000) as i64 - 1000))
-            .collect();
-        let mut idx = ColumnIndex::new();
-        for width in [1i64, 7, 64, 250, 5000] {
-            idx.rebuild(&points, width);
-            for _ in 0..200 {
-                let cx = (next() % 2200) as i64 - 1100;
-                let cy = (next() % 2200) as i64 - 1100;
-                let r = (next() % 600) as i64;
-                assert_eq!(
-                    idx.count_in_box(cx - r, cx + r, cy - r, cy + r),
-                    brute(&points, cx - r, cx + r, cy - r, cy + r),
-                    "width {width} box around ({cx},{cy}) r {r}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn cell_grid_rings_cover_every_point_exactly_once() {
         let mut seed = 0x0135_79bd_f246_8ace_u64;
@@ -373,16 +238,5 @@ mod tests {
             });
             r += 1;
         }
-    }
-
-    #[test]
-    fn empty_and_degenerate_boxes() {
-        let mut idx = ColumnIndex::new();
-        idx.rebuild(&[], 100);
-        assert_eq!(idx.count_in_box(-10, 10, -10, 10), 0);
-        idx.rebuild(&[(5, 5)], 100);
-        assert_eq!(idx.count_in_box(5, 5, 5, 5), 1);
-        assert_eq!(idx.count_in_box(6, 5, 0, 10), 0);
-        assert_eq!(idx.count_in_box(0, 10, 6, 5), 0);
     }
 }

@@ -8,7 +8,9 @@
 //!   used against ISCAS-85-class layouts (Tables 4 and 5).
 //! * [`crouting`] — the routing-centric attack of Magaña et al. (ICCAD'16):
 //!   bound the candidate list of every vpin by a routing-track bounding box;
-//!   reports #vpins, E\[LS\] and match-in-list (Table 3).
+//!   reports #vpins, E\[LS\] and match-in-list (Table 3), counted without
+//!   building the lists: one sorted pair-counting sweep per box, and one
+//!   nearest-true-partner distance per vpin.
 //!
 //! [`solution_space`] estimates the search-space sizes discussed in Sec. 2
 //! (footnote 2) of the paper.
@@ -30,7 +32,7 @@ pub mod mcmf;
 pub mod proximity;
 pub mod solution_space;
 
-pub use crouting::{crouting_attack, crouting_attack_traced, CroutingConfig, CroutingReport};
+pub use crouting::{crouting_attack, CroutingConfig, CroutingReport};
 pub use proximity::{
     ccr_over_connections, ccr_vs_golden, ccr_vs_golden_for, network_flow_attack, AttackOutcome,
     ProximityConfig,

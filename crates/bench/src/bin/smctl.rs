@@ -184,8 +184,8 @@ BENCH:
     plus a quick campaign against a cold and a warm store, and emits a
     BENCH.json perf-trajectory point (stdout or --out). The hot kernels
     also report their own sub-stages (place-fm, attack-flow-score,
-    attack-flow-mcmf, attack-flow-assign, attack-crouting-grid), timed
-    by the kernels' phase instrumentation.
+    attack-flow-mcmf, attack-flow-assign, attack-flow-eval), timed by
+    the kernels' phase instrumentation.
     Wall times are machine-dependent; every other field is
     deterministic. --min-of N repeats each layout stage N times and
     records the minimum wall (the campaign stages always run once —
@@ -448,12 +448,21 @@ fn cmd_sweep(args: Args) -> Result<ExitCode, String> {
     ))
 }
 
-/// One stderr line of store counters, when a store is attached.
+/// One stderr line of store counters, when a store is attached; it
+/// names the cap sweeps skipped beside a lock holder, if any.
 fn print_store_stats(cache: &ArtifactCache) {
     if let Some(store) = cache.store() {
         let s = store.stats();
+        let skips = if s.gc_skips == 0 {
+            String::new()
+        } else {
+            format!(
+                ", {} cap sweep(s) skipped: a live peer holds the store lock",
+                s.gc_skips
+            )
+        };
         eprintln!(
-            "store: {} disk hits, {} misses, {} writes, {} evictions",
+            "store: {} disk hits, {} misses, {} writes, {} evictions{skips}",
             s.disk_hits, s.disk_misses, s.writes, s.evictions
         );
     }

@@ -25,9 +25,8 @@
 //! meter), `attack-flow-score`, `attack-flow-mcmf`,
 //! `attack-flow-assign` and `attack-flow-eval` (the flow attack's
 //! candidate-scoring, min-cost-flow, loop-free reconstruction and
-//! OER/HD simulation spans) and
-//! `attack-crouting-grid` (crouting's column-index kernel) — so a
-//! regression in one kernel is attributable without re-profiling.
+//! OER/HD simulation spans) — so a regression in one kernel is
+//! attributable without re-profiling.
 //! [`BenchConfig::min_of`] repeats each deterministic layout stage and
 //! keeps the minimum wall, filtering scheduler noise out of committed
 //! baselines.
@@ -38,7 +37,7 @@
 
 use std::time::Instant;
 
-use sm_attacks::crouting::{crouting_attack_traced, CroutingConfig};
+use sm_attacks::crouting::{crouting_attack, CroutingConfig};
 use sm_attacks::proximity::{network_flow_attack_budgeted, ProximityConfig};
 use sm_core::flow::{protect_with, BaselineLayout, FlowConfig};
 use sm_core::ppa::evaluate;
@@ -154,8 +153,7 @@ enum AttackStage {
 /// class's protection settings; the layout stages' utilization and
 /// seed override its own) — plus the sub-kernel stages the hot
 /// paths are gated on (`place-fm`, `attack-flow-score`,
-/// `attack-flow-mcmf`, `attack-flow-assign`, `attack-flow-eval`,
-/// `attack-crouting-grid`),
+/// `attack-flow-mcmf`, `attack-flow-assign`, `attack-flow-eval`),
 /// whose walls come from the kernels' own phase instrumentation rather
 /// than re-timing around them.
 fn layout_stages(
@@ -329,26 +327,11 @@ fn layout_stages(
             }
             AttackStage::Crouting => {
                 let mut crouting_wall = f64::INFINITY;
-                let mut grid_wall = f64::INFINITY;
                 let mut report = None;
                 for _ in 0..min_of.max(1) {
-                    let mut rec = sm_exec::phase::Recorder::new();
-                    let (rep, wall) = timed(|| {
-                        crouting_attack_traced(
-                            &netlist,
-                            &split,
-                            &CroutingConfig::default(),
-                            &mut rec,
-                        )
-                    });
-                    let grid = rec
-                        .spans()
-                        .iter()
-                        .find(|&&(n, _)| n == "crouting-grid")
-                        .map(|&(_, ms)| ms)
-                        .expect("crouting always records its grid kernel");
+                    let (rep, wall) =
+                        timed(|| crouting_attack(&netlist, &split, &CroutingConfig::default()));
                     crouting_wall = crouting_wall.min(wall);
-                    grid_wall = grid_wall.min(grid);
                     report = Some(rep);
                 }
                 let report = report.expect("min_of clamps to at least one run");
@@ -358,8 +341,7 @@ fn layout_stages(
                     .map(|b| (b.match_in_list * 10_000.0).round() as u64)
                     .unwrap_or(0);
                 let detail = vec![("vpins", report.num_vpins as u64), ("match_bp", match_bp)];
-                push(stages, "attack-crouting", crouting_wall, detail.clone());
-                push(stages, "attack-crouting-grid", grid_wall, detail);
+                push(stages, "attack-crouting", crouting_wall, detail);
             }
         }
     }

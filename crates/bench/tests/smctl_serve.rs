@@ -2,8 +2,9 @@
 //! (`CARGO_BIN_EXE_smctl`): a service killed with SIGKILL restarts on
 //! its store and socket at once (the kernel released its store lock),
 //! a second service on a held store refuses to start without ever
-//! binding its socket, and `store gc` beside a lock holder says it
-//! skipped.
+//! binding its socket, `store gc` and a capped sweep beside a lock
+//! holder say they skipped, and a client that disconnects mid-`--follow`
+//! leaves its campaign to finish with the solo sweep's bytes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
@@ -186,4 +187,138 @@ fn store_gc_beside_a_lock_holder_says_it_skipped() {
     assert_eq!(exit_code(&out), 0, "gc: {}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("st: evicted 1 file(s)"), "{stdout}");
+}
+
+/// The `store:` summary line a capped command prints on stderr.
+fn store_line(out: &Output) -> String {
+    stderr(out)
+        .lines()
+        .find(|line| line.starts_with("store: "))
+        .unwrap_or_else(|| panic!("no store line in: {}", stderr(out)))
+        .to_string()
+}
+
+/// A capped sweep beside a live lock holder (the test, through
+/// `coordinate()`, as a live `serve` does) cannot enforce its cap: it
+/// finishes its campaign and its store line counts the skipped sweeps.
+/// Once the lock is free the same sweep on an emptied store evicts down
+/// to the cap and names no skip.
+#[test]
+fn a_capped_sweep_beside_a_lock_holder_says_it_skipped() {
+    let scratch = Scratch::new("sweep-held");
+    let dir = scratch.path();
+    let store = ArtifactStore::open(dir.join("cst"), None);
+    let mut sweep = vec![
+        "sweep",
+        "--store",
+        "cst",
+        "--store-cap",
+        "1K",
+        "--out",
+        "r.json",
+    ];
+    sweep.extend(ONE_JOB);
+
+    let lock = store.coordinate().expect("the lock is free");
+    let out = smctl(&sweep, dir);
+    assert_eq!(exit_code(&out), 0, "capped sweep: {}", stderr(&out));
+    let writes = store.usage().files;
+    assert!(writes > 0, "the sweep wrote its artifacts");
+    assert_eq!(
+        store_line(&out),
+        format!(
+            "store: 0 disk hits, {writes} misses, {writes} writes, 0 evictions, \
+             {writes} cap sweep(s) skipped: a live peer holds the store lock"
+        )
+    );
+
+    drop(lock);
+    store.clear();
+    let out = smctl(&sweep, dir);
+    assert_eq!(exit_code(&out), 0, "capped sweep: {}", stderr(&out));
+    let line = store_line(&out);
+    assert!(line.ends_with(" evictions"), "no skip named: {line}");
+    assert!(
+        !line.ends_with(" 0 evictions"),
+        "the cap is enforced: {line}"
+    );
+    assert!(store.usage().bytes <= 1024, "{line}");
+}
+
+/// A client that disconnects mid-`--follow` leaves the service and its
+/// campaign intact: a later submit of the same spec attaches to that
+/// campaign and gets the solo sweep's bytes, and the service still
+/// answers and drains.
+#[test]
+fn a_client_that_disconnects_mid_follow_leaves_the_campaign_intact() {
+    use std::io::{BufRead, BufReader};
+
+    let scratch = Scratch::new("disconnect");
+    let dir = scratch.path();
+    let spec = [
+        "--benchmarks",
+        "c432,c880",
+        "--seeds",
+        "1..=4",
+        "--split-layers",
+        "3,4",
+        "--attacks",
+        "crouting",
+    ];
+    let mut service = Service::start(dir, "sm.sock", "st");
+
+    let mut follow = Command::new(env!("CARGO_BIN_EXE_smctl"))
+        .args(["submit", "--socket", "sm.sock", "--follow"])
+        .args(spec)
+        .current_dir(dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn smctl submit --follow");
+    let mut lines = BufReader::new(follow.stderr.take().expect("piped stderr")).lines();
+    let first_event = loop {
+        let line = lines
+            .next()
+            .expect("the follower streams an event before the report")
+            .expect("read the follower's stderr");
+        if !line.starts_with("accepted campaign") {
+            break line;
+        }
+    };
+    follow.kill().expect("kill the follower");
+    let status = follow.wait().expect("reap the follower");
+    assert_eq!(
+        status.code(),
+        None,
+        "the follower was killed mid-campaign (first event: {first_event})"
+    );
+    drop(lines);
+
+    let mut submit = vec!["submit", "--socket", "sm.sock", "--out", "served.json"];
+    submit.extend(spec);
+    let out = smctl(&submit, dir);
+    assert_eq!(exit_code(&out), 0, "submit: {}", stderr(&out));
+    let mut solo = vec!["sweep", "--no-store", "--out", "solo.json"];
+    solo.extend(spec);
+    let out = smctl(&solo, dir);
+    assert_eq!(exit_code(&out), 0, "sweep: {}", stderr(&out));
+    let served = std::fs::read(dir.join("served.json")).unwrap();
+    let solo = std::fs::read(dir.join("solo.json")).unwrap();
+    assert!(
+        served == solo,
+        "the served report differs from the solo sweep"
+    );
+
+    let out = smctl(&["status", "--socket", "sm.sock"], dir);
+    assert_eq!(exit_code(&out), 0, "status: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        stdout.lines().any(|line| line == "completed:  1"),
+        "one campaign served both submissions: {stdout}"
+    );
+
+    let out = smctl(&["serve", "--stop", "--socket", "sm.sock"], dir);
+    assert_eq!(exit_code(&out), 0, "serve --stop: {}", stderr(&out));
+    assert!(service.0.wait().expect("reap the service").success());
+    assert!(!dir.join("sm.sock").exists(), "a drained service unbinds");
 }

@@ -149,6 +149,9 @@ pub struct StoreStats {
     pub write_failures: u64,
     /// Files removed by the size-budget eviction.
     pub evictions: u64,
+    /// Size-budget sweeps skipped because a live peer held the store
+    /// lock (the cap was not enforced at that write).
+    pub gc_skips: u64,
 }
 
 /// Disk usage of one stage's artifacts.
@@ -200,6 +203,7 @@ pub struct ArtifactStore {
     writes: AtomicU64,
     write_failures: AtomicU64,
     evictions: AtomicU64,
+    gc_skips: AtomicU64,
     tmp_counter: AtomicU64,
     faults: Option<FaultPlan>,
     persistent_failures: AtomicU64,
@@ -219,6 +223,7 @@ impl ArtifactStore {
             writes: AtomicU64::new(0),
             write_failures: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            gc_skips: AtomicU64::new(0),
             tmp_counter: AtomicU64::new(0),
             faults: None,
             persistent_failures: AtomicU64::new(0),
@@ -318,6 +323,7 @@ impl ArtifactStore {
             writes: self.writes.load(Ordering::Relaxed),
             write_failures: self.write_failures.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            gc_skips: self.gc_skips.load(Ordering::Relaxed),
         }
     }
 
@@ -435,8 +441,8 @@ impl ArtifactStore {
                     // so the budget check measures real usage instead of
                     // trusting a per-process running estimate; the scan
                     // is a handful of directory reads.
-                    if self.usage().bytes > cap {
-                        self.gc_to(cap);
+                    if self.usage().bytes > cap && self.gc_to(cap).is_none() {
+                        self.gc_skips.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
