@@ -352,9 +352,8 @@ fn crouting_attack_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proximity::tests::{lifted, original, protected};
     use proptest::prelude::*;
-    use sm_core::baselines::{naive_lifting, original_layout};
-    use sm_core::flow::{protect, FlowConfig};
     use sm_layout::split_layout;
     use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
     use sm_netlist::Library;
@@ -380,7 +379,7 @@ mod tests {
             .filter(|(_, net)| net.degree() >= 2)
             .map(|(id, _)| id)
             .collect();
-        let lifted = naive_lifting(&n, &nets, 6, 0.6, 1);
+        let lifted = lifted(&n, &nets, 1);
         let split = split_layout(&n, &lifted.placement, &lifted.routing, 3);
         let report = crouting_attack(&n, &split, &CroutingConfig::default());
         assert_eq!(report.boxes.len(), 3);
@@ -396,7 +395,7 @@ mod tests {
             .filter(|(_, net)| net.degree() >= 2)
             .map(|(id, _)| id)
             .collect();
-        let lifted = naive_lifting(&n, &nets, 6, 0.6, 2);
+        let lifted = lifted(&n, &nets, 2);
         let split = split_layout(&n, &lifted.placement, &lifted.routing, 3);
         let report = crouting_attack(&n, &split, &CroutingConfig::default());
         for w in report.boxes.windows(2) {
@@ -415,7 +414,7 @@ mod tests {
             .collect();
         // Lift everything so every net is cut; the die is tiny, so the
         // widest box must contain the true partner of every vpin.
-        let lifted = naive_lifting(&n, &nets, 6, 0.6, 3);
+        let lifted = lifted(&n, &nets, 3);
         let split = split_layout(&n, &lifted.placement, &lifted.routing, 3);
         let report = crouting_attack(&n, &split, &CroutingConfig::default());
         let widest = report.boxes.last().unwrap();
@@ -439,7 +438,7 @@ mod tests {
                 .map(|(id, _)| id)
                 .collect();
             for seed in [1u64, 2, 3] {
-                let lifted = naive_lifting(&n, &nets, 6, 0.6, seed);
+                let lifted = lifted(&n, &nets, seed);
                 for layer in [3u8, 4] {
                     let split = split_layout(&n, &lifted.placement, &lifted.routing, layer);
                     let sweep = crouting_attack(&n, &split, &CroutingConfig::default());
@@ -478,7 +477,7 @@ mod tests {
             .filter(|(_, net)| net.degree() >= 2)
             .map(|(id, _)| id)
             .collect();
-        let lifted = naive_lifting(&n, &nets, 6, 0.6, 7);
+        let lifted = lifted(&n, &nets, 7);
         let split = split_layout(&n, &lifted.placement, &lifted.routing, 3);
         let config = CroutingConfig {
             bounding_boxes: vec![-1, 0, 1, 2, 500],
@@ -509,7 +508,7 @@ mod tests {
         ] {
             for seed in [1u64, 2] {
                 let n = generate(&profile, seed);
-                let p = protect(&n, &FlowConfig::iscas_default(seed));
+                let p = protected(&n, seed);
                 let erroneous = &p.randomization.erroneous;
                 for layer in 3u8..=9 {
                     let label = format!("{} seed {seed} M{layer}", profile.name);
@@ -596,7 +595,7 @@ mod tests {
     #[test]
     fn empty_split_is_safe() {
         let n = c17();
-        let base = original_layout(&n, 0.6, 4);
+        let base = original(&n, 4);
         // Split at M9: nothing routes that high in c17.
         let split = split_layout(&n, &base.placement, &base.routing, 9);
         let report = crouting_attack(&n, &split, &CroutingConfig::default());

@@ -34,6 +34,6 @@ pub mod solution_space;
 
 pub use crouting::{crouting_attack, CroutingConfig, CroutingReport};
 pub use proximity::{
-    ccr_over_connections, ccr_vs_golden, ccr_vs_golden_for, network_flow_attack, AttackOutcome,
-    ProximityConfig,
+    ccr_over_connections, ccr_vs_golden, ccr_vs_golden_for, network_flow_attack_budgeted,
+    AttackOutcome, ProximityConfig,
 };

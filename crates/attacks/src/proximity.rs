@@ -22,13 +22,12 @@
 //! ([`TopoOrder`]).
 
 use crate::grid::CellGrid;
-use sm_exec::{Budget, Pool};
+use sm_exec::Budget;
 use sm_layout::{Placement, Point, SplitLayout, VpinSide};
 use sm_netlist::graph::TopoOrder;
 use sm_netlist::{Netlist, Sink};
 use sm_sim::{security_metrics, PatternSource, SecurityMetrics};
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// Tunables of the proximity attack.
 ///
@@ -86,7 +85,7 @@ pub struct AttackOutcome {
 /// The min-cost-flow instance the attack builds for a split layout:
 /// `source → drivers (load-hint capacities) → sinks (unit demand) →
 /// target`, with the K cheapest candidate drivers per sink. One
-/// construction serves both [`network_flow_attack`] and the
+/// construction serves both [`network_flow_attack_budgeted`] and the
 /// differential harness, so the tested network is always exactly the
 /// attacked one.
 #[derive(Debug, Clone)]
@@ -113,22 +112,6 @@ pub(crate) struct AssignmentInstance {
 }
 
 impl AssignmentInstance {
-    /// [`Self::build_with`] on a serial slice of the shared global pool
-    /// (the differential tests' reference configuration).
-    #[cfg(test)]
-    fn build(
-        placed: &Netlist,
-        split: &SplitLayout,
-        config: &ProximityConfig,
-    ) -> AssignmentInstance {
-        Self::build_with(
-            placed,
-            split,
-            config,
-            &Budget::on_pool(Arc::clone(Pool::global()), 1),
-        )
-    }
-
     /// Scores candidates and wires the flow network (see the type docs).
     ///
     /// Candidate scoring — the attack's dominant cost on superblue-scale
@@ -140,7 +123,7 @@ impl AssignmentInstance {
     /// the current K-th best `(cost, driver)` key, so the selected top-K
     /// lists are bit-identical to the full sink × driver scan (pinned by
     /// the `scoring_differential` tests below).
-    pub(crate) fn build_with(
+    pub(crate) fn build(
         placed: &Netlist,
         split: &SplitLayout,
         config: &ProximityConfig,
@@ -262,35 +245,17 @@ pub struct FlowAssignment {
     pub recovered: Netlist,
 }
 
-/// Runs the network-flow attack.
+/// Runs the network-flow attack inside `exec`:
+/// [`network_flow_assignment`], then [`network_flow_eval`] of its
+/// connection guess against `golden`. Results are bit-identical at any
+/// thread count.
 ///
 /// * `golden` — the true design (scoring reference for OER/HD).
 /// * `placed` — the netlist that was actually placed and routed (equals
 ///   `golden` for unprotected/prior-art layouts; the *erroneous* netlist
 ///   for the proposed defense).
-/// * `placement` / `split` — the attacked FEOL.
-///
-/// # Panics
-///
-/// Panics if `split` was not derived from `placed` (vpin sink references
-/// must resolve in `placed`).
-pub fn network_flow_attack(
-    golden: &Netlist,
-    placed: &Netlist,
-    placement: &Placement,
-    split: &SplitLayout,
-    config: &ProximityConfig,
-) -> AttackOutcome {
-    let exec = Budget::on_pool(Arc::clone(Pool::global()), 1);
-    let mut rec = sm_exec::phase::Recorder::new();
-    network_flow_attack_budgeted(golden, placed, placement, split, config, &exec, &mut rec)
-        .expect("a fresh token never cancels")
-}
-
-/// [`network_flow_attack`] running inside an explicit [`Budget`]:
-/// [`network_flow_assignment`], then [`network_flow_eval`] of its
-/// connection guess against `golden`. Results are bit-identical at any
-/// thread count.
+/// * `placement` / `split` — the attacked FEOL (`placement` goes unread:
+///   the vpins already carry their positions).
 ///
 /// The budget's [`CancelToken`](sm_exec::CancelToken) is consulted at
 /// the assignment's phase boundaries and once more before the OER/HD
@@ -303,6 +268,11 @@ pub fn network_flow_attack(
 /// `attack-candidates`, `attack-mcmf` and `attack-assign`, then
 /// `attack-eval` (OER/HD simulation). Recording is observability only:
 /// results are bit-identical with or without it.
+///
+/// # Panics
+///
+/// Panics if `split` was not derived from `placed` (vpin sink references
+/// must resolve in `placed`).
 #[allow(clippy::too_many_arguments)]
 pub fn network_flow_attack_budgeted(
     golden: &Netlist,
@@ -391,7 +361,7 @@ pub fn network_flow_assignment(
         return None;
     }
     let instance = rec.time("attack-candidates", || {
-        AssignmentInstance::build_with(placed, split, config, exec)
+        AssignmentInstance::build(placed, split, config, exec)
     });
     let AssignmentInstance {
         ref sinks,
@@ -723,28 +693,71 @@ fn seeded(netlist: &Netlist, eval_seed: Option<u64>) -> rand::rngs::StdRng {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use sm_core::baselines::original_layout;
-    use sm_core::flow::{protect, FlowConfig};
+    use sm_core::baselines::{naive_lifting, original_layout};
+    use sm_core::flow::{protect, BaselineLayout, FlowConfig, ProtectedDesign};
+    use sm_exec::phase::Recorder;
     use sm_exec::CancelToken;
     use sm_layout::split_layout;
     use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
-    use sm_netlist::Library;
+    use sm_netlist::{Library, NetId};
 
     fn c17() -> Netlist {
         parse_bench("c17", C17_BENCH, &Library::nangate45()).unwrap()
     }
 
+    pub(crate) fn serial() -> Budget {
+        Budget::with_threads(Some(1))
+    }
+
+    /// The original layout of `n` at utilization 0.6.
+    pub(crate) fn original(n: &Netlist, seed: u64) -> BaselineLayout {
+        original_layout(n, 0.6, seed, &serial(), &mut Recorder::new())
+    }
+
+    /// [`original`] re-routed with `nets` lifted to M6.
+    pub(crate) fn lifted(n: &Netlist, nets: &[NetId], seed: u64) -> BaselineLayout {
+        naive_lifting(n, &original(n, seed), nets, 6, seed, &serial())
+    }
+
+    /// The ISCAS protection flow over its own baseline.
+    pub(crate) fn protected(n: &Netlist, seed: u64) -> ProtectedDesign {
+        let config = FlowConfig::iscas_default(seed);
+        let mut rec = Recorder::new();
+        let baseline = original_layout(n, config.utilization, seed, &serial(), &mut rec);
+        protect(n, &config, &baseline, &serial(), &mut rec)
+    }
+
+    fn attack(
+        golden: &Netlist,
+        placed: &Netlist,
+        placement: &Placement,
+        split: &SplitLayout,
+        config: &ProximityConfig,
+    ) -> AttackOutcome {
+        let mut rec = Recorder::new();
+        network_flow_attack_budgeted(
+            golden,
+            placed,
+            placement,
+            split,
+            config,
+            &serial(),
+            &mut rec,
+        )
+        .expect("a fresh token never cancels")
+    }
+
     #[test]
     fn attack_on_original_layout_recovers_most_connections() {
         let n = c17();
-        let base = original_layout(&n, 0.6, 1);
+        let base = original(&n, 1);
         let split = split_layout(&n, &base.placement, &base.routing, 3);
         if split.cut_nets == 0 {
             return; // everything below the split: nothing to attack
         }
-        let out = network_flow_attack(&n, &n, &base.placement, &split, &ProximityConfig::default());
+        let out = attack(&n, &n, &base.placement, &split, &ProximityConfig::default());
         // Unprotected layouts leak: proximity recovers a clear majority.
         assert!(out.ccr >= 0.5, "CCR {}", out.ccr);
         assert_eq!(out.pairs.len(), split.feol.sink_vpins().len());
@@ -753,9 +766,9 @@ mod tests {
     #[test]
     fn attack_on_protected_layout_recovers_nothing() {
         let n = c17();
-        let p = protect(&n, &FlowConfig::iscas_default(7));
+        let p = protected(&n, 7);
         let split = split_layout(&p.randomization.erroneous, &p.placement, &p.feol_routing, 4);
-        let out = network_flow_attack(
+        let out = attack(
             &n,
             &p.randomization.erroneous,
             &p.placement,
@@ -777,9 +790,9 @@ mod tests {
     #[test]
     fn recovered_netlist_is_structurally_valid() {
         let n = c17();
-        let base = original_layout(&n, 0.6, 2);
+        let base = original(&n, 2);
         let split = split_layout(&n, &base.placement, &base.routing, 3);
-        let out = network_flow_attack(&n, &n, &base.placement, &split, &ProximityConfig::default());
+        let out = attack(&n, &n, &base.placement, &split, &ProximityConfig::default());
         out.recovered.validate().unwrap();
         sm_netlist::graph::topo_order(&out.recovered).unwrap();
     }
@@ -787,23 +800,23 @@ mod tests {
     #[test]
     fn cancelled_attack_returns_none_and_armed_token_changes_nothing() {
         let n = c17();
-        let base = original_layout(&n, 0.6, 1);
+        let base = original(&n, 1);
         let split = split_layout(&n, &base.placement, &base.routing, 3);
         let cfg = ProximityConfig::default();
-        let attack = |token: &CancelToken| {
-            let exec = Budget::on_pool(Arc::clone(Pool::global()), 1).with_cancel(token.clone());
-            let mut rec = sm_exec::phase::Recorder::new();
+        let attack_with = |token: &CancelToken| {
+            let exec = serial().with_cancel(token.clone());
+            let mut rec = Recorder::new();
             network_flow_attack_budgeted(&n, &n, &base.placement, &split, &cfg, &exec, &mut rec)
         };
         // A pre-cancelled token stops the attack at its first phase
         // boundary with no partial result.
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        assert!(attack(&cancelled).is_none());
+        assert!(attack_with(&cancelled).is_none());
         // An armed-but-never-fired token must not perturb the result:
         // the cancellable path and the plain path agree exactly.
-        let via_token = attack(&CancelToken::new());
-        let plain = network_flow_attack(&n, &n, &base.placement, &split, &cfg);
+        let via_token = attack_with(&CancelToken::new());
+        let plain = attack(&n, &n, &base.placement, &split, &cfg);
         match via_token {
             None => panic!("token never fired"),
             Some(out) => {
@@ -818,9 +831,9 @@ mod tests {
     #[test]
     fn every_sink_gets_assigned_exactly_once() {
         let n = c17();
-        let base = original_layout(&n, 0.6, 3);
+        let base = original(&n, 3);
         let split = split_layout(&n, &base.placement, &base.routing, 3);
-        let out = network_flow_attack(&n, &n, &base.placement, &split, &ProximityConfig::default());
+        let out = attack(&n, &n, &base.placement, &split, &ProximityConfig::default());
         let mut seen = std::collections::HashSet::new();
         for &(_, s) in &out.pairs {
             assert!(seen.insert(s), "sink {s} assigned twice");
@@ -840,9 +853,8 @@ mod assignment_pin {
     //! solves). A change that moves one moves campaign report bytes, and
     //! ships with a report version bump.
 
+    use super::tests::{original, protected, serial};
     use super::*;
-    use sm_core::baselines::original_layout;
-    use sm_core::flow::{protect, FlowConfig};
     use sm_layout::split_layout;
 
     fn pairs_fnv(pairs: &[(usize, usize)]) -> u64 {
@@ -886,7 +898,7 @@ mod assignment_pin {
 
     #[test]
     fn committed_pairs_match_pinned_hashes() {
-        let exec = Budget::on_pool(Arc::clone(Pool::global()), 1);
+        let exec = serial();
         let config = ProximityConfig::default();
         let pairs = |placed: &Netlist, split: &SplitLayout| {
             let out = network_flow_assignment(
@@ -906,8 +918,8 @@ mod assignment_pin {
             sm_benchgen::iscas::IscasProfile::c1908(),
         ] {
             let n = sm_benchgen::iscas::generate(&profile, 1);
-            let base = original_layout(&n, 0.6, 1);
-            let p = protect(&n, &FlowConfig::iscas_default(1));
+            let base = original(&n, 1);
+            let p = protected(&n, 1);
             let erroneous = &p.randomization.erroneous;
             for &(name, layer, layout, count, hash) in
                 PINS.iter().filter(|pin| pin.0 == profile.name)
@@ -931,16 +943,16 @@ mod scoring_differential {
     //! on real generated layouts and across config corners (including
     //! ones where the ring bound must refuse to prune).
 
+    use super::tests::{original, serial};
     use super::*;
-    use sm_core::baselines::original_layout;
     use sm_layout::split_layout;
 
     type SinkRows = Vec<Vec<(i64, usize)>>;
 
     fn rows_for(n: &Netlist, config: &ProximityConfig) -> (SinkRows, SinkRows) {
-        let base = original_layout(n, 0.6, 1);
+        let base = original(n, 1);
         let split = split_layout(n, &base.placement, &base.routing, 3);
-        let inst = AssignmentInstance::build(n, &split, config);
+        let inst = AssignmentInstance::build(n, &split, config, &serial());
         let drivers = split.feol.driver_vpins();
         let driver_geom: Vec<(Point, Option<(i8, i8)>)> = drivers
             .iter()
@@ -1021,21 +1033,20 @@ mod scoring_differential {
     #[test]
     fn parallel_scoring_is_order_stable() {
         let n = sm_benchgen::iscas::generate(&sm_benchgen::iscas::IscasProfile::c880(), 1);
-        let base = original_layout(&n, 0.6, 1);
+        let base = original(&n, 1);
         let split = split_layout(&n, &base.placement, &base.routing, 3);
         let config = ProximityConfig::default();
-        let serial = AssignmentInstance::build(&n, &split, &config);
-        let parallel =
-            AssignmentInstance::build_with(&n, &split, &config, &Budget::with_threads(Some(4)));
-        assert_eq!(serial.candidates, parallel.candidates);
-        assert_eq!(serial.edges, parallel.edges);
+        let one = AssignmentInstance::build(&n, &split, &config, &serial());
+        let four = AssignmentInstance::build(&n, &split, &config, &Budget::with_threads(Some(4)));
+        assert_eq!(one.candidates, four.candidates);
+        assert_eq!(one.edges, four.edges);
     }
 }
 
 #[cfg(test)]
 mod differential_tests {
     //! The differential harness on *real* attack instances: the exact
-    //! flow network `network_flow_attack` builds for generated ISCAS
+    //! flow network `network_flow_attack_budgeted` builds for generated ISCAS
     //! layouts (via the shared [`AssignmentInstance`] constructor, so
     //! the tested network can never drift from the attacked one), solved
     //! by the engine and by the SSP oracle. Real instances carry exact
@@ -1045,11 +1056,10 @@ mod differential_tests {
     //! which optimal matching the engine picks among the ties is pinned
     //! by `assignment_pin`.
 
+    use super::tests::{original, protected, serial};
     use super::*;
     use crate::mcmf::certificate::{verify, verify_edges, Certificate};
     use crate::mcmf::{reference::SspFlow, MinCostFlow};
-    use sm_core::baselines::original_layout;
-    use sm_core::flow::{protect, FlowConfig};
     use sm_layout::split_layout;
 
     /// One real instance solved by both engines.
@@ -1091,7 +1101,8 @@ mod differential_tests {
     /// instance the `iscas-flow` benchmark workload solves.
     fn solved_iscas_instances() -> Vec<Solved> {
         let solve = |name: String, placed: &Netlist, split: &SplitLayout| {
-            let inst = AssignmentInstance::build(placed, split, &ProximityConfig::default());
+            let inst =
+                AssignmentInstance::build(placed, split, &ProximityConfig::default(), &serial());
             let mut fast = MinCostFlow::new(inst.nodes);
             let mut ssp = SspFlow::new(inst.nodes);
             let handles: Vec<usize> = inst
@@ -1125,8 +1136,8 @@ mod differential_tests {
         let mut solved = Vec::new();
         for (profile, layers) in designs {
             let n = sm_benchgen::iscas::generate(&profile, 1);
-            let base = original_layout(&n, 0.6, 1);
-            let p = protect(&n, &FlowConfig::iscas_default(1));
+            let base = original(&n, 1);
+            let p = protected(&n, 1);
             let erroneous = &p.randomization.erroneous;
             for &layer in layers {
                 let original = split_layout(&n, &base.placement, &base.routing, layer);

@@ -181,11 +181,15 @@ BENCH:
     `smctl bench` times every pipeline stage (generate/place/route/
     protect/split/attacks — flow everywhere, plus crouting on
     superblue, all gated vs the baseline) over the quick ISCAS selection plus superblue18,
-    plus a quick campaign against a cold and a warm store, and emits a
-    BENCH.json perf-trajectory point (stdout or --out). The hot kernels
-    also report their own sub-stages (place-fm, attack-flow-score,
-    attack-flow-mcmf, attack-flow-assign, attack-flow-eval), timed by
-    the kernels' phase instrumentation.
+    plus five campaign stages: a quick campaign against a cold store,
+    then warm, warm with the journal attached and warm with a
+    never-firing fault plan (campaign-cold/-warm/-journal/-faults), and
+    a four-seed sweep pinned to one layout (campaign-incremental). It
+    emits a BENCH.json perf-trajectory point (stdout or --out).
+    --threads N bounds every stage, the layout stages included. The hot
+    kernels also report their own sub-stages (place-fm,
+    attack-flow-score, attack-flow-mcmf, attack-flow-assign,
+    attack-flow-eval), timed by the kernels' phase instrumentation.
     Wall times are machine-dependent; every other field is
     deterministic. --min-of N repeats each layout stage N times and
     records the minimum wall (the campaign stages always run once —

@@ -1,13 +1,14 @@
 //! Measurement drivers for every table and figure.
 
 use sm_attacks::crouting::{crouting_attack, CroutingConfig, CroutingReport};
-use sm_attacks::proximity::{ccr_over_connections, network_flow_attack, ProximityConfig};
-use sm_core::baselines::{
-    pin_swapping_with, placement_perturbation_with, routing_perturbation_with,
+use sm_attacks::proximity::{
+    ccr_over_connections, network_flow_attack_budgeted, AttackOutcome, ProximityConfig,
 };
+use sm_core::baselines::{pin_swapping, placement_perturbation, routing_perturbation};
 use sm_engine::bundle::{IscasRun, SuperblueRun};
 use sm_layout::analysis::{distance_stats, DistanceStats};
-use sm_layout::{split_layout, ViaCounts};
+use sm_layout::{split_layout, Placement, SplitLayout, ViaCounts};
+use sm_netlist::Netlist;
 
 /// Table 1 row: driver/sink distance statistics per layout.
 #[derive(Debug, Clone)]
@@ -184,11 +185,16 @@ pub struct SecurityRow {
 
 /// Attacks every defense on one ISCAS run, averaging over splits M3/M4/M5
 /// exactly as the paper does. The comparison-defense layouts it builds
-/// (placement perturbation, pin swapping, routing perturbation) place
-/// inside `exec`, so a session's `--threads` budget bounds this row's
-/// work like everything else.
+/// (placement perturbation, pin swapping, routing perturbation) and the
+/// attacks all run inside `exec`, so a session's `--threads` budget
+/// bounds this row's work like everything else.
 pub fn security_row(run: &IscasRun, seed: u64, exec: &sm_exec::Budget) -> SecurityRow {
     let cfg = ProximityConfig::default();
+    let attack = |placed: &Netlist, placement: &Placement, split: &SplitLayout| -> AttackOutcome {
+        let mut rec = sm_exec::phase::Recorder::new();
+        network_flow_attack_budgeted(&run.netlist, placed, placement, split, &cfg, exec, &mut rec)
+            .expect("artifact budgets carry no deadline")
+    };
     let splits: [u8; 3] = [3, 4, 5];
     let avg3 = |f: &mut dyn FnMut(u8) -> Security| -> Security {
         let mut acc = Security::default();
@@ -208,7 +214,7 @@ pub fn security_row(run: &IscasRun, seed: u64, exec: &sm_exec::Budget) -> Securi
             &layout.routing,
             split_layer,
         );
-        let out = network_flow_attack(&run.netlist, &run.netlist, &layout.placement, &split, &cfg);
+        let out = attack(&run.netlist, &layout.placement, &split);
         Security {
             ccr: out.ccr * 100.0,
             oer: out.metrics.oer * 100.0,
@@ -220,15 +226,15 @@ pub fn security_row(run: &IscasRun, seed: u64, exec: &sm_exec::Budget) -> Securi
     let mut f_orig = |s: u8| attack_baseline(&run.original, s);
     let original = avg3(&mut f_orig);
 
-    let pp = placement_perturbation_with(&run.netlist, 0.3, 3, util, seed, exec);
+    let pp = placement_perturbation(&run.netlist, 0.3, 3, util, seed, exec);
     let mut f_pp = |s: u8| attack_baseline(&pp, s);
     let placement_perturbation = avg3(&mut f_pp);
 
-    let ps = pin_swapping_with(&run.netlist, 0.5, util, seed, exec);
+    let ps = pin_swapping(&run.netlist, 0.5, util, seed, exec);
     let mut f_ps = |s: u8| attack_baseline(&ps, s);
     let pin_swapping = avg3(&mut f_ps);
 
-    let rp = routing_perturbation_with(&run.netlist, 0.3, util, seed, exec);
+    let rp = routing_perturbation(&run.netlist, 0.3, util, seed, exec);
     let mut f_rp = |s: u8| attack_baseline(&rp, s);
     let routing_perturbation = avg3(&mut f_rp);
 
@@ -240,12 +246,10 @@ pub fn security_row(run: &IscasRun, seed: u64, exec: &sm_exec::Budget) -> Securi
             &run.protected.feol_routing,
             s,
         );
-        let out = network_flow_attack(
-            &run.netlist,
+        let out = attack(
             &run.protected.randomization.erroneous,
             &run.protected.placement,
             &split,
-            &cfg,
         );
         // The paper reports CCR over the randomized connections.
         let ccr_protected = ccr_over_connections(&split, &out.pairs, &swapped);

@@ -6,11 +6,16 @@
 //! through the pipeline stages the campaigns spend their wall-clock in
 //! — netlist generation, placement, routing, the protection flow over
 //! that prebuilt layout, FEOL/BEOL split, the network-flow attack —
-//! plus a quick campaign run four times against
-//! a fresh disk store (cold; warm; warm with the campaign journal
-//! attached, gating the event log's overhead; warm with a never-firing
-//! fault plan attached, gating the injection hooks' zero-fault
-//! overhead). Every stage records
+//! plus five campaign stages: a quick campaign run four times against
+//! a fresh disk store (`campaign-cold`; `campaign-warm`;
+//! `campaign-journal`, warm with the campaign journal attached, gating
+//! the event log's overhead; `campaign-faults`, warm with a
+//! never-firing fault plan attached, gating the injection hooks'
+//! zero-fault overhead), then `campaign-incremental`, a four-seed sweep
+//! pinned to one layout against another fresh store. Every stage runs
+//! inside the one [`Budget`] that [`BenchConfig::threads`] describes
+//! (`--threads`); with an explicit count, nothing runs on the
+//! machine-wide pool. Every stage records
 //!
 //! * `wall_ms` — the measurement (machine-dependent, **excluded** from
 //!   any determinism comparison, mirroring the `--timings` split of
@@ -39,7 +44,7 @@ use std::time::Instant;
 
 use sm_attacks::crouting::{crouting_attack, CroutingConfig};
 use sm_attacks::proximity::{network_flow_attack_budgeted, ProximityConfig};
-use sm_core::flow::{protect_with, BaselineLayout, FlowConfig};
+use sm_core::flow::{protect, BaselineLayout, FlowConfig};
 use sm_core::ppa::evaluate;
 use sm_engine::bundle::{iscas_selection, superblue_selection};
 use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
@@ -48,7 +53,8 @@ use sm_engine::journal::{read_events, Journal};
 use sm_engine::report::Json;
 use sm_engine::store::{ArtifactStore, Stage};
 use sm_engine::ArtifactCache;
-use sm_exec::{Budget, Pool};
+use sm_exec::phase::Recorder;
+use sm_exec::Budget;
 use sm_layout::{split_layout, Floorplan, PlacementEngine, RouteOptions, Router, Technology};
 use sm_netlist::Netlist;
 
@@ -61,7 +67,7 @@ pub struct BenchConfig {
     pub seed: u64,
     /// Superblue down-scaling factor.
     pub scale: usize,
-    /// Worker threads for the campaign stages.
+    /// Worker threads for every stage (`--threads`).
     pub threads: Option<usize>,
     /// How many times each per-benchmark layout stage runs; the
     /// *minimum* wall-clock is recorded (the classic noise filter — the
@@ -155,13 +161,15 @@ enum AttackStage {
 /// paths are gated on (`place-fm`, `attack-flow-score`,
 /// `attack-flow-mcmf`, `attack-flow-assign`, `attack-flow-eval`),
 /// whose walls come from the kernels' own phase instrumentation rather
-/// than re-timing around them.
+/// than re-timing around them. Placement and protection run in `exec`;
+/// the flow attack runs on one thread of it.
 fn layout_stages(
     stages: &mut Vec<StageSample>,
     name: &str,
     flow: fn(u64) -> FlowConfig,
     attacks: &[AttackStage],
     min_of: usize,
+    exec: &Budget,
     generate: impl Fn() -> Netlist,
 ) {
     let push = |stages: &mut Vec<StageSample>,
@@ -190,7 +198,9 @@ fn layout_stages(
     let fp = Floorplan::for_netlist(&netlist, &tech, BENCH_UTILIZATION);
     let seed = 1; // the per-design placement seed; the netlist already encodes cfg.seed
     let meter = sm_layout::PlaceMeter::shared();
-    let engine = PlacementEngine::new(seed).with_meter(std::sync::Arc::clone(&meter));
+    let engine = PlacementEngine::new(seed)
+        .with_budget(exec.clone())
+        .with_meter(std::sync::Arc::clone(&meter));
     // `place-fm` is metered inside the placer (summed over every
     // bisection region), so each iteration yields a (total, fm) pair;
     // the minima are taken per series.
@@ -237,13 +247,7 @@ fn layout_stages(
         ppa: evaluate(&netlist, &routing, &fp, &tech, seed),
     };
     let (protected, wall) = timed_min(min_of, || {
-        protect_with(
-            &netlist,
-            &config,
-            &baseline,
-            &Budget::default(),
-            &mut sm_exec::phase::Recorder::new(),
-        )
+        protect(&netlist, &config, &baseline, exec, &mut Recorder::new())
     });
     let oer_bp = (protected.randomization.oer_achieved * 10_000.0).round() as u64;
     push(
@@ -278,10 +282,10 @@ fn layout_stages(
                 let mut assign_wall = f64::INFINITY;
                 let mut eval_wall = f64::INFINITY;
                 let mut outcome = None;
-                // One worker on the global pool: the serial attack.
-                let exec = Budget::on_pool(std::sync::Arc::clone(Pool::global()), 1);
+                // One thread of the budget: the serial attack.
+                let serial = exec.split(exec.threads());
                 for _ in 0..min_of.max(1) {
-                    let mut rec = sm_exec::phase::Recorder::new();
+                    let mut rec = Recorder::new();
                     let (out, wall) = timed(|| {
                         network_flow_attack_budgeted(
                             &netlist,
@@ -289,7 +293,7 @@ fn layout_stages(
                             &placement,
                             &split,
                             &ProximityConfig::default(),
-                            &exec,
+                            &serial,
                             &mut rec,
                         )
                         .expect("a fresh token never cancels")
@@ -349,6 +353,12 @@ fn layout_stages(
 
 /// Runs the full workload matrix.
 pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
+    // One budget for every stage: the thread allotment the harness ran
+    // with is part of the recorded workload (`threads` in each campaign
+    // stage's detail — deliberately in `detail`, not just the top-level
+    // config echo, so per-stage comparisons can check the budget that
+    // actually applied).
+    let budget = Budget::with_threads(cfg.threads);
     let mut stages = Vec::new();
     for profile in iscas_selection(cfg.quick) {
         layout_stages(
@@ -357,6 +367,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
             FlowConfig::iscas_default,
             &[AttackStage::Flow],
             cfg.min_of,
+            &budget,
             || sm_benchgen::iscas::generate(&profile, cfg.seed),
         );
     }
@@ -370,6 +381,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
             FlowConfig::superblue_default,
             &[AttackStage::Flow, AttackStage::Crouting],
             cfg.min_of,
+            &budget,
             || sm_benchgen::superblue::generate(&profile, cfg.scale, cfg.seed),
         );
     }
@@ -389,12 +401,6 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         master_seed: cfg.seed,
         layout_seed: None,
     };
-    // One budget for both campaign passes: the thread allotment the
-    // harness ran with is part of the recorded workload (`threads` in
-    // each campaign stage's detail — deliberately in `detail`, not just
-    // the top-level config echo, so per-stage comparisons can check the
-    // budget that actually applied).
-    let budget = Budget::with_threads(cfg.threads);
     let store_dir = std::env::temp_dir().join(format!("sm-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     for pass in ["campaign-cold", "campaign-warm"] {
@@ -768,6 +774,7 @@ mod tests {
             FlowConfig::iscas_default,
             &[AttackStage::Flow],
             1,
+            &Budget::with_threads(Some(2)),
             || sm_benchgen::iscas::generate(&profile, 1),
         );
         let names: Vec<&str> = stages.iter().map(|s| s.stage).collect();
@@ -787,9 +794,9 @@ mod tests {
                 "attack-flow-eval"
             ]
         );
-        // Fingerprints are deterministic across runs (timings aside) —
-        // including under `min_of` repetition, which must redo the same
-        // work and fingerprint identically.
+        // Fingerprints are deterministic across runs and budgets
+        // (timings aside) — including under `min_of` repetition, which
+        // must redo the same work and fingerprint identically.
         let mut again = Vec::new();
         layout_stages(
             &mut again,
@@ -797,6 +804,7 @@ mod tests {
             FlowConfig::iscas_default,
             &[AttackStage::Flow],
             2,
+            &Budget::with_threads(Some(1)),
             || sm_benchgen::iscas::generate(&profile, 1),
         );
         for (a, b) in stages.iter().zip(&again) {

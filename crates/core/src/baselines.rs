@@ -15,12 +15,14 @@
 //! All functions are deterministic per seed and return a
 //! [`BaselineLayout`] directly comparable with the protected design.
 //!
-//! The `_with` variants run inside an explicit [`sm_exec::Budget`]. If
-//! the budget's token fires mid-build they abort at the next
-//! result-neutral checkpoint by unwinding with [`sm_exec::Cancelled`]
-//! (see [`sm_exec::abort_cancelled`]) — the campaign engine's job
-//! isolation catches that unwind and records the job timed-out. A build
-//! that completes is byte-identical whether or not a token was armed.
+//! Each runs inside the caller's [`sm_exec::Budget`]: placement's
+//! parallel inner work stays within its thread allotment (bit-identical
+//! output at any thread count). If the budget's token fires mid-build
+//! they abort at the next result-neutral checkpoint by unwinding with
+//! [`sm_exec::Cancelled`] (see [`sm_exec::abort_cancelled`]) — the
+//! campaign engine's job isolation catches that unwind and records the
+//! job timed-out. A build that completes is byte-identical whether or
+//! not a token was armed.
 
 use crate::flow::BaselineLayout;
 use crate::ppa::evaluate;
@@ -31,22 +33,9 @@ use sm_layout::{Floorplan, PlacementEngine, Point, RouteOptions, Router, Technol
 use sm_netlist::{NetId, Netlist};
 
 /// Places and routes the plain, unprotected netlist (the "Original" rows
-/// of the paper's tables) with the process-global thread budget.
-pub fn original_layout(netlist: &Netlist, utilization: f64, seed: u64) -> BaselineLayout {
-    original_layout_with(
-        netlist,
-        utilization,
-        seed,
-        &sm_exec::Budget::default(),
-        &mut sm_exec::phase::Recorder::new(),
-    )
-}
-
-/// [`original_layout`], with placement's parallel inner work confined to
-/// `exec` (bit-identical output; the budget bounds worker threads only)
-/// and placement phase spans recorded into `rec` (`original-place` /
-/// `original-place-fm`).
-pub fn original_layout_with(
+/// of the paper's tables) inside `exec`, recording placement phase spans
+/// into `rec` (`original-place` / `original-place-fm`).
+pub fn original_layout(
     netlist: &Netlist,
     utilization: f64,
     seed: u64,
@@ -69,34 +58,13 @@ pub fn original_layout_with(
 /// Naive lifting: route the original netlist but lift `nets` to
 /// `lift_layer` (same net set as the protected design, per Table 2's "for
 /// a fair comparison, we randomize the same set of nets"). Lifting
-/// changes the routing only, so this lays out the original netlist
-/// ([`original_layout`]) and re-routes its placement through
-/// [`naive_lifting_with`].
-pub fn naive_lifting(
-    netlist: &Netlist,
-    nets: &[NetId],
-    lift_layer: u8,
-    utilization: f64,
-    seed: u64,
-) -> BaselineLayout {
-    let original = original_layout(netlist, utilization, seed);
-    naive_lifting_with(
-        netlist,
-        &original,
-        nets,
-        lift_layer,
-        seed,
-        &sm_exec::Budget::default(),
-    )
-}
-
-/// [`naive_lifting`] over a prebuilt `original` layout of `netlist`
-/// ([`original_layout`] at the same seed, or its decoded copy): keeps
-/// its floorplan and placement, re-routes with `nets` lifted to
+/// changes the routing only, so this takes the `original` layout of
+/// `netlist` ([`original_layout`] at the same seed, or its decoded copy),
+/// keeps its floorplan and placement, re-routes with `nets` lifted to
 /// `lift_layer` and re-evaluates PPA (activity seeded by `seed`). Places
 /// nothing, so it records no placement spans; `exec` carries the
 /// routing's cancel token.
-pub fn naive_lifting_with(
+pub fn naive_lifting(
     netlist: &Netlist,
     original: &BaselineLayout,
     nets: &[NetId],
@@ -131,24 +99,6 @@ pub fn naive_lifting_with(
 /// random offset of up to `radius_rows` rows in each direction, then
 /// re-legalize and route.
 pub fn placement_perturbation(
-    netlist: &Netlist,
-    fraction: f64,
-    radius_rows: i64,
-    utilization: f64,
-    seed: u64,
-) -> BaselineLayout {
-    placement_perturbation_with(
-        netlist,
-        fraction,
-        radius_rows,
-        utilization,
-        seed,
-        &sm_exec::Budget::default(),
-    )
-}
-
-/// [`placement_perturbation`], confined to the `exec` thread budget.
-pub fn placement_perturbation_with(
     netlist: &Netlist,
     fraction: f64,
     radius_rows: i64,
@@ -204,22 +154,6 @@ pub fn pin_swapping(
     swap_fraction: f64,
     utilization: f64,
     seed: u64,
-) -> BaselineLayout {
-    pin_swapping_with(
-        netlist,
-        swap_fraction,
-        utilization,
-        seed,
-        &sm_exec::Budget::default(),
-    )
-}
-
-/// [`pin_swapping`], confined to the `exec` thread budget.
-pub fn pin_swapping_with(
-    netlist: &Netlist,
-    swap_fraction: f64,
-    utilization: f64,
-    seed: u64,
     exec: &sm_exec::Budget,
 ) -> BaselineLayout {
     let tech = Technology::nangate45_10lm();
@@ -259,22 +193,6 @@ pub fn pin_swapping_with(
 /// Routing perturbation \[12\]: elevate a random `fraction` of multi-pin
 /// nets by two layers (detours without netlist changes).
 pub fn routing_perturbation(
-    netlist: &Netlist,
-    fraction: f64,
-    utilization: f64,
-    seed: u64,
-) -> BaselineLayout {
-    routing_perturbation_with(
-        netlist,
-        fraction,
-        utilization,
-        seed,
-        &sm_exec::Budget::default(),
-    )
-}
-
-/// [`routing_perturbation`], confined to the `exec` thread budget.
-pub fn routing_perturbation_with(
     netlist: &Netlist,
     fraction: f64,
     utilization: f64,
@@ -329,6 +247,8 @@ fn layout_with_options(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_exec::phase::Recorder;
+    use sm_exec::Budget;
     use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
     use sm_netlist::Library;
 
@@ -336,41 +256,23 @@ mod tests {
         parse_bench("c17", C17_BENCH, &Library::nangate45()).unwrap()
     }
 
+    fn serial() -> Budget {
+        Budget::with_threads(Some(1))
+    }
+
+    fn original(n: &Netlist, seed: u64) -> BaselineLayout {
+        original_layout(n, 0.6, seed, &serial(), &mut Recorder::new())
+    }
+
+    /// The layout is legal and timed, and metering records a placement
+    /// span pair with the FM slice bounded by the total.
     #[test]
     fn original_layout_is_clean() {
         let n = c17();
-        let b = original_layout(&n, 0.6, 1);
+        let mut rec = Recorder::new();
+        let b = original_layout(&n, 0.6, 1, &serial(), &mut rec);
         assert!(b.placement.is_legal(&b.floorplan));
         assert!(b.ppa.delay_ps > 0.0);
-    }
-
-    #[test]
-    fn naive_lifting_raises_nets() {
-        let n = c17();
-        let nets: Vec<NetId> = n
-            .nets()
-            .filter(|(_, net)| net.degree() >= 2)
-            .map(|(id, _)| id)
-            .take(3)
-            .collect();
-        let b = naive_lifting(&n, &nets, 6, 0.6, 1);
-        for &net in &nets {
-            assert!(b.routing.net_max_layer(net) >= 6);
-        }
-    }
-
-    /// Metering is pure observability: the budgeted builder produces the
-    /// same layout as the convenience form and records a placement span
-    /// pair with the FM slice bounded by the total.
-    #[test]
-    fn traced_builders_match_untraced_and_record_spans() {
-        let n = c17();
-        let exec = sm_exec::Budget::default();
-        let plain = original_layout(&n, 0.6, 7);
-        let mut rec = sm_exec::phase::Recorder::new();
-        let traced = original_layout_with(&n, 0.6, 7, &exec, &mut rec);
-        assert_eq!(plain.placement, traced.placement);
-        assert_eq!(plain.ppa.delay_ps, traced.ppa.delay_ps);
         let spans = rec.spans();
         let names: Vec<&str> = spans.iter().map(|&(name, _)| name).collect();
         assert_eq!(names, ["original-place", "original-place-fm"]);
@@ -384,10 +286,25 @@ mod tests {
     }
 
     #[test]
+    fn naive_lifting_raises_nets() {
+        let n = c17();
+        let nets: Vec<NetId> = n
+            .nets()
+            .filter(|(_, net)| net.degree() >= 2)
+            .map(|(id, _)| id)
+            .take(3)
+            .collect();
+        let b = naive_lifting(&n, &original(&n, 1), &nets, 6, 1, &serial());
+        for &net in &nets {
+            assert!(b.routing.net_max_layer(net) >= 6);
+        }
+    }
+
+    #[test]
     fn perturbation_changes_placement_but_stays_legal() {
         let n = c17();
-        let plain = original_layout(&n, 0.6, 2);
-        let pert = placement_perturbation(&n, 0.5, 3, 0.6, 2);
+        let plain = original(&n, 2);
+        let pert = placement_perturbation(&n, 0.5, 3, 0.6, 2, &serial());
         assert!(pert.placement.is_legal(&pert.floorplan));
         let moved = n
             .cells()
@@ -399,8 +316,8 @@ mod tests {
     #[test]
     fn pin_swapping_permutes_output_pads() {
         let n = c17();
-        let plain = original_layout(&n, 0.6, 3);
-        let swapped = pin_swapping(&n, 1.0, 0.6, 3);
+        let plain = original(&n, 3);
+        let swapped = pin_swapping(&n, 1.0, 0.6, 3, &serial());
         let changed = (0..n.output_ports().len())
             .filter(|&i| plain.placement.output_position(i) != swapped.placement.output_position(i))
             .count();
@@ -410,8 +327,8 @@ mod tests {
     #[test]
     fn routing_perturbation_elevates_some_nets() {
         let n = c17();
-        let plain = original_layout(&n, 0.6, 4);
-        let pert = routing_perturbation(&n, 1.0, 0.6, 4);
+        let plain = original(&n, 4);
+        let pert = routing_perturbation(&n, 1.0, 0.6, 4, &serial());
         let plain_hi: u64 = (4..=9).map(|m| plain.routing.via_counts().between(m)).sum();
         let pert_hi: u64 = (4..=9).map(|m| pert.routing.via_counts().between(m)).sum();
         assert!(pert_hi >= plain_hi);
@@ -420,8 +337,8 @@ mod tests {
     #[test]
     fn baselines_are_deterministic() {
         let n = c17();
-        let a = placement_perturbation(&n, 0.5, 2, 0.6, 9);
-        let b = placement_perturbation(&n, 0.5, 2, 0.6, 9);
+        let a = placement_perturbation(&n, 0.5, 2, 0.6, 9, &serial());
+        let b = placement_perturbation(&n, 0.5, 2, 0.6, 9, &serial());
         for (id, _) in n.cells() {
             assert_eq!(a.placement.cell_origin(id), b.placement.cell_origin(id));
         }

@@ -67,12 +67,13 @@ mod tests {
     use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
     use sm_netlist::Library;
 
-    use crate::flow::{protect, FlowConfig, ProtectedDesign};
+    use crate::flow::tests::protect_serial;
+    use crate::flow::{FlowConfig, ProtectedDesign};
 
     #[test]
     fn protected_design_roundtrips() {
         let n = parse_bench("c17", C17_BENCH, &Library::nangate45()).unwrap();
-        let p = protect(&n, &FlowConfig::iscas_default(9));
+        let p = protect_serial(&n, &FlowConfig::iscas_default(9));
         let bytes = encode_to_vec(&p);
         let back: ProtectedDesign = decode_from_slice(&bytes).unwrap();
 
@@ -96,7 +97,7 @@ mod tests {
     #[test]
     fn truncated_design_fails_cleanly() {
         let n = parse_bench("c17", C17_BENCH, &Library::nangate45()).unwrap();
-        let p = protect(&n, &FlowConfig::iscas_default(2));
+        let p = protect_serial(&n, &FlowConfig::iscas_default(2));
         let bytes = encode_to_vec(&p);
         for cut in [7, bytes.len() / 2, bytes.len() - 3] {
             assert!(decode_from_slice::<ProtectedDesign>(&bytes[..cut]).is_err());

@@ -15,9 +15,9 @@
 //! chip as completed by the trusted BEOL facility; PPA is measured here).
 //!
 //! The overhead is charged against the original netlist's unprotected
-//! layout, which is an input of [`protect_with`]: a caller that also
-//! needs that layout (the "Original" rows) builds it once and passes
-//! it in; [`protect`] builds it itself.
+//! layout, which is an input of [`protect`]: the caller builds it once
+//! ([`original_layout`](crate::baselines::original_layout)), uses it for
+//! the "Original" rows too, and passes it in.
 
 use crate::correction::{embed_correction_cells, CorrectionCell};
 use crate::ppa::{evaluate, PpaOverhead, PpaReport};
@@ -130,46 +130,24 @@ impl ProtectedDesign {
     }
 }
 
-/// Runs the full protection flow on `netlist` with the process-global
-/// thread budget: places and routes the unprotected baseline
-/// ([`original_layout`](crate::baselines::original_layout) at
-/// [`FlowConfig::utilization`] and [`FlowConfig::seed`]), then runs
-/// [`protect_with`] against it. Callers that already hold that layout
-/// (the campaign engine's bundles) call [`protect_with`] directly and
-/// skip the second place and route.
-///
-/// Deterministic per [`FlowConfig::seed`]. The budget loop drops half of
-/// the committed swaps per round while the power/delay overhead exceeds
-/// [`FlowConfig::ppa_budget_percent`] (mirroring the "budget expended?"
-/// decision in Fig. 2).
-///
-/// # Panics
-///
-/// Panics if the netlist is empty.
-pub fn protect(netlist: &Netlist, config: &FlowConfig) -> ProtectedDesign {
-    let baseline = crate::baselines::original_layout(netlist, config.utilization, config.seed);
-    protect_with(
-        netlist,
-        config,
-        &baseline,
-        &sm_exec::Budget::default(),
-        &mut sm_exec::phase::Recorder::new(),
-    )
-}
-
-/// The protection flow against a prebuilt unprotected `baseline`, with
-/// the flow's parallel inner work (bisection anchor sweeps during
-/// placement) confined to `exec`. The budget changes wall-clock only:
-/// the produced design is bit-identical across thread counts.
+/// Runs the full protection flow on `netlist` against a prebuilt
+/// unprotected `baseline`, with the flow's parallel inner work
+/// (bisection anchor sweeps during placement) confined to `exec`. The
+/// budget changes wall-clock only: the produced design is bit-identical
+/// across thread counts.
 ///
 /// `baseline` must be the original netlist's layout as
 /// [`original_layout`](crate::baselines::original_layout) builds it at
 /// [`FlowConfig::utilization`] and [`FlowConfig::seed`] (or its decoded
 /// copy): the flow takes the die outline, and the placement, routing
 /// and PPA its overhead is charged against, from it, and stores a copy
-/// in [`ProtectedDesign::baseline`]. Given that layout, the result is
-/// byte-identical to [`protect`]. Debug builds assert that its
+/// in [`ProtectedDesign::baseline`]. Debug builds assert that its
 /// floorplan is the one `config.utilization` yields.
+///
+/// Deterministic per [`FlowConfig::seed`]. The budget loop drops half of
+/// the committed swaps per round while the power/delay overhead exceeds
+/// [`FlowConfig::ppa_budget_percent`] (mirroring the "budget expended?"
+/// decision in Fig. 2).
 ///
 /// Phase spans go to `rec`: `protect-place` (total placement wall-clock
 /// across every build the budget loop runs), `protect-place-fm` (the
@@ -184,7 +162,11 @@ pub fn protect(netlist: &Netlist, config: &FlowConfig) -> ProtectedDesign {
 /// [`sm_exec::Cancelled`] — the campaign engine's job isolation maps
 /// that unwind to the timed-out outcome. A flow that completes is
 /// byte-identical whether or not a deadline was armed.
-pub fn protect_with(
+///
+/// # Panics
+///
+/// Panics if the netlist is empty.
+pub fn protect(
     netlist: &Netlist,
     config: &FlowConfig,
     baseline: &BaselineLayout,
@@ -359,8 +341,11 @@ fn build_layout(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::baselines::original_layout;
+    use sm_exec::phase::Recorder;
+    use sm_exec::Budget;
     use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
     use sm_netlist::Library;
     use sm_sim::equiv::{check, Equivalence};
@@ -369,10 +354,18 @@ mod tests {
         parse_bench("c17", C17_BENCH, &Library::nangate45()).unwrap()
     }
 
+    /// [`protect`] over a freshly built baseline, on one thread.
+    pub(crate) fn protect_serial(netlist: &Netlist, config: &FlowConfig) -> ProtectedDesign {
+        let exec = Budget::with_threads(Some(1));
+        let mut rec = Recorder::new();
+        let baseline = original_layout(netlist, config.utilization, config.seed, &exec, &mut rec);
+        protect(netlist, config, &baseline, &exec, &mut rec)
+    }
+
     #[test]
     fn flow_produces_equivalent_restored_netlist() {
         let n = c17();
-        let p = protect(&n, &FlowConfig::iscas_default(1));
+        let p = protect_serial(&n, &FlowConfig::iscas_default(1));
         assert_eq!(
             check(&n, &p.restored, 200_000).unwrap(),
             Equivalence::Equivalent
@@ -382,7 +375,7 @@ mod tests {
     #[test]
     fn zero_area_overhead() {
         let n = c17();
-        let p = protect(&n, &FlowConfig::iscas_default(2));
+        let p = protect_serial(&n, &FlowConfig::iscas_default(2));
         assert_eq!(p.ppa_overhead.area_pct, 0.0);
         assert_eq!(
             p.floorplan.die_area_um2(),
@@ -393,7 +386,7 @@ mod tests {
     #[test]
     fn protected_nets_are_lifted_in_both_routings() {
         let n = c17();
-        let p = protect(&n, &FlowConfig::iscas_default(3));
+        let p = protect_serial(&n, &FlowConfig::iscas_default(3));
         for net in p.protected_nets() {
             if p.randomization.erroneous.net(net).degree() >= 2 {
                 assert!(
@@ -413,14 +406,14 @@ mod tests {
     #[test]
     fn correction_cells_come_in_pairs() {
         let n = c17();
-        let p = protect(&n, &FlowConfig::iscas_default(4));
+        let p = protect_serial(&n, &FlowConfig::iscas_default(4));
         assert_eq!(p.correction_cells.len(), p.randomization.swaps.len() * 2);
     }
 
     #[test]
     fn overhead_is_finite_and_reported() {
         let n = c17();
-        let p = protect(&n, &FlowConfig::iscas_default(5));
+        let p = protect_serial(&n, &FlowConfig::iscas_default(5));
         assert!(p.ppa_overhead.power_pct.is_finite());
         assert!(p.ppa_overhead.delay_pct.is_finite());
         assert!(p.ppa.power_uw > 0.0);
@@ -429,8 +422,8 @@ mod tests {
     #[test]
     fn flow_is_deterministic() {
         let n = c17();
-        let a = protect(&n, &FlowConfig::iscas_default(6));
-        let b = protect(&n, &FlowConfig::iscas_default(6));
+        let a = protect_serial(&n, &FlowConfig::iscas_default(6));
+        let b = protect_serial(&n, &FlowConfig::iscas_default(6));
         assert_eq!(a.randomization.swaps, b.randomization.swaps);
         assert_eq!(a.ppa.delay_ps, b.ppa.delay_ps);
         assert_eq!(
@@ -443,14 +436,14 @@ mod tests {
 #[cfg(test)]
 mod pins {
     //! Byte pins of the protection flow and naive lifting on generated
-    //! ISCAS designs: the designs must not move a byte whether a flow
-    //! lays the original netlist out itself or takes that layout from
-    //! its caller.
+    //! ISCAS designs, both built over one original layout.
 
     use super::*;
     use crate::baselines::{naive_lifting, original_layout};
     use sm_benchgen::iscas::{self, IscasProfile};
     use sm_codec::{encode_to_vec, frame::fnv1a};
+    use sm_exec::phase::Recorder;
+    use sm_exec::Budget;
 
     /// `(design, seed, fnv1a(protect), fnv1a(naive_lifting))`.
     const PINS: [(&str, u64, u64, u64); 4] = [
@@ -468,39 +461,31 @@ mod pins {
         iscas::generate(&profile, seed)
     }
 
+    /// The pinned bytes, plus what the flow does with the baseline it is
+    /// given: it stores that layout unchanged and records only its own
+    /// spans.
     #[test]
     fn protect_and_naive_lifting_bytes_are_pinned() {
+        let exec = Budget::with_threads(Some(2));
         for (name, seed, protect_fnv, lift_fnv) in PINS {
             let n = design(name, seed);
             let cfg = FlowConfig::iscas_default(seed);
-            let p = protect(&n, &cfg);
+            let baseline =
+                original_layout(&n, cfg.utilization, cfg.seed, &exec, &mut Recorder::new());
+            let mut rec = Recorder::new();
+            let p = protect(&n, &cfg, &baseline, &exec, &mut rec);
             let lifted = naive_lifting(
                 &n,
+                &baseline,
                 &p.protected_nets(),
                 cfg.lift_layer,
-                cfg.utilization,
                 seed,
+                &exec,
             );
             assert_eq!(fnv1a(&encode_to_vec(&p)), protect_fnv, "{name} seed {seed}");
             assert_eq!(
                 fnv1a(&encode_to_vec(&lifted)),
                 lift_fnv,
-                "{name} seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn protect_with_a_prebuilt_baseline_equals_protect() {
-        for (name, seed, _, _) in PINS {
-            let n = design(name, seed);
-            let cfg = FlowConfig::iscas_default(seed);
-            let baseline = original_layout(&n, cfg.utilization, cfg.seed);
-            let mut rec = sm_exec::phase::Recorder::new();
-            let p = protect_with(&n, &cfg, &baseline, &sm_exec::Budget::default(), &mut rec);
-            assert_eq!(
-                encode_to_vec(&p),
-                encode_to_vec(&protect(&n, &cfg)),
                 "{name} seed {seed}"
             );
             assert_eq!(

@@ -22,13 +22,20 @@
 //! # Example
 //!
 //! ```
-//! use sm_netlist::{Library, parse::bench};
+//! use sm_core::baselines::original_layout;
 //! use sm_core::flow::{protect, FlowConfig};
+//! use sm_exec::{phase::Recorder, Budget};
+//! use sm_netlist::{Library, parse::bench};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let lib = Library::nangate45();
 //! let netlist = bench::parse_bench("c17", bench::C17_BENCH, &lib)?;
-//! let protected = protect(&netlist, &FlowConfig::iscas_default(1));
+//! let config = FlowConfig::iscas_default(1);
+//! // One budget and one span recorder for every stage.
+//! let exec = Budget::with_threads(Some(2));
+//! let mut rec = Recorder::new();
+//! let original = original_layout(&netlist, config.utilization, config.seed, &exec, &mut rec);
+//! let protected = protect(&netlist, &config, &original, &exec, &mut rec);
 //! assert!(protected.randomization.oer_achieved > 0.5);
 //! # Ok(())
 //! # }

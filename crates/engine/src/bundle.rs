@@ -2,9 +2,10 @@
 //!
 //! A *bundle* is a fully-processed benchmark — netlist plus original /
 //! naively-lifted / protected layouts — that several tables and figures
-//! consume. Building one dominates campaign wall-clock, which is why the
-//! engine caches bundles content-keyed (see [`crate::cache`]) and shares
-//! them between jobs.
+//! consume. Building one dominates campaign wall-clock, which is why
+//! bundles are built only through the content-keyed cache
+//! ([`ArtifactCache::iscas`], [`ArtifactCache::superblue`]), inside the
+//! requester's budget, and shared between jobs.
 //!
 //! They live in the engine, not next to the experiment definitions,
 //! so the engine can own caching without depending on the experiments
@@ -12,48 +13,14 @@
 
 use sm_benchgen::iscas::{self, IscasProfile};
 use sm_benchgen::superblue::{self, SuperblueProfile};
-use sm_codec::{Decode, Encode};
-use sm_core::baselines::{naive_lifting_with, original_layout_with};
-use sm_core::flow::{protect_with, BaselineLayout, FlowConfig, ProtectedDesign};
+use sm_core::baselines::{naive_lifting, original_layout};
+use sm_core::flow::{protect, BaselineLayout, FlowConfig, ProtectedDesign};
 use sm_exec::phase::Recorder;
 use sm_exec::Budget;
 use sm_netlist::{NetId, Netlist};
 
-use crate::cache::BundleKey;
+use crate::cache::{ArtifactCache, BundleKey};
 use crate::store::Stage;
-
-/// Where staged assembly obtains each pipeline stage: the cache's
-/// store-backed fetcher, or [`BuildAll`] for storeless builds.
-///
-/// Stage artifacts round-trip bit-identically through the store codecs,
-/// so any mix of decoded and freshly-built stages assembles into the
-/// same bundle a from-scratch build produces.
-pub trait StageSource: Sync {
-    /// Fetches (or builds, persisting the result) the artifact of
-    /// `stage` stored under `id`, returning it plus whether it had to
-    /// be built.
-    fn fetch_stage<T: Encode + Decode>(
-        &self,
-        stage: Stage,
-        id: &str,
-        build: impl FnOnce() -> T,
-    ) -> (T, bool);
-}
-
-/// A [`StageSource`] with no storage behind it: every stage builds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BuildAll;
-
-impl StageSource for BuildAll {
-    fn fetch_stage<T: Encode + Decode>(
-        &self,
-        _stage: Stage,
-        _id: &str,
-        build: impl FnOnce() -> T,
-    ) -> (T, bool) {
-        (build(), true)
-    }
-}
 
 /// One fully-processed superblue-class benchmark: original, naively lifted
 /// and proposed (protected) layouts, sharing the protected-net set so the
@@ -75,20 +42,9 @@ pub struct SuperblueRun {
 }
 
 impl SuperblueRun {
-    /// Builds the three layouts for `profile` at the given scale, with
-    /// the process-global thread budget and no store.
-    ///
-    /// The original layout builds first: the protection flow charges
-    /// its PPA against it, and naive lifting re-routes its placement
-    /// with the protected-net set lifted, so the original netlist is
-    /// placed and routed once per bundle.
-    pub fn build(profile: &SuperblueProfile, scale: usize, seed: u64) -> SuperblueRun {
-        let exec = Budget::default();
-        Self::assemble_with(profile, scale, seed, &exec, &BuildAll, &mut Recorder::new()).0
-    }
-
-    /// Assembles the bundle stage by stage through `source`: each stage
-    /// is fetched (decoded from the store) or built and persisted
+    /// Assembles the bundle for `profile` at the given scale stage by
+    /// stage through `cache` ([`ArtifactCache::fetch_stage`]): each
+    /// stage is decoded from the store or built and persisted
     /// independently, so a store missing only one stage rebuilds only
     /// that stage. Returns the run plus whether *any* stage was built.
     ///
@@ -96,18 +52,19 @@ impl SuperblueRun {
     /// whole of `exec`: the protect and lift builders take the
     /// place+route stage's layout (built or decoded — the codecs round
     /// trip bit-identically) instead of laying the original netlist out
-    /// again. The protected-net set is recomputed from the protected
+    /// again, so the original netlist is placed and routed once per
+    /// bundle. The protected-net set is recomputed from the protected
     /// design (it is derived data, not a persisted stage).
     ///
     /// Stages that build record their phase spans into `rec`, in stage
     /// order (`original-place*`, then `protect-*`); fetched stages
     /// record nothing, and the lift stage places nothing.
-    pub fn assemble_with(
+    pub(crate) fn assemble(
         profile: &SuperblueProfile,
         scale: usize,
         seed: u64,
         exec: &Budget,
-        source: &impl StageSource,
+        cache: &ArtifactCache,
         rec: &mut Recorder,
     ) -> (SuperblueRun, bool) {
         let id = BundleKey::Superblue {
@@ -116,7 +73,7 @@ impl SuperblueRun {
             seed,
         }
         .id();
-        let (netlist, n_built) = source.fetch_stage(Stage::Netlist, &id, || {
+        let (netlist, n_built) = cache.fetch_stage(Stage::Netlist, &id, || {
             superblue::generate(profile, scale, seed)
         });
         let util = profile.utilization();
@@ -124,15 +81,15 @@ impl SuperblueRun {
             utilization: util,
             ..FlowConfig::superblue_default(seed)
         };
-        let (original, o_built) = source.fetch_stage(Stage::Layout, &id, || {
-            original_layout_with(&netlist, util, seed, exec, rec)
+        let (original, o_built) = cache.fetch_stage(Stage::Layout, &id, || {
+            original_layout(&netlist, util, seed, exec, rec)
         });
-        let (protected, p_built) = source.fetch_stage(Stage::Protect, &id, || {
-            protect_with(&netlist, &config, &original, exec, rec)
+        let (protected, p_built) = cache.fetch_stage(Stage::Protect, &id, || {
+            protect(&netlist, &config, &original, exec, rec)
         });
         let protected_nets = protected.protected_nets();
-        let (lifted, l_built) = source.fetch_stage(Stage::Lift, &id, || {
-            naive_lifting_with(
+        let (lifted, l_built) = cache.fetch_stage(Stage::Lift, &id, || {
+            naive_lifting(
                 &netlist,
                 &original,
                 &protected_nets,
@@ -169,23 +126,15 @@ pub struct IscasRun {
 }
 
 impl IscasRun {
-    /// Builds the layouts for `profile` with the process-global thread
-    /// budget and no store. As with [`SuperblueRun::build`], the
-    /// original layout builds first and the protection flow reuses it.
-    pub fn build(profile: &IscasProfile, seed: u64) -> IscasRun {
-        let exec = Budget::default();
-        Self::assemble_with(profile, seed, &exec, &BuildAll, &mut Recorder::new()).0
-    }
-
-    /// Assembles the bundle stage by stage through `source` (see
-    /// [`SuperblueRun::assemble_with`], including the stage chain and
+    /// Assembles the bundle for `profile` stage by stage through `cache`
+    /// (see [`SuperblueRun::assemble`], including the stage chain and
     /// the phase-span recording contract). Returns the run plus whether
     /// any stage was built.
-    pub fn assemble_with(
+    pub(crate) fn assemble(
         profile: &IscasProfile,
         seed: u64,
         exec: &Budget,
-        source: &impl StageSource,
+        cache: &ArtifactCache,
         rec: &mut Recorder,
     ) -> (IscasRun, bool) {
         let id = BundleKey::Iscas {
@@ -194,13 +143,13 @@ impl IscasRun {
         }
         .id();
         let (netlist, n_built) =
-            source.fetch_stage(Stage::Netlist, &id, || iscas::generate(profile, seed));
+            cache.fetch_stage(Stage::Netlist, &id, || iscas::generate(profile, seed));
         let config = FlowConfig::iscas_default(seed);
-        let (original, o_built) = source.fetch_stage(Stage::Layout, &id, || {
-            original_layout_with(&netlist, config.utilization, seed, exec, rec)
+        let (original, o_built) = cache.fetch_stage(Stage::Layout, &id, || {
+            original_layout(&netlist, config.utilization, seed, exec, rec)
         });
-        let (protected, p_built) = source.fetch_stage(Stage::Protect, &id, || {
-            protect_with(&netlist, &config, &original, exec, rec)
+        let (protected, p_built) = cache.fetch_stage(Stage::Protect, &id, || {
+            protect(&netlist, &config, &original, exec, rec)
         });
         (
             IscasRun {
@@ -246,13 +195,18 @@ pub fn superblue_profile_by_name(name: &str) -> Option<SuperblueProfile> {
 mod tests {
     use super::*;
 
+    fn iscas(profile: &IscasProfile, seed: u64) -> std::sync::Arc<IscasRun> {
+        let exec = Budget::with_threads(Some(1));
+        ArtifactCache::new().iscas(profile, seed, &exec, &mut Recorder::new())
+    }
+
     /// Quick-mode smoke test: the ISCAS bundle builder produces a
     /// non-empty protected-net set and is deterministic for a fixed seed.
     #[test]
     fn iscas_run_is_nonempty_and_deterministic() {
         let profile = IscasProfile::c432();
-        let a = IscasRun::build(&profile, 5);
-        let b = IscasRun::build(&profile, 5);
+        let a = iscas(&profile, 5);
+        let b = iscas(&profile, 5);
         let nets_a = a.protected.protected_nets();
         assert!(
             !nets_a.is_empty(),
@@ -278,8 +232,8 @@ mod tests {
     #[test]
     fn iscas_run_varies_with_seed() {
         let profile = IscasProfile::c432();
-        let a = IscasRun::build(&profile, 1);
-        let b = IscasRun::build(&profile, 2);
+        let a = iscas(&profile, 1);
+        let b = iscas(&profile, 2);
         assert_ne!(
             a.protected.randomization.swapped_connections(),
             b.protected.randomization.swapped_connections()
@@ -293,8 +247,11 @@ mod tests {
     fn superblue_run_is_nonempty_and_deterministic() {
         let profile = SuperblueProfile::superblue18();
         let scale = 400; // extra-small for the smoke test
-        let a = SuperblueRun::build(&profile, scale, 7);
-        let b = SuperblueRun::build(&profile, scale, 7);
+        let build = || {
+            let exec = Budget::with_threads(Some(1));
+            ArtifactCache::new().superblue(&profile, scale, 7, &exec, &mut Recorder::new())
+        };
+        let (a, b) = (build(), build());
         assert!(!a.protected_nets.is_empty());
         assert_eq!(a.protected_nets, b.protected_nets);
         assert_eq!(a.netlist.num_nets(), b.netlist.num_nets());

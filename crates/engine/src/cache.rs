@@ -51,13 +51,13 @@ use sm_exec::phase::Recorder;
 use sm_exec::Budget;
 use sm_layout::SplitLayout;
 
-use crate::bundle::{IscasRun, StageSource, SuperblueRun};
+use crate::bundle::{IscasRun, SuperblueRun};
 use crate::job::Job;
 use crate::journal::{Event, Journal};
 use crate::store::{ArtifactStore, Stage};
 
 /// The content key a bundle is cached (and persisted) under: exactly
-/// the build inputs of [`IscasRun::build`]/[`SuperblueRun::build`].
+/// the build inputs of [`ArtifactCache::iscas`]/[`ArtifactCache::superblue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BundleKey {
     /// An ISCAS-85-class bundle.
@@ -379,7 +379,7 @@ impl ArtifactCache {
         };
         self.fetch(slot, || {
             let start = std::time::Instant::now();
-            let (run, built) = IscasRun::assemble_with(profile, seed, exec, self, rec);
+            let (run, built) = IscasRun::assemble(profile, seed, exec, self, rec);
             if built {
                 self.note_bundle(&key, "build", start);
                 (run, Origin::Built)
@@ -412,7 +412,7 @@ impl ArtifactCache {
         };
         self.fetch(slot, || {
             let start = std::time::Instant::now();
-            let (run, built) = SuperblueRun::assemble_with(profile, scale, seed, exec, self, rec);
+            let (run, built) = SuperblueRun::assemble(profile, scale, seed, exec, self, rec);
             if built {
                 self.note_bundle(&key, "build", start);
                 (run, Origin::Built)
@@ -604,14 +604,16 @@ impl ArtifactCache {
         }
         stats
     }
-}
 
-impl StageSource for ArtifactCache {
-    /// Tiered stage fetch: store decode → build (persisting the result
-    /// when a store is attached). Every stage touch lands in the
-    /// per-stage counters and, when a journal is attached, as a
-    /// stage-level progress event.
-    fn fetch_stage<T: Encode + Decode>(
+    /// Fetches the artifact of `stage` stored under `id`, or builds it,
+    /// returning it plus whether it had to be built. Tiered: store
+    /// decode → build (persisting the result when a store is attached).
+    /// Every stage touch lands in the per-stage counters and, when a
+    /// journal is attached, as a stage-level progress event. Stage
+    /// artifacts round-trip bit-identically through the store codecs, so
+    /// any mix of decoded and freshly built stages assembles into the
+    /// same bundle a from-scratch build produces.
+    pub(crate) fn fetch_stage<T: Encode + Decode>(
         &self,
         stage: Stage,
         id: &str,

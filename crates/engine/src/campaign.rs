@@ -633,15 +633,15 @@ pub enum Scheduler {
     /// [`Budget::split`] share (`smctl sweep`/`resume`).
     Solo,
     /// A threaded work-stealing [`Fleet`]. Its workers run through
-    /// [`Budget::map`], so the pool counts them, each on a
-    /// [`Budget::handoff`] share (`smctl serve`).
+    /// [`Budget::map`], so the pool counts them, each on an equal
+    /// [`Budget::split`] share (`smctl serve`).
     Fleet {
         /// Fleet workers.
         workers: usize,
     },
     /// The deterministic fleet simulation: [`simulate_schedule`]
     /// partitions the jobs, and each simulated worker runs its share solo
-    /// under a [`Budget::handoff`] (`smctl serve --simulate`).
+    /// in the whole budget (`smctl serve --simulate`).
     Simulated(SimPlan),
 }
 
@@ -798,7 +798,7 @@ impl CampaignRun {
                     .iter()
                     .flat_map(|positions| {
                         let share: Vec<Job> = positions.iter().map(|&p| jobs[p].clone()).collect();
-                        run_solo(&share, &budget.handoff(budget.threads()), cache)
+                        run_solo(&share, budget, cache)
                     })
                     .collect();
                 (fresh, stats)
@@ -839,8 +839,8 @@ fn run_solo(jobs: &[Job], budget: &Budget, cache: &ArtifactCache) -> Vec<JobOutc
 }
 
 /// Runs `jobs` on a threaded `fleet`: its workers are [`Budget::map`]
-/// items, each pulling job positions from the shared fleet on a
-/// [`Budget::handoff`] share. A worker with nothing to run blocks on a
+/// items, each pulling job positions from the shared fleet on an equal
+/// [`Budget::split`] share. A worker with nothing to run blocks on a
 /// condvar until a job completes.
 fn run_fleet(
     jobs: &[Job],
@@ -850,11 +850,10 @@ fn run_fleet(
 ) -> (Vec<JobOutcome>, FleetStats) {
     const POISONED: &str = "a fleet worker panicked while scheduling";
     let workers: Vec<usize> = (0..fleet.workers()).collect();
-    let share = (budget.threads() / workers.len()).max(1);
+    let worker_budget = budget.split(workers.len());
     let fleet = Mutex::new(fleet);
     let progress = Condvar::new();
     let per_worker = budget.map(&workers, |_, &w| {
-        let worker_budget = budget.handoff(share);
         let mut outcomes = Vec::new();
         let mut state = fleet.lock().expect(POISONED);
         loop {

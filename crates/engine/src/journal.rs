@@ -480,7 +480,7 @@ pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
     frame::fnv1a(&encode_to_vec(spec))
 }
 
-/// An append-only journal writer. Cheap to share behind an [`Arc`];
+/// An append-only journal writer. Cheap to share behind an [`Arc`](std::sync::Arc);
 /// every [`Journal::record`] is one appended, checksummed frame followed
 /// by a flush, so a killed process loses at most the record being
 /// written (which the torn-tail truncation absorbs).

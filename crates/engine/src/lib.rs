@@ -4,11 +4,11 @@
 //! protect→place→route→split→attack bundles. This crate turns
 //! experiments into *data* and owns the machinery around them:
 //!
-//! * [`job`] — the [`Job`](job::Job) type (benchmark × seed × split layer
-//!   × attack) with deterministic per-job seed derivation;
-//! * [`bundle`] — the heavyweight layout bundles
-//!   ([`IscasRun`](bundle::IscasRun), [`SuperblueRun`](bundle::SuperblueRun))
-//!   every table consumes;
+//! * [`job`] — the [`Job`] type (benchmark × seed × split layer ×
+//!   attack) with deterministic per-job seed derivation;
+//! * [`bundle`] — the heavyweight layout bundles ([`IscasRun`],
+//!   [`SuperblueRun`]) every table consumes, assembled stage by stage
+//!   through the cache;
 //! * [`cache`] — a content-keyed artifact cache guaranteeing each
 //!   bundle is built exactly once per campaign, with refcounted release
 //!   once a bundle's last consuming job finishes;
@@ -20,8 +20,7 @@
 //!   (`smctl tail`/`events`) and crash-safe resume, with the canonical
 //!   report as a deterministic materialization of the log;
 //! * [`campaign`] — sweep expansion, the one campaign driver
-//!   ([`CampaignRun`](campaign::CampaignRun), whose
-//!   [`Scheduler`](campaign::Scheduler) runs jobs solo, on a threaded
+//!   ([`CampaignRun`], whose [`Scheduler`] runs jobs solo, on a threaded
 //!   fleet or on a simulated one) with deadline/cancellation (timed-out
 //!   jobs are a distinct outcome that `smctl resume` re-runs), seed-sweep
 //!   aggregation (mean/σ/min/max) and report assembly, including
@@ -31,15 +30,16 @@
 //!   that the codec, reports, CSV, aggregates and journal all read;
 //! * [`report`] — deterministic JSON/CSV emission (timings opt-in, so
 //!   canonical reports are byte-identical across runs);
-//! * [`serve`] — the long-running campaign service behind `smctl
-//!   serve`: a socket-facing coordinator with admission control and a
-//!   host-level work-stealing [`Fleet`](serve::Fleet), plus a
-//!   deterministic N-worker simulation whose merged reports are
-//!   byte-identical to a solo sweep.
+//! * [`serve`](mod@serve) — the long-running campaign service behind
+//!   `smctl serve`: a socket-facing coordinator with admission control
+//!   and a host-level work-stealing [`Fleet`], plus a deterministic
+//!   N-worker simulation whose merged reports are byte-identical to a
+//!   solo sweep.
 //!
 //! Campaigns run inside an `sm_exec` [`Budget`]: the campaign's thread
 //! allotment is divided among jobs, so nested parallel work shares one
-//! pool and output order stays independent of scheduling.
+//! pool and output order stays independent of scheduling. Phase spans
+//! go to an `sm_exec` [`Recorder`]; both are re-exported here.
 //!
 //! The `smctl` CLI (in `sm-bench`, next to the experiment definitions)
 //! sits on top of these primitives.
@@ -75,7 +75,7 @@ pub mod report;
 pub mod serve;
 pub mod store;
 
-pub use bundle::{iscas_selection, superblue_selection, IscasRun, StageSource, SuperblueRun};
+pub use bundle::{iscas_selection, superblue_selection, IscasRun, SuperblueRun};
 pub use cache::{ArtifactCache, BundleKey, CacheStats, SplitArm, StageStats};
 pub use campaign::{
     merge_reports, run_job, run_sweep_budgeted, Campaign, CampaignRun, JobOutcome, Scheduler,
@@ -89,6 +89,7 @@ pub use serve::{
     client_shutdown, client_status, client_submit, serve, simulate_schedule, Fleet, FleetStats,
     ServeConfig, ServiceStatus, SimPlan,
 };
+pub use sm_exec::phase::Recorder;
 pub use sm_exec::Budget;
 pub use store::{
     ArtifactStore, Stage, StageHealth, StageUsage, StoreHealth, StoreLock, StoreStats, StoreUsage,

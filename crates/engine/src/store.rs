@@ -233,7 +233,7 @@ impl ArtifactStore {
     }
 
     /// Takes the store's [`StoreLock`] for the lifetime of a service
-    /// coordinator, waiting up to [`LOCK_PATIENCE`], and flips this
+    /// coordinator, waiting up to `LOCK_PATIENCE` (5 s), and flips this
     /// handle into *coordinated* mode: while coordinated, maintenance
     /// sweeps ([`gc_to`](ArtifactStore::gc_to),
     /// [`clear`](ArtifactStore::clear)) run under the coordinator's
@@ -565,7 +565,7 @@ impl ArtifactStore {
     }
 
     /// Deletes every stored artifact (under the store's [`StoreLock`],
-    /// waiting up to [`LOCK_PATIENCE`] for a peer's sweep to finish;
+    /// waiting up to `LOCK_PATIENCE` (5 s) for a peer's sweep to finish;
     /// proceeds unlocked after that — explicit maintenance must not
     /// hang forever behind a wedged peer). Returns the number of files
     /// removed.

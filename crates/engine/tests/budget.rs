@@ -389,39 +389,3 @@ fn merge_reports_reassembles_sharded_sweeps() {
     assert!(err.contains("different sweep spec"), "{err}");
     assert!(merge_reports(Vec::new()).is_err());
 }
-
-/// `Budget::handoff` — the service's per-worker budget share — isolates
-/// cancellation downward only: cancelling a handed-off child never
-/// trips the campaign budget (one dead worker must not kill the
-/// fleet), while cancelling the parent still reaches every child.
-#[test]
-fn handoff_isolates_child_cancellation() {
-    let parent = Budget::with_threads(Some(2));
-    let a = parent.handoff(1);
-    let b = parent.handoff(1);
-    assert_eq!(a.threads(), 1);
-    assert!(
-        std::sync::Arc::ptr_eq(a.pool(), parent.pool()),
-        "handoff shares the pool"
-    );
-
-    // Child cancel stays contained.
-    a.cancel_token().cancel();
-    assert!(a.is_cancelled());
-    assert!(
-        !parent.is_cancelled(),
-        "a cancelled worker must not trip the campaign"
-    );
-    assert!(!b.is_cancelled(), "nor its sibling workers");
-
-    // Parent cancel reaches live children — even ones handed off first.
-    let c = parent.handoff(1);
-    parent.cancel_token().cancel();
-    assert!(parent.is_cancelled());
-    assert!(b.is_cancelled(), "campaign cancel reaches every worker");
-    assert!(c.is_cancelled());
-
-    // Zero-thread requests still yield a runnable (≥1 thread) share.
-    let floor = Budget::with_threads(Some(4)).handoff(0);
-    assert_eq!(floor.threads(), 1);
-}

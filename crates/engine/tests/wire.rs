@@ -14,10 +14,13 @@ use proptest::prelude::*;
 use sm_benchgen::iscas::IscasProfile;
 use sm_codec::frame::fnv1a;
 use sm_codec::{decode_from_slice, encode_to_vec, CodecError, Decode, Encode};
+use sm_core::baselines::original_layout;
 use sm_core::flow::{protect, FlowConfig, ProtectedDesign};
 use sm_engine::journal::{EventJob, MetricsSource, Provenance};
 use sm_engine::serve::{Request, Response, ServiceStatus};
-use sm_engine::{AttackKind, CacheStats, Event, IscasRun, JobMetrics, SweepSpec};
+use sm_engine::{
+    ArtifactCache, AttackKind, Budget, CacheStats, Event, JobMetrics, Recorder, SweepSpec,
+};
 use sm_layout::{split_layout, SplitLayout, VpinSide};
 use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
 use sm_netlist::{Driver, GateFn, Library, Netlist, Sink};
@@ -223,7 +226,8 @@ fn responses() -> Vec<(&'static str, Response)> {
 /// Every pinned encoding, by name.
 fn encodings() -> Vec<(String, Vec<u8>)> {
     let mut out = Vec::new();
-    let run = IscasRun::build(&IscasProfile::c432(), 1);
+    let exec = Budget::with_threads(Some(1));
+    let run = ArtifactCache::new().iscas(&IscasProfile::c432(), 1, &exec, &mut Recorder::new());
     out.push(("c432/netlist".to_string(), encode_to_vec(&run.netlist)));
     let erroneous = &run.protected.randomization.erroneous;
     for layer in 3..=5u8 {
@@ -557,7 +561,10 @@ fn arb_response() -> impl Strategy<Value = Response> {
 /// `layer`: small enough to try every prefix and flip of.
 fn c17_artifacts(seed: u64, layer: u8) -> (ProtectedDesign, SplitLayout, SplitLayout) {
     let n: Netlist = parse_bench("c17", C17_BENCH, &Library::nangate45()).unwrap();
-    let p = protect(&n, &FlowConfig::iscas_default(seed));
+    let config = FlowConfig::iscas_default(seed);
+    let (exec, mut rec) = (Budget::with_threads(Some(1)), Recorder::new());
+    let baseline = original_layout(&n, config.utilization, seed, &exec, &mut rec);
+    let p = protect(&n, &config, &baseline, &exec, &mut rec);
     let protected = split_layout(
         &p.randomization.erroneous,
         &p.placement,

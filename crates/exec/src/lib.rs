@@ -88,9 +88,6 @@ struct CancelInner {
     /// Remaining [`CancelToken::is_cancelled`] observations before the
     /// token trips (test-only fuse; `None` for ordinary tokens).
     fuse: Option<AtomicU64>,
-    /// Linked parent: a [`CancelToken::child`] token also reports
-    /// cancelled when any ancestor does.
-    parent: Option<Arc<CancelInner>>,
 }
 
 impl CancelInner {
@@ -106,12 +103,7 @@ impl CancelInner {
                 return true;
             }
         }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                return true;
-            }
-        }
-        self.parent.as_ref().is_some_and(|p| p.tripped())
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -134,7 +126,6 @@ impl CancelToken {
                 flag: AtomicBool::new(false),
                 deadline: None,
                 fuse: None,
-                parent: None,
             }),
         }
     }
@@ -146,24 +137,6 @@ impl CancelToken {
                 flag: AtomicBool::new(false),
                 deadline: Some(deadline),
                 fuse: None,
-                parent: None,
-            }),
-        }
-    }
-
-    /// A token linked *under* this one: cancelling the child leaves the
-    /// parent (and any siblings) running, while cancelling the parent —
-    /// or its deadline passing — still reaches every child. This is the
-    /// cancellation shape of host-level dispatch: killing one worker's
-    /// budget must not take the campaign down, but aborting the campaign
-    /// must stop every worker.
-    pub fn child(&self) -> CancelToken {
-        CancelToken {
-            inner: Arc::new(CancelInner {
-                flag: AtomicBool::new(false),
-                deadline: None,
-                fuse: None,
-                parent: Some(Arc::clone(&self.inner)),
             }),
         }
     }
@@ -182,7 +155,6 @@ impl CancelToken {
                 flag: AtomicBool::new(false),
                 deadline: None,
                 fuse: Some(AtomicU64::new(n)),
-                parent: None,
             }),
         }
     }
@@ -198,9 +170,8 @@ impl CancelToken {
     }
 
     /// `true` once [`CancelToken::cancel`] was called, the deadline
-    /// passed, a [`trip_after`](CancelToken::trip_after) fuse ran out,
-    /// or (for [`child`](CancelToken::child) tokens) any ancestor
-    /// cancelled.
+    /// passed, or a [`trip_after`](CancelToken::trip_after) fuse ran
+    /// out.
     pub fn is_cancelled(&self) -> bool {
         self.inner.tripped()
     }
@@ -742,15 +713,6 @@ impl Budget {
         }
     }
 
-    /// A budget of `threads` slots over an existing pool.
-    pub fn on_pool(pool: Arc<Pool>, threads: usize) -> Budget {
-        Budget {
-            threads: threads.clamp(1, pool.threads().max(1)).max(1),
-            pool,
-            cancel: CancelToken::new(),
-        }
-    }
-
     /// This budget's thread allotment.
     pub fn threads(&self) -> usize {
         self.threads
@@ -797,20 +759,6 @@ impl Budget {
             pool: Arc::clone(&self.pool),
             threads: (self.threads / children.max(1)).max(1),
             cancel: self.cancel.clone(),
-        }
-    }
-
-    /// Hands `threads` slots of this budget to a dispatched worker,
-    /// under a [*child*](CancelToken::child) cancellation token. Unlike
-    /// [`split`](Budget::split) — whose children share the parent token
-    /// — a handoff can be cancelled on its own (a dead or revoked worker
-    /// abandons its jobs as resumable placeholders) without touching the
-    /// campaign, while cancelling the campaign still stops every worker.
-    pub fn handoff(&self, threads: usize) -> Budget {
-        Budget {
-            pool: Arc::clone(&self.pool),
-            threads: threads.max(1),
-            cancel: self.cancel.child(),
         }
     }
 

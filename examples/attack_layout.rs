@@ -7,7 +7,6 @@
 
 use split_manufacturing::attacks::solution_space;
 use split_manufacturing::benchgen::iscas;
-use split_manufacturing::core::baselines::original_layout;
 use split_manufacturing::prelude::*;
 
 fn main() {
@@ -16,7 +15,9 @@ fn main() {
     let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
     let profile = IscasProfile::by_name(name).unwrap_or_else(IscasProfile::c880);
     let design = iscas::generate(&profile, seed);
-    let layout = original_layout(&design, 0.7, seed);
+    let exec = Budget::with_threads(None);
+    let mut rec = Recorder::new();
+    let layout = original_layout(&design, 0.7, seed, &exec, &mut rec);
     println!(
         "{}: {} gates placed on {:.0} µm² (no protection applied)",
         profile.name,
@@ -26,13 +27,16 @@ fn main() {
 
     for split_layer in [3u8, 4, 5] {
         let split = split_layout(&design, &layout.placement, &layout.routing, split_layer);
-        let out = network_flow_attack(
+        let out = network_flow_attack_budgeted(
             &design,
             &design,
             &layout.placement,
             &split,
             &ProximityConfig::default(),
-        );
+            &exec,
+            &mut rec,
+        )
+        .expect("the budget has no deadline");
         println!(
             "network-flow @ M{split_layer}: {} cut nets → CCR {:.1}%  OER {:.1}%  HD {:.1}%",
             split.cut_nets,

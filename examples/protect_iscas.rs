@@ -23,7 +23,11 @@ fn main() {
         profile.name, profile.gates, profile.inputs, profile.outputs, profile.depth
     );
 
-    let protected = protect(&design, &FlowConfig::iscas_default(seed));
+    let exec = Budget::with_threads(None);
+    let mut rec = Recorder::new();
+    let config = FlowConfig::iscas_default(seed);
+    let original = original_layout(&design, config.utilization, seed, &exec, &mut rec);
+    let protected = protect(&design, &config, &original, &exec, &mut rec);
     println!(
         "randomized {} nets via {} swaps (OER {:.1}%)",
         protected.protected_nets().len(),
@@ -45,13 +49,16 @@ fn main() {
             &protected.feol_routing,
             split_layer,
         );
-        let out = network_flow_attack(
+        let out = network_flow_attack_budgeted(
             &design,
             &protected.randomization.erroneous,
             &protected.placement,
             &split,
             &ProximityConfig::default(),
-        );
+            &exec,
+            &mut rec,
+        )
+        .expect("the budget has no deadline");
         let ccr = ccr_over_connections(&split, &out.pairs, &swapped);
         println!(
             "split M{split_layer}: {} cut nets, CCR(protected) {:.1}%, OER {:.1}%, HD {:.1}%",

@@ -19,9 +19,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         design.output_ports().len()
     );
 
-    // Protect it: randomize until OER ≈ 100%, place & route the erroneous
-    // netlist, embed correction cells in M6, restore in the BEOL.
-    let protected = protect(&design, &FlowConfig::iscas_default(42));
+    // One thread budget (machine parallelism) bounds every stage below;
+    // one recorder collects their phase timings.
+    let exec = Budget::with_threads(None);
+    let mut rec = Recorder::new();
+
+    // Protect it against its original layout: randomize until OER ≈ 100%,
+    // place & route the erroneous netlist, embed correction cells in M6,
+    // restore in the BEOL.
+    let config = FlowConfig::iscas_default(42);
+    let original = original_layout(&design, config.utilization, config.seed, &exec, &mut rec);
+    let protected = protect(&design, &config, &original, &exec, &mut rec);
     println!(
         "randomization: {} swaps, OER {:.1}%, HD {:.1}%",
         protected.randomization.swaps.len(),
@@ -45,13 +53,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &protected.feol_routing,
         4,
     );
-    let outcome = network_flow_attack(
+    let outcome = network_flow_attack_budgeted(
         &design,
         &protected.randomization.erroneous,
         &protected.placement,
         &split,
         &ProximityConfig::default(),
-    );
+        &exec,
+        &mut rec,
+    )
+    .expect("the budget has no deadline");
     let swapped = protected.randomization.swapped_connections();
     let ccr_protected = ccr_over_connections(&split, &outcome.pairs, &swapped);
     println!(

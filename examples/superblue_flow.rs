@@ -7,7 +7,7 @@
 //! ```
 
 use split_manufacturing::benchgen::superblue;
-use split_manufacturing::core::baselines::{naive_lifting, original_layout};
+use split_manufacturing::core::baselines::naive_lifting;
 use split_manufacturing::layout::analysis::{distance_stats, driver_sink_distances_um};
 use split_manufacturing::prelude::*;
 
@@ -27,11 +27,16 @@ fn main() {
         profile.nets
     );
 
+    // One layout of the original netlist serves the protection flow's
+    // overhead accounting, the naive-lifting baseline and Table 1.
+    let exec = Budget::with_threads(None);
+    let mut rec = Recorder::new();
     let config = FlowConfig {
         utilization: profile.utilization(),
         ..FlowConfig::superblue_default(seed)
     };
-    let protected = protect(&design, &config);
+    let original = original_layout(&design, config.utilization, seed, &exec, &mut rec);
+    let protected = protect(&design, &config, &original, &exec, &mut rec);
     let nets = protected.protected_nets();
     println!(
         "protected {} nets through {} M8 correction cells; PPA overhead: {}",
@@ -41,14 +46,7 @@ fn main() {
     );
 
     // Distances between truly connected gates (Table 1's story).
-    let original = original_layout(&design, profile.utilization(), seed);
-    let lifted = naive_lifting(
-        &design,
-        &nets,
-        config.lift_layer,
-        profile.utilization(),
-        seed,
-    );
+    let lifted = naive_lifting(&design, &original, &nets, config.lift_layer, seed, &exec);
     let d_orig = distance_stats(driver_sink_distances_um(
         &design,
         &original.placement,

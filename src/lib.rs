@@ -33,25 +33,36 @@
 //! let lib = Library::nangate45();
 //! let design = parse_bench("c17", C17_BENCH, &lib)?;
 //!
-//! // 2. Run the protection flow: randomize, place & route the erroneous
-//! //    netlist, lift through correction cells, restore in the BEOL.
-//! let protected = protect(&design, &FlowConfig::iscas_default(42));
+//! // 2. One thread budget bounds every stage below; one recorder times
+//! //    their phases.
+//! let exec = Budget::with_threads(Some(2));
+//! let mut rec = Recorder::new();
+//!
+//! // 3. Lay out the original netlist, then run the protection flow
+//! //    against it: randomize, place & route the erroneous netlist,
+//! //    lift through correction cells, restore in the BEOL.
+//! let config = FlowConfig::iscas_default(42);
+//! let original = original_layout(&design, config.utilization, config.seed, &exec, &mut rec);
+//! let protected = protect(&design, &config, &original, &exec, &mut rec);
 //! assert_eq!(protected.ppa_overhead.area_pct, 0.0); // zero area cost
 //!
-//! // 3. Attack the FEOL the untrusted fab would see.
+//! // 4. Attack the FEOL the untrusted fab would see.
 //! let split = split_layout(
 //!     &protected.randomization.erroneous,
 //!     &protected.placement,
 //!     &protected.feol_routing,
 //!     4,
 //! );
-//! let outcome = network_flow_attack(
+//! let outcome = network_flow_attack_budgeted(
 //!     &design,
 //!     &protected.randomization.erroneous,
 //!     &protected.placement,
 //!     &split,
 //!     &ProximityConfig::default(),
-//! );
+//!     &exec,
+//!     &mut rec,
+//! )
+//! .expect("the budget has no deadline");
 //! // The randomized nets are never recovered correctly.
 //! # let _ = outcome;
 //! # Ok(())
@@ -70,10 +81,15 @@ pub use sm_sim as sim;
 
 /// The types most workflows need, in one import.
 pub mod prelude {
-    pub use sm_attacks::{crouting_attack, network_flow_attack, CroutingConfig, ProximityConfig};
+    pub use sm_attacks::{
+        crouting_attack, network_flow_attack_budgeted, CroutingConfig, ProximityConfig,
+    };
     pub use sm_benchgen::{IscasProfile, SuperblueProfile};
+    pub use sm_core::baselines::original_layout;
     pub use sm_core::{protect, FlowConfig, ProtectedDesign, RandomizeConfig};
-    pub use sm_engine::{run_sweep_budgeted, ArtifactCache, AttackKind, Budget, SweepSpec};
+    pub use sm_engine::{
+        run_sweep_budgeted, ArtifactCache, AttackKind, Budget, Recorder, SweepSpec,
+    };
     pub use sm_layout::{
         split_layout, Floorplan, PlacementEngine, RouteOptions, Router, Technology,
     };

@@ -2,13 +2,46 @@
 //! split → attack → score, asserting the paper's qualitative claims.
 
 use split_manufacturing::attacks::{
-    ccr_over_connections, crouting_attack, network_flow_attack, CroutingConfig, ProximityConfig,
+    ccr_over_connections, crouting_attack, network_flow_attack_budgeted, AttackOutcome,
+    CroutingConfig, ProximityConfig,
 };
 use split_manufacturing::benchgen::iscas::{self, IscasProfile};
 use split_manufacturing::core::baselines::original_layout;
-use split_manufacturing::core::{protect, FlowConfig};
-use split_manufacturing::layout::split_layout;
+use split_manufacturing::core::flow::BaselineLayout;
+use split_manufacturing::core::{protect, FlowConfig, ProtectedDesign};
+use split_manufacturing::engine::{Budget, Recorder};
+use split_manufacturing::layout::{split_layout, Placement, SplitLayout};
+use split_manufacturing::netlist::Netlist;
 use split_manufacturing::sim::equiv::{check, Equivalence};
+
+fn exec() -> Budget {
+    Budget::with_threads(Some(2))
+}
+
+/// The original layout at the ISCAS flow's utilization.
+fn original(design: &Netlist, seed: u64) -> BaselineLayout {
+    let utilization = FlowConfig::iscas_default(seed).utilization;
+    original_layout(design, utilization, seed, &exec(), &mut Recorder::new())
+}
+
+/// The ISCAS protection flow over [`original`].
+fn protected(design: &Netlist, seed: u64) -> ProtectedDesign {
+    let config = FlowConfig::iscas_default(seed);
+    let baseline = original(design, seed);
+    protect(design, &config, &baseline, &exec(), &mut Recorder::new())
+}
+
+fn attack(
+    golden: &Netlist,
+    placed: &Netlist,
+    placement: &Placement,
+    split: &SplitLayout,
+) -> AttackOutcome {
+    let config = ProximityConfig::default();
+    let mut rec = Recorder::new();
+    network_flow_attack_budgeted(golden, placed, placement, split, &config, &exec(), &mut rec)
+        .expect("the budget has no deadline")
+}
 
 /// The headline claim (Tables 4/5): none of the randomized connections is
 /// recovered, while the restored netlist is formally equivalent to the
@@ -17,7 +50,7 @@ use split_manufacturing::sim::equiv::{check, Equivalence};
 fn protected_design_yields_zero_ccr_and_equivalent_restoration() {
     let profile = IscasProfile::c432();
     let design = iscas::generate(&profile, 11);
-    let protected = protect(&design, &FlowConfig::iscas_default(11));
+    let protected = protected(&design, 11);
 
     // Restoration is exact.
     assert_eq!(
@@ -35,12 +68,11 @@ fn protected_design_yields_zero_ccr_and_equivalent_restoration() {
             &protected.feol_routing,
             split_layer,
         );
-        let out = network_flow_attack(
+        let out = attack(
             &design,
             &protected.randomization.erroneous,
             &protected.placement,
             &split,
-            &ProximityConfig::default(),
         );
         let ccr = ccr_over_connections(&split, &out.pairs, &swapped);
         assert!(
@@ -59,17 +91,11 @@ fn protected_design_yields_zero_ccr_and_equivalent_restoration() {
 #[test]
 fn unprotected_layout_leaks_majority_of_connections() {
     let design = iscas::generate(&IscasProfile::c432(), 11);
-    let layout = original_layout(&design, 0.7, 11);
+    let layout = original(&design, 11);
     let mut avg_ccr = 0.0;
     for split_layer in [3u8, 4, 5] {
         let split = split_layout(&design, &layout.placement, &layout.routing, split_layer);
-        let out = network_flow_attack(
-            &design,
-            &design,
-            &layout.placement,
-            &split,
-            &ProximityConfig::default(),
-        );
+        let out = attack(&design, &design, &layout.placement, &split);
         avg_ccr += out.ccr / 3.0;
     }
     assert!(
@@ -82,7 +108,7 @@ fn unprotected_layout_leaks_majority_of_connections() {
 #[test]
 fn ppa_cost_is_controlled() {
     let design = iscas::generate(&IscasProfile::c880(), 5);
-    let protected = protect(&design, &FlowConfig::iscas_default(5));
+    let protected = protected(&design, 5);
     assert_eq!(protected.ppa_overhead.area_pct, 0.0);
     assert!(
         protected.ppa_overhead.power_pct < 25.0,
@@ -100,7 +126,7 @@ fn ppa_cost_is_controlled() {
 #[test]
 fn correction_cells_are_paired_and_legal() {
     let design = iscas::generate(&IscasProfile::c432(), 3);
-    let protected = protect(&design, &FlowConfig::iscas_default(3));
+    let protected = protected(&design, 3);
     assert_eq!(
         protected.correction_cells.len(),
         protected.randomization.swaps.len() * 2
@@ -118,8 +144,8 @@ fn correction_cells_are_paired_and_legal() {
 #[test]
 fn crouting_faces_larger_solution_space_on_protected_layout() {
     let design = iscas::generate(&IscasProfile::c880(), 7);
-    let layout = original_layout(&design, 0.7, 7);
-    let protected = protect(&design, &FlowConfig::iscas_default(7));
+    let layout = original(&design, 7);
+    let protected = protected(&design, 7);
     let cfg = CroutingConfig::default();
 
     let split_orig = split_layout(&design, &layout.placement, &layout.routing, 5);
@@ -156,8 +182,8 @@ fn crouting_faces_larger_solution_space_on_protected_layout() {
 #[test]
 fn pipeline_is_deterministic() {
     let design = iscas::generate(&IscasProfile::c432(), 2);
-    let a = protect(&design, &FlowConfig::iscas_default(2));
-    let b = protect(&design, &FlowConfig::iscas_default(2));
+    let a = protected(&design, 2);
+    let b = protected(&design, 2);
     assert_eq!(a.randomization.swaps, b.randomization.swaps);
     assert_eq!(
         a.feol_routing.via_counts().total(),
