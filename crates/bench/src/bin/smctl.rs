@@ -199,14 +199,16 @@ BENCH:
     full slack math (delta, ratio, limit derivation).
 
 STORE:
-    run/sweep/resume persist every pipeline stage (netlists, place+route
-    layouts, protected designs, lifted layouts, FEOL splits) and job
-    outcomes under .sm-store/ by default, LZ-compressed; --store DIR
-    relocates it, --no-store disables it, --store-cap SIZE (bytes, or
-    K/M/G) bounds it with LRU eviction. Concurrent invocations sharing
-    one store coordinate eviction through a lock file, so one cap
-    governs them all; `store stats` breaks usage down per stage and
-    reports the compression ratio, `store gc` honors the same lock.
+    run/sweep/resume persist every bundle stage (netlists, place+route
+    layouts, protected designs, lifted layouts) and job outcomes under
+    .sm-store/ by default, LZ-compressed; FEOL splits are derived in
+    memory, never stored (stats, gc, clear and doctor still count and
+    remove an older store's splits/ frames). --store DIR relocates it,
+    --no-store disables it, --store-cap SIZE (bytes, or K/M/G) bounds
+    it with LRU eviction. Concurrent invocations sharing one store
+    coordinate eviction through a lock file, so one cap governs them
+    all; `store stats` breaks usage down per stage and reports the
+    compression ratio, `store gc` honors the same lock.
     `store doctor` scans every frame, reports per-stage valid/legacy/
     corrupt counts and moves corrupt frames to `quarantine/` (legacy
     v1 bundles are counted but left in place).

@@ -1,11 +1,11 @@
 //! Content-keyed artifact cache for layout bundles: an in-memory tier
 //! with an optional disk tier underneath.
 //!
-//! Building an [`IscasRun`]/[`SuperblueRun`] (protect → place → route →
-//! split) dominates campaign cost; every table that consumes the same
-//! benchmark+seed shares one bundle. The cache is keyed by the exact
-//! build inputs ([`BundleKey`]: profile name, scale, seed) and
-//! guarantees **exactly one build per key** even when many worker
+//! Building an [`IscasRun`]/[`SuperblueRun`] (generate → place+route →
+//! protect → lift) dominates campaign cost; every table that consumes
+//! the same benchmark+seed shares one bundle. The cache is keyed by
+//! the exact build inputs ([`BundleKey`]: profile name, scale, seed)
+//! and guarantees **exactly one build per key** even when many worker
 //! threads request the same bundle concurrently: late arrivals block on
 //! the first builder's `OnceLock` instead of duplicating the work.
 //!
@@ -18,7 +18,8 @@
 //! Below each bundle sit two per-(bundle, arm, split layer) tiers:
 //!
 //! * **split views** ([`ArtifactCache::split`]) — the FEOL an attack
-//!   sees, also persisted as split-stage store artifacts;
+//!   sees, derived from the bundle's routed layout in memory and never
+//!   persisted (deriving one costs less than decoding a stored frame);
 //! * **flow assignments** ([`ArtifactCache::flow_assignment`]) — the
 //!   network-flow attack's connection guess (candidate scoring,
 //!   min-cost flow, loop-free reconstruction) for that FEOL. It reads
@@ -102,7 +103,9 @@ pub enum SplitArm {
 }
 
 impl SplitArm {
-    /// Stable identifier used in split-stage store keys.
+    /// Stable identifier of the arm in split-stage store keys. The
+    /// engine derives splits in memory and writes no such key; the
+    /// `splits/` frames of older stores carry them.
     pub fn id(&self) -> &'static str {
         match self {
             SplitArm::Protected => "prot",
@@ -116,7 +119,8 @@ impl SplitArm {
 /// reports built on them) stay unchanged by stage-keyed persistence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageStats {
-    /// Stage artifacts built, per stage.
+    /// Stage artifacts built, per stage; for [`Stage::Split`], views
+    /// derived in memory.
     pub builds: [u64; Stage::ALL.len()],
     /// Stage artifacts decoded from the store, per stage.
     pub decodes: [u64; Stage::ALL.len()],
@@ -423,15 +427,16 @@ impl ArtifactCache {
         })
     }
 
-    /// The split view of one arm of a bundle at `layer`, cached in
-    /// memory per (bundle, arm, layer) and persisted as its own
-    /// split-stage artifact — so the two attacks of one sweep point
-    /// share each split, and a new attack variant over a warm store
-    /// decodes splits instead of recomputing them.
+    /// The split view of one arm of a bundle at `layer`, derived by
+    /// `build` on first request and cached in memory per (bundle, arm,
+    /// layer), so the jobs at one sweep point share each split.
     ///
-    /// Splits are derived views: they count in the per-stage counters
-    /// only, never in the bundle-level [`CacheStats`], and their
-    /// in-memory entries drop after the last reserved job at their layer
+    /// A split is a pure function of its bundle's routed layout and the
+    /// layer, and deriving it costs less than decoding a stored frame,
+    /// so views never touch the store: no load, no write, no journal
+    /// event. Each derivation counts as a [`Stage::Split`] build in the
+    /// per-stage counters, never in the bundle-level [`CacheStats`].
+    /// Views drop after the last reserved job at their layer
     /// ([`ArtifactCache::release_job`]) or with their bundle
     /// ([`ArtifactCache::release`]).
     pub fn split(
@@ -446,9 +451,8 @@ impl ArtifactCache {
             Arc::clone(map.entry((*key, arm, layer)).or_default())
         };
         let value = slot.get_or_init(|| {
-            let id = format!("{}-{}-l{layer}", key.id(), arm.id());
-            let (split, _built) = self.fetch_stage(Stage::Split, &id, build);
-            Arc::new(split)
+            self.stage_builds[Stage::Split.index()].fetch_add(1, Ordering::Relaxed);
+            Arc::new(build())
         });
         Arc::clone(value)
     }

@@ -1,12 +1,15 @@
 //! Disk-backed artifact store: the persistent tier under the in-memory
 //! bundle cache.
 //!
-//! PR 2 persisted whole bundles; PR 7 splits the content key **per
-//! pipeline stage** (generate → place+route → protect → lift → split),
-//! so each stage's artifact lives in its own file under its own
-//! subdirectory and a bundle assembly rebuilds only the stages the store
-//! is missing. Finished job metrics persist alongside under `jobs/`.
-//! Payloads are LZ-compressed ([`sm_codec::lz`]) when that wins.
+//! The content key is split **per pipeline stage** (generate →
+//! place+route → protect → lift), so each stage's artifact lives in its
+//! own file under its own subdirectory and a bundle assembly rebuilds
+//! only the stages the store is missing. Finished job metrics persist
+//! alongside under `jobs/`. Payloads are LZ-compressed
+//! ([`sm_codec::lz`]) when that wins. Split views are not stored: the
+//! engine derives them in memory, which costs less than decoding a
+//! frame, and ignores the `splits/` frames older stores hold
+//! (maintenance still counts and removes them).
 //!
 //! Robustness rules, each covered by a test:
 //!
@@ -76,7 +79,12 @@ pub enum Stage {
     Protect,
     /// Naive-lifting baseline (superblue bundles only).
     Lift,
-    /// FEOL/BEOL split views, keyed by bundle × arm × split layer.
+    /// FEOL/BEOL split views, keyed by bundle × arm × split layer. The
+    /// engine derives them in memory and never reads or writes this
+    /// stage's frames; `store stats`, `gc`, `clear` and `doctor` still
+    /// count and remove the ones older stores hold, and
+    /// [`StageStats`](crate::cache::StageStats) counts derivations as
+    /// its builds.
     Split,
     /// Finished job metrics.
     Outcome,
@@ -439,9 +447,12 @@ impl ArtifactStore {
                 if let Some(cap) = self.cap_bytes {
                     // Capped stores may be shared with other processes,
                     // so the budget check measures real usage instead of
-                    // trusting a per-process running estimate; the scan
-                    // is a handful of directory reads.
-                    if self.usage().bytes > cap && self.gc_to(cap).is_none() {
+                    // trusting a per-process running estimate. It sums
+                    // the on-disk sizes eviction counts (legacy
+                    // `bundles/` included) from directory metadata,
+                    // opening no file.
+                    let bytes: u64 = self.entries().iter().map(|&(_, _, len)| len).sum();
+                    if bytes > cap && self.gc_to(cap).is_none() {
                         self.gc_skips.fetch_add(1, Ordering::Relaxed);
                     }
                 }

@@ -13,7 +13,7 @@ use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
 use sm_engine::job::AttackKind;
 use sm_engine::report::ReportOptions;
 use sm_engine::store::{ArtifactStore, Stage, StoreLock, STORE_MAGIC};
-use sm_engine::ArtifactCache;
+use sm_engine::{ArtifactCache, SplitArm};
 use sm_exec::Budget;
 use sm_netlist::Netlist;
 
@@ -87,15 +87,19 @@ fn warm_store_second_run_builds_nothing_and_matches_bytes() {
     let cold_cache = ArtifactCache::with_store(store_at(scratch.path()));
     let cold = run_sweep_budgeted(&spec, &exec, &cold_cache, None).unwrap();
     assert_eq!(cold.cache.builds, 1, "cold run builds the bundle once");
-    // Every pipeline stage persisted something: netlist, layout,
-    // protected design, and the per-(arm, layer) splits.
-    for stage in [Stage::Netlist, Stage::Layout, Stage::Protect, Stage::Split] {
+    // Every bundle stage persisted something: netlist, layout and
+    // protected design. Split views are derived in memory, never stored.
+    for stage in [Stage::Netlist, Stage::Layout, Stage::Protect] {
         assert!(
             fs::read_dir(scratch.path().join(stage.dir())).is_ok(),
             "{} artifacts persisted",
             stage.label()
         );
     }
+    assert!(
+        !scratch.path().join(Stage::Split.dir()).exists(),
+        "a cold run stores no split views"
+    );
 
     // Fresh cache + fresh store handle = a new process, same directory.
     let warm_store = store_at(scratch.path());
@@ -172,6 +176,54 @@ fn protect_and_lift_rebuild_over_a_decoded_layout() {
     );
     assert_eq!(stage_frames(scratch.path(), Stage::Protect), protected);
     assert_eq!(stage_frames(scratch.path(), Stage::Lift), lifted);
+}
+
+/// Split views are derived in memory and never read from or written
+/// to the store: over garbage `splits/` frames under the views' own
+/// keys, a rerun that lost its job outcomes derives each view once,
+/// reproduces the report byte for byte and leaves the frames as they
+/// were.
+#[test]
+fn stored_split_frames_are_neither_read_nor_written() {
+    let scratch = Scratch::new("splits");
+    let spec = SweepSpec {
+        split_layers: vec![3, 4],
+        ..tiny_spec()
+    };
+    let exec = Budget::with_threads(Some(2));
+    let cold_cache = ArtifactCache::with_store(store_at(scratch.path()));
+    let cold = run_sweep_budgeted(&spec, &exec, &cold_cache, None).unwrap();
+
+    let splits = scratch.path().join(Stage::Split.dir());
+    fs::create_dir_all(&splits).unwrap();
+    let key = spec.jobs().unwrap()[0].bundle_key();
+    let mut garbage = Vec::new();
+    for &layer in &spec.split_layers {
+        for arm in [SplitArm::Protected, SplitArm::Original] {
+            let path = splits.join(format!("{}-{}-l{layer}.art", key.id(), arm.id()));
+            let mut bytes = STORE_MAGIC.to_vec();
+            bytes.extend((0..64u8).map(|i| i ^ layer));
+            fs::write(&path, &bytes).unwrap();
+            garbage.push((path, bytes));
+        }
+    }
+    fs::remove_dir_all(scratch.path().join(Stage::Outcome.dir())).unwrap();
+
+    let cache = ArtifactCache::with_store(store_at(scratch.path()));
+    let rerun = run_sweep_budgeted(&spec, &exec, &cache, None).unwrap();
+    assert_eq!(rerun.cache.builds, 0, "the bundle decodes from the store");
+    let layers = spec.split_layers.len() as u64;
+    assert_eq!(rerun.stages.builds_of(Stage::Split), 2 * layers);
+    assert_eq!(rerun.stages.decodes_of(Stage::Split), 0);
+    let opts = ReportOptions::default();
+    assert_eq!(
+        cold.to_json(opts).render(),
+        rerun.to_json(opts).render(),
+        "canonical JSON must be byte-identical"
+    );
+    for (path, bytes) in &garbage {
+        assert_eq!(&fs::read(path).unwrap(), bytes, "{}", path.display());
+    }
 }
 
 /// Corrupted or truncated store files — now LZ-compressed frames — are
@@ -430,6 +482,43 @@ fn eviction_respects_the_size_budget() {
 
     assert!(capped.clear() > 0);
     assert_eq!(capped.usage().files, 0);
+}
+
+/// The size budget counts every file eviction may remove, legacy v1
+/// `bundles/` files included: a store over its cap only because of
+/// such a file evicts it at the next capped save.
+#[test]
+fn a_capped_save_evicts_a_legacy_bundle_over_the_cap() {
+    let scratch = Scratch::new("legacycap");
+    let profile = sm_benchgen::iscas::IscasProfile::c432();
+    let netlist = sm_benchgen::iscas::generate(&profile, 1);
+    let unbounded = store_at(scratch.path());
+    unbounded.save_stage(Stage::Netlist, "c432-c1", &netlist);
+    let one = unbounded.usage().bytes;
+    unbounded.clear();
+
+    let legacy = scratch.path().join("bundles").join("c432-s1.bundle");
+    fs::create_dir_all(legacy.parent().unwrap()).unwrap();
+    let mut v1 = STORE_MAGIC.to_vec();
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    v1.extend_from_slice(&[0x5a; 4096]);
+    fs::write(&legacy, &v1).unwrap();
+    fs::File::options()
+        .append(true)
+        .open(&legacy)
+        .unwrap()
+        .set_modified(std::time::SystemTime::UNIX_EPOCH)
+        .unwrap();
+
+    // The new frame fits the cap on its own; next to the legacy file
+    // it does not.
+    let capped = ArtifactStore::open(scratch.path(), Some(one + v1.len() as u64 / 2));
+    capped.save_stage(Stage::Netlist, "c432-c1", &netlist);
+    assert!(!legacy.exists(), "the legacy bundle is evicted");
+    assert_eq!(capped.stats().evictions, 1);
+    assert!(capped
+        .load_stage::<Netlist>(Stage::Netlist, "c432-c1")
+        .is_some());
 }
 
 /// Maintenance honors the store's lock: while a live peer holds it,
