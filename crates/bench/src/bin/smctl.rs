@@ -202,8 +202,10 @@ STORE:
     run/sweep/resume persist every bundle stage (netlists, place+route
     layouts, protected designs, lifted layouts) and job outcomes under
     .sm-store/ by default, LZ-compressed; FEOL splits are derived in
-    memory, never stored (stats, gc, clear and doctor still count and
-    remove an older store's splits/ frames). --store DIR relocates it,
+    memory, never stored (`store doctor` removes an older store's
+    splits/ frames). A warm run takes each bundle's original layout
+    from its protect frame and reads layouts/ only to rebuild a
+    missing protect stage. --store DIR relocates it,
     --no-store disables it, --store-cap SIZE (bytes, or K/M/G) bounds
     it with LRU eviction. Concurrent invocations sharing one store
     coordinate eviction through a lock file, so one cap governs them
@@ -211,7 +213,8 @@ STORE:
     compression ratio, `store gc` honors the same lock.
     `store doctor` scans every frame, reports per-stage valid/legacy/
     corrupt counts and moves corrupt frames to `quarantine/` (legacy
-    v1 bundles are counted but left in place).
+    v1 bundles are counted but left in place); it removes the unread
+    splits/ frames and says how many.
 
 JOURNAL:
     Store-backed sweeps append every lifecycle event (campaign/job
@@ -692,6 +695,12 @@ fn cmd_store(args: Args) -> Result<ExitCode, String> {
                 println!(
                     "  legacy v1 bundles/: {} file(s) (left in place; decoded never, gc'd by age)",
                     health.legacy_bundles
+                );
+            }
+            if health.splits_removed > 0 {
+                println!(
+                    "  splits/: removed {} unread frame(s) (split views are derived in memory)",
+                    health.splits_removed
                 );
             }
             // Corrupt frames are a diagnosis, not an error: they are

@@ -5,7 +5,10 @@
 //! the quick ISCAS selection plus down-scaled superblue18, each pushed
 //! through the pipeline stages the campaigns spend their wall-clock in
 //! — netlist generation, placement, routing, the protection flow over
-//! that prebuilt layout, FEOL/BEOL split, the network-flow attack —
+//! that prebuilt layout, FEOL/BEOL split, the network-flow attack, and
+//! a warm assembly of the benchmark's campaign bundle from a store that
+//! holds its frames (`bundle-decode`: frames decoded and their raw
+//! payload bytes) —
 //! plus five campaign stages: a quick campaign run four times against
 //! a fresh disk store (`campaign-cold`; `campaign-warm`;
 //! `campaign-journal`, warm with the campaign journal attached, gating
@@ -351,6 +354,49 @@ fn layout_stages(
     }
 }
 
+/// Times a warm assembly of one benchmark's campaign bundle
+/// (`bundle-decode`): `assemble` builds it once, untimed, into a
+/// private store, then each timed run asks a fresh cache over a fresh
+/// handle of that store for it, as a new process would. The `detail`
+/// counts the frames decoded and their raw (pre-compression) payload
+/// bytes; the private store holds this bundle's frames only, so both
+/// are exact.
+fn bundle_decode_stage(
+    stages: &mut Vec<StageSample>,
+    name: &str,
+    min_of: usize,
+    assemble: impl Fn(&ArtifactCache),
+) {
+    let dir = std::env::temp_dir().join(format!("sm-bench-decode-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || ArtifactCache::with_store(std::sync::Arc::new(ArtifactStore::open(&dir, None)));
+    assemble(&open());
+    // The cache comes back out, so dropping the bundle is not timed.
+    let (cache, wall) = timed_min(min_of, || {
+        let cache = open();
+        assemble(&cache);
+        cache
+    });
+    let decodes = cache.stage_stats();
+    let raw_bytes = ArtifactStore::open(&dir, None)
+        .usage()
+        .stages
+        .iter()
+        .filter(|&&(stage, _)| decodes.decodes_of(stage) > 0)
+        .map(|(_, usage)| usage.raw_bytes)
+        .sum();
+    let _ = std::fs::remove_dir_all(&dir);
+    stages.push(StageSample {
+        stage: "bundle-decode",
+        benchmark: name.to_string(),
+        wall_ms: wall,
+        detail: vec![
+            ("frames", decodes.decodes.iter().sum()),
+            ("raw_bytes", raw_bytes),
+        ],
+    });
+}
+
 /// Runs the full workload matrix.
 pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
     // One budget for every stage: the thread allotment the harness ran
@@ -370,6 +416,9 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
             &budget,
             || sm_benchgen::iscas::generate(&profile, cfg.seed),
         );
+        bundle_decode_stage(&mut stages, profile.name, cfg.min_of, |cache| {
+            cache.iscas(&profile, cfg.seed, &budget, &mut Recorder::new());
+        });
     }
     for profile in superblue_selection(true) {
         // Superblue benches both attacks: the flow stage is the
@@ -384,6 +433,9 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
             &budget,
             || sm_benchgen::superblue::generate(&profile, cfg.scale, cfg.seed),
         );
+        bundle_decode_stage(&mut stages, profile.name, cfg.min_of, |cache| {
+            cache.superblue(&profile, cfg.scale, cfg.seed, &budget, &mut Recorder::new());
+        });
     }
 
     // Quick campaign, cold then warm, against a private throwaway store:
@@ -828,6 +880,27 @@ mod tests {
         assert!(wall_of("attack-flow-mcmf") <= wall_of("attack-flow"));
         assert!(wall_of("attack-flow-assign") <= wall_of("attack-flow"));
         assert!(wall_of("attack-flow-eval") <= wall_of("attack-flow"));
+    }
+
+    /// `bundle-decode` times a warm assembly: an ISCAS bundle decodes
+    /// its netlist and protect frames (never `layouts/`), and the
+    /// fingerprint repeats exactly.
+    #[test]
+    fn bundle_decode_counts_the_frames_a_warm_assembly_reads() {
+        let profile = sm_benchgen::iscas::IscasProfile::c432();
+        let budget = Budget::with_threads(Some(2));
+        let sample = |min_of| {
+            let mut stages = Vec::new();
+            bundle_decode_stage(&mut stages, profile.name, min_of, |cache| {
+                cache.iscas(&profile, 1, &budget, &mut Recorder::new());
+            });
+            stages.pop().expect("one sample")
+        };
+        let (once, twice) = (sample(1), sample(2));
+        assert_eq!(once.stage, "bundle-decode");
+        assert_eq!(once.detail[0], ("frames", 2));
+        assert!(once.detail[1].1 > 0, "{:?}", once.detail);
+        assert_eq!(once.detail, twice.detail);
     }
 
     /// Regression lines carry the full slack math: delta, ratio, and

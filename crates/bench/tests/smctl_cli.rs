@@ -2,8 +2,9 @@
 //! (`CARGO_BIN_EXE_smctl`): every command rejects a flag it does not
 //! accept, a missing or empty value and an inline value on a switch,
 //! each with exit status 2; `--flag=v` means `--flag v`; repeated
-//! sweep-axis values collapse to their first occurrence; and a stdout
-//! whose reader has gone ends `smctl` quietly with exit status 0.
+//! sweep-axis values collapse to their first occurrence; a stdout
+//! whose reader has gone ends `smctl` quietly with exit status 0; and
+//! `store doctor` removes the `splits/` frames nothing reads.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -277,4 +278,35 @@ fn a_closed_stdout_ends_smctl_quietly() {
             stderr(&out)
         );
     }
+}
+
+/// `store doctor` removes the `splits/` frames nothing reads any more,
+/// says how many on stdout, and leaves other stages' files alone.
+#[test]
+fn store_doctor_removes_unread_split_frames() {
+    let scratch = Scratch::new("doctor-splits");
+    let st = scratch.path().join("st");
+    for dir in ["splits", "netlists"] {
+        std::fs::create_dir_all(st.join(dir)).unwrap();
+    }
+    for name in ["a-prot-l3.art", "a-orig-l3.art"] {
+        std::fs::write(st.join("splits").join(name), b"SMST split frame").unwrap();
+    }
+    // A foreign-version netlist frame: counted as legacy, never removed.
+    let mut legacy = b"SMST".to_vec();
+    legacy.extend_from_slice(&1u16.to_le_bytes());
+    std::fs::write(st.join("netlists").join("a.art"), &legacy).unwrap();
+
+    let out = smctl(&["store", "doctor", "--store", "st"], scratch.path());
+    assert_eq!(exit_code(&out), 0, "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("splits/: removed 2 unread frame(s)"),
+        "{stdout}"
+    );
+    assert_eq!(std::fs::read_dir(st.join("splits")).unwrap().count(), 0);
+    assert_eq!(
+        std::fs::read(st.join("netlists").join("a.art")).unwrap(),
+        legacy
+    );
 }

@@ -25,6 +25,18 @@
 //! decode validates or rebuilds: `Rect`, `Floorplan` and `Placement`
 //! reject shapes their constructors or users would panic on, `Library`
 //! rebuilds its name index and `Netlist` shares its decoded library.
+//!
+//! The primitives every declared field bottoms out in — [`Reader::take`],
+//! [`Reader::take_u8`], [`Reader::take_len`], [`Writer::put_bytes`],
+//! [`Writer::put_u8`] and the impls for the fixed-width integers,
+//! `usize`, `bool` and `f64` — are `#[inline]`, and so are the impls
+//! [`record!`] and [`tagged!`] emit. None of them is generic, so without
+//! the attribute a caller in another crate (every declaration lives in
+//! one) pays a function call per field. The attribute is used rather
+//! than link-time optimization because a profile setting reaches only
+//! the workspace that declares it: a package that builds these crates
+//! in a workspace of its own, as the campaign benchmark (`campbench/`)
+//! does, would decode without it.
 
 #![warn(missing_docs)]
 
@@ -90,11 +102,13 @@ impl Writer {
     }
 
     /// Appends raw bytes verbatim.
+    #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -120,6 +134,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
@@ -129,6 +144,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::UnexpectedEof`] if fewer than `n` bytes remain.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEof {
@@ -146,6 +162,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::UnexpectedEof`] at end of input.
+    #[inline]
     pub fn take_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
@@ -158,6 +175,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError`] on EOF or an implausible length.
+    #[inline]
     pub fn take_len(&mut self, min_element_size: usize) -> Result<usize, CodecError> {
         let raw = u64::decode(self)?;
         let len = usize::try_from(raw)
@@ -227,11 +245,13 @@ pub fn decode_from_slice<T: Decode>(bytes: &[u8]) -> Result<T, CodecError> {
 macro_rules! impl_fixed_int {
     ($($ty:ty),*) => {$(
         impl Encode for $ty {
+            #[inline]
             fn encode(&self, w: &mut Writer) {
                 w.put_bytes(&self.to_le_bytes());
             }
         }
         impl Decode for $ty {
+            #[inline]
             fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
                 let raw = r.take(std::mem::size_of::<$ty>())?;
                 Ok(<$ty>::from_le_bytes(raw.try_into().expect("exact take")))
@@ -259,11 +279,13 @@ impl_fixed_int!(u8, u16, u32, u64, i8, i16, i32, i64);
 macro_rules! record {
     ($ty:ident { $($field:ident),* $(,)? }) => {
         impl $crate::Encode for $ty {
+            #[inline]
             fn encode(&self, w: &mut $crate::Writer) {
                 $($crate::Encode::encode(&self.$field, w);)*
             }
         }
         impl $crate::Decode for $ty {
+            #[inline]
             fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::CodecError> {
                 Ok(Self { $($field: $crate::Decode::decode(r)?,)* })
             }
@@ -297,6 +319,7 @@ macro_rules! tagged {
             $({$($named:ident),*})?),* $(,)?
     }) => {
         impl $crate::Encode for $ty {
+            #[inline]
             fn encode(&self, w: &mut $crate::Writer) {
                 match self {
                     $(Self::$variant $(($($tuple),*))? $({$($named),*})? => {
@@ -308,6 +331,7 @@ macro_rules! tagged {
             }
         }
         impl $crate::Decode for $ty {
+            #[inline]
             fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::CodecError> {
                 Ok(match r.take_u8()? {
                     $($tag => Self::$variant
@@ -329,12 +353,14 @@ macro_rules! tagged {
 }
 
 impl Encode for usize {
+    #[inline]
     fn encode(&self, w: &mut Writer) {
         (*self as u64).encode(w);
     }
 }
 
 impl Decode for usize {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let raw = u64::decode(r)?;
         usize::try_from(raw)
@@ -343,12 +369,14 @@ impl Decode for usize {
 }
 
 impl Encode for bool {
+    #[inline]
     fn encode(&self, w: &mut Writer) {
         w.put_u8(*self as u8);
     }
 }
 
 impl Decode for bool {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.take_u8()? {
             0 => Ok(false),
@@ -359,12 +387,14 @@ impl Decode for bool {
 }
 
 impl Encode for f64 {
+    #[inline]
     fn encode(&self, w: &mut Writer) {
         self.to_bits().encode(w);
     }
 }
 
 impl Decode for f64 {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(f64::from_bits(u64::decode(r)?))
     }

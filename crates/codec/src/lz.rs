@@ -19,8 +19,17 @@
 //! The format is a plain LZSS token stream. A control byte holds eight
 //! flags, LSB first; flag 0 is a literal (one byte follows), flag 1 is a
 //! match (`u16` little-endian back-distance ≥ 1, then one byte encoding
-//! `length - MIN_MATCH`). Matches copy byte-at-a-time, so overlapping
-//! matches (distance < length) express runs, RLE-style.
+//! `length - MIN_MATCH`). A match means a byte-at-a-time copy, so
+//! overlapping matches (distance < length) express runs, RLE-style.
+//!
+//! Decoding is on the store's warm path (a warm campaign over the nine
+//! ISCAS designs inflates tens of megabytes), so [`decompress`] writes
+//! into a buffer with `SLACK` bytes past the expected length and copies
+//! matches at distance ≥ 8 in 8-byte words: a word then never reads a
+//! byte it is writing, so it produces exactly the byte-at-a-time
+//! result. Shorter distances keep the byte loop. The byte-at-a-time
+//! decoder stays in test builds as the oracle of a differential
+//! proptest.
 
 use crate::CodecError;
 
@@ -105,8 +114,20 @@ fn best_match(input: &[u8], pos: usize, table: &[usize]) -> (usize, usize) {
     (pos - candidate, len)
 }
 
+/// Bytes of slack past the expected output length in the decoder's
+/// buffer: a match copied in 8-byte words may write up to 7 bytes past
+/// its end, into space the next token overwrites or the final truncation
+/// drops.
+const SLACK: usize = 16;
+
 /// Decompresses a token stream produced by [`compress`], expecting
 /// exactly `expected_len` output bytes.
+///
+/// Matches at distance ≥ 8 copy in 8-byte words: each word reads only
+/// bytes produced before it, so overlapping matches still replicate
+/// runs. Shorter distances copy byte by byte. Every input yields the
+/// same bytes or the same error as a byte-at-a-time decoder (kept as
+/// the test oracle).
 ///
 /// # Errors
 ///
@@ -115,7 +136,12 @@ fn best_match(input: &[u8], pos: usize, table: &[usize]) -> (usize, usize) {
 /// than expected — corrupt store payloads must surface as misses, never
 /// as panics or wrong bytes.
 pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(expected_len);
+    // No token expands to more than MAX_MATCH bytes per input byte, so a
+    // hostile `expected_len` cannot size the buffer beyond what the
+    // input could produce.
+    let capacity = expected_len.min(input.len().saturating_mul(MAX_MATCH));
+    let mut out = vec![0u8; capacity + SLACK];
+    let mut len = 0;
     let mut pos = 0;
     while pos < input.len() {
         let control = input[pos];
@@ -125,55 +151,141 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
                 break;
             }
             if control & (1 << bit) == 0 {
-                out.push(input[pos]);
-                pos += 1;
-            } else {
-                let token = input
-                    .get(pos..pos + 3)
-                    .ok_or_else(|| CodecError::UnexpectedEof {
-                        at: pos,
-                        needed: 3 - (input.len() - pos),
-                    })?;
-                let distance =
-                    u16::from_le_bytes(token[..2].try_into().expect("exact slice")) as usize;
-                let len = MIN_MATCH + token[2] as usize;
-                pos += 3;
-                if distance == 0 || distance > out.len() {
-                    return Err(CodecError::Invalid(format!(
-                        "match distance {distance} at output byte {}",
-                        out.len()
-                    )));
+                if len == expected_len {
+                    return Err(overrun(expected_len));
                 }
-                if out.len() + len > expected_len {
+                out[len] = input[pos];
+                len += 1;
+                pos += 1;
+                continue;
+            }
+            let token = input
+                .get(pos..pos + 3)
+                .ok_or_else(|| CodecError::UnexpectedEof {
+                    at: pos,
+                    needed: 3 - (input.len() - pos),
+                })?;
+            let distance = u16::from_le_bytes([token[0], token[1]]) as usize;
+            let run = MIN_MATCH + token[2] as usize;
+            pos += 3;
+            if distance == 0 || distance > len {
+                return Err(CodecError::Invalid(format!(
+                    "match distance {distance} at output byte {len}"
+                )));
+            }
+            if len + run > expected_len {
+                return Err(overrun(expected_len));
+            }
+            let end = len + run;
+            if distance >= 8 {
+                // Each word's source ends at or before its destination.
+                let mut at = len;
+                while at < end {
+                    let word: [u8; 8] = out[at - distance..at - distance + 8]
+                        .try_into()
+                        .expect("8-byte window");
+                    out[at..at + 8].copy_from_slice(&word);
+                    at += 8;
+                }
+            } else {
+                for at in len..end {
+                    out[at] = out[at - distance];
+                }
+            }
+            len = end;
+        }
+    }
+    if len != expected_len {
+        return Err(CodecError::Invalid(format!(
+            "decompressed {len} bytes, expected {expected_len}"
+        )));
+    }
+    out.truncate(len);
+    Ok(out)
+}
+
+fn overrun(expected_len: usize) -> CodecError {
+    CodecError::Invalid(format!("output overruns expected length {expected_len}"))
+}
+
+/// The byte-at-a-time decoder [`decompress`] replaced, kept as the
+/// differential tests' oracle.
+#[cfg(test)]
+mod reference {
+    use super::MIN_MATCH;
+    use crate::CodecError;
+
+    pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::with_capacity(expected_len);
+        let mut pos = 0;
+        while pos < input.len() {
+            let control = input[pos];
+            pos += 1;
+            for bit in 0..8 {
+                if pos == input.len() {
+                    break;
+                }
+                if control & (1 << bit) == 0 {
+                    out.push(input[pos]);
+                    pos += 1;
+                } else {
+                    let token =
+                        input
+                            .get(pos..pos + 3)
+                            .ok_or_else(|| CodecError::UnexpectedEof {
+                                at: pos,
+                                needed: 3 - (input.len() - pos),
+                            })?;
+                    let distance =
+                        u16::from_le_bytes(token[..2].try_into().expect("exact slice")) as usize;
+                    let len = MIN_MATCH + token[2] as usize;
+                    pos += 3;
+                    if distance == 0 || distance > out.len() {
+                        return Err(CodecError::Invalid(format!(
+                            "match distance {distance} at output byte {}",
+                            out.len()
+                        )));
+                    }
+                    if out.len() + len > expected_len {
+                        return Err(CodecError::Invalid(format!(
+                            "output overruns expected length {expected_len}"
+                        )));
+                    }
+                    let start = out.len() - distance;
+                    for i in 0..len {
+                        out.push(out[start + i]);
+                    }
+                }
+                if out.len() > expected_len {
                     return Err(CodecError::Invalid(format!(
                         "output overruns expected length {expected_len}"
                     )));
                 }
-                let start = out.len() - distance;
-                // Byte-at-a-time: overlapping matches replicate runs.
-                for i in 0..len {
-                    out.push(out[start + i]);
-                }
-            }
-            if out.len() > expected_len {
-                return Err(CodecError::Invalid(format!(
-                    "output overruns expected length {expected_len}"
-                )));
             }
         }
+        if out.len() != expected_len {
+            return Err(CodecError::Invalid(format!(
+                "decompressed {} bytes, expected {expected_len}",
+                out.len()
+            )));
+        }
+        Ok(out)
     }
-    if out.len() != expected_len {
-        return Err(CodecError::Invalid(format!(
-            "decompressed {} bytes, expected {expected_len}",
-            out.len()
-        )));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `decompress` agrees with the byte-at-a-time oracle on `input`:
+    /// the same bytes, or the same error.
+    fn agrees(input: &[u8], expected_len: usize) {
+        assert_eq!(
+            decompress(input, expected_len),
+            reference::decompress(input, expected_len),
+            "expected_len {expected_len}, stream {input:?}"
+        );
+    }
 
     fn roundtrip(input: &[u8]) {
         let packed = compress(input);
@@ -219,6 +331,9 @@ mod tests {
         let packed = compress(b"some payload bytes some payload bytes");
         assert!(decompress(&packed, 5).is_err());
         assert!(decompress(&packed, 10_000).is_err());
+        // A hostile length sizes no buffer beyond what the input can
+        // produce.
+        assert!(decompress(&packed, usize::MAX).is_err());
     }
 
     #[test]
@@ -238,6 +353,67 @@ mod tests {
             // codec itself must guarantee is no panic and no overrun.
             if let Ok(out) = decompress(&bad, input.len()) {
                 assert_eq!(out.len(), input.len());
+            }
+        }
+    }
+
+    /// One token of a hand-built stream: a literal byte, or a match as
+    /// (distance, length).
+    #[derive(Clone, Copy)]
+    enum Token {
+        Literal(u8),
+        Match(u16, usize),
+    }
+
+    /// Encodes `tokens` in the compressor's stream format.
+    fn stream(tokens: &[Token]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for group in tokens.chunks(8) {
+            let control = out.len();
+            out.push(0);
+            for (bit, token) in group.iter().enumerate() {
+                match *token {
+                    Token::Literal(byte) => out.push(byte),
+                    Token::Match(distance, len) => {
+                        out[control] |= 1 << bit;
+                        out.extend_from_slice(&distance.to_le_bytes());
+                        out.push((len - MIN_MATCH) as u8);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Matches at every short distance (the byte path, 1–7, and the
+    /// first word distances, 8–16) and every length agree with the
+    /// oracle, including a match ending exactly at the expected length,
+    /// one a byte short of it and one past it, and a literal written
+    /// over a word copy's overshoot.
+    #[test]
+    fn short_distances_and_every_length_match_the_oracle() {
+        for distance in 1..=16u16 {
+            let mut tokens: Vec<Token> = (0..distance)
+                .map(|i| Token::Literal(0x30 + i as u8))
+                .collect();
+            for len in MIN_MATCH..=MAX_MATCH {
+                tokens.truncate(distance as usize);
+                tokens.push(Token::Match(distance, len));
+                let exact = distance as usize + len;
+                let bytes = stream(&tokens);
+                let out = decompress(&bytes, exact).expect("a match ending at the expected length");
+                for (i, &b) in out.iter().enumerate() {
+                    assert_eq!(
+                        b,
+                        0x30 + (i % distance as usize) as u8,
+                        "d {distance} len {len}"
+                    );
+                }
+                for expected_len in [exact - 1, exact, exact + 1] {
+                    agrees(&bytes, expected_len);
+                }
+                tokens.push(Token::Literal(0xee));
+                agrees(&stream(&tokens), exact + 1);
             }
         }
     }
@@ -289,6 +465,96 @@ mod tests {
                 if cut < packed.len() {
                     prop_assert!(decompress(&packed[..cut], seed_bytes.len()).is_err());
                 }
+            }
+        }
+
+        /// The compressed form of `input` decodes like the oracle: intact
+        /// (to `input`), at wrong expected lengths, truncated at
+        /// `cut_frac` percent and with `flip` xored into one byte.
+        fn mangled_forms_agree(input: &[u8], cut_frac: usize, flip_at: usize, flip: u8) {
+            let packed = compress(input);
+            assert_eq!(decompress(&packed, input.len()).as_deref(), Ok(input));
+            for expected_len in [input.len().saturating_sub(1), input.len(), input.len() + 9] {
+                agrees(&packed, expected_len);
+            }
+            agrees(&packed[..packed.len() * cut_frac / 100], input.len());
+            if !packed.is_empty() {
+                let mut flipped = packed.clone();
+                flipped[flip_at % packed.len()] ^= flip;
+                agrees(&flipped, input.len());
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Byte runs (long matches, overlapping at distance 1) and
+            /// their damaged forms decode like the oracle.
+            #[test]
+            fn byte_runs_decode_like_the_oracle(
+                chunks in proptest::collection::vec((0u8..8, 1usize..300), 0..48),
+                cut_frac in 0usize..100,
+                flip_at in any::<usize>(),
+                flip in 1u8..255,
+            ) {
+                let input: Vec<u8> = chunks
+                    .iter()
+                    .flat_map(|&(byte, run)| std::iter::repeat_n(byte, run))
+                    .collect();
+                mangled_forms_agree(&input, cut_frac, flip_at, flip);
+            }
+
+            /// Soups of small little-endian integers one to eight bytes
+            /// wide (the store payloads' shape: short matches at assorted
+            /// distances) and their damaged forms decode like the oracle.
+            #[test]
+            fn integer_soups_decode_like_the_oracle(
+                ints in proptest::collection::vec((0u64..48, 0u32..4), 0..700),
+                cut_frac in 0usize..100,
+                flip_at in any::<usize>(),
+                flip in 1u8..255,
+            ) {
+                let input: Vec<u8> = ints
+                    .iter()
+                    .flat_map(|&(value, width)| value.to_le_bytes()[..1 << width].to_vec())
+                    .collect();
+                mangled_forms_agree(&input, cut_frac, flip_at, flip);
+            }
+
+            /// Raw random streams decode like the oracle at any expected
+            /// length.
+            #[test]
+            fn random_streams_decode_like_the_oracle(
+                bytes in proptest::collection::vec(any::<u8>(), 0..512),
+                expected_len in 0usize..4096,
+            ) {
+                agrees(&bytes, expected_len);
+            }
+
+            /// Random token streams (literals, and matches at distances
+            /// up to 24 after a 16-literal prefix, so some reach before
+            /// the output start) decode like the oracle at expected
+            /// lengths around their size.
+            #[test]
+            fn token_soups_decode_like_the_oracle(
+                raw in proptest::collection::vec((0u8..3, any::<u8>(), 1u16..25), 0..160),
+                off in 0usize..17,
+            ) {
+                let tokens: Vec<Token> = (0..16u8)
+                    .map(Token::Literal)
+                    .chain(raw.iter().map(|&(kind, byte, distance)| match kind {
+                        0 => Token::Literal(byte),
+                        _ => Token::Match(distance, MIN_MATCH + byte as usize),
+                    }))
+                    .collect();
+                let size: usize = tokens
+                    .iter()
+                    .map(|t| match *t {
+                        Token::Literal(_) => 1,
+                        Token::Match(_, len) => len,
+                    })
+                    .sum();
+                agrees(&stream(&tokens), (size + off).saturating_sub(8));
             }
         }
     }

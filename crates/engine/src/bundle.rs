@@ -7,6 +7,13 @@
 //! ([`ArtifactCache::iscas`], [`ArtifactCache::superblue`]), inside the
 //! requester's budget, and shared between jobs.
 //!
+//! A bundle assembles from per-stage store frames (netlist →
+//! place+route → protect → lift), loading the protect frame before the
+//! place+route one: the protected design keeps the original layout as
+//! its baseline, so a warm assembly takes the layout from it and never
+//! reads `layouts/`. That frame is read only to build a missing protect
+//! stage.
+//!
 //! They live in the engine, not next to the experiment definitions,
 //! so the engine can own caching without depending on the experiments
 //! (which depend on the engine).
@@ -43,18 +50,19 @@ pub struct SuperblueRun {
 
 impl SuperblueRun {
     /// Assembles the bundle for `profile` at the given scale stage by
-    /// stage through `cache` ([`ArtifactCache::fetch_stage`]): each
-    /// stage is decoded from the store or built and persisted
-    /// independently, so a store missing only one stage rebuilds only
-    /// that stage. Returns the run plus whether *any* stage was built.
+    /// stage through `cache`: each stage is decoded from the store or
+    /// built and persisted independently, so a store missing only one
+    /// stage rebuilds only that stage. Returns the run plus whether
+    /// *any* stage was built.
     ///
     /// Stages chain netlist → place+route → protect → lift, each in the
-    /// whole of `exec`: the protect and lift builders take the
-    /// place+route stage's layout (built or decoded — the codecs round
-    /// trip bit-identically) instead of laying the original netlist out
-    /// again, so the original netlist is placed and routed once per
-    /// bundle. The protected-net set is recomputed from the protected
-    /// design (it is derived data, not a persisted stage).
+    /// whole of `exec`, and load protect first ([`place_and_protect`]):
+    /// the protected design carries the place+route stage's layout as
+    /// its baseline, so a decoded protect frame supplies the original
+    /// layout and the `layouts/` frame is not read. The lift stage
+    /// builds over that same layout. The protected-net set is
+    /// recomputed from the protected design (it is derived data, not a
+    /// persisted stage).
     ///
     /// Stages that build record their phase spans into `rec`, in stage
     /// order (`original-place*`, then `protect-*`); fetched stages
@@ -76,17 +84,12 @@ impl SuperblueRun {
         let (netlist, n_built) = cache.fetch_stage(Stage::Netlist, &id, || {
             superblue::generate(profile, scale, seed)
         });
-        let util = profile.utilization();
         let config = FlowConfig {
-            utilization: util,
+            utilization: profile.utilization(),
             ..FlowConfig::superblue_default(seed)
         };
-        let (original, o_built) = cache.fetch_stage(Stage::Layout, &id, || {
-            original_layout(&netlist, util, seed, exec, rec)
-        });
-        let (protected, p_built) = cache.fetch_stage(Stage::Protect, &id, || {
-            protect(&netlist, &config, &original, exec, rec)
-        });
+        let (original, protected, p_built) =
+            place_and_protect(&netlist, &config, &id, exec, cache, rec);
         let protected_nets = protected.protected_nets();
         let (lifted, l_built) = cache.fetch_stage(Stage::Lift, &id, || {
             naive_lifting(
@@ -107,9 +110,40 @@ impl SuperblueRun {
                 protected,
                 protected_nets,
             },
-            n_built || o_built || p_built || l_built,
+            n_built || p_built || l_built,
         )
     }
+}
+
+/// The place+route and protect stages of the bundle stored under `id`,
+/// protect first, plus whether either was built.
+///
+/// A decoded protect frame already holds the original layout: `protect`
+/// keeps a clone of the layout it was given as its `baseline`, so that
+/// field equals the place+route stage byte for byte and cloning it costs
+/// a fraction of decoding `layouts/`. Only when the protect frame is
+/// missing is the place+route stage fetched (decoded, or built at
+/// `config.utilization`) and protect built over it. Each stage is loaded
+/// at most once, so a cold assembly misses each frame once and writes it
+/// once, and each stage's journal event times only its own work.
+fn place_and_protect(
+    netlist: &Netlist,
+    config: &FlowConfig,
+    id: &str,
+    exec: &Budget,
+    cache: &ArtifactCache,
+    rec: &mut Recorder,
+) -> (BaselineLayout, ProtectedDesign, bool) {
+    if let Some(protected) = cache.decode_stage::<ProtectedDesign>(Stage::Protect, id) {
+        return (protected.baseline.clone(), protected, false);
+    }
+    let (original, _) = cache.fetch_stage(Stage::Layout, id, || {
+        original_layout(netlist, config.utilization, config.seed, exec, rec)
+    });
+    let protected = cache.build_stage(Stage::Protect, id, || {
+        protect(netlist, config, &original, exec, rec)
+    });
+    (original, protected, true)
 }
 
 /// One fully-processed ISCAS-85-class benchmark.
@@ -127,9 +161,9 @@ pub struct IscasRun {
 
 impl IscasRun {
     /// Assembles the bundle for `profile` stage by stage through `cache`
-    /// (see [`SuperblueRun::assemble`], including the stage chain and
-    /// the phase-span recording contract). Returns the run plus whether
-    /// any stage was built.
+    /// (see [`SuperblueRun::assemble`], including the protect-first
+    /// stage chain and the phase-span recording contract). Returns the
+    /// run plus whether any stage was built.
     pub(crate) fn assemble(
         profile: &IscasProfile,
         seed: u64,
@@ -145,12 +179,8 @@ impl IscasRun {
         let (netlist, n_built) =
             cache.fetch_stage(Stage::Netlist, &id, || iscas::generate(profile, seed));
         let config = FlowConfig::iscas_default(seed);
-        let (original, o_built) = cache.fetch_stage(Stage::Layout, &id, || {
-            original_layout(&netlist, config.utilization, seed, exec, rec)
-        });
-        let (protected, p_built) = cache.fetch_stage(Stage::Protect, &id, || {
-            protect(&netlist, &config, &original, exec, rec)
-        });
+        let (original, protected, p_built) =
+            place_and_protect(&netlist, &config, &id, exec, cache, rec);
         (
             IscasRun {
                 name: profile.name,
@@ -158,7 +188,7 @@ impl IscasRun {
                 original,
                 protected,
             },
-            n_built || o_built || p_built,
+            n_built || p_built,
         )
     }
 }

@@ -15,6 +15,14 @@
 //! rebuild — the "zero bundle builds on the second run" guarantee the
 //! CI determinism gate enforces.
 //!
+//! A disk hit assembles the bundle stage by stage: each stage frame is
+//! decoded, or built and persisted, on its own, and each lands in the
+//! per-stage counters ([`StageStats`]) and as one journal event timing
+//! that stage's own work. The assembly loads the protect frame before
+//! the place+route one and takes the original layout from the protected
+//! design's baseline, so a warm bundle decodes no `layouts/` frame and
+//! counts no place+route decode.
+//!
 //! Below each bundle sit two per-(bundle, arm, split layer) tiers:
 //!
 //! * **split views** ([`ArtifactCache::split`]) — the FEOL an attack
@@ -611,33 +619,54 @@ impl ArtifactCache {
 
     /// Fetches the artifact of `stage` stored under `id`, or builds it,
     /// returning it plus whether it had to be built. Tiered: store
-    /// decode → build (persisting the result when a store is attached).
-    /// Every stage touch lands in the per-stage counters and, when a
-    /// journal is attached, as a stage-level progress event. Stage
-    /// artifacts round-trip bit-identically through the store codecs, so
-    /// any mix of decoded and freshly built stages assembles into the
-    /// same bundle a from-scratch build produces.
+    /// decode ([`ArtifactCache::decode_stage`]) → build
+    /// ([`ArtifactCache::build_stage`]). Stage artifacts round-trip
+    /// bit-identically through the store codecs, so any mix of decoded
+    /// and freshly built stages assembles into the same bundle a
+    /// from-scratch build produces.
     pub(crate) fn fetch_stage<T: Encode + Decode>(
         &self,
         stage: Stage,
         id: &str,
         build: impl FnOnce() -> T,
     ) -> (T, bool) {
-        let start = std::time::Instant::now();
-        if let Some(store) = &self.store {
-            if let Some(value) = store.load_stage::<T>(stage, id) {
-                self.stage_decodes[stage.index()].fetch_add(1, Ordering::Relaxed);
-                self.note_stage(stage, id, "decode", start);
-                return (value, false);
-            }
+        match self.decode_stage(stage, id) {
+            Some(value) => (value, false),
+            None => (self.build_stage(stage, id, build), true),
         }
+    }
+
+    /// Decodes the artifact of `stage` stored under `id`, if the store
+    /// holds an intact one. A decode lands in the per-stage counters
+    /// and, when a journal is attached, as a `<label>-decode` event
+    /// timing the load; a miss records nothing here (the store counts
+    /// it).
+    pub(crate) fn decode_stage<T: Decode>(&self, stage: Stage, id: &str) -> Option<T> {
+        let start = Instant::now();
+        let value = self.store.as_ref()?.load_stage::<T>(stage, id)?;
+        self.stage_decodes[stage.index()].fetch_add(1, Ordering::Relaxed);
+        self.note_stage(stage, id, "decode", start);
+        Some(value)
+    }
+
+    /// Builds the artifact of `stage` with `build`, persisting it under
+    /// `id` when a store is attached. The build lands in the per-stage
+    /// counters and as a `<label>-build` event timing `build` and the
+    /// save, and nothing before them.
+    pub(crate) fn build_stage<T: Encode>(
+        &self,
+        stage: Stage,
+        id: &str,
+        build: impl FnOnce() -> T,
+    ) -> T {
+        let start = Instant::now();
         let value = build();
         if let Some(store) = &self.store {
             store.save_stage(stage, id, &value);
         }
         self.stage_builds[stage.index()].fetch_add(1, Ordering::Relaxed);
         self.note_stage(stage, id, "build", start);
-        (value, true)
+        value
     }
 }
 

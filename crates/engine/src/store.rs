@@ -9,7 +9,15 @@
 //! ([`sm_codec::lz`]) when that wins. Split views are not stored: the
 //! engine derives them in memory, which costs less than decoding a
 //! frame, and ignores the `splits/` frames older stores hold
-//! (maintenance still counts and removes them).
+//! ([`ArtifactStore::doctor`] removes them).
+//!
+//! Not every stored frame is read on a warm run: a bundle assembly
+//! loads the protect frame first and takes the original layout from
+//! it, so `layouts/` frames are read only to rebuild a missing protect
+//! stage. Loads refresh a file's mtime, so under a size budget the
+//! unread layout frames are the least recently used and age out first;
+//! if a protect frame is evicted too, rebuilding it places the original
+//! again.
 //!
 //! Robustness rules, each covered by a test:
 //!
@@ -81,10 +89,10 @@ pub enum Stage {
     Lift,
     /// FEOL/BEOL split views, keyed by bundle × arm × split layer. The
     /// engine derives them in memory and never reads or writes this
-    /// stage's frames; `store stats`, `gc`, `clear` and `doctor` still
-    /// count and remove the ones older stores hold, and
-    /// [`StageStats`](crate::cache::StageStats) counts derivations as
-    /// its builds.
+    /// stage's frames; [`ArtifactStore::doctor`] removes the ones older
+    /// stores hold (`store stats`, `gc` and `clear` count and remove
+    /// them too), and [`StageStats`](crate::cache::StageStats) counts
+    /// derivations as its builds.
     Split,
     /// Finished job metrics.
     Outcome,
@@ -599,7 +607,10 @@ impl ArtifactStore {
     /// `smctl store doctor` engine. Without a scan, corruption is
     /// invisible: a damaged frame silently counts as a miss and is
     /// rebuilt over. Legacy v1 whole-bundle files under `bundles/` are
-    /// counted but left in place (gc ages them out).
+    /// counted but left in place (gc ages them out). Frames under
+    /// `splits/` are removed whatever their header: the engine derives
+    /// split views in memory and reads none of them, so without this
+    /// they would stay until a cap evicted them.
     pub fn doctor(&self) -> StoreHealth {
         let mut health = StoreHealth::default();
         for stage in Stage::ALL {
@@ -609,6 +620,10 @@ impl ArtifactStore {
                     let Some((path, _, _)) = store_file(&entry) else {
                         continue;
                     };
+                    if stage == Stage::Split {
+                        health.splits_removed += fs::remove_file(&path).is_ok() as u64;
+                        continue;
+                    }
                     let Ok(bytes) = fs::read(&path) else {
                         continue;
                     };
@@ -679,6 +694,8 @@ pub struct StoreHealth {
     pub quarantined: u64,
     /// Legacy v1 whole-bundle files under `bundles/` (left in place).
     pub legacy_bundles: u64,
+    /// Unread `splits/` frames removed.
+    pub splits_removed: u64,
 }
 
 impl StoreHealth {

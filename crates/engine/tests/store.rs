@@ -11,10 +11,12 @@ use std::time::{Duration, Instant};
 
 use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
 use sm_engine::job::AttackKind;
+use sm_engine::journal::{read_events, Event, Journal};
 use sm_engine::report::ReportOptions;
 use sm_engine::store::{ArtifactStore, Stage, StoreLock, STORE_MAGIC};
-use sm_engine::{ArtifactCache, SplitArm};
+use sm_engine::{ArtifactCache, BundleKey, Recorder, SplitArm};
 use sm_exec::Budget;
+use sm_layout::split_layout;
 use sm_netlist::Netlist;
 
 /// A unique scratch directory per test invocation, removed on drop.
@@ -178,6 +180,120 @@ fn protect_and_lift_rebuild_over_a_decoded_layout() {
     assert_eq!(stage_frames(scratch.path(), Stage::Lift), lifted);
 }
 
+/// A store-backed, journaled cache over `dir`, as `smctl sweep` wires
+/// one: a fresh handle per call, like a new process.
+fn journaled_cache(dir: &Path, spec: &SweepSpec) -> (ArtifactCache, Arc<Journal>) {
+    let store = store_at(dir);
+    let journal = Arc::new(Journal::for_spec(store.root(), spec));
+    let cache = ArtifactCache::with_store(store).with_journal(Arc::clone(&journal));
+    (cache, journal)
+}
+
+/// How many `bundle-built` events of `stage` (e.g. `place+route-decode`)
+/// the journal at `path` holds.
+fn stage_events(path: &Path, stage: &str) -> usize {
+    read_events(path)
+        .unwrap()
+        .iter()
+        .filter(|e| matches!(e, Event::BundleBuilt { stage: s, .. } if s == stage))
+        .count()
+}
+
+/// A warm assembly loads the protect frame first and takes the original
+/// layout from its baseline: over a store that lost only its job
+/// outcomes, every bundle decodes its netlist and protect frames, never
+/// its `layouts/` frame, and the report equals the cold one.
+#[test]
+fn a_warm_assembly_takes_the_layout_from_the_protect_frame() {
+    let scratch = Scratch::new("protect-first");
+    let spec = SweepSpec {
+        seeds: vec![1, 2],
+        ..tiny_spec()
+    };
+    let exec = Budget::with_threads(Some(2));
+    let (cold_cache, _) = journaled_cache(scratch.path(), &spec);
+    let cold = run_sweep_budgeted(&spec, &exec, &cold_cache, None).unwrap();
+    assert_eq!(cold.stages.builds_of(Stage::Layout), 2);
+    fs::remove_dir_all(scratch.path().join(Stage::Outcome.dir())).unwrap();
+
+    let (cache, journal) = journaled_cache(scratch.path(), &spec);
+    let warm = run_sweep_budgeted(&spec, &exec, &cache, None).unwrap();
+    assert_eq!(warm.cache.builds, 0);
+    let stages = warm.stages;
+    assert_eq!(stages.decodes_of(Stage::Layout), 0, "layouts/ is not read");
+    assert_eq!(stages.decodes_of(Stage::Protect), 2, "one per bundle");
+    assert_eq!(stages.decodes_of(Stage::Netlist), 2);
+    assert_eq!(stage_events(journal.path(), "place+route-decode"), 0);
+    assert_eq!(stage_events(journal.path(), "protect-decode"), 2);
+    let opts = ReportOptions::default();
+    assert_eq!(cold.to_json(opts).render(), warm.to_json(opts).render());
+}
+
+/// A store that lost `layouts/` but kept its protect frames builds
+/// nothing: the layout comes from the protect frame, the report equals
+/// the cold one and no `layouts/` frame is written again.
+#[test]
+fn a_store_without_layouts_serves_from_its_protect_frames() {
+    let scratch = Scratch::new("no-layouts");
+    let spec = tiny_spec();
+    let exec = Budget::with_threads(Some(2));
+    let cold_cache = ArtifactCache::with_store(store_at(scratch.path()));
+    let cold = run_sweep_budgeted(&spec, &exec, &cold_cache, None).unwrap();
+    for stage in [Stage::Layout, Stage::Outcome] {
+        fs::remove_dir_all(scratch.path().join(stage.dir())).unwrap();
+    }
+
+    let cache = ArtifactCache::with_store(store_at(scratch.path()));
+    let rerun = run_sweep_budgeted(&spec, &exec, &cache, None).unwrap();
+    assert_eq!(rerun.cache.builds, 0, "nothing is placed again");
+    for stage in [Stage::Netlist, Stage::Layout, Stage::Protect] {
+        assert_eq!(rerun.stages.builds_of(stage), 0, "{}", stage.label());
+    }
+    let opts = ReportOptions::default();
+    assert_eq!(cold.to_json(opts).render(), rerun.to_json(opts).render());
+    assert!(
+        !scratch.path().join(Stage::Layout.dir()).exists(),
+        "no layouts/ frame is rewritten"
+    );
+}
+
+/// A superblue bundle's lift stage takes the original layout cloned
+/// from the protect frame: warm, it decodes beside it without reading
+/// `layouts/`; with `lifted/` lost, it rebuilds over the clone to the
+/// cold run's frame, byte for byte. Reports equal the cold one.
+#[test]
+fn a_superblue_lift_stage_works_over_the_cloned_layout() {
+    let scratch = Scratch::new("sb-lift");
+    let spec = SweepSpec {
+        benchmarks: vec!["superblue18".into()],
+        attacks: vec![AttackKind::Crouting],
+        scale: 1000,
+        ..tiny_spec()
+    };
+    let exec = Budget::with_threads(Some(2));
+    let cold_cache = ArtifactCache::with_store(store_at(scratch.path()));
+    let cold = run_sweep_budgeted(&spec, &exec, &cold_cache, None).unwrap();
+    let lifted = stage_frames(scratch.path(), Stage::Lift);
+    assert_eq!(lifted.len(), 1);
+    let opts = ReportOptions::default();
+
+    for lost in [vec![Stage::Outcome], vec![Stage::Outcome, Stage::Lift]] {
+        for stage in &lost {
+            fs::remove_dir_all(scratch.path().join(stage.dir())).unwrap();
+        }
+        let cache = ArtifactCache::with_store(store_at(scratch.path()));
+        let rerun = run_sweep_budgeted(&spec, &exec, &cache, None).unwrap();
+        let stages = rerun.stages;
+        assert_eq!(stages.decodes_of(Stage::Layout), 0, "layouts/ is not read");
+        assert_eq!(stages.decodes_of(Stage::Protect), 1);
+        let lift_built = lost.contains(&Stage::Lift) as u64;
+        assert_eq!(stages.builds_of(Stage::Lift), lift_built);
+        assert_eq!(stages.decodes_of(Stage::Lift), 1 - lift_built);
+        assert_eq!(cold.to_json(opts).render(), rerun.to_json(opts).render());
+        assert_eq!(stage_frames(scratch.path(), Stage::Lift), lifted);
+    }
+}
+
 /// Split views are derived in memory and never read from or written
 /// to the store: over garbage `splits/` frames under the views' own
 /// keys, a rerun that lost its job outcomes derives each view once,
@@ -224,6 +340,53 @@ fn stored_split_frames_are_neither_read_nor_written() {
     for (path, bytes) in &garbage {
         assert_eq!(&fs::read(path).unwrap(), bytes, "{}", path.display());
     }
+}
+
+/// `doctor` removes the `splits/` frames older builds wrote (the engine
+/// reads none of them) and says how many, leaving every other stage's
+/// frames as they were.
+#[test]
+fn doctor_removes_unread_split_frames_and_nothing_else() {
+    let scratch = Scratch::new("doctor-splits");
+    let spec = tiny_spec();
+    let exec = Budget::with_threads(Some(2));
+    let store = store_at(scratch.path());
+    let cache = ArtifactCache::with_store(Arc::clone(&store));
+    run_sweep_budgeted(&spec, &exec, &cache, None).unwrap();
+    let key = spec.jobs().unwrap()[0].bundle_key();
+    let profile = sm_benchgen::iscas::IscasProfile::c432();
+    let BundleKey::Iscas { seed, .. } = key else {
+        unreachable!("c432 is an ISCAS bundle")
+    };
+    let run = cache.iscas(&profile, seed, &exec, &mut Recorder::new());
+    for layer in 3..=5 {
+        for (arm, layout) in [
+            (SplitArm::Protected, &run.protected.feol_routing),
+            (SplitArm::Original, &run.original.routing),
+        ] {
+            let split = split_layout(&run.netlist, &run.original.placement, layout, layer);
+            let id = format!("{}-{}-l{layer}", key.id(), arm.id());
+            store.save_stage(Stage::Split, &id, &split);
+        }
+    }
+    let kept: Vec<_> = Stage::ALL
+        .into_iter()
+        .filter(|&stage| stage != Stage::Split)
+        .map(|stage| stage_frames(scratch.path(), stage))
+        .collect();
+    assert_eq!(stage_frames(scratch.path(), Stage::Split).len(), 6);
+
+    let health = store.doctor();
+    assert_eq!(health.splits_removed, 6);
+    assert_eq!(health.corrupt(), 0);
+    assert!(stage_frames(scratch.path(), Stage::Split).is_empty());
+    let after: Vec<_> = Stage::ALL
+        .into_iter()
+        .filter(|&stage| stage != Stage::Split)
+        .map(|stage| stage_frames(scratch.path(), stage))
+        .collect();
+    assert_eq!(after, kept, "every other stage is untouched");
+    assert_eq!(store.doctor().splits_removed, 0, "nothing left to remove");
 }
 
 /// Corrupted or truncated store files — now LZ-compressed frames — are
