@@ -55,7 +55,6 @@
 //! crash→resume→byte-diff cycle as one smoke command.
 
 use std::collections::HashSet;
-use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -63,15 +62,11 @@ use sm_bench::artifacts::{artifact_by_name, ARTIFACTS};
 use sm_bench::cli::{Args, Cmd};
 use sm_bench::session::Session;
 use sm_bench::RunOptions;
-use sm_engine::campaign::{
-    merge_reports, run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec,
-};
+use sm_engine::campaign::{merge_reports, run_sweep_budgeted, Campaign, CampaignRun, SweepSpec};
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{find_journal, materialize, read_events, Event, JournalFollower};
 use sm_engine::report::{Json, ReportOptions};
-use sm_engine::serve::{
-    client_shutdown, client_status, client_submit, serve, ServeConfig, SimPlan,
-};
+use sm_engine::serve::{client_shutdown, client_status, client_submit, serve, ServeConfig};
 use sm_engine::store::ArtifactStore;
 use sm_engine::ArtifactCache;
 use sm_exec::fault::FaultProfile;
@@ -106,7 +101,7 @@ USAGE:
     smctl serve --socket PATH [--workers N] [--max-queued N] [--threads N]
                 [--store DIR] [--store-cap SIZE]
     smctl serve --stop --socket PATH
-    smctl serve --simulate N [--kill W@K,...] [--sim-seed N] [sweep axes]
+    smctl serve --simulate N [--kill W@K,...] [sweep axes]
                 [--threads N] [--format F] [--out FILE]
                 [--store DIR | --no-store] [--store-cap SIZE]
     smctl submit --socket PATH [sweep axes] [--follow]
@@ -230,17 +225,20 @@ JOURNAL:
     without a job-finished record, appending to the same log.
 
 SERVE:
+    Every campaign runs on one work-stealing fleet: its jobs are split
+    into contiguous ranges, one per worker, idle workers steal ranges
+    from loaded ones, and all workers share the --threads budget.
+    `sweep`, `resume` and `chaos` run min(--threads, jobs) workers.
     `smctl serve` runs the campaign service: it listens on a Unix-domain
     socket, admits sweep specs into a bounded queue (past --max-queued,
     submissions are rejected — back-pressure, not unbounded buffering),
-    and executes one campaign at a time on a fleet of --workers
-    work-stealing workers (idle workers steal job ranges from loaded
-    ones; all workers share the --threads budget). The service holds the
-    store's maintenance lock for its lifetime, so eviction needs no
-    per-sweep lock dance. Reports are canonical: byte-identical to a
-    solo `smctl sweep` of the same spec, whatever the worker count or
-    steal pattern. Duplicate submissions of a spec already queued,
-    running or completed attach to that campaign instead of re-running.
+    and executes one campaign at a time on a fleet of --workers workers.
+    The service holds the store's maintenance lock for its lifetime, so
+    eviction needs no per-sweep lock dance. Reports are canonical:
+    byte-identical to `smctl sweep` of the same spec, whatever the
+    worker count or steal pattern. Duplicate submissions of a spec
+    already queued, running or completed attach to that campaign instead
+    of re-running.
 
     `smctl submit` sends one sweep to a running service and prints the
     final report (exit codes match `sweep`: 3 timed-out, 4 failed);
@@ -248,12 +246,13 @@ SERVE:
     runs. `smctl status` prints a queue snapshot. `smctl serve --stop`
     drains the queue and shuts the service down.
 
-    `smctl serve --simulate N` runs the same fleet protocol as a
-    deterministic in-process simulation of N workers (cycle-stepped,
-    seeded scheduling; no socket): --kill W@K kills worker W at its
+    `smctl serve --simulate N` runs one campaign in-process, without a
+    socket, on a fleet of N workers: --kill W@K kills worker W at its
     first pickup after K completed jobs, re-queueing its remaining
-    ranges. The merged report is byte-identical to a solo sweep of the
-    spec — the CI determinism gate runs exactly this.
+    ranges for the others. Steal tie-breaks are seeded from --seed, as
+    a live service's are. The merged report is byte-identical to
+    `smctl sweep` of the spec — the CI determinism gate runs exactly
+    this.
 
 FORMATS:
     json      canonical campaign report (storable, resumable)
@@ -321,9 +320,11 @@ fn main() -> ExitCode {
 
 /// `print!` panics once stdout's reader has gone (`smctl … | head`).
 /// That is the reader's choice, not a failure, so exit 0 without a
-/// message; every other panic reaches the default hook. SIGPIPE stays
-/// ignored, so a `--follow` client hanging up on `serve`'s socket is a
-/// write error there, never a dead service.
+/// message; every other panic reaches the default hook. Everything
+/// `smctl` writes to stdout (reports, events, tables) goes through
+/// `print!`/`println!` for this reason. SIGPIPE stays ignored, so a
+/// `--follow` client hanging up on `serve`'s socket is a write error
+/// there, never a dead service.
 fn exit_quietly_when_stdout_closes() {
     /// `EPIPE` on Linux, macOS and the BSDs.
     const EPIPE: i32 = 32;
@@ -424,7 +425,7 @@ fn cmd_sweep(args: Args) -> Result<ExitCode, String> {
     // One budget for the whole sweep: `--threads` worth of workers
     // shared by jobs, bundle builds and nested bisection sweeps, with
     // the `--timeout-secs` deadline attached.
-    let (campaign, _) = run.run(&Scheduler::Solo, &args.opts.budget(), &cache)?;
+    let campaign = run.run(&args.opts.budget(), &cache);
     if let Some(journal) = cache.journal() {
         if journal.degraded() {
             eprintln!("journal degraded: this run was not journaled");
@@ -433,13 +434,14 @@ fn cmd_sweep(args: Args) -> Result<ExitCode, String> {
         }
     }
     let out_path = args.out.as_deref();
-    emit(&render_campaign(&campaign, format, args.timings), out_path)?;
     // A timed-out or crashed sweep must always leave a *resumable*
     // canonical report behind. Non-JSON formats drop placeholder jobs
     // from their rows (and cannot be parsed back), and JSON-to-stdout
     // leaves no file at all, so in either case the canonical JSON also
     // goes to a sidecar — otherwise the finished jobs would be
-    // unrecoverable and the `resume` hint would name nothing.
+    // unrecoverable and the `resume` hint would name nothing. The
+    // sidecar goes first: a stdout whose reader hung up ends `smctl`
+    // at the report.
     let resume_path = if campaign.timed_out() == 0 && campaign.failed() == 0 {
         None
     } else if format == "json" && out_path.is_some() {
@@ -449,6 +451,7 @@ fn cmd_sweep(args: Args) -> Result<ExitCode, String> {
         emit(&render_campaign(&campaign, "json", false), Some(&side))?;
         Some(side)
     };
+    emit(&render_campaign(&campaign, format, args.timings), out_path)?;
     eprintln!("{}", campaign.summary());
     print_store_stats(&cache);
     Ok(campaign_exit(
@@ -528,7 +531,7 @@ fn cmd_resume(args: Args) -> Result<ExitCode, String> {
     // stay timed-out and another resume continues from there. Its
     // campaign-started record is tolerated as a duplicate by
     // materialize (same spec).
-    let (campaign, _) = run.run(&Scheduler::Solo, &args.opts.budget(), &cache)?;
+    let campaign = run.run(&args.opts.budget(), &cache);
     // The canonical JSON report is always preserved. Report input: it
     // goes to --out for `--format json`, otherwise the input file is
     // updated in place. Journal input: the journal itself holds the
@@ -725,7 +728,7 @@ fn cmd_store(args: Args) -> Result<ExitCode, String> {
 }
 
 /// `smctl serve`: the campaign service (or its `--stop` sugar, or the
-/// deterministic `--simulate N` fleet run CI byte-diffs).
+/// in-process `--simulate N` fleet run CI byte-diffs).
 fn cmd_serve(args: Args) -> Result<ExitCode, String> {
     if args.stop {
         let socket = args
@@ -736,24 +739,20 @@ fn cmd_serve(args: Args) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    if let Some(sim_workers) = args.simulate {
-        // The CI determinism leg: run the full dispatch/steal/death
-        // protocol in-process and emit a report that must byte-match a
-        // solo sweep of the same spec.
+    if let Some(workers) = args.simulate {
+        // The CI determinism leg: run the service's fleet in-process,
+        // with the `--kill` deaths injected, and emit a report that must
+        // byte-match `smctl sweep` of the same spec.
         let format = report_format(args.format.as_deref())?;
         let cache = args.opts.cache(Some(&args.spec), None);
-        let plan = SimPlan {
-            workers: sim_workers,
-            seed: args.sim_seed,
-            deaths: args.kills,
-        };
-        let (campaign, stats) = CampaignRun::new(&args.spec)?.run(
-            &Scheduler::Simulated(plan),
+        let (campaign, stats) = CampaignRun::new(&args.spec)?.run_fleet(
+            workers,
+            &args.kills,
             &args.opts.budget(),
             &cache,
         )?;
         eprintln!(
-            "fleet: {sim_workers} simulated worker(s), {} steal(s), {} death(s)",
+            "fleet: {workers} in-process worker(s), {} steal(s), {} death(s)",
             stats.steals, stats.deaths
         );
         emit(
@@ -882,11 +881,8 @@ fn emit(rendered: &str, out_path: Option<&str>) -> Result<(), String> {
             })?;
             eprintln!("report written to {path}");
         }
-        None => {
-            std::io::stdout()
-                .write_all(rendered.as_bytes())
-                .map_err(|e| e.to_string())?;
-        }
+        // `print!` ends `smctl` quietly if the reader hung up.
+        None => print!("{rendered}"),
     }
     Ok(())
 }
@@ -955,7 +951,6 @@ fn cmd_events(args: Args, tail: bool) -> Result<ExitCode, String> {
     };
     let mut follower = JournalFollower::new(&journal_path);
     let mut progress = EventProgress::default();
-    let mut out = std::io::stdout().lock();
     loop {
         let batch = follower.poll()?;
         let mut ended = false;
@@ -964,13 +959,14 @@ fn cmd_events(args: Args, tail: bool) -> Result<ExitCode, String> {
                 "json" => event.to_json().render_compact(),
                 _ => progress.render_line(event),
             };
-            writeln!(out, "{line}").map_err(|e| e.to_string())?;
+            // Stdout is line-buffered, so each event reaches a follower
+            // at once; `println!` ends `smctl` quietly if it hung up.
+            println!("{line}");
             ended = matches!(event, Event::CampaignFinished { .. });
         }
         if !follow || ended {
             break;
         }
-        out.flush().map_err(|e| e.to_string())?;
         std::thread::sleep(std::time::Duration::from_millis(120));
     }
     Ok(ExitCode::SUCCESS)
@@ -1131,7 +1127,7 @@ fn cmd_chaos(args: Args) -> Result<ExitCode, String> {
         ..RunOptions::default()
     }
     .cache(None, None);
-    let (resumed, _) = run.run(&Scheduler::Solo, &budget, &resume_cache)?;
+    let resumed = run.run(&budget, &resume_cache);
     let resumed_json = render_campaign(&resumed, "json", false);
     let _ = std::fs::remove_dir_all(&dir);
     if resumed_json != baseline_json {

@@ -267,9 +267,6 @@ const FLAGS: &[Flag] = &[
     value("--kill", &[ServeSimulate], |a, _, v| {
         put(&mut a.kills, parse_kills(v))
     }),
-    value("--sim-seed", &[ServeSimulate], |a, _, v| {
-        put(&mut a.sim_seed, parse_u64(v))
-    }),
 ];
 
 /// Stores a parsed value, or passes its error on.
@@ -342,13 +339,11 @@ pub struct Args {
     pub max_queued: usize,
     /// `--stop`.
     pub stop: bool,
-    /// `--simulate N`: the simulated worker count.
+    /// `--simulate N`: the in-process fleet's worker count.
     pub simulate: Option<usize>,
     /// `--kill W@K,...`: worker W dies at its first pickup after K
     /// completed jobs.
     pub kills: Vec<(usize, usize)>,
-    /// `--sim-seed N` (default 1).
-    pub sim_seed: u64,
 }
 
 impl Default for Args {
@@ -380,7 +375,6 @@ impl Default for Args {
             stop: false,
             simulate: None,
             kills: Vec::new(),
-            sim_seed: 1,
         }
     }
 }

@@ -3,7 +3,8 @@
 //! accept, a missing or empty value and an inline value on a switch,
 //! each with exit status 2; `--flag=v` means `--flag v`; repeated
 //! sweep-axis values collapse to their first occurrence; a stdout
-//! whose reader has gone ends `smctl` quietly with exit status 0; and
+//! whose reader has gone ends `smctl` quietly with exit status 0 (help,
+//! tables, journal events and reports alike); and
 //! `store doctor` removes the `splits/` frames nothing reads.
 
 use std::path::{Path, PathBuf};
@@ -257,11 +258,37 @@ fn inline_values_and_repeated_axis_values_keep_the_report_bytes() {
 }
 
 /// A reader that hangs up early is not an error: `smctl` printing into
-/// a pipe whose reader is closed exits 0 without a panic message.
+/// a pipe whose reader is closed exits 0 without a panic message or an
+/// `error:` line — help and store tables, journal events and reports
+/// alike.
 #[test]
 fn a_closed_stdout_ends_smctl_quietly() {
     let scratch = Scratch::new("closed-stdout");
-    for args in [&["help"][..], &["store", "stats", "--store", "st"]] {
+    let sweep = smctl(
+        &[
+            "sweep",
+            "--benchmarks",
+            "c432",
+            "--split-layers",
+            "4",
+            "--attacks",
+            "crouting",
+            "--store",
+            "st",
+            "--out",
+            "a.json",
+        ],
+        scratch.path(),
+    );
+    assert_eq!(exit_code(&sweep), 0, "sweep: {}", stderr(&sweep));
+    std::fs::copy(scratch.path().join("a.json"), scratch.path().join("b.json")).unwrap();
+    for args in [
+        &["help"][..],
+        &["store", "stats", "--store", "st"],
+        &["events", "st"],
+        &["events", "st", "--format", "json"],
+        &["merge", "a.json", "b.json"],
+    ] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
         let out = Command::new(env!("CARGO_BIN_EXE_smctl"))
@@ -272,11 +299,9 @@ fn a_closed_stdout_ends_smctl_quietly() {
             .output()
             .expect("spawn smctl");
         assert_eq!(exit_code(&out), 0, "{args:?}: {}", stderr(&out));
-        assert!(
-            !stderr(&out).contains("panicked"),
-            "{args:?}: {}",
-            stderr(&out)
-        );
+        for noise in ["panicked", "error:"] {
+            assert!(!stderr(&out).contains(noise), "{args:?}: {}", stderr(&out));
+        }
     }
 }
 

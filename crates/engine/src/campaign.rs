@@ -8,10 +8,15 @@
 //! aggregate table. Wall-clock timings and cache counters are
 //! diagnostics, not results: they appear only under
 //! [`ReportOptions::include_timings`], so canonical reports are
-//! byte-identical across cold runs, warm-store runs and thread counts.
+//! byte-identical across cold runs, warm-store runs, thread counts and
+//! fleet shapes.
 //!
-//! Campaigns run inside a [`Budget`]: the engine splits the campaign's
-//! thread allotment among its jobs (so nested parallel work — bundle
+//! Every campaign runs on the work-stealing [`Fleet`] (its worker loop
+//! lives in [`fleet`]): [`CampaignRun::run`] derives
+//! `min(threads, jobs)` workers, [`CampaignRun::run_fleet`] takes the
+//! worker count and injected deaths of `smctl serve`. Campaigns run
+//! inside a [`Budget`]: the fleet splits the campaign's thread
+//! allotment among its workers (so nested parallel work — bundle
 //! builds, bisection anchor sweeps — shares one pool), and the budget's
 //! [`CancelToken`](sm_exec::CancelToken) is checked **between** jobs —
 //! and, for network-flow attacks, additionally at the attack's own
@@ -25,7 +30,7 @@
 //! one.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sm_attacks::crouting::{crouting_attack, CroutingConfig};
@@ -42,11 +47,11 @@ use sm_netlist::{NetId, Netlist, Sink};
 
 use crate::bundle::{IscasRun, SuperblueRun};
 use crate::cache::{ArtifactCache, Busy, CacheStats, SplitArm, StageStats};
+use crate::fleet::{self, Fleet, FleetStats};
 use crate::job::{AttackKind, Benchmark, Job};
 use crate::journal::{Event, EventJob, MetricsSource, Provenance};
 use crate::metrics::{csv_columns, JobMetrics};
 use crate::report::{csv, Json, ReportOptions};
-use crate::serve::{simulate_schedule, Dispatch, Fleet, FleetStats, SimPlan};
 use crate::store::Stage;
 
 /// A sweep specification: the cartesian product
@@ -603,8 +608,8 @@ fn crouting_metrics(
 
 /// Runs a sweep inside `budget` — the campaign's full resource
 /// allotment, as parsed from `--threads`/`--timeout-secs` — optionally
-/// restricted to the job indices in `filter` (`--jobs`). The solo entry
-/// point: [`CampaignRun`] under [`Scheduler::Solo`].
+/// restricted to the job indices in `filter` (`--jobs`), through
+/// [`CampaignRun::run`].
 ///
 /// # Errors
 ///
@@ -619,39 +624,19 @@ pub fn run_sweep_budgeted(
     if let Some(indices) = filter {
         run = run.jobs(indices)?;
     }
-    Ok(run.run(&Scheduler::Solo, budget, cache)?.0)
+    Ok(run.run(budget, cache))
 }
 
 // ----- the campaign driver -------------------------------------------------
 
-/// How [`CampaignRun::run`] schedules the selected jobs. The choice
-/// decides wall clock only: canonical bytes, cache counters and stage
-/// counters are the same under every scheduler.
-#[derive(Debug, Clone)]
-pub enum Scheduler {
-    /// [`Budget::map`] over the jobs, each job in an equal
-    /// [`Budget::split`] share (`smctl sweep`/`resume`).
-    Solo,
-    /// A threaded work-stealing [`Fleet`]. Its workers run through
-    /// [`Budget::map`], so the pool counts them, each on an equal
-    /// [`Budget::split`] share (`smctl serve`).
-    Fleet {
-        /// Fleet workers.
-        workers: usize,
-    },
-    /// The deterministic fleet simulation: [`simulate_schedule`]
-    /// partitions the jobs, and each simulated worker runs its share solo
-    /// in the whole budget (`smctl serve --simulate`).
-    Simulated(SimPlan),
-}
-
 /// One campaign: a spec, the canonical job indices selected to run, and
 /// the outcomes of an earlier run that merge under the fresh ones.
 ///
-/// [`CampaignRun::run`] is the only code that journals a campaign's
-/// start and finish, reserves bundles, measures the campaign wall clock
-/// and samples its counters — sweeps, `--jobs`/`--shard` selections,
-/// resumes, the simulated fleet and the live service all go through it.
+/// [`CampaignRun::run_fleet`] is the only code that journals a
+/// campaign's start and finish, reserves bundles, runs jobs, measures
+/// the campaign wall clock and samples its counters — sweeps,
+/// `--jobs`/`--shard` selections, resumes, `serve --simulate` and the
+/// live service all go through it, on the one [`Fleet`].
 #[derive(Debug, Clone)]
 pub struct CampaignRun {
     spec: SweepSpec,
@@ -742,19 +727,38 @@ impl CampaignRun {
         &self.selected
     }
 
-    /// Runs the selected jobs under `scheduler` inside `budget`. Jobs
-    /// picked up after the budget's token is cancelled or its deadline
-    /// passed come back as [`JobMetrics::TimedOut`]. Returns the merged
-    /// campaign and the fleet's scheduling counters (all-zero for
-    /// [`Scheduler::Solo`]).
+    /// Runs the selected jobs inside `budget` on a fleet of
+    /// `min(budget threads, selected jobs)` workers, at least one, each
+    /// on an equal [`Budget::split`] share (`smctl sweep`, `resume`,
+    /// `chaos`). Jobs picked up after the budget's token is cancelled or
+    /// its deadline passed come back as [`JobMetrics::TimedOut`].
+    pub fn run(self, budget: &Budget, cache: &ArtifactCache) -> Campaign {
+        let workers = budget.threads().min(self.selected.len()).max(1);
+        let (campaign, _) = self
+            .run_fleet(workers, &[], budget, cache)
+            .expect("a fleet of one or more immortal workers is valid");
+        campaign
+    }
+
+    /// Runs the selected jobs on a fleet of `workers` workers sharing
+    /// `budget`, with the injected `(worker, after_jobs)` `deaths`
+    /// (`smctl serve --workers N`, `serve --simulate N --kill W@K`). The
+    /// fleet's steal tie-breaks are seeded from the spec's master seed.
+    /// Returns the merged campaign and the fleet's counters.
     ///
     /// # Errors
     ///
-    /// Returns an error for an invalid fleet plan, before anything is
-    /// journaled.
-    pub fn run(
+    /// Returns an error for an invalid fleet (see [`Fleet::new`]), before
+    /// anything is journaled.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic that escapes [`run_job`]'s isolation on any
+    /// worker, once the other workers have drained the fleet.
+    pub fn run_fleet(
         self,
-        scheduler: &Scheduler,
+        workers: usize,
+        deaths: &[(usize, usize)],
         budget: &Budget,
         cache: &ArtifactCache,
     ) -> Result<(Campaign, FleetStats), String> {
@@ -763,20 +767,8 @@ impl CampaignRun {
             .iter()
             .map(|&i| self.expansion[i].clone())
             .collect();
-        // Fleets schedule positions in `jobs`, not canonical indices.
-        let plan = match scheduler {
-            Scheduler::Solo => Plan::Solo,
-            Scheduler::Fleet { workers } => Plan::Fleet(Fleet::new(
-                *workers,
-                jobs.len(),
-                self.spec.master_seed,
-                &[],
-            )?),
-            Scheduler::Simulated(sim) => {
-                let (per_worker, stats) = simulate_schedule(jobs.len(), sim)?;
-                Plan::Fixed(per_worker, stats)
-            }
-        };
+        // The fleet schedules positions in `jobs`, not canonical indices.
+        let fleet = Fleet::new(workers, jobs.len(), self.spec.master_seed, deaths)?;
         let start = Instant::now();
         if let Some(journal) = cache.journal() {
             journal.record(&Event::CampaignStarted {
@@ -785,25 +777,14 @@ impl CampaignRun {
             });
         }
         // Reserving every selected job up front keeps each bundle in
-        // memory from its first job to its last, whatever the
-        // scheduler's order: one build or decode per bundle.
+        // memory from its first job to its last, whatever order the
+        // fleet runs them in: one build or decode per bundle.
         for job in &jobs {
             cache.reserve_job(job);
         }
-        let (fresh, fleet) = match plan {
-            Plan::Solo => (run_solo(&jobs, budget, cache), FleetStats::default()),
-            Plan::Fleet(fleet) => run_fleet(&jobs, fleet, budget, cache),
-            Plan::Fixed(per_worker, stats) => {
-                let fresh = per_worker
-                    .iter()
-                    .flat_map(|positions| {
-                        let share: Vec<Job> = positions.iter().map(|&p| jobs[p].clone()).collect();
-                        run_solo(&share, budget, cache)
-                    })
-                    .collect();
-                (fresh, stats)
-            }
-        };
+        let (fresh, stats) = fleet::run(fleet, budget, |position, share| {
+            run_job(cache, &jobs[position], share)
+        });
         let campaign = Campaign {
             outcomes: merge_outcomes(&self.expansion, self.prior, fresh),
             spec: self.spec,
@@ -816,65 +797,8 @@ impl CampaignRun {
         if let Some(journal) = cache.journal() {
             journal.record(&Event::campaign_finished(&campaign));
         }
-        Ok((campaign, fleet))
+        Ok((campaign, stats))
     }
-}
-
-/// A [`Scheduler`] with its fleet built or its schedule simulated.
-enum Plan {
-    Solo,
-    Fleet(Fleet),
-    /// Per-worker job positions of a simulated schedule.
-    Fixed(Vec<Vec<usize>>, FleetStats),
-}
-
-/// Runs `jobs` on `budget`'s pool, each in an equal split of the budget
-/// — the share that bounds its bundle build and nested layout
-/// parallelism. Outcomes come back in `jobs` order.
-fn run_solo(jobs: &[Job], budget: &Budget, cache: &ArtifactCache) -> Vec<JobOutcome> {
-    // At most `threads` jobs run concurrently, so the per-job share
-    // divides by that, not by the job count.
-    let per_job = budget.split(jobs.len().min(budget.threads()));
-    budget.map(jobs, |_, job| run_job(cache, job, &per_job))
-}
-
-/// Runs `jobs` on a threaded `fleet`: its workers are [`Budget::map`]
-/// items, each pulling job positions from the shared fleet on an equal
-/// [`Budget::split`] share. A worker with nothing to run blocks on a
-/// condvar until a job completes.
-fn run_fleet(
-    jobs: &[Job],
-    fleet: Fleet,
-    budget: &Budget,
-    cache: &ArtifactCache,
-) -> (Vec<JobOutcome>, FleetStats) {
-    const POISONED: &str = "a fleet worker panicked while scheduling";
-    let workers: Vec<usize> = (0..fleet.workers()).collect();
-    let worker_budget = budget.split(workers.len());
-    let fleet = Mutex::new(fleet);
-    let progress = Condvar::new();
-    let per_worker = budget.map(&workers, |_, &w| {
-        let mut outcomes = Vec::new();
-        let mut state = fleet.lock().expect(POISONED);
-        loop {
-            match state.next_job(w) {
-                Dispatch::Run(position) => {
-                    drop(state);
-                    outcomes.push(run_job(cache, &jobs[position], &worker_budget));
-                    state = fleet.lock().expect(POISONED);
-                    state.complete(w);
-                    progress.notify_all();
-                }
-                Dispatch::Wait => {
-                    state = progress.wait(state).expect(POISONED);
-                }
-                Dispatch::Done | Dispatch::Died => break,
-            }
-        }
-        outcomes
-    });
-    let stats = fleet.into_inner().expect(POISONED).stats();
-    (per_worker.into_iter().flatten().collect(), stats)
 }
 
 // ----- aggregation --------------------------------------------------------
@@ -1675,7 +1599,7 @@ mod tests {
         let partial = run_sweep_budgeted(&spec, &budget, &cache, Some(&[1])).unwrap();
         let run = CampaignRun::resume(partial).unwrap();
         assert_eq!(run.selected(), &[0]);
-        let (resumed, _) = run.run(&Scheduler::Solo, &budget, &cache).unwrap();
+        let resumed = run.run(&budget, &cache);
         for (i, o) in resumed.outcomes.iter().enumerate() {
             assert_eq!(o.job.index, i);
         }

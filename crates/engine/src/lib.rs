@@ -20,11 +20,14 @@
 //!   (`smctl tail`/`events`) and crash-safe resume, with the canonical
 //!   report as a deterministic materialization of the log;
 //! * [`campaign`] — sweep expansion, the one campaign driver
-//!   ([`CampaignRun`], whose [`Scheduler`] runs jobs solo, on a threaded
-//!   fleet or on a simulated one) with deadline/cancellation (timed-out
-//!   jobs are a distinct outcome that `smctl resume` re-runs), seed-sweep
+//!   ([`CampaignRun`]) with deadline/cancellation (timed-out jobs are a
+//!   distinct outcome that `smctl resume` re-runs), seed-sweep
 //!   aggregation (mean/σ/min/max) and report assembly, including
 //!   merging sharded reports (`smctl merge`);
+//! * [`fleet`] — the work-stealing [`Fleet`] every campaign runs on and
+//!   its worker loop: `min(threads, jobs)` workers for `sweep`/`resume`,
+//!   `--workers` for `serve`, with injected worker deaths for
+//!   `serve --simulate`;
 //! * [`metrics`] — [`JobMetrics`] and the one
 //!   schema (field names, value types, codec order, aggregate columns)
 //!   that the codec, reports, CSV, aggregates and journal all read;
@@ -32,14 +35,14 @@
 //!   canonical reports are byte-identical across runs);
 //! * [`serve`](mod@serve) — the long-running campaign service behind
 //!   `smctl serve`: a socket-facing coordinator with admission control
-//!   and a host-level work-stealing [`Fleet`], plus a deterministic
-//!   N-worker simulation whose merged reports are byte-identical to a
-//!   solo sweep.
+//!   that runs each queued campaign on the fleet, with reports
+//!   byte-identical to `smctl sweep` of the same spec.
 //!
 //! Campaigns run inside an `sm_exec` [`Budget`]: the campaign's thread
-//! allotment is divided among jobs, so nested parallel work shares one
-//! pool and output order stays independent of scheduling. Phase spans
-//! go to an `sm_exec` [`Recorder`]; both are re-exported here.
+//! allotment is divided among the fleet's workers, so nested parallel
+//! work shares one pool and output order stays independent of
+//! scheduling. Phase spans go to an `sm_exec` [`Recorder`]; both are
+//! re-exported here.
 //!
 //! The `smctl` CLI (in `sm-bench`, next to the experiment definitions)
 //! sits on top of these primitives.
@@ -68,6 +71,7 @@
 pub mod bundle;
 pub mod cache;
 pub mod campaign;
+pub mod fleet;
 pub mod job;
 pub mod journal;
 pub mod metrics;
@@ -78,17 +82,14 @@ pub mod store;
 pub use bundle::{iscas_selection, superblue_selection, IscasRun, SuperblueRun};
 pub use cache::{ArtifactCache, BundleKey, CacheStats, SplitArm, StageStats};
 pub use campaign::{
-    merge_reports, run_job, run_sweep_budgeted, Campaign, CampaignRun, JobOutcome, Scheduler,
-    SweepSpec,
+    merge_reports, run_job, run_sweep_budgeted, Campaign, CampaignRun, JobOutcome, SweepSpec,
 };
+pub use fleet::{Fleet, FleetStats};
 pub use job::{AttackKind, Benchmark, Job};
 pub use journal::{Event, Journal, JournalFollower};
 pub use metrics::JobMetrics;
 pub use report::{Json, ReportOptions};
-pub use serve::{
-    client_shutdown, client_status, client_submit, serve, simulate_schedule, Fleet, FleetStats,
-    ServeConfig, ServiceStatus, SimPlan,
-};
+pub use serve::{client_shutdown, client_status, client_submit, serve, ServeConfig, ServiceStatus};
 pub use sm_exec::phase::Recorder;
 pub use sm_exec::Budget;
 pub use store::{

@@ -1,38 +1,18 @@
 //! `smctl serve` — the long-running campaign service.
 //!
-//! Every per-process building block for large campaigns already exists
-//! (budgets, `--shard K/N`, resumable placeholders, `smctl merge`, the
-//! event-sourced journal); this module adds the **coordinator**: a
-//! service that accepts sweep specs over a Unix-domain socket, keeps a
-//! bounded campaign queue with admission control, dispatches contiguous
-//! job ranges to a fleet of workers, lets idle workers **steal** ranges
-//! from loaded ones, and streams journal events back per campaign. The
-//! campaigns themselves run through the one campaign driver,
-//! [`CampaignRun`], so a served campaign journals, reserves bundles,
-//! counts cache hits and renders its canonical bytes exactly like a solo
-//! `smctl sweep` of the same spec.
+//! A coordinator that accepts sweep specs over a Unix-domain socket,
+//! keeps a bounded campaign queue with admission control, runs one
+//! campaign at a time on a [`Fleet`](crate::Fleet) of `--workers`
+//! work-stealing workers, and streams journal events back per campaign.
+//! The campaigns themselves run through the one campaign driver,
+//! [`CampaignRun::run_fleet`], so a served campaign journals, reserves
+//! bundles, counts cache hits and renders its canonical bytes exactly
+//! like `smctl sweep` of the same spec.
 //!
-//! Three layers, each usable on its own:
-//!
-//! * [`Fleet`] — the pure scheduling state machine (assignment queues,
-//!   backlog, steal decisions, death re-queueing). Deterministic: every
-//!   tie-break derives from a seed, never from wall clock or thread
-//!   timing.
-//! * [`simulate_schedule`] — a deterministic simulation of N workers
-//!   over the fleet (SatSwarm-style cycle stepping: each cycle every
-//!   live worker completes one job, in a seeded rotation), with injected
-//!   worker deaths mid-shard. Run as [`Scheduler::Simulated`], it is
-//!   what CI byte-diffs against a solo sweep.
-//! * [`serve`] / [`client_submit`] — the threaded service, running each
-//!   campaign as [`Scheduler::Fleet`], plus the framed socket protocol
-//!   ([`Request`]/[`Response`], [`sm_codec::frame`] frames over a
-//!   `UnixStream`).
-//!
-//! Determinism contract: job outcomes are pure functions of the job
-//! (never of which worker ran it), outcomes are merged in canonical
-//! expansion order, and canonical report bytes depend only on
-//! spec + outcomes — so any schedule (any worker count, any steal
-//! pattern, any death) reproduces the solo report byte-for-byte.
+//! [`serve`] is the service and [`client_submit`], [`client_status`] and
+//! [`client_shutdown`] its clients; they speak the framed socket protocol
+//! ([`Request`]/[`Response`], [`sm_codec::frame`] frames over a
+//! `UnixStream`).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -43,336 +23,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use sm_codec::{decode_from_slice, encode_to_vec, frame, record, tagged, Decode, Encode};
-use sm_exec::{seed, Budget};
+use sm_exec::Budget;
 
 use crate::cache::ArtifactCache;
-use crate::campaign::{CampaignRun, Scheduler, SweepSpec};
+use crate::campaign::{CampaignRun, SweepSpec};
 use crate::journal::{spec_fingerprint, Event, Journal, JournalFollower};
 use crate::report::ReportOptions;
 use crate::store::ArtifactStore;
-
-// ----- fleet: the scheduling state machine --------------------------------
-
-/// A contiguous half-open range of canonical job indices — the unit of
-/// dispatch and of stealing. Workers consume a range from the front;
-/// thieves take the upper half, so the victim keeps the jobs it is
-/// about to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobRange {
-    /// First job index in the range.
-    pub lo: usize,
-    /// One past the last job index.
-    pub hi: usize,
-}
-
-impl JobRange {
-    /// Jobs remaining in the range.
-    pub fn len(&self) -> usize {
-        self.hi - self.lo
-    }
-
-    /// `true` when the range is exhausted.
-    pub fn is_empty(&self) -> bool {
-        self.lo >= self.hi
-    }
-
-    /// Splits off the upper half (for a thief), keeping the lower half
-    /// here. `None` when the range is too small to share.
-    fn split(&mut self) -> Option<JobRange> {
-        if self.len() < 2 {
-            return None;
-        }
-        let mid = self.lo + self.len() / 2;
-        let upper = JobRange {
-            lo: mid,
-            hi: self.hi,
-        };
-        self.hi = mid;
-        Some(upper)
-    }
-}
-
-/// What [`Fleet::next_job`] tells a worker to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dispatch {
-    /// Run this canonical job index, then call [`Fleet::complete`].
-    Run(usize),
-    /// Nothing dispatchable right now, but jobs are still in flight
-    /// elsewhere — poll again.
-    Wait,
-    /// Every job of the campaign has completed.
-    Done,
-    /// This worker just died (injected death); its remaining ranges
-    /// were re-queued to the backlog.
-    Died,
-}
-
-/// Counters a fleet accumulates while scheduling.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetStats {
-    /// Ranges stolen by idle workers from loaded ones.
-    pub steals: u64,
-    /// Workers that died mid-shard (their ranges were re-queued).
-    pub deaths: u64,
-}
-
-/// Host-level work-stealing scheduler state, shared by the threaded
-/// service and the deterministic simulation. All decisions (victim
-/// tie-breaks) derive from the campaign seed, so a schedule is a pure
-/// function of `(workers, total, seed, deaths)` and the order in which
-/// workers ask — never of wall clock.
-#[derive(Debug)]
-pub struct Fleet {
-    /// Per-worker queues of assigned ranges (front = next to run).
-    assigned: Vec<VecDeque<JobRange>>,
-    /// Ranges re-queued from dead workers, handed out before stealing.
-    backlog: VecDeque<JobRange>,
-    /// Jobs completed per worker (drives injected deaths).
-    completed: Vec<usize>,
-    /// Liveness per worker.
-    alive: Vec<bool>,
-    /// Injected death: worker dies at the first pickup after completing
-    /// this many jobs.
-    deaths: Vec<Option<usize>>,
-    /// Jobs not yet completed.
-    unfinished: usize,
-    /// Seed for steal tie-breaks.
-    seed: u64,
-    /// Seeded decisions taken so far (the derivation branch counter).
-    decisions: u64,
-    /// Scheduling counters.
-    stats: FleetStats,
-}
-
-impl Fleet {
-    /// A fleet of `workers` over jobs `0..total`, split up front into
-    /// balanced contiguous ranges. `deaths` lists injected
-    /// `(worker, after_jobs)` deaths — at least one worker must be
-    /// immortal, or the remaining ranges could never drain.
-    ///
-    /// # Errors
-    ///
-    /// Rejects zero workers, out-of-range death indices, and a death
-    /// plan that kills every worker.
-    pub fn new(
-        workers: usize,
-        total: usize,
-        seed: u64,
-        deaths: &[(usize, usize)],
-    ) -> Result<Fleet, String> {
-        if workers == 0 {
-            return Err("fleet needs at least one worker".into());
-        }
-        let mut death_plan: Vec<Option<usize>> = vec![None; workers];
-        for &(w, after) in deaths {
-            if w >= workers {
-                return Err(format!(
-                    "--kill worker {w} out of range (fleet has {workers})"
-                ));
-            }
-            // Two kill entries for one worker keep the earlier death.
-            let slot = &mut death_plan[w];
-            *slot = Some(slot.map_or(after, |k| k.min(after)));
-        }
-        if death_plan.iter().all(|d| d.is_some()) {
-            return Err("at least one worker must survive (--kill names them all)".into());
-        }
-        let mut assigned: Vec<VecDeque<JobRange>> = vec![VecDeque::new(); workers];
-        let chunk = total / workers;
-        let rem = total % workers;
-        let mut lo = 0;
-        for (w, queue) in assigned.iter_mut().enumerate() {
-            let len = chunk + usize::from(w < rem);
-            if len > 0 {
-                queue.push_back(JobRange { lo, hi: lo + len });
-            }
-            lo += len;
-        }
-        Ok(Fleet {
-            assigned,
-            backlog: VecDeque::new(),
-            completed: vec![0; workers],
-            alive: vec![true; workers],
-            deaths: death_plan,
-            unfinished: total,
-            seed,
-            decisions: 0,
-            stats: FleetStats::default(),
-        })
-    }
-
-    /// The next instruction for worker `w`: run a job (from its own
-    /// queue, the backlog, or stolen from the most-loaded peer), wait,
-    /// die (injected), or finish.
-    pub fn next_job(&mut self, w: usize) -> Dispatch {
-        if !self.alive[w] {
-            return Dispatch::Died;
-        }
-        // Injected death fires at pickup time — a worker never abandons
-        // a job it already started, it just stops taking new ones; its
-        // remaining ranges re-queue as resumable work for the others.
-        if let Some(after) = self.deaths[w] {
-            if self.completed[w] >= after {
-                self.alive[w] = false;
-                self.stats.deaths += 1;
-                while let Some(range) = self.assigned[w].pop_front() {
-                    self.backlog.push_back(range);
-                }
-                return Dispatch::Died;
-            }
-        }
-        if self.unfinished == 0 {
-            return Dispatch::Done;
-        }
-        if self.assigned[w].is_empty() {
-            if let Some(range) = self.backlog.pop_front() {
-                self.assigned[w].push_back(range);
-            } else if !self.steal_for(w) {
-                return Dispatch::Wait;
-            }
-        }
-        let Some(range) = self.assigned[w].front_mut() else {
-            return Dispatch::Wait;
-        };
-        let index = range.lo;
-        range.lo += 1;
-        if range.is_empty() {
-            self.assigned[w].pop_front();
-        }
-        Dispatch::Run(index)
-    }
-
-    /// Marks worker `w`'s in-flight job finished.
-    pub fn complete(&mut self, w: usize) {
-        self.completed[w] += 1;
-        self.unfinished = self.unfinished.saturating_sub(1);
-    }
-
-    /// Workers in the fleet.
-    pub fn workers(&self) -> usize {
-        self.assigned.len()
-    }
-
-    /// Scheduling counters so far.
-    pub fn stats(&self) -> FleetStats {
-        self.stats
-    }
-
-    /// `true` when every job has completed.
-    pub fn done(&self) -> bool {
-        self.unfinished == 0
-    }
-
-    /// Tries to steal work for idle worker `w` from the most-loaded
-    /// peer (seeded tie-break among equals). A victim with several
-    /// queued ranges gives up its whole back range; a victim down to
-    /// one range gives up its upper half, keeping the jobs it is about
-    /// to run — or, down to one job, that job: queued jobs have not
-    /// started, so a worker only ever waits on running jobs, never on a
-    /// peer that has not started yet. Returns `true` when a range landed
-    /// in `w`'s queue.
-    fn steal_for(&mut self, w: usize) -> bool {
-        let mut best: Vec<usize> = Vec::new();
-        let mut best_load = 0usize;
-        for (v, queue) in self.assigned.iter().enumerate() {
-            if v == w {
-                continue;
-            }
-            let load: usize = queue.iter().map(JobRange::len).sum();
-            if load > best_load {
-                best_load = load;
-                best.clear();
-                best.push(v);
-            } else if load > 0 && load == best_load {
-                best.push(v);
-            }
-        }
-        if best.is_empty() {
-            return false;
-        }
-        let pick = (seed::derive(self.seed, self.decisions) % best.len() as u64) as usize;
-        self.decisions += 1;
-        let victim = best[pick];
-        let queue = &mut self.assigned[victim];
-        let stolen = if queue.len() > 1 {
-            queue.pop_back()
-        } else {
-            queue[0].split().or_else(|| queue.pop_front())
-        };
-        match stolen {
-            Some(range) => {
-                self.stats.steals += 1;
-                self.assigned[w].push_back(range);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-// ----- deterministic N-worker simulation ----------------------------------
-
-/// A simulated fleet: worker count, scheduling seed, and injected
-/// `(worker, after_jobs)` deaths.
-#[derive(Debug, Clone)]
-pub struct SimPlan {
-    /// Simulated workers.
-    pub workers: usize,
-    /// Seed for steal tie-breaks and the per-cycle worker rotation.
-    pub seed: u64,
-    /// Injected deaths: worker dies at its first pickup after
-    /// completing this many jobs.
-    pub deaths: Vec<(usize, usize)>,
-}
-
-impl Default for SimPlan {
-    fn default() -> Self {
-        SimPlan {
-            workers: 3,
-            seed: 1,
-            deaths: Vec::new(),
-        }
-    }
-}
-
-/// Runs the fleet as a SatSwarm-style cycle simulation: each cycle
-/// steps every worker once in a seeded rotation, and a stepped live
-/// worker completes exactly one job. Returns the per-worker job-index
-/// schedule plus the fleet's counters.
-///
-/// The schedule is a pure function of `(total, plan)` — no threads, no
-/// clocks — which is what lets CI pin the whole dispatch/steal/death
-/// protocol without real hosts.
-///
-/// # Errors
-///
-/// Propagates [`Fleet::new`] validation; errors if scheduling stalls
-/// (which would mean a fleet invariant is broken).
-pub fn simulate_schedule(
-    total: usize,
-    plan: &SimPlan,
-) -> Result<(Vec<Vec<usize>>, FleetStats), String> {
-    let mut fleet = Fleet::new(plan.workers, total, plan.seed, &plan.deaths)?;
-    let mut schedule: Vec<Vec<usize>> = vec![Vec::new(); plan.workers];
-    let mut cycle = 0u64;
-    while !fleet.done() {
-        let start = (seed::derive(plan.seed ^ 0x5e17, cycle) % plan.workers as u64) as usize;
-        let mut progressed = false;
-        for k in 0..plan.workers {
-            let w = (start + k) % plan.workers;
-            if let Dispatch::Run(index) = fleet.next_job(w) {
-                schedule[w].push(index);
-                fleet.complete(w);
-                progressed = true;
-            }
-        }
-        if !progressed && !fleet.done() {
-            return Err("fleet simulation stalled (scheduler invariant broken)".into());
-        }
-        cycle += 1;
-    }
-    Ok((schedule, fleet.stats()))
-}
 
 // ----- wire protocol -------------------------------------------------------
 
@@ -447,7 +104,7 @@ pub enum Response {
     },
     /// One journal event of a followed campaign.
     Event(Event),
-    /// The campaign's canonical JSON report — the same bytes a solo
+    /// The campaign's canonical JSON report — the same bytes
     /// `smctl sweep` of the spec emits.
     Report {
         /// Canonical report JSON.
@@ -573,7 +230,7 @@ fn poisoned<T>(guard: std::sync::LockResult<T>) -> T {
 /// eviction needs no per-sweep lock), then binds `config.socket`, and
 /// executes queued campaigns one at a time on a threaded work-stealing
 /// fleet of `config.workers` workers sharing `budget`. Reports are
-/// canonical: byte-identical to a solo `smctl sweep` of the same spec.
+/// canonical: byte-identical to `smctl sweep` of the same spec.
 ///
 /// # Errors
 ///
@@ -641,7 +298,7 @@ pub fn serve(config: &ServeConfig, budget: &Budget) -> Result<(), String> {
             let cache =
                 ArtifactCache::with_store(Arc::clone(&store)).with_journal(Arc::clone(&journal));
             let result = CampaignRun::new(&next.spec)
-                .and_then(|run| run.run(&Scheduler::Fleet { workers }, &budget, &cache));
+                .and_then(|run| run.run_fleet(workers, &[], &budget, &cache));
             let mut state = poisoned(shared.state.lock());
             state.running = None;
             state.completed += 1;
@@ -900,37 +557,6 @@ fn connect(socket: &Path) -> Result<UnixStream, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ranges_split_upper_half() {
-        let mut r = JobRange { lo: 4, hi: 10 };
-        let upper = r.split().unwrap();
-        assert_eq!(r, JobRange { lo: 4, hi: 7 });
-        assert_eq!(upper, JobRange { lo: 7, hi: 10 });
-        let mut tiny = JobRange { lo: 0, hi: 1 };
-        assert_eq!(tiny.split(), None);
-    }
-
-    #[test]
-    fn fleet_rejects_bad_plans() {
-        assert!(Fleet::new(0, 4, 1, &[]).is_err());
-        assert!(Fleet::new(2, 4, 1, &[(2, 0)]).is_err());
-        assert!(Fleet::new(2, 4, 1, &[(0, 0), (1, 0)]).is_err());
-    }
-
-    #[test]
-    fn schedules_are_reproducible() {
-        let plan = SimPlan {
-            workers: 4,
-            seed: 7,
-            deaths: vec![(2, 1)],
-        };
-        let (a, sa) = simulate_schedule(23, &plan).unwrap();
-        let (b, sb) = simulate_schedule(23, &plan).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
-        assert_eq!(sa.deaths, 1);
-    }
 
     #[test]
     fn protocol_round_trips() {

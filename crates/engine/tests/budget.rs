@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use sm_engine::campaign::{
     merge_outcomes, merge_reports, run_job, run_sweep_budgeted, Campaign, CampaignRun, JobOutcome,
-    Scheduler, SweepSpec,
+    SweepSpec,
 };
 use sm_engine::job::AttackKind;
 use sm_engine::report::{Json, ReportOptions};
@@ -254,9 +254,7 @@ fn cancelled_flow_jobs_resume_to_byte_identical_reports() {
     let budget = Budget::with_threads(Some(2));
     let full = run_sweep_budgeted(&spec, &budget, &ArtifactCache::new(), None).unwrap();
     let run = CampaignRun::resume(campaign).unwrap();
-    let (resumed, _) = run
-        .run(&Scheduler::Solo, &budget, &ArtifactCache::new())
-        .unwrap();
+    let resumed = run.run(&budget, &ArtifactCache::new());
     assert_eq!(canonical(&resumed), canonical(&full));
 }
 
@@ -301,9 +299,7 @@ fn cancelled_sweep_resumes_to_byte_identical_report() {
     let run = CampaignRun::resume(parsed).unwrap();
     assert_eq!(run.selected().len(), timed_out);
     let budget = Budget::with_threads(Some(2));
-    let (resumed, _) = run
-        .run(&Scheduler::Solo, &budget, &ArtifactCache::new())
-        .unwrap();
+    let resumed = run.run(&budget, &ArtifactCache::new());
     assert_eq!(resumed.timed_out(), 0);
     assert_eq!(canonical(&resumed), canonical(&full));
     assert_eq!(

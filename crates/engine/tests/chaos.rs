@@ -5,10 +5,11 @@
 //!   isolated, the job records `failed` (journaled like `timed_out`),
 //!   and every other job still finishes;
 //! * a campaign mangled by **any** fault plan — job panics, transient
-//!   and persistent store I/O errors, journal-append errors — either
-//!   completes outright or resumes fault-free to a report
-//!   **byte-identical** to an uninterrupted fault-free run (property
-//!   tested over random seeds and profiles);
+//!   and persistent store I/O errors, journal-append errors — on any
+//!   fleet shape either completes outright or resumes fault-free to a
+//!   report **byte-identical** to an uninterrupted fault-free run
+//!   (property tested over random seeds, profiles, worker counts,
+//!   injected worker deaths and thread counts);
 //! * persistent store failure degrades to memory-only operation
 //!   mid-campaign without changing a byte of the canonical report.
 
@@ -17,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once, OnceLock};
 
-use sm_engine::campaign::{run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec};
+use sm_engine::campaign::{run_sweep_budgeted, Campaign, CampaignRun, SweepSpec};
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{materialize, read_events, Journal};
 use sm_engine::report::ReportOptions;
@@ -101,17 +102,24 @@ fn baseline() -> &'static str {
     })
 }
 
-/// Runs the tiny campaign under `plan` against a store in `scratch`,
-/// with the plan attached to all three injection points (job run,
-/// store I/O, journal appends).
-fn chaotic_run(scratch: &Scratch, plan: FaultPlan) -> Campaign {
+/// A fleet shape: workers, injected `(worker, after_jobs)` deaths, and
+/// the campaign's thread budget.
+type Shape<'a> = (usize, &'a [(usize, usize)], usize);
+
+/// Runs the tiny campaign under `plan` on a fleet of `shape` against a
+/// store in `scratch`, with the plan attached to all three injection
+/// points (job run, store I/O, journal appends).
+fn chaotic_run(scratch: &Scratch, plan: FaultPlan, shape: Shape) -> Campaign {
+    let (workers, deaths, threads) = shape;
     let spec = spec();
     let store = Arc::new(ArtifactStore::open(scratch.path(), None).with_faults(plan));
     let journal = Arc::new(Journal::for_spec(scratch.path(), &spec).with_faults(plan));
     let cache = ArtifactCache::with_store(store)
         .with_journal(journal)
         .with_faults(plan);
-    run_sweep_budgeted(&spec, &Budget::with_threads(Some(2)), &cache, None).unwrap()
+    let budget = Budget::with_threads(Some(threads));
+    let run = CampaignRun::new(&spec).unwrap();
+    run.run_fleet(workers, deaths, &budget, &cache).unwrap().0
 }
 
 /// Fault-free resume over the same store dir: re-run every placeholder
@@ -120,7 +128,7 @@ fn resume_fault_free(scratch: &Scratch, chaotic: Campaign) -> String {
     let budget = Budget::with_threads(Some(2));
     let cache = ArtifactCache::with_store(Arc::new(ArtifactStore::open(scratch.path(), None)));
     let run = CampaignRun::resume(chaotic).unwrap();
-    canonical(&run.run(&Scheduler::Solo, &budget, &cache).unwrap().0)
+    canonical(&run.run(&budget, &cache))
 }
 
 /// A plan that panics **every** job must not poison the pool: all jobs
@@ -137,7 +145,8 @@ fn all_job_panics_are_isolated_and_resumable() {
         store_persistent_bp: 0,
         journal_transient_bp: 0,
     };
-    let chaotic = chaotic_run(&scratch, FaultPlan::new(7, always_panic));
+    // The fleet `smctl sweep` derives for four jobs at two threads.
+    let chaotic = chaotic_run(&scratch, FaultPlan::new(7, always_panic), (2, &[], 2));
     let jobs = chaotic.spec.jobs().unwrap().len();
     assert_eq!(chaotic.failed(), jobs, "every job panicked");
     assert_eq!(chaotic.timed_out(), 0);
@@ -197,14 +206,18 @@ mod prop {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// The tentpole invariant: **any** fault seed × profile either
-        /// completes the campaign outright or leaves a partial report
-        /// whose fault-free resume is byte-identical to the fault-free
-        /// baseline.
+        /// The tentpole invariant: **any** fault seed × profile, on any
+        /// fleet of 1..=4 workers in 1..=4 threads, with or without a
+        /// worker killed after `k` jobs, either completes the campaign
+        /// outright or leaves a partial report whose fault-free resume
+        /// is byte-identical to the fault-free baseline.
         #[test]
         fn any_fault_plan_completes_or_resumes_to_fault_free_bytes(
             seed in 0u64..u64::MAX,
             profile_idx in 0usize..3,
+            workers in 1usize..5,
+            threads in 1usize..5,
+            death in (any::<bool>(), 0usize..4, 0usize..3),
         ) {
             quiet_injected_panics();
             let profile = [
@@ -212,8 +225,16 @@ mod prop {
                 FaultProfile::light(),
                 FaultProfile::aggressive(),
             ][profile_idx];
+            // The death needs a second worker to survive it.
+            let (kill, w, k) = death;
+            let deaths = if kill && workers > 1 {
+                vec![(w % workers, k)]
+            } else {
+                Vec::new()
+            };
             let scratch = Scratch::new("prop");
-            let chaotic = chaotic_run(&scratch, FaultPlan::new(seed, profile));
+            let plan = FaultPlan::new(seed, profile);
+            let chaotic = chaotic_run(&scratch, plan, (workers, &deaths, threads));
             let resumed = resume_fault_free(&scratch, chaotic);
             prop_assert_eq!(resumed, baseline());
         }

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sm_engine::campaign::{run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec};
+use sm_engine::campaign::{run_sweep_budgeted, Campaign, CampaignRun, SweepSpec};
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{
     find_journal, materialize, read_events, Event, Journal, JournalFollower, MetricsSource,
@@ -425,7 +425,7 @@ fn interrupted_journal_plus_resume_materializes_to_uninterrupted_report() {
     assert_eq!(run.selected().len(), spec.jobs().unwrap().len());
     let resume_cache = ArtifactCache::new().with_journal(Arc::clone(&journal));
     let budget = Budget::with_threads(Some(2));
-    run.run(&Scheduler::Solo, &budget, &resume_cache).unwrap();
+    run.run(&budget, &resume_cache);
 
     let resumed = materialize(&read_events(journal.path()).unwrap()).unwrap();
     assert_eq!(resumed.timed_out(), 0);

@@ -1,33 +1,31 @@
 //! Campaign-service integration tests: the `smctl serve` guarantees.
 //!
-//! * the deterministic N-worker fleet simulation covers every job
-//!   exactly once, reproduces its schedule bit-for-bit, and its merged
-//!   report is **byte-identical** to a solo sweep — including under an
-//!   injected worker death that forces a re-queue and a steal;
+//! * the fleet's state machine, stepped directly, covers every job
+//!   exactly once and replays its schedule bit-for-bit;
+//! * the threaded fleet every campaign runs on — with a worker killed at
+//!   its first pickup, at any thread budget — reports **byte-identical**
+//!   to `smctl sweep`'s derived fleet and runs each job exactly once;
 //! * the live service round-trips submit/status/shutdown over its Unix
 //!   socket, streams journal events to a following client, and returns
-//!   the same canonical bytes as a solo sweep;
+//!   the same canonical bytes as a sweep;
 //! * admission control bounces submissions past `max_queued` and
 //!   invalid specs, and a second service refuses a live socket;
-//! * the three schedulers of the one campaign driver — solo, threaded
-//!   fleet and simulated fleet — do the same cache work, not only
-//!   produce the same bytes, and never stall on small campaigns.
+//! * every fleet shape (workers, deaths, threads) of the one campaign
+//!   driver does the same cache work, not only produces the same bytes,
+//!   and never stalls on small campaigns.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sm_engine::campaign::{
-    merge_reports, run_sweep_budgeted, Campaign, CampaignRun, Scheduler, SweepSpec,
-};
+use sm_engine::campaign::{merge_reports, run_sweep_budgeted, Campaign, CampaignRun, SweepSpec};
+use sm_engine::fleet::{Dispatch, Fleet, FleetStats};
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{read_events, Event, Journal};
 use sm_engine::report::ReportOptions;
-use sm_engine::serve::{
-    client_shutdown, client_status, client_submit, serve, simulate_schedule, FleetStats,
-    ServeConfig, SimPlan,
-};
+use sm_engine::serve::{client_shutdown, client_status, client_submit, serve, ServeConfig};
 use sm_engine::{ArtifactCache, ArtifactStore};
 use sm_exec::Budget;
 
@@ -71,23 +69,24 @@ fn sim_spec() -> SweepSpec {
     }
 }
 
-/// Runs all of `spec` through the driver under `scheduler`.
-fn drive(
-    spec: &SweepSpec,
-    scheduler: &Scheduler,
-    threads: usize,
-    cache: &ArtifactCache,
-) -> (Campaign, FleetStats) {
+/// A fleet shape: workers, injected `(worker, after_jobs)` deaths, and
+/// the campaign's thread budget.
+type Shape = (usize, &'static [(usize, usize)], usize);
+
+/// Runs all of `spec` through the driver on a fleet of `shape`.
+fn drive(spec: &SweepSpec, shape: Shape, cache: &ArtifactCache) -> (Campaign, FleetStats) {
+    let (workers, deaths, threads) = shape;
     let budget = Budget::with_threads(Some(threads));
     let run = CampaignRun::new(spec).unwrap();
-    run.run(scheduler, &budget, cache).unwrap()
+    run.run_fleet(workers, deaths, &budget, cache).unwrap()
 }
 
 fn canonical(campaign: &Campaign) -> String {
     campaign.to_json(ReportOptions::default()).render()
 }
 
-fn solo_bytes(spec: &SweepSpec) -> String {
+/// The bytes of `smctl sweep`: the derived fleet at two threads.
+fn sweep_bytes(spec: &SweepSpec) -> String {
     run_sweep_budgeted(
         spec,
         &Budget::with_threads(Some(2)),
@@ -99,9 +98,42 @@ fn solo_bytes(spec: &SweepSpec) -> String {
     .render()
 }
 
-/// Every (total, plan) combination yields a schedule that covers each
-/// job index exactly once — across deaths, uneven splits, and more
-/// workers than jobs — and replays bit-for-bit.
+/// Steps `fleet` in rounds, as threads that each run one job at a time
+/// would: every idle live worker asks for a job, then every job in
+/// flight completes. Returns each worker's job positions in run order
+/// and the counters; panics if a round makes no progress.
+fn step(fleet: &mut Fleet) -> (Vec<Vec<usize>>, FleetStats) {
+    let workers = fleet.workers();
+    let mut schedule = vec![Vec::new(); workers];
+    let mut finished = vec![false; workers];
+    while finished.contains(&false) {
+        let mut in_flight = Vec::new();
+        let mut progressed = false;
+        for w in 0..workers {
+            if finished[w] {
+                continue;
+            }
+            match fleet.next_job(w) {
+                Dispatch::Run(position) => {
+                    schedule[w].push(position);
+                    in_flight.push(w);
+                }
+                Dispatch::Wait => continue,
+                Dispatch::Done | Dispatch::Died => finished[w] = true,
+            }
+            progressed = true;
+        }
+        assert!(progressed, "every live worker waits on nothing in flight");
+        for &w in &in_flight {
+            fleet.complete(w);
+        }
+    }
+    (schedule, fleet.stats())
+}
+
+/// Every (total, workers, deaths) combination yields a schedule that
+/// covers each job position exactly once — across deaths, uneven splits,
+/// and more workers than jobs — and replays bit-for-bit.
 #[test]
 fn schedules_cover_every_job_exactly_once_and_replay() {
     type Combo = (usize, usize, Vec<(usize, usize)>);
@@ -113,74 +145,75 @@ fn schedules_cover_every_job_exactly_once_and_replay() {
         (12, 2, vec![(1, 2)]),
     ];
     for (total, workers, deaths) in combos {
-        let plan = SimPlan {
-            workers,
-            seed: 7,
-            deaths: deaths.clone(),
-        };
-        let (schedule, _) = simulate_schedule(total, &plan).unwrap();
-        let mut all: Vec<usize> = schedule.iter().flatten().copied().collect();
+        let schedule = || step(&mut Fleet::new(workers, total, 7, &deaths).unwrap());
+        let (ran, stats) = schedule();
+        let mut all: Vec<usize> = ran.iter().flatten().copied().collect();
         all.sort_unstable();
         assert_eq!(
             all,
             (0..total).collect::<Vec<_>>(),
             "coverage for total={total} workers={workers} deaths={deaths:?}"
         );
-        let (again, _) = simulate_schedule(total, &plan).unwrap();
-        assert_eq!(again, schedule, "schedules replay bit-for-bit");
+        assert_eq!(stats.deaths, deaths.len() as u64, "every death fires");
+        assert_eq!(schedule(), (ran, stats), "schedules replay bit-for-bit");
     }
 }
 
-/// The headline service guarantee: a simulated fleet's merged report is
-/// byte-identical to a solo sweep — healthy or with a worker killed at
-/// its first pickup (re-queue + steal), at any thread budget.
+/// The headline service guarantee: the threaded fleet's merged report is
+/// byte-identical to a sweep — healthy or with a worker killed at its
+/// first pickup, at any thread budget — and with the kill every job
+/// still starts exactly once, because a dead worker's range runs
+/// elsewhere instead of twice.
 #[test]
 fn simulated_fleet_reports_are_byte_identical_to_solo() {
     let spec = sim_spec();
-    let want = solo_bytes(&spec);
+    let want = sweep_bytes(&spec);
+    let scratch = Scratch::new("killed");
+    let healthy: &[(usize, usize)] = &[];
+    let killed: &[(usize, usize)] = &[(1, 0)];
     for (deaths, threads) in [
-        (vec![], 4usize),
-        (vec![], 1),
-        (vec![(1usize, 0usize)], 4),
-        (vec![(1, 0)], 1),
+        (healthy, 4),
+        (healthy, 1),
+        (killed, 1),
+        (killed, 2),
+        (killed, 4),
     ] {
-        let plan = SimPlan {
-            workers: 3,
-            seed: 1,
-            deaths: deaths.clone(),
-        };
-        let scheduler = Scheduler::Simulated(plan);
-        let (campaign, stats) = drive(&spec, &scheduler, threads, &ArtifactCache::new());
+        let dir = scratch.path().join(format!("{}-t{threads}", deaths.len()));
+        let journal = Arc::new(Journal::for_spec(&dir, &spec));
+        let cache = ArtifactCache::new().with_journal(Arc::clone(&journal));
+        let (campaign, stats) = drive(&spec, (3, deaths, threads), &cache);
         assert_eq!(
             canonical(&campaign),
             want,
             "fleet bytes diverge (deaths={deaths:?} threads={threads})"
         );
-        if deaths.is_empty() {
-            assert_eq!(stats.deaths, 0);
-        } else {
-            assert_eq!(stats.deaths, 1, "the injected death fires");
-            assert!(
-                stats.steals >= 1,
-                "a worker killed at first pickup forces its range back out"
-            );
+        assert_eq!(
+            stats.deaths,
+            deaths.len() as u64,
+            "the injected death fires"
+        );
+        let mut starts: HashMap<String, usize> = HashMap::new();
+        for event in read_events(journal.path()).unwrap() {
+            if let Event::JobStarted { job, .. } = event {
+                *starts.entry(job.label()).or_default() += 1;
+            }
         }
+        assert_eq!(starts.len(), 8, "every job ran (threads={threads})");
+        assert!(
+            starts.values().all(|&n| n == 1),
+            "a job ran twice (deaths={deaths:?} threads={threads}): {starts:?}"
+        );
     }
 }
 
-/// Runs `spec` under `scheduler` over a fresh cache journaling into
+/// Runs `spec` on a fleet of `shape` over a fresh cache journaling into
 /// `dir`. Returns the canonical bytes and the number of `attack-mcmf`
 /// and `attack-original-mcmf` phases in the journal's job-finished
 /// provenance: one per flow solve of a protected and an original arm.
-fn journaled(
-    spec: &SweepSpec,
-    scheduler: &Scheduler,
-    threads: usize,
-    dir: &Path,
-) -> (String, [usize; 2]) {
+fn journaled(spec: &SweepSpec, shape: Shape, dir: &Path) -> (String, [usize; 2]) {
     let journal = Arc::new(Journal::for_spec(dir, spec));
     let cache = ArtifactCache::new().with_journal(Arc::clone(&journal));
-    let (campaign, _) = drive(spec, scheduler, threads, &cache);
+    let (campaign, _) = drive(spec, shape, &cache);
     let events = read_events(journal.path()).unwrap();
     let solves = ["attack-mcmf", "attack-original-mcmf"].map(|span| {
         events
@@ -199,9 +232,9 @@ fn journaled(
 }
 
 /// Under a pinned layout every seed's flow job at one layer attacks the
-/// same FEOL, so each connection guess is solved once and shared, under
-/// every scheduler and thread budget — and the bytes equal a per-job
-/// baseline where each job runs alone in a fresh cache.
+/// same FEOL, so each connection guess is solved once and shared, on
+/// every fleet shape — and the bytes equal a per-job baseline where each
+/// job runs alone in a fresh cache.
 #[test]
 fn pinned_layout_sweeps_solve_each_assignment_once() {
     let scratch = Scratch::new("pinned");
@@ -218,35 +251,24 @@ fn pinned_layout_sweeps_solve_each_assignment_once() {
     let singles = (0..spec.jobs().unwrap().len())
         .map(|i| {
             let run = CampaignRun::new(&spec).unwrap().jobs(&[i]).unwrap();
-            run.run(&Scheduler::Solo, &budget, &ArtifactCache::new())
-                .unwrap()
-                .0
+            run.run(&budget, &ArtifactCache::new())
         })
         .collect();
     let want = canonical(&merge_reports(singles).unwrap());
-    let runs = [
-        (Scheduler::Solo, 1),
-        (Scheduler::Solo, 2),
-        (Scheduler::Solo, 4),
-        (Scheduler::Fleet { workers: 3 }, 2),
-        (
-            Scheduler::Simulated(SimPlan {
-                workers: 3,
-                seed: 1,
-                deaths: vec![(1, 0)],
-            }),
-            2,
-        ),
+    // The first three are the fleets `smctl sweep` derives for six jobs
+    // at one, two and four threads.
+    let shapes: [Shape; 5] = [
+        (1, &[], 1),
+        (2, &[], 2),
+        (4, &[], 4),
+        (3, &[], 2),
+        (3, &[(1, 0)], 2),
     ];
-    for (i, (scheduler, threads)) in runs.iter().enumerate() {
+    for (i, shape) in shapes.into_iter().enumerate() {
         let dir = scratch.path().join(format!("run-{i}"));
-        let (bytes, solves) = journaled(&spec, scheduler, *threads, &dir);
-        assert_eq!(bytes, want, "{scheduler:?} at --threads {threads}");
-        assert_eq!(
-            solves,
-            [2, 2],
-            "one solve per arm and layer: {scheduler:?} at {threads}"
-        );
+        let (bytes, solves) = journaled(&spec, shape, &dir);
+        assert_eq!(bytes, want, "fleet {shape:?}");
+        assert_eq!(solves, [2, 2], "one solve per arm and layer: {shape:?}");
     }
     // Unpinned, every job has a layout of its own and solves it.
     let unpinned = SweepSpec {
@@ -254,7 +276,7 @@ fn pinned_layout_sweeps_solve_each_assignment_once() {
         ..spec
     };
     let dir = scratch.path().join("unpinned");
-    let (_, solves) = journaled(&unpinned, &Scheduler::Solo, 2, &dir);
+    let (_, solves) = journaled(&unpinned, (2, &[], 2), &dir);
     assert_eq!(solves, [unpinned.jobs().unwrap().len(); 2]);
 }
 
@@ -312,7 +334,11 @@ fn service_round_trips_submit_status_shutdown() {
         |event| events.push(event.clone()),
     )
     .expect("followed submission");
-    assert_eq!(json, solo_bytes(&spec), "service bytes diverge from solo");
+    assert_eq!(
+        json,
+        sweep_bytes(&spec),
+        "service bytes diverge from a sweep"
+    );
     assert!(
         matches!(events.first(), Some(Event::CampaignStarted { .. })),
         "stream opens with campaign-started"
@@ -400,10 +426,10 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-/// One spec over copies of one primed store, once per scheduler: the
-/// served and simulated fleets reserve bundles like a solo sweep, so
-/// each bundle is decoded once and released once — equal cache and
-/// stage counters, not only equal bytes.
+/// One spec over copies of one primed store, once per fleet shape: a
+/// served fleet of three and one with a dead worker reserve bundles like
+/// `smctl sweep`'s derived fleet, so each bundle is decoded once and
+/// released once — equal cache and stage counters, not only equal bytes.
 #[test]
 fn schedulers_do_the_same_cache_work_over_a_primed_store() {
     let scratch = Scratch::new("counters");
@@ -418,49 +444,37 @@ fn schedulers_do_the_same_cache_work_over_a_primed_store() {
         layout_seed: None,
     };
     let store = Arc::new(ArtifactStore::open(&primed, None));
-    drive(
-        &prime,
-        &Scheduler::Solo,
-        2,
-        &ArtifactCache::with_store(store),
-    );
+    drive(&prime, (2, &[], 2), &ArtifactCache::with_store(store));
     let spec = SweepSpec {
         split_layers: vec![4, 5, 6],
         ..prime
     };
-    let schedulers = [
-        Scheduler::Solo,
-        Scheduler::Fleet { workers: 3 },
-        Scheduler::Simulated(SimPlan {
-            workers: 3,
-            seed: 1,
-            deaths: vec![(1, 0)],
-        }),
-    ];
+    let shapes: [Shape; 3] = [(2, &[], 2), (3, &[], 2), (3, &[(1, 0)], 2)];
     let mut runs = Vec::new();
-    for (i, scheduler) in schedulers.iter().enumerate() {
+    for (i, shape) in shapes.into_iter().enumerate() {
         let copy = scratch.path().join(format!("copy-{i}"));
         copy_dir(&primed, &copy);
         let cache = ArtifactCache::with_store(Arc::new(ArtifactStore::open(&copy, None)));
-        let (campaign, _) = drive(&spec, scheduler, 2, &cache);
-        runs.push((scheduler, campaign));
+        let (campaign, _) = drive(&spec, shape, &cache);
+        runs.push((shape, campaign));
     }
-    let (_, solo) = &runs[0];
-    assert_eq!(solo.cache.builds, 0, "the primed store holds every bundle");
-    assert_eq!(solo.cache.disk_hits, 2, "one decode per bundle");
-    assert_eq!(solo.cache.released, 2, "one release per bundle");
-    for (scheduler, campaign) in &runs[1..] {
-        assert_eq!(canonical(campaign), canonical(solo), "{scheduler:?} bytes");
-        assert_eq!(campaign.cache, solo.cache, "{scheduler:?} cache counters");
-        assert_eq!(campaign.stages, solo.stages, "{scheduler:?} stage counters");
+    let (_, sweep) = &runs[0];
+    assert_eq!(sweep.cache.builds, 0, "the primed store holds every bundle");
+    assert_eq!(sweep.cache.disk_hits, 2, "one decode per bundle");
+    assert_eq!(sweep.cache.released, 2, "one release per bundle");
+    for (shape, campaign) in &runs[1..] {
+        assert_eq!(canonical(campaign), canonical(sweep), "{shape:?} bytes");
+        assert_eq!(campaign.cache, sweep.cache, "{shape:?} cache counters");
+        assert_eq!(campaign.stages, sweep.stages, "{shape:?} stage counters");
     }
 }
 
 /// Three jobs on three workers at one and two threads: the pool starts
 /// at most two workers at once, so a worker that has finished its own
 /// job must be able to take a last job from a worker that has not
-/// started yet instead of waiting for it. Run with a deadline so a stall
-/// fails the test rather than hanging it.
+/// started yet instead of waiting for it — with and without a worker
+/// killed at its first pickup. Run with a deadline so a stall fails the
+/// test rather than hanging it.
 #[test]
 fn three_jobs_on_three_workers_finish_at_low_thread_counts() {
     let spec = SweepSpec {
@@ -472,28 +486,24 @@ fn three_jobs_on_three_workers_finish_at_low_thread_counts() {
         master_seed: 1,
         layout_seed: None,
     };
-    let want = solo_bytes(&spec);
+    let want = sweep_bytes(&spec);
     for threads in [1usize, 2] {
-        for scheduler in [
-            Scheduler::Fleet { workers: 3 },
-            Scheduler::Simulated(SimPlan {
-                workers: 3,
-                ..SimPlan::default()
-            }),
-        ] {
+        let healthy: &'static [(usize, usize)] = &[];
+        for deaths in [healthy, &[(1, 0)]] {
+            let shape = (3, deaths, threads);
             let (tx, rx) = std::sync::mpsc::channel();
             let job = {
-                let (spec, scheduler) = (spec.clone(), scheduler.clone());
+                let spec = spec.clone();
                 std::thread::spawn(move || {
-                    let (campaign, _) = drive(&spec, &scheduler, threads, &ArtifactCache::new());
+                    let (campaign, _) = drive(&spec, shape, &ArtifactCache::new());
                     tx.send(canonical(&campaign)).unwrap();
                 })
             };
             let got = rx
                 .recv_timeout(Duration::from_secs(300))
-                .unwrap_or_else(|_| panic!("{scheduler:?} at --threads {threads} stalled"));
+                .unwrap_or_else(|_| panic!("fleet {shape:?} stalled"));
             job.join().unwrap();
-            assert_eq!(got, want, "{scheduler:?} at --threads {threads}");
+            assert_eq!(got, want, "fleet {shape:?}");
         }
     }
 }
@@ -510,8 +520,8 @@ fn resumed_campaigns_journal_their_wall_clock() {
     let cache = ArtifactCache::new().with_journal(Arc::clone(&journal));
     let run = CampaignRun::resume(partial).unwrap();
     assert_eq!(run.selected().len(), 6);
-    let (resumed, _) = run.run(&Scheduler::Solo, &budget, &cache).unwrap();
-    assert_eq!(canonical(&resumed), solo_bytes(&spec));
+    let resumed = run.run(&budget, &cache);
+    assert_eq!(canonical(&resumed), sweep_bytes(&spec));
     match read_events(journal.path()).unwrap().last() {
         Some(Event::CampaignFinished {
             jobs,
