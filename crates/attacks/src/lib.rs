@@ -23,6 +23,7 @@
 //! exposes by construction); the true net of *sink* vpins is touched only
 //! by the scoring functions.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -54,7 +54,10 @@
 //! errors) for exactly this path; `smctl chaos` runs the whole
 //! crash→resume→byte-diff cycle as one smoke command.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashSet;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -320,11 +323,13 @@ fn main() -> ExitCode {
 
 /// `print!` panics once stdout's reader has gone (`smctl … | head`).
 /// That is the reader's choice, not a failure, so exit 0 without a
-/// message; every other panic reaches the default hook. Everything
-/// `smctl` writes to stdout (reports, events, tables) goes through
-/// `print!`/`println!` for this reason. SIGPIPE stays ignored, so a
-/// `--follow` client hanging up on `serve`'s socket is a write error
-/// there, never a dead service.
+/// message; every other panic reaches the default hook. The events,
+/// tables and help that `smctl` prints go through `print!`/`println!`
+/// for this reason: their commands exit 0 anyway. Reports go through
+/// [`emit`] instead, which ignores a closed stdout, so a campaign's exit
+/// status survives it. SIGPIPE stays ignored, so a `--follow` client
+/// hanging up on `serve`'s socket is a write error there, never a dead
+/// service.
 fn exit_quietly_when_stdout_closes() {
     /// `EPIPE` on Linux, macOS and the BSDs.
     const EPIPE: i32 = 32;
@@ -881,8 +886,20 @@ fn emit(rendered: &str, out_path: Option<&str>) -> Result<(), String> {
             })?;
             eprintln!("report written to {path}");
         }
-        // `print!` ends `smctl` quietly if the reader hung up.
-        None => print!("{rendered}"),
+        // A reader that hung up took what it wanted: the command still
+        // ends with its own status (a timed-out or failed campaign's
+        // included), which the panic hook behind `print!` would turn
+        // into 0.
+        None => {
+            let mut stdout = std::io::stdout().lock();
+            stdout
+                .write_all(rendered.as_bytes())
+                .and_then(|()| stdout.flush())
+                .or_else(|e| match e.kind() {
+                    ErrorKind::BrokenPipe => Ok(()),
+                    _ => Err(format!("writing the report to stdout: {e}")),
+                })?;
+        }
     }
     Ok(())
 }

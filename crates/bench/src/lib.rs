@@ -26,6 +26,7 @@
 //! (smaller benchmark selection) and the store and fault flags; [`cli`]
 //! declares which flags each command accepts.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::path::Path;

@@ -258,36 +258,48 @@ fn inline_values_and_repeated_axis_values_keep_the_report_bytes() {
 }
 
 /// A reader that hangs up early is not an error: `smctl` printing into
-/// a pipe whose reader is closed exits 0 without a panic message or an
+/// a pipe whose reader is closed ends without a panic message or an
 /// `error:` line — help and store tables, journal events and reports
-/// alike.
+/// alike — and with the status it has when stdout stays open: 0, 3 for
+/// an incomplete merge, 4 for a campaign with failed jobs.
 #[test]
 fn a_closed_stdout_ends_smctl_quietly() {
     let scratch = Scratch::new("closed-stdout");
-    let sweep = smctl(
-        &[
+    let sweep = |layers: &str, extra: &[&str]| {
+        let mut args = vec![
             "sweep",
             "--benchmarks",
             "c432",
             "--split-layers",
-            "4",
+            layers,
             "--attacks",
             "crouting",
             "--store",
             "st",
-            "--out",
-            "a.json",
-        ],
-        scratch.path(),
-    );
-    assert_eq!(exit_code(&sweep), 0, "sweep: {}", stderr(&sweep));
+        ];
+        args.extend(extra);
+        let out = smctl(&args, scratch.path());
+        assert_eq!(exit_code(&out), 0, "{args:?}: {}", stderr(&out));
+    };
+    sweep("4", &["--out", "a.json"]);
+    sweep("3,4", &["--shard", "1/2", "--out", "s1.json"]);
     std::fs::copy(scratch.path().join("a.json"), scratch.path().join("b.json")).unwrap();
-    for args in [
-        &["help"][..],
-        &["store", "stats", "--store", "st"],
-        &["events", "st"],
-        &["events", "st", "--format", "json"],
-        &["merge", "a.json", "b.json"],
+    let faulted = [
+        "sweep",
+        "--quick",
+        "--fault-seed",
+        "1",
+        "--fault-profile",
+        "aggressive",
+    ];
+    for (args, status) in [
+        (&["help"][..], 0),
+        (&["store", "stats", "--store", "st"], 0),
+        (&["events", "st"], 0),
+        (&["events", "st", "--format", "json"], 0),
+        (&["merge", "a.json", "b.json"], 0),
+        (&["merge", "s1.json", "s1.json"], 3),
+        (&faulted, 4),
     ] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
@@ -298,10 +310,15 @@ fn a_closed_stdout_ends_smctl_quietly() {
             .stderr(Stdio::piped())
             .output()
             .expect("spawn smctl");
-        assert_eq!(exit_code(&out), 0, "{args:?}: {}", stderr(&out));
-        for noise in ["panicked", "error:"] {
-            assert!(!stderr(&out).contains(noise), "{args:?}: {}", stderr(&out));
-        }
+        let stderr = stderr(&out);
+        assert_eq!(exit_code(&out), status, "{args:?}: {stderr}");
+        assert!(!stderr.contains("error:"), "{args:?}: {stderr}");
+        // Injected faults panic on purpose; nothing else may.
+        assert_eq!(
+            stderr.matches("panicked").count(),
+            stderr.matches("injected fault").count(),
+            "{args:?}: {stderr}"
+        );
     }
 }
 

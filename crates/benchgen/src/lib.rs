@@ -19,6 +19,7 @@
 //! assert_eq!(c432.output_ports().len(), 7);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

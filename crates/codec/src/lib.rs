@@ -38,6 +38,7 @@
 //! in a workspace of its own, as the campaign benchmark (`campbench/`)
 //! does, would decode without it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lz;

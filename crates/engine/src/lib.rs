@@ -66,6 +66,7 @@
 //! eprintln!("{}", campaign.summary());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bundle;

@@ -40,7 +40,7 @@ pub enum FaultSite {
     StoreSave,
     /// A journal record append.
     JournalAppend,
-    /// Job execution on a pool worker.
+    /// Job execution on a fleet worker.
     JobRun,
 }
 

@@ -3,18 +3,19 @@
 //! This crate sits at the bottom of the dependency stack (it depends on
 //! nothing) so that both the layout engine (`sm-layout`, for parallel
 //! bisection work) and the campaign engine (`sm-engine`, for parallel
-//! jobs and bundle builds) share one worker pool and one seed-derivation
-//! scheme. It hosts:
+//! jobs and bundle builds) share one thread allotment and one
+//! seed-derivation scheme. It hosts:
 //!
-//! * [`Pool`] — a **persistent** work-stealing worker pool: workers are
-//!   spawned once and serve every `map`/`join` submitted for the pool's
-//!   lifetime, so nested parallel work *shares* the pool instead of
-//!   spawning fresh threads per call;
+//! * [`Pool`] — a process-wide thread allotment: slot counters, no
+//!   threads of its own. [`Budget::map`] and [`Budget::join`] run their
+//!   work on the caller plus scoped helper threads (`std::thread::scope`)
+//!   spawned on the slots still free, so nested parallel work *shares*
+//!   the allotment instead of multiplying threads per call;
 //! * [`Budget`] — a splittable thread allotment over a pool, plus a
 //!   [`CancelToken`]: the unit of resource ownership that the CLI parses
 //!   (`--threads`/`--timeout-secs`), the campaign engine divides among
 //!   jobs, and the layout engine threads into recursive work. Total live
-//!   worker threads never exceed the pool's size, no matter how deeply
+//!   threads never exceed the pool's size, no matter how deeply
 //!   budgeted work nests;
 //! * [`CancelToken`] — cooperative cancellation with an optional
 //!   deadline, checked at job boundaries (never inside deterministic
@@ -32,8 +33,11 @@
 //! Determinism contract: [`Budget::map`] returns results in **input
 //! order** and [`Budget::join`] runs two independent closures, so every
 //! result is a pure function of the inputs — scheduling decides only
-//! wall-clock, never bytes.
+//! wall-clock, never bytes. Helper threads borrow the caller's data
+//! through `std::thread::scope`, so the crate needs no `unsafe` and
+//! forbids it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fault;
@@ -41,10 +45,9 @@ pub mod phase;
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Deterministic seed derivation: the mixing primitives every derived
@@ -211,246 +214,52 @@ pub fn abort_cancelled() -> ! {
     std::panic::resume_unwind(Box::new(Cancelled))
 }
 
-// ----- the persistent pool --------------------------------------------------
-
-/// One claimable unit of queued work, type-erased.
-///
-/// `ctx` points at a `MapCtx`/`JoinCtx` on the **submitting caller's
-/// stack**; `run_one` claims and runs one item, returning `false` once
-/// the batch is exhausted.
-///
-/// # Safety
-///
-/// The pointer is only dereferenced while the owning [`BatchHandle`]'s
-/// `RwLock` holds `Some` — and the submitting call retires the batch
-/// (write-locks and replaces it with `None`, which waits out every
-/// reader) before returning or unwinding. The pointee is `Sync` by
-/// construction (`T: Sync`, `R: Send`, `F: Sync`).
-#[derive(Clone, Copy)]
-struct ErasedBatch {
-    ctx: *const (),
-    run_one: unsafe fn(*const ()) -> bool,
-}
-
-unsafe impl Send for ErasedBatch {}
-unsafe impl Sync for ErasedBatch {}
-
-/// A queued batch: the erased work plus its claimant accounting.
-struct BatchHandle {
-    /// `Some` while the submitting call is alive; retired to `None`
-    /// (under the write lock) before that call returns.
-    batch: RwLock<Option<ErasedBatch>>,
-    /// Maximum concurrent claimants — the submitting [`Budget`]'s thread
-    /// allotment, which is how a sub-budget occupies only its share of a
-    /// larger pool.
-    limit: usize,
-    /// Claimants currently inside the batch.
-    active: AtomicUsize,
-    /// Set once a claimant observed the batch exhausted; stops further
-    /// picks while the last items finish.
-    drained: AtomicBool,
-}
-
-impl BatchHandle {
-    fn try_enter(&self) -> bool {
-        let mut cur = self.active.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.limit {
-                return false;
-            }
-            match self.active.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    fn pickable(&self) -> bool {
-        !self.drained.load(Ordering::Relaxed) && self.active.load(Ordering::Relaxed) < self.limit
-    }
-}
-
-struct QueueState {
-    queue: VecDeque<Arc<BatchHandle>>,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<QueueState>,
-    work_cv: Condvar,
-    /// Distinct OS threads currently executing batch items (workers and
-    /// participating callers; nested participation on one thread counts
-    /// once).
-    live: AtomicUsize,
-    /// High-water mark of `live` — the pool-instrumentation counter the
-    /// thread-ceiling tests assert on.
-    peak: AtomicUsize,
-    /// Panics caught on batch items over the pool's lifetime — the
-    /// supervisor counter behind [`PoolStats::panics_caught`].
-    panics: AtomicUsize,
-}
+// ----- the pool -------------------------------------------------------------
 
 thread_local! {
-    /// `(pool id, nesting depth)` per pool this thread is currently
-    /// executing batch items for. Distinguishes "one thread nesting
-    /// deeper" (counts once) from "another thread joining in".
-    static POOL_DEPTH: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
-}
-
-fn enter_pool(id: usize) -> bool {
-    POOL_DEPTH.with(|d| {
-        let mut d = d.borrow_mut();
-        if let Some(e) = d.iter_mut().find(|e| e.0 == id) {
-            e.1 += 1;
-            false
-        } else {
-            d.push((id, 1));
-            true
-        }
-    })
-}
-
-fn exit_pool(id: usize) -> bool {
-    POOL_DEPTH.with(|d| {
-        let mut d = d.borrow_mut();
-        if let Some(pos) = d.iter().position(|e| e.0 == id) {
-            d[pos].1 -= 1;
-            if d[pos].1 == 0 {
-                d.remove(pos);
-                return true;
-            }
-        }
-        false
-    })
-}
-
-impl Shared {
-    /// RAII live-thread accounting for this thread on `pool_id`: counts
-    /// the thread live on first (outermost) entry and un-counts it when
-    /// the outermost scope drops — including on unwind, so a panicking
-    /// workload cannot leak the live count or the thread-local depth.
-    fn live_scope(&self, pool_id: usize) -> LiveScope<'_> {
-        if enter_pool(pool_id) {
-            let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-            self.peak.fetch_max(live, Ordering::Relaxed);
-        }
-        LiveScope {
-            shared: self,
-            pool_id,
-        }
-    }
-
-    /// Claims and runs items of `handle` until the batch is exhausted or
-    /// its claimant limit was reached, maintaining the live-thread
-    /// instrumentation. Called by workers and by participating callers.
-    fn run_batch(&self, handle: &BatchHandle, pool_id: usize) {
-        if !handle.try_enter() {
-            return;
-        }
-        let guard = handle.batch.read().unwrap_or_else(|p| p.into_inner());
-        if let Some(batch) = guard.as_ref() {
-            let _live = self.live_scope(pool_id);
-            // SAFETY: the read guard keeps the batch un-retired, so
-            // `ctx` is alive for every `run_one` call (see
-            // [`ErasedBatch`]).
-            while unsafe { (batch.run_one)(batch.ctx) } {}
-            handle.drained.store(true, Ordering::Relaxed);
-        }
-        drop(guard);
-        handle.active.fetch_sub(1, Ordering::Release);
-        // Capacity freed (or the batch drained): peers re-evaluate.
-        self.work_cv.notify_all();
-    }
-}
-
-struct LiveScope<'a> {
-    shared: &'a Shared,
-    pool_id: usize,
-}
-
-impl Drop for LiveScope<'_> {
-    fn drop(&mut self) {
-        if exit_pool(self.pool_id) {
-            self.shared.live.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, pool_id: usize) {
-    loop {
-        let handle = {
-            let mut st = shared.state.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                if let Some(h) = st.queue.iter().find(|h| h.pickable()) {
-                    break Arc::clone(h);
-                }
-                if st.shutdown {
-                    return;
-                }
-                st = shared.work_cv.wait(st).unwrap_or_else(|p| p.into_inner());
-            }
-        };
-        shared.run_batch(&handle, pool_id);
-    }
-}
-
-/// Removes the batch from the queue and retires it on drop, so the
-/// type-erased context pointer can never outlive the submitting call —
-/// even if that call unwinds.
-struct BatchGuard<'a> {
-    shared: &'a Shared,
-    handle: Arc<BatchHandle>,
-}
-
-impl Drop for BatchGuard<'_> {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(pos) = st.queue.iter().position(|h| Arc::ptr_eq(h, &self.handle)) {
-                st.queue.remove(pos);
-            }
-        }
-        // Blocks until every reader (i.e. every claimant still holding
-        // the context pointer) has left the batch.
-        *self.handle.batch.write().unwrap_or_else(|p| p.into_inner()) = None;
-    }
+    /// Ids of the pools whose work this thread is running, innermost
+    /// last (slots drop in reverse order of entry). A thread nesting
+    /// deeper into one pool's work counts once.
+    static ENTERED: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
 static POOL_IDS: AtomicUsize = AtomicUsize::new(0);
 
-/// A persistent work-stealing worker pool.
+/// A thread allotment shared by every [`Budget`] over it: a pool owns
+/// no threads, only the slot counters that bound how many run its work.
 ///
-/// `threads` is the pool's total allotment **including the submitting
-/// caller**: a pool of `threads` spawns `threads - 1` workers, and every
-/// `map`/`join` caller participates in its own batch, so at most
-/// `threads` OS threads ever execute pool work concurrently — nested
-/// batches share the same workers instead of multiplying them.
-///
-/// Workers live until the last [`Pool`] handle drops.
+/// `threads` counts the callers too. A [`Budget::map`]/[`Budget::join`]
+/// caller takes one slot (once, however deeply its calls nest), and the
+/// scoped helper threads it spawns take one each, reserved up front from
+/// the slots still free. So a pool driven from one thread never runs
+/// its work on more than `threads` OS threads at once, and nested maps
+/// use the slots their parents left free instead of multiplying threads.
 pub struct Pool {
-    shared: Arc<Shared>,
     threads: usize,
     id: usize,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Slots taken: distinct OS threads running this pool's work (a
+    /// caller nesting deeper counts once).
+    live: AtomicUsize,
+    /// High-water mark of `live` — the pool-instrumentation counter the
+    /// thread-ceiling tests assert on.
+    peak: AtomicUsize,
+    /// Panics caught on map items over the pool's lifetime — the
+    /// supervisor counter behind [`PoolStats::panics_caught`].
+    panics: AtomicUsize,
 }
 
 /// A point-in-time snapshot of a pool's occupancy counters, taken with
 /// [`Pool::stats`]. `live` is instantaneous; `peak_live` is the
-/// high-water mark since the pool was spawned.
+/// high-water mark since the pool was created.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Total thread slots (workers + one participating caller).
+    /// Total thread slots (callers and helpers alike).
     pub threads: usize,
-    /// OS threads executing pool work at sample time.
+    /// OS threads running pool work at sample time.
     pub live: usize,
     /// High-water mark of `live` over the pool's lifetime.
     pub peak_live: usize,
-    /// Batch-item panics caught (and confined) over the pool's lifetime.
+    /// Map-item panics caught (and confined) over the pool's lifetime.
     pub panics_caught: usize,
 }
 
@@ -464,41 +273,20 @@ impl std::fmt::Debug for Pool {
 }
 
 impl Pool {
-    /// Spawns a pool with `threads` total slots (`threads - 1` workers;
-    /// `0` is treated as `1`).
+    /// A pool with `threads` slots (`0` is treated as `1`).
     pub fn new(threads: usize) -> Arc<Pool> {
-        let threads = threads.max(1);
-        let id = POOL_IDS.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
+        Arc::new(Pool {
+            threads: threads.max(1),
+            id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
             live: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
             panics: AtomicUsize::new(0),
-        });
-        let handles = (0..threads - 1)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name("sm-exec-worker".into())
-                    .spawn(move || worker_loop(shared, id))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        Arc::new(Pool {
-            shared,
-            threads,
-            id,
-            handles: Mutex::new(handles),
         })
     }
 
     /// The process-wide default pool, sized to the machine's available
     /// parallelism. Everything that does not carry an explicit [`Budget`]
-    /// runs here, so even un-plumbed callers share one set of workers.
+    /// runs here, so even un-plumbed callers share one thread allotment.
     pub fn global() -> &'static Arc<Pool> {
         static GLOBAL: OnceLock<Arc<Pool>> = OnceLock::new();
         GLOBAL.get_or_init(|| {
@@ -510,29 +298,28 @@ impl Pool {
         })
     }
 
-    /// Total thread slots (workers + one participating caller).
+    /// Total thread slots (callers and helpers alike).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Distinct OS threads currently executing pool work.
+    /// Distinct OS threads currently running pool work.
     pub fn live(&self) -> usize {
-        self.shared.live.load(Ordering::Relaxed)
+        self.live.load(Ordering::Relaxed)
     }
 
     /// High-water mark of [`Pool::live`] over the pool's lifetime — the
     /// instrumentation the thread-ceiling tests assert never exceeds the
     /// configured budget.
     pub fn peak_live(&self) -> usize {
-        self.shared.peak.load(Ordering::Relaxed)
+        self.peak.load(Ordering::Relaxed)
     }
 
-    /// Batch-item panics caught on this pool (each confined to the item
-    /// that raised it, then re-raised once on the submitting caller) —
-    /// the supervisor's evidence that a panicking workload never killed
-    /// a worker.
+    /// Map-item panics caught on this pool (each confined to the item
+    /// that raised it, then re-raised once on the map's caller) — the
+    /// supervisor's evidence that a panicking item never cut a map short.
     pub fn panics_caught(&self) -> usize {
-        self.shared.panics.load(Ordering::Relaxed)
+        self.panics.load(Ordering::Relaxed)
     }
 
     /// Point-in-time snapshot of the pool's instrumentation counters —
@@ -547,113 +334,72 @@ impl Pool {
         }
     }
 
-    fn push(&self, handle: Arc<BatchHandle>) {
-        let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        st.queue.push_back(handle);
-        drop(st);
-        self.shared.work_cv.notify_all();
+    /// Takes a slot for the calling thread on its outermost entry into
+    /// this pool's work; the returned [`Slot`] frees it.
+    fn enter(&self) -> Slot<'_> {
+        let outermost = ENTERED.with_borrow_mut(|entered| {
+            let outermost = !entered.contains(&self.id);
+            entered.push(self.id);
+            outermost
+        });
+        if outermost {
+            let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
+            self.peak.fetch_max(live, Ordering::Relaxed);
+        }
+        Slot { pool: self }
+    }
+
+    /// Takes up to `want` free slots for helper threads and returns how
+    /// many it took; each helper occupies its slot with [`Pool::helper`].
+    fn reserve(&self, want: usize) -> usize {
+        let take = |live: usize| want.min(self.threads.saturating_sub(live));
+        let before = self
+            .live
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
+                (take(live) > 0).then(|| live + take(live))
+            });
+        let Ok(live) = before else { return 0 };
+        self.peak.fetch_max(live + take(live), Ordering::Relaxed);
+        take(live)
+    }
+
+    /// Occupies, on a fresh helper thread, one slot [`Pool::reserve`]
+    /// took, so the helper's nested maps do not count it again.
+    fn helper(&self) -> Slot<'_> {
+        ENTERED.with_borrow_mut(|entered| entered.push(self.id));
+        Slot { pool: self }
     }
 }
 
-impl Drop for Pool {
+/// A thread's hold on a pool slot: dropping its outermost one frees the
+/// slot, also on unwind, so a panic cannot leak the live count or the
+/// thread-local depth.
+struct Slot<'a> {
+    pool: &'a Pool,
+}
+
+impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-            st.shutdown = true;
-        }
-        self.shared.work_cv.notify_all();
-        for h in self
-            .handles
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .drain(..)
-        {
-            let _ = h.join();
+        let id = self.pool.id;
+        let outermost = ENTERED.with_borrow_mut(|entered| {
+            entered.pop();
+            !entered.contains(&id)
+        });
+        if outermost {
+            self.pool.live.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
 
-// ----- map / join contexts --------------------------------------------------
+/// Chunks per participating thread in a [`Budget::map`]: enough to
+/// even out uneven items, few enough that claiming stays cheap.
+const CHUNKS_PER_THREAD: usize = 4;
 
-struct MapCtx<'a, T, R, F> {
-    items: &'a [T],
-    slots: &'a [Mutex<Option<R>>],
-    f: &'a F,
-    next: AtomicUsize,
-    /// Lock-free completion count; the mutex/condvar pair below is
-    /// touched only by the final item (and the waiting caller), so the
-    /// per-item cost on hot many-item batches stays one atomic.
-    done: AtomicUsize,
-    finished: Mutex<bool>,
-    done_cv: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// The owning pool's supervisor counter ([`Shared::panics`]).
-    panics_caught: &'a AtomicUsize,
-}
-
-/// Claims and runs one map item. `false` once all items are claimed.
-///
-/// # Safety
-///
-/// `ctx` must point to a live `MapCtx<'_, T, R, F>` of exactly these
-/// type parameters (guaranteed by the monomorphized function pointer
-/// paired with the context in one [`ErasedBatch`]).
-unsafe fn run_one_map<T, R, F>(ctx: *const ()) -> bool
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let ctx = unsafe { &*(ctx as *const MapCtx<'_, T, R, F>) };
-    let i = ctx.next.fetch_add(1, Ordering::Relaxed);
-    if i >= ctx.items.len() {
-        return false;
-    }
-    match catch_unwind(AssertUnwindSafe(|| (ctx.f)(i, &ctx.items[i]))) {
-        Ok(r) => *ctx.slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(r),
-        Err(payload) => {
-            ctx.panics_caught.fetch_add(1, Ordering::Relaxed);
-            let mut slot = ctx.panic.lock().unwrap_or_else(|p| p.into_inner());
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-    }
-    if ctx.done.fetch_add(1, Ordering::AcqRel) + 1 == ctx.items.len() {
-        *ctx.finished.lock().unwrap_or_else(|p| p.into_inner()) = true;
-        ctx.done_cv.notify_all();
-    }
-    true
-}
-
-struct JoinCtx<B, RB> {
-    task: Mutex<Option<B>>,
-    out: Mutex<Option<std::thread::Result<RB>>>,
-    done: Mutex<bool>,
-    done_cv: Condvar,
-}
-
-/// Claims and runs the single join task. `false` once claimed.
-///
-/// # Safety
-///
-/// `ctx` must point to a live `JoinCtx<B, RB>` of exactly these type
-/// parameters.
-unsafe fn run_one_join<B, RB>(ctx: *const ()) -> bool
-where
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    let ctx = unsafe { &*(ctx as *const JoinCtx<B, RB>) };
-    let Some(task) = ctx.task.lock().unwrap_or_else(|p| p.into_inner()).take() else {
-        return false;
-    };
-    let result = catch_unwind(AssertUnwindSafe(task));
-    *ctx.out.lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
-    let mut done = ctx.done.lock().unwrap_or_else(|p| p.into_inner());
-    *done = true;
-    ctx.done_cv.notify_all();
-    true
+/// What one thread of a [`Budget::map`] ran: every chunk it claimed (its
+/// first index and its items' results) and its lowest-indexed panic.
+struct Claimed<R> {
+    chunks: Vec<(usize, Vec<R>)>,
+    panic: Option<(usize, Box<dyn Any + Send>)>,
 }
 
 // ----- budget ---------------------------------------------------------------
@@ -699,9 +445,9 @@ impl Default for Budget {
 }
 
 impl Budget {
-    /// A budget over a dedicated pool of `threads` workers (`None` uses
+    /// A budget over a dedicated pool of `threads` slots (`None` uses
     /// the machine's available parallelism on the **global** pool, so
-    /// unconfigured runs still share one set of workers).
+    /// unconfigured runs still share one allotment).
     pub fn with_threads(threads: Option<usize>) -> Budget {
         match threads.filter(|&t| t > 0) {
             Some(t) => Budget {
@@ -762,13 +508,23 @@ impl Budget {
         }
     }
 
-    /// Applies `f` to every item on the pool and returns results in
-    /// **input order** (independent of which worker ran what). At most
-    /// `threads` pool threads (counting this caller, which participates)
-    /// work on the batch concurrently.
+    /// Applies `f` to every item and returns the results in **input
+    /// order**, whichever thread ran what.
     ///
-    /// Panics in `f` are confined to the item that raised them; the
-    /// first panic is re-raised on the caller after all items finish.
+    /// The caller takes a pool slot (once, however deeply maps nest) and
+    /// spawns scoped helper threads on the slots still free: at most
+    /// `threads - 1` of them, and fewer than the items. The caller and
+    /// its helpers claim contiguous chunks of items from one counter (a
+    /// caller without helpers claims them all at once) until none are
+    /// left; the map returns once every helper has finished.
+    ///
+    /// # Panics
+    ///
+    /// Every item runs under `catch_unwind`, at every thread count: a
+    /// panic is counted in [`Pool::panics_caught`] and confined to its
+    /// item, and once every item has run, the panic of the
+    /// lowest-indexed item that raised one is re-raised on the caller
+    /// with its payload intact (a [`Cancelled`] unwind stays one).
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -779,80 +535,83 @@ impl Budget {
         if n == 0 {
             return Vec::new();
         }
-        let limit = self.threads.min(n);
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        if limit <= 1 || self.pool.threads() <= 1 {
-            // Serial fast path on the caller's thread — still counted
-            // by the live-thread instrumentation, via the RAII scope so
-            // a panic in `f` (which propagates directly here) cannot
-            // leak the count.
-            let _live = self.pool.shared.live_scope(self.pool.id);
-            for (i, item) in items.iter().enumerate() {
-                *slots[i].lock().expect("slot") = Some(f(i, item));
-            }
-        } else {
-            let ctx = MapCtx {
-                items,
-                slots: &slots,
-                f: &f,
-                next: AtomicUsize::new(0),
-                done: AtomicUsize::new(0),
-                finished: Mutex::new(false),
-                done_cv: Condvar::new(),
-                panic: Mutex::new(None),
-                panics_caught: &self.pool.shared.panics,
+        let pool = &*self.pool;
+        let _slot = pool.enter();
+        let helpers = pool.reserve(self.threads.min(n) - 1);
+        let chunk = match helpers {
+            0 => n,
+            _ => n.div_ceil(CHUNKS_PER_THREAD * (helpers + 1)),
+        };
+        // `Relaxed` suffices: the counter only hands out chunk starts,
+        // and results come back through the scope's joins.
+        let next = AtomicUsize::new(0);
+        let claim = || {
+            let mut claimed = Claimed {
+                chunks: Vec::new(),
+                panic: None,
             };
-            let handle = Arc::new(BatchHandle {
-                batch: RwLock::new(Some(ErasedBatch {
-                    ctx: &ctx as *const MapCtx<'_, T, R, F> as *const (),
-                    run_one: run_one_map::<T, R, F>,
-                })),
-                limit,
-                active: AtomicUsize::new(0),
-                drained: AtomicBool::new(false),
-            });
-            let guard = BatchGuard {
-                shared: &self.pool.shared,
-                handle: Arc::clone(&handle),
-            };
-            self.pool.push(Arc::clone(&handle));
-            // Participate: the caller is one of the batch's claimants.
-            self.pool.shared.run_batch(&handle, self.pool.id);
-            let mut finished = ctx.finished.lock().unwrap_or_else(|p| p.into_inner());
-            while !*finished {
-                finished = ctx
-                    .done_cv
-                    .wait(finished)
-                    .unwrap_or_else(|p| p.into_inner());
+            loop {
+                let start = next.fetch_add(chunk, Ordering::Relaxed);
+                if start >= n {
+                    return claimed;
+                }
+                let end = n.min(start + chunk);
+                let mut results = Vec::with_capacity(end - start);
+                for (i, item) in (start..).zip(&items[start..end]) {
+                    match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                        Ok(r) => results.push(r),
+                        Err(payload) => {
+                            pool.panics.fetch_add(1, Ordering::Relaxed);
+                            claimed.panic.get_or_insert((i, payload));
+                        }
+                    }
+                }
+                claimed.chunks.push((start, results));
             }
-            drop(finished);
-            drop(guard); // retire before `ctx` leaves scope
-            let payload = ctx.panic.lock().unwrap_or_else(|p| p.into_inner()).take();
-            if let Some(payload) = payload {
-                std::panic::resume_unwind(payload);
+        };
+        let mut claimed = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers)
+                .map(|_| {
+                    s.spawn(|| {
+                        let _slot = pool.helper();
+                        claim()
+                    })
+                })
+                .collect();
+            let mut claimed = vec![claim()];
+            for handle in handles {
+                claimed.push(handle.join().unwrap_or_else(|p| resume_unwind(p)));
             }
+            claimed
+        });
+        let first_panic = claimed
+            .iter_mut()
+            .filter_map(|c| c.panic.take())
+            .min_by_key(|&(i, _)| i);
+        if let Some((_, payload)) = first_panic {
+            resume_unwind(payload);
         }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .unwrap_or_else(|| panic!("job {i} panicked on a worker thread"))
-            })
-            .collect()
+        let mut chunks: Vec<_> = claimed.into_iter().flat_map(|c| c.chunks).collect();
+        chunks.sort_unstable_by_key(|&(start, _)| start);
+        let mut out = Vec::with_capacity(n);
+        for (_, results) in chunks {
+            out.extend(results);
+        }
+        out
     }
 
-    /// Runs two independent closures — `a` on the caller's thread, `b`
-    /// on an idle pool worker (or inline, if the budget is serial or no
-    /// worker picks it up in time) — and returns both results. The tasks
-    /// must not share mutable state, so the result — unlike the schedule
-    /// — is deterministic: two independent builds run concurrently with
-    /// bit-identical output, **inside** the owning job's budget.
+    /// Runs two independent closures and returns both results: `a` on
+    /// the caller's thread, `b` on one scoped helper thread when the
+    /// budget has more than one thread and the pool a free slot, inline
+    /// after `a` otherwise. The tasks must not share mutable state, so
+    /// the result — unlike the schedule — is deterministic: two
+    /// independent builds run concurrently with bit-identical output,
+    /// **inside** the owning job's budget.
     ///
     /// # Panics
     ///
-    /// Re-raises a panic from either task.
+    /// Re-raises a panic from either task with its payload intact (`a`'s
+    /// if both panic), once a `b` running on a helper has finished.
     pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
     where
         A: FnOnce() -> RA,
@@ -860,50 +619,22 @@ impl Budget {
         RA: Send,
         RB: Send,
     {
-        if self.threads <= 1 || self.pool.threads() <= 1 {
-            let ra = a();
-            let rb = b();
-            return (ra, rb);
+        let pool = &*self.pool;
+        let _slot = pool.enter();
+        if pool.reserve(self.threads.min(2) - 1) == 0 {
+            return (a(), b());
         }
-        let ctx = JoinCtx {
-            task: Mutex::new(Some(b)),
-            out: Mutex::new(None),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-        };
-        let handle = Arc::new(BatchHandle {
-            batch: RwLock::new(Some(ErasedBatch {
-                ctx: &ctx as *const JoinCtx<B, RB> as *const (),
-                run_one: run_one_join::<B, RB>,
-            })),
-            limit: 1,
-            active: AtomicUsize::new(0),
-            drained: AtomicBool::new(false),
-        });
-        let guard = BatchGuard {
-            shared: &self.pool.shared,
-            handle: Arc::clone(&handle),
-        };
-        self.pool.push(Arc::clone(&handle));
-        let ra = a();
-        // If no worker claimed `b` while `a` ran, run it here.
-        self.pool.shared.run_batch(&handle, self.pool.id);
-        let mut done = ctx.done.lock().unwrap_or_else(|p| p.into_inner());
-        while !*done {
-            done = ctx.done_cv.wait(done).unwrap_or_else(|p| p.into_inner());
-        }
-        drop(done);
-        drop(guard);
-        let rb = ctx
-            .out
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take()
-            .expect("join task completed");
-        match rb {
-            Ok(rb) => (ra, rb),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+        std::thread::scope(|s| {
+            let helper = s.spawn(|| {
+                let _slot = pool.helper();
+                b()
+            });
+            let ra = catch_unwind(AssertUnwindSafe(a));
+            match (ra, helper.join()) {
+                (Ok(ra), Ok(rb)) => (ra, rb),
+                (Err(payload), _) | (_, Err(payload)) => resume_unwind(payload),
+            }
+        })
     }
 }
 
@@ -974,8 +705,10 @@ mod tests {
             let out = budget.map(&items, |_, &x| x + 1);
             assert_eq!(out.len(), items.len());
         }
-        // Workers persist: the pool never grew beyond its allotment.
+        // Every map takes its helpers from the same four slots and
+        // frees them on return: the pool never grew beyond them.
         assert!(budget.pool().peak_live() <= 4);
+        assert_eq!(budget.pool().live(), 0);
     }
 
     #[test]
@@ -1157,6 +890,75 @@ mod tests {
         // The supervisor counter recorded the confined panic.
         assert_eq!(budget.pool().panics_caught(), 1);
         assert_eq!(budget.pool().stats().panics_caught, 1);
+    }
+
+    #[test]
+    fn map_runs_every_item_before_reraising_the_lowest_panic() {
+        for threads in [1, 4] {
+            let budget = Budget::with_threads(Some(threads));
+            let ran = AtomicUsize::new(0);
+            let items: Vec<u64> = (0..16).collect();
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                budget.map(&items, |_, &x| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if x == 3 || x == 9 {
+                        std::panic::panic_any(x);
+                    }
+                    x
+                })
+            }))
+            .expect_err("the panic is re-raised");
+            assert_eq!(
+                ran.load(Ordering::Relaxed),
+                items.len(),
+                "{threads} thread(s)"
+            );
+            assert_eq!(
+                payload.downcast_ref::<u64>(),
+                Some(&3),
+                "{threads} thread(s)"
+            );
+            assert_eq!(budget.pool().panics_caught(), 2);
+            assert_eq!(budget.pool().live(), 0);
+        }
+    }
+
+    #[test]
+    fn cancelled_unwind_survives_map_reraising() {
+        for threads in [1, 2] {
+            let budget = Budget::with_threads(Some(threads));
+            let items: Vec<u32> = (0..8).collect();
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                budget.map(&items, |_, &x| if x == 5 { abort_cancelled() } else { x })
+            }))
+            .expect_err("cancellation unwinds");
+            assert!(payload.is::<Cancelled>(), "{threads} thread(s)");
+        }
+    }
+
+    #[test]
+    fn nested_maps_use_the_free_slots() {
+        // Two outer items on 2-thread shares of a 4-thread pool, each
+        // running an inner map of two items: the four inner items meet
+        // (within 10 s) only if they run at once, one per slot.
+        let budget = Budget::with_threads(Some(4));
+        let share = budget.split(2);
+        let arrived = (std::sync::Mutex::new(0), std::sync::Condvar::new());
+        let met = budget.map(&[0u8, 1], |_, _| {
+            share.map(&[0u8, 1], |_, _| {
+                let (count, all_in) = &arrived;
+                let mut count = count.lock().expect("no item panics holding it");
+                *count += 1;
+                all_in.notify_all();
+                let (_count, wait) = all_in
+                    .wait_timeout_while(count, Duration::from_secs(10), |n| *n < 4)
+                    .expect("no item panics holding it");
+                !wait.timed_out()
+            })
+        });
+        assert_eq!(met, vec![vec![true; 2]; 2], "inner items ran in turn");
+        assert_eq!(budget.pool().peak_live(), 4);
+        assert_eq!(budget.pool().live(), 0);
     }
 
     #[test]

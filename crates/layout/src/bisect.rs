@@ -23,11 +23,11 @@
 //!   ([`sm_exec::seed::derive`], the `Job::derived_seed` scheme), so no
 //!   mutable RNG state is threaded through the recursion;
 //! * the anchor (terminal-propagation) sweep of large regions fans out
-//!   on the caller's [`Budget`] — the persistent pool shared by the
-//!   whole campaign, **not** a fresh machine-parallelism executor per
-//!   region — and its output order is input order, so the result is
-//!   bit-identical to the sequential sweep while total live worker
-//!   threads stay within the configured thread budget.
+//!   on the caller's [`Budget`] — helper threads on the free slots of
+//!   the one pool the whole campaign shares, **not** a fresh
+//!   machine-parallelism executor per region — and its output order is
+//!   input order, so the result is bit-identical to the sequential sweep
+//!   while total live threads stay within the configured thread budget.
 //!
 //! The two *halves* of one region are **not** recursed concurrently:
 //! terminal propagation makes the second half read the first half's
@@ -255,9 +255,9 @@ fn recurse(
         (anchor, c)
     };
     // Pure reads over the entry snapshot, so large regions fan the
-    // sweep out on the caller's budget (the pool shared with the rest
-    // of the campaign — never a private machine-parallelism executor)
-    // with bit-identical (input-ordered) results.
+    // sweep out on the caller's budget (helpers on the free slots of the
+    // campaign's one pool — never a private machine-parallelism
+    // executor) with bit-identical (input-ordered) results.
     let keyed = &mut bufs.keyed;
     keyed.clear();
     if cells.len() >= PAR_ANCHOR_CELLS && ctx.budget.threads() > 1 {
@@ -580,9 +580,10 @@ mod tests {
     /// The oversubscription fix, asserted at the bisection level: a
     /// design large enough to trigger the parallel anchor sweep
     /// (≥ `PAR_ANCHOR_CELLS` cells in the top regions) must keep every
-    /// live worker thread within the caller's budget — the sweep runs on
-    /// the budget's shared pool, never on a fresh machine-parallelism
-    /// executor — and still produce the bit-identical sequential result.
+    /// live thread within the caller's budget — the sweep's helpers take
+    /// the free slots of the budget's pool, never a fresh
+    /// machine-parallelism executor — and still produce the bit-identical
+    /// sequential result.
     #[test]
     fn large_anchor_sweep_respects_the_thread_budget() {
         let lib = Library::nangate45();

@@ -181,11 +181,7 @@ pub struct PlacementEngine {
     seed: u64,
     global_iterations: usize,
     detailed_passes: usize,
-    /// `None` resolves to the process-global pool lazily at
-    /// [`PlacementEngine::place`] time, so constructing an engine that
-    /// is immediately re-budgeted never instantiates the global pool's
-    /// workers.
-    budget: Option<sm_exec::Budget>,
+    budget: sm_exec::Budget,
     meter: Option<Arc<PlaceMeter>>,
 }
 
@@ -197,7 +193,7 @@ impl PlacementEngine {
             seed,
             global_iterations: 24,
             detailed_passes: 2,
-            budget: None,
+            budget: sm_exec::Budget::default(),
             meter: None,
         }
     }
@@ -219,7 +215,7 @@ impl PlacementEngine {
     /// identical either way; the budget bounds the worker threads the
     /// placement may occupy.
     pub fn with_budget(mut self, budget: sm_exec::Budget) -> Self {
-        self.budget = Some(budget);
+        self.budget = budget;
         self
     }
 
@@ -245,11 +241,7 @@ impl PlacementEngine {
     ///
     /// Panics if the netlist has no cells.
     pub fn place(&self, netlist: &Netlist, fp: &Floorplan) -> Placement {
-        let disarmed = self
-            .budget
-            .clone()
-            .unwrap_or_default()
-            .with_cancel(sm_exec::CancelToken::new());
+        let disarmed = self.budget.clone().with_cancel(sm_exec::CancelToken::new());
         self.clone()
             .with_budget(disarmed)
             .try_place(netlist, fp)
@@ -360,8 +352,6 @@ impl PlacementEngine {
         // the die without tearing connected cells apart. The CSR
         // connectivity built here also serves both detailed passes.
         let conn = ConnectivityIndex::build(netlist);
-        // Resolve the budget once, only when placement actually runs.
-        let budget = self.budget.clone().unwrap_or_default();
         for cycle in 0..2u64 {
             let in_ref = &pl.inputs;
             let out_ref = &pl.outputs;
@@ -378,7 +368,7 @@ impl PlacementEngine {
                 move |i| out_ref[i],
                 &seeded,
                 sm_exec::seed::derive(self.seed, cycle),
-                &budget,
+                &self.budget,
                 self.meter.as_deref().map(|m| &m.fm_ns),
             )?;
             pl.origins = origins;
