@@ -1,21 +1,15 @@
 //! `smctl` — the unified CLI over the experiment-campaign engine.
 //!
-//! ```text
-//! smctl run <artifact...>     regenerate printed tables/figures
-//! smctl sweep [axes]          parallel campaign → JSON/CSV report
-//! smctl resume <report|journal>  re-run missing/timed-out jobs of a campaign
-//! smctl merge a.json b.json   merge sharded reports of one campaign
-//! smctl report --input FILE   re-render a stored report (or a journal)
-//! smctl events <dir|file>     print/stream the campaign journal
-//! smctl tail <dir|file>       live per-job progress (events --follow)
-//! smctl bench [--quick]       deterministic perf harness → BENCH.json
-//! smctl chaos                 fault-injection smoke: crash, resume, byte-diff
-//! smctl store stats|gc|clear|doctor  inspect/maintain the artifact store
-//! smctl serve --socket S      campaign service with work-stealing workers
-//! smctl submit --socket S     submit a sweep to a running service
-//! smctl status --socket S     snapshot a running service's queue
-//! smctl help                  this text
-//! ```
+//! `smctl help` prints one usage line per command, generated from the
+//! flag table in `sm_bench::cli`, then what the commands do: `run`
+//! regenerates the printed tables and figures, `sweep` runs a campaign
+//! into a JSON/CSV report, `resume` re-runs the missing, timed-out and
+//! failed jobs of one, `merge` combines sharded reports, `report`
+//! re-renders a stored report or journal, `events` and `tail` print or
+//! stream a campaign journal, `bench` runs the perf harness, `chaos` the
+//! fault-injection smoke, `store` inspects and maintains the artifact
+//! store, and `serve`, `stop`, `submit` and `status` run, stop, feed and
+//! query the campaign service.
 //!
 //! `smctl run all` regenerates all nine artifacts through one shared
 //! bundle cache (each benchmark's layouts are built exactly once; the
@@ -62,7 +56,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use sm_bench::artifacts::{artifact_by_name, ARTIFACTS};
-use sm_bench::cli::{Args, Cmd};
+use sm_bench::cli::{usage, Args, Cmd};
 use sm_bench::session::Session;
 use sm_bench::RunOptions;
 use sm_engine::campaign::{merge_reports, run_sweep_budgeted, Campaign, CampaignRun, SweepSpec};
@@ -74,48 +68,15 @@ use sm_engine::store::ArtifactStore;
 use sm_engine::ArtifactCache;
 use sm_exec::fault::FaultProfile;
 
+/// `smctl help` after its generated USAGE block.
 const HELP: &str = "\
-smctl — split-manufacturing experiment campaigns
-
-USAGE:
-    smctl run <artifact...> [--seed N] [--scale N] [--quick] [--threads N]
-                [--store DIR | --no-store] [--store-cap SIZE]
-                [--fault-seed N] [--fault-profile P]
-    smctl sweep [--benchmarks LIST] [--seeds SPEC] [--split-layers LIST]
-                [--attacks LIST] [--scale N] [--seed N] [--layout-seed N]
-                [--quick] [--threads N] [--timeout-secs N]
-                [--jobs SPEC | --shard K/N]
-                [--format json|csv|agg-csv|table] [--timings] [--out FILE]
-                [--store DIR | --no-store] [--store-cap SIZE]
-                [--fault-seed N] [--fault-profile P]
-    smctl resume <report.json|journal|store-dir> [--threads N]
-                [--timeout-secs N] [--out FILE]
-                [--format json|csv|agg-csv|table]
-                [--store DIR | --no-store] [--store-cap SIZE]
-    smctl merge <report.json...> [-o|--out FILE]
-    smctl report (--input FILE | --journal PATH)
-                [--format json|csv|agg-csv|table]
-    smctl events <journal|store-dir> [--follow] [--format table|json]
-    smctl tail <journal|store-dir>
-    smctl bench [--quick] [--seed N] [--scale N] [--threads N] [--out FILE]
-                [--baseline FILE] [--max-regression FACTOR] [--min-of N]
-    smctl chaos [--threads N] [--fault-seed N] [--fault-profile P]
-    smctl store stats|gc|clear|doctor [--store DIR] [--store-cap SIZE]
-    smctl serve --socket PATH [--workers N] [--max-queued N] [--threads N]
-                [--store DIR] [--store-cap SIZE]
-    smctl serve --stop --socket PATH
-    smctl serve --simulate N [--kill W@K,...] [sweep axes]
-                [--threads N] [--format F] [--out FILE]
-                [--store DIR | --no-store] [--store-cap SIZE]
-    smctl submit --socket PATH [sweep axes] [--follow]
-                [--format json|csv|agg-csv|table] [--out FILE]
-    smctl status --socket PATH
-    smctl help
+Every flag is optional, except that `serve`, `stop`, `submit` and
+`status` need --socket and `report` needs --input or --journal.
 
 ARTIFACTS:
     table1 table2 table3 table4 table5 table6 fig4 fig5 fig6 all
 
-SWEEP AXES:
+SWEEP AXES (sweep and submit):
     --benchmarks   comma list of designs, or the groups `iscas`,
                    `superblue`, `all` (default: all ISCAS-85 designs,
                    narrowed to c432,c880 by --quick)
@@ -130,11 +91,16 @@ SWEEP AXES:
                    once per design × layer × arm; only its OER/HD
                    evaluation varies per seed. Unset, each seed builds its
                    own bundle (historical reports stay byte-identical)
+
+SWEEP ONLY:
     --jobs         run only these job indices of the expansion, e.g.
                    `0,2,5..9` (the report stays mergeable via resume)
-    --shard K/N    run shard K of N (1-based): job indices K-1, K-1+N, …
-                   of the expansion — sugar over --jobs for multi-process
-                   sweeps; merge the partial reports with `smctl resume`
+    --shard K/N    run shard K of N (1-based): the K-th of N balanced
+                   contiguous ranges of the expansion, the ranges a fleet
+                   of N workers starts on, so a shard builds only its own
+                   bundles; merge the partial reports with `smctl merge`
+    --workers N    run on a fleet of N workers (see SERVE)
+    --kill W@K,... kill worker W at its first pickup after K completed jobs
     --timings      include wall-clock + cache diagnostics (report is then
                    no longer byte-identical across runs)
 
@@ -232,10 +198,18 @@ SERVE:
     into contiguous ranges, one per worker, idle workers steal ranges
     from loaded ones, and all workers share the --threads budget.
     `sweep`, `resume` and `chaos` run min(--threads, jobs) workers.
+    `smctl sweep --workers N` runs N workers instead, and --kill W@K
+    kills worker W at its first pickup after K completed jobs,
+    re-queueing its remaining ranges for the others. Steal tie-breaks
+    are seeded from --seed, as a live service's are. The report is
+    byte-identical to a plain `smctl sweep` of the spec whatever the
+    fleet's shape — the CI determinism gate runs exactly this.
+
     `smctl serve` runs the campaign service: it listens on a Unix-domain
     socket, admits sweep specs into a bounded queue (past --max-queued,
     submissions are rejected — back-pressure, not unbounded buffering),
-    and executes one campaign at a time on a fleet of --workers workers.
+    and executes one campaign at a time on a fleet of --workers workers
+    (default 2).
     The service holds the store's maintenance lock for its lifetime, so
     eviction needs no per-sweep lock dance. Reports are canonical:
     byte-identical to `smctl sweep` of the same spec, whatever the
@@ -246,16 +220,8 @@ SERVE:
     `smctl submit` sends one sweep to a running service and prints the
     final report (exit codes match `sweep`: 3 timed-out, 4 failed);
     --follow streams the campaign's journal events to stderr while it
-    runs. `smctl status` prints a queue snapshot. `smctl serve --stop`
-    drains the queue and shuts the service down.
-
-    `smctl serve --simulate N` runs one campaign in-process, without a
-    socket, on a fleet of N workers: --kill W@K kills worker W at its
-    first pickup after K completed jobs, re-queueing its remaining
-    ranges for the others. Steal tie-breaks are seeded from --seed, as
-    a live service's are. The merged report is byte-identical to
-    `smctl sweep` of the spec — the CI determinism gate runs exactly
-    this.
+    runs. `smctl status` prints a queue snapshot. `smctl stop` drains
+    the queue and shuts the service down.
 
 FORMATS:
     json      canonical campaign report (storable, resumable)
@@ -284,12 +250,16 @@ store hit counts, prints to stderr.
 fn main() -> ExitCode {
     exit_quietly_when_stdout_closes();
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    let help = format!(
+        "smctl — split-manufacturing experiment campaigns\n\nUSAGE:\n{}\n{HELP}",
+        usage()
+    );
     let Some((name, rest)) = argv.split_first() else {
-        eprint!("{HELP}");
+        eprint!("{help}");
         return ExitCode::from(2);
     };
     if matches!(name.as_str(), "help" | "--help" | "-h") {
-        print!("{HELP}");
+        print!("{help}");
         return ExitCode::SUCCESS;
     }
     let result = Cmd::from_name(name)
@@ -307,7 +277,8 @@ fn main() -> ExitCode {
                 Cmd::Bench => cmd_bench(args),
                 Cmd::Chaos => cmd_chaos(args),
                 Cmd::Store => cmd_store(args),
-                Cmd::Serve | Cmd::ServeStop | Cmd::ServeSimulate => cmd_serve(args),
+                Cmd::Serve => cmd_serve(args),
+                Cmd::Stop => cmd_stop(args),
                 Cmd::Submit => cmd_submit(args),
                 Cmd::Status => cmd_status(args),
             }
@@ -413,7 +384,7 @@ fn cmd_run(args: Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `smctl sweep`: expand axes, run on the pool, emit the report.
+/// `smctl sweep`: expand axes, run on the fleet, emit the report.
 fn cmd_sweep(args: Args) -> Result<ExitCode, String> {
     let format = report_format(args.format.as_deref())?;
     let spec = &args.spec;
@@ -430,7 +401,19 @@ fn cmd_sweep(args: Args) -> Result<ExitCode, String> {
     // One budget for the whole sweep: `--threads` worth of workers
     // shared by jobs, bundle builds and nested bisection sweeps, with
     // the `--timeout-secs` deadline attached.
-    let campaign = run.run(&args.opts.budget(), &cache);
+    let budget = args.opts.budget();
+    let campaign = match args.workers {
+        Some(workers) => {
+            let (campaign, fleet) = run.run_fleet(workers, &args.kills, &budget, &cache)?;
+            eprintln!(
+                "fleet: {workers} worker(s), {} steal(s), {} death(s)",
+                fleet.steals, fleet.deaths
+            );
+            campaign
+        }
+        None if args.kills.is_empty() => run.run(&budget, &cache),
+        None => return Err("--kill needs --workers N".into()),
+    };
     if let Some(journal) = cache.journal() {
         if journal.degraded() {
             eprintln!("journal degraded: this run was not journaled");
@@ -514,12 +497,12 @@ fn cmd_resume(args: Args) -> Result<ExitCode, String> {
     };
 
     let present = stored.outcomes.len();
-    let timed_out = stored.timed_out();
+    let (timed_out, failed) = (stored.timed_out(), stored.failed());
     let total = stored.spec.jobs()?.len();
     let spec = stored.spec.clone();
     let run = CampaignRun::resume(stored)?;
     eprintln!(
-        "{}: {present} of {total} jobs present ({timed_out} timed out), {} to run",
+        "{}: {present} of {total} jobs present ({timed_out} timed out, {failed} failed), {} to run",
         journal_input
             .as_deref()
             .map(|p| p.display().to_string())
@@ -732,62 +715,33 @@ fn cmd_store(args: Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `smctl serve`: the campaign service (or its `--stop` sugar, or the
-/// in-process `--simulate N` fleet run CI byte-diffs).
+/// `smctl serve`: the campaign service.
 fn cmd_serve(args: Args) -> Result<ExitCode, String> {
-    if args.stop {
-        let socket = args
-            .socket
-            .ok_or("`smctl serve --stop` needs --socket PATH")?;
-        client_shutdown(Path::new(&socket))?;
-        eprintln!("service at {socket} drained and stopped");
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    if let Some(workers) = args.simulate {
-        // The CI determinism leg: run the service's fleet in-process,
-        // with the `--kill` deaths injected, and emit a report that must
-        // byte-match `smctl sweep` of the same spec.
-        let format = report_format(args.format.as_deref())?;
-        let cache = args.opts.cache(Some(&args.spec), None);
-        let (campaign, stats) = CampaignRun::new(&args.spec)?.run_fleet(
-            workers,
-            &args.kills,
-            &args.opts.budget(),
-            &cache,
-        )?;
-        eprintln!(
-            "fleet: {workers} in-process worker(s), {} steal(s), {} death(s)",
-            stats.steals, stats.deaths
-        );
-        emit(
-            &render_campaign(&campaign, format, args.timings),
-            args.out.as_deref(),
-        )?;
-        eprintln!("{}", campaign.summary());
-        print_store_stats(&cache);
-        return Ok(campaign_exit(&campaign, "<report.json>"));
-    }
-
-    let socket = args
-        .socket
-        .ok_or("`smctl serve` needs --socket PATH (or --simulate N)")?;
+    let socket = args.socket.ok_or("`smctl serve` needs --socket PATH")?;
     let store = args.opts.store.clone().ok_or(
         "`smctl serve` needs a store (the coordinator owns its reservation); drop --no-store",
     )?;
     let config = ServeConfig {
         socket: socket.clone().into(),
-        workers: args.workers,
+        workers: args.workers.unwrap_or(2),
         max_queued: args.max_queued,
         store: store.into(),
         store_cap: args.opts.store_cap,
     };
     eprintln!(
-        "serving campaigns on {socket} ({} worker(s), {} queued max); stop with `smctl serve --stop --socket {socket}`",
+        "serving campaigns on {socket} ({} worker(s), {} queued max); stop with `smctl stop --socket {socket}`",
         config.workers, config.max_queued
     );
     serve(&config, &args.opts.budget())?;
     eprintln!("service stopped");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `smctl stop`: drain a running service and shut it down.
+fn cmd_stop(args: Args) -> Result<ExitCode, String> {
+    let socket = args.socket.ok_or("`smctl stop` needs --socket PATH")?;
+    client_shutdown(Path::new(&socket))?;
+    eprintln!("service at {socket} drained and stopped");
     Ok(ExitCode::SUCCESS)
 }
 

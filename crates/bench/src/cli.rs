@@ -1,13 +1,14 @@
-//! The `smctl` command line: every flag is declared once, in `FLAGS`,
-//! and [`Args::parse`] reads a command's argv in one pass.
+//! The `smctl` command line: every command is one [`Cmd`], every flag
+//! is declared once, in `FLAGS`, [`Args::parse`] reads a command's argv
+//! in one pass, and [`usage`] renders what that table accepts.
 //!
-//! A flag's declaration names it, says whether it takes a value, lists
-//! the commands (and `serve` modes) that accept it, and parses its
-//! value into [`Args`]. The rules are the same for every command:
-//! `--flag value` and `--flag=value` mean the same, value flags reject
-//! empty, missing and flag-like values, switches reject inline values
-//! (`--quick=yes` is an error, not a silent `true`), and a flag the
-//! command does not accept is an error naming the command.
+//! A flag's declaration names it and its value placeholder, lists the
+//! commands that accept it, and parses its value into [`Args`]. The
+//! rules are the same for every command: `--flag value` and
+//! `--flag=value` mean the same, value flags reject empty, missing and
+//! flag-like values, switches reject inline values (`--quick=yes` is an
+//! error, not a silent `true`), and a flag the command does not accept
+//! is an error naming the command.
 
 use std::collections::HashSet;
 use std::fmt::Display;
@@ -25,8 +26,7 @@ use crate::RunOptions;
 /// `--no-store` is given.
 pub const DEFAULT_STORE: &str = ".sm-store";
 
-/// An `smctl` command. `serve` has one variant per mode, because each
-/// mode reads different flags; [`Args::parse`] picks the mode.
+/// An `smctl` command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cmd {
     /// `smctl run`.
@@ -49,12 +49,10 @@ pub enum Cmd {
     Chaos,
     /// `smctl store`.
     Store,
-    /// `smctl serve --socket PATH`: the live service.
+    /// `smctl serve`: the live service.
     Serve,
-    /// `smctl serve --stop`.
-    ServeStop,
-    /// `smctl serve --simulate N`.
-    ServeSimulate,
+    /// `smctl stop`: drain and stop a live service.
+    Stop,
     /// `smctl submit`.
     Submit,
     /// `smctl status`.
@@ -62,20 +60,20 @@ pub enum Cmd {
 }
 
 use Cmd::{
-    Bench, Chaos, Events, Merge, Report, Resume, Run, Serve, ServeSimulate, ServeStop, Status,
-    Store, Submit, Sweep, Tail,
+    Bench, Chaos, Events, Merge, Report, Resume, Run, Serve, Status, Stop, Store, Submit, Sweep,
+    Tail,
 };
 
 impl Cmd {
-    /// The command named `name` on the command line (`serve` in its
-    /// live mode until [`Args::parse`] sees `--stop` or `--simulate`).
+    /// Every command, in `smctl help` order.
+    const ALL: [Cmd; 14] = [
+        Run, Sweep, Resume, Merge, Report, Events, Tail, Bench, Chaos, Store, Serve, Stop, Submit,
+        Status,
+    ];
+
+    /// The command named `name` on the command line.
     pub fn from_name(name: &str) -> Option<Cmd> {
-        [
-            Run, Sweep, Resume, Merge, Report, Events, Tail, Bench, Chaos, Store, Serve, Submit,
-            Status,
-        ]
-        .into_iter()
-        .find(|cmd| cmd.name() == name)
+        Cmd::ALL.into_iter().find(|cmd| cmd.name() == name)
     }
 
     /// The command's name on the command line.
@@ -91,19 +89,34 @@ impl Cmd {
             Bench => "bench",
             Chaos => "chaos",
             Store => "store",
-            Serve | ServeStop | ServeSimulate => "serve",
+            Serve => "serve",
+            Stop => "stop",
             Submit => "submit",
             Status => "status",
         }
     }
 
-    /// How many positional arguments the command takes: artifact
-    /// names, report files, a journal or store path, a `store` action.
-    fn positionals(self) -> usize {
+    /// The command's positional arguments as its usage line shows them:
+    /// artifact names, report files, a journal or store path, a `store`
+    /// action.
+    fn operands(self) -> &'static str {
         match self {
-            Run | Merge => usize::MAX,
-            Resume | Events | Tail | Store => 1,
-            _ => 0,
+            Run => "<artifact...>",
+            Resume => "<report.json|journal|store-dir>",
+            Merge => "<report.json...>",
+            Events | Tail => "<journal|store-dir>",
+            Store => "stats|gc|clear|doctor",
+            _ => "",
+        }
+    }
+
+    /// How many positional arguments the command takes, as its usage
+    /// line declares them: none, any number (`<...>`), or one.
+    fn positionals(self) -> usize {
+        match self.operands() {
+            "" => 0,
+            many if many.ends_with("...>") => usize::MAX,
+            _ => 1,
         }
     }
 }
@@ -118,9 +131,11 @@ enum Setter {
     Value(fn(&mut Args, &str, &str) -> Result<(), String>),
 }
 
-/// One flag: its name, the commands that accept it, and its setter.
+/// One flag: its name, its value's placeholder in usage lines (empty
+/// for a switch), the commands that accept it, and its setter.
 struct Flag {
     name: &'static str,
+    placeholder: &'static str,
     commands: &'static [Cmd],
     set: Setter,
 }
@@ -128,6 +143,7 @@ struct Flag {
 const fn switch(name: &'static str, commands: &'static [Cmd], set: fn(&mut Args)) -> Flag {
     Flag {
         name,
+        placeholder: "",
         commands,
         set: Setter::Switch(set),
     }
@@ -135,11 +151,13 @@ const fn switch(name: &'static str, commands: &'static [Cmd], set: fn(&mut Args)
 
 const fn text(
     name: &'static str,
+    placeholder: &'static str,
     commands: &'static [Cmd],
     slot: fn(&mut Args) -> &mut Option<String>,
 ) -> Flag {
     Flag {
         name,
+        placeholder,
         commands,
         set: Setter::Text(slot),
     }
@@ -147,127 +165,159 @@ const fn text(
 
 const fn value(
     name: &'static str,
+    placeholder: &'static str,
     commands: &'static [Cmd],
     set: fn(&mut Args, &str, &str) -> Result<(), String>,
 ) -> Flag {
     Flag {
         name,
+        placeholder,
         commands,
         set: Setter::Value(set),
     }
 }
 
-/// Commands that build bundles through a store (`serve` in both modes
-/// that run campaigns).
-const STORED: &[Cmd] = &[Run, Sweep, Resume, Store, Serve, ServeSimulate];
+/// Commands that build bundles through a store (and `serve`, whose
+/// campaigns do).
+const STORED: &[Cmd] = &[Run, Sweep, Resume, Store, Serve];
 /// Commands that select benchmarks (`--quick`, `--scale`).
-const SELECTING: &[Cmd] = &[Run, Sweep, Bench, ServeSimulate, Submit];
+const SELECTING: &[Cmd] = &[Run, Sweep, Bench, Submit];
 /// Commands that run under an injected fault plan.
-const FAULTED: &[Cmd] = &[Run, Sweep, Chaos, ServeSimulate];
+const FAULTED: &[Cmd] = &[Run, Sweep, Chaos];
 /// Commands that take a sweep spec's axes.
-const SWEEPING: &[Cmd] = &[Sweep, ServeSimulate, Submit];
+const SWEEPING: &[Cmd] = &[Sweep, Submit];
 
-/// Every flag `smctl` accepts.
+/// Every flag `smctl` accepts, in usage-line order.
 const FLAGS: &[Flag] = &[
+    text("--socket", "PATH", &[Serve, Stop, Submit, Status], |a| {
+        &mut a.socket
+    }),
+    value("--benchmarks", "LIST", SWEEPING, |a, _, v| {
+        put(&mut a.spec.benchmarks, parse_benchmarks(v))
+    }),
+    value("--seeds", "SPEC", SWEEPING, |a, _, v| {
+        put(&mut a.spec.seeds, parse_seeds(v).map(first_seen))
+    }),
+    value("--split-layers", "LIST", SWEEPING, |a, _, v| {
+        put(&mut a.spec.split_layers, parse_layers(v).map(first_seen))
+    }),
+    value("--attacks", "LIST", SWEEPING, |a, _, v| {
+        put(&mut a.spec.attacks, parse_attacks(v).map(first_seen))
+    }),
     value(
         "--seed",
-        &[Run, Sweep, Bench, Chaos, ServeSimulate, Submit],
+        "N",
+        &[Run, Sweep, Bench, Chaos, Submit],
         |a, f, v| put(&mut a.opts.seed, num(f, v)),
     ),
-    value("--scale", SELECTING, |a, f, v| {
+    value("--layout-seed", "N", SWEEPING, |a, _, v| {
+        put(&mut a.spec.layout_seed, parse_u64(v).map(Some))
+    }),
+    value("--scale", "N", SELECTING, |a, f, v| {
         put(&mut a.opts.scale, at_least_one(f, v))
     }),
     switch("--quick", SELECTING, |a| a.opts.quick = true),
+    value("--jobs", "SPEC", &[Sweep], |a, _, v| {
+        put(&mut a.jobs, parse_indices(v).map(Some))
+    }),
+    value("--shard", "K/N", &[Sweep], |a, _, v| {
+        put(&mut a.shard, parse_shard(v).map(Some))
+    }),
+    value("--workers", "N", &[Sweep, Serve], |a, f, v| {
+        put(&mut a.workers, num(f, v).map(Some))
+    }),
+    value("--kill", "W@K,...", &[Sweep], |a, _, v| {
+        put(&mut a.kills, parse_kills(v))
+    }),
+    value("--max-queued", "N", &[Serve], |a, f, v| {
+        put(&mut a.max_queued, num(f, v))
+    }),
     value(
         "--threads",
-        &[Run, Sweep, Resume, Bench, Chaos, Serve, ServeSimulate],
+        "N",
+        &[Run, Sweep, Resume, Bench, Chaos, Serve],
         |a, f, v| put(&mut a.opts.threads, num(f, v).map(|t| (t > 0).then_some(t))),
     ),
-    value(
-        "--timeout-secs",
-        &[Sweep, Resume, ServeSimulate],
-        |a, f, v| put(&mut a.opts.timeout_secs, at_least_one(f, v).map(Some)),
+    value("--timeout-secs", "N", &[Sweep, Resume], |a, f, v| {
+        put(&mut a.opts.timeout_secs, at_least_one(f, v).map(Some))
+    }),
+    text("--input", "FILE", &[Report], |a| &mut a.input),
+    text("--journal", "PATH", &[Report], |a| &mut a.journal),
+    switch("--follow", &[Events, Submit], |a| a.follow = true),
+    text(
+        "--format",
+        "FORMAT",
+        &[Sweep, Resume, Report, Events, Submit],
+        |a| &mut a.format,
     ),
-    text("--store", STORED, |a| &mut a.opts.store),
+    switch("--timings", &[Sweep], |a| a.timings = true),
+    text(
+        "--out",
+        "FILE",
+        &[Sweep, Resume, Merge, Bench, Submit],
+        |a| &mut a.out,
+    ),
+    text("-o", "FILE", &[Merge], |a| &mut a.out),
+    text("--store", "DIR", STORED, |a| &mut a.opts.store),
     switch("--no-store", STORED, |a| a.opts.store = None),
-    value("--store-cap", STORED, |a, _, v| {
+    value("--store-cap", "SIZE", STORED, |a, _, v| {
         put(&mut a.opts.store_cap, parse_size(v).map(Some))
     }),
-    value("--fault-seed", FAULTED, |a, f, v| {
+    value("--fault-seed", "N", FAULTED, |a, f, v| {
         put(&mut a.opts.fault_seed, num(f, v).map(Some))
     }),
-    value("--fault-profile", FAULTED, |a, f, v| {
+    value("--fault-profile", "P", FAULTED, |a, f, v| {
         let profile = FaultProfile::parse(v).map_err(|e| format!("invalid {f}: {e}"));
         put(&mut a.opts.fault_profile, profile.map(Some))
     }),
-    value("--benchmarks", SWEEPING, |a, _, v| {
-        put(&mut a.spec.benchmarks, parse_benchmarks(v))
-    }),
-    value("--seeds", SWEEPING, |a, _, v| {
-        put(&mut a.spec.seeds, parse_seeds(v).map(first_seen))
-    }),
-    value("--split-layers", SWEEPING, |a, _, v| {
-        put(&mut a.spec.split_layers, parse_layers(v).map(first_seen))
-    }),
-    value("--attacks", SWEEPING, |a, _, v| {
-        put(&mut a.spec.attacks, parse_attacks(v).map(first_seen))
-    }),
-    value("--layout-seed", SWEEPING, |a, _, v| {
-        put(&mut a.spec.layout_seed, parse_u64(v).map(Some))
-    }),
-    value("--jobs", &[Sweep], |a, _, v| {
-        put(&mut a.jobs, parse_indices(v).map(Some))
-    }),
-    value("--shard", &[Sweep], |a, _, v| {
-        put(&mut a.shard, parse_shard(v).map(Some))
-    }),
-    text(
-        "--format",
-        &[Sweep, Resume, Report, Events, ServeSimulate, Submit],
-        |a| &mut a.format,
-    ),
-    text(
-        "--out",
-        &[Sweep, Resume, Merge, Bench, ServeSimulate, Submit],
-        |a| &mut a.out,
-    ),
-    text("-o", &[Merge], |a| &mut a.out),
-    switch("--timings", &[Sweep, ServeSimulate], |a| a.timings = true),
-    text("--input", &[Report], |a| &mut a.input),
-    text("--journal", &[Report], |a| &mut a.journal),
-    switch("--follow", &[Events, Submit], |a| a.follow = true),
-    text("--baseline", &[Bench], |a| &mut a.baseline),
-    value("--max-regression", &[Bench], |a, f, v| {
+    text("--baseline", "FILE", &[Bench], |a| &mut a.baseline),
+    value("--max-regression", "FACTOR", &[Bench], |a, f, v| {
         a.max_regression = num(f, v)?;
         if a.max_regression < 1.0 || a.max_regression.is_nan() {
             return Err(format!("{f} must be ≥ 1.0, got {}", a.max_regression));
         }
         Ok(())
     }),
-    value("--min-of", &[Bench], |a, f, v| {
+    value("--min-of", "N", &[Bench], |a, f, v| {
         a.min_of = num(f, v)?;
         if a.min_of == 0 {
             return Err(format!("{f} must be ≥ 1"));
         }
         Ok(())
     }),
-    text("--socket", &[Serve, ServeStop, Submit, Status], |a| {
-        &mut a.socket
-    }),
-    value("--workers", &[Serve], |a, f, v| {
-        put(&mut a.workers, num(f, v))
-    }),
-    value("--max-queued", &[Serve], |a, f, v| {
-        put(&mut a.max_queued, num(f, v))
-    }),
-    switch("--stop", &[ServeStop], |a| a.stop = true),
-    value("--simulate", &[ServeSimulate], |a, f, v| {
-        put(&mut a.simulate, num(f, v).map(Some))
-    }),
-    value("--kill", &[ServeSimulate], |a, _, v| {
-        put(&mut a.kills, parse_kills(v))
-    }),
 ];
+
+/// The width `usage` wraps its lines at.
+const USAGE_WIDTH: usize = 78;
+
+/// The USAGE block of `smctl help`: one wrapped entry per command that
+/// names every flag `FLAGS` lets it take, in table order, and nothing
+/// else, then `smctl help`.
+pub fn usage() -> String {
+    let mut out = String::new();
+    for cmd in Cmd::ALL {
+        let mut line = format!("    smctl {}", cmd.name());
+        let operands = cmd.operands().split_whitespace().map(str::to_string);
+        let flags = FLAGS.iter().filter(|f| f.commands.contains(&cmd));
+        let flags = flags.map(|f| match f.placeholder {
+            "" => format!("[{}]", f.name),
+            p => format!("[{} {p}]", f.name),
+        });
+        for word in operands.chain(flags) {
+            if line.len() + 1 + word.len() > USAGE_WIDTH {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(15);
+            }
+            line.push(' ');
+            line.push_str(&word);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out.push_str("    smctl help\n");
+    out
+}
 
 /// Stores a parsed value, or passes its error on.
 fn put<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
@@ -333,14 +383,11 @@ pub struct Args {
     pub min_of: usize,
     /// `--socket PATH`.
     pub socket: Option<String>,
-    /// `--workers N` (default 2).
-    pub workers: usize,
+    /// `--workers N`: the fleet's worker count (`serve` defaults to 2,
+    /// `sweep` to `min(--threads, jobs)`).
+    pub workers: Option<usize>,
     /// `--max-queued N` (default 16).
     pub max_queued: usize,
-    /// `--stop`.
-    pub stop: bool,
-    /// `--simulate N`: the in-process fleet's worker count.
-    pub simulate: Option<usize>,
     /// `--kill W@K,...`: worker W dies at its first pickup after K
     /// completed jobs.
     pub kills: Vec<(usize, usize)>,
@@ -370,10 +417,8 @@ impl Default for Args {
             max_regression: 2.0,
             min_of: 1,
             socket: None,
-            workers: 2,
+            workers: None,
             max_queued: 16,
-            stop: false,
-            simulate: None,
             kills: Vec::new(),
         }
     }
@@ -382,9 +427,7 @@ impl Default for Args {
 impl Args {
     /// Reads `argv`, the arguments after the command name, for `cmd`.
     ///
-    /// Any argument that starts with `-` is a flag. For `serve`,
-    /// `--stop` or `--simulate` selects the mode, and every flag given
-    /// must be one that mode reads.
+    /// Any argument that starts with `-` is a flag.
     ///
     /// # Errors
     ///
@@ -393,7 +436,6 @@ impl Args {
     /// positional arguments than `cmd` takes.
     pub fn parse(cmd: Cmd, argv: &[String]) -> Result<Args, String> {
         let mut args = Args::default();
-        let mut given: Vec<&Flag> = Vec::new();
         let mut i = 0;
         while i < argv.len() {
             let arg = argv[i].as_str();
@@ -406,11 +448,9 @@ impl Args {
                 continue;
             }
             let (name, inline) = split_flag(arg);
-            // Matching by name lets `serve` take the flags of all three
-            // modes until the pass has seen which mode it is.
             let flag = FLAGS
                 .iter()
-                .find(|f| f.name == name && f.commands.iter().any(|c| c.name() == cmd.name()))
+                .find(|f| f.name == name && f.commands.contains(&cmd))
                 .ok_or_else(|| format!("unknown {} flag `{name}`; see `smctl help`", cmd.name()))?;
             match flag.set {
                 Setter::Switch(set) => {
@@ -425,23 +465,7 @@ impl Args {
                     set(&mut args, name, &v)?;
                 }
             }
-            given.push(flag);
             i += 1;
-        }
-        if cmd == Serve {
-            let (mode, usage) = if args.stop {
-                (ServeStop, "`smctl serve --stop`")
-            } else if args.simulate.is_some() {
-                (ServeSimulate, "`smctl serve --simulate`")
-            } else {
-                (Serve, "a live `smctl serve`")
-            };
-            if let Some(flag) = given.iter().find(|f| !f.commands.contains(&mode)) {
-                return Err(format!(
-                    "{} is not read by {usage}; see `smctl help`",
-                    flag.name
-                ));
-            }
         }
         args.spec.scale = args.opts.scale;
         args.spec.master_seed = args.opts.seed;
@@ -716,6 +740,42 @@ mod tests {
         assert!(no_value("--quick", None).is_ok());
         assert!(no_value("--quick", Some("yes")).is_err());
         assert!(no_value("--timings", Some("false")).is_err());
+    }
+
+    /// Every command has one usage entry, and it names a flag exactly
+    /// when `Args::parse` accepts that flag for the command.
+    #[test]
+    fn usage_names_exactly_the_flags_each_command_parses() {
+        let text = usage();
+        let mut entries: Vec<(String, String)> = Vec::new();
+        for line in text.lines() {
+            match line.strip_prefix("    smctl ") {
+                Some(rest) => {
+                    let name = rest.split(' ').next().unwrap();
+                    entries.push((name.to_string(), format!("{rest} ")));
+                }
+                None => entries.last_mut().unwrap().1.push_str(line),
+            }
+        }
+        let names: Vec<&str> = entries.iter().map(|(n, _)| n.as_str()).collect();
+        let mut want: Vec<&str> = Cmd::ALL.iter().map(|c| c.name()).collect();
+        want.push("help");
+        assert_eq!(names, want);
+        for (cmd, (_, entry)) in Cmd::ALL.into_iter().zip(&entries) {
+            for flag in FLAGS {
+                let named = entry.contains(&format!("[{} ", flag.name))
+                    || entry.contains(&format!("[{}]", flag.name));
+                let unknown = format!("unknown {} flag", cmd.name());
+                let parsed = Args::parse(cmd, &args(&[flag.name]))
+                    .map_or_else(|e| !e.starts_with(&unknown), |_| true);
+                assert_eq!(named, parsed, "`smctl {}` and {}", cmd.name(), flag.name);
+            }
+        }
+        let flags: HashSet<&str> = FLAGS.iter().map(|f| f.name).collect();
+        assert_eq!(flags.len(), FLAGS.len(), "a flag is declared twice");
+        for gone in ["--simulate", "--stop"] {
+            assert!(!flags.contains(gone), "{gone}");
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! `smctl` command-line contract tests, driven against the real binary
 //! (`CARGO_BIN_EXE_smctl`): every command rejects a flag it does not
 //! accept, a missing or empty value and an inline value on a switch,
-//! each with exit status 2; `--flag=v` means `--flag v`; repeated
+//! each with exit status 2; `smctl help` prints one generated usage
+//! entry per command; `--flag=v` means `--flag v`; repeated
 //! sweep-axis values collapse to their first occurrence; a stdout
 //! whose reader has gone ends `smctl` quietly with exit status 0 (help,
-//! tables, journal events and reports alike); and
-//! `store doctor` removes the `splits/` frames nothing reads.
+//! tables, journal events and reports alike); `resume` counts the
+//! failed jobs it re-runs; and `store doctor` removes the `splits/`
+//! frames nothing reads.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -67,7 +69,7 @@ fn rejects(args: &[&str], dir: &Path, needle: &str) {
 
 /// Every command, with a value flag and a switch it accepts (where it
 /// has one).
-const COMMANDS: [(&str, Option<&str>, Option<&str>); 13] = [
+const COMMANDS: [(&str, Option<&str>, Option<&str>); 14] = [
     ("run", Some("--seed"), Some("--quick")),
     ("sweep", Some("--seed"), Some("--quick")),
     ("resume", Some("--threads"), Some("--no-store")),
@@ -78,7 +80,8 @@ const COMMANDS: [(&str, Option<&str>, Option<&str>); 13] = [
     ("bench", Some("--seed"), Some("--quick")),
     ("chaos", Some("--seed"), None),
     ("store", Some("--store"), Some("--no-store")),
-    ("serve", Some("--socket"), Some("--stop")),
+    ("serve", Some("--socket"), Some("--no-store")),
+    ("stop", Some("--socket"), None),
     ("submit", Some("--socket"), Some("--follow")),
     ("status", Some("--socket"), None),
 ];
@@ -121,6 +124,11 @@ fn every_command_rejects_unknown_flags_and_malformed_values() {
     }
     // A flag one command accepts is still unknown to another.
     rejects(&["submit", "--threads", "2"], dir, "unknown submit flag");
+    rejects(
+        &["submit", "--socket", "s", "--jobs", "0"],
+        dir,
+        "unknown submit flag `--jobs`",
+    );
     rejects(&["tail", ".", "--follow"], dir, "unknown tail flag");
     rejects(
         &["merge", "-out", "a.json", "b.json"],
@@ -134,6 +142,9 @@ fn every_command_rejects_unknown_flags_and_malformed_values() {
     );
 }
 
+/// A live service, `stop` and `sweep --workers` are one command each,
+/// and each rejects the others' flags as unknown (`serve` takes neither
+/// `--stop` nor `--simulate`).
 #[test]
 fn serve_accepts_only_the_flags_its_mode_reads() {
     let scratch = Scratch::new("serve");
@@ -148,12 +159,12 @@ fn serve_accepts_only_the_flags_its_mode_reads() {
             "--no-store",
         ],
         dir,
-        "--fault-seed is not read by a live `smctl serve`",
+        "unknown serve flag `--fault-seed`",
     );
     rejects(
         &["serve", "--socket", "s.sock", "--kill", "0@0", "--no-store"],
         dir,
-        "--kill is not read by a live `smctl serve`",
+        "unknown serve flag `--kill`",
     );
     // A deadline armed at service start would expire every later
     // campaign; a live service serves without one.
@@ -167,18 +178,25 @@ fn serve_accepts_only_the_flags_its_mode_reads() {
             "--no-store",
         ],
         dir,
-        "--timeout-secs is not read by a live `smctl serve`",
+        "unknown serve flag `--timeout-secs`",
     );
+    for gone in ["--stop", "--simulate"] {
+        rejects(
+            &["serve", "--socket", "s.sock", gone, "--no-store"],
+            dir,
+            &format!("unknown serve flag `{gone}`"),
+        );
+    }
     rejects(
-        &["serve", "--stop", "--socket", "s.sock", "--store", "st"],
+        &["stop", "--socket", "s.sock", "--store", "st"],
         dir,
-        "--store is not read by `smctl serve --stop`",
+        "unknown stop flag `--store`",
     );
-    for flag in ["--workers", "--max-queued", "--socket"] {
+    for flag in ["--max-queued", "--socket"] {
         rejects(
             &[
-                "serve",
-                "--simulate",
+                "sweep",
+                "--workers",
                 "1",
                 flag,
                 "3",
@@ -189,9 +207,53 @@ fn serve_accepts_only_the_flags_its_mode_reads() {
                 "--no-store",
             ],
             dir,
-            &format!("{flag} is not read by `smctl serve --simulate`"),
+            &format!("unknown sweep flag `{flag}`"),
         );
     }
+    rejects(
+        &[
+            "sweep",
+            "--kill",
+            "1@0",
+            "--benchmarks",
+            "c432",
+            "--no-store",
+        ],
+        dir,
+        "--kill needs --workers N",
+    );
+}
+
+/// `smctl help` prints one generated usage entry per command, and no
+/// placeholder stands for flags a command may not take (the unit test
+/// in `cli.rs` checks each entry against the parser).
+#[test]
+fn help_prints_one_generated_usage_entry_per_command() {
+    let scratch = Scratch::new("help");
+    let out = smctl(&["help"], scratch.path());
+    assert_eq!(exit_code(&out), 0);
+    let help = String::from_utf8_lossy(&out.stdout);
+    assert!(!help.contains("[sweep axes]"), "{help}");
+    let usage = help
+        .split("USAGE:\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n\n").next())
+        .expect("a USAGE block");
+    let entries: Vec<&str> = usage
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("smctl "))
+        .collect();
+    let names: Vec<&str> = entries
+        .iter()
+        .map(|e| e.split(' ').next().unwrap())
+        .collect();
+    let mut want: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+    want.push("help");
+    assert_eq!(names, want);
+    let submit = usage.split("smctl submit").nth(1).unwrap();
+    let submit = submit.split("smctl status").next().unwrap();
+    assert!(submit.contains("[--benchmarks LIST]"), "{submit}");
+    assert!(!submit.contains("--jobs"), "{submit}");
 }
 
 #[test]
@@ -320,6 +382,37 @@ fn a_closed_stdout_ends_smctl_quietly() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+/// `resume` says how many of the present jobs failed, as it says how
+/// many timed out: both kinds of placeholder are re-run.
+#[test]
+fn resume_counts_failed_jobs() {
+    let scratch = Scratch::new("resume-failed");
+    let dir = scratch.path();
+    let out = smctl(
+        &[
+            "sweep",
+            "--quick",
+            "--fault-seed",
+            "1",
+            "--fault-profile",
+            "aggressive",
+            "--store",
+            "st1",
+            "--out",
+            "c1.json",
+        ],
+        dir,
+    );
+    assert_eq!(exit_code(&out), 4, "{}", stderr(&out));
+    let out = smctl(&["resume", "c1.json", "--store", "st1"], dir);
+    assert_eq!(exit_code(&out), 0, "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("c1.json: 6 of 6 jobs present (0 timed out, 2 failed), 2 to run"),
+        "{}",
+        stderr(&out)
+    );
 }
 
 /// `store doctor` removes the `splits/` frames nothing reads any more,

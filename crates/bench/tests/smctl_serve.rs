@@ -131,8 +131,8 @@ fn a_killed_service_restarts_on_its_store_and_serves() {
     assert_eq!(exit_code(&out), 0, "submit: {}", stderr(&out));
     assert!(dir.join("r.json").exists());
 
-    let out = smctl(&["serve", "--stop", "--socket", "sm.sock"], dir);
-    assert_eq!(exit_code(&out), 0, "serve --stop: {}", stderr(&out));
+    let out = smctl(&["stop", "--socket", "sm.sock"], dir);
+    assert_eq!(exit_code(&out), 0, "stop: {}", stderr(&out));
     assert!(restarted.0.wait().expect("reap the service").success());
     assert!(!dir.join("sm.sock").exists(), "a drained service unbinds");
 }
@@ -153,8 +153,8 @@ fn a_second_service_on_a_held_store_never_binds() {
         !dir.join("b.sock").exists(),
         "a service that cannot own its store leaves no socket"
     );
-    let out = smctl(&["serve", "--stop", "--socket", "a.sock"], dir);
-    assert_eq!(exit_code(&out), 0, "serve --stop: {}", stderr(&out));
+    let out = smctl(&["stop", "--socket", "a.sock"], dir);
+    assert_eq!(exit_code(&out), 0, "stop: {}", stderr(&out));
 }
 
 /// `store gc` beside a live peer that holds the store lock (here the
@@ -317,8 +317,8 @@ fn a_client_that_disconnects_mid_follow_leaves_the_campaign_intact() {
         "one campaign served both submissions: {stdout}"
     );
 
-    let out = smctl(&["serve", "--stop", "--socket", "sm.sock"], dir);
-    assert_eq!(exit_code(&out), 0, "serve --stop: {}", stderr(&out));
+    let out = smctl(&["stop", "--socket", "sm.sock"], dir);
+    assert_eq!(exit_code(&out), 0, "stop: {}", stderr(&out));
     assert!(service.0.wait().expect("reap the service").success());
     assert!(!dir.join("sm.sock").exists(), "a drained service unbinds");
 }

@@ -4,7 +4,7 @@
 //! test suite should chew on. [`SuperblueProfile`] records the published
 //! net/I-O/utilization numbers (Table 2 of the paper) and
 //! [`generate`] synthesizes a Rent's-rule-flavored random netlist scaled
-//! down by a configurable factor (default [`DEFAULT_SCALE`] = 100×),
+//! down by a configurable factor (campaigns default to 100×),
 //! preserving the I/O-to-net ratio and the shallow, wide shape of physical-
 //! design benchmarks. Substitution documented in `DESIGN.md`.
 
@@ -19,9 +19,6 @@ pub const SUPERBLUE_NAMES: [&str; 5] = [
     "superblue12",
     "superblue18",
 ];
-
-/// Default down-scaling factor for generated superblue netlists.
-pub const DEFAULT_SCALE: usize = 100;
 
 /// Published statistics of one superblue design (from Table 2).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -198,14 +198,10 @@ pub struct Busy;
 
 impl<T> Memo<T> {
     /// The cell's value, solving it with `solve` if the cell is empty
-    /// (blocking while another requester solves it). `None` when `solve`
-    /// ran and declined; the cell then stays empty.
-    pub fn get_or_solve(&self, solve: impl FnOnce() -> Option<T>) -> Option<Arc<T>> {
-        self.get_or_solve_timed(solve).0
-    }
-
-    /// As [`Memo::get_or_solve`], also returning how long the call was
-    /// blocked on another requester's solve: zero when the cell was free.
+    /// (blocking while another requester solves it), and how long the
+    /// call was blocked on another requester's solve: zero when the cell
+    /// was free. The value is `None` when `solve` ran and declined; the
+    /// cell then stays empty.
     pub fn get_or_solve_timed(
         &self,
         solve: impl FnOnce() -> Option<T>,
@@ -225,7 +221,7 @@ impl<T> Memo<T> {
         (Self::fill(cell, solve), blocked)
     }
 
-    /// As [`Memo::get_or_solve`], but returns [`Busy`] instead of
+    /// As [`Memo::get_or_solve_timed`], but returns [`Busy`] instead of
     /// blocking while another requester solves the cell.
     pub fn try_get_or_solve(
         &self,
@@ -785,10 +781,12 @@ mod tests {
                     s.spawn(|| {
                         start.wait();
                         let cell = cache.flow_assignment(&memo_key(), SplitArm::Protected, 3);
-                        let value = cell.get_or_solve(|| {
-                            solves.fetch_add(1, Ordering::SeqCst);
-                            Some(guess(1))
-                        });
+                        let value = cell
+                            .get_or_solve_timed(|| {
+                                solves.fetch_add(1, Ordering::SeqCst);
+                                Some(guess(1))
+                            })
+                            .0;
                         Arc::as_ptr(&value.expect("the solve succeeds")) as usize
                     })
                 })
@@ -799,18 +797,23 @@ mod tests {
         assert!(ptrs.windows(2).all(|w| w[0] == w[1]), "all shared one Arc");
         // Other arms and layers are cells of their own.
         let other = cache.flow_assignment(&memo_key(), SplitArm::Original, 3);
-        assert!(other.get_or_solve(|| None).is_none());
+        assert!(other.get_or_solve_timed(|| None).0.is_none());
     }
 
     #[test]
     fn a_declined_solve_leaves_the_cell_empty() {
         let cache = ArtifactCache::new();
         let cell = cache.flow_assignment(&memo_key(), SplitArm::Protected, 4);
-        assert!(cell.get_or_solve(|| None).is_none(), "a cancelled solve");
-        let value = cell.get_or_solve(|| Some(guess(2))).unwrap();
+        assert!(
+            cell.get_or_solve_timed(|| None).0.is_none(),
+            "a cancelled solve"
+        );
+        let value = cell.get_or_solve_timed(|| Some(guess(2))).0.unwrap();
         assert_eq!(value.pairs, [(2, 2)], "the next request solved it");
         let again = cache.flow_assignment(&memo_key(), SplitArm::Protected, 4);
-        let hit = again.get_or_solve(|| panic!("a filled cell never solves"));
+        let hit = again
+            .get_or_solve_timed(|| panic!("a filled cell never solves"))
+            .0;
         assert!(Arc::ptr_eq(&value, &hit.unwrap()));
     }
 
@@ -819,12 +822,14 @@ mod tests {
         let cache = ArtifactCache::new();
         let cell = cache.flow_assignment(&memo_key(), SplitArm::Original, 5);
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cell.get_or_solve(|| panic!("solver bug"))
+            cell.get_or_solve_timed(|| panic!("solver bug")).0
         }));
         assert!(crashed.is_err());
         let value = cell.try_get_or_solve(|| Some(guess(3)));
         assert_eq!(value.unwrap().unwrap().pairs, [(3, 3)]);
-        let hit = cell.get_or_solve(|| panic!("a filled cell never solves"));
+        let hit = cell
+            .get_or_solve_timed(|| panic!("a filled cell never solves"))
+            .0;
         assert_eq!(hit.unwrap().pairs, [(3, 3)]);
     }
 
@@ -836,13 +841,14 @@ mod tests {
         std::thread::scope(|s| {
             let cell = &cell;
             let solver = s.spawn(move || {
-                cell.get_or_solve(|| {
+                cell.get_or_solve_timed(|| {
                     entered.send(()).unwrap();
                     // Bounded, so a `try_get_or_solve` that blocks fails
                     // the test instead of hanging it.
                     let _ = wait_finish.recv_timeout(std::time::Duration::from_secs(60));
                     Some(5)
                 })
+                .0
             });
             wait_entered.recv().unwrap();
             assert_eq!(cell.try_get_or_solve(|| Some(6)), Err(Busy));
@@ -873,11 +879,12 @@ mod tests {
         std::thread::scope(|s| {
             let cell = &cell;
             let solver = s.spawn(move || {
-                cell.get_or_solve(|| {
+                cell.get_or_solve_timed(|| {
                     entered.send(()).unwrap();
                     let _ = wait_finish.recv_timeout(Duration::from_secs(60));
                     Some(5)
                 })
+                .0
             });
             wait_entered.recv().unwrap();
             let waiter = s.spawn(move || {

@@ -14,7 +14,8 @@
 //! Every campaign runs on the work-stealing [`Fleet`] (its worker loop
 //! lives in [`fleet`]): [`CampaignRun::run`] derives
 //! `min(threads, jobs)` workers, [`CampaignRun::run_fleet`] takes the
-//! worker count and injected deaths of `smctl serve`. Campaigns run
+//! worker count of `smctl serve` and the worker count and injected
+//! deaths of `sweep --workers N --kill W@K`. Campaigns run
 //! inside a [`Budget`]: the fleet splits the campaign's thread
 //! allotment among its workers (so nested parallel work — bundle
 //! builds, bisection anchor sweeps — shares one pool), and the budget's
@@ -47,7 +48,7 @@ use sm_netlist::{NetId, Netlist, Sink};
 
 use crate::bundle::{IscasRun, SuperblueRun};
 use crate::cache::{ArtifactCache, Busy, CacheStats, SplitArm, StageStats};
-use crate::fleet::{self, Fleet, FleetStats};
+use crate::fleet::{self, Fleet, FleetStats, JobRange};
 use crate::job::{AttackKind, Benchmark, Job};
 use crate::journal::{Event, EventJob, MetricsSource, Provenance};
 use crate::metrics::{csv_columns, JobMetrics};
@@ -634,9 +635,10 @@ pub fn run_sweep_budgeted(
 ///
 /// [`CampaignRun::run_fleet`] is the only code that journals a
 /// campaign's start and finish, reserves bundles, runs jobs, measures
-/// the campaign wall clock and samples its counters — sweeps,
-/// `--jobs`/`--shard` selections, resumes, `serve --simulate` and the
-/// live service all go through it, on the one [`Fleet`].
+/// the campaign wall clock and samples its counters — sweeps (with or
+/// without `--workers N --kill W@K`), `--jobs`/`--shard` selections,
+/// resumes and the live service all go through it, on the one
+/// [`Fleet`].
 #[derive(Debug, Clone)]
 pub struct CampaignRun {
     spec: SweepSpec,
@@ -682,16 +684,21 @@ impl CampaignRun {
         Ok(self)
     }
 
-    /// Shard `k` of `n` (1-based, `--shard K/N`): every `n`th job from
-    /// `k - 1`. Round-robin keeps each shard's mix of benchmarks and
-    /// attacks balanced.
+    /// Shard `k` of `n` (1-based, `--shard K/N`): the `k`-th of the `n`
+    /// balanced contiguous ranges of the expansion (`JobRange::balanced`,
+    /// the ranges a fleet of `n` workers starts on). A bundle's jobs are
+    /// adjacent in the expansion, so a shard builds only its own bundles
+    /// (plus at most the one it shares with each neighbour).
     ///
     /// # Errors
     ///
     /// Returns an error when the shard selects no jobs.
     pub fn shard(mut self, k: usize, n: usize) -> Result<CampaignRun, String> {
         let total = self.expansion.len();
-        self.selected = (k.saturating_sub(1)..total).step_by(n.max(1)).collect();
+        let range = k
+            .checked_sub(1)
+            .and_then(|i| JobRange::balanced(total, n.max(1)).nth(i));
+        self.selected = range.map_or_else(Vec::new, |r| (r.lo..r.hi).collect());
         if self.selected.is_empty() {
             return Err(format!(
                 "shard {k}/{n} selects no jobs (campaign has {total})"
@@ -742,7 +749,7 @@ impl CampaignRun {
 
     /// Runs the selected jobs on a fleet of `workers` workers sharing
     /// `budget`, with the injected `(worker, after_jobs)` `deaths`
-    /// (`smctl serve --workers N`, `serve --simulate N --kill W@K`). The
+    /// (`smctl serve --workers N`, `sweep --workers N --kill W@K`). The
     /// fleet's steal tie-breaks are seeded from the spec's master seed.
     /// Returns the merged campaign and the fleet's counters.
     ///

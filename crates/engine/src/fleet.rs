@@ -13,8 +13,9 @@
 //! `budget.threads()` run at once, each on an equal [`Budget::split`]
 //! share. [`CampaignRun`](crate::CampaignRun) runs every campaign here:
 //! `sweep`, `resume` and `chaos` on `min(threads, jobs)` workers, `serve`
-//! on `--workers`, and `serve --simulate N --kill W@K` on N workers with
-//! injected deaths.
+//! on `--workers`, and `sweep --workers N --kill W@K` on N workers with
+//! injected deaths. `sweep --shard K/N` selects the K-th of the same
+//! balanced ranges (`JobRange::balanced`) over the whole expansion.
 //!
 //! Which worker runs a job decides wall clock only: outcomes are pure
 //! functions of their jobs and merge in expansion order, so every fleet
@@ -47,6 +48,25 @@ impl JobRange {
     /// `true` when the range is exhausted.
     pub fn is_empty(&self) -> bool {
         self.lo >= self.hi
+    }
+
+    /// `0..total` cut into `parts` contiguous ranges, in order, whose
+    /// lengths differ by at most one: the first `total % parts` hold one
+    /// job more. A fleet's workers start on these, and `--shard K/N`
+    /// runs the K-th of N.
+    ///
+    /// # Panics
+    ///
+    /// When `parts` is zero.
+    pub(crate) fn balanced(total: usize, parts: usize) -> impl Iterator<Item = JobRange> {
+        let (chunk, rem) = (total / parts, total % parts);
+        (0..parts).map(move |k| {
+            let lo = k * chunk + k.min(rem);
+            JobRange {
+                lo,
+                hi: lo + chunk + usize::from(k < rem),
+            }
+        })
     }
 
     /// Splits off the upper half (for a thief), keeping the lower half
@@ -149,19 +169,10 @@ impl Fleet {
         if death_plan.iter().all(|d| d.is_some()) {
             return Err("at least one worker must survive (--kill names them all)".into());
         }
-        let mut assigned: Vec<VecDeque<JobRange>> = vec![VecDeque::new(); workers];
-        let chunk = total / workers;
-        let rem = total % workers;
-        let mut lo = 0;
-        for (w, queue) in assigned.iter_mut().enumerate() {
-            let len = chunk + usize::from(w < rem);
-            if len > 0 {
-                queue.push_back(JobRange { lo, hi: lo + len });
-            }
-            lo += len;
-        }
         Ok(Fleet {
-            assigned,
+            assigned: JobRange::balanced(total, workers)
+                .map(|range| VecDeque::from_iter((!range.is_empty()).then_some(range)))
+                .collect(),
             backlog: VecDeque::new(),
             completed: vec![0; workers],
             alive: vec![true; workers],
@@ -346,6 +357,32 @@ mod tests {
         assert_eq!(upper, JobRange { lo: 7, hi: 10 });
         let mut tiny = JobRange { lo: 0, hi: 1 };
         assert_eq!(tiny.split(), None);
+    }
+
+    /// `Fleet::new` starts each worker on one range, in order, of
+    /// `total / workers` jobs, one more for the first `total % workers`
+    /// workers: the formula is spelled out here apart from
+    /// `JobRange::balanced`, which `--shard` shares.
+    #[test]
+    fn fleet_ranges_are_the_balanced_split() {
+        for total in 0..=40 {
+            for workers in 1..=8 {
+                let fleet = Fleet::new(workers, total, 1, &[]).unwrap();
+                let (chunk, rem) = (total / workers, total % workers);
+                let mut lo = 0;
+                for (w, queue) in fleet.assigned.iter().enumerate() {
+                    let len = chunk + usize::from(w < rem);
+                    let want: Vec<JobRange> = (len > 0)
+                        .then_some(JobRange { lo, hi: lo + len })
+                        .into_iter()
+                        .collect();
+                    let got: Vec<JobRange> = queue.iter().copied().collect();
+                    assert_eq!(got, want, "{total} jobs, {workers} workers, worker {w}");
+                    lo += len;
+                }
+                assert_eq!(lo, total);
+            }
+        }
     }
 
     #[test]

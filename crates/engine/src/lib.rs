@@ -26,8 +26,9 @@
 //!   merging sharded reports (`smctl merge`);
 //! * [`fleet`] — the work-stealing [`Fleet`] every campaign runs on and
 //!   its worker loop: `min(threads, jobs)` workers for `sweep`/`resume`,
-//!   `--workers` for `serve`, with injected worker deaths for
-//!   `serve --simulate`;
+//!   `--workers` for `serve` and `sweep`, with injected worker deaths for
+//!   `sweep --kill`; `--shard` cuts the same balanced
+//!   [`JobRange`](fleet::JobRange)s;
 //! * [`metrics`] — [`JobMetrics`] and the one
 //!   schema (field names, value types, codec order, aggregate columns)
 //!   that the codec, reports, CSV, aggregates and journal all read;

@@ -173,7 +173,7 @@ fn flow_assignments_drop_with_the_last_job_at_their_layer() {
     let held = |layer| {
         [SplitArm::Protected, SplitArm::Original].map(|arm| {
             let cell = cache.flow_assignment(&key, arm, layer);
-            cell.get_or_solve(|| None).is_some()
+            cell.get_or_solve_timed(|| None).0.is_some()
         })
     };
     let solved = |outcome: &JobOutcome| outcome.phases.iter().any(|&(n, _)| n == "attack-mcmf");
@@ -354,21 +354,24 @@ fn merge_reports_reassembles_sharded_sweeps() {
     )
     .unwrap();
     let total = spec.jobs().unwrap().len();
-    // Round-robin shards, as `smctl sweep --shard K/N` expands them.
+    // Contiguous halves, as `smctl sweep --shard K/2` cuts them.
     let run_shard = |k: usize| {
-        let indices: Vec<usize> = (k..total).step_by(2).collect();
-        let campaign = run_sweep_budgeted(
-            &spec,
-            &Budget::with_threads(Some(2)),
-            &ArtifactCache::new(),
-            Some(&indices),
-        )
-        .unwrap();
+        let shard = CampaignRun::new(&spec).unwrap().shard(k, 2).unwrap();
+        let half = if k == 1 {
+            0..total.div_ceil(2)
+        } else {
+            total.div_ceil(2)..total
+        };
+        assert_eq!(shard.selected(), half.collect::<Vec<_>>());
+        let campaign = shard.run(&Budget::with_threads(Some(2)), &ArtifactCache::new());
         // Shards round-trip through their stored form before merging.
         Campaign::from_json(&Json::parse(&canonical(&campaign)).unwrap()).unwrap()
     };
-    let merged = merge_reports(vec![run_shard(0), run_shard(1)]).unwrap();
+    let merged = merge_reports(vec![run_shard(1), run_shard(2)]).unwrap();
     assert_eq!(canonical(&merged), canonical(&full));
+    // More shards than jobs: the last ones are empty, and say so.
+    let err = CampaignRun::new(&spec).unwrap().shard(5, 5).unwrap_err();
+    assert!(err.contains("selects no jobs"), "{err}");
 
     // Mismatched specs are rejected, not silently dropped.
     let other = run_sweep_budgeted(
@@ -381,7 +384,7 @@ fn merge_reports_reassembles_sharded_sweeps() {
         None,
     )
     .unwrap();
-    let err = merge_reports(vec![run_shard(0), other]).unwrap_err();
+    let err = merge_reports(vec![run_shard(1), other]).unwrap_err();
     assert!(err.contains("different sweep spec"), "{err}");
     assert!(merge_reports(Vec::new()).is_err());
 }

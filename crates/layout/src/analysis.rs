@@ -37,26 +37,6 @@ pub fn driver_sink_distances_um(
     out
 }
 
-/// Distances between *logically* connected endpoints when the logical
-/// connectivity differs from the placed netlist (the "proposed" rows of
-/// Table 1): for each `(driver_net, sink_position_source_net)` pair the
-/// caller supplies, measures driver of the first against sinks of the
-/// second.
-pub fn cross_net_distances_um(
-    netlist: &Netlist,
-    placement: &Placement,
-    pairs: impl IntoIterator<Item = (NetId, NetId)>,
-) -> Vec<f64> {
-    let mut out = Vec::new();
-    for (driver_net, sink_net) in pairs {
-        let d = placement.driver_position(netlist, driver_net);
-        for s in placement.sink_positions(netlist, sink_net) {
-            out.push(d.manhattan_um(s));
-        }
-    }
-    out
-}
-
 /// Computes [`DistanceStats`] over a sample.
 ///
 /// Returns zeros for an empty sample.
@@ -84,17 +64,6 @@ pub fn distance_stats(mut sample: Vec<f64>) -> DistanceStats {
         std_dev: var.sqrt(),
         samples: n,
     }
-}
-
-/// Per-layer share (%) of total routed wirelength — the series Fig. 5
-/// plots. Index 0 = M1.
-pub fn wirelength_share_by_layer(routes: &RoutingResult) -> [f64; 10] {
-    let total = routes.total_wirelength_dbu().max(1) as f64;
-    let mut out = [0.0; 10];
-    for (i, &w) in routes.wirelength_per_layer_dbu().iter().enumerate() {
-        out[i] = w as f64 / total * 100.0;
-    }
-    out
 }
 
 /// Per-layer share (%) restricted to a subset of nets (Fig. 5 plots the
@@ -163,23 +132,8 @@ mod tests {
         let d = driver_sink_distances_um(&n, &pl, nets.iter().copied());
         assert!(!d.is_empty());
         assert!(d.iter().all(|&x| x >= 0.0));
-        let shares = wirelength_share_by_layer(&r);
-        let total: f64 = shares.iter().sum();
-        assert!(total > 99.0 && total < 101.0, "total {total}");
         let sub = wirelength_share_by_layer_for(&r, nets);
         let sub_total: f64 = sub.iter().sum();
         assert!(sub_total > 99.0 && sub_total < 101.0, "sub {sub_total}");
-    }
-
-    #[test]
-    fn cross_net_distances_cover_sink_counts() {
-        let lib = Library::nangate45();
-        let n = parse_bench("c17", C17_BENCH, &lib).unwrap();
-        let tech = Technology::nangate45_10lm();
-        let fp = Floorplan::for_netlist(&n, &tech, 0.5);
-        let pl = PlacementEngine::new(7).place(&n, &fp);
-        let nets: Vec<_> = n.nets().map(|(id, _)| id).collect();
-        let d = cross_net_distances_um(&n, &pl, vec![(nets[0], nets[1])]);
-        assert_eq!(d.len(), n.net(nets[1]).sinks().len());
     }
 }

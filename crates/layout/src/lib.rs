@@ -43,7 +43,6 @@ mod geom;
 mod tech;
 
 pub mod analysis;
-pub mod def;
 pub mod hpwl;
 pub mod place;
 pub mod power;

@@ -1,5 +1,5 @@
 //! Graph algorithms over a [`Netlist`]: topological order, levelization,
-//! loop detection, reachability and fan-in/out cones.
+//! loop detection and reachability.
 //!
 //! Two edits must never introduce a combinational loop: the randomization
 //! defense's sink swaps (a loop would let an attacker spot the
@@ -331,58 +331,6 @@ impl TopoOrder {
     }
 }
 
-/// All cells in the transitive fan-in cone of `net` (drivers of drivers…).
-pub fn fanin_cone(netlist: &Netlist, net: NetId) -> Vec<CellId> {
-    let mut visited = vec![false; netlist.num_cells()];
-    let mut stack: Vec<CellId> = netlist.driver_cell(net).into_iter().collect();
-    let mut cone = Vec::new();
-    while let Some(c) = stack.pop() {
-        if visited[c.index()] {
-            continue;
-        }
-        visited[c.index()] = true;
-        cone.push(c);
-        for &in_net in netlist.cell(c).inputs() {
-            if let Some(d) = netlist.driver_cell(in_net) {
-                if !visited[d.index()] {
-                    stack.push(d);
-                }
-            }
-        }
-    }
-    cone
-}
-
-/// All cells in the transitive fan-out cone of `net`.
-pub fn fanout_cone(netlist: &Netlist, net: NetId) -> Vec<CellId> {
-    let mut visited = vec![false; netlist.num_cells()];
-    let mut stack: Vec<CellId> = netlist
-        .net(net)
-        .sinks()
-        .iter()
-        .filter_map(|s| match s {
-            Sink::Cell { cell, .. } => Some(*cell),
-            Sink::Port(_) => None,
-        })
-        .collect();
-    let mut cone = Vec::new();
-    while let Some(c) = stack.pop() {
-        if visited[c.index()] {
-            continue;
-        }
-        visited[c.index()] = true;
-        cone.push(c);
-        for sink in netlist.net(netlist.cell(c).output()).sinks() {
-            if let Sink::Cell { cell, .. } = *sink {
-                if !visited[cell.index()] {
-                    stack.push(cell);
-                }
-            }
-        }
-    }
-    cone
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,17 +426,6 @@ mod tests {
         assert!(matches!(err, NetlistError::CombinationalLoop(_)), "{err}");
         assert_eq!(order.netlist().cell(cy0).inputs(), &[a]);
         order.into_netlist().validate().unwrap();
-    }
-
-    #[test]
-    fn cones_cover_chain() {
-        let n = chain(4);
-        let out_net = n.cell(CellId::new(3)).output();
-        let cone = fanin_cone(&n, out_net);
-        assert_eq!(cone.len(), 4);
-        let in_net = n.input_ports()[0].net;
-        let fo = fanout_cone(&n, in_net);
-        assert_eq!(fo.len(), 4);
     }
 
     #[test]
