@@ -25,8 +25,11 @@ pub struct CroutingConfig {
     /// Bounding-box half-widths, in routing tracks (the paper uses
     /// 15/30/45).
     pub bounding_boxes: Vec<i64>,
-    /// Routing-track pitch in DBU used to convert boxes to distances
-    /// (pitch of the layer right above the split).
+    /// Routing-track pitch in DBU used to convert boxes to distances.
+    /// The default, 280, is the M4–M6 pitch: the pitch of the layer right
+    /// above a split at M3–M5. Every caller passes it at every split
+    /// layer, so a split at M6–M9 counts its boxes in these tracks, not
+    /// in the 800 or 1 600 DBU tracks of the layer above it.
     pub track_pitch_dbu: i64,
 }
 

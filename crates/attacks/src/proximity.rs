@@ -29,44 +29,33 @@ use sm_netlist::{Netlist, Sink};
 use sm_sim::{security_metrics, PatternSource, SecurityMetrics};
 use std::collections::BinaryHeap;
 
-/// Tunables of the proximity attack.
-///
-/// Penalties are multiplicative so the attack behaves identically on a
-/// 3 µm toy die and a millimeter-scale superblue die.
-#[derive(Debug, Clone)]
+// The attack's cost model. Penalties are multiplicative so the attack
+// behaves identically on a 3 µm toy die and a millimeter-scale superblue
+// die.
+
+/// Weight of the Manhattan distance term (cost per µm).
+const DISTANCE_WEIGHT: f64 = 1.0;
+/// Multiplier applied to the distance when the driver's dangling stub
+/// points away from the candidate sink.
+const DIRECTION_FACTOR: f64 = 1.5;
+/// Capacitive load (fF) a driver is expected to support; it sets the
+/// driver's capacity in the flow network.
+const LOAD_BUDGET_FF: f64 = 12.0;
+/// Patterns used to score OER/HD of the recovered netlist.
+const EVAL_PATTERNS: usize = 65_536;
+/// Candidate drivers kept per sink in the flow network (pruning).
+const CANDIDATES_PER_SINK: usize = 24;
+// `score_sink_grid`'s ring bound holds only for these weights.
+const _: () = assert!(DISTANCE_WEIGHT >= 0.0 && DIRECTION_FACTOR >= 1.0);
+
+/// Options of the proximity attack. Its cost model, candidate pruning
+/// and pattern count are fixed; only the evaluation seed varies.
+#[derive(Debug, Clone, Default)]
 pub struct ProximityConfig {
-    /// Weight of the Manhattan distance term (cost per µm).
-    pub distance_weight: f64,
-    /// Multiplier applied to the distance when the driver's dangling stub
-    /// points away from the candidate sink (1.0 disables the hint).
-    pub direction_factor: f64,
-    /// Capacitive load (fF) a driver is expected to support before the
-    /// load hint starts penalizing further fanout.
-    pub load_budget_ff: f64,
-    /// Distance multiplier per fF of load-budget excess.
-    pub load_factor_per_ff: f64,
-    /// Patterns used to score OER/HD of the recovered netlist.
-    pub eval_patterns: usize,
-    /// Candidate drivers kept per sink in the flow network (pruning).
-    pub candidates_per_sink: usize,
     /// Seed of the OER/HD evaluation RNG. `None` falls back to hashing
     /// the netlist name (the historical behavior); campaigns pass the
     /// job's derived seed so seed sweeps explore attack variance.
     pub eval_seed: Option<u64>,
-}
-
-impl Default for ProximityConfig {
-    fn default() -> Self {
-        ProximityConfig {
-            distance_weight: 1.0,
-            direction_factor: 1.5,
-            load_budget_ff: 12.0,
-            load_factor_per_ff: 0.25,
-            eval_patterns: 65_536,
-            candidates_per_sink: 24,
-            eval_seed: None,
-        }
-    }
 }
 
 /// Everything the attack produces.
@@ -126,7 +115,6 @@ impl AssignmentInstance {
     pub(crate) fn build(
         placed: &Netlist,
         split: &SplitLayout,
-        config: &ProximityConfig,
         exec: &Budget,
     ) -> AssignmentInstance {
         let drivers = split.feol.driver_vpins();
@@ -136,7 +124,6 @@ impl AssignmentInstance {
         // pruning; distant drivers never win the global optimum anyway).
         // Driver geometry is flattened into one contiguous arena up
         // front; the grid stores indices into it.
-        let k = config.candidates_per_sink.max(1);
         let driver_geom: Vec<(Point, Option<(i8, i8)>)> = drivers
             .iter()
             .map(|&d| {
@@ -144,49 +131,21 @@ impl AssignmentInstance {
                 (v.position, v.stub_direction)
             })
             .collect();
-        // The ring lower bound multiplies the distance floor by the
-        // config factors a pair cost can never drop below; hostile
-        // configurations (negative weights, NaN) fall back to the full
-        // scan instead of pruning.
-        let base_mult = 1.0 + (0.0 - config.load_budget_ff).max(0.0) * config.load_factor_per_ff;
-        let lb_mult = config.distance_weight * config.direction_factor.min(1.0) * base_mult;
-        let prunable = config.distance_weight >= 0.0
-            && config.direction_factor >= 0.0
-            && base_mult >= 0.0
-            && lb_mult >= 0.0;
-        let candidates: Vec<Vec<(i64, usize)>> = if !prunable {
-            sinks
-                .iter()
-                .map(|&s| {
-                    score_sink_full(
-                        split.feol.vpins[s].position,
-                        &drivers,
-                        &driver_geom,
-                        k,
-                        config,
-                    )
-                })
-                .collect()
+        let points: Vec<(i64, i64)> = driver_geom.iter().map(|&(pos, _)| (pos.x, pos.y)).collect();
+        let grid = CellGrid::build(&points);
+        let score = |&s: &usize| {
+            score_sink_grid(
+                split.feol.vpins[s].position,
+                &grid,
+                &drivers,
+                &driver_geom,
+                CANDIDATES_PER_SINK,
+            )
+        };
+        let candidates: Vec<Vec<(i64, usize)>> = if exec.threads() > 1 && sinks.len() >= 64 {
+            exec.map(&sinks, |_, s| score(s))
         } else {
-            let points: Vec<(i64, i64)> =
-                driver_geom.iter().map(|&(pos, _)| (pos.x, pos.y)).collect();
-            let grid = CellGrid::build(&points);
-            let score = |&s: &usize| {
-                score_sink_grid(
-                    split.feol.vpins[s].position,
-                    &grid,
-                    &drivers,
-                    &driver_geom,
-                    k,
-                    config,
-                    lb_mult,
-                )
-            };
-            if exec.threads() > 1 && sinks.len() >= 64 {
-                exec.map(&sinks, |_, s| score(s))
-            } else {
-                sinks.iter().map(score).collect()
-            }
+            sinks.iter().map(score).collect()
         };
 
         // Driver capacities from the load hint; if the hint
@@ -200,7 +159,7 @@ impl AssignmentInstance {
         let s_node = |i: usize| 1 + drivers.len() + i;
         let mut caps: Vec<i64> = drivers
             .iter()
-            .map(|&d| driver_capacity(placed, split, d, config))
+            .map(|&d| driver_capacity(placed, split, d))
             .collect();
         let total_cap: i64 = caps.iter().sum();
         if total_cap < sinks.len() as i64 && !caps.is_empty() {
@@ -283,7 +242,7 @@ pub fn network_flow_attack_budgeted(
     exec: &Budget,
     rec: &mut sm_exec::phase::Recorder,
 ) -> Option<AttackOutcome> {
-    let assignment = network_flow_assignment(placed, split, config, exec, rec)?;
+    let assignment = network_flow_assignment(placed, split, exec, rec)?;
     let _ = placement; // positions are already baked into the vpins
 
     // Last phase boundary before the OER/HD simulation (on superblue it
@@ -291,7 +250,7 @@ pub fn network_flow_attack_budgeted(
     if exec.cancel_token().is_cancelled() {
         return None;
     }
-    let (ccr, metrics) = network_flow_eval(golden, split, &assignment, config, rec);
+    let (ccr, metrics) = network_flow_eval(golden, split, &assignment, config.eval_seed, rec);
     let FlowAssignment { pairs, recovered } = assignment;
     Some(AttackOutcome {
         pairs,
@@ -303,22 +262,21 @@ pub fn network_flow_attack_budgeted(
 
 /// Scores a connection guess against the true design: the CCR of its
 /// pairs ([`ccr_vs_golden`]) and the OER/HD of its recovered netlist
-/// over `config.eval_patterns` random patterns seeded by
-/// `config.eval_seed`. These two are the only config fields it reads,
-/// and [`network_flow_assignment`] reads neither, so one guess can be
-/// scored under many evaluation seeds. The span goes to `rec` as
-/// `attack-eval`.
+/// over 65 536 random patterns drawn from `eval_seed` (see
+/// [`ProximityConfig::eval_seed`]). The guess does not depend on the
+/// seed, so one guess can be scored under many evaluation seeds. The
+/// span goes to `rec` as `attack-eval`.
 pub fn network_flow_eval(
     golden: &Netlist,
     split: &SplitLayout,
     assignment: &FlowAssignment,
-    config: &ProximityConfig,
+    eval_seed: Option<u64>,
     rec: &mut sm_exec::phase::Recorder,
 ) -> (f64, SecurityMetrics) {
     rec.time("attack-eval", || {
         let ccr = ccr_vs_golden(golden, split, &assignment.pairs);
-        let mut rng = seeded(golden, config.eval_seed);
-        let patterns = PatternSource::random(golden, config.eval_patterns, &mut rng);
+        let mut rng = seeded(golden, eval_seed);
+        let patterns = PatternSource::random(golden, EVAL_PATTERNS, &mut rng);
         let metrics = security_metrics(golden, &assignment.recovered, &patterns)
             .expect("same port interface");
         (ccr, metrics)
@@ -331,10 +289,9 @@ pub fn network_flow_eval(
 /// simulation this way; [`network_flow_attack_budgeted`] is this
 /// function, a cancellation check and [`network_flow_eval`].
 ///
-/// The result depends only on `placed`, `split` and the config's
-/// candidate and cost fields (not on `eval_patterns` or `eval_seed`),
-/// and is bit-identical at any thread count, so callers may solve it
-/// once and score it under many evaluation seeds.
+/// The result depends only on `placed` and `split`, and is
+/// bit-identical at any thread count, so callers may solve it once and
+/// score it under many evaluation seeds.
 ///
 /// Candidate scoring fans out over the budget's pool (never exceeding
 /// its thread allotment), so campaigns pass each job's split budget
@@ -352,7 +309,6 @@ pub fn network_flow_eval(
 pub fn network_flow_assignment(
     placed: &Netlist,
     split: &SplitLayout,
-    config: &ProximityConfig,
     exec: &Budget,
     rec: &mut sm_exec::phase::Recorder,
 ) -> Option<FlowAssignment> {
@@ -361,7 +317,7 @@ pub fn network_flow_assignment(
         return None;
     }
     let instance = rec.time("attack-candidates", || {
-        AssignmentInstance::build(placed, split, config, exec)
+        AssignmentInstance::build(placed, split, exec)
     });
     let AssignmentInstance {
         ref sinks,
@@ -539,51 +495,25 @@ pub fn ccr_vs_golden_for(
     }
 }
 
-/// Top-K candidate drivers for one sink by exhaustive scan — the
-/// scoring reference (and the fallback for configurations the ring
-/// bound cannot reason about). Returns the K smallest `(cost, driver)`
-/// keys in ascending order; driver vpin indices make every key unique,
-/// so the selection is a total order with no tie ambiguity.
-fn score_sink_full(
-    sink_pos: Point,
-    drivers: &[usize],
-    driver_geom: &[(Point, Option<(i8, i8)>)],
-    k: usize,
-    config: &ProximityConfig,
-) -> Vec<(i64, usize)> {
-    let mut row: Vec<(i64, usize)> = drivers
-        .iter()
-        .zip(driver_geom)
-        .map(|(&d, &(pos, stub))| {
-            (
-                (pair_cost(pos, stub, sink_pos, config, 0.0) * 1000.0) as i64,
-                d,
-            )
-        })
-        .collect();
-    row.sort_unstable();
-    row.truncate(k);
-    row
-}
-
 /// Top-K candidate drivers for one sink via expanding grid rings.
+/// Returns the K smallest `(cost, driver)` keys in ascending order;
+/// driver vpin indices make every key unique, so the selection is a
+/// total order with no tie ambiguity.
 ///
 /// Exactness argument: a driver first visited on ring `r ≥ 1` sits at
 /// Manhattan distance ≥ `(r−1)·cell + 1` DBU, its cost is ≥
-/// `lb_mult · (dist_um + 0.1)` (`lb_mult` collects the smallest factor
-/// combination a pair can be scored with, all non-negative here), and
-/// `x → (x·1000) as i64` is monotone for non-negative finite `x` — so
-/// once the ring bound *strictly* exceeds the current K-th `(cost,
-/// driver)` key, no unvisited driver can displace a kept one, and the
-/// kept set equals the exhaustive scan's.
+/// `DISTANCE_WEIGHT · (dist_um + 0.1)` (the direction factor is at
+/// least 1), and `x → (x·1000) as i64` is monotone for non-negative
+/// finite `x` — so once the ring bound *strictly* exceeds the current
+/// K-th `(cost, driver)` key, no unvisited driver can displace a kept
+/// one, and the kept set equals the exhaustive scan's (the test-only
+/// `score_sink_full`).
 fn score_sink_grid(
     sink_pos: Point,
     grid: &CellGrid,
     drivers: &[usize],
     driver_geom: &[(Point, Option<(i8, i8)>)],
     k: usize,
-    config: &ProximityConfig,
-    lb_mult: f64,
 ) -> Vec<(i64, usize)> {
     let mut heap: BinaryHeap<(i64, usize)> = BinaryHeap::with_capacity(k + 1);
     let (cx, cy) = grid.cell_of(sink_pos.x, sink_pos.y);
@@ -595,7 +525,7 @@ fn score_sink_grid(
             } else {
                 (r - 1) * grid.cell_len() + 1
             };
-            let lb = (lb_mult * (lb_dbu as f64 / 1000.0 + 0.1) * 1000.0) as i64;
+            let lb = (DISTANCE_WEIGHT * (lb_dbu as f64 / 1000.0 + 0.1) * 1000.0) as i64;
             if lb > heap.peek().expect("heap holds k entries").0 {
                 break;
             }
@@ -604,7 +534,7 @@ fn score_sink_grid(
             for &i in items {
                 let (pos, stub) = driver_geom[i as usize];
                 let entry = (
-                    (pair_cost(pos, stub, sink_pos, config, 0.0) * 1000.0) as i64,
+                    (pair_cost(pos, stub, sink_pos) * 1000.0) as i64,
                     drivers[i as usize],
                 );
                 if heap.len() < k {
@@ -624,17 +554,11 @@ fn score_sink_grid(
 /// a sink vpin at `sink_pos`. Taking the geometry by value keeps the
 /// sink × driver scoring loop on two flat arrays instead of chasing
 /// vpin structs per pair.
-fn pair_cost(
-    driver_pos: Point,
-    driver_stub: Option<(i8, i8)>,
-    sink_pos: Point,
-    config: &ProximityConfig,
-    driver_load_ff: f64,
-) -> f64 {
+fn pair_cost(driver_pos: Point, driver_stub: Option<(i8, i8)>, sink_pos: Point) -> f64 {
     let dist_um = driver_pos.manhattan_um(sink_pos);
-    // A small floor keeps the multiplicative hints meaningful even for
+    // A small floor keeps the multiplicative hint meaningful even for
     // coincident pins.
-    let mut cost = config.distance_weight * (dist_um + 0.1);
+    let mut cost = DISTANCE_WEIGHT * (dist_um + 0.1);
     // Hint 4: dangling-wire direction. A stub pointing away from the sink
     // scales the cost up; the hint never overrides proximity entirely.
     if let Some((dx, dy)) = driver_stub {
@@ -645,24 +569,15 @@ fn pair_cost(
         let disagrees =
             (dx != 0 && dx as i64 == -to_sink.0) || (dy != 0 && dy as i64 == -to_sink.1);
         if disagrees {
-            cost *= config.direction_factor;
+            cost *= DIRECTION_FACTOR;
         }
     }
-    // Hint 3: load capacitance — progressively discourage overloading one
-    // driver with every sink in the neighborhood.
-    let excess = (driver_load_ff - config.load_budget_ff).max(0.0);
-    cost *= 1.0 + excess * config.load_factor_per_ff;
     cost
 }
 
 /// Capacity of a driver in the flow network, from the load hint: how many
 /// typical sink pins its drive strength supports.
-fn driver_capacity(
-    placed: &Netlist,
-    split: &SplitLayout,
-    d: usize,
-    config: &ProximityConfig,
-) -> i64 {
+fn driver_capacity(placed: &Netlist, split: &SplitLayout, d: usize) -> i64 {
     const TYPICAL_SINK_FF: f64 = 1.2;
     let strength = match split.feol.vpins[d].side {
         VpinSide::Driver(sm_netlist::Driver::Cell(c)) => {
@@ -672,7 +587,7 @@ fn driver_capacity(
         VpinSide::Driver(sm_netlist::Driver::Port(_)) => 4.0,
         VpinSide::Sink(_) => unreachable!("d indexes driver vpins"),
     };
-    ((strength * config.load_budget_ff / TYPICAL_SINK_FF) as i64).max(1)
+    ((strength * LOAD_BUDGET_FF / TYPICAL_SINK_FF) as i64).max(1)
 }
 
 fn current_net_of(netlist: &Netlist, sink: Sink) -> sm_netlist::NetId {
@@ -899,16 +814,10 @@ mod assignment_pin {
     #[test]
     fn committed_pairs_match_pinned_hashes() {
         let exec = serial();
-        let config = ProximityConfig::default();
         let pairs = |placed: &Netlist, split: &SplitLayout| {
-            let out = network_flow_assignment(
-                placed,
-                split,
-                &config,
-                &exec,
-                &mut sm_exec::phase::Recorder::new(),
-            )
-            .expect("a fresh token never cancels");
+            let out =
+                network_flow_assignment(placed, split, &exec, &mut sm_exec::phase::Recorder::new())
+                    .expect("a fresh token never cancels");
             (out.pairs.len(), pairs_fnv(&out.pairs))
         };
         for profile in [
@@ -940,42 +849,28 @@ mod assignment_pin {
 mod scoring_differential {
     //! Pins the grid-pruned candidate scoring to the exhaustive
     //! reference: identical top-K `(cost, driver)` rows for every sink,
-    //! on real generated layouts and across config corners (including
-    //! ones where the ring bound must refuse to prune).
+    //! on real generated layouts and at several K.
 
     use super::tests::{original, serial};
     use super::*;
     use sm_layout::split_layout;
 
-    type SinkRows = Vec<Vec<(i64, usize)>>;
-
-    fn rows_for(n: &Netlist, config: &ProximityConfig) -> (SinkRows, SinkRows) {
-        let base = original(n, 1);
-        let split = split_layout(n, &base.placement, &base.routing, 3);
-        let inst = AssignmentInstance::build(n, &split, config, &serial());
-        let drivers = split.feol.driver_vpins();
-        let driver_geom: Vec<(Point, Option<(i8, i8)>)> = drivers
+    /// Top-K candidate drivers for one sink by exhaustive scan: the
+    /// reference [`score_sink_grid`] must equal.
+    fn score_sink_full(
+        sink_pos: Point,
+        drivers: &[usize],
+        driver_geom: &[(Point, Option<(i8, i8)>)],
+        k: usize,
+    ) -> Vec<(i64, usize)> {
+        let mut row: Vec<(i64, usize)> = drivers
             .iter()
-            .map(|&d| {
-                let v = &split.feol.vpins[d];
-                (v.position, v.stub_direction)
-            })
+            .zip(driver_geom)
+            .map(|(&d, &(pos, stub))| ((pair_cost(pos, stub, sink_pos) * 1000.0) as i64, d))
             .collect();
-        let reference: Vec<Vec<(i64, usize)>> = split
-            .feol
-            .sink_vpins()
-            .iter()
-            .map(|&s| {
-                score_sink_full(
-                    split.feol.vpins[s].position,
-                    &drivers,
-                    &driver_geom,
-                    config.candidates_per_sink.max(1),
-                    config,
-                )
-            })
-            .collect();
-        (inst.candidates, reference)
+        row.sort_unstable();
+        row.truncate(k);
+        row
     }
 
     #[test]
@@ -983,50 +878,43 @@ mod scoring_differential {
         let c432 = sm_benchgen::iscas::generate(&sm_benchgen::iscas::IscasProfile::c432(), 1);
         let c880 = sm_benchgen::iscas::generate(&sm_benchgen::iscas::IscasProfile::c880(), 1);
         for n in [&c432, &c880] {
-            for k in [1usize, 3, 24, 10_000] {
-                let config = ProximityConfig {
-                    candidates_per_sink: k,
-                    ..ProximityConfig::default()
-                };
-                let (grid, reference) = rows_for(n, &config);
-                assert_eq!(grid, reference, "{} k={k}", n.name());
+            let base = original(n, 1);
+            let split = split_layout(n, &base.placement, &base.routing, 3);
+            let drivers = split.feol.driver_vpins();
+            let driver_geom: Vec<(Point, Option<(i8, i8)>)> = drivers
+                .iter()
+                .map(|&d| {
+                    let v = &split.feol.vpins[d];
+                    (v.position, v.stub_direction)
+                })
+                .collect();
+            let points: Vec<(i64, i64)> =
+                driver_geom.iter().map(|&(pos, _)| (pos.x, pos.y)).collect();
+            let grid = CellGrid::build(&points);
+            let sinks: Vec<Point> = split
+                .feol
+                .sink_vpins()
+                .iter()
+                .map(|&s| split.feol.vpins[s].position)
+                .collect();
+            let rows = |k: usize| -> (Vec<_>, Vec<_>) {
+                sinks
+                    .iter()
+                    .map(|&pos| {
+                        (
+                            score_sink_grid(pos, &grid, &drivers, &driver_geom, k),
+                            score_sink_full(pos, &drivers, &driver_geom, k),
+                        )
+                    })
+                    .unzip()
+            };
+            for k in [1usize, 3, CANDIDATES_PER_SINK, 10_000] {
+                let (grid_rows, reference) = rows(k);
+                assert_eq!(grid_rows, reference, "{} k={k}", n.name());
             }
-        }
-    }
-
-    #[test]
-    fn config_corners_agree_with_reference() {
-        let n = sm_benchgen::iscas::generate(&sm_benchgen::iscas::IscasProfile::c432(), 2);
-        let corners = [
-            // Direction factor below 1 shrinks costs for disagreeing
-            // stubs — the bound must use min(1, factor).
-            ProximityConfig {
-                direction_factor: 0.25,
-                ..ProximityConfig::default()
-            },
-            // Zero distance weight: every pair costs the same floor.
-            ProximityConfig {
-                distance_weight: 0.0,
-                ..ProximityConfig::default()
-            },
-            // Negative load budget: constant extra multiplier on every
-            // pair.
-            ProximityConfig {
-                load_budget_ff: -3.0,
-                ..ProximityConfig::default()
-            },
-            // Negative distance weight: pruning is unsound, the build
-            // must fall back to the full scan (still equal by
-            // construction — this guards the fallback is taken, not a
-            // crash).
-            ProximityConfig {
-                distance_weight: -1.0,
-                ..ProximityConfig::default()
-            },
-        ];
-        for config in &corners {
-            let (grid, reference) = rows_for(&n, config);
-            assert_eq!(grid, reference, "corner {config:?}");
+            // The attacked instance keeps exactly the exhaustive top-K.
+            let inst = AssignmentInstance::build(n, &split, &serial());
+            assert_eq!(inst.candidates, rows(CANDIDATES_PER_SINK).1, "{}", n.name());
         }
     }
 
@@ -1035,9 +923,8 @@ mod scoring_differential {
         let n = sm_benchgen::iscas::generate(&sm_benchgen::iscas::IscasProfile::c880(), 1);
         let base = original(&n, 1);
         let split = split_layout(&n, &base.placement, &base.routing, 3);
-        let config = ProximityConfig::default();
-        let one = AssignmentInstance::build(&n, &split, &config, &serial());
-        let four = AssignmentInstance::build(&n, &split, &config, &Budget::with_threads(Some(4)));
+        let one = AssignmentInstance::build(&n, &split, &serial());
+        let four = AssignmentInstance::build(&n, &split, &Budget::with_threads(Some(4)));
         assert_eq!(one.candidates, four.candidates);
         assert_eq!(one.edges, four.edges);
     }
@@ -1101,8 +988,7 @@ mod differential_tests {
     /// instance the `iscas-flow` benchmark workload solves.
     fn solved_iscas_instances() -> Vec<Solved> {
         let solve = |name: String, placed: &Netlist, split: &SplitLayout| {
-            let inst =
-                AssignmentInstance::build(placed, split, &ProximityConfig::default(), &serial());
+            let inst = AssignmentInstance::build(placed, split, &serial());
             let mut fast = MinCostFlow::new(inst.nodes);
             let mut ssp = SspFlow::new(inst.nodes);
             let handles: Vec<usize> = inst

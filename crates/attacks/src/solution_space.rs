@@ -22,12 +22,6 @@ pub fn log10_residual_space(n: u64, list_size: f64) -> f64 {
     }
 }
 
-/// Ratio (in decimal orders of magnitude) by which an attack shrank the
-/// solution space: `log10(n!) − log10(L^n)`.
-pub fn log10_reduction(n: u64, list_size: f64) -> f64 {
-    log10_factorial(n) - log10_residual_space(n, list_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,10 +47,5 @@ mod tests {
     fn unit_lists_leave_one_netlist() {
         assert_eq!(log10_residual_space(100, 1.0), 0.0);
         assert_eq!(log10_residual_space(100, 0.5), 0.0);
-    }
-
-    #[test]
-    fn reduction_is_positive_for_effective_attacks() {
-        assert!(log10_reduction(500, 1.4) > 1000.0);
     }
 }

@@ -608,7 +608,7 @@ fn cmd_store(args: Args) -> Result<ExitCode, String> {
         .opts
         .store
         .as_deref()
-        .ok_or("`smctl store` needs a store (remove --no-store)")?;
+        .expect("`smctl store` rejects --no-store");
     let store = ArtifactStore::open(dir, cap);
     match action.as_str() {
         "stats" => {
@@ -718,20 +718,18 @@ fn cmd_store(args: Args) -> Result<ExitCode, String> {
 /// `smctl serve`: the campaign service.
 fn cmd_serve(args: Args) -> Result<ExitCode, String> {
     let socket = args.socket.ok_or("`smctl serve` needs --socket PATH")?;
-    let store = args.opts.store.clone().ok_or(
-        "`smctl serve` needs a store (the coordinator owns its reservation); drop --no-store",
-    )?;
+    let store = args
+        .opts
+        .store
+        .clone()
+        .expect("`smctl serve` rejects --no-store");
     let config = ServeConfig {
-        socket: socket.clone().into(),
+        socket: socket.into(),
         workers: args.workers.unwrap_or(2),
         max_queued: args.max_queued,
         store: store.into(),
         store_cap: args.opts.store_cap,
     };
-    eprintln!(
-        "serving campaigns on {socket} ({} worker(s), {} queued max); stop with `smctl stop --socket {socket}`",
-        config.workers, config.max_queued
-    );
     serve(&config, &args.opts.budget())?;
     eprintln!("service stopped");
     Ok(ExitCode::SUCCESS)

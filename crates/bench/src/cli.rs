@@ -177,8 +177,8 @@ const fn value(
     }
 }
 
-/// Commands that build bundles through a store (and `serve`, whose
-/// campaigns do).
+/// Commands that open a store: those that build bundles (`serve`'s
+/// campaigns do) and `store`.
 const STORED: &[Cmd] = &[Run, Sweep, Resume, Store, Serve];
 /// Commands that select benchmarks (`--quick`, `--scale`).
 const SELECTING: &[Cmd] = &[Run, Sweep, Bench, Submit];
@@ -259,7 +259,7 @@ const FLAGS: &[Flag] = &[
     ),
     text("-o", "FILE", &[Merge], |a| &mut a.out),
     text("--store", "DIR", STORED, |a| &mut a.opts.store),
-    switch("--no-store", STORED, |a| a.opts.store = None),
+    switch("--no-store", &[Run, Sweep, Resume], |a| a.opts.store = None),
     value("--store-cap", "SIZE", STORED, |a, _, v| {
         put(&mut a.opts.store_cap, parse_size(v).map(Some))
     }),

@@ -79,8 +79,8 @@ const COMMANDS: [(&str, Option<&str>, Option<&str>); 14] = [
     ("tail", None, None),
     ("bench", Some("--seed"), Some("--quick")),
     ("chaos", Some("--seed"), None),
-    ("store", Some("--store"), Some("--no-store")),
-    ("serve", Some("--socket"), Some("--no-store")),
+    ("store", Some("--store"), None),
+    ("serve", Some("--socket"), None),
     ("stop", Some("--socket"), None),
     ("submit", Some("--socket"), Some("--follow")),
     ("status", Some("--socket"), None),

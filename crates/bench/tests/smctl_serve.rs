@@ -2,9 +2,10 @@
 //! (`CARGO_BIN_EXE_smctl`): a service killed with SIGKILL restarts on
 //! its store and socket at once (the kernel released its store lock),
 //! a second service on a held store refuses to start without ever
-//! binding its socket, `store gc` and a capped sweep beside a lock
-//! holder say they skipped, and a client that disconnects mid-`--follow`
-//! leaves its campaign to finish with the solo sweep's bytes.
+//! binding its socket, a service that does not start prints no banner,
+//! `store gc` and a capped sweep beside a lock holder say they skipped,
+//! and a client that disconnects mid-`--follow` leaves its campaign to
+//! finish with the solo sweep's bytes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
@@ -100,6 +101,9 @@ impl Drop for Service {
     }
 }
 
+/// How a service that started announces itself on stderr.
+const BANNER: &str = "serving campaigns on";
+
 /// A one-job spec: c432, seed 1, M4, crouting.
 const ONE_JOB: [&str; 8] = [
     "--benchmarks",
@@ -149,12 +153,39 @@ fn a_second_service_on_a_held_store_never_binds() {
         "{}",
         stderr(&out)
     );
+    assert!(!stderr(&out).contains(BANNER), "{}", stderr(&out));
     assert!(
         !dir.join("b.sock").exists(),
         "a service that cannot own its store leaves no socket"
     );
     let out = smctl(&["stop", "--socket", "a.sock"], dir);
     assert_eq!(exit_code(&out), 0, "stop: {}", stderr(&out));
+}
+
+/// A service rejected for its configuration exits 2 without announcing
+/// itself (a second service on a held store, above, does the same).
+#[test]
+fn a_service_with_no_workers_prints_no_banner() {
+    let scratch = Scratch::new("workers0");
+    let dir = scratch.path();
+    let args = [
+        "serve",
+        "--socket",
+        "w.sock",
+        "--store",
+        "st",
+        "--workers",
+        "0",
+    ];
+    let out = smctl(&args, dir);
+    assert_eq!(exit_code(&out), 2, "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("--workers must be ≥ 1"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(!stderr(&out).contains(BANNER), "{}", stderr(&out));
+    assert!(!dir.join("w.sock").exists(), "no socket bound");
 }
 
 /// `store gc` beside a live peer that holds the store lock (here the

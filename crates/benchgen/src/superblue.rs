@@ -166,10 +166,14 @@ mod tests {
         let a = generate(&p, 400, 9);
         let b = generate(&p, 400, 9);
         assert_eq!(a.num_cells(), b.num_cells());
-        assert_eq!(
-            sm_netlist::parse::verilog::write_verilog(&a),
-            sm_netlist::parse::verilog::write_verilog(&b)
-        );
+        // Cell by cell, each with its library cell (drive strength
+        // included), then net by net and port by port. The netlists'
+        // `Debug` renderings differ: each prints its library's name
+        // index, a hash map in per-instance order.
+        assert!(a.cells().eq(b.cells()));
+        assert!(a.nets().eq(b.nets()));
+        assert_eq!(a.input_ports(), b.input_ports());
+        assert_eq!(a.output_ports(), b.output_ports());
     }
 
     #[test]

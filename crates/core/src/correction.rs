@@ -75,16 +75,6 @@ pub fn embed_correction_cells(
     cells
 }
 
-/// BEOL wirelength (DBU) needed to restore the true connectivity: the
-/// Manhattan distance between the two cells of each pair (re-routing is
-/// always between pairs of correction cells).
-pub fn restoration_wirelength_dbu(cells: &[CorrectionCell]) -> i64 {
-    cells
-        .chunks_exact(2)
-        .map(|pair| pair[0].position.manhattan(pair[1].position))
-        .sum()
-}
-
 /// Shifts correction cells so no two overlap (standard cells are *allowed*
 /// to overlap them — the custom legalization of the paper only separates
 /// correction cells from each other).
@@ -213,12 +203,5 @@ mod tests {
             assert_eq!(b.erroneous_net, swap.net_a);
             assert_eq!(b.true_net, swap.net_b);
         }
-    }
-
-    #[test]
-    fn restoration_wirelength_nonnegative() {
-        let (n, pl, swaps) = setup();
-        let cells = embed_correction_cells(&n, &pl, &swaps, 6, 280);
-        assert!(restoration_wirelength_dbu(&cells) >= 0);
     }
 }

@@ -37,7 +37,6 @@ use std::time::{Duration, Instant};
 use sm_attacks::crouting::{crouting_attack, CroutingConfig};
 use sm_attacks::proximity::{
     ccr_over_connections, ccr_vs_golden, network_flow_assignment, network_flow_eval,
-    ProximityConfig,
 };
 use sm_core::flow::BaselineLayout;
 use sm_exec::fault::{Fault, FaultSite};
@@ -457,8 +456,7 @@ fn flow_metrics(
     phases: &mut Vec<(&'static str, f64)>,
 ) -> Option<JobMetrics> {
     // The memo key covers every input of the solve: the bundle, arm and
-    // layer, plus a config no job varies.
-    let solve_cfg = ProximityConfig::default();
+    // layer.
     let split_layer = job.split_layer;
     let key = job.bundle_key();
     let netlist = bundle.netlist();
@@ -477,7 +475,7 @@ fn flow_metrics(
     phases.push(("split", ms_since(t)));
     let solve_protected = |phases: &mut Vec<(&'static str, f64)>| {
         let mut rec = Recorder::new();
-        let out = network_flow_assignment(erroneous, &split_prot, &solve_cfg, exec, &mut rec);
+        let out = network_flow_assignment(erroneous, &split_prot, exec, &mut rec);
         phases.extend(rec.into_spans());
         out
     };
@@ -496,7 +494,7 @@ fn flow_metrics(
         let orig_cell = cache.flow_assignment(&key, SplitArm::Original, split_layer);
         let (orig, blocked) = orig_cell.get_or_solve_timed(|| {
             let mut rec = Recorder::new();
-            let out = network_flow_assignment(netlist, &split_orig, &solve_cfg, exec, &mut rec);
+            let out = network_flow_assignment(netlist, &split_orig, exec, &mut rec);
             phases.extend(rec.into_spans().into_iter().map(original_arm_span));
             out
         });
@@ -528,15 +526,11 @@ fn flow_metrics(
     if exec.cancel_token().is_cancelled() {
         return None;
     }
-    let eval_cfg = ProximityConfig {
-        // Tie the attack's evaluation RNG to the job, so seed sweeps
-        // explore attack variance instead of replaying one stream per
-        // netlist.
-        eval_seed: Some(job.derived_seed()),
-        ..ProximityConfig::default()
-    };
+    // Tie the attack's evaluation RNG to the job, so seed sweeps explore
+    // attack variance instead of replaying one stream per netlist.
+    let eval_seed = Some(job.derived_seed());
     let mut rec = Recorder::new();
-    let (_, metrics) = network_flow_eval(netlist, &split_prot, &prot, &eval_cfg, &mut rec);
+    let (_, metrics) = network_flow_eval(netlist, &split_prot, &prot, eval_seed, &mut rec);
     phases.extend(rec.into_spans());
     let ccr_protected = ccr_over_connections(&split_prot, &prot.pairs, &bundle.swapped());
 

@@ -135,7 +135,7 @@ impl Job {
     /// The fully-derived per-job seed (bundle seed + split layer +
     /// attack), recorded in reports as the job's stable random-stream
     /// identifier. Campaigns feed it to the network-flow attack's
-    /// evaluation RNG (`ProximityConfig::eval_seed`), so seed sweeps
+    /// evaluation RNG (`network_flow_eval`'s `eval_seed`), so seed sweeps
     /// explore attack variance as well as layout variance. It also keys
     /// the store's persisted job outcomes.
     pub fn derived_seed(&self) -> u64 {

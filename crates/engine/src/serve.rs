@@ -227,16 +227,18 @@ fn poisoned<T>(guard: std::sync::LockResult<T>) -> T {
 /// Runs the campaign service until a [`Request::Shutdown`] drains it.
 ///
 /// The service takes the store's maintenance lock for its lifetime (so
-/// eviction needs no per-sweep lock), then binds `config.socket`, and
-/// executes queued campaigns one at a time on a threaded work-stealing
-/// fleet of `config.workers` workers sharing `budget`. Reports are
-/// canonical: byte-identical to `smctl sweep` of the same spec.
+/// eviction needs no per-sweep lock), then binds `config.socket`,
+/// announces itself on stderr (`serving campaigns on …`), and executes
+/// queued campaigns one at a time on a threaded work-stealing fleet of
+/// `config.workers` workers sharing `budget`. Reports are canonical:
+/// byte-identical to `smctl sweep` of the same spec.
 ///
 /// # Errors
 ///
-/// Returns an error when the socket is taken by a live service, when
-/// the store lock is held by a live peer (the socket is then left
-/// untouched), or on listener setup failure.
+/// Returns an error, before announcing anything, when `config.workers`
+/// is 0, when the socket is taken by a live service, when the store
+/// lock is held by a live peer (the socket is then left untouched), or
+/// on listener setup failure.
 pub fn serve(config: &ServeConfig, budget: &Budget) -> Result<(), String> {
     if config.workers == 0 {
         return Err("--workers must be ≥ 1".into());
@@ -267,6 +269,12 @@ pub fn serve(config: &ServeConfig, budget: &Budget) -> Result<(), String> {
     }
     let listener = UnixListener::bind(&config.socket)
         .map_err(|e| format!("binding {}: {e}", config.socket.display()))?;
+    eprintln!(
+        "serving campaigns on {socket} ({} worker(s), {} queued max); stop with `smctl stop --socket {socket}`",
+        config.workers,
+        config.max_queued,
+        socket = config.socket.display()
+    );
     let shared = Arc::new(Shared::default());
     let stop = Arc::new(AtomicBool::new(false));
 

@@ -58,22 +58,6 @@ impl Floorplan {
         }
     }
 
-    /// Builds a floorplan with an explicit outline (used when re-running a
-    /// protected design in the *same* die as the original, so area overhead
-    /// stays zero).
-    pub fn with_outline(&self, extra_rows: usize) -> Floorplan {
-        let mut fp = self.clone();
-        fp.num_rows += extra_rows;
-        fp.core = Rect::new(
-            fp.core.lo,
-            Point::new(
-                fp.core.hi.x,
-                fp.core.lo.y + fp.num_rows as i64 * fp.row_height,
-            ),
-        );
-        fp
-    }
-
     /// The core area rectangle.
     pub fn core(&self) -> Rect {
         self.core
@@ -175,15 +159,5 @@ mod tests {
         let n = c17();
         let tech = Technology::nangate45_10lm();
         let _ = Floorplan::for_netlist(&n, &tech, 0.0);
-    }
-
-    #[test]
-    fn with_outline_adds_rows() {
-        let n = c17();
-        let tech = Technology::nangate45_10lm();
-        let fp = Floorplan::for_netlist(&n, &tech, 0.7);
-        let fp2 = fp.with_outline(2);
-        assert_eq!(fp2.num_rows(), fp.num_rows() + 2);
-        assert!(fp2.die_area_um2() > fp.die_area_um2());
     }
 }

@@ -85,14 +85,6 @@ impl Rect {
         p.x >= self.lo.x && p.x < self.hi.x && p.y >= self.lo.y && p.y < self.hi.y
     }
 
-    /// `true` if the rectangles overlap (half-open semantics).
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.lo.x < other.hi.x
-            && other.lo.x < self.hi.x
-            && self.lo.y < other.hi.y
-            && other.lo.y < self.hi.y
-    }
-
     /// Clamps `p` into the rectangle (hi-exclusive by one DBU).
     pub fn clamp(&self, p: Point) -> Point {
         Point::new(
@@ -129,15 +121,6 @@ mod tests {
         assert_eq!(r.center(), Point::new(5, 10));
         assert!(r.contains(Point::new(0, 0)));
         assert!(!r.contains(Point::new(10, 0)));
-    }
-
-    #[test]
-    fn rect_intersection() {
-        let a = Rect::new(Point::new(0, 0), Point::new(10, 10));
-        let b = Rect::new(Point::new(5, 5), Point::new(15, 15));
-        let c = Rect::new(Point::new(10, 10), Point::new(20, 20));
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c)); // touching edges do not overlap
     }
 
     #[test]

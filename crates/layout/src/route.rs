@@ -203,11 +203,6 @@ impl RoutingResult {
         &self.via_counts
     }
 
-    /// Wirelength per layer in DBU (Fig. 5); index 0 = M1.
-    pub fn wirelength_per_layer_dbu(&self) -> &[i64; 10] {
-        &self.wirelength_per_layer
-    }
-
     /// Total routed wirelength in DBU.
     pub fn total_wirelength_dbu(&self) -> i64 {
         self.wirelength_per_layer.iter().sum()
@@ -814,9 +809,10 @@ mod tests {
 
     #[test]
     fn wirelength_per_layer_sums_to_total() {
-        let (_, r) = routed_c17(&RouteOptions::default());
-        let sum: i64 = r.wirelength_per_layer_dbu().iter().sum();
-        assert_eq!(sum, r.total_wirelength_dbu());
+        let (n, r) = routed_c17(&RouteOptions::default());
+        let per_net: i64 = n.nets().map(|(id, _)| r.net_wirelength_dbu(id)).sum();
+        assert!(per_net > 0);
+        assert_eq!(r.total_wirelength_dbu(), per_net);
     }
 
     #[test]

@@ -104,43 +104,6 @@ pub fn analyze(netlist: &Netlist, routes: &RoutingResult, tech: &Technology) -> 
     }
 }
 
-/// Upsizes drivers of timing-critical, heavily loaded nets to the next
-/// drive strength, mimicking the post-route optimization step of the flow.
-/// Returns the number of cells resized.
-pub fn resize_for_timing(
-    netlist: &mut Netlist,
-    routes: &RoutingResult,
-    tech: &Technology,
-    top_fraction: f64,
-) -> usize {
-    let report = analyze(netlist, routes, tech);
-    let mut loads: Vec<(sm_netlist::CellId, f64)> = netlist
-        .cells()
-        .map(|(id, cell)| {
-            let out = cell.output();
-            let load = netlist.net_pin_load_ff(out) + wire_cap_ff(netlist, routes, tech, out);
-            (id, load * report.net_arrival_ps[out.index()].max(1.0))
-        })
-        .collect();
-    loads.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let budget = ((loads.len() as f64 * top_fraction).ceil() as usize).min(loads.len());
-    let lib = netlist.library().clone();
-    let mut resized = 0;
-    let targets: Vec<sm_netlist::CellId> = loads[..budget].iter().map(|&(id, _)| id).collect();
-    for id in targets {
-        let cur = netlist.cell(id).lib;
-        let cur_cell = lib.cell(cur);
-        let variants = lib.drive_variants(cur_cell.function, cur_cell.num_inputs);
-        if let Some(pos) = variants.iter().position(|&v| v == cur) {
-            if pos + 1 < variants.len() {
-                netlist.resize_cell(id, variants[pos + 1]);
-                resized += 1;
-            }
-        }
-    }
-    resized
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,21 +164,5 @@ mod tests {
         let t_base = analyze(&n, &base, &tech).critical_path_ps;
         let t_lift = analyze(&n, &lifted, &tech).critical_path_ps;
         assert!(t_lift != t_base);
-    }
-
-    #[test]
-    fn resize_upsizes_cells() {
-        let (mut n, r, tech) = setup();
-        let before = analyze(&n, &r, &tech).critical_path_ps;
-        let resized = resize_for_timing(&mut n, &r, &tech, 0.3);
-        assert!(resized > 0);
-        let after = analyze(&n, &r, &tech).critical_path_ps;
-        // Upsizing trades pin capacitance for drive strength; on a tiny
-        // circuit the path may move either way but must stay in the same
-        // ballpark.
-        assert!(
-            after > 0.0 && after <= before * 1.5,
-            "before {before} after {after}"
-        );
     }
 }

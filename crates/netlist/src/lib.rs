@@ -8,9 +8,7 @@
 //! * [`Library`] — a Nangate-45-like standard-cell library carrying the
 //!   area, capacitance, drive-resistance, delay and leakage data used by the
 //!   placement, timing and power engines.
-//! * [`parse`] — readers/writers for the ISCAS-85 `.bench` format and a
-//!   structural-Verilog subset, so the real benchmark files can be used
-//!   whenever they are available.
+//! * [`parse`] — reader/writer for the ISCAS-85 `.bench` format.
 //! * [`graph`] — topological ordering, levelization, combinational-loop
 //!   detection, and [`graph::TopoOrder`]: an incrementally maintained
 //!   topological order through which the randomizer and the flow attack

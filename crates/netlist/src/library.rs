@@ -273,22 +273,6 @@ impl Library {
             })
     }
 
-    /// Returns all drive variants (X1, X2, …) of `function` with the given
-    /// fanin, sorted by increasing drive strength.
-    pub fn drive_variants(&self, function: GateFn, fanin: usize) -> Vec<LibCellId> {
-        let mut v: Vec<LibCellId> = self
-            .iter()
-            .filter(|(_, c)| c.function == function && c.num_inputs == fanin)
-            .map(|(id, _)| id)
-            .collect();
-        v.sort_by(|&a, &b| {
-            self.cell(a)
-                .drive_strength()
-                .total_cmp(&self.cell(b).drive_strength())
-        });
-        v
-    }
-
     /// Builds the Nangate-45-like library used throughout the reproduction.
     ///
     /// Numbers are representative of the published Nangate FreePDK45 data:
@@ -417,16 +401,6 @@ mod tests {
         let lib = Library::nangate45();
         let err = lib.cell_for(GateFn::And, 9).unwrap_err();
         assert!(matches!(err, NetlistError::BadFanin { fanin: 9, .. }));
-    }
-
-    #[test]
-    fn drive_variants_sorted_by_strength() {
-        let lib = Library::nangate45();
-        let bufs = lib.drive_variants(GateFn::Buf, 1);
-        assert_eq!(bufs.len(), 4);
-        let strengths: Vec<f64> = bufs.iter().map(|&b| lib.cell(b).drive_strength()).collect();
-        assert!(strengths.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(lib.cell(*bufs.last().unwrap()).name, "BUF_X8");
     }
 
     #[test]

@@ -250,24 +250,6 @@ impl Netlist {
         Ok(())
     }
 
-    /// Replaces the library cell of an instance (used for buffer resizing
-    /// during timing optimization). The function and fanin must match.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new library cell has a different input count or
-    /// function from the old one: that would silently change logic.
-    pub fn resize_cell(&mut self, cell: CellId, new_lib: LibCellId) {
-        let old = self.library.cell(self.cells[cell.index()].lib);
-        let new = self.library.cell(new_lib);
-        assert_eq!(
-            old.num_inputs, new.num_inputs,
-            "resize must preserve pin count"
-        );
-        assert_eq!(old.function, new.function, "resize must preserve function");
-        self.cells[cell.index()].lib = new_lib;
-    }
-
     /// Total standard-cell area in µm².
     pub fn total_cell_area_um2(&self) -> f64 {
         self.cells
@@ -413,34 +395,6 @@ mod tests {
         let a = n.input_ports()[0].net;
         // `a` feeds one NAND2_X1 input pin (1.1 fF).
         assert!((n.net_pin_load_ff(a) - 1.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn resize_cell_swaps_drive() {
-        let mut n = tiny();
-        let lib = n.library().clone();
-        let inv = n
-            .cells()
-            .find(|(_, c)| lib.cell(c.lib).function == GateFn::Inv)
-            .map(|(id, _)| id)
-            .unwrap();
-        let inv_x4 = lib.find("INV_X4").unwrap();
-        n.resize_cell(inv, inv_x4);
-        assert_eq!(lib.cell(n.cell(inv).lib).name, "INV_X4");
-        n.validate().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "preserve function")]
-    fn resize_cell_rejects_function_change() {
-        let mut n = tiny();
-        let lib = n.library().clone();
-        let inv = n
-            .cells()
-            .find(|(_, c)| lib.cell(c.lib).function == GateFn::Inv)
-            .map(|(id, _)| id)
-            .unwrap();
-        n.resize_cell(inv, lib.find("BUF_X1").unwrap());
     }
 
     #[test]

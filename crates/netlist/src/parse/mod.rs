@@ -1,15 +1,7 @@
-//! Netlist readers and writers.
-//!
-//! Two formats are supported, matching the paper's tool flow:
-//!
-//! * [`mod@bench`] — the ISCAS-85 `.bench` format the benchmark suite is
-//!   distributed in (`INPUT(..)`, `OUTPUT(..)`, `g = NAND(a, b)`).
-//! * [`verilog`] — a structural-Verilog subset equivalent to what the
-//!   superblue conversion scripts of Kahng et al. emit: one module,
-//!   `input`/`output`/`wire` declarations and named-port cell instances.
+//! Netlist reader and writer for the ISCAS-85 `.bench` format the
+//! benchmark suite is distributed in (`INPUT(..)`, `OUTPUT(..)`,
+//! `g = NAND(a, b)`).
 
 pub mod bench;
-pub mod verilog;
 
 pub use bench::{parse_bench, write_bench};
-pub use verilog::{parse_verilog, write_verilog};
