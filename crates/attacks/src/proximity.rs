@@ -25,7 +25,7 @@ use crate::grid::CellGrid;
 use sm_exec::Budget;
 use sm_layout::{Placement, Point, SplitLayout, VpinSide};
 use sm_netlist::graph::TopoOrder;
-use sm_netlist::{Netlist, Sink};
+use sm_netlist::{Netlist, NetlistError, Sink};
 use sm_sim::{security_metrics, PatternSource, SecurityMetrics};
 use std::collections::BinaryHeap;
 
@@ -380,17 +380,16 @@ pub fn network_flow_assignment(
             let mut connected = None;
             for d in attempt {
                 let driver_net = split.feol.vpins[d].net; // FEOL-visible
-                let ok = match sink {
-                    Sink::Cell { cell, .. } => !recovered.would_create_cycle(driver_net, cell),
-                    Sink::Port(_) => true,
-                };
-                if ok {
-                    let current_net = current_net_of(recovered.netlist(), sink);
-                    if current_net != driver_net {
-                        recovered
-                            .move_sink(current_net, sink, driver_net)
-                            .expect("split derived from placed netlist");
-                    }
+                let current_net = current_net_of(recovered.netlist(), sink);
+                // One loop search per edit: `move_sink` refuses an edge
+                // that would close a loop and changes nothing then.
+                let accepted = current_net == driver_net
+                    || match recovered.move_sink(current_net, sink, driver_net) {
+                        Ok(()) => true,
+                        Err(NetlistError::CombinationalLoop(_)) => false,
+                        Err(e) => panic!("split derived from placed netlist: {e}"),
+                    };
+                if accepted {
                     connected = Some(d);
                     break;
                 }
@@ -633,7 +632,15 @@ pub(crate) mod tests {
 
     /// [`original`] re-routed with `nets` lifted to M6.
     pub(crate) fn lifted(n: &Netlist, nets: &[NetId], seed: u64) -> BaselineLayout {
-        naive_lifting(n, &original(n, seed), nets, 6, seed, &serial())
+        naive_lifting(
+            n,
+            &original(n, seed),
+            nets,
+            6,
+            seed,
+            &serial(),
+            &mut Recorder::new(),
+        )
     }
 
     /// The ISCAS protection flow over its own baseline.

@@ -48,29 +48,12 @@ pub fn swapped_connection_distances_um(
 /// connections (the same set in all three layouts, per the paper's
 /// "for a fair comparison" note).
 pub fn table1(run: &SuperblueRun) -> Table1Row {
-    let swapped = run.protected.randomization.swapped_connections();
-    let original = distance_stats(swapped_connection_distances_um(
-        &run.netlist,
-        &run.original.placement,
-        &swapped,
-    ));
-    let lifted = distance_stats(swapped_connection_distances_um(
-        &run.netlist,
-        &run.lifted.placement,
-        &swapped,
-    ));
-    // True connectivity on the erroneous placement: this is what the
-    // attacker would have to bridge.
-    let proposed = distance_stats(swapped_connection_distances_um(
-        &run.netlist,
-        &run.protected.placement,
-        &swapped,
-    ));
+    let samples = fig4(run);
     Table1Row {
         name: run.name,
-        original,
-        lifted,
-        proposed,
+        original: distance_stats(samples.original),
+        lifted: distance_stats(samples.lifted),
+        proposed: distance_stats(samples.proposed),
     }
 }
 
@@ -223,20 +206,15 @@ pub fn security_row(run: &IscasRun, seed: u64, exec: &sm_exec::Budget) -> Securi
     };
 
     let util = 0.7;
-    let mut f_orig = |s: u8| attack_baseline(&run.original, s);
-    let original = avg3(&mut f_orig);
-
-    let pp = placement_perturbation(&run.netlist, 0.3, 3, util, seed, exec);
-    let mut f_pp = |s: u8| attack_baseline(&pp, s);
-    let placement_perturbation = avg3(&mut f_pp);
-
-    let ps = pin_swapping(&run.netlist, 0.5, util, seed, exec);
-    let mut f_ps = |s: u8| attack_baseline(&ps, s);
-    let pin_swapping = avg3(&mut f_ps);
-
-    let rp = routing_perturbation(&run.netlist, 0.3, util, seed, exec);
-    let mut f_rp = |s: u8| attack_baseline(&rp, s);
-    let routing_perturbation = avg3(&mut f_rp);
+    // The defenses' build spans are discarded, as the attacks' are.
+    let rec = &mut sm_exec::phase::Recorder::new();
+    let original = avg3(&mut |s| attack_baseline(&run.original, s));
+    let pp = placement_perturbation(&run.netlist, 0.3, 3, util, seed, exec, rec);
+    let placement_perturbation = avg3(&mut |s| attack_baseline(&pp, s));
+    let ps = pin_swapping(&run.netlist, 0.5, util, seed, exec, rec);
+    let pin_swapping = avg3(&mut |s| attack_baseline(&ps, s));
+    let rp = routing_perturbation(&run.netlist, 0.3, util, seed, exec, rec);
+    let routing_perturbation = avg3(&mut |s| attack_baseline(&rp, s));
 
     let swapped = run.protected.randomization.swapped_connections();
     let mut f_prop = |s: u8| {

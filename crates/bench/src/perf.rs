@@ -28,13 +28,14 @@
 //!   are directly comparable: identical `detail` proves both machines
 //!   timed *the same work*.
 //!
-//! The hot kernels additionally report sub-stages timed by their own
-//! phase instrumentation — `place-fm` (the placer's FM-refinement
-//! meter), `attack-flow-score`, `attack-flow-mcmf`,
-//! `attack-flow-assign` and `attack-flow-eval` (the flow attack's
-//! candidate-scoring, min-cost-flow, loop-free reconstruction and
-//! OER/HD simulation spans) — so a regression in one kernel is
-//! attributable without re-profiling.
+//! The layout and attack stages read their walls from the kernels' own
+//! phase spans: `place`, `place-fm` (the placer's FM-refinement meter)
+//! and `route` are spans of one `original_layout` build, and
+//! `attack-flow-score`, `attack-flow-mcmf`, `attack-flow-assign` and
+//! `attack-flow-eval` the flow attack's candidate-scoring,
+//! min-cost-flow, loop-free reconstruction and OER/HD simulation spans
+//! — so a regression in one kernel is attributable without
+//! re-profiling.
 //! [`BenchConfig::min_of`] repeats each deterministic layout stage and
 //! keeps the minimum wall, filtering scheduler noise out of committed
 //! baselines.
@@ -47,10 +48,10 @@ use std::time::Instant;
 
 use sm_attacks::crouting::{crouting_attack, CroutingConfig};
 use sm_attacks::proximity::{network_flow_attack_budgeted, ProximityConfig};
-use sm_core::flow::{protect, BaselineLayout, FlowConfig};
-use sm_core::ppa::evaluate;
+use sm_core::baselines::original_layout;
+use sm_core::flow::{protect, FlowConfig};
 use sm_engine::bundle::{iscas_selection, superblue_selection};
-use sm_engine::campaign::{run_sweep_budgeted, SweepSpec};
+use sm_engine::campaign::{run_sweep_budgeted, Campaign, SweepSpec};
 use sm_engine::job::AttackKind;
 use sm_engine::journal::{read_events, Journal};
 use sm_engine::report::Json;
@@ -58,7 +59,7 @@ use sm_engine::store::{ArtifactStore, Stage};
 use sm_engine::ArtifactCache;
 use sm_exec::phase::Recorder;
 use sm_exec::Budget;
-use sm_layout::{split_layout, Floorplan, PlacementEngine, RouteOptions, Router, Technology};
+use sm_layout::split_layout;
 use sm_netlist::Netlist;
 
 /// The workload knobs (all folded into the deterministic fingerprints).
@@ -130,19 +131,42 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (value, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Runs `f` `min_of` times (at least once), returning the last value and
-/// the minimum wall-clock over the runs. The workloads are
+/// Runs `f` `min_of` times (at least once), each on a fresh recorder,
+/// returning the last value, the minimum wall-clock and, per name in
+/// `spans`, the minimum of that span of the recorder. The workloads are
 /// deterministic, so every repeat does — and fingerprints — identical
 /// work; only the timing varies, and the minimum is the run least
 /// disturbed by scheduler noise.
-fn timed_min<T>(min_of: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let (mut value, mut best) = timed(&mut f);
-    for _ in 1..min_of.max(1) {
-        let (again, wall) = timed(&mut f);
-        value = again;
+fn spans_min<T, const N: usize>(
+    min_of: usize,
+    spans: [&str; N],
+    mut f: impl FnMut(&mut Recorder) -> T,
+) -> (T, f64, [f64; N]) {
+    let mut value = None;
+    let mut best = f64::INFINITY;
+    let mut span_best = [f64::INFINITY; N];
+    for _ in 0..min_of.max(1) {
+        let mut rec = Recorder::new();
+        let (out, wall) = timed(|| f(&mut rec));
         best = best.min(wall);
+        for (span_min, name) in span_best.iter_mut().zip(spans) {
+            let ms = rec
+                .spans()
+                .iter()
+                .find(|&&(n, _)| n == name)
+                .map(|&(_, ms)| ms);
+            *span_min = span_min.min(ms.unwrap_or_else(|| panic!("no {name} span")));
+        }
+        value = Some(out);
     }
-    (value, best)
+    let value = value.expect("min_of clamps to at least one run");
+    (value, best, span_best)
+}
+
+/// [`spans_min`] of a workload that records no spans.
+fn timed_min<T>(min_of: usize, mut f: impl FnMut() -> T) -> (T, f64) {
+    let (value, wall, []) = spans_min(min_of, [], |_| f());
+    (value, wall)
 }
 
 /// One attack an individual layout is benchmarked under: the flow
@@ -162,10 +186,11 @@ enum AttackStage {
 /// class's protection settings; the layout stages' utilization and
 /// seed override its own) — plus the sub-kernel stages the hot
 /// paths are gated on (`place-fm`, `attack-flow-score`,
-/// `attack-flow-mcmf`, `attack-flow-assign`, `attack-flow-eval`),
-/// whose walls come from the kernels' own phase instrumentation rather
-/// than re-timing around them. Placement and protection run in `exec`;
-/// the flow attack runs on one thread of it.
+/// `attack-flow-mcmf`, `attack-flow-assign`, `attack-flow-eval`).
+/// Placement, routing and the sub-kernels take their walls from the
+/// kernels' own phase spans rather than re-timing around them. Layout
+/// and protection run in `exec`; the flow attack runs on one thread of
+/// it.
 fn layout_stages(
     stages: &mut Vec<StageSample>,
     name: &str,
@@ -197,38 +222,22 @@ fn layout_stages(
         ],
     );
 
-    let tech = Technology::nangate45_10lm();
-    let fp = Floorplan::for_netlist(&netlist, &tech, BENCH_UTILIZATION);
+    // The original layout, as a bundle's place+route stage builds it;
+    // `place`, `place-fm` (metered inside the placer, summed over every
+    // bisection region) and `route` are its spans.
     let seed = 1; // the per-design placement seed; the netlist already encodes cfg.seed
-    let meter = sm_layout::PlaceMeter::shared();
-    let engine = PlacementEngine::new(seed)
-        .with_budget(exec.clone())
-        .with_meter(std::sync::Arc::clone(&meter));
-    // `place-fm` is metered inside the placer (summed over every
-    // bisection region), so each iteration yields a (total, fm) pair;
-    // the minima are taken per series.
-    let mut place_wall = f64::INFINITY;
-    let mut fm_wall = f64::INFINITY;
-    let mut placement = None;
-    for _ in 0..min_of.max(1) {
-        let (pl, wall) = timed(|| engine.place(&netlist, &fp));
-        let (_, fm_ms) = meter.drain_ms();
-        place_wall = place_wall.min(wall);
-        fm_wall = fm_wall.min(fm_ms);
-        placement = Some(pl);
-    }
-    let placement = placement.expect("min_of clamps to at least one run");
+    let spans = ["original-place", "original-place-fm", "original-route"];
+    let (layout, _, [place_wall, fm_wall, route_wall]) = spans_min(min_of, spans, |rec| {
+        original_layout(&netlist, BENCH_UTILIZATION, seed, exec, rec)
+    });
+    let (placement, routing) = (&layout.placement, &layout.routing);
     let hpwl = placement.total_hpwl(&netlist) as u64;
     push(stages, "place", place_wall, vec![("hpwl_dbu", hpwl)]);
     push(stages, "place-fm", fm_wall, vec![("hpwl_dbu", hpwl)]);
-
-    let (routing, wall) = timed_min(min_of, || {
-        Router::new(&tech).route(&netlist, &placement, &fp, &RouteOptions::default())
-    });
     push(
         stages,
         "route",
-        wall,
+        route_wall,
         vec![
             ("wirelength_dbu", routing.total_wirelength_dbu() as u64),
             ("vias", routing.via_counts().total()),
@@ -243,14 +252,8 @@ fn layout_stages(
         utilization: BENCH_UTILIZATION,
         ..flow(seed)
     };
-    let baseline = BaselineLayout {
-        floorplan: fp.clone(),
-        placement: placement.clone(),
-        routing: routing.clone(),
-        ppa: evaluate(&netlist, &routing, &fp, &tech, seed),
-    };
     let (protected, wall) = timed_min(min_of, || {
-        protect(&netlist, &config, &baseline, exec, &mut Recorder::new())
+        protect(&netlist, &config, &layout, exec, &mut Recorder::new())
     });
     let oer_bp = (protected.randomization.oer_achieved * 10_000.0).round() as u64;
     push(
@@ -264,7 +267,7 @@ fn layout_stages(
     );
 
     let (split, wall) = timed_min(min_of, || {
-        split_layout(&netlist, &placement, &routing, BENCH_SPLIT_LAYER)
+        split_layout(&netlist, placement, routing, BENCH_SPLIT_LAYER)
     });
     push(
         stages,
@@ -279,43 +282,27 @@ fn layout_stages(
     for &attack in attacks {
         match attack {
             AttackStage::Flow => {
-                let mut flow_wall = f64::INFINITY;
-                let mut score_wall = f64::INFINITY;
-                let mut mcmf_wall = f64::INFINITY;
-                let mut assign_wall = f64::INFINITY;
-                let mut eval_wall = f64::INFINITY;
-                let mut outcome = None;
                 // One thread of the budget: the serial attack.
                 let serial = exec.split(exec.threads());
-                for _ in 0..min_of.max(1) {
-                    let mut rec = Recorder::new();
-                    let (out, wall) = timed(|| {
+                let spans = [
+                    "attack-candidates",
+                    "attack-mcmf",
+                    "attack-assign",
+                    "attack-eval",
+                ];
+                let (outcome, flow_wall, [score_wall, mcmf_wall, assign_wall, eval_wall]) =
+                    spans_min(min_of, spans, |rec| {
                         network_flow_attack_budgeted(
                             &netlist,
                             &netlist,
-                            &placement,
+                            placement,
                             &split,
                             &ProximityConfig::default(),
                             &serial,
-                            &mut rec,
+                            rec,
                         )
                         .expect("a fresh token never cancels")
                     });
-                    let span = |name: &str| {
-                        rec.spans()
-                            .iter()
-                            .find(|&&(n, _)| n == name)
-                            .map(|&(_, ms)| ms)
-                            .expect("the flow attack records every phase")
-                    };
-                    flow_wall = flow_wall.min(wall);
-                    score_wall = score_wall.min(span("attack-candidates"));
-                    mcmf_wall = mcmf_wall.min(span("attack-mcmf"));
-                    assign_wall = assign_wall.min(span("attack-assign"));
-                    eval_wall = eval_wall.min(span("attack-eval"));
-                    outcome = Some(out);
-                }
-                let outcome = outcome.expect("min_of clamps to at least one run");
                 let detail = vec![
                     ("pairs", outcome.pairs.len() as u64),
                     ("ccr_bp", (outcome.ccr * 10_000.0).round() as u64),
@@ -333,15 +320,9 @@ fn layout_stages(
                 push(stages, "attack-flow-eval", eval_wall, eval_detail);
             }
             AttackStage::Crouting => {
-                let mut crouting_wall = f64::INFINITY;
-                let mut report = None;
-                for _ in 0..min_of.max(1) {
-                    let (rep, wall) =
-                        timed(|| crouting_attack(&netlist, &split, &CroutingConfig::default()));
-                    crouting_wall = crouting_wall.min(wall);
-                    report = Some(rep);
-                }
-                let report = report.expect("min_of clamps to at least one run");
+                let (report, crouting_wall) = timed_min(min_of, || {
+                    crouting_attack(&netlist, &split, &CroutingConfig::default())
+                });
                 let match_bp = report
                     .boxes
                     .last()
@@ -453,26 +434,35 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         master_seed: cfg.seed,
         layout_seed: None,
     };
-    let store_dir = std::env::temp_dir().join(format!("sm-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    for pass in ["campaign-cold", "campaign-warm"] {
-        let cache = ArtifactCache::with_store(std::sync::Arc::new(ArtifactStore::open(
-            store_dir.to_string_lossy().as_ref(),
-            None,
-        )));
-        let (campaign, wall) = timed(|| {
-            run_sweep_budgeted(&spec, &budget, &cache, None).expect("bench spec is valid")
-        });
-        stages.push(StageSample {
-            stage: pass,
-            benchmark: "-".to_string(),
-            wall_ms: wall,
-            detail: vec![
+    // Times one campaign of `spec` over `cache`; its detail is the job
+    // and build counts, `extra`'s counters, then the thread budget.
+    let mut campaign_stage =
+        |stage: &'static str,
+         spec: &SweepSpec,
+         cache: ArtifactCache,
+         extra: &dyn Fn(&Campaign) -> Vec<(&'static str, u64)>| {
+            let (campaign, wall) = timed(|| {
+                run_sweep_budgeted(spec, &budget, &cache, None).expect("bench spec is valid")
+            });
+            let mut detail = vec![
                 ("jobs", campaign.outcomes.len() as u64),
                 ("builds", campaign.cache.builds),
-                ("threads", budget.threads() as u64),
-            ],
-        });
+            ];
+            detail.extend(extra(&campaign));
+            detail.push(("threads", budget.threads() as u64));
+            stages.push(StageSample {
+                stage,
+                benchmark: "-".to_string(),
+                wall_ms: wall,
+                detail,
+            });
+        };
+    let store_dir = std::env::temp_dir().join(format!("sm-bench-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let store = || ArtifactStore::open(store_dir.to_string_lossy().as_ref(), None);
+    for pass in ["campaign-cold", "campaign-warm"] {
+        let cache = ArtifactCache::with_store(std::sync::Arc::new(store()));
+        campaign_stage(pass, &spec, cache, &|_| Vec::new());
     }
     // Journal-overhead probe: the warm campaign once more, now
     // recording every lifecycle event into a checksummed journal. The
@@ -481,56 +471,25 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
     // count is deterministic (campaign started/finished plus a
     // started/finished pair per job; warm jobs replay outcomes, so no
     // bundle events) and proves the full lifecycle was recorded.
-    {
-        let journal = std::sync::Arc::new(Journal::at(store_dir.join("bench.journal")));
-        let cache = ArtifactCache::with_store(std::sync::Arc::new(ArtifactStore::open(
-            store_dir.to_string_lossy().as_ref(),
-            None,
-        )))
+    let journal = std::sync::Arc::new(Journal::at(store_dir.join("bench.journal")));
+    let cache = ArtifactCache::with_store(std::sync::Arc::new(store()))
         .with_journal(std::sync::Arc::clone(&journal));
-        let (campaign, wall) = timed(|| {
-            run_sweep_budgeted(&spec, &budget, &cache, None).expect("bench spec is valid")
-        });
+    campaign_stage("campaign-journal", &spec, cache, &|_| {
         let events = read_events(journal.path()).map(|e| e.len()).unwrap_or(0);
-        stages.push(StageSample {
-            stage: "campaign-journal",
-            benchmark: "-".to_string(),
-            wall_ms: wall,
-            detail: vec![
-                ("jobs", campaign.outcomes.len() as u64),
-                ("builds", campaign.cache.builds),
-                ("events", events as u64),
-                ("threads", budget.threads() as u64),
-            ],
-        });
-    }
+        vec![("events", events as u64)]
+    });
     // Zero-fault overhead probe: the warm campaign once more with a
     // fault plan attached to every injection point — but with the `off`
     // profile, so no fault ever fires. The delta vs `campaign-warm` is
     // the pure cost of the hooks (a seeded hash per store/journal/job
     // operation), which CI gates like every other stage: fault
     // injection must be free when it is not injecting.
-    {
-        let faults = sm_exec::fault::FaultPlan::new(cfg.seed, sm_exec::fault::FaultProfile::off());
-        let cache = ArtifactCache::with_store(std::sync::Arc::new(
-            ArtifactStore::open(store_dir.to_string_lossy().as_ref(), None).with_faults(faults),
-        ))
+    let faults = sm_exec::fault::FaultPlan::new(cfg.seed, sm_exec::fault::FaultProfile::off());
+    let cache = ArtifactCache::with_store(std::sync::Arc::new(store().with_faults(faults)))
         .with_faults(faults);
-        let (campaign, wall) = timed(|| {
-            run_sweep_budgeted(&spec, &budget, &cache, None).expect("bench spec is valid")
-        });
-        stages.push(StageSample {
-            stage: "campaign-faults",
-            benchmark: "-".to_string(),
-            wall_ms: wall,
-            detail: vec![
-                ("jobs", campaign.outcomes.len() as u64),
-                ("builds", campaign.cache.builds),
-                ("failed", campaign.failed() as u64),
-                ("threads", budget.threads() as u64),
-            ],
-        });
-    }
+    campaign_stage("campaign-faults", &spec, cache, &|c| {
+        vec![("failed", c.failed() as u64)]
+    });
     let _ = std::fs::remove_dir_all(&store_dir);
 
     // Incremental-sweep probe: the same quick campaign widened to four
@@ -538,35 +497,24 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
     // stage-keyed pipeline collapses the whole seed sweep onto ONE
     // place+route per benchmark (`pr_builds` — the gated invariant),
     // so the extra seeds cost only attack evaluation, not layout.
-    {
-        let spec = SweepSpec {
-            seeds: vec![1, 2, 3, 4],
-            layout_seed: Some(cfg.seed),
-            ..spec.clone()
-        };
-        let incr_dir = std::env::temp_dir().join(format!("sm-bench-incr-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&incr_dir);
-        let cache = ArtifactCache::with_store(std::sync::Arc::new(ArtifactStore::open(
-            incr_dir.to_string_lossy().as_ref(),
-            None,
-        )));
-        let (campaign, wall) = timed(|| {
-            run_sweep_budgeted(&spec, &budget, &cache, None).expect("bench spec is valid")
-        });
-        stages.push(StageSample {
-            stage: "campaign-incremental",
-            benchmark: "-".to_string(),
-            wall_ms: wall,
-            detail: vec![
-                ("jobs", campaign.outcomes.len() as u64),
-                ("builds", campaign.cache.builds),
-                ("pr_builds", campaign.stages.builds_of(Stage::Layout)),
-                ("split_builds", campaign.stages.builds_of(Stage::Split)),
-                ("threads", budget.threads() as u64),
-            ],
-        });
-        let _ = std::fs::remove_dir_all(&incr_dir);
-    }
+    let incr = SweepSpec {
+        seeds: vec![1, 2, 3, 4],
+        layout_seed: Some(cfg.seed),
+        ..spec.clone()
+    };
+    let incr_dir = std::env::temp_dir().join(format!("sm-bench-incr-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&incr_dir);
+    let cache = ArtifactCache::with_store(std::sync::Arc::new(ArtifactStore::open(
+        incr_dir.to_string_lossy().as_ref(),
+        None,
+    )));
+    campaign_stage("campaign-incremental", &incr, cache, &|c| {
+        vec![
+            ("pr_builds", c.stages.builds_of(Stage::Layout)),
+            ("split_builds", c.stages.builds_of(Stage::Split)),
+        ]
+    });
+    let _ = std::fs::remove_dir_all(&incr_dir);
 
     BenchReport {
         config: cfg.clone(),

@@ -15,44 +15,41 @@
 //! All functions are deterministic per seed and return a
 //! [`BaselineLayout`] directly comparable with the protected design.
 //!
-//! Each runs inside the caller's [`sm_exec::Budget`]: placement's
-//! parallel inner work stays within its thread allotment (bit-identical
-//! output at any thread count). If the budget's token fires mid-build
-//! they abort at the next result-neutral checkpoint by unwinding with
-//! [`sm_exec::Cancelled`] (see [`sm_exec::abort_cancelled`]) — the
-//! campaign engine's job isolation catches that unwind and records the
-//! job timed-out. A build that completes is byte-identical whether or
-//! not a token was armed.
+//! Each places and routes through the crate's one layout build, inside
+//! the caller's [`sm_exec::Budget`], and records one span per step into
+//! the caller's [`Recorder`]: `<p>-place`, `<p>-place-fm` (its FM
+//! slice), `<p>-route` and `<p>-ppa`, where `<p>` is `original`, `lift`
+//! (which only routes), `place-perturb`, `pin-swap` or `route-perturb`.
+//! Placement's parallel inner work stays within the budget's thread
+//! allotment (bit-identical output at any thread count). If the
+//! budget's token fires mid-build they abort at the next result-neutral
+//! checkpoint by unwinding with [`sm_exec::Cancelled`] (see
+//! [`sm_exec::abort_cancelled`]) — the campaign engine's job isolation
+//! catches that unwind and records the job timed-out. A build that
+//! completes is byte-identical whether or not a token was armed.
 
 use crate::flow::BaselineLayout;
-use crate::ppa::evaluate;
+use crate::layout::{die, spans, Build};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sm_layout::{Floorplan, PlacementEngine, Point, RouteOptions, Router, Technology};
+use sm_exec::phase::Recorder;
+use sm_exec::Budget;
+use sm_layout::{Point, RouteOptions};
 use sm_netlist::{NetId, Netlist};
 
 /// Places and routes the plain, unprotected netlist (the "Original" rows
-/// of the paper's tables) inside `exec`, recording placement phase spans
-/// into `rec` (`original-place` / `original-place-fm`).
+/// of the paper's tables).
 pub fn original_layout(
     netlist: &Netlist,
     utilization: f64,
     seed: u64,
-    exec: &sm_exec::Budget,
-    rec: &mut sm_exec::phase::Recorder,
+    exec: &Budget,
+    rec: &mut Recorder,
 ) -> BaselineLayout {
-    let meter = sm_layout::PlaceMeter::shared();
-    let out = layout_with_options(
-        netlist,
-        utilization,
-        seed,
-        &RouteOptions::default(),
-        exec,
-        Some(&meter),
-    );
-    crate::flow::drain_place_spans(&meter, rec, "original-place", "original-place-fm");
-    out
+    let mut build = Build::new(spans!("original"), die(netlist, utilization), seed, exec);
+    let placement = build.place(netlist);
+    build.layout(netlist, placement, &RouteOptions::default(), rec)
 }
 
 /// Naive lifting: route the original netlist but lift `nets` to
@@ -62,37 +59,26 @@ pub fn original_layout(
 /// `netlist` ([`original_layout`] at the same seed, or its decoded copy),
 /// keeps its floorplan and placement, re-routes with `nets` lifted to
 /// `lift_layer` and re-evaluates PPA (activity seeded by `seed`). Places
-/// nothing, so it records no placement spans; `exec` carries the
-/// routing's cancel token.
+/// nothing, so it records only `lift-route` and `lift-ppa`.
 pub fn naive_lifting(
     netlist: &Netlist,
     original: &BaselineLayout,
     nets: &[NetId],
     lift_layer: u8,
     seed: u64,
-    exec: &sm_exec::Budget,
+    exec: &Budget,
+    rec: &mut Recorder,
 ) -> BaselineLayout {
     let mut opts = RouteOptions::default();
     for &n in nets {
         opts.lift.insert(n, lift_layer);
     }
-    let tech = Technology::nangate45_10lm();
-    let routing = Router::new(&tech)
-        .try_route(
-            netlist,
-            &original.placement,
-            &original.floorplan,
-            &opts,
-            exec.cancel_token(),
-        )
-        .unwrap_or_else(|| sm_exec::abort_cancelled());
-    let ppa = evaluate(netlist, &routing, &original.floorplan, &tech, seed);
-    BaselineLayout {
-        floorplan: original.floorplan.clone(),
-        placement: original.placement.clone(),
-        routing,
-        ppa,
-    }
+    Build::new(spans!("lift"), original.floorplan.clone(), seed, exec).layout(
+        netlist,
+        original.placement.clone(),
+        &opts,
+        rec,
+    )
 }
 
 /// Placement perturbation \[5\]/\[8\]: displace `fraction` of the cells by a
@@ -104,14 +90,17 @@ pub fn placement_perturbation(
     radius_rows: i64,
     utilization: f64,
     seed: u64,
-    exec: &sm_exec::Budget,
+    exec: &Budget,
+    rec: &mut Recorder,
 ) -> BaselineLayout {
-    let tech = Technology::nangate45_10lm();
-    let fp = Floorplan::for_netlist(netlist, &tech, utilization);
-    let engine = PlacementEngine::new(seed).with_budget(exec.clone());
-    let mut placement = engine
-        .try_place(netlist, &fp)
-        .unwrap_or_else(|| sm_exec::abort_cancelled());
+    let mut build = Build::new(
+        spans!("place-perturb"),
+        die(netlist, utilization),
+        seed,
+        exec,
+    );
+    let mut placement = build.place(netlist);
+    let fp = &build.floorplan;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
     let mut cells: Vec<_> = netlist.cells().map(|(id, _)| id).collect();
     cells.shuffle(&mut rng);
@@ -125,24 +114,8 @@ pub fn placement_perturbation(
         );
         placement.set_cell_origin(c, fp.core().clamp(p));
     }
-    engine.legalize(&mut placement, &fp);
-    let router = Router::new(&tech);
-    let routing = router
-        .try_route(
-            netlist,
-            &placement,
-            &fp,
-            &RouteOptions::default(),
-            exec.cancel_token(),
-        )
-        .unwrap_or_else(|| sm_exec::abort_cancelled());
-    let ppa = evaluate(netlist, &routing, &fp, &tech, seed);
-    BaselineLayout {
-        floorplan: fp,
-        placement,
-        routing,
-        ppa,
-    }
+    build.legalize(&mut placement);
+    build.layout(netlist, placement, &RouteOptions::default(), rec)
 }
 
 /// Pin swapping \[3\]: permute the pad locations of primary outputs (the
@@ -154,14 +127,11 @@ pub fn pin_swapping(
     swap_fraction: f64,
     utilization: f64,
     seed: u64,
-    exec: &sm_exec::Budget,
+    exec: &Budget,
+    rec: &mut Recorder,
 ) -> BaselineLayout {
-    let tech = Technology::nangate45_10lm();
-    let fp = Floorplan::for_netlist(netlist, &tech, utilization);
-    let engine = PlacementEngine::new(seed).with_budget(exec.clone());
-    let mut placement = engine
-        .try_place(netlist, &fp)
-        .unwrap_or_else(|| sm_exec::abort_cancelled());
+    let mut build = Build::new(spans!("pin-swap"), die(netlist, utilization), seed, exec);
+    let mut placement = build.place(netlist);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x517cc1b727220a95);
     let num_out = netlist.output_ports().len();
     let mut indices: Vec<usize> = (0..num_out).collect();
@@ -171,23 +141,7 @@ pub fn pin_swapping(
     for pair in indices[..k].chunks_exact(2) {
         placement.swap_output_positions(pair[0], pair[1]);
     }
-    let router = Router::new(&tech);
-    let routing = router
-        .try_route(
-            netlist,
-            &placement,
-            &fp,
-            &RouteOptions::default(),
-            exec.cancel_token(),
-        )
-        .unwrap_or_else(|| sm_exec::abort_cancelled());
-    let ppa = evaluate(netlist, &routing, &fp, &tech, seed);
-    BaselineLayout {
-        floorplan: fp,
-        placement,
-        routing,
-        ppa,
-    }
+    build.layout(netlist, placement, &RouteOptions::default(), rec)
 }
 
 /// Routing perturbation \[12\]: elevate a random `fraction` of multi-pin
@@ -197,7 +151,8 @@ pub fn routing_perturbation(
     fraction: f64,
     utilization: f64,
     seed: u64,
-    exec: &sm_exec::Budget,
+    exec: &Budget,
+    rec: &mut Recorder,
 ) -> BaselineLayout {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x2545f4914f6cdd1d);
     let mut nets: Vec<NetId> = netlist
@@ -212,43 +167,19 @@ pub fn routing_perturbation(
         // Elevate to the mid stack (M4/M5): detours, not full lifting.
         opts.lift.insert(n, 4);
     }
-    layout_with_options(netlist, utilization, seed, &opts, exec, None)
-}
-
-fn layout_with_options(
-    netlist: &Netlist,
-    utilization: f64,
-    seed: u64,
-    opts: &RouteOptions,
-    exec: &sm_exec::Budget,
-    meter: Option<&std::sync::Arc<sm_layout::PlaceMeter>>,
-) -> BaselineLayout {
-    let tech = Technology::nangate45_10lm();
-    let fp = Floorplan::for_netlist(netlist, &tech, utilization);
-    let mut engine = PlacementEngine::new(seed).with_budget(exec.clone());
-    if let Some(meter) = meter {
-        engine = engine.with_meter(meter.clone());
-    }
-    let placement = engine
-        .try_place(netlist, &fp)
-        .unwrap_or_else(|| sm_exec::abort_cancelled());
-    let routing = Router::new(&tech)
-        .try_route(netlist, &placement, &fp, opts, exec.cancel_token())
-        .unwrap_or_else(|| sm_exec::abort_cancelled());
-    let ppa = evaluate(netlist, &routing, &fp, &tech, seed);
-    BaselineLayout {
-        floorplan: fp,
-        placement,
-        routing,
-        ppa,
-    }
+    let mut build = Build::new(
+        spans!("route-perturb"),
+        die(netlist, utilization),
+        seed,
+        exec,
+    );
+    let placement = build.place(netlist);
+    build.layout(netlist, placement, &opts, rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_exec::phase::Recorder;
-    use sm_exec::Budget;
     use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
     use sm_netlist::Library;
 
@@ -264,8 +195,8 @@ mod tests {
         original_layout(n, 0.6, seed, &serial(), &mut Recorder::new())
     }
 
-    /// The layout is legal and timed, and metering records a placement
-    /// span pair with the FM slice bounded by the total.
+    /// The layout is legal and timed: one span per step, with the FM
+    /// slice bounded by the placement total.
     #[test]
     fn original_layout_is_clean() {
         let n = c17();
@@ -275,7 +206,15 @@ mod tests {
         assert!(b.ppa.delay_ps > 0.0);
         let spans = rec.spans();
         let names: Vec<&str> = spans.iter().map(|&(name, _)| name).collect();
-        assert_eq!(names, ["original-place", "original-place-fm"]);
+        assert_eq!(
+            names,
+            [
+                "original-place",
+                "original-place-fm",
+                "original-route",
+                "original-ppa"
+            ]
+        );
         let place_ms = spans[0].1;
         let fm_ms = spans[1].1;
         assert!(place_ms > 0.0, "placement took no wall-clock?");
@@ -294,7 +233,15 @@ mod tests {
             .map(|(id, _)| id)
             .take(3)
             .collect();
-        let b = naive_lifting(&n, &original(&n, 1), &nets, 6, 1, &serial());
+        let b = naive_lifting(
+            &n,
+            &original(&n, 1),
+            &nets,
+            6,
+            1,
+            &serial(),
+            &mut Recorder::new(),
+        );
         for &net in &nets {
             assert!(b.routing.net_max_layer(net) >= 6);
         }
@@ -304,7 +251,7 @@ mod tests {
     fn perturbation_changes_placement_but_stays_legal() {
         let n = c17();
         let plain = original(&n, 2);
-        let pert = placement_perturbation(&n, 0.5, 3, 0.6, 2, &serial());
+        let pert = placement_perturbation(&n, 0.5, 3, 0.6, 2, &serial(), &mut Recorder::new());
         assert!(pert.placement.is_legal(&pert.floorplan));
         let moved = n
             .cells()
@@ -317,7 +264,7 @@ mod tests {
     fn pin_swapping_permutes_output_pads() {
         let n = c17();
         let plain = original(&n, 3);
-        let swapped = pin_swapping(&n, 1.0, 0.6, 3, &serial());
+        let swapped = pin_swapping(&n, 1.0, 0.6, 3, &serial(), &mut Recorder::new());
         let changed = (0..n.output_ports().len())
             .filter(|&i| plain.placement.output_position(i) != swapped.placement.output_position(i))
             .count();
@@ -328,7 +275,7 @@ mod tests {
     fn routing_perturbation_elevates_some_nets() {
         let n = c17();
         let plain = original(&n, 4);
-        let pert = routing_perturbation(&n, 1.0, 0.6, 4, &serial());
+        let pert = routing_perturbation(&n, 1.0, 0.6, 4, &serial(), &mut Recorder::new());
         let plain_hi: u64 = (4..=9).map(|m| plain.routing.via_counts().between(m)).sum();
         let pert_hi: u64 = (4..=9).map(|m| pert.routing.via_counts().between(m)).sum();
         assert!(pert_hi >= plain_hi);
@@ -337,8 +284,8 @@ mod tests {
     #[test]
     fn baselines_are_deterministic() {
         let n = c17();
-        let a = placement_perturbation(&n, 0.5, 2, 0.6, 9, &serial());
-        let b = placement_perturbation(&n, 0.5, 2, 0.6, 9, &serial());
+        let a = placement_perturbation(&n, 0.5, 2, 0.6, 9, &serial(), &mut Recorder::new());
+        let b = placement_perturbation(&n, 0.5, 2, 0.6, 9, &serial(), &mut Recorder::new());
         for (id, _) in n.cells() {
             assert_eq!(a.placement.cell_origin(id), b.placement.cell_origin(id));
         }

@@ -20,11 +20,12 @@
 //! the "Original" rows too, and passes it in.
 
 use crate::correction::{embed_correction_cells, CorrectionCell};
-use crate::ppa::{evaluate, PpaOverhead, PpaReport};
+use crate::layout::{die, spans, Build};
+use crate::ppa::{PpaOverhead, PpaReport};
 use crate::randomize::{randomize, Randomization, RandomizeConfig};
-use sm_layout::{
-    Floorplan, Placement, PlacementEngine, RouteOptions, Router, RoutingResult, Technology,
-};
+use sm_exec::phase::Recorder;
+use sm_exec::Budget;
+use sm_layout::{Floorplan, Placement, RouteOptions, RoutingResult};
 use sm_netlist::Netlist;
 
 /// Configuration of the protection flow.
@@ -149,12 +150,15 @@ impl ProtectedDesign {
 /// [`FlowConfig::ppa_budget_percent`] (mirroring the "budget expended?"
 /// decision in Fig. 2).
 ///
-/// Phase spans go to `rec`: `protect-place` (total placement wall-clock
-/// across every build the budget loop runs), `protect-place-fm` (the
-/// slice of it spent in FM refinement) and `protect-randomize` (the
-/// swap search with its OER checks). Recording is side-band
-/// observability — pass a fresh [`Recorder`](sm_exec::phase::Recorder)
-/// to discard it.
+/// Phase spans go to `rec`, one per name, each summed over every round
+/// the budget loop runs: `protect-randomize` (the swap search with its
+/// OER checks, run once), `protect-place` (placement of the erroneous
+/// netlist), `protect-place-fm` (the slice of it spent in FM
+/// refinement), `protect-correction` (embedding the correction cells
+/// and restoring the true netlist), `protect-route-feol` and
+/// `protect-route-restored` (the two routings) and `protect-ppa`.
+/// Recording is side-band observability — pass a fresh
+/// [`Recorder`] to discard it.
 ///
 /// If `exec`'s token fires mid-flow, the build aborts at the next
 /// result-neutral checkpoint (between FM passes, between bisection
@@ -170,49 +174,17 @@ pub fn protect(
     netlist: &Netlist,
     config: &FlowConfig,
     baseline: &BaselineLayout,
-    exec: &sm_exec::Budget,
-    rec: &mut sm_exec::phase::Recorder,
+    exec: &Budget,
+    rec: &mut Recorder,
 ) -> ProtectedDesign {
-    let meter = sm_layout::PlaceMeter::shared();
-    let out = protect_impl(netlist, config, baseline, exec, &meter, rec);
-    drain_place_spans(&meter, rec, "protect-place", "protect-place-fm");
-    out
-}
-
-/// Drains `meter` into `rec` under the given span names. Shared by the
-/// flow and baseline builders.
-pub(crate) fn drain_place_spans(
-    meter: &sm_layout::PlaceMeter,
-    rec: &mut sm_exec::phase::Recorder,
-    total_name: &'static str,
-    fm_name: &'static str,
-) {
-    let (place_ms, fm_ms) = meter.drain_ms();
-    rec.add(total_name, place_ms);
-    rec.add(fm_name, fm_ms);
-}
-
-fn protect_impl(
-    netlist: &Netlist,
-    config: &FlowConfig,
-    baseline: &BaselineLayout,
-    exec: &sm_exec::Budget,
-    meter: &std::sync::Arc<sm_layout::PlaceMeter>,
-    rec: &mut sm_exec::phase::Recorder,
-) -> ProtectedDesign {
-    let tech = Technology::nangate45_10lm();
-    let engine = PlacementEngine::new(config.seed)
-        .with_budget(exec.clone())
-        .with_meter(meter.clone());
-    let router = Router::new(&tech);
-
     // The baseline fixes the shared die outline.
-    let fp = &baseline.floorplan;
     debug_assert_eq!(
-        *fp,
-        Floorplan::for_netlist(netlist, &tech, config.utilization),
+        baseline.floorplan,
+        die(netlist, config.utilization),
         "baseline was laid out at a different utilization"
     );
+    let spans = spans!("protect", "protect-route-restored");
+    let mut build = Build::new(spans, baseline.floorplan.clone(), config.seed, exec);
 
     // Randomize once at full strength; the budget loop trims the swap log.
     let full = rec.time("protect-randomize", || {
@@ -220,25 +192,18 @@ fn protect_impl(
     });
     let mut keep = full.swaps.len();
     let mut rounds = 0;
-    loop {
+    let design = loop {
         let randomization = truncate_randomization(netlist, &full, keep);
-        let design = build_layout(
-            config,
-            &tech,
-            fp,
-            &engine,
-            &router,
-            randomization,
-            baseline.clone(),
-            exec,
-        );
+        let design = protect_round(config, &mut build, randomization, baseline.clone());
         let within = design.ppa_overhead.worst_pct() <= config.ppa_budget_percent;
         rounds += 1;
         if within || keep <= 1 || rounds >= config.max_budget_rounds {
-            return design;
+            break design;
         }
         keep /= 2;
-    }
+    };
+    build.record(rec);
+    design
 }
 
 /// Re-derives a [`Randomization`] with only the first `keep` swaps.
@@ -263,73 +228,52 @@ fn truncate_randomization(original: &Netlist, full: &Randomization, keep: usize)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_layout(
+/// One budget round: lays out `randomization`'s erroneous netlist and
+/// restores it through the BEOL.
+fn protect_round(
     config: &FlowConfig,
-    tech: &Technology,
-    fp: &Floorplan,
-    engine: &PlacementEngine,
-    router: &Router<'_>,
+    build: &mut Build<'_>,
     randomization: Randomization,
     baseline: BaselineLayout,
-    exec: &sm_exec::Budget,
 ) -> ProtectedDesign {
     // Place the erroneous netlist: every FEOL hint now describes the wrong
     // design.
-    let placement = engine
-        .try_place(&randomization.erroneous, fp)
-        .unwrap_or_else(|| sm_exec::abort_cancelled());
-    let protected = randomization.protected_nets();
+    let placement = build.place(&randomization.erroneous);
 
     // Correction cells sit on the lifted nets, pins on the lift layer's
-    // track grid.
-    let pitch = tech.layer(config.lift_layer).pitch_dbu;
-    let correction_cells = embed_correction_cells(
-        &randomization.erroneous,
-        &placement,
-        &randomization.swaps,
-        config.lift_layer,
-        pitch,
-    );
-
-    // FEOL routing: erroneous connectivity, swapped nets lifted.
-    let mut feol_opts = RouteOptions::default();
-    for &net in &protected {
-        feol_opts.lift.insert(net, config.lift_layer);
-    }
-    let feol_routing = router
-        .try_route(
+    // track grid; between their pairs the BEOL restores the true netlist.
+    let (correction_cells, restored) = build.time("protect-correction", |b| {
+        let pitch = b.tech.layer(config.lift_layer).pitch_dbu;
+        let cells = embed_correction_cells(
             &randomization.erroneous,
             &placement,
-            fp,
-            &feol_opts,
-            exec.cancel_token(),
-        )
-        .unwrap_or_else(|| sm_exec::abort_cancelled());
+            &randomization.swaps,
+            config.lift_layer,
+            pitch,
+        );
+        (cells, randomization.restore())
+    });
 
-    // BEOL restoration: true connectivity on the same placement; the
-    // protected nets now route between correction-cell pairs in the BEOL.
-    let restored = randomization.restore();
-    let mut restored_opts = RouteOptions::default();
-    for &net in &protected {
-        restored_opts.lift.insert(net, config.lift_layer);
+    // Both routings lift the swapped nets: the FEOL routes the erroneous
+    // connectivity, the restored routing the true one on the same
+    // placement (the protected nets now route between correction-cell
+    // pairs in the BEOL), and PPA is measured on the latter.
+    let mut lifted = RouteOptions::default();
+    for net in randomization.protected_nets() {
+        lifted.lift.insert(net, config.lift_layer);
     }
-    let restored_routing = router
-        .try_route(
-            &restored,
-            &placement,
-            fp,
-            &restored_opts,
-            exec.cancel_token(),
-        )
-        .unwrap_or_else(|| sm_exec::abort_cancelled());
-
-    let ppa = evaluate(&restored, &restored_routing, fp, tech, config.seed);
+    let feol_routing = build.route(
+        "protect-route-feol",
+        &randomization.erroneous,
+        &placement,
+        &lifted,
+    );
+    let (restored_routing, ppa) = build.route_and_evaluate(&restored, &placement, &lifted);
     let ppa_overhead = PpaOverhead::between(&baseline.ppa, &ppa);
     ProtectedDesign {
         randomization,
         restored,
-        floorplan: fp.clone(),
+        floorplan: build.floorplan.clone(),
         placement,
         feol_routing,
         restored_routing,
@@ -344,8 +288,6 @@ fn build_layout(
 pub(crate) mod tests {
     use super::*;
     use crate::baselines::original_layout;
-    use sm_exec::phase::Recorder;
-    use sm_exec::Budget;
     use sm_netlist::parse::bench::{parse_bench, C17_BENCH};
     use sm_netlist::Library;
     use sm_sim::equiv::{check, Equivalence};
@@ -442,8 +384,6 @@ mod pins {
     use crate::baselines::{naive_lifting, original_layout};
     use sm_benchgen::iscas::{self, IscasProfile};
     use sm_codec::{encode_to_vec, frame::fnv1a};
-    use sm_exec::phase::Recorder;
-    use sm_exec::Budget;
 
     /// `(design, seed, fnv1a(protect), fnv1a(naive_lifting))`.
     const PINS: [(&str, u64, u64, u64); 4] = [
@@ -481,6 +421,7 @@ mod pins {
                 cfg.lift_layer,
                 seed,
                 &exec,
+                &mut Recorder::new(),
             );
             assert_eq!(fnv1a(&encode_to_vec(&p)), protect_fnv, "{name} seed {seed}");
             assert_eq!(
@@ -496,8 +437,66 @@ mod pins {
             let names: Vec<&str> = rec.spans().iter().map(|&(n, _)| n).collect();
             assert_eq!(
                 names,
-                ["protect-randomize", "protect-place", "protect-place-fm"]
+                [
+                    "protect-randomize",
+                    "protect-place",
+                    "protect-place-fm",
+                    "protect-correction",
+                    "protect-route-feol",
+                    "protect-route-restored",
+                    "protect-ppa"
+                ]
             );
+        }
+    }
+    /// `(design, seed, fnv1a(placement_perturbation),
+    /// fnv1a(pin_swapping), fnv1a(routing_perturbation))`.
+    const DEFENSE_PINS: [(&str, u64, u64, u64, u64); 4] = [
+        (
+            "c432",
+            1,
+            0xf730a7bb36afe5b0,
+            0x117d841dc2c7305f,
+            0x11eaca7885bc05d7,
+        ),
+        (
+            "c432",
+            2,
+            0x7edc3b27d9a15273,
+            0x08f1843cd020cc6c,
+            0x0927bececddf9bf8,
+        ),
+        (
+            "c880",
+            1,
+            0x8a63107d7034a191,
+            0x003797023f0c4bcc,
+            0xb261d16118252659,
+        ),
+        (
+            "c880",
+            2,
+            0xbf4f84557b704d57,
+            0x7e2c6365483fb31a,
+            0x1fb5adf139dc76f4,
+        ),
+    ];
+
+    /// The prior-art defense layouts of Tables 4/5, built with the
+    /// arguments `security_row` passes.
+    #[test]
+    fn defense_layout_bytes_are_pinned() {
+        use crate::baselines::{pin_swapping, placement_perturbation, routing_perturbation};
+        let exec = Budget::with_threads(Some(2));
+        for (name, seed, pp_fnv, ps_fnv, rp_fnv) in DEFENSE_PINS {
+            let n = design(name, seed);
+            let rec = &mut Recorder::new();
+            let pp = placement_perturbation(&n, 0.3, 3, 0.7, seed, &exec, rec);
+            let ps = pin_swapping(&n, 0.5, 0.7, seed, &exec, rec);
+            let rp = routing_perturbation(&n, 0.3, 0.7, seed, &exec, rec);
+            assert_eq!(fnv1a(&encode_to_vec(&pp)), pp_fnv, "{name} seed {seed}");
+            assert_eq!(fnv1a(&encode_to_vec(&ps)), ps_fnv, "{name} seed {seed}");
+            assert_eq!(fnv1a(&encode_to_vec(&rp)), rp_fnv, "{name} seed {seed}");
         }
     }
 }

@@ -49,6 +49,7 @@ pub mod baselines;
 mod codec;
 pub mod correction;
 pub mod flow;
+mod layout;
 pub mod ppa;
 pub mod randomize;
 

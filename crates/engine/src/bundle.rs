@@ -65,8 +65,9 @@ impl SuperblueRun {
     /// persisted stage).
     ///
     /// Stages that build record their phase spans into `rec`, in stage
-    /// order (`original-place*`, then `protect-*`); fetched stages
-    /// record nothing, and the lift stage places nothing.
+    /// order (`original-*`, then `protect-*`, then `lift-route` and
+    /// `lift-ppa`: the lift stage places nothing); fetched stages
+    /// record nothing.
     pub(crate) fn assemble(
         profile: &SuperblueProfile,
         scale: usize,
@@ -99,6 +100,7 @@ impl SuperblueRun {
                 config.lift_layer,
                 seed,
                 exec,
+                rec,
             )
         });
         (

@@ -227,10 +227,15 @@ pub struct JobOutcome {
     /// report has no timings); outcomes replayed from a journal, zero.
     pub wall: Duration,
     /// Per-phase wall-clock spans in milliseconds, in execution order
-    /// (`store`/`bundle`/`split`/`attack-*`/…). A job that builds its
-    /// bundle additionally carries the build's spans (`original-place`,
-    /// `protect-randomize`, `protect-place`, `protect-place-fm`, … — the
-    /// FM slice shows where place time goes). Diagnostics only — they
+    /// (`store`/`bundle`/`split`/`attack-*`/…). A job that builds a
+    /// bundle stage additionally carries, right after `bundle`, one span
+    /// per step of that build: `original-place`, `original-place-fm`,
+    /// `original-route`, `original-ppa`; `protect-randomize`,
+    /// `protect-place`, `protect-place-fm`, `protect-correction`,
+    /// `protect-route-feol`, `protect-route-restored`, `protect-ppa`;
+    /// and on superblue `lift-route`, `lift-ppa`. A `*-place-fm` span is
+    /// the FM slice of its `*-place`; the others are disjoint slices of
+    /// `bundle`. Diagnostics only — they
     /// surface under [`ReportOptions::include_timings`] and in journal
     /// provenance, never in canonical reports; empty for outcomes
     /// replayed from a stored report.

@@ -256,9 +256,102 @@ fn superblue_building_jobs_carry_no_lift_placement() {
         assert!(phases.iter().any(|n| n == span), "no {span} span");
     }
     assert!(
-        !phases.iter().any(|n| n.starts_with("lift-")),
+        !phases.iter().any(|n| n.starts_with("lift-place")),
         "naive lifting placed: {phases:?}"
     );
+}
+
+/// Each build step records one span on the job that builds its stage.
+/// A cold c432 job and a cold superblue18 job each carry the original
+/// layout's and the protection flow's route, correction and PPA spans
+/// exactly once; the superblue job also carries its lift stage's route
+/// and PPA, and no lift placement. Their build spans fit inside their
+/// `bundle` phase, and a warm job over the stored bundles carries none.
+#[test]
+fn building_jobs_carry_one_span_per_build_step() {
+    const BUILD: [&str; 6] = [
+        "original-route",
+        "original-ppa",
+        "protect-correction",
+        "protect-route-feol",
+        "protect-route-restored",
+        "protect-ppa",
+    ];
+    const LIFT: [&str; 2] = ["lift-route", "lift-ppa"];
+    let scratch = Scratch::new("build-spans");
+    let store = Arc::new(ArtifactStore::open(scratch.path().join("store"), None));
+    // The phases of each finished job of a crouting sweep at `layer`.
+    let run = |benchmarks: &[&str], layer: u8| -> Vec<(String, Vec<(String, f64)>)> {
+        let spec = SweepSpec {
+            benchmarks: benchmarks.iter().map(|b| b.to_string()).collect(),
+            seeds: vec![1],
+            split_layers: vec![layer],
+            attacks: vec![AttackKind::Crouting],
+            scale: 1000,
+            master_seed: 1,
+            layout_seed: None,
+        };
+        let journal = Arc::new(Journal::for_spec(scratch.path(), &spec));
+        let cache =
+            ArtifactCache::with_store(Arc::clone(&store)).with_journal(Arc::clone(&journal));
+        run_sweep_budgeted(&spec, &Budget::with_threads(Some(2)), &cache, None).unwrap();
+        read_events(journal.path())
+            .unwrap()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::JobFinished {
+                    job, provenance, ..
+                } => Some((job.benchmark, provenance.phases)),
+                _ => None,
+            })
+            .collect()
+    };
+    let count =
+        |phases: &[(String, f64)], span: &str| phases.iter().filter(|(n, _)| n == span).count();
+
+    let cold = run(&["c432", "superblue18"], 4);
+    assert_eq!(cold.len(), 2);
+    for (benchmark, phases) in &cold {
+        let superblue = benchmark == "superblue18";
+        for span in BUILD {
+            assert_eq!(count(phases, span), 1, "{benchmark}: {span} in {phases:?}");
+        }
+        for span in LIFT {
+            assert_eq!(
+                count(phases, span),
+                usize::from(superblue),
+                "{benchmark}: {span} in {phases:?}"
+            );
+        }
+        assert!(
+            !phases.iter().any(|(n, _)| n.starts_with("lift-place")),
+            "{benchmark}: naive lifting placed: {phases:?}"
+        );
+        let bundle: f64 = phases.iter().find(|(n, _)| n == "bundle").unwrap().1;
+        let built: f64 = phases
+            .iter()
+            .filter(|(n, _)| {
+                ["original-", "protect-", "lift-"]
+                    .iter()
+                    .any(|stage| n.starts_with(stage))
+                    && !n.ends_with("-fm")
+            })
+            .map(|&(_, ms)| ms)
+            .sum();
+        assert!(
+            built <= bundle + 1e-9,
+            "{benchmark}: build spans sum to {built}ms, past the {bundle}ms bundle phase"
+        );
+    }
+
+    // A job at another layer decodes both bundles from the store.
+    let warm = run(&["c432", "superblue18"], 5);
+    assert_eq!(warm.len(), 2);
+    for (benchmark, phases) in &warm {
+        for span in BUILD.iter().chain(&LIFT) {
+            assert_eq!(count(phases, span), 0, "{benchmark}: {span} in {phases:?}");
+        }
+    }
 }
 
 /// The tentpole guarantee: `materialize(journal)` renders byte-identical

@@ -19,9 +19,6 @@
 //!   region through both and assert identical move sequences;
 //! * the per-region cell/net lookup tables are flat scratch arrays
 //!   reset on exit, not `HashMap`s rebuilt at every recursion level;
-//! * each branch carries an independent derived seed
-//!   ([`sm_exec::seed::derive`], the `Job::derived_seed` scheme), so no
-//!   mutable RNG state is threaded through the recursion;
 //! * the anchor (terminal-propagation) sweep of large regions fans out
 //!   on the caller's [`Budget`] — helper threads on the free slots of
 //!   the one pool the whole campaign shares, **not** a fresh
@@ -52,10 +49,6 @@ const PAR_ANCHOR_CELLS: usize = 4096;
 /// is honored only at result-neutral checkpoints — between recursion
 /// levels and between FM passes — so a completed run is byte-identical
 /// whether or not a token was armed.
-///
-/// `seed` labels the root branch stream (derived per branch with the
-/// `Job::derived_seed` mixing scheme); the current refinement draws no
-/// random numbers, so the seed only fixes the stream identities.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bisection_positions(
     netlist: &Netlist,
@@ -65,7 +58,6 @@ pub(crate) fn bisection_positions(
     port_pos: impl Fn(Driver) -> Point + Copy,
     out_pos: impl Fn(usize) -> Point + Copy,
     seed_positions: &[Point],
-    seed: u64,
     budget: &Budget,
     fm_ns: Option<&std::sync::atomic::AtomicU64>,
 ) -> Option<Vec<Point>> {
@@ -96,7 +88,7 @@ pub(crate) fn bisection_positions(
         net_slot: vec![u32::MAX; netlist.num_nets()],
         bufs: Buffers::default(),
     };
-    if !recurse(&ctx, all, core, &mut positions, &mut scratch, seed, 0) {
+    if !recurse(&ctx, all, core, &mut positions, &mut scratch, 0) {
         return None;
     }
     Some(positions)
@@ -155,7 +147,6 @@ fn recurse(
     region: Rect,
     positions: &mut [Point],
     scratch: &mut Scratch,
-    branch_seed: u64,
     depth: u32,
 ) -> bool {
     if cells.is_empty() {
@@ -430,25 +421,8 @@ fn recurse(
     for &n in region_nets.iter() {
         net_slot[n.index()] = u32::MAX;
     }
-    let low_seed = sm_exec::seed::derive(branch_seed, 0);
-    let high_seed = sm_exec::seed::derive(branch_seed, 1);
-    recurse(
-        ctx,
-        low_cells,
-        low_region,
-        positions,
-        scratch,
-        low_seed,
-        depth + 1,
-    ) && recurse(
-        ctx,
-        high_cells,
-        high_region,
-        positions,
-        scratch,
-        high_seed,
-        depth + 1,
-    )
+    recurse(ctx, low_cells, low_region, positions, scratch, depth + 1)
+        && recurse(ctx, high_cells, high_region, positions, scratch, depth + 1)
 }
 
 #[cfg(test)]
@@ -504,7 +478,6 @@ mod tests {
             |_| core.center(),
             |_| core.center(),
             &seeds,
-            3,
             &Budget::default(),
             None,
         )
@@ -553,7 +526,7 @@ mod tests {
         let widths = vec![400i64; n.num_cells()];
         let seeds = vec![core.center(); n.num_cells()];
         let conn = ConnectivityIndex::build(&n);
-        let run = |seed: u64| {
+        let run = || {
             bisection_positions(
                 &n,
                 &conn,
@@ -562,14 +535,13 @@ mod tests {
                 |_| Point::new(0, 25_000),
                 |_| Point::new(50_000, 25_000),
                 &seeds,
-                seed,
                 &Budget::default(),
                 None,
             )
             .expect("unarmed budget cannot cancel")
         };
-        let a = run(5);
-        let b2 = run(5);
+        let a = run();
+        let b2 = run();
         assert_eq!(a, b2);
         for p in &a {
             assert!(core.contains(*p) || (p.x == core.hi.x / 2 || p.y == core.hi.y / 2));
@@ -630,7 +602,6 @@ mod tests {
                 |_| core.center(),
                 |_| core.center(),
                 &seeds,
-                7,
                 budget,
                 None,
             )

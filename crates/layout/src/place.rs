@@ -352,7 +352,7 @@ impl PlacementEngine {
         // the die without tearing connected cells apart. The CSR
         // connectivity built here also serves both detailed passes.
         let conn = ConnectivityIndex::build(netlist);
-        for cycle in 0..2u64 {
+        for _ in 0..2 {
             let in_ref = &pl.inputs;
             let out_ref = &pl.outputs;
             let seeded = pl.origins.clone();
@@ -367,7 +367,6 @@ impl PlacementEngine {
                 },
                 move |i| out_ref[i],
                 &seeded,
-                sm_exec::seed::derive(self.seed, cycle),
                 &self.budget,
                 self.meter.as_deref().map(|m| &m.fm_ns),
             )?;

@@ -146,27 +146,6 @@ impl NetlistBuilder {
         }
     }
 
-    /// Instantiates a named gate without decomposition, for parsers that
-    /// reference explicit library cells.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownLibCell`] for unknown names and
-    /// [`NetlistError::BadFanin`] when the pin count does not match.
-    pub fn lib_gate(&mut self, lib_name: &str, inputs: &[NetId]) -> Result<NetId, NetlistError> {
-        let lib = self
-            .library
-            .find(lib_name)
-            .ok_or_else(|| NetlistError::UnknownLibCell(lib_name.to_string()))?;
-        if self.library.cell(lib).num_inputs != inputs.len() {
-            return Err(NetlistError::BadFanin {
-                function: lib_name.to_string(),
-                fanin: inputs.len(),
-            });
-        }
-        Ok(self.raw_cell(lib, inputs))
-    }
-
     /// Finishes construction, checking for combinational loops.
     ///
     /// # Errors
@@ -336,16 +315,5 @@ mod tests {
         let a = b.input("a");
         let c = b.input("b");
         assert!(b.gate(GateFn::Inv, &[a, c]).is_err());
-    }
-
-    #[test]
-    fn lib_gate_checks_pins() {
-        let lib = Library::nangate45();
-        let mut b = NetlistBuilder::new("lg", &lib);
-        let a = b.input("a");
-        assert!(b.lib_gate("NAND2_X1", &[a]).is_err());
-        assert!(b.lib_gate("NO_SUCH", &[a]).is_err());
-        let c = b.input("b");
-        assert!(b.lib_gate("NAND2_X1", &[a, c]).is_ok());
     }
 }

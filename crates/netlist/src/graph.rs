@@ -205,16 +205,10 @@ impl TopoOrder {
     /// create a combinational loop? Same answer as
     /// [`would_create_cycle`] on [`Self::netlist`].
     pub fn would_create_cycle(&mut self, driver_net: NetId, sink_cell: CellId) -> bool {
-        let closes = match self.netlist.net(driver_net).driver() {
-            Driver::Cell(d) => self.search_forward(d, sink_cell),
+        match self.netlist.net(driver_net).driver() {
+            Driver::Cell(d) => self.closes_loop(d, sink_cell),
             Driver::Port(_) => false,
-        };
-        debug_assert_eq!(
-            closes,
-            would_create_cycle(&self.netlist, driver_net, sink_cell),
-            "incremental order disagrees with the reference DFS"
-        );
-        closes
+        }
     }
 
     /// [`Netlist::move_sink`], keeping the order valid.
@@ -234,7 +228,7 @@ impl TopoOrder {
         // connection is still in place: reaching its old driver from the
         // sink would already be a loop.
         if let Some((driver, cell)) = edge {
-            if self.search_forward(driver, cell) {
+            if self.closes_loop(driver, cell) {
                 return Err(NetlistError::CombinationalLoop(
                     self.netlist.cell(cell).name.clone(),
                 ));
@@ -245,6 +239,19 @@ impl TopoOrder {
             self.reorder(driver, cell);
         }
         Ok(())
+    }
+
+    /// Would the edge `driver → sink` close a loop? Leaves the forward
+    /// set in `forward`; debug builds check the answer against the
+    /// reference DFS.
+    fn closes_loop(&mut self, driver: CellId, sink: CellId) -> bool {
+        let closes = self.search_forward(driver, sink);
+        debug_assert_eq!(
+            closes,
+            reaches(&self.netlist, sink, driver),
+            "incremental order disagrees with the reference DFS"
+        );
+        closes
     }
 
     /// Collects in `forward` the cells reachable from `sink` that are

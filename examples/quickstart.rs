@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // One thread budget (machine parallelism) bounds every stage below;
-    // one recorder collects their phase timings.
+    // one recorder collects one wall-clock span per step.
     let exec = Budget::with_threads(None);
     let mut rec = Recorder::new();
 
@@ -71,5 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.metrics.oer * 100.0,
         outcome.metrics.hd * 100.0
     );
+    // Where the time went: place, route and PPA of both layouts, the
+    // protection flow's randomization and correction, the attack's phases.
+    for (span, ms) in rec.spans() {
+        println!("  {span:<24} {ms:>9.3} ms");
+    }
     Ok(())
 }

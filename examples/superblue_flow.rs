@@ -46,7 +46,15 @@ fn main() {
     );
 
     // Distances between truly connected gates (Table 1's story).
-    let lifted = naive_lifting(&design, &original, &nets, config.lift_layer, seed, &exec);
+    let lifted = naive_lifting(
+        &design,
+        &original,
+        &nets,
+        config.lift_layer,
+        seed,
+        &exec,
+        &mut rec,
+    );
     let d_orig = distance_stats(driver_sink_distances_um(
         &design,
         &original.placement,

@@ -34,7 +34,7 @@
 //! let design = parse_bench("c17", C17_BENCH, &lib)?;
 //!
 //! // 2. One thread budget bounds every stage below; one recorder times
-//! //    their phases.
+//! //    their steps (place, route, PPA, …), one span per step.
 //! let exec = Budget::with_threads(Some(2));
 //! let mut rec = Recorder::new();
 //!
@@ -45,6 +45,7 @@
 //! let original = original_layout(&design, config.utilization, config.seed, &exec, &mut rec);
 //! let protected = protect(&design, &config, &original, &exec, &mut rec);
 //! assert_eq!(protected.ppa_overhead.area_pct, 0.0); // zero area cost
+//! assert!(rec.spans().iter().any(|&(span, _)| span == "protect-route-feol"));
 //!
 //! // 4. Attack the FEOL the untrusted fab would see.
 //! let split = split_layout(
